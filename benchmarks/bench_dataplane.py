@@ -1,7 +1,7 @@
-"""Benchmark: columnar COO data plane — render, merge and fleet throughput.
+"""Benchmark: columnar COO data plane — render and merge throughput.
 
-Three sections, all measured against the per-frame oracle paths the data
-plane keeps alive (the :mod:`repro.runtime.legacy` pattern):
+Two sections, both measured against the per-frame reference paths kept in
+``src`` as oracles:
 
 * **render** — events-rendered/sec of the one-pass
   :meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert_stack`
@@ -18,19 +18,9 @@ plane keeps alive (the :mod:`repro.runtime.legacy` pattern):
   counts per dispatch batch, in the paper's sparse regime (~0.6 %
   occupancy, merge buckets of 4); the ≥ 2x cAdd gate is asserted at the
   512-bucket tier.  cAverage is reported alongside without a gate.
-* **fleet** — end-to-end events/sec of a seeded ``mixed_fleet`` DSFA
-  scenario run through ``MultiStreamSimulator`` on the ``"stack"`` data
-  plane (columnar ``(stack, index)`` transport, index-range merge buckets,
-  stack-backed batches) vs the ``"reference"`` per-frame oracle transport
-  driving :class:`~repro.runtime.legacy.ReferenceAggregator`.  Rendering
-  is pre-cached outside the timed region on both sides, so the tier
-  isolates the runtime transport.  Tiers are stream counts; the ≥ 2x gate
-  is asserted at the 256-stream tier, along with a tracemalloc
-  peak-allocation gate (the stack transport must not allocate more than
-  the per-frame oracle at peak).
 
 Every timed cell first asserts the fast path is bit-identical to its
-oracle — a benchmark of a wrong kernel is worthless.  All sections write
+oracle — a benchmark of a wrong kernel is worthless.  Both sections write
 into one committed ``BENCH_dataplane.json`` (rows tagged by section).
 
 Environment knobs (used by the CI smoke job):
@@ -39,32 +29,21 @@ Environment knobs (used by the CI smoke job):
   ``256,1024``).  CI runs the smallest tiers only, which skips the gates.
 * ``DATAPLANE_MERGE_TIERS`` — comma-separated bucket-count tiers (default
   ``128,512``).
-* ``DATAPLANE_FLEET_TIERS`` — comma-separated stream-count tiers (default
-  ``64,256``).
 * ``DATAPLANE_REPEATS`` — timing repeats per cell (default 5).
-
-All numbers are pure numpy: numba, when installed, accelerates the inner
-reduction (see :mod:`repro.frames._jit`) but the gates hold without it.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import time
 
 import numpy as np
 
-import tracemalloc
-
 from bench_utils import write_bench_json
 from repro.core import Event2SparseFrameConverter
 from repro.events import EventStream, SensorGeometry
 from repro.experiments import format_table
-from repro.frames import HAS_NUMBA, FrameStack, SparseFrame
-from repro.hw import jetson_xavier_agx
-from repro.runtime import MultiStreamSimulator
-from repro.scenarios import default_registry
+from repro.frames import FrameStack, SparseFrame
 
 
 def _tiers(env_var: str, default: str):
@@ -90,11 +69,6 @@ MERGE_GATE = 2.0
 MERGE_BUCKET_FRAMES = 4  # MBsize
 MERGE_NNZ = 30  # active sites per frame: ~0.6 % of an 80x60 frame
 MERGE_GEOMETRY = (60, 80)
-
-FLEET_TIERS = _tiers("DATAPLANE_FLEET_TIERS", "64,256")
-FLEET_GATE_TIER = 256  # streams
-FLEET_GATE = 2.0
-FLEET_SCENARIO = dict(duration=0.25, scale=0.1, num_bins=8, seed=42)
 
 
 def _best(fn, repeats=REPEATS):
@@ -245,95 +219,9 @@ def _merge_rows():
     return rows
 
 
-def _fleet_aggregates(report):
-    return (
-        report.num_streams,
-        report.total_inferences,
-        report.frames_generated,
-        report.frames_dropped,
-        report.total_energy,
-        report.makespan,
-        report.mean_latency,
-        report.throughput,
-    )
-
-
-def _fleet_rows():
-    registry = default_registry()
-    platform = jetson_xavier_agx()
-    rows = []
-    for num_streams in FLEET_TIERS:
-        overrides = dict(num_streams=num_streams, **FLEET_SCENARIO)
-        # One source list per data plane (sources cache their rendered
-        # stacks, and the reference transport additionally materialises the
-        # per-frame view); rendering happens here, outside the timed region,
-        # so the tier isolates the runtime transport.
-        per_plane = {}
-        for dataplane in ("stack", "reference"):
-            sources = registry.compile("mixed_fleet", **overrides)
-            for source in sources:
-                source.generate_stack()
-                if dataplane == "reference":
-                    source.generate_frames()
-            per_plane[dataplane] = sources
-
-        def run(dataplane):
-            return MultiStreamSimulator(
-                platform, per_plane[dataplane], dataplane=dataplane
-            ).run()
-
-        stack_report = run("stack")
-        oracle_report = run("reference")
-        assert _fleet_aggregates(stack_report) == _fleet_aggregates(oracle_report), (
-            f"fleet tier {num_streams}: stack transport diverged from the oracle"
-        )
-        events = stack_report.events_processed
-
-        # Interleave the two planes' timing rounds: background load that
-        # drifts over the measurement window then biases both baselines
-        # equally instead of landing on whichever ran second.
-        t_stack = t_oracle = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run("stack")
-            t_stack = min(t_stack, time.perf_counter() - start)
-            start = time.perf_counter()
-            run("reference")
-            t_oracle = min(t_oracle, time.perf_counter() - start)
-
-        # Peak-allocation comparison in a separate untimed pass: tracemalloc
-        # slows execution, and getrusage's ru_maxrss is process-monotone so
-        # it cannot compare two sections within one process.  Collecting
-        # before each pass pins the GC phase, which otherwise shifts the
-        # measured peak by a few percent between passes.
-        peaks = {}
-        for dataplane in ("stack", "reference"):
-            gc.collect()
-            tracemalloc.start()
-            run(dataplane)
-            _, peaks[dataplane] = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-
-        rows.append(
-            {
-                "section": "fleet",
-                "tier": num_streams,
-                "events": events,
-                "stack_ev_per_s": events / t_stack,
-                "oracle_ev_per_s": events / t_oracle,
-                "speedup": t_oracle / t_stack,
-                "stack_peak_alloc_bytes": peaks["stack"],
-                "oracle_peak_alloc_bytes": peaks["reference"],
-                "peak_alloc_ratio": peaks["stack"] / peaks["reference"],
-            }
-        )
-    return rows
-
-
 def test_dataplane_throughput(benchmark):
     render_rows = _render_rows(benchmark)
     merge_rows = _merge_rows()
-    fleet_rows = _fleet_rows()
 
     print("\n=== Columnar render: events-rendered/sec (convert_stack vs loop) ===")
     print(
@@ -357,27 +245,10 @@ def test_dataplane_throughput(benchmark):
         )
     )
 
-    print("\n=== Fleet: end-to-end events/sec (stack vs reference dataplane) ===")
-    print(
-        format_table(
-            fleet_rows,
-            [
-                "tier",
-                "events",
-                "stack_ev_per_s",
-                "oracle_ev_per_s",
-                "speedup",
-                "peak_alloc_ratio",
-            ],
-        )
-    )
-
     for row in render_rows:
         assert row["stack_ev_per_s"] > 0
     for row in merge_rows:
         assert row["cadd_frames_per_s"] > 0
-    for row in fleet_rows:
-        assert row["stack_ev_per_s"] > 0
 
     # Acceptance gates, asserted only when the gate tier actually ran (the
     # CI smoke job runs reduced tiers and skips them).
@@ -397,31 +268,13 @@ def test_dataplane_throughput(benchmark):
         assert merge_gate >= MERGE_GATE, (
             f"merge@{MERGE_GATE_TIER} buckets: {merge_gate:.2f}x < {MERGE_GATE}x"
         )
-    fleet_gate_row = next(
-        (r for r in fleet_rows if r["tier"] == FLEET_GATE_TIER), None
-    )
-    if fleet_gate_row is not None:
-        fleet_gate = fleet_gate_row["speedup"]
-        alloc_ratio = fleet_gate_row["peak_alloc_ratio"]
-        print(
-            f"256-stream fleet speedup: {fleet_gate:.2f}x (gate: >= {FLEET_GATE}x), "
-            f"peak-alloc ratio: {alloc_ratio:.2f} (gate: <= 1.0)"
-        )
-        assert fleet_gate >= FLEET_GATE, (
-            f"fleet@{FLEET_GATE_TIER} streams: {fleet_gate:.2f}x < {FLEET_GATE}x"
-        )
-        assert alloc_ratio <= 1.0, (
-            f"fleet@{FLEET_GATE_TIER} streams: stack transport peaked at "
-            f"{alloc_ratio:.2f}x the oracle's allocations"
-        )
 
     write_bench_json(
         "dataplane",
-        render_rows + merge_rows + fleet_rows,
+        render_rows + merge_rows,
         meta={
             "render_tiers": list(RENDER_TIERS),
             "merge_tiers": list(MERGE_TIERS),
-            "fleet_tiers": list(FLEET_TIERS),
             "repeats": REPEATS,
             "num_bins": NUM_BINS,
             "render_events": RENDER_EVENTS,
@@ -431,12 +284,5 @@ def test_dataplane_throughput(benchmark):
             "merge_geometry": list(MERGE_GEOMETRY),
             "render_gate": {"tier": RENDER_GATE_TIER, "min_speedup": RENDER_GATE},
             "merge_gate": {"tier": MERGE_GATE_TIER, "min_speedup": MERGE_GATE},
-            "fleet_gate": {
-                "tier": FLEET_GATE_TIER,
-                "min_speedup": FLEET_GATE,
-                "max_peak_alloc_ratio": 1.0,
-            },
-            "fleet_scenario": dict(FLEET_SCENARIO),
-            "has_numba": HAS_NUMBA,
         },
     )

@@ -1,21 +1,10 @@
 """Benchmark: fleet-scale kernel hot path — events-processed/sec vs fleet size.
 
 Runs steady and churn fleets (compiled through the scenario registry) at
-64/256/1024 streams on the refactored kernel — O(1) event routing, indexed
-``SignatureServer`` pending queues, coalesced wake-ups — and compares
-against two baselines at the tiers where it is affordable:
-
-* ``legacy (warm)`` — the pre-refactor *data structures*
-  (:class:`~repro.runtime.legacy.LegacyScanKernel` linear handler scan +
-  :class:`~repro.runtime.legacy.LegacyListServer` O(queue) list scans and
-  per-dispatch wake-up storms) with this PR's shared caches warm.  This
-  isolates the routing/queue refactor and must produce **bit-identical**
-  reports.
-* ``pre-refactor`` — the same legacy structures with the per-run frame
-  regeneration the pre-refactor runtime actually performed on every
-  ``run()`` (``StreamSource`` frame caching is also part of this PR).  This
-  is the end-to-end events/sec a PR-3 checkout delivered, and the number the
-  ≥3x acceptance gate is asserted against at the 256-stream tier.
+64/256/1024 streams on the production runtime — O(1) event routing, indexed
+``SignatureServer`` pending queues, coalesced wake-ups, per-stream arrival
+cursors — and records events-processed/sec per tier.  Every source's render
+cache is warmed before timing, so the rows measure the runtime, not E2SF.
 
 The sharded tiers (``test_kernel_scaling_sharded``) push past the single
 process: 4096- and 10240-stream steady fleets partitioned by signature
@@ -24,6 +13,13 @@ single-process baseline at the smallest sharded tier.  On a >=4-core
 runner the 4-shard aggregate events/sec must be >= 2x the single-process
 kernel at equal stream count; on smaller machines the ratio is reported
 but not asserted — worker processes cannot conjure cores.
+
+The memory-attribution tier (``test_kernel_memory_attribution``) records
+tracemalloc peak allocations and the kernel heap's high-water mark at each
+tier (``retain_records=False``, so queued events dominate) and gates the
+arrival cursors' bounds: the heap holds at most four events per stream, and
+doubling the horizon leaves it flat.  Its rows land in the same
+``BENCH_kernel_scaling.json`` trajectory under ``section="memory"``.
 
 Environment knobs (used by the CI smoke job):
 
@@ -35,19 +31,6 @@ Environment knobs (used by the CI smoke job):
 * ``KERNEL_SCALING_SHARDS`` — worker shard count (default 4).
 * ``KERNEL_MEMORY_TIERS`` — comma-separated fleet sizes of the
   memory-attribution tier (default ``1024,4096``; empty skips it).
-
-The memory-attribution tier (``test_kernel_memory_attribution``) compares
-the lazy arrival-cursor discipline against the eager horizon-wide oracle
-(``schedule_mode="eager"``): tracemalloc peak allocations and the kernel
-heap's high-water mark at each tier (``retain_records=False``, so queued
-events dominate), plus a doubled-horizon run showing the lazy heap is
-independent of horizon length while the eager heap tracks total frames.
-Its rows land in the same ``BENCH_kernel_scaling.json`` trajectory under
-``section="memory"``.
-
-Legacy baselines run only at tiers <= 256: the quadratic pending-list scans
-make a 1024-stream legacy run take minutes, which is the point of the
-refactor, not something worth waiting for in every benchmark run.
 """
 
 from __future__ import annotations
@@ -64,7 +47,6 @@ from repro.core import DSFAConfig
 from repro.experiments import format_table
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
-from repro.runtime.legacy import LegacyListServer, LegacyScanKernel
 from repro.scenarios.registry import default_registry
 from repro.scenarios.spec import ScenarioSpec
 
@@ -88,12 +70,8 @@ MEMORY_HEAP_FACTOR = 4
 # Horizon-independence slack: doubling the horizon may jiggle the lazy
 # high-water by a few in-flight events, never track the doubled frame count.
 MEMORY_HORIZON_SLACK = 1.25
-# Largest tier the O(streams)/O(queue) legacy baselines are run at.
-LEGACY_TIER_CAP = 256
 FAMILIES = ("steady", "churn")
 QUEUE_DEPTH = 16
-SPEEDUP_GATE_TIER = 256
-SPEEDUP_GATE = 3.0
 SHARD_SPEEDUP_GATE = 2.0
 
 
@@ -132,19 +110,11 @@ def _fleet(family: str, num_streams: int, duration: float = 0.2):
     ]
 
 
-def _timed_run(platform, sources, repeats=REPEATS, cold_frames=False, **sim_kwargs):
-    """Best-of-``repeats`` wall-clock of one fleet simulation.
-
-    ``cold_frames`` resets every source's frame cache before each repeat,
-    reproducing the pre-refactor behaviour of regenerating frames inside
-    every ``run()``.
-    """
+def _timed_run(platform, sources, repeats=REPEATS, **sim_kwargs):
+    """Best-of-``repeats`` wall-clock of one fleet simulation."""
     best = float("inf")
     report = None
     for _ in range(repeats):
-        if cold_frames:
-            for source in sources:
-                source._frames = None
         simulator = MultiStreamSimulator(platform, sources, **sim_kwargs)
         start = time.perf_counter()
         report = simulator.run()
@@ -152,41 +122,14 @@ def _timed_run(platform, sources, repeats=REPEATS, cold_frames=False, **sim_kwar
     return report, best
 
 
-def _reports_identical(a, b) -> bool:
-    """Bit-identical aggregates and per-stream records."""
-    return (
-        set(a.reports) == set(b.reports)
-        and all(a.reports[k].records == b.reports[k].records for k in a.reports)
-        and all(
-            a.reports[k].frames_dropped == b.reports[k].frames_dropped
-            for k in a.reports
-        )
-        and a.mean_latency == b.mean_latency
-        and a.total_energy == b.total_energy
-        and a.makespan == b.makespan
-        and a.throughput == b.throughput
-    )
-
-
 def test_kernel_scaling(benchmark):
     platform = jetson_xavier_agx()
-    # The baselines model pre-refactor checkouts, which had no lazy
-    # arrival cursors: they run eager-primed (the report-identity assert
-    # below then also pins the lazy-vs-eager equivalence across the
-    # kernel-structure axis).
-    legacy_kwargs = dict(
-        kernel_factory=LegacyScanKernel,
-        server_factory=LegacyListServer,
-        schedule_mode="eager",
-    )
-
     rows = []
-    gate_speedups = {}
     for family in FAMILIES:
         for num_streams in TIERS:
             sources = _fleet(family, num_streams)
             for source in sources:
-                source.generate_frames()  # warm the per-source frame cache
+                source.generate_stack()  # warm the per-source render cache
             if family == FAMILIES[0] and TIERS and num_streams == max(TIERS):
                 benchmark.pedantic(
                     lambda: MultiStreamSimulator(platform, sources).run(),
@@ -195,72 +138,24 @@ def test_kernel_scaling(benchmark):
                 )
             # Every row's events/sec is measured the same way (best of
             # REPEATS, simulator construction outside the timed region).
-            new_report, t_new = _timed_run(platform, sources)
-            row = {
-                "family": family,
-                "streams": num_streams,
-                "events": new_report.events_processed,
-                "new_ev_per_s": new_report.events_processed / t_new,
-                "dropped": new_report.frames_dropped,
-            }
-            if num_streams <= LEGACY_TIER_CAP:
-                warm_report, t_warm = _timed_run(platform, sources, **legacy_kwargs)
-                assert _reports_identical(new_report, warm_report), (
-                    f"{family}/{num_streams}: legacy structures must be "
-                    "report-identical"
-                )
-                cold_report, t_cold = _timed_run(
-                    platform, sources, cold_frames=True, **legacy_kwargs
-                )
-                for source in sources:
-                    source.generate_frames()
-                row["legacy_warm_ev_per_s"] = warm_report.events_processed / t_warm
-                row["pre_refactor_ev_per_s"] = cold_report.events_processed / t_cold
-                row["speedup_structures"] = (
-                    row["new_ev_per_s"] / row["legacy_warm_ev_per_s"]
-                )
-                row["speedup_pre_refactor"] = (
-                    row["new_ev_per_s"] / row["pre_refactor_ev_per_s"]
-                )
-                if num_streams == SPEEDUP_GATE_TIER:
-                    gate_speedups[family] = row["speedup_pre_refactor"]
-            rows.append(row)
+            report, elapsed = _timed_run(platform, sources)
+            rows.append(
+                {
+                    "family": family,
+                    "streams": num_streams,
+                    "events": report.events_processed,
+                    "ev_per_s": report.events_processed / elapsed,
+                    "dropped": report.frames_dropped,
+                }
+            )
 
     print("\n=== Fleet-scale kernel hot path: events-processed/sec ===")
-    print(
-        format_table(
-            rows,
-            [
-                "family",
-                "streams",
-                "events",
-                "dropped",
-                "new_ev_per_s",
-                "legacy_warm_ev_per_s",
-                "pre_refactor_ev_per_s",
-                "speedup_structures",
-                "speedup_pre_refactor",
-            ],
-        )
-    )
-    if gate_speedups:
-        print(
-            "256-stream events/sec vs pre-refactor kernel: "
-            + ", ".join(f"{k}={v:.2f}x" for k, v in gate_speedups.items())
-            + f" (gate: >= {SPEEDUP_GATE}x)"
-        )
+    print(format_table(rows, ["family", "streams", "events", "dropped", "ev_per_s"]))
 
     # Every tier must simulate real traffic.
     for row in rows:
         assert row["events"] > 0
-        assert row["new_ev_per_s"] > 0
-    # Acceptance gate: >= 3x events/sec at the 256-stream tier vs the
-    # pre-refactor kernel (linear scan + wake-up storms + per-run frame
-    # regeneration).
-    for family, speedup in gate_speedups.items():
-        assert speedup >= SPEEDUP_GATE, (
-            f"{family}@{SPEEDUP_GATE_TIER}: {speedup:.2f}x < {SPEEDUP_GATE}x"
-        )
+        assert row["ev_per_s"] > 0
     write_bench_json(
         "kernel_scaling",
         rows,
@@ -285,7 +180,7 @@ def test_kernel_scaling_sharded(benchmark):
     for num_streams in SHARD_TIERS:
         sources = _fleet("steady", num_streams)
         for source in sources:
-            source.generate_frames()  # warm caches before the workers fork
+            source.generate_stack()  # warm caches before the workers fork
         if num_streams == max(SHARD_TIERS):
             benchmark.pedantic(
                 lambda: MultiStreamSimulator(
@@ -379,13 +274,11 @@ def _traced_run(platform, sources, **sim_kwargs):
 
 
 def test_kernel_memory_attribution():
-    """Memory attribution: lazy arrival cursors vs the eager oracle.
+    """Memory attribution of the arrival cursors.
 
-    Gates: at the largest tier the lazy discipline's tracemalloc peak must
-    be strictly below eager (the horizon's FrameReady events dominate the
-    eager peak once records are off), every tier's lazy heap high-water
-    stays O(active streams) while eager's tracks total frames, and doubling
-    the horizon at the smallest tier leaves the lazy high-water flat.
+    Gates: every tier's heap high-water stays O(active streams) — at most
+    ``MEMORY_HEAP_FACTOR`` events per stream — and doubling the horizon at
+    the smallest tier leaves it flat.
     """
     if not MEMORY_TIERS:
         pytest.skip("KERNEL_MEMORY_TIERS is empty")
@@ -394,107 +287,70 @@ def test_kernel_memory_attribution():
     base_duration = 0.2
 
     rows = []
-    peaks = {}
-    marks = {}
     for num_streams in MEMORY_TIERS:
         sources = _fleet("steady", num_streams, duration=base_duration)
-        for mode in ("lazy", "eager"):
-            report, peak = _traced_run(
-                platform, sources, schedule_mode=mode, **sim_kwargs
-            )
-            peaks[num_streams, mode] = peak
-            marks[num_streams, mode, base_duration] = report.heap_high_water
-            rows.append(
-                {
-                    "family": "steady",
-                    "streams": num_streams,
-                    "schedule_mode": mode,
-                    "horizon_s": base_duration,
-                    "events": report.events_processed,
-                    "frames": report.frames_generated,
-                    "tracemalloc_peak_bytes": peak,
-                    "heap_high_water": report.heap_high_water,
-                }
-            )
+        report, peak = _traced_run(platform, sources, **sim_kwargs)
+        rows.append(
+            {
+                "family": "steady",
+                "streams": num_streams,
+                "horizon_s": base_duration,
+                "events": report.events_processed,
+                "frames": report.frames_generated,
+                "tracemalloc_peak_bytes": peak,
+                "heap_high_water": report.heap_high_water,
+            }
+        )
     # Horizon-independence probe: double the horizon at the smallest tier
     # (heap high-water only — no warmup/tracemalloc pass needed).
     horizon_streams = min(MEMORY_TIERS)
     long_duration = base_duration * 2
     sources = _fleet("steady", horizon_streams, duration=long_duration)
-    for mode in ("lazy", "eager"):
-        report = MultiStreamSimulator(
-            platform, sources, schedule_mode=mode, **sim_kwargs
-        ).run()
-        marks[horizon_streams, mode, long_duration] = report.heap_high_water
-        rows.append(
-            {
-                "family": "steady",
-                "streams": horizon_streams,
-                "schedule_mode": mode,
-                "horizon_s": long_duration,
-                "events": report.events_processed,
-                "frames": report.frames_generated,
-                "tracemalloc_peak_bytes": None,
-                "heap_high_water": report.heap_high_water,
-            }
-        )
-
-    print("\n=== Memory attribution: lazy cursors vs eager horizon prime ===")
-    print(
-        format_table(
-            rows,
-            [
-                "family",
-                "streams",
-                "schedule_mode",
-                "horizon_s",
-                "events",
-                "frames",
-                "tracemalloc_peak_bytes",
-                "heap_high_water",
-            ],
-        )
-    )
-    top = max(MEMORY_TIERS)
-    print(
-        f"{top}-stream tracemalloc peak: lazy={peaks[top, 'lazy']} B "
-        f"vs eager={peaks[top, 'eager']} B "
-        f"({peaks[top, 'eager'] / max(peaks[top, 'lazy'], 1):.2f}x)"
+    report = MultiStreamSimulator(platform, sources, **sim_kwargs).run()
+    rows.append(
+        {
+            "family": "steady",
+            "streams": horizon_streams,
+            "horizon_s": long_duration,
+            "events": report.events_processed,
+            "frames": report.frames_generated,
+            "tracemalloc_peak_bytes": None,
+            "heap_high_water": report.heap_high_water,
+        }
     )
 
-    frames = {
-        (row["streams"], row["schedule_mode"], row["horizon_s"]): row["frames"]
-        for row in rows
-    }
-    # Gate 1: the lazy peak is strictly below eager at the largest tier —
-    # the horizon of queued FrameReady events is the allocation eager pays
-    # and lazy never makes.
-    assert peaks[top, "lazy"] < peaks[top, "eager"], (
-        f"lazy peak {peaks[top, 'lazy']} B must be < eager "
-        f"{peaks[top, 'eager']} B at {top} streams"
+    columns = [
+        "family",
+        "streams",
+        "horizon_s",
+        "events",
+        "frames",
+        "tracemalloc_peak_bytes",
+        "heap_high_water",
+    ]
+    print("\n=== Memory attribution: arrival cursors ===")
+    print(format_table(rows, columns))
+    marks = {(row["streams"], row["horizon_s"]): row for row in rows}
+    top = marks[max(MEMORY_TIERS), base_duration]
+    print(
+        f"{top['streams']}-stream tracemalloc peak: {top['tracemalloc_peak_bytes']} B, "
+        f"heap high-water {top['heap_high_water']}"
     )
-    # Gate 2: heap high-water is O(active streams) lazily, O(total frames)
-    # eagerly, at every tier.
+
+    # Gate 1: heap high-water is O(active streams) at every tier, far
+    # below the fleet's frame count.
     for num_streams in MEMORY_TIERS:
-        lazy_hw = marks[num_streams, "lazy", base_duration]
-        eager_hw = marks[num_streams, "eager", base_duration]
-        assert lazy_hw <= MEMORY_HEAP_FACTOR * num_streams, (
-            f"lazy heap high-water {lazy_hw} exceeds "
+        row = marks[num_streams, base_duration]
+        assert row["heap_high_water"] <= MEMORY_HEAP_FACTOR * num_streams, (
+            f"heap high-water {row['heap_high_water']} exceeds "
             f"{MEMORY_HEAP_FACTOR}x{num_streams} streams"
         )
-        assert eager_hw >= frames[num_streams, "eager", base_duration]
-        assert lazy_hw < eager_hw
-    # Gate 3: doubling the horizon leaves the lazy high-water flat while
-    # the eager one tracks the grown frame count.
-    lazy_short = marks[horizon_streams, "lazy", base_duration]
-    lazy_long = marks[horizon_streams, "lazy", long_duration]
-    assert lazy_long <= lazy_short * MEMORY_HORIZON_SLACK, (
-        f"lazy heap high-water grew with the horizon: "
-        f"{lazy_short} -> {lazy_long}"
-    )
-    assert (
-        marks[horizon_streams, "eager", long_duration]
-        >= marks[horizon_streams, "eager", base_duration] * 1.5
+        assert row["heap_high_water"] < row["frames"]
+    # Gate 2: doubling the horizon leaves the high-water flat.
+    base_mark = marks[horizon_streams, base_duration]["heap_high_water"]
+    doubled_mark = marks[horizon_streams, long_duration]["heap_high_water"]
+    assert doubled_mark <= base_mark * MEMORY_HORIZON_SLACK, (
+        f"heap high-water grew with the horizon: {base_mark} -> {doubled_mark}"
     )
     write_bench_json(
         "kernel_scaling",

@@ -429,7 +429,7 @@ class DynamicSparseFrameAggregator:
             return self._dispatch()
         return None
 
-    def _bucket_factory(self, capacity: int) -> MergeBucket:
+    def _new_bucket(self, capacity: int) -> MergeBucket:
         """Bucket constructor hook for the per-frame path (oracle subclasses override)."""
         return MergeBucket(capacity=capacity)
 
@@ -438,7 +438,7 @@ class DynamicSparseFrameAggregator:
         self._buffered_frames += 1
         if cfg.merge_mode is MergeMode.BATCH:
             # cBatch: every generated frame goes into a fresh bucket.
-            bucket = self._bucket_factory(1)
+            bucket = self._new_bucket(1)
             bucket.add(frame)
             self._buckets.append(bucket)
             return
@@ -449,7 +449,7 @@ class DynamicSparseFrameAggregator:
             if not bucket.is_full:
                 # Condition failed: the paper marks the bucket FULL and moves on.
                 bucket.seal()
-        bucket = self._bucket_factory(cfg.merge_bucket_size)
+        bucket = self._new_bucket(cfg.merge_bucket_size)
         bucket.add(frame)
         self._buckets.append(bucket)
 

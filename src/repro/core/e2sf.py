@@ -143,9 +143,8 @@ class Event2SparseFrameConverter:
 
         Returns one list of ``num_bins`` sparse frames per interval.  This
         is the per-interval × per-bin loop path, kept alive as the
-        equivalence oracle for :meth:`convert_stack` (the
-        :mod:`repro.runtime.legacy` pattern): the stack path must produce
-        bit-identical frames.
+        equivalence oracle for :meth:`convert_stack`: the stack path must
+        produce bit-identical frames.
         """
         timestamps = list(frame_timestamps)
         if len(timestamps) < 2:

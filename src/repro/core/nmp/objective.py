@@ -73,10 +73,6 @@ class FitnessEvaluator:
         paper evaluates on a random subset to reduce search cost).
     sparse:
         Whether layers run on sparse inputs (E2SF enabled).
-    use_flat_scheduler:
-        Route latency estimation through the flattened fast path (default).
-        ``False`` falls back to the original graph-walking scheduler — only
-        useful to the benchmark that measures the flattening speedup.
     """
 
     def __init__(
@@ -89,7 +85,6 @@ class FitnessEvaluator:
         penalty_weight: float = 10.0,
         accuracy_subset: Optional[int] = 2,
         sparse: bool = True,
-        use_flat_scheduler: bool = True,
     ) -> None:
         if accuracy_threshold < 0:
             raise ValueError("accuracy_threshold must be non-negative")
@@ -101,7 +96,6 @@ class FitnessEvaluator:
         self.accuracy_threshold = accuracy_threshold
         self.penalty_weight = penalty_weight
         self.accuracy_subset = accuracy_subset
-        self.use_flat_scheduler = use_flat_scheduler
         # Per-task compute nodes in topological order, resolved once: both
         # the degradation keys and ``task_precisions`` re-derivations are on
         # the hot path.
@@ -147,13 +141,7 @@ class FitnessEvaluator:
             self.cache_hits += 1
             return self._cache[key]
         self.evaluations += 1
-        if self.use_flat_scheduler:
-            task_latencies, energy = self.scheduler.schedule_metrics(
-                self.graph, candidate
-            )
-        else:
-            result = self.scheduler.schedule_reference(self.graph, candidate)
-            task_latencies, energy = dict(result.task_latencies), result.energy
+        task_latencies, energy = self.scheduler.schedule_metrics(self.graph, candidate)
         degradations = {
             name: self._task_degradation(candidate, name) for name in self.graph.task_names
         }

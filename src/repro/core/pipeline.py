@@ -60,25 +60,15 @@ class EvEdgePipeline:
         latency_model: Optional[LatencyModel] = None,
         energy_model: Optional[EnergyModel] = None,
         cost_mode: str = "flat",
-        dataplane: str = "stack",
-        schedule_mode: str = "lazy",
     ) -> None:
         """``cost_mode`` selects the cost-stack semantics
         (:data:`~repro.runtime.sim.COST_MODES`): ``"flat"`` keeps the
         seed-identical scalar path; ``"profile"`` propagates each input's
-        occupancy through the layers (per-layer occupancy profiles).
-        ``dataplane`` selects the frame transport
-        (:data:`~repro.runtime.streams.DATAPLANES`) and ``schedule_mode``
-        the arrival discipline
-        (:data:`~repro.runtime.streams.SCHEDULE_MODES` — lazy arrival
-        cursors by default, ``"eager"`` for the horizon-wide oracle); every
-        mode is report-identical."""
+        occupancy through the layers (per-layer occupancy profiles)."""
         self.network = network
         self.platform = platform
         self.config = config or EvEdgeConfig()
         self.mapping = mapping
-        self.dataplane = dataplane
-        self.schedule_mode = schedule_mode
         self.latency_model = latency_model or LatencyModel()
         self.energy_model = energy_model or EnergyModel(self.latency_model)
         self.cost_model = NetworkCostModel(
@@ -124,8 +114,6 @@ class EvEdgePipeline:
             kernel,
             executor=SerialExecutor(kernel),
             cost_model=self.cost_model,
-            dataplane=self.dataplane,
-            schedule_mode=self.schedule_mode,
         )
         client.prime()
         kernel.run()

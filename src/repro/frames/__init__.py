@@ -1,6 +1,5 @@
 """Event frame representations: dense frames, sparse COO frames and conversions."""
 
-from ._jit import HAS_NUMBA, jit_ifnumba
 from .dense import (
     assign_event_bins,
     bin_boundaries,
@@ -27,8 +26,6 @@ __all__ = [
     "FrameStack",
     "segment_add",
     "segment_average",
-    "HAS_NUMBA",
-    "jit_ifnumba",
     "event_count_frame",
     "time_surface",
     "ev_flownet_frame",

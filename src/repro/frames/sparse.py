@@ -16,33 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._jit import HAS_NUMBA, jit_ifnumba
-
 __all__ = ["SparseFrame", "SparseFrameBatch"]
-
-
-@jit_ifnumba
-def _reduce_sorted_loop(sorted_flat, sorted_pos, sorted_neg, out_flat, out_pos, out_neg):
-    """One-pass duplicate reduction over key-sorted COO columns.
-
-    Only called when numba compiles it (see :data:`~repro.frames._jit.
-    HAS_NUMBA`); the numpy path below does the same reduction with
-    ``reduceat``.  Returns the number of unique keys written.
-    """
-    count = -1
-    last = np.int64(-1)
-    for i in range(sorted_flat.size):
-        key = sorted_flat[i]
-        if count < 0 or key != last:
-            count += 1
-            out_flat[count] = key
-            out_pos[count] = sorted_pos[i]
-            out_neg[count] = sorted_neg[i]
-            last = key
-        else:
-            out_pos[count] += sorted_pos[i]
-            out_neg[count] += sorted_neg[i]
-    return count + 1
 
 
 def _grouped_reduce(
@@ -67,16 +41,6 @@ def _grouped_reduce(
         return flat.astype(np.int64, copy=False), empty, empty
     order = np.argsort(flat, kind="stable")
     sorted_flat = flat[order]
-    if HAS_NUMBA:  # pragma: no cover - numba-only branch
-        sorted_pos = pos[order]
-        sorted_neg = neg[order]
-        out_flat = np.empty(sorted_flat.size, dtype=np.int64)
-        out_pos = np.empty(sorted_flat.size, dtype=np.float64)
-        out_neg = np.empty(sorted_flat.size, dtype=np.float64)
-        count = _reduce_sorted_loop(
-            sorted_flat, sorted_pos, sorted_neg, out_flat, out_pos, out_neg
-        )
-        return out_flat[:count], out_pos[:count], out_neg[:count]
     boundary = np.empty(sorted_flat.size, dtype=bool)
     boundary[0] = True
     np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=boundary[1:])
@@ -483,9 +447,8 @@ class SparseFrame:
         """The pre-columnar ``np.unique``-based cAdd merge.
 
         Deliberately unoptimized code kept alive as the equivalence oracle
-        for :meth:`add` (the :mod:`repro.runtime.legacy` pattern):
-        ``benchmarks/bench_dataplane.py`` measures the merge speedup against
-        it and the frame tests assert bit-identical output.
+        for :meth:`add`: the data-plane merge benchmark measures the
+        speedup against it and the frame tests assert bit-identical output.
         """
         frames = list(frames)
         if not frames:

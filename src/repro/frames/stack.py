@@ -25,8 +25,7 @@ Operations on the stack are vectorised across frames:
 
 All kernels are bit-identical to the per-frame reference path (stable sort,
 input-order accumulation; see :func:`~repro.frames.sparse._grouped_reduce`)
-and run pure numpy — numba, when present, accelerates the inner reduction
-through :mod:`repro.frames._jit`, but is never required.
+and run pure numpy.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import EvEdgeConfig
 from ..core.nmp.candidate import MappingCandidate
-from ..frames.sparse import SparseFrame, SparseFrameBatch
+from ..frames.sparse import SparseFrameBatch
 from ..hw.energy import EnergyModel
 from ..hw.latency import LatencyModel
 from ..hw.pe import Platform, ProcessingElement
@@ -382,15 +382,12 @@ class DispatchBatch(SimEvent):
 class FrameReady(SimEvent):
     """A sparse frame became available on a traffic stream.
 
-    Two transports share this event.  The columnar (default) data plane
-    carries a ``(stack, index)`` reference into the stream's rendered
-    :class:`~repro.frames.stack.FrameStack` — no per-frame object exists
-    unless a consumer reads :attr:`frame`, which materialises (and caches)
-    a zero-copy view.  The per-frame oracle paths carry a materialised
-    ``frame`` directly and leave ``stack`` as ``None``.
+    Carries a ``(stack, index)`` reference into the stream's rendered
+    :class:`~repro.frames.stack.FrameStack`, so no per-frame object exists
+    on the event path.
     """
 
-    __slots__ = ("_frame", "stack", "index")
+    __slots__ = ("stack", "index")
 
     PRIORITY = 3
 
@@ -398,28 +395,17 @@ class FrameReady(SimEvent):
         self,
         time: float,
         stream: str = "",
-        frame: Optional[SparseFrame] = None,
         stack=None,
         index: int = -1,
     ) -> None:
         super().__init__(time, stream)
-        self._frame = frame
         self.stack = stack
         self.index = index
 
-    @property
-    def frame(self) -> Optional[SparseFrame]:
-        """The frame, materialised lazily for stack-referenced events."""
-        if self._frame is None and self.stack is not None:
-            self._frame = self.stack.frame(self.index)
-        return self._frame
-
     def trace_detail(self) -> str:
-        if self.stack is not None:
-            return f"density={self.stack.frame_density(self.index):.4f}"
-        if self._frame is None:
+        if self.stack is None:
             return ""
-        return f"density={self._frame.density:.4f}"
+        return f"density={self.stack.frame_density(self.index):.4f}"
 
 
 class StreamEnd(SimEvent):
@@ -501,9 +487,9 @@ class SimulationKernel:
         kernel's monotone counter at call time.  Lazy arrival schedulers pass
         a sequence number pre-reserved via :meth:`reserve_sequences` so that
         events scheduled *during* the run occupy exactly the heap slots the
-        eager oracle would have assigned at prime time — same-timestamp
-        ordering, and therefore every downstream report, stays bit-identical
-        between the two scheduling modes.
+        horizon-wide prime would have assigned — same-timestamp ordering,
+        and therefore every downstream report, is independent of when the
+        event was scheduled.
         """
         if event.time < self.now - 1e-12:
             raise ValueError(
@@ -524,8 +510,8 @@ class SimulationKernel:
         The caller owns ``[base, base + count)`` and stamps them onto events
         via ``schedule(event, seq=base + i)``.  Reserving advances the
         counter exactly as ``count`` immediate ``schedule`` calls would, so
-        every later auto-assigned sequence number is unchanged versus an
-        eager scheduler that enqueued the whole block up front.
+        every later auto-assigned sequence number is unchanged versus
+        enqueueing the whole block up front.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
@@ -598,10 +584,11 @@ class SimulationKernel:
     def heap_high_water(self) -> int:
         """Largest number of events ever queued at once.
 
-        The memory-plane health metric of the scheduling discipline: eager
-        horizon-wide priming pushes this to O(total frames in the fleet),
-        the lazy arrival cursors keep it at O(active streams) plus in-flight
-        dispatch/completion events — independent of horizon length.
+        The memory-plane health metric of the scheduling discipline: the
+        per-stream arrival cursors keep it at O(active streams) plus
+        in-flight dispatch/completion events — independent of horizon
+        length, where heaping every arrival up front would make it
+        O(total frames in the fleet).
         """
         return self._heap_high_water
 
@@ -706,7 +693,7 @@ class LayerCostTable:
 
         With ``quantize=False`` the occupancy is used (and keyed) exactly as
         given instead of being snapped to its bucket.  The scalar-keyed
-        oracle in :mod:`repro.runtime.legacy` uses this to model the
+        oracle of the test suite (``tests/oracles``) uses this to model the
         pre-profile stack, whose cells had no per-layer quantization —
         production callers leave it enabled.
         """
@@ -768,7 +755,7 @@ class NetworkCostModel:
     * ``"flat"`` (default) — the measured input occupancy drives the first
       layer, deeper layers use their static modelled sparsity.  Semantics
       (and results) are bit-identical to the pre-profile scalar path kept
-      as :class:`repro.runtime.legacy.ScalarCostModel`.
+      as the ``ScalarCostModel`` oracle of the test suite.
     * ``"profile"`` — the input density is propagated through the layers
       (support dilation + activation sparsification, see
       :mod:`repro.nn.occupancy`) and bucketed **per layer after

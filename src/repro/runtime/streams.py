@@ -49,7 +49,7 @@ concurrently with inference in a real deployment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from ..core.e2sf import Event2SparseFrameConverter
 from ..core.nmp.candidate import Assignment, MappingCandidate
 from ..core.nmp.search import MapperEngine, NMPConfig, NMPResult, make_strategy
 from ..events.datasets import EventSequence
-from ..frames.sparse import SparseFrame, SparseFrameBatch
+from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
 from ..hw.energy import EnergyModel
 from ..hw.latency import LatencyModel
@@ -84,8 +84,6 @@ from .sim import (
 from .tracer import KernelTrace
 
 __all__ = [
-    "DATAPLANES",
-    "SCHEDULE_MODES",
     "StreamSource",
     "StreamClient",
     "SerialExecutor",
@@ -96,44 +94,6 @@ __all__ = [
     "MultiStreamReport",
     "MultiStreamSimulator",
 ]
-
-#: The runtime frame-transport modes.
-#:
-#: ``"stack"`` (default) — the columnar data plane: ``FrameReady`` events
-#: carry ``(stack, index)`` references into the stream's rendered
-#: :class:`~repro.frames.stack.FrameStack`, DSFA buffers index ranges
-#: (:class:`~repro.core.dsfa.StackMergeBucket`) and dispatches stack-backed
-#: :class:`~repro.frames.sparse.SparseFrameBatch` objects; no per-frame
-#: Python object is created anywhere on the hot path.
-#:
-#: ``"frames"`` — the per-frame-object transport over the same columnar
-#: render: events carry materialised zero-copy stack views, DSFA buffers
-#: frame lists.  This was the default before the stack transport landed.
-#:
-#: ``"reference"`` — the fully per-frame oracle: the per-frame transport
-#: driving :class:`~repro.runtime.legacy.ReferenceAggregator` (uncached
-#: whole-bucket re-merges, per-bucket reference merges).  Equivalence tests
-#: and ``benchmarks/bench_dataplane.py`` compare against it.
-DATAPLANES = ("stack", "frames", "reference")
-
-#: Arrival-scheduling disciplines.
-#:
-#: ``"lazy"`` (default) — per-stream arrival cursors: ``prime()`` schedules
-#: only the stream's *next* ``FrameReady`` and the frame handler
-#: self-reschedules the successor before processing, so the kernel heap
-#: holds at most one arrival per live stream (plus in-flight dispatch /
-#: completion events) — O(active streams) instead of O(total frames), and
-#: every heap operation pays a correspondingly smaller log factor.  Each
-#: stream pre-reserves its block of kernel sequence numbers
-#: (:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences`), so
-#: same-timestamp FIFO ordering — and therefore every report — is
-#: bit-identical to the eager oracle.
-#:
-#: ``"eager"`` — the pre-cursor discipline kept as the selectable oracle:
-#: every arrival of the horizon is heaped at prime time.  Equivalence tests
-#: and the memory-attribution benchmark tier compare against it.
-SCHEDULE_MODES = ("lazy", "eager")
-
 
 @dataclass
 class StreamSource:
@@ -169,9 +129,6 @@ class StreamSource:
     mapping: Optional[MappingCandidate] = None
     start_offset: float = 0.0
     stop_time: Optional[float] = None
-    _frames: Optional[List[Tuple[float, SparseFrame]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _stack: Optional[Tuple[Optional[FrameStack], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -237,49 +194,6 @@ class StreamSource:
             self.generate_stack()
         return self._arrival_times
 
-    def generate_frames(self) -> List[Tuple[float, SparseFrame]]:
-        """Render the stream as ``(arrival_time, sparse_frame)`` pairs.
-
-        The per-frame-object view of :meth:`generate_stack`: each pair holds
-        a zero-copy view into the stream's rendered stack — bit-identical to
-        the per-interval loop kept in :meth:`generate_frames_reference`.
-        The ``"stack"`` data plane never calls this; the ``"frames"`` /
-        ``"reference"`` transports (and a few analyses) do.  Cached like the
-        stack; callers must not mutate the returned list.
-        """
-        if self._frames is not None:
-            return self._frames
-        stack, arrivals = self.generate_stack()
-        out: List[Tuple[float, SparseFrame]] = []
-        if stack is not None:
-            out = [(float(arrivals[i]), stack.frame(i)) for i in range(len(stack))]
-        self._frames = out
-        return out
-
-    def generate_frames_reference(self) -> List[Tuple[float, SparseFrame]]:
-        """The pre-columnar per-interval render loop, kept as the oracle.
-
-        Same protocol as :meth:`generate_frames` — one
-        :meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert` call per
-        grayscale interval, one frame object per bin — uncached and
-        deliberately unoptimized (the :mod:`repro.runtime.legacy` pattern).
-        The equivalence tests assert the stack render is bit-identical;
-        ``benchmarks/bench_dataplane.py`` measures the speedup against it.
-        """
-        converter = Event2SparseFrameConverter(self.config.num_bins)
-        timestamps = self.sequence.frame_timestamps
-        out: List[Tuple[float, SparseFrame]] = []
-        for i in range(self.sequence.num_intervals):
-            frames = converter.convert(
-                self.sequence.events, float(timestamps[i]), float(timestamps[i + 1])
-            )
-            for frame in frames:
-                arrival = frame.t_end + self.start_offset
-                if self.stop_time is not None and arrival > self.stop_time:
-                    continue
-                out.append((arrival, frame))
-        return out
-
     @property
     def end_time(self) -> float:
         """Kernel time at which the stream leaves the platform.
@@ -305,16 +219,14 @@ class StreamClient:
     buffering with hardware-availability dispatch when enabled, otherwise
     per-frame execution with the bounded-backlog drop rule.
 
-    ``dataplane`` selects the frame transport (:data:`DATAPLANES`): the
-    columnar ``"stack"`` default schedules ``(stack, index)`` references
-    and pushes indices into DSFA; ``"frames"`` / ``"reference"`` drive the
-    per-frame oracle paths.  All three produce bit-identical reports.
-
-    ``schedule_mode`` selects the arrival discipline (:data:`SCHEDULE_MODES`):
-    the ``"lazy"`` default walks a per-stream cursor over the rendered
-    arrivals, keeping at most one of this stream's ``FrameReady`` events in
-    the kernel heap at any time; ``"eager"`` heaps the whole horizon at
-    prime time (the oracle).  Both produce bit-identical reports.
+    Frames travel as ``(stack, index)`` references into the stream's
+    rendered :class:`~repro.frames.stack.FrameStack`: DSFA buffers index
+    ranges and dispatches carry stack-backed batches, so no per-frame object
+    is built on the hot path.  Arrivals are walked by a per-stream cursor:
+    the kernel heap holds at most one of this stream's ``FrameReady`` events
+    at any time, and each successor lands on a pre-reserved sequence number
+    (:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences`), so the
+    heap order is exactly that of scheduling the whole horizon up front.
     """
 
     def __init__(
@@ -324,52 +236,33 @@ class StreamClient:
         executor,
         cost_model: NetworkCostModel,
         keep_records: bool = True,
-        dataplane: str = "stack",
-        schedule_mode: str = "lazy",
         record_limit: Optional[int] = None,
     ) -> None:
-        if dataplane not in DATAPLANES:
-            raise ValueError(
-                f"unknown dataplane {dataplane!r}; expected one of {DATAPLANES}"
-            )
-        if schedule_mode not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule_mode {schedule_mode!r}; "
-                f"expected one of {SCHEDULE_MODES}"
-            )
         self.source = source
         self.name = source.name
         self.kernel = kernel
         self.executor = executor
         self.cost_model = cost_model
         self.config = source.config
-        self.dataplane = dataplane
-        self.schedule_mode = schedule_mode
         self.queue_depth = source.config.dsfa.inference_queue_depth
         self.report = PipelineReport(
             keep_records=keep_records, record_limit=record_limit
         )
         self.report.cost_mode = cost_model.cost_mode
-        # Arrival-cursor state, populated by prime(): the rendered transport
-        # (stack or per-frame list, held on the client rather than closed
-        # over by queued events), the scheduled-prefix length, the next
-        # index to heap and the stream's reserved sequence-number base.
+        # Arrival-cursor state, populated by prime(): the rendered stack and
+        # arrivals (held on the client rather than closed over by queued
+        # events), the scheduled-prefix length, the next index to heap and
+        # the stream's reserved sequence-number base.
         self._stack: Optional[FrameStack] = None
-        self._frame_seq: Optional[List[Tuple[float, SparseFrame]]] = None
-        self._arrivals: Optional[List[float]] = None
+        self._arrivals: List[float] = []
         self._num_frames = 0
         self._cursor = 0
         self._seq_base = 0
-        if not source.config.optimization.uses_dsfa:
-            self.aggregator = None
-        elif dataplane == "reference":
-            # Local import: legacy hosts every reference implementation and
-            # is only pulled in when an oracle path actually runs.
-            from .legacy import ReferenceAggregator
-
-            self.aggregator = ReferenceAggregator(source.config.dsfa)
-        else:
-            self.aggregator = DynamicSparseFrameAggregator(source.config.dsfa)
+        self.aggregator = (
+            DynamicSparseFrameAggregator(source.config.dsfa)
+            if source.config.optimization.uses_dsfa
+            else None
+        )
         self._last_duration = 0.0
         kernel.on(FrameReady, self._on_frame, stream=self.name)
         kernel.on(DispatchBatch, self._on_dispatch, stream=self.name)
@@ -377,77 +270,49 @@ class StreamClient:
         kernel.on(StreamEnd, self._on_stream_end, stream=self.name)
 
     # ------------------------------------------------------------------
-    def _arrival(self, index: int) -> float:
-        """Arrival time of frame ``index`` of the rendered transport."""
-        if self._arrivals is not None:
-            return self._arrivals[index]
-        return self._frame_seq[index][0]
-
     def _frame_event(self, index: int) -> FrameReady:
-        """Build the ``FrameReady`` for frame ``index`` on this transport."""
-        if self._stack is not None:
-            return FrameReady(
-                time=self._arrivals[index],
-                stream=self.name,
-                stack=self._stack,
-                index=index,
-            )
-        arrival, frame = self._frame_seq[index]
-        return FrameReady(time=arrival, stream=self.name, frame=frame)
+        """The ``FrameReady`` of rendered frame ``index``."""
+        return FrameReady(
+            time=self._arrivals[index],
+            stream=self.name,
+            stack=self._stack,
+            index=index,
+        )
 
     def prime(self) -> None:
-        """Schedule the stream's frame arrivals and end-of-stream flush.
+        """Schedule the stream's first frame arrival and end-of-stream flush.
 
-        On the ``"stack"`` data plane the scheduled ``FrameReady`` events
-        carry ``(stack, index)`` references straight out of the rendered
-        stack — no frame objects are built; on the per-frame transports the
-        rendered ``(arrival, frame)`` list is held on the client cursor and
-        consumed index by index rather than closed over wholesale by queued
-        events.  In ``"lazy"`` mode only the *first* arrival is heaped (the
-        handler self-reschedules successors) after reserving the stream's
-        contiguous sequence-number block, so heap ordering matches the eager
-        oracle exactly.  ``StreamEnd`` is scheduled even for a stream that
-        generates no frames (an empty sequence, or a churn window that
-        closes before the first arrival): leave-side consumers — remap
-        triggers, traces, per-stream accounting — rely on every stream
-        announcing its end.
+        Reserves the stream's contiguous sequence-number block and heaps
+        only arrival 0; the frame handler self-reschedules each successor.
+        ``StreamEnd`` is scheduled even for a stream that generates no
+        frames (an empty sequence, or a churn window that closes before the
+        first arrival): leave-side consumers — remap triggers, traces,
+        per-stream accounting — rely on every stream announcing its end.
         """
-        if self.dataplane == "stack":
-            stack, _ = self.source.generate_stack()
-            self._stack = stack
-            self._frame_seq = None
-            self._arrivals = self.source.arrival_times()
-            count = 0 if stack is None else len(stack)
-        else:
-            self._stack = None
-            self._frame_seq = self.source.generate_frames()
-            self._arrivals = None
-            count = len(self._frame_seq)
+        stack, _ = self.source.generate_stack()
+        self._stack = stack
+        self._arrivals = self.source.arrival_times()
+        count = 0 if stack is None else len(stack)
         stop = self.source.stop_time
-        if self.schedule_mode == "lazy" and stop is not None:
+        if stop is not None:
             # Churn guard: the cursor must never advance past the stop
             # window.  Rendered arrivals are already prefix-cut against
             # stop_time (a searchsorted on the non-decreasing column), so
-            # this normally trims nothing — but a transport whose cache was
-            # seeded out of band keeps the invariant that no frame is
-            # scheduled after the stream left the platform.
-            while count and self._arrival(count - 1) > stop:
+            # this normally trims nothing — but a render cache seeded out of
+            # band keeps the invariant that no frame is scheduled after the
+            # stream left the platform.
+            while count and self._arrivals[count - 1] > stop:
                 count -= 1
         self._num_frames = count
         self.report.frames_generated += count
-        last_arrival = self._arrival(count - 1) if count else self.source.start_offset
-        if self.schedule_mode == "eager":
-            self._cursor = count
-            for i in range(count):
-                self.kernel.schedule(self._frame_event(i))
-        else:
-            # Reserve the whole block even though only arrival 0 is heaped:
-            # the successors stamped with base + i land on exactly the
-            # (time, priority, seq) slots the eager path would have used.
-            self._seq_base = self.kernel.reserve_sequences(count)
-            self._cursor = 1 if count else 0
-            if count:
-                self.kernel.schedule(self._frame_event(0), seq=self._seq_base)
+        last_arrival = self._arrivals[count - 1] if count else self.source.start_offset
+        # Reserve the whole block even though only arrival 0 is heaped: the
+        # successors stamped with base + i land on exactly the
+        # (time, priority, seq) slots a horizon-wide prime would have used.
+        self._seq_base = self.kernel.reserve_sequences(count)
+        self._cursor = 1 if count else 0
+        if count:
+            self.kernel.schedule(self._frame_event(0), seq=self._seq_base)
         # The last bin's computed t_end can differ from the final grayscale
         # timestamp by a few ulps; the flush must still come after every
         # frame arrival.
@@ -474,10 +339,9 @@ class StreamClient:
     def _on_frame(self, event: FrameReady) -> None:
         cursor = self._cursor
         if cursor < self._num_frames:
-            # Lazy cursor: heap the successor *before* processing, so an
-            # epoch barrier pausing the kernel mid-stream always finds the
-            # next arrival already queued (eager mode primes everything up
-            # front and never enters this branch).
+            # Heap the successor *before* processing, so an epoch barrier
+            # pausing the kernel mid-stream always finds the next arrival
+            # already queued.
             self._cursor = cursor + 1
             self.kernel.schedule(
                 self._frame_event(cursor), seq=self._seq_base + cursor
@@ -488,14 +352,9 @@ class StreamClient:
             # DSFA's internal inference queue (and its discarded_frames
             # counter) is not consumed here: every dispatched batch executes
             # immediately, so its evictions are bookkeeping, not real drops.
-            if event.stack is not None:
-                batch = self.aggregator.push_index(
-                    event.stack, event.index, hardware_available=hardware_available
-                )
-            else:
-                batch = self.aggregator.push(
-                    event.frame, hardware_available=hardware_available
-                )
+            batch = self.aggregator.push_index(
+                event.stack, event.index, hardware_available=hardware_available
+            )
             if batch is not None:
                 self.report.frames_merged += len(batch)
                 self.kernel.schedule(
@@ -516,10 +375,7 @@ class StreamClient:
                 QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
             )
             return
-        if event.stack is not None:
-            batch = SparseFrameBatch.from_stack(event.stack, event.index, event.index + 1)
-        else:
-            batch = SparseFrameBatch([event.frame])
+        batch = SparseFrameBatch.from_stack(event.stack, event.index, event.index + 1)
         self.kernel.schedule(
             DispatchBatch(time=arrival, stream=self.name, batch=batch)
         )
@@ -739,8 +595,8 @@ class MultiStreamReport:
     shards: int = 1
     epochs: Optional[list] = None
     # Largest simultaneous kernel-heap population of the run (the max over
-    # shards for a sharded run): the observable the lazy scheduling
-    # discipline bounds at O(active streams).
+    # shards for a sharded run): the observable the per-stream arrival
+    # cursors bound at O(active streams).
     heap_high_water: int = 0
 
     @property
@@ -929,12 +785,6 @@ class MultiStreamSimulator:
         InferenceRecord` entries (``None`` = unbounded).  The streaming
         aggregates keep accounting every record, so report-level statistics
         are unchanged — only the inspectable tail is capped.
-    schedule_mode:
-        Arrival-scheduling discipline shared by every stream
-        (:data:`SCHEDULE_MODES`).  ``"lazy"`` (default) walks per-stream
-        arrival cursors — the kernel heap stays O(active streams);
-        ``"eager"`` heaps the whole horizon at prime time, kept as the
-        equivalence oracle.  Both produce bit-identical reports.
     shards:
         Number of worker kernels the fleet is partitioned across
         (default 1 = the in-process path, bit-identical to the unsharded
@@ -970,22 +820,20 @@ class MultiStreamSimulator:
         the recommended mode for mixed-density fleets, where converging
         deep-layer profiles share cost-cache entries across streams and
         DSFA merges (see ``benchmarks/bench_cost_model.py``).
-    dataplane:
-        Frame transport shared by every stream (:data:`DATAPLANES`).
-        ``"stack"`` (default) ships columnar ``(stack, index)`` references
-        end to end; ``"frames"`` and ``"reference"`` are the per-frame
-        oracle transports used by the equivalence tests and
-        ``benchmarks/bench_dataplane.py``.  All three produce bit-identical
-        reports.
-    kernel_factory / server_factory / cost_model_factory:
-        Alternative :class:`~repro.runtime.sim.SimulationKernel` /
-        :class:`SignatureServer` / :class:`~repro.runtime.sim.
-        NetworkCostModel` constructors.  These exist for the reference
-        implementations in :mod:`repro.runtime.legacy` (the pre-refactor
-        kernel/server and the scalar-keyed cost oracle) used by the
-        equivalence tests and benchmarks; production code leaves them
-        unset.
+
+    The kernel, execution servers, cost models and stream clients are built
+    from the :attr:`kernel_class`, :attr:`server_class`,
+    :attr:`cost_model_class` and :attr:`client_class` class attributes, so a
+    subclass can run a fleet on alternative implementations of any of them
+    with the construction sequence — and therefore the event ordering — of
+    this class.  Sharded runs (``shards > 1``) build every shard from this
+    base class.
     """
+
+    kernel_class = SimulationKernel
+    server_class = SignatureServer
+    cost_model_class = NetworkCostModel
+    client_class = StreamClient
 
     def __init__(
         self,
@@ -999,11 +847,6 @@ class MultiStreamSimulator:
         retain_records: bool = True,
         record_limit: Optional[int] = None,
         cost_mode: str = "flat",
-        dataplane: str = "stack",
-        schedule_mode: str = "lazy",
-        kernel_factory: Optional[Callable[..., SimulationKernel]] = None,
-        server_factory: Optional[Callable[..., SignatureServer]] = None,
-        cost_model_factory: Optional[Callable[..., NetworkCostModel]] = None,
         shards: int = 1,
         shard_by: str = "signature",
         epoch_length: Optional[float] = None,
@@ -1017,15 +860,6 @@ class MultiStreamSimulator:
         if cost_mode not in COST_MODES:
             raise ValueError(
                 f"unknown cost_mode {cost_mode!r}; expected one of {COST_MODES}"
-            )
-        if dataplane not in DATAPLANES:
-            raise ValueError(
-                f"unknown dataplane {dataplane!r}; expected one of {DATAPLANES}"
-            )
-        if schedule_mode not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule_mode {schedule_mode!r}; "
-                f"expected one of {SCHEDULE_MODES}"
             )
         if record_limit is not None and record_limit < 1:
             raise ValueError("record_limit must be >= 1 or None")
@@ -1046,11 +880,6 @@ class MultiStreamSimulator:
             retain_records=retain_records,
             record_limit=record_limit,
             cost_mode=cost_mode,
-            dataplane=dataplane,
-            schedule_mode=schedule_mode,
-            kernel_factory=kernel_factory,
-            server_factory=server_factory,
-            cost_model_factory=cost_model_factory,
         )
         self.platform = platform
         self.sources = list(sources)
@@ -1062,11 +891,6 @@ class MultiStreamSimulator:
         self.retain_records = retain_records
         self.record_limit = record_limit
         self.cost_mode = cost_mode
-        self.dataplane = dataplane
-        self.schedule_mode = schedule_mode
-        self.kernel_factory = kernel_factory or SimulationKernel
-        self.server_factory = server_factory or SignatureServer
-        self.cost_model_factory = cost_model_factory or NetworkCostModel
         self.remap_client = (
             AdaptiveMappingClient(platform, remap_policy)
             if remap_policy is not None
@@ -1163,7 +987,7 @@ class MultiStreamSimulator:
         construction sequence — and therefore exactly the event ordering —
         of the single-process path.
         """
-        kernel = self.kernel_factory(trace=trace)
+        kernel = self.kernel_class(trace=trace)
         cost_models: Dict[tuple, NetworkCostModel] = {}
         servers: Dict[tuple, SignatureServer] = {}
         clients: List[StreamClient] = []
@@ -1175,7 +999,7 @@ class MultiStreamSimulator:
                 source.network, source.config, source.mapping
             )
             if signature not in servers:
-                cost_models[signature] = self.cost_model_factory(
+                cost_models[signature] = self.cost_model_class(
                     source.network,
                     self.platform,
                     config=source.config,
@@ -1183,21 +1007,19 @@ class MultiStreamSimulator:
                     table=self.table,
                     cost_mode=self.cost_mode,
                 )
-                servers[signature] = self.server_factory(
+                servers[signature] = self.server_class(
                     kernel,
                     cost_models[signature],
                     name=f"server:{source.network.name}:{len(servers)}",
                     max_merge_streams=self.max_merge_streams,
                 )
             clients.append(
-                StreamClient(
+                self.client_class(
                     source,
                     kernel,
                     executor=servers[signature],
                     cost_model=cost_models[signature],
                     keep_records=self.retain_records,
-                    dataplane=self.dataplane,
-                    schedule_mode=self.schedule_mode,
                     record_limit=self.record_limit,
                 )
             )

@@ -74,11 +74,13 @@ PLATFORMS = {
 # v5: graph-aware occupancy propagation — profile-mode costs change for every
 # DAG network (multi-input layers now combine all predecessor supports), so
 # profile cells cached under the chain walk are stale.
-# v6: policies gain a ``schedule_mode`` axis (lazy arrival cursors vs the
-# eager horizon-wide oracle) and rows record it alongside the kernel's heap
+# v6: policies gain an arrival-scheduling axis (lazy arrival cursors vs the
+# horizon-wide oracle) and rows record it alongside the kernel's heap
 # high-water mark.  Results are bit-identical across modes, but the row
 # schema changed and cells must not alias across the new axis.
-_CACHE_SALT = "scenario-sweep-v6"
+# v7: the arrival-scheduling axis is gone again (one discipline): policies
+# and rows no longer carry it, so the policy hash and row schema changed.
+_CACHE_SALT = "scenario-sweep-v7"
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,6 @@ class SweepPolicy:
         single-process kernel; >1 partitions the fleet by signature across
         epoch-synced shards, see :mod:`repro.runtime.shard`).  Inside pool
         workers the shards run inline — daemonic workers cannot fork.
-    schedule_mode:
-        Arrival-scheduling discipline
-        (:data:`repro.runtime.streams.SCHEDULE_MODES`).  ``"lazy"``
-        (default) keeps the kernel heap at O(active streams) via per-stream
-        arrival cursors; ``"eager"`` heaps the whole horizon at prime time
-        — the bit-identical oracle kept selectable for memory-plane
-        comparisons (the ``eager_schedule`` built-in).
     """
 
     name: str
@@ -122,7 +117,6 @@ class SweepPolicy:
     optimization: Optional[str] = None
     cost_mode: str = "profile"
     shards: int = 1
-    schedule_mode: str = "lazy"
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -133,7 +127,6 @@ BUILTIN_POLICIES = {
     "unbatched": SweepPolicy("unbatched", max_merge_streams=1),
     "exact_costs": SweepPolicy("exact_costs", occupancy_resolution=None),
     "flat_costs": SweepPolicy("flat_costs", cost_mode="flat"),
-    "eager_schedule": SweepPolicy("eager_schedule", schedule_mode="eager"),
 }
 
 
@@ -244,7 +237,6 @@ def simulate_cell(cell: SweepCell) -> Dict[str, object]:
         max_merge_streams=cell.policy.max_merge_streams,
         cost_mode=cell.policy.cost_mode,
         shards=cell.policy.shards,
-        schedule_mode=cell.policy.schedule_mode,
     )
     report = simulator.run()
     return {
@@ -254,7 +246,6 @@ def simulate_cell(cell: SweepCell) -> Dict[str, object]:
         "policy": cell.policy.name,
         "cost_mode": report.cost_mode,
         "shards": report.shards,
-        "schedule_mode": cell.policy.schedule_mode,
         "heap_high_water": report.heap_high_water,
         "hash": cell.content_hash(),
         "seed": cell.workload_seed,

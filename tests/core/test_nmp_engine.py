@@ -377,16 +377,18 @@ class TestDeltaEvaluation:
         assert set(breakdown.degradations) == set(graph.task_names)
 
     def test_flat_and_reference_fitness_agree(self, graph, platform, profile):
-        flat = FitnessEvaluator(graph, platform, profile)
-        reference = FitnessEvaluator(
-            graph, platform, profile, use_flat_scheduler=False
-        )
+        evaluator = FitnessEvaluator(graph, platform, profile)
+        scheduler = evaluator.scheduler
         rng = np.random.default_rng(2)
         for _ in range(8):
             candidate = MappingCandidate.random(graph, platform, rng)
-            assert (
-                flat.evaluate(candidate).fitness
-                == reference.evaluate(candidate).fitness
+            latencies, energy = scheduler.schedule_metrics(graph, candidate)
+            reference = scheduler.schedule_reference(graph, candidate)
+            assert latencies == dict(reference.task_latencies)
+            assert energy == reference.energy
+            # No accuracy evaluators: the fitness is the reference makespan.
+            assert evaluator.evaluate(candidate).fitness == max(
+                reference.task_latencies.values()
             )
 
 

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.frames import HAS_NUMBA, FrameStack, SparseFrame, jit_ifnumba, segment_add, segment_average
+from repro.frames import FrameStack, SparseFrame, segment_add, segment_average
 from repro.frames.sparse import _grouped_reduce
 
 
@@ -236,24 +236,6 @@ class TestGroupedReduceKernel:
         assert np.array_equal(unique, expected_keys)
         assert np.array_equal(pos_sum, np.bincount(inverse, weights=pos))
         assert np.array_equal(neg_sum, np.bincount(inverse, weights=neg))
-
-
-class TestJitLayer:
-    def test_numba_is_optional(self):
-        # The container has no numba: the decorator must be a no-op then.
-        @jit_ifnumba
-        def plain(x):
-            return x + 1
-
-        @jit_ifnumba(cache=True)
-        def parametrised(x):
-            return x + 2
-
-        assert plain(1) == 2
-        assert parametrised(1) == 3
-        if not HAS_NUMBA:
-            assert plain.__name__ == "plain"
-            assert parametrised.__name__ == "parametrised"
 
 
 def _pipe_echo_worker(conn):

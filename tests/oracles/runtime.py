@@ -1,12 +1,10 @@
-"""Pre-refactor reference implementations of the kernel hot path.
+"""Reference implementations of the runtime, kept as equivalence oracles.
 
-The fleet-scale refactor (O(1) event routing in
-:class:`~repro.runtime.sim.SimulationKernel`, indexed pending queues and
-coalesced wake-ups in :class:`~repro.runtime.executor.SignatureServer`) is
-required to be *report-identical*: the same fleet and seed must produce
-bit-identical :class:`~repro.runtime.streams.MultiStreamReport` aggregates
-before and after.  This module keeps the pre-refactor data structures alive
-as oracles so that claim stays machine-checked:
+Every refactor of the runtime hot path was required to be
+*report-identical*: the same fleet and seed must produce bit-identical
+:class:`~repro.runtime.streams.MultiStreamReport` aggregates before and
+after.  This module keeps the pre-refactor implementations alive so those
+claims stay machine-checked:
 
 * :class:`LegacyScanKernel` — linear handler-scan delivery: every event
   walks *all* registered handlers of its type and string-compares stream
@@ -15,7 +13,7 @@ as oracles so that claim stays machine-checked:
   O(queue) scans for enqueue bounding and distinct-stream merge selection,
   plus one scheduled wake-up per enqueued dispatch (the event storm the
   refactor coalesces).
-* :class:`ScalarCostModel` — the PR-4 *scalar-keyed* cost stack.  In
+* :class:`ScalarCostModel` — the pre-profile *scalar-keyed* cost stack.  In
   ``cost_mode="flat"`` it is the pre-profile path itself (measured input
   occupancy on the first layer, static modelled sparsity deeper) and must
   produce bit-identical ``MultiStreamReport`` aggregates to the layered
@@ -25,40 +23,38 @@ as oracles so that claim stays machine-checked:
   per-layer occupancies derive from the single quantized input bucket and
   are keyed **raw** (no per-layer bucketing), so every distinct input
   bucket mints its own copy of every layer cell — the memo-thrashing
-  behaviour ``benchmarks/bench_cost_model.py`` quantifies against the
-  layered stack.
+  behaviour the layered stack's cache hit-rate is tested against.
 * :class:`ChainCostModel` — the pre-graph *chain-propagated* cost stack
   on the layered caching architecture: profiles come from the serial topo
   chain walk instead of graph propagation.  The divergence tests use it
   to pin that graph propagation is bit-identical on serial networks and
   diverges exactly at DAG join nodes.
-* :class:`ReferenceAggregator` — the fully per-frame DSFA driven by the
-  ``"reference"`` data plane: placement probes re-merge whole frame lists
-  per call (``SparseFrame.add_reference``) and every dispatch merges bucket
-  by bucket, with no stack ranges or segmented grouped-reduce anywhere.
+* :class:`ReferenceAggregator` — the fully per-frame DSFA: placement
+  probes re-merge whole frame lists per call (``SparseFrame.add_reference``)
+  and every dispatch merges bucket by bucket, with no stack ranges or
+  segmented grouped-reduce anywhere.
+* :func:`generate_frames_reference` — the per-interval render loop the
+  columnar :meth:`~repro.runtime.streams.StreamSource.generate_stack`
+  replaced.
+* :class:`PerFrameReferenceClient` — the per-frame transport: frames from
+  :func:`generate_frames_reference`, one frame object per ``FrameReady``,
+  pushed into a :class:`ReferenceAggregator`.
+* :class:`EagerPrimeClient` — the horizon-wide arrival discipline the
+  per-stream arrival cursors replaced: every ``FrameReady`` of the stream
+  is heaped at prime time.
 
-Both implement the *current* accounting semantics (per-member latency
-shares, the queued-service backlog estimate) on the *old* data structures —
-they isolate the performance refactor, not the accounting bugfixes, so the
-equivalence tests compare like with like.  ``MultiStreamSimulator(...,
-kernel_factory=LegacyScanKernel, server_factory=LegacyListServer)`` runs a
-fleet on the legacy path; ``benchmarks/bench_kernel_scaling.py`` uses the
-same hooks to report the refactor's speedup.
+The kernel, server and cost-model oracles implement the *current*
+accounting semantics (per-member latency shares, the queued-service
+backlog estimate) on the *old* data structures — they isolate the
+performance refactor, not the accounting bugfixes, so the equivalence tests
+compare like with like.
 
-One oracle deliberately does *not* live here: the eager horizon-wide
-arrival scheduler is selected with ``schedule_mode="eager"`` on
-:class:`~repro.runtime.streams.StreamClient` /
-:class:`~repro.runtime.streams.MultiStreamSimulator` rather than via a
-factory, because scheduling discipline is orthogonal to the data
-structures — the legacy kernel/server above inherit
-:meth:`~repro.runtime.sim.SimulationKernel.schedule` and
-:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences` unchanged and
-run under either discipline (heap high-water tracking included), so the
-equivalence grid composes freely across both axes.
-
-Like :func:`~repro.core.nmp.scheduler.ExecutionScheduler.schedule_reference`
-for the NMP fast path, this is deliberately unoptimized code kept for
-verification — do not use it in production clients.
+Oracle fleets run on :class:`~repro.runtime.streams.MultiStreamSimulator`
+subclasses that swap one component class each (:class:`LegacySimulator`,
+:class:`ScalarCostSimulator`, :class:`EagerSimulator`,
+:class:`PerFrameReferenceSimulator`).  Like
+:meth:`~repro.core.nmp.scheduler.ExecutionScheduler.schedule_reference` for
+the NMP fast path, this is deliberately unoptimized verification code.
 """
 
 from __future__ import annotations
@@ -67,22 +63,27 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.dsfa import (
+from repro.core.dsfa import (
     BucketStatus,
     DynamicSparseFrameAggregator,
     MergeBucket,
     MergeMode,
 )
-from ..frames.sparse import SparseFrame, SparseFrameBatch
-from ..nn.occupancy import OccupancyProfile
-from .executor import SignatureServer, _PendingDispatch
-from .sim import (
+from repro.core.e2sf import Event2SparseFrameConverter
+from repro.frames.sparse import SparseFrame, SparseFrameBatch
+from repro.nn.occupancy import OccupancyProfile
+from repro.runtime.executor import SignatureServer, _PendingDispatch
+from repro.runtime.sim import (
+    DispatchBatch,
+    FrameReady,
     InferenceDone,
     NetworkCostModel,
     QueueEvict,
     SimEvent,
     SimulationKernel,
+    StreamEnd,
 )
+from repro.runtime.streams import MultiStreamSimulator, StreamClient, StreamSource
 
 __all__ = [
     "LegacyScanKernel",
@@ -91,6 +92,13 @@ __all__ = [
     "ChainCostModel",
     "ReferenceMergeBucket",
     "ReferenceAggregator",
+    "generate_frames_reference",
+    "PerFrameReferenceClient",
+    "EagerPrimeClient",
+    "LegacySimulator",
+    "ScalarCostSimulator",
+    "EagerSimulator",
+    "PerFrameReferenceSimulator",
 ]
 
 
@@ -202,7 +210,7 @@ class LegacyListServer(SignatureServer):
 
 
 class ScalarCostModel(NetworkCostModel):
-    """The PR-4 scalar-keyed cost stack, kept alive as an oracle.
+    """The pre-profile scalar-keyed cost stack, kept alive as an oracle.
 
     Two roles:
 
@@ -220,11 +228,9 @@ class ScalarCostModel(NetworkCostModel):
       occupancies of different input buckets are then distinct floats even
       when they have converged to well under a bucket width apart, so every
       input bucket mints its own copy of every layer cell.
-      ``benchmarks/bench_cost_model.py`` measures the cache hit-rate gap
-      between this stack and the layered one on a mixed-density DSFA fleet.
+      The cost-profile tests gate the cache hit-rate gap between this stack
+      and the layered one on mixed-density and DAG fleets.
 
-    Like the other legacy implementations this is deliberately
-    unoptimized verification code — do not use it in production clients.
     """
 
     def _build_profile(self, occ_key):
@@ -246,7 +252,7 @@ class ScalarCostModel(NetworkCostModel):
 
     @property
     def _quantize_layers(self) -> bool:
-        # Flat mode must key layer cells exactly as PR-4 did (bucketed);
+        # Flat mode keys layer cells bucketed, as the scalar path did;
         # profile mode keys the raw propagated occupancies.
         return self.cost_mode != "profile"
 
@@ -268,9 +274,6 @@ class ChainCostModel(NetworkCostModel):
       nodes, where the chain walk dilates whichever spec happened to
       precede the join in topological order and ignores the other
       branches.
-
-    Like the other legacy implementations this is deliberately
-    unoptimized verification code — do not use it in production clients.
     """
 
     def _build_profile(self, occ_key):
@@ -283,7 +286,7 @@ class ChainCostModel(NetworkCostModel):
 
 
 class ReferenceMergeBucket(MergeBucket):
-    """A merge bucket with every PR 5–8 merge optimization stripped.
+    """A merge bucket with every columnar merge optimization stripped.
 
     * density probes re-merge the *whole* frame list per :meth:`accepts`
       call through :meth:`SparseFrame.add_reference` (no incremental cache,
@@ -318,22 +321,15 @@ class ReferenceMergeBucket(MergeBucket):
 class ReferenceAggregator(DynamicSparseFrameAggregator):
     """The fully per-frame DSFA: reference buckets, per-bucket merges.
 
-    The ``"reference"`` data plane's aggregator
-    (:data:`~repro.runtime.streams.DATAPLANES`): placement probes re-merge
-    frame lists per call and every dispatch merges bucket by bucket through
-    ``add_reference`` — no stack ranges, no segmented grouped-reduce pass.
-    Dispatch decisions and merged values are bit-identical to the
-    production aggregator; ``benchmarks/bench_dataplane.py`` measures the
-    columnar transport's fleet speedup against it.
+    The aggregator of :class:`PerFrameReferenceClient`: placement probes
+    re-merge frame lists per call and every dispatch merges bucket by
+    bucket through ``add_reference`` — no stack ranges, no segmented
+    grouped-reduce pass.  Dispatch decisions and merged values are
+    bit-identical to the production aggregator.
     """
 
-    def _bucket_factory(self, capacity: int) -> MergeBucket:
+    def _new_bucket(self, capacity: int) -> MergeBucket:
         return ReferenceMergeBucket(capacity=capacity)
-
-    def push_index(self, stack, index, hardware_available=False):
-        # The reference transport materialises frames; an index push is
-        # routed through the per-frame path so oracle buckets stay uniform.
-        return self.push(stack.frame(index), hardware_available=hardware_available)
 
     def _merge_buckets(self) -> SparseFrameBatch:
         average = self.config.merge_mode is MergeMode.AVERAGE
@@ -346,3 +342,135 @@ class ReferenceAggregator(DynamicSparseFrameAggregator):
                 frame = frame.scale(1.0 / len(bucket.frames))
             merged.append(frame)
         return SparseFrameBatch(merged)
+
+
+def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseFrame]]:
+    """Render ``source`` with the pre-columnar per-interval loop.
+
+    One :meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert` call per
+    grayscale interval, one frame object per bin, arrival ``t_end +
+    start_offset``, frames arriving after ``stop_time`` dropped — uncached
+    and deliberately unoptimized.  The columnar
+    :meth:`~repro.runtime.streams.StreamSource.generate_stack` render must
+    be bit-identical to it.
+    """
+    converter = Event2SparseFrameConverter(source.config.num_bins)
+    timestamps = source.sequence.frame_timestamps
+    out: List[Tuple[float, SparseFrame]] = []
+    for i in range(source.sequence.num_intervals):
+        frames = converter.convert(
+            source.sequence.events, float(timestamps[i]), float(timestamps[i + 1])
+        )
+        for frame in frames:
+            arrival = frame.t_end + source.start_offset
+            if source.stop_time is not None and arrival > source.stop_time:
+                continue
+            out.append((arrival, frame))
+    return out
+
+
+class EagerPrimeClient(StreamClient):
+    """The horizon-wide arrival discipline: every arrival heaped at prime.
+
+    Each ``FrameReady`` takes its sequence number from the kernel's counter
+    at prime time, with no reservation and no churn clamp.  The production
+    client's cursor reserves the same block and reschedules successors
+    lazily; both must produce bit-identical reports, while this client's
+    kernel heap grows with the horizon instead of the stream count.
+    """
+
+    def prime(self) -> None:
+        stack, _ = self.source.generate_stack()
+        arrivals = self.source.arrival_times()
+        count = 0 if stack is None else len(stack)
+        self._stack = stack
+        self._arrivals = arrivals
+        # A cursor at the end: the inherited frame handler never reschedules.
+        self._num_frames = self._cursor = count
+        self.report.frames_generated += count
+        for i in range(count):
+            self.kernel.schedule(
+                FrameReady(time=arrivals[i], stream=self.name, stack=stack, index=i)
+            )
+        last_arrival = arrivals[count - 1] if count else self.source.start_offset
+        self.kernel.schedule(
+            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name)
+        )
+
+
+class PerFrameReferenceClient(StreamClient):
+    """The fully per-frame transport: reference render, frames, reference DSFA.
+
+    Frames come from :func:`generate_frames_reference` (not the columnar
+    render) and are primed horizon-wide; each ``FrameReady`` carries the
+    frame's position in that list, and the handler pushes the frame object
+    itself into a :class:`ReferenceAggregator` (or dispatches it as a
+    one-frame batch without DSFA).  Reports must be bit-identical to the
+    production stack transport.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.aggregator is not None:
+            self.aggregator = ReferenceAggregator(self.config.dsfa)
+        self._frames: List[SparseFrame] = []
+
+    def prime(self) -> None:
+        rendered = generate_frames_reference(self.source)
+        self._frames = [frame for _, frame in rendered]
+        self.report.frames_generated += len(rendered)
+        for i, (arrival, _) in enumerate(rendered):
+            self.kernel.schedule(FrameReady(time=arrival, stream=self.name, index=i))
+        last_arrival = rendered[-1][0] if rendered else self.source.start_offset
+        self.kernel.schedule(
+            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name)
+        )
+
+    def _on_frame(self, event: FrameReady) -> None:
+        frame = self._frames[event.index]
+        arrival = event.time
+        if self.aggregator is not None:
+            batch = self.aggregator.push(
+                frame, hardware_available=arrival >= self.executor.busy_until(self)
+            )
+            if batch is not None:
+                self.report.frames_merged += len(batch)
+                self.kernel.schedule(
+                    DispatchBatch(time=arrival, stream=self.name, batch=batch)
+                )
+            return
+        backlog = self.executor.backlog_estimate(self, arrival)
+        if backlog > self.queue_depth * max(self._last_duration, 1e-9):
+            self.report.frames_dropped += 1
+            self.kernel.schedule(
+                QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
+            )
+            return
+        self.kernel.schedule(
+            DispatchBatch(time=arrival, stream=self.name, batch=SparseFrameBatch([frame]))
+        )
+
+
+class LegacySimulator(MultiStreamSimulator):
+    """A fleet on the pre-routing kernel and the flat-list server."""
+
+    kernel_class = LegacyScanKernel
+    server_class = LegacyListServer
+
+
+class ScalarCostSimulator(MultiStreamSimulator):
+    """A fleet costed by the scalar-keyed cost stack."""
+
+    cost_model_class = ScalarCostModel
+
+
+class EagerSimulator(MultiStreamSimulator):
+    """A fleet primed horizon-wide instead of through arrival cursors."""
+
+    client_class = EagerPrimeClient
+
+
+class PerFrameReferenceSimulator(MultiStreamSimulator):
+    """A fleet on the per-frame transport with the reference DSFA."""
+
+    client_class = PerFrameReferenceClient

@@ -3,8 +3,8 @@
 Covers the profile plumbing end to end: per-layer bucketing (including the
 first-bucket rounding fix at per-layer granularity), merge-time profile
 combination on dispatched batches, the flat-profile equivalence against the
-scalar cost oracle kept in :mod:`repro.runtime.legacy`, and the cache-sharing
-property the layered stack exists for.
+scalar cost oracle kept in ``tests/oracles``, and the cache-sharing property
+the layered stack exists for.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from repro.runtime import (
     StreamSource,
 )
 from repro.nn import LayerGraph, LayerKind, LayerSpec
-from repro.runtime.legacy import ChainCostModel, ScalarCostModel
+
+from oracles.runtime import ChainCostModel, ScalarCostModel, ScalarCostSimulator
 
 
 def assert_reports_identical(new, old):
@@ -193,7 +194,8 @@ class TestBatchProfiles:
             network,
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
-        frames = [f for _, f in source.generate_frames()][:4]
+        stack, _ = source.generate_stack()
+        frames = [stack.frame(i) for i in range(4)]
         batch = SparseFrameBatch(frames)
         profile = model.batch_profile(batch)
         assert profile == model.occupancy_profile(max(batch.mean_density, 1e-4))
@@ -209,8 +211,7 @@ class TestBatchProfiles:
             network,
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
-        frames = [f for _, f in source.generate_frames()]
-        frames = sorted(frames, key=lambda f: f.density)
+        frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
         batch = SparseFrameBatch([frames[0], frames[-1]])  # extremes of the run
         assert frames[0].density != frames[-1].density
         profile = model.batch_profile(batch)
@@ -235,7 +236,7 @@ class TestBatchProfiles:
         )
         aggregator = DynamicSparseFrameAggregator(source.config.dsfa)
         batch = None
-        for _, frame in source.generate_frames():
+        for frame in source.generate_stack()[0].frames():
             batch = aggregator.push(frame)
             if batch is not None and len(batch) > 1:
                 break
@@ -262,9 +263,7 @@ class TestBatchProfiles:
             network,
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
-        frames = sorted(
-            (f for _, f in source.generate_frames()), key=lambda f: f.density
-        )
+        frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
         batch = SparseFrameBatch([frames[0], frames[-1]])
         profile = model.batch_profile(batch)
         members = [
@@ -440,9 +439,7 @@ class TestFleetEquivalenceAndSharing:
         # Equivalence mode: uniform (flat) profiles must reproduce the
         # PR-4 scalar cost oracle's MultiStreamReport bit for bit.
         new = MultiStreamSimulator(platform, mixed_density_sources).run()
-        oracle = MultiStreamSimulator(
-            platform, mixed_density_sources, cost_model_factory=ScalarCostModel
-        ).run()
+        oracle = ScalarCostSimulator(platform, mixed_density_sources).run()
         assert new.cost_mode == "flat"
         assert_reports_identical(new, oracle)
 
@@ -452,17 +449,50 @@ class TestFleetEquivalenceAndSharing:
         layered = MultiStreamSimulator(
             platform, mixed_density_sources, cost_mode="profile"
         ).run()
-        scalar = MultiStreamSimulator(
-            platform,
-            mixed_density_sources,
-            cost_mode="profile",
-            cost_model_factory=ScalarCostModel,
+        scalar = ScalarCostSimulator(
+            platform, mixed_density_sources, cost_mode="profile"
         ).run()
         assert layered.cost_mode == "profile"
         # Identical traffic shape on both stacks...
         assert layered.frames_generated == scalar.frames_generated
         # ...but per-layer bucketing after propagation shares deep-layer
         # cells the scalar-keyed stack re-mints per input bucket.
+        assert layered.cache_info["hit_rate"] > scalar.cache_info["hit_rate"]
+        assert layered.cache_info["entries"] < scalar.cache_info["entries"]
+
+    def test_dag_fleet_layered_stack_outshares_scalar_keyed_stack(self, platform):
+        # The same gate on the zoo's skip-connection networks, where joins
+        # keep decoder occupancies input-dependent: per-layer bucketing must
+        # still share more cells than the raw-keyed scalar stack.
+        networks = [
+            build_network(name, 64, 64)
+            for name in ("spikeflownet", "fusionflownet", "e2depth", "halsie")
+        ]
+        scenes = ("calibration_bars", "indoor_flying1", "outdoor_day1", "high_speed_disk")
+        config = EvEdgeConfig(
+            num_bins=8,
+            optimization=OptimizationLevel.E2SF_DSFA,
+            dsfa=DSFAConfig(inference_queue_depth=4),
+        )
+        sources = [
+            StreamSource(
+                f"dag{i}",
+                generate_sequence(scenes[i % 4], scale=0.08, duration=0.25, seed=37 + i),
+                networks[i % 4],
+                config,
+                start_offset=0.0004 * i,
+            )
+            for i in range(8)
+        ]
+        layered = MultiStreamSimulator(platform, sources, cost_mode="profile").run()
+        scalar = ScalarCostSimulator(platform, sources, cost_mode="profile").run()
+        assert layered.frames_generated == scalar.frames_generated
+        occupancies = {
+            round(r.occupancy, 4)
+            for stream in layered.reports.values()
+            for r in stream.records
+        }
+        assert len(occupancies) > 4  # the fleet really mixes densities
         assert layered.cache_info["hit_rate"] > scalar.cache_info["hit_rate"]
         assert layered.cache_info["entries"] < scalar.cache_info["entries"]
 

@@ -1,14 +1,13 @@
 """Fleet-level equivalence of the columnar data plane.
 
 The acceptance bar for the FrameStack render path: frames from
-``StreamSource.generate_frames`` (one ``convert_stack`` per stream) must be
+``StreamSource.generate_stack`` (one ``convert_stack`` per stream) must be
 bit-identical to ``generate_frames_reference`` (the per-interval ``convert``
-loop) across every built-in scenario family, and the end-to-end
-``MultiStreamReport`` aggregates of a seeded 256-stream DSFA fleet must be
-unchanged when the reference frames are substituted for the stack frames.
-The end-to-end stack transport extends the bar: all three data planes
-(:data:`repro.runtime.DATAPLANES`) must produce identical aggregates on
-every family.
+loop kept in ``tests/oracles``) across every built-in scenario family.  The
+end-to-end stack transport extends the bar: the production runtime and the
+fully per-frame reference transport (reference render, frame objects,
+reference DSFA) must produce identical ``MultiStreamReport`` aggregates on
+every family and on a seeded 256-stream DSFA fleet.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ import repro.core  # noqa: F401  (import order: runtime pulls core.nmp lazily)
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
 from repro.scenarios import default_registry
+
+from oracles.runtime import PerFrameReferenceSimulator, generate_frames_reference
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
 
@@ -52,14 +53,13 @@ class TestStackRenderEquivalence:
         for family in registry.families():
             sources = registry.compile(family, **SMALL)
             for source in sources:
-                stack_frames = source.generate_frames()
-                oracle_frames = source.generate_frames_reference()
-                assert len(stack_frames) == len(oracle_frames), (family, source.name)
-                for i, ((t_new, f_new), (t_ref, f_ref)) in enumerate(
-                    zip(stack_frames, oracle_frames)
-                ):
-                    assert t_new == t_ref, (family, source.name, i)
-                    assert frames_bit_identical(f_new, f_ref), (
+                stack, _ = source.generate_stack()
+                arrivals = source.arrival_times()
+                oracle_frames = generate_frames_reference(source)
+                assert len(arrivals) == len(oracle_frames), (family, source.name)
+                for i, (t_ref, f_ref) in enumerate(oracle_frames):
+                    assert arrivals[i] == t_ref, (family, source.name, i)
+                    assert frames_bit_identical(stack.frame(i), f_ref), (
                         family,
                         source.name,
                         i,
@@ -69,7 +69,12 @@ class TestStackRenderEquivalence:
         # Churn streams leave mid-footage: the stack path must clip the
         # same arrivals the reference loop clips.
         sources = registry.compile("churn", **SMALL)
-        assert any(s.stop_time is not None for s in sources)
+        churned = [s for s in sources if s.stop_time is not None]
+        assert churned
+        for source in churned:
+            arrivals = source.arrival_times()
+            assert arrivals == [t for t, _ in generate_frames_reference(source)]
+            assert all(t <= source.stop_time for t in arrivals)
 
 
 def _aggregates(report):
@@ -89,20 +94,11 @@ class TestFleetAggregatesUnchanged:
     def test_256_stream_dsfa_fleet(self, registry, platform):
         fleet = dict(num_streams=256, duration=0.25, scale=0.1, num_bins=4, seed=42)
 
-        stack_sources = registry.compile("mixed_fleet", **fleet)
-        stack_report = MultiStreamSimulator(
-            platform, stack_sources, dataplane="stack"
-        ).run()
-
-        oracle_sources = registry.compile("mixed_fleet", **fleet)
-        for source in oracle_sources:
-            # Pre-seed the render cache with the per-interval oracle frames:
-            # the reference data plane then consumes the fully pre-columnar
-            # pipeline — oracle render, per-frame transport, reference DSFA.
-            source._frames = source.generate_frames_reference()
-        oracle_report = MultiStreamSimulator(
-            platform, oracle_sources, dataplane="reference"
-        ).run()
+        sources = registry.compile("mixed_fleet", **fleet)
+        stack_report = MultiStreamSimulator(platform, sources).run()
+        # The fully pre-columnar pipeline: oracle render, per-frame
+        # transport, reference DSFA.
+        oracle_report = PerFrameReferenceSimulator(platform, sources).run()
 
         assert stack_report.num_streams == 256
         assert stack_report.total_inferences > 0
@@ -112,12 +108,7 @@ class TestFleetAggregatesUnchanged:
         self, registry, platform
     ):
         for family in registry.families():
-            results = {}
-            for dataplane in ("stack", "frames", "reference"):
-                sources = registry.compile(family, **SMALL)
-                report = MultiStreamSimulator(
-                    platform, sources, dataplane=dataplane
-                ).run()
-                results[dataplane] = _aggregates(report)
-            assert results["stack"] == results["frames"], family
-            assert results["stack"] == results["reference"], family
+            sources = registry.compile(family, **SMALL)
+            stack = MultiStreamSimulator(platform, sources).run()
+            reference = PerFrameReferenceSimulator(platform, sources).run()
+            assert _aggregates(stack) == _aggregates(reference), family

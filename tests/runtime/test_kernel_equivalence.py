@@ -4,7 +4,7 @@ The fleet-scale refactor (O(1) kernel routing, indexed pending queues,
 coalesced wake-ups, streaming report accumulators) must be *provably
 report-identical*: the same fleet and seed produce bit-identical
 ``MultiStreamReport`` aggregates on the refactored path and on the
-pre-refactor reference implementations kept in :mod:`repro.runtime.legacy`.
+pre-refactor reference implementations kept in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from repro.events import generate_sequence
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
 from repro.runtime import MultiStreamSimulator, StreamSource
-from repro.runtime.legacy import LegacyListServer, LegacyScanKernel
 from repro.scenarios.registry import default_registry
 from repro.scenarios.spec import ScenarioSpec
 
-LEGACY = dict(kernel_factory=LegacyScanKernel, server_factory=LegacyListServer)
+from oracles.runtime import LegacySimulator
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def assert_reports_identical(new, old):
 class TestReportEquivalence:
     def test_contended_mixed_fleet_is_bit_identical(self, platform, contended_sources):
         new = MultiStreamSimulator(platform, contended_sources).run()
-        old = MultiStreamSimulator(platform, contended_sources, **LEGACY).run()
+        old = LegacySimulator(platform, contended_sources).run()
         # The fleet must actually exercise drops and merges, or this test
         # proves nothing about the refactored queue machinery.
         assert new.frames_dropped > 0
@@ -116,7 +115,7 @@ class TestReportEquivalence:
         )
         sources = default_registry().compile(spec)
         new = MultiStreamSimulator(platform, sources).run()
-        old = MultiStreamSimulator(platform, sources, **LEGACY).run()
+        old = LegacySimulator(platform, sources).run()
         assert_reports_identical(new, old)
 
     def test_wakeup_coalescing_reduces_event_count(self, platform, contended_sources):
@@ -124,7 +123,7 @@ class TestReportEquivalence:
         # wake-up storm is the pre-refactor behaviour the server coalesces
         # into at most one outstanding wake-up per busy frontier.
         new = MultiStreamSimulator(platform, contended_sources).run()
-        old = MultiStreamSimulator(platform, contended_sources, **LEGACY).run()
+        old = LegacySimulator(platform, contended_sources).run()
         assert new.events_processed < old.events_processed
 
 

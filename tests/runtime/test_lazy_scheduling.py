@@ -1,14 +1,15 @@
 """Lazy arrival-cursor scheduling: equivalence, churn cuts and heap bounds.
 
-The scheduling refactor must be *provably report-identical*: with
-``schedule_mode="lazy"`` (the default) each stream keeps at most one queued
-``FrameReady`` — the handler self-reschedules the successor onto a
-pre-reserved kernel sequence number — and the resulting
+The scheduling refactor must be *provably report-identical*: each stream
+keeps at most one queued ``FrameReady`` — the handler self-reschedules the
+successor onto a pre-reserved kernel sequence number — and the resulting
 ``MultiStreamReport`` must be bit-identical to the eager horizon-wide
-oracle (``schedule_mode="eager"``) across every scenario family, every
-data plane and the sharded runtime.  The payoff the suite pins alongside
-the equivalence: the kernel heap's high-water mark scales with *active
-streams* under lazy scheduling and with *total frames* under eager.
+oracle (``EagerSimulator`` in ``tests/oracles``) across every scenario
+family.  The payoff the suite pins alongside the equivalence: the kernel
+heap's high-water mark scales with *active streams* under lazy scheduling
+and with *total frames* under eager.  Lazy cursors across epoch barriers
+are covered by the sharded suite (platform-group bit-identity, process ==
+inline, epoch-length invariance).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ import pytest
 
 import repro.core  # noqa: F401  (import order: runtime pulls core.nmp lazily)
 from repro.hw import jetson_xavier_agx
-from repro.runtime import (
-    DATAPLANES,
-    SCHEDULE_MODES,
-    KernelTrace,
-    MultiStreamSimulator,
-    SimulationKernel,
-)
+from repro.runtime import KernelTrace, MultiStreamSimulator, SimulationKernel
 from repro.runtime.sim import FrameReady, PipelineReport
 from repro.scenarios import default_registry
 
+from oracles.runtime import EagerSimulator, PerFrameReferenceSimulator
 from test_kernel_equivalence import assert_reports_identical
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
@@ -54,50 +50,21 @@ def _run(platform, sources, **kwargs):
 
 
 class TestLazyEagerEquivalence:
-    def test_modes_are_registered(self):
-        assert SCHEDULE_MODES == ("lazy", "eager")
-        with pytest.raises(ValueError, match="schedule_mode"):
-            MultiStreamSimulator(
-                jetson_xavier_agx(),
-                default_registry().compile("steady", **SMALL),
-                schedule_mode="speculative",
-            )
-
     def test_all_families_all_dataplanes_bit_identical(self, registry, platform):
+        """Arrival cursors reproduce the horizon-wide prime on every family,
+        and so does the fully per-frame reference transport."""
         assert len(registry.families()) >= 6
         for family in registry.families():
             sources = registry.compile(family, **SMALL)
-            for dataplane in DATAPLANES:
-                lazy = _run(platform, sources, dataplane=dataplane)
-                eager = _run(
-                    platform, sources, dataplane=dataplane, schedule_mode="eager"
-                )
-                assert lazy.events_processed == eager.events_processed, (
-                    family,
-                    dataplane,
-                )
-                assert_reports_identical(lazy, eager)
-                # The equivalence is not vacuous: lazy runs kept strictly
-                # fewer events queued than the horizon-wide prime.
-                assert lazy.heap_high_water < eager.heap_high_water, (
-                    family,
-                    dataplane,
-                )
-
-    def test_two_shard_process_mode_bit_identical(self, registry, platform):
-        sources = registry.compile(
-            "mixed_fleet", **{**SMALL, "num_streams": 8}
-        )
-        kwargs = dict(shards=2, shard_mode="process")
-        lazy = _run(platform, sources, **kwargs)
-        eager = _run(platform, sources, schedule_mode="eager", **kwargs)
-        assert lazy.shards == 2
-        assert_reports_identical(lazy, eager)
-        # Epoch pause/resume must not lose a cursor: every barrier row saw
-        # a bounded heap, and frames kept flowing after the first barrier.
-        assert lazy.epochs is not None
-        assert max(s.heap_high_water for s in lazy.epochs) <= HEAP_FACTOR * 8
-        assert lazy.frames_generated == eager.frames_generated
+            lazy = _run(platform, sources)
+            eager = EagerSimulator(platform, sources).run()
+            assert lazy.events_processed == eager.events_processed, family
+            assert_reports_identical(lazy, eager)
+            # The equivalence is not vacuous: lazy runs kept strictly fewer
+            # events queued than the horizon-wide prime.
+            assert lazy.heap_high_water < eager.heap_high_water, family
+            reference = PerFrameReferenceSimulator(platform, sources).run()
+            assert_reports_identical(lazy, reference)
 
     def test_mid_run_handler_registration_matches_eager_delivery(self):
         """PR-4 routing regression, lazy edition: a handler registered
@@ -153,7 +120,7 @@ class TestChurnCursorCut:
         churned = [s for s in sources if s.stop_time is not None]
         assert churned, "churn family must produce stop_time windows"
         lazy = _run(platform, sources)
-        eager = _run(platform, sources, schedule_mode="eager")
+        eager = EagerSimulator(platform, sources).run()
         for source in sources:
             if source.stop_time is None:
                 continue
@@ -209,7 +176,7 @@ class TestHeapHighWater:
         )
         platform = jetson_xavier_agx()
         lazy = _run(platform, sources)
-        eager = _run(platform, sources, schedule_mode="eager")
+        eager = EagerSimulator(platform, sources).run()
         assert lazy.frames_generated == eager.frames_generated
         assert lazy.frames_generated > HEAP_FACTOR * streams
         # Lazy: O(active streams).  Eager: the whole horizon is queued.
@@ -225,8 +192,8 @@ class TestHeapHighWater:
                 "steady", num_streams=32, duration=duration, scale=0.06, num_bins=4
             )
             marks[duration] = {
-                mode: _run(platform, sources, schedule_mode=mode).heap_high_water
-                for mode in SCHEDULE_MODES
+                "lazy": _run(platform, sources).heap_high_water,
+                "eager": EagerSimulator(platform, sources).run().heap_high_water,
             }
         # Doubling the horizon must not grow the lazy heap (beyond event
         # jitter), while the eager heap tracks the doubled frame count.
@@ -307,15 +274,14 @@ class TestFramesPlaneCursor:
     def test_frames_plane_holds_sequence_on_client_not_in_events(
         self, registry, platform
     ):
-        """Satellite fix: on the per-frame transports the rendered list
-        lives on the client cursor; in lazy mode the heap never holds more
-        than one of the stream's frames at a time."""
+        """The rendered stack and arrivals live on the client cursor; the
+        heap never holds more than one of the stream's frames at a time."""
         sources = registry.compile("steady", **SMALL)
-        simulator = MultiStreamSimulator(platform, sources, dataplane="frames")
+        simulator = MultiStreamSimulator(platform, sources)
         kernel, clients, _ = simulator._setup(None)
         for client in clients:
-            assert client._frame_seq is not None
-            assert client._stack is None
+            assert client._stack is not None
+            assert len(client._arrivals) == client._num_frames
         # At prime time the heap holds one FrameReady + one StreamEnd per
         # stream — not the horizon.
         total_frames = sum(c._num_frames for c in clients)
@@ -323,7 +289,4 @@ class TestFramesPlaneCursor:
         assert kernel.pending_events == 2 * len(clients)
         end_time = kernel.run()
         report = simulator._finalize(kernel, clients, 0, None, end_time)
-        eager = _run(
-            platform, sources, dataplane="frames", schedule_mode="eager"
-        )
-        assert_reports_identical(report, eager)
+        assert_reports_identical(report, EagerSimulator(platform, sources).run())

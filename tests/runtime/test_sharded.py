@@ -242,6 +242,9 @@ class TestShardedEquivalence:
         ).run()
         assert len(fine.epochs) > len(coarse.epochs)
         assert_reports_identical(fine, coarse)
+        # Pausing at every barrier loses no arrival cursor, and the heap
+        # each barrier saw stays bounded by the stream count.
+        assert max(s.heap_high_water for s in fine.epochs) <= 4 * len(disjoint_sources)
 
     def test_shards_1_takes_the_single_process_path(self, platform, mixed_sources):
         plain = MultiStreamSimulator(platform, mixed_sources).run()

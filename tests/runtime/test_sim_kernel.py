@@ -119,7 +119,7 @@ class TestRoutingTable:
         assert seen == ["wild0", "a0", "wild1", "a1", "wild0", "wild1", "b0"]
 
     def test_matches_legacy_scan_delivery_order(self):
-        from repro.runtime.legacy import LegacyScanKernel
+        from oracles.runtime import LegacyScanKernel
 
         def drive(kernel):
             seen = []
@@ -216,6 +216,19 @@ class TestKernelTrace:
         kernel.run()
         assert len(trace) == 1
         assert trace.dropped_entries == 1
+
+    def test_frame_ready_detail_reads_the_referenced_frame(self):
+        from repro.frames import FrameStack, SparseFrame
+
+        frames = [
+            SparseFrame.from_events([1, 2], [0, 3], [1, -1], 4, 4, 0.0, 0.1),
+            SparseFrame.from_events([3], [3], [1], 4, 4, 0.1, 0.2),
+        ]
+        stack = FrameStack.from_frames(frames)
+        event = FrameReady(time=0.2, stream="s", stack=stack, index=1)
+        assert event.trace_detail() == f"density={frames[1].density:.4f}"
+        assert frames[0].density != frames[1].density
+        assert FrameReady(time=0.0, stream="s").trace_detail() == ""
 
     def test_detail_free_mode_keeps_timeline(self):
         trace = KernelTrace(record_details=False)

@@ -59,9 +59,9 @@ def make_sources(sequence, network, n, level=OptimizationLevel.E2SF_DSFA, **conf
 class TestStreamSource:
     def test_generates_all_bins(self, sequence, network):
         source = StreamSource("s", sequence, network, EvEdgeConfig(num_bins=5))
-        frames = source.generate_frames()
-        assert len(frames) == 5 * sequence.num_intervals
-        arrivals = [t for t, _ in frames]
+        stack, _ = source.generate_stack()
+        assert len(stack) == 5 * sequence.num_intervals
+        arrivals = source.arrival_times()
         assert arrivals == sorted(arrivals)
 
     def test_start_offset_shifts_arrivals(self, sequence, network):
@@ -69,8 +69,8 @@ class TestStreamSource:
         shifted = StreamSource(
             "b", sequence, network, EvEdgeConfig(num_bins=5), start_offset=0.25
         )
-        t0 = base.generate_frames()[0][0]
-        t1 = shifted.generate_frames()[0][0]
+        t0 = base.arrival_times()[0]
+        t1 = shifted.arrival_times()[0]
         assert t1 == pytest.approx(t0 + 0.25)
         assert shifted.end_time == pytest.approx(base.end_time + 0.25)
 
@@ -252,14 +252,15 @@ class TestMultiStreamSimulator:
 
     def test_stop_time_truncates_stream(self, platform, sequence, network):
         full = StreamSource("s", sequence, network, EvEdgeConfig(num_bins=5))
-        frames = full.generate_frames()
-        cutoff = frames[len(frames) // 2][0]
+        arrivals = full.arrival_times()
+        cutoff = arrivals[len(arrivals) // 2]
         truncated = StreamSource(
             "s", sequence, network, EvEdgeConfig(num_bins=5), stop_time=cutoff
         )
-        kept = truncated.generate_frames()
-        assert 0 < len(kept) < len(frames)
-        assert all(arrival <= cutoff for arrival, _ in kept)
+        kept = truncated.arrival_times()
+        assert 0 < len(kept) < len(arrivals)
+        assert len(truncated.generate_stack()[0]) == len(kept)
+        assert all(arrival <= cutoff for arrival in kept)
         assert truncated.end_time == pytest.approx(cutoff)
 
     def test_zero_frame_stream_still_ends(self, platform, sequence, network):
@@ -277,6 +278,31 @@ class TestMultiStreamSimulator:
         assert report.reports["empty"].num_inferences == 0
         ends = [e for e in trace.entries if e.kind == "StreamEnd"]
         assert {e.stream for e in ends} == {"empty", "live"}
+
+    def test_component_classes_drive_setup(self, platform, sequence, network):
+        # The simulator builds every component from its class attributes,
+        # so a subclass can swap any of them without a constructor knob.
+        class CountingClient(StreamClient):
+            primed = 0
+
+            def prime(self):
+                CountingClient.primed += 1
+                super().prime()
+
+        class CountingSimulator(MultiStreamSimulator):
+            client_class = CountingClient
+
+        sources = make_sources(sequence, network, 3)
+        simulator = CountingSimulator(platform, sources)
+        kernel, clients, _ = simulator._setup(None)
+        assert type(kernel) is SimulationKernel
+        assert all(type(c) is CountingClient for c in clients)
+        assert all(type(c.executor) is SignatureServer for c in clients)
+        assert all(type(c.cost_model) is NetworkCostModel for c in clients)
+        assert CountingClient.primed == 3
+        report = CountingSimulator(platform, sources).run()
+        plain = MultiStreamSimulator(platform, sources).run()
+        assert report.reports["s0"].records == plain.reports["s0"].records
 
     def test_energy_is_conserved_across_merges(self, platform, sequence, network):
         # Splitting a merged inference's energy across member streams must
@@ -301,9 +327,7 @@ def _manual_server(platform, sequence, network, max_merge_streams, num_clients):
     for i in range(num_clients):
         source = StreamSource(f"c{i}", sequence, network, config)
         clients.append(StreamClient(source, kernel, server, model))
-    frames = [frame for _, frame in StreamSource(
-        "feed", sequence, network, config
-    ).generate_frames()]
+    frames = StreamSource("feed", sequence, network, config).generate_stack()[0].frames()
     return kernel, server, clients, frames
 
 
@@ -480,7 +504,7 @@ class TestBacklogEstimate:
         server = SignatureServer(kernel, model, name="server:test", max_merge_streams=1)
         source = StreamSource("c0", sequence, network, config)
         client = StreamClient(source, kernel, server, model)
-        frames = [f for _, f in source.generate_frames()]
+        frames = source.generate_stack()[0].frames()
         server.dispatch(client, SparseFrameBatch([frames[0]]), 0.0)  # executes
         client.note_dispatch(0.5)
         server.dispatch(client, SparseFrameBatch([frames[1]]), 0.0)  # pending
@@ -566,30 +590,23 @@ class TestStackTransportAccounting:
 
     def test_stack_index_evictions_match_drop_totals(self, platform, sequence):
         # Stack-index transport must keep the QueueEvict accounting exact:
-        # every dropped frame corresponds to an evicted stack index, and the
-        # per-frame data plane evicts the same totals.
+        # every dropped frame corresponds to an evicted stack index.
         heavy = build_network("adaptive_spikenet", 128, 128)
         config = EvEdgeConfig(
             num_bins=10,
             optimization=OptimizationLevel.E2SF_DSFA,
             dsfa=DSFAConfig(inference_queue_depth=1),
         )
-        totals = {}
-        for dataplane in ("stack", "frames"):
-            sources = [
-                StreamSource(f"s{i}", sequence, heavy, config, start_offset=0.001 * i)
-                for i in range(8)
-            ]
-            trace = KernelTrace()
-            report = MultiStreamSimulator(
-                platform, sources, dataplane=dataplane
-            ).run(trace=trace)
-            evicted = sum(
-                int(dict(p.split("=", 1) for p in e.detail.split())["frames"])
-                for e in trace.entries
-                if e.kind == "QueueEvict"
-            )
-            assert report.frames_dropped > 0
-            assert report.frames_dropped == evicted
-            totals[dataplane] = (report.frames_dropped, self._aggregates(report))
-        assert totals["stack"] == totals["frames"]
+        sources = [
+            StreamSource(f"s{i}", sequence, heavy, config, start_offset=0.001 * i)
+            for i in range(8)
+        ]
+        trace = KernelTrace()
+        report = MultiStreamSimulator(platform, sources).run(trace=trace)
+        evicted = sum(
+            int(dict(p.split("=", 1) for p in e.detail.split())["frames"])
+            for e in trace.entries
+            if e.kind == "QueueEvict"
+        )
+        assert report.frames_dropped > 0
+        assert report.frames_dropped == evicted

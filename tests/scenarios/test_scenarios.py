@@ -124,9 +124,9 @@ class TestFamilies:
         assert leavers
         for source in leavers:
             assert source.end_time <= source.stop_time + 1e-12
-        churned = sum(len(s.generate_frames()) for s in sources)
+        churned = sum(len(s.arrival_times()) for s in sources)
         full = sum(
-            len(s.generate_frames())
+            len(s.arrival_times())
             for s in (
                 type(s)(
                     name=s.name,
