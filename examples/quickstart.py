@@ -17,6 +17,7 @@ from repro.core import (
     OptimizationLevel,
 )
 from repro.events import generate_sequence
+from repro.frames import FrameStack
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
 
@@ -36,9 +37,11 @@ def main() -> None:
           f"{report.operation_saving:.1f}x fewer conversion operations than the dense path")
 
     # 3. DSFA: merge sparse frames while respecting time/density thresholds.
+    #    Frames travel as (stack, index) references into one FrameStack.
+    stack = FrameStack.from_frames(frames)
     aggregator = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=4, merge_bucket_size=2))
-    for frame in frames:
-        aggregator.push(frame)
+    for i in range(len(stack)):
+        aggregator.push_index(stack, i)
     batch = aggregator.flush()
     print(f"DSFA: merged {len(frames)} frames into a batch of {len(batch)} "
           f"({aggregator.merge_statistics()})")

@@ -1,8 +1,8 @@
 """Dynamic Sparse Frame Aggregator (DSFA) — paper Section 4.2.
 
 DSFA sits between E2SF and the network: it buffers incoming sparse frames,
-greedily packs them into *merge buckets* and dispatches merged frames to the
-inference queue, adapting the temporal granularity of the input to both the
+greedily packs them into *merge buckets* and dispatches merged frames for
+inference, adapting the temporal granularity of the input to both the
 event density and the hardware processing rate.
 
 The implementation follows Figure 6 of the paper:
@@ -14,28 +14,35 @@ The implementation follows Figure 6 of the paper:
   in spatial density versus the bucket's merged density is within ``MdTh``;
   otherwise the bucket is marked ``FULL`` and the next bucket is tried
   (``cBatch`` mode always opens a new bucket);
-* when the buffer occupancy exceeds ``EBufsize`` — or the hardware reports
+* when the buffer occupancy reaches ``EBufsize`` — or the hardware reports
   itself idle — the buckets are combined according to ``cMode``
-  (``cAdd`` / ``cAverage`` / ``cBatch``) and forwarded to the inference
-  queue, evicting the oldest pending entry if the queue is full.
+  (``cAdd`` / ``cAverage`` / ``cBatch``) and the merged batch is handed
+  back for dispatch to the inference queue.
+
+Frames arrive as ``(stack, index)`` references into one rendered
+:class:`~repro.frames.stack.FrameStack`
+(:meth:`DynamicSparseFrameAggregator.push_index`): every merge bucket is a
+contiguous index range of that stack (:class:`StackMergeBucket`), and a
+dispatch merges all buckets with one :meth:`FrameStack.merge_ranges` call.
+The bounded inference queue of Figure 6 is the executor's: the
+:class:`~repro.runtime.executor.SignatureServer` keeps at most
+``inference_queue_depth`` pending dispatches per stream.  The per-frame
+form of the algorithm — list-of-frames buckets and the full bucket scan —
+is kept in ``tests/oracles/`` as the equivalence oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, List, Optional
+from typing import List, Optional
 
-import numpy as np
-
-from ..frames.sparse import SparseFrame, SparseFrameBatch
+from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
 
 __all__ = [
     "MergeMode",
     "BucketStatus",
-    "MergeBucket",
     "StackMergeBucket",
     "DSFAConfig",
     "DynamicSparseFrameAggregator",
@@ -57,119 +64,23 @@ class BucketStatus(Enum):
     FULL = "FULL"
 
 
-@dataclass
-class MergeBucket:
-    """One merge bucket: a bounded group of sparse frames merged together."""
-
-    capacity: int
-    frames: List[SparseFrame] = field(default_factory=list)
-    status: BucketStatus = BucketStatus.AVAILABLE
-    # Incrementally maintained cAdd merge of ``frames``, used for the
-    # density queries of the placement test.  Merging is associative on the
-    # *support* (the active-site union), so the incremental merge has
-    # bit-identical density to re-merging the whole list — but each
-    # ``accepts`` probe stops paying an O(bucket) re-merge.  ``merge()``
-    # still combines the full list so dispatched values keep their exact
-    # summation order.
-    _merged: Optional[SparseFrame] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("bucket capacity must be >= 1")
-
-    @property
-    def occupancy(self) -> int:
-        """Number of frames currently in the bucket."""
-        return len(self.frames)
-
-    @property
-    def is_full(self) -> bool:
-        """True when no further frame may be added."""
-        return self.status is BucketStatus.FULL or self.occupancy >= self.capacity
-
-    @property
-    def earliest_time(self) -> float:
-        """Timestamp of the earliest frame (``Time(Evf_1)``), inf when empty."""
-        if not self.frames:
-            return float("inf")
-        return min(f.t_start for f in self.frames)
-
-    def _merged_support(self) -> SparseFrame:
-        """The (cached) cAdd merge of the bucket, for density queries."""
-        if self._merged is None:
-            self._merged = SparseFrame.add(self.frames)
-        return self._merged
-
-    @property
-    def merged_density(self) -> float:
-        """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
-        if not self.frames:
-            return 0.0
-        return self._merged_support().density
-
-    def accepts(self, frame: SparseFrame, max_delay: float, max_density_change: float) -> bool:
-        """Greedy placement test: capacity, time-delay and density conditions."""
-        if self.is_full:
-            return False
-        if not self.frames:
-            return True
-        if frame.t_start - self.earliest_time > max_delay:
-            return False
-        if self._merged_support().density_change(frame) > max_density_change:
-            return False
-        return True
-
-    def add(self, frame: SparseFrame) -> None:
-        """Insert ``frame`` (the caller must have checked :meth:`accepts`)."""
-        if self.is_full:
-            raise RuntimeError("cannot add a frame to a FULL merge bucket")
-        self.frames.append(frame)
-        if self._merged is not None:
-            self._merged = SparseFrame.add([self._merged, frame])
-        if self.occupancy >= self.capacity:
-            self.seal()
-
-    def seal(self) -> None:
-        """Mark the bucket FULL and release its merged-support cache.
-
-        A FULL bucket is never density-probed again — it only waits for
-        dispatch — so the incremental cAdd support is dead weight from here.
-        """
-        self.status = BucketStatus.FULL
-        self._merged = None
-
-    def merge(self, mode: MergeMode) -> SparseFrame:
-        """Combine the bucket's frames into one sparse frame per ``mode``.
-
-        ``cBatch`` buckets hold a single frame by construction, so the merge
-        is the identity for them.
-        """
-        if not self.frames:
-            raise RuntimeError("cannot merge an empty bucket")
-        if mode is MergeMode.ADD or mode is MergeMode.BATCH:
-            return FrameStack.segment_add(self.frames)
-        return FrameStack.segment_average(self.frames)
-
-
 class StackMergeBucket:
-    """A merge bucket backed by an index range into a :class:`FrameStack`.
+    """One merge bucket: an index range into a :class:`FrameStack`.
 
-    The stack-transport data plane pushes frames by ``(stack, index)``
-    reference, so the bucket never materialises frame objects: it holds the
-    contiguous range ``[start, stop)`` of stack indices placed into it.
-    Contiguity is a structural invariant of the placement loop, not an
-    assumption — once a bucket rejects a frame it is marked ``FULL``
-    forever, so every placement lands in the *first* non-``FULL`` bucket
-    and each bucket accumulates a contiguous run of pushed indices, with
-    buckets in list order partitioning a contiguous range of the stack.
+    Frames are pushed by ``(stack, index)`` reference, so the bucket never
+    materialises frame objects: it holds the contiguous range
+    ``[start, stop)`` of stack indices placed into it.  Contiguity is a
+    structural invariant of the placement loop, not an assumption — once a
+    bucket rejects a frame it is marked ``FULL`` forever, so every placement
+    lands in the *first* non-``FULL`` bucket and each bucket accumulates a
+    contiguous run of pushed indices, with buckets in list order
+    partitioning a contiguous range of the stack.
 
-    Density probes read the stack's cached :meth:`FrameStack.densities`
-    column and compute the merged-support density as the unique-key count
-    of the range's flat pixel keys — bit-identical to the incremental
-    cAdd merge of :class:`MergeBucket` (density depends only on the active-
-    site union), without building any intermediate frame.
+    Density probes compute the merged-support density (the paper's
+    ``MBmerged``) as the unique-key count of the range's flat pixel keys —
+    bit-identical to the density of the cAdd merge of the bucket's frames
+    (density depends only on the active-site union), without building any
+    intermediate frame.
     """
 
     __slots__ = (
@@ -212,11 +123,6 @@ class StackMergeBucket:
         return self._earliest
 
     @property
-    def frames(self) -> List[SparseFrame]:
-        """The bucket's frames, materialised as zero-copy stack views."""
-        return [self.stack.frame(i) for i in range(self.start, self.stop)]
-
-    @property
     def merged_density(self) -> float:
         """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
         if self.stop == self.start:
@@ -238,34 +144,29 @@ class StackMergeBucket:
 
     def accepts_index(
         self,
-        stack: FrameStack,
-        index: int,
+        t_start: float,
+        density: float,
         max_delay: float,
         max_density_change: float,
-        t_start: Optional[float] = None,
-        density: Optional[float] = None,
     ) -> bool:
-        """Greedy placement test for frame ``index`` of ``stack``.
+        """Greedy placement test for the next frame of the bucket's stack.
 
-        Same three conditions as :meth:`MergeBucket.accepts`; a bucket
-        additionally never accepts indices of a *different* stack (the
-        caller then marks it FULL, exactly as for a failed condition).
-        ``t_start`` / ``density`` accept the frame's precomputed scalars —
-        the placement loop probes one frame against many buckets and
-        extracts them from the stack columns once, not per probe.
+        ``t_start`` / ``density`` are the frame's start time and spatial
+        density, read by the caller off the stack's cached columns.  The
+        frame is accepted when the bucket has room, its delay from the
+        bucket's earliest frame is within ``max_delay`` (``MtTh``) and the
+        relative density change versus :attr:`merged_density` is within
+        ``max_density_change`` (``MdTh``).
         """
-        if stack is not self.stack or self.is_full:
+        if self.is_full:
             return False
         if self.stop == self.start:
             return True
-        if t_start is None:
-            t_start = stack.t_starts_list()[index]
         if t_start - self._earliest > max_delay:
             return False
         d1 = self.merged_density
-        d2 = stack.frame_density(index) if density is None else density
-        bottom = d1 if d1 > d2 else d2
-        if bottom > 0 and abs(d1 - d2) / bottom > max_density_change:
+        bottom = d1 if d1 > density else density
+        if bottom > 0 and abs(d1 - density) / bottom > max_density_change:
             return False
         return True
 
@@ -291,15 +192,6 @@ class StackMergeBucket:
         waits for dispatch."""
         self.status = BucketStatus.FULL
 
-    def merge(self, mode: MergeMode) -> SparseFrame:
-        """Combine the bucket's frames into one sparse frame per ``mode``."""
-        if self.stop == self.start:
-            raise RuntimeError("cannot merge an empty bucket")
-        merged = self.stack.merge_ranges(
-            [(self.start, self.stop)], average=mode is MergeMode.AVERAGE
-        )
-        return merged.frame(0)
-
 
 @dataclass(frozen=True)
 class DSFAConfig:
@@ -319,8 +211,12 @@ class DSFAConfig:
     merge_mode:
         ``cMode`` — cAdd / cAverage / cBatch.
     inference_queue_depth:
-        Depth of the per-task inference queue; the oldest entry is discarded
-        when a new merged frame arrives at a full queue.
+        Depth of each stream's inference queue, enforced by the executor:
+        a :class:`~repro.runtime.executor.SignatureServer` keeps at most
+        this many pending dispatches per stream and evicts the oldest with
+        ``QueueEvict("queue-full")``.  Without DSFA the depth also bounds
+        the backlog drop rule: a frame is dropped when the estimated
+        backlog exceeds this many inferences.
     """
 
     event_buffer_size: int = 8
@@ -346,19 +242,20 @@ class DSFAConfig:
 
 
 class DynamicSparseFrameAggregator:
-    """Runtime aggregator of sparse frames (one instance per task)."""
+    """Runtime aggregator of sparse frames (one instance per task).
+
+    The aggregator buffers frames of one :class:`FrameStack` at a time: a
+    push from a different stack while frames are buffered raises
+    ``ValueError`` (flush first).
+    """
 
     def __init__(self, config: Optional[DSFAConfig] = None) -> None:
         self.config = config or DSFAConfig()
-        self._buckets: List[MergeBucket] = []
-        self._inference_queue: Deque[SparseFrameBatch] = deque(
-            maxlen=self.config.inference_queue_depth
-        )
-        self.discarded_frames = 0
+        self._buckets: List[StackMergeBucket] = []
         self.dispatched_batches = 0
-        # Running buffered-frame count: every _place adds exactly one frame
-        # and _dispatch drains every bucket, so the counter is O(1) per push
-        # instead of re-summing all bucket occupancies.
+        # Running buffered-frame count: every push adds exactly one frame
+        # and a dispatch drains every bucket, so the counter is O(1) per
+        # push instead of re-summing all bucket occupancies.
         self._buffered_frames = 0
 
     # ------------------------------------------------------------------
@@ -374,34 +271,18 @@ class DynamicSparseFrameAggregator:
         """Number of (non-dispatched) merge buckets."""
         return len(self._buckets)
 
-    @property
-    def inference_queue(self) -> List[SparseFrameBatch]:
-        """Snapshot of the pending merged-frame batches."""
-        return list(self._inference_queue)
-
     # ------------------------------------------------------------------
     # main entry points
     # ------------------------------------------------------------------
-    def push(self, frame: SparseFrame, hardware_available: bool = False) -> Optional[SparseFrameBatch]:
-        """Offer a newly generated sparse frame to the aggregator.
-
-        Returns a dispatched :class:`SparseFrameBatch` if this push caused a
-        dispatch (buffer overflow or ``hardware_available``), else ``None``.
-        """
-        self._place(frame)
-        return self._maybe_dispatch(hardware_available)
-
     def push_index(
         self, stack: FrameStack, index: int, hardware_available: bool = False
     ) -> Optional[SparseFrameBatch]:
         """Offer frame ``index`` of ``stack`` without materialising it.
 
-        The stack-transport twin of :meth:`push`: placement probes read the
-        stack's density/time columns, buckets record index ranges
-        (:class:`StackMergeBucket`) and dispatch merges every bucket in one
-        :meth:`FrameStack.merge_ranges` pass over the parent buffers.
-        Dispatch decisions, accounting and merged values are bit-identical
-        to pushing ``stack.frame(index)`` through :meth:`push`.
+        Returns the dispatched :class:`SparseFrameBatch` if this push
+        caused a dispatch (buffer full or ``hardware_available``), else
+        ``None``.  Placement probes read the stack's density/time columns
+        and buckets record index ranges (:class:`StackMergeBucket`).
         """
         self._place_index(stack, index)
         return self._maybe_dispatch(hardware_available)
@@ -411,12 +292,6 @@ class DynamicSparseFrameAggregator:
         if self.num_buckets == 0:
             return None
         return self._dispatch()
-
-    def pop_batch(self) -> Optional[SparseFrameBatch]:
-        """Take the oldest pending batch from the inference queue."""
-        if not self._inference_queue:
-            return None
-        return self._inference_queue.popleft()
 
     # ------------------------------------------------------------------
     # internals
@@ -429,54 +304,34 @@ class DynamicSparseFrameAggregator:
             return self._dispatch()
         return None
 
-    def _new_bucket(self, capacity: int) -> MergeBucket:
-        """Bucket constructor hook for the per-frame path (oracle subclasses override)."""
-        return MergeBucket(capacity=capacity)
-
-    def _place(self, frame: SparseFrame) -> None:
-        cfg = self.config
-        self._buffered_frames += 1
-        if cfg.merge_mode is MergeMode.BATCH:
-            # cBatch: every generated frame goes into a fresh bucket.
-            bucket = self._new_bucket(1)
-            bucket.add(frame)
-            self._buckets.append(bucket)
-            return
-        for bucket in self._buckets:
-            if bucket.accepts(frame, cfg.max_time_delay, cfg.max_density_change):
-                bucket.add(frame)
-                return
-            if not bucket.is_full:
-                # Condition failed: the paper marks the bucket FULL and moves on.
-                bucket.seal()
-        bucket = self._new_bucket(cfg.merge_bucket_size)
-        bucket.add(frame)
-        self._buckets.append(bucket)
-
     def _place_index(self, stack: FrameStack, index: int) -> None:
+        buckets = self._buckets
+        if buckets and buckets[0].stack is not stack:
+            raise ValueError(
+                "DSFA buffers frames of one stack at a time; "
+                "flush before pushing frames of another stack"
+            )
         cfg = self.config
         self._buffered_frames += 1
         if cfg.merge_mode is MergeMode.BATCH:
             # cBatch: every generated frame goes into a fresh bucket.
             bucket = StackMergeBucket(1, stack, index)
             bucket.add_index(index)
-            self._buckets.append(bucket)
+            buckets.append(bucket)
             return
         # Only the tail bucket can ever be open: a bucket that rejects a
         # frame is sealed on the spot and a full bucket stays FULL forever,
         # so every bucket before the last was closed before the last was
         # created.  Probing just the tail is therefore placement-identical
-        # to the paper's full scan (every earlier probe would return False),
-        # without the O(buckets) pass per push the oracle `_place` keeps.
-        if self._buckets:
-            bucket = self._buckets[-1]
-            if isinstance(bucket, StackMergeBucket) and bucket.accepts_index(
-                stack,
-                index,
+        # to the paper's full scan (every earlier probe would return False)
+        # without an O(buckets) pass per push.
+        if buckets:
+            bucket = buckets[-1]
+            if bucket.accepts_index(
+                stack.t_starts_list()[index],
+                stack.densities_list()[index],
                 cfg.max_time_delay,
                 cfg.max_density_change,
-                t_start=stack.t_starts_list()[index],
-                density=stack.densities_list()[index],
             ):
                 bucket.add_index(index)
                 return
@@ -485,58 +340,27 @@ class DynamicSparseFrameAggregator:
                 bucket.seal()
         bucket = StackMergeBucket(cfg.merge_bucket_size, stack, index)
         bucket.add_index(index)
-        self._buckets.append(bucket)
+        buckets.append(bucket)
 
-    def _merge_buckets(self) -> SparseFrameBatch:
-        """Merge all buffered buckets into one dispatchable batch.
-
-        Stack-backed buckets sharing one parent stack merge directly as
-        index ranges (:meth:`FrameStack.merge_ranges` — the ranges are
-        adjacent by the placement invariant, so the merge reads one parent
-        slice) and yield a stack-backed batch; any other mix falls back to
-        the segmented :meth:`FrameStack.merge_groups` pass over
-        materialised frames.  Both produce bit-identical merged values.
-        """
-        buckets = [bucket for bucket in self._buckets if bucket.occupancy]
-        average = self.config.merge_mode is MergeMode.AVERAGE
-        if not buckets:
-            return SparseFrameBatch([])
-        stack = getattr(buckets[0], "stack", None)
-        if stack is not None and all(
-            isinstance(bucket, StackMergeBucket) and bucket.stack is stack
-            for bucket in buckets
-        ):
-            merged_stack = stack.merge_ranges(
-                [(bucket.start, bucket.stop) for bucket in buckets], average=average
-            )
-            return SparseFrameBatch.from_stack(merged_stack)
-        merged_stack = FrameStack.merge_groups(
-            [bucket.frames for bucket in buckets], average=average
+    def _dispatch(self) -> SparseFrameBatch:
+        # Every bucket of the dispatch merges in one grouped-reduce pass.
+        # The buckets partition a contiguous run of the stack (placement
+        # invariant), so the ranges are adjacent and the merge reads one
+        # parent slice.
+        buckets = self._buckets
+        merged = buckets[0].stack.merge_ranges(
+            [(bucket.start, bucket.stop) for bucket in buckets],
+            average=self.config.merge_mode is MergeMode.AVERAGE,
         )
-        return SparseFrameBatch(merged_stack.frames())
-
-    def _finish_dispatch(self, batch: SparseFrameBatch) -> SparseFrameBatch:
-        if len(self._inference_queue) == self._inference_queue.maxlen:
-            # The earliest pending batch is discarded (stale data).
-            dropped = self._inference_queue.popleft()
-            self.discarded_frames += len(dropped)
-        self._inference_queue.append(batch)
         self._buckets = []
         self._buffered_frames = 0
         self.dispatched_batches += 1
-        return batch
-
-    def _dispatch(self) -> SparseFrameBatch:
-        # All buckets of the dispatch merge in one segmented grouped-reduce
-        # pass (bit-identical to per-bucket MergeBucket.merge calls).
-        return self._finish_dispatch(self._merge_buckets())
+        return SparseFrameBatch.from_stack(merged)
 
     # ------------------------------------------------------------------
     def merge_statistics(self) -> dict:
         """Summary counters for the experiment harnesses."""
         return {
             "dispatched_batches": self.dispatched_batches,
-            "discarded_frames": self.discarded_frames,
-            "pending_batches": len(self._inference_queue),
             "buffered_frames": self.buffer_occupancy,
         }

@@ -134,26 +134,6 @@ class Event2SparseFrameConverter:
         )
         return frames, report
 
-    def convert_sequence(
-        self,
-        stream: EventStream,
-        frame_timestamps: Sequence[float],
-    ) -> List[List[SparseFrame]]:
-        """Convert every consecutive grayscale-frame interval of a recording.
-
-        Returns one list of ``num_bins`` sparse frames per interval.  This
-        is the per-interval × per-bin loop path, kept alive as the
-        equivalence oracle for :meth:`convert_stack`: the stack path must
-        produce bit-identical frames.
-        """
-        timestamps = list(frame_timestamps)
-        if len(timestamps) < 2:
-            raise ValueError("at least two grayscale frame timestamps are required")
-        return [
-            self.convert(stream, timestamps[i], timestamps[i + 1])
-            for i in range(len(timestamps) - 1)
-        ]
-
     def convert_stack(
         self,
         stream: EventStream,
@@ -161,14 +141,14 @@ class Event2SparseFrameConverter:
     ) -> FrameStack:
         """Bin an entire recording into one columnar :class:`FrameStack`.
 
-        One pass replaces the per-interval × per-bin loop of
-        :meth:`convert_sequence`: every event gets an ``(interval, bin,
-        pixel)`` key, a single stable sort groups the whole recording, and
-        segmented reductions accumulate the two polarity channels.  The
-        resulting stack holds ``num_intervals * num_bins`` frames in
-        interval-major order — empty bins included — with the same time
-        bounds, canonical (ascending-pixel) site order and accumulated
-        values as the loop path, bit for bit.
+        One pass replaces a :meth:`convert` call per grayscale interval:
+        every event gets an ``(interval, bin, pixel)`` key, a single stable
+        sort groups the whole recording, and segmented reductions
+        accumulate the two polarity channels.  The resulting stack holds
+        ``num_intervals * num_bins`` frames in interval-major order — empty
+        bins included — with the same time bounds, canonical
+        (ascending-pixel) site order and accumulated values as the
+        per-interval loop, bit for bit.
         """
         timestamps = np.asarray(frame_timestamps, dtype=np.float64)
         if timestamps.ndim != 1 or timestamps.size < 2:

@@ -6,8 +6,10 @@ it stores the row index, the column index and the accumulated positive and
 negative polarity counts — essentially the sparse Coordinate (COO) format.
 
 :class:`SparseFrame` is that representation plus the operations the Dynamic
-Sparse Frame Aggregator needs: element-wise add, average, batching
-(concatenation), density queries and conversion to/from dense arrays.
+Sparse Frame Aggregator needs: element-wise add, average, density queries
+and conversion to/from dense arrays.  :class:`SparseFrameBatch` is one
+dispatched inference input: an index range into a
+:class:`~repro.frames.stack.FrameStack`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ def _grouped_reduce(
     per-group accumulation is sequential in *input* order: the stable sort
     only labels the groups, and the sums themselves come from
     ``np.bincount`` over the input-order group labels — exactly the
-    accumulation the ``np.unique`` + ``np.bincount`` reference path
-    (:meth:`SparseFrame.add_reference`) performs, so the kernel is
-    bit-identical to it for arbitrary float values.  (``np.add.reduceat``
+    accumulation of an ``np.unique`` + ``np.bincount`` merge, so the kernel
+    is bit-identical to it for arbitrary float values.  (``np.add.reduceat``
     would not be: it sums pairwise above eight elements.)  This is the
     shared grouped-reduce kernel of the columnar data plane: one argsort
     plus sequential bincounts instead of a ``unique``/``bincount``/divmod
@@ -315,9 +316,9 @@ class SparseFrame:
         """Decode into a dense ``(2, H, W)`` array.
 
         A flat ``np.bincount`` scatter per channel: duplicate coordinates
-        accumulate exactly as the ``np.add.at`` reference path
-        (:meth:`to_dense_reference`), in input order, but without the
-        notoriously slow buffered ``ufunc.at`` dispatch.
+        accumulate exactly as an ``np.add.at`` scatter would, in input
+        order, but without the notoriously slow buffered ``ufunc.at``
+        dispatch.
         """
         size = self.height * self.width
         flat = self.flat_keys()
@@ -328,13 +329,6 @@ class SparseFrame:
         dense[1] = np.bincount(flat, weights=self.neg, minlength=size).reshape(
             self.height, self.width
         )
-        return dense
-
-    def to_dense_reference(self) -> np.ndarray:
-        """The pre-columnar ``np.add.at`` decode, kept as equivalence oracle."""
-        dense = np.zeros((2, self.height, self.width), dtype=np.float64)
-        np.add.at(dense[0], (self.rows, self.cols), self.pos)
-        np.add.at(dense[1], (self.rows, self.cols), self.neg)
         return dense
 
     def __getstate__(self):
@@ -411,8 +405,8 @@ class SparseFrame:
         :class:`~repro.frames.stack.FrameStack`), one stable argsort and
         segmented reductions — no per-frame ``astype`` copies, no
         ``np.unique`` inverse construction, no divmod over the merged
-        support.  Bit-identical to :meth:`add_reference` (kept as the
-        equivalence oracle).
+        support.  Bit-identical to the ``np.unique`` + ``np.bincount``
+        merge (see :func:`_grouped_reduce`).
         """
         frames = list(frames)
         if not frames:
@@ -443,40 +437,6 @@ class SparseFrame:
         )
 
     @staticmethod
-    def add_reference(frames: Sequence["SparseFrame"]) -> "SparseFrame":
-        """The pre-columnar ``np.unique``-based cAdd merge.
-
-        Deliberately unoptimized code kept alive as the equivalence oracle
-        for :meth:`add`: the data-plane merge benchmark measures the
-        speedup against it and the frame tests assert bit-identical output.
-        """
-        frames = list(frames)
-        if not frames:
-            raise ValueError("cannot add an empty list of frames")
-        h, w = frames[0].height, frames[0].width
-        for f in frames[1:]:
-            if (f.height, f.width) != (h, w):
-                raise ValueError("all frames must share the same dimensions")
-        rows = np.concatenate([f.rows.astype(np.int64) for f in frames])
-        cols = np.concatenate([f.cols.astype(np.int64) for f in frames])
-        pos = np.concatenate([f.pos for f in frames])
-        neg = np.concatenate([f.neg for f in frames])
-        flat = rows * w + cols
-        unique_flat, inverse = np.unique(flat, return_inverse=True)
-        pos_sum = np.bincount(inverse, weights=pos, minlength=unique_flat.size)
-        neg_sum = np.bincount(inverse, weights=neg, minlength=unique_flat.size)
-        return SparseFrame(
-            (unique_flat // w).astype(np.int32),
-            (unique_flat % w).astype(np.int32),
-            pos_sum,
-            neg_sum,
-            h,
-            w,
-            min(f.t_start for f in frames),
-            max(f.t_end for f in frames),
-        )
-
-    @staticmethod
     def average(frames: Sequence["SparseFrame"]) -> "SparseFrame":
         """Element-wise average of several sparse frames (``cAverage`` mode)."""
         frames = list(frames)
@@ -502,42 +462,33 @@ class SparseFrame:
 
 
 class SparseFrameBatch:
-    """An ordered batch of sparse frames (the ``cBatch`` merge mode output).
+    """An ordered batch of sparse frames (one dispatched inference input).
 
     The batch is what gets presented to the network as a multi-channel /
     multi-timestep input: ``B`` sparse frames concatenated along a leading
-    batch dimension.
-
-    A batch has two interchangeable backings:
-
-    * **frame-list** (the ``SparseFrameBatch([...])`` constructor) — an
-      explicit list of :class:`SparseFrame` objects, the pre-columnar
-      representation;
-    * **stack-range** (:meth:`from_stack`) — an index range into a
-      :class:`~repro.frames.stack.FrameStack`, the columnar transport the
-      runtime uses end to end: density and time-bound queries read the
-      stack's vectorised columns, :meth:`to_dense` scatters the whole batch
-      in one flat ``bincount`` pass, and no per-frame objects exist until a
-      caller explicitly asks for :attr:`frames` (which materialises
-      zero-copy views lazily).
-
-    Every query is bit-identical across the two backings; the per-frame
-    formulas are kept in :meth:`to_dense_reference` and the frame tests.
+    batch dimension.  It is the index range ``[start, stop)`` of a
+    :class:`~repro.frames.stack.FrameStack` (:meth:`from_stack`), the
+    columnar transport the runtime uses end to end: density and time-bound
+    queries read the stack's vectorised columns, :meth:`to_dense` scatters
+    the whole batch in one flat ``bincount`` pass, and no per-frame objects
+    exist until a caller iterates the batch (zero-copy views).  Loose
+    frames are batched by packing them first with
+    :meth:`FrameStack.from_frames`.
     """
 
-    __slots__ = ("_frames", "_stack", "_start", "_stop")
+    __slots__ = ("_stack", "_start", "_stop")
 
-    def __init__(self, frames: Optional[Sequence[SparseFrame]] = None) -> None:
-        frames = list(frames) if frames is not None else []
-        if frames:
-            h, w = frames[0].height, frames[0].width
-            for f in frames[1:]:
-                if (f.height, f.width) != (h, w):
-                    raise ValueError("all frames in a batch must share dimensions")
-        self._frames: Optional[List[SparseFrame]] = frames
-        self._stack = None
-        self._start = 0
-        self._stop = 0
+    def __init__(self, stack, start: int = 0, stop: Optional[int] = None) -> None:
+        stop = stack.num_frames if stop is None else int(stop)
+        start = int(start)
+        if not 0 <= start <= stop <= stack.num_frames:
+            raise IndexError(
+                f"batch range [{start}, {stop}) out of range for "
+                f"{stack.num_frames} frames"
+            )
+        self._stack = stack
+        self._start = start
+        self._stop = stop
 
     @classmethod
     def from_stack(
@@ -549,52 +500,28 @@ class SparseFrameBatch:
         re-validation happens; the batch holds only the stack reference and
         the index range.
         """
-        stop = stack.num_frames if stop is None else int(stop)
-        start = int(start)
-        if not 0 <= start <= stop <= stack.num_frames:
-            raise IndexError(
-                f"batch range [{start}, {stop}) out of range for "
-                f"{stack.num_frames} frames"
-            )
-        batch = cls.__new__(cls)
-        batch._frames = None
-        batch._stack = stack
-        batch._start = start
-        batch._stop = stop
-        return batch
+        return cls(stack, start, stop)
 
     @property
     def stack(self):
-        """The backing :class:`FrameStack` (``None`` for frame-list batches)."""
+        """The backing :class:`FrameStack`."""
         return self._stack
 
     @property
-    def stack_range(self) -> Optional[Tuple[int, int]]:
-        """The backing ``(start, stop)`` index range, ``None`` if frame-backed."""
-        if self._stack is None:
-            return None
+    def stack_range(self) -> Tuple[int, int]:
+        """The backing ``(start, stop)`` index range."""
         return (self._start, self._stop)
 
     @property
     def frames(self) -> List[SparseFrame]:
-        """The batch's frames (stack-backed batches materialise views lazily).
-
-        Callers must not mutate the returned list.
-        """
-        if self._frames is None:
-            self._frames = [
-                self._stack.frame(i) for i in range(self._start, self._stop)
-            ]
-        return self._frames
+        """The batch's frames, materialised as zero-copy stack views."""
+        return [self._stack.frame(i) for i in range(self._start, self._stop)]
 
     def __repr__(self) -> str:
-        backing = "stack" if self._stack is not None else "frames"
-        return f"SparseFrameBatch({len(self)} frames, {backing}-backed)"
+        return f"SparseFrameBatch({len(self)} frames)"
 
     def __len__(self) -> int:
-        if self._stack is not None:
-            return self._stop - self._start
-        return len(self._frames)
+        return self._stop - self._start
 
     def __iter__(self):
         return iter(self.frames)
@@ -605,48 +532,39 @@ class SparseFrameBatch:
     @property
     def t_start(self) -> float:
         """Earliest start time in the batch."""
-        if self._stack is not None:
-            if self._stop == self._start:
-                return 0.0
-            return float(self._stack.t_starts[self._start : self._stop].min())
-        return min((f.t_start for f in self._frames), default=0.0)
+        if self._stop == self._start:
+            return 0.0
+        return float(self._stack.t_starts[self._start : self._stop].min())
 
     @property
     def t_end(self) -> float:
         """Latest end time in the batch."""
-        if self._stack is not None:
-            if self._stop == self._start:
-                return 0.0
-            return float(self._stack.t_ends[self._start : self._stop].max())
-        return max((f.t_end for f in self._frames), default=0.0)
+        if self._stop == self._start:
+            return 0.0
+        return float(self._stack.t_ends[self._start : self._stop].max())
 
     @property
     def num_events(self) -> float:
         """Total number of events across the batch.
 
-        Deliberately summed frame by frame (not over the whole stack buffer)
-        so the floating-point accumulation order is identical across both
-        backings, including fractional cAverage values.
+        Summed frame by frame (``pos.sum() + neg.sum()`` per frame), so the
+        floating-point accumulation order is that of
+        :attr:`SparseFrame.num_events`, including fractional cAverage
+        values.
         """
         return float(sum(f.num_events for f in self.frames))
 
     @property
     def mean_density(self) -> float:
         """Mean spatial density across the batch (0 for an empty batch)."""
-        if self._stack is not None:
-            n = self._stop - self._start
-            if n == 0:
-                return 0.0
-            if n == 1:
-                return self._stack.frame_density(self._start)
-            return float(np.mean(self._stack.densities()[self._start : self._stop]))
-        if not self._frames:
+        n = self._stop - self._start
+        if n == 0:
             return 0.0
-        if len(self._frames) == 1:
+        if n == 1:
             # Bit-identical to np.mean over one element; single-frame
             # batches dominate the traffic hot path.
-            return float(self._frames[0].density)
-        return float(np.mean([f.density for f in self._frames]))
+            return self._stack.frame_density(self._start)
+        return float(np.mean(self._stack.densities()[self._start : self._stop]))
 
     def frame_densities(self) -> Tuple[float, ...]:
         """Per-frame spatial densities, in batch order.
@@ -654,87 +572,42 @@ class SparseFrameBatch:
         These seed the per-member occupancy profiles of the layered cost
         stack: a merged dispatch's per-layer occupancy is the mean of its
         members' propagated profiles, so the combination needs the
-        individual densities, not just :attr:`mean_density`.  Stack-backed
-        batches read the stack's cached density column directly.
+        individual densities, not just :attr:`mean_density`.  They are read
+        off the stack's cached density column.
         """
-        if self._stack is not None:
-            return tuple(
-                self._stack.densities()[self._start : self._stop].tolist()
-            )
-        return tuple(f.density for f in self._frames)
+        return tuple(self._stack.densities()[self._start : self._stop].tolist())
 
     def to_dense(self) -> np.ndarray:
         """Decode into a dense ``(B, 2, H, W)`` tensor.
 
-        Stack-backed batches scatter *all* frames in one flat ``bincount``
-        pass per channel over the concatenated COO columns (the frame index
-        folded into the pixel key) instead of stacking per-frame decodes —
-        bit-identical to :meth:`to_dense_reference` because ``bincount``
+        Scatters *all* frames in one flat ``bincount`` pass per channel
+        over the concatenated COO columns (the frame index folded into the
+        pixel key) instead of stacking per-frame decodes — bit-identical to
+        ``np.stack([f.to_dense() for f in batch])`` because ``bincount``
         accumulates duplicate coordinates in input order within each frame,
         exactly as the per-frame scatter does.
         """
-        if self._stack is not None:
-            stack = self._stack
-            num = self._stop - self._start
-            if num == 0:
-                return np.zeros((0, 2, 0, 0))
-            h, w = stack.height, stack.width
-            size = h * w
-            lo = int(stack.offsets[self._start])
-            hi = int(stack.offsets[self._stop])
-            key = (
-                np.repeat(
-                    np.arange(num, dtype=np.int64),
-                    stack.nnz_counts()[self._start : self._stop],
-                )
-                * size
-                + stack.flat_buffer()[lo:hi]
+        stack = self._stack
+        num = self._stop - self._start
+        if num == 0:
+            return np.zeros((0, 2, 0, 0))
+        h, w = stack.height, stack.width
+        size = h * w
+        lo = int(stack.offsets[self._start])
+        hi = int(stack.offsets[self._stop])
+        key = (
+            np.repeat(
+                np.arange(num, dtype=np.int64),
+                stack.nnz_counts()[self._start : self._stop],
             )
-            dense = np.empty((num, 2, h, w), dtype=np.float64)
-            dense[:, 0] = np.bincount(
-                key, weights=stack.pos[lo:hi], minlength=num * size
-            ).reshape(num, h, w)
-            dense[:, 1] = np.bincount(
-                key, weights=stack.neg[lo:hi], minlength=num * size
-            ).reshape(num, h, w)
-            return dense
-        if not self._frames:
-            return np.zeros((0, 2, 0, 0))
-        return np.stack([f.to_dense() for f in self._frames], axis=0)
-
-    def to_dense_reference(self) -> np.ndarray:
-        """The per-frame ``np.stack`` decode, kept as equivalence oracle."""
-        if not self.frames:
-            return np.zeros((0, 2, 0, 0))
-        return np.stack([f.to_dense() for f in self.frames], axis=0)
-
-    @staticmethod
-    def concatenate(batches: Sequence["SparseFrameBatch"]) -> "SparseFrameBatch":
-        """Concatenate several batches preserving order.
-
-        A single input batch is returned as-is (batches are value objects —
-        callers never mutate them), so the unmerged dispatch hot path pays
-        no copy or re-validation.  When every member is a view into the
-        *same* :class:`FrameStack` and the index ranges are adjacent in
-        order, the result is the index-range union — still zero-copy, no
-        buffers touched.  Otherwise the member frames are gathered into a
-        frame-list batch.
-        """
-        if len(batches) == 1:
-            return batches[0]
-        first = batches[0]
-        stack = first._stack
-        if stack is not None:
-            stop = first._stop
-            contiguous = True
-            for b in batches[1:]:
-                if b._stack is not stack or b._start != stop:
-                    contiguous = False
-                    break
-                stop = b._stop
-            if contiguous:
-                return SparseFrameBatch.from_stack(stack, first._start, stop)
-        frames: List[SparseFrame] = []
-        for b in batches:
-            frames.extend(b.frames)
-        return SparseFrameBatch(frames)
+            * size
+            + stack.flat_buffer()[lo:hi]
+        )
+        dense = np.empty((num, 2, h, w), dtype=np.float64)
+        dense[:, 0] = np.bincount(
+            key, weights=stack.pos[lo:hi], minlength=num * size
+        ).reshape(num, h, w)
+        dense[:, 1] = np.bincount(
+            key, weights=stack.neg[lo:hi], minlength=num * size
+        ).reshape(num, h, w)
+        return dense

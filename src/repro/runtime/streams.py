@@ -349,9 +349,6 @@ class StreamClient:
         arrival = event.time
         if self.aggregator is not None:
             hardware_available = arrival >= self.executor.busy_until(self)
-            # DSFA's internal inference queue (and its discarded_frames
-            # counter) is not consumed here: every dispatched batch executes
-            # immediately, so its evictions are bookkeeping, not real drops.
             batch = self.aggregator.push_index(
                 event.stack, event.index, hardware_available=hardware_available
             )

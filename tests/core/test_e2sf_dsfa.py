@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.frames import ReferenceAggregator, convert_sequence
 from repro.core import (
-    BucketStatus,
     DSFAConfig,
     DynamicSparseFrameAggregator,
     Event2SparseFrameConverter,
-    MergeBucket,
     MergeMode,
+    StackMergeBucket,
 )
 from repro.events import EventStream, SensorGeometry
-from repro.frames import SparseFrame, discretized_event_bins
+from repro.frames import FrameStack, SparseFrame, discretized_event_bins
 
 
 def make_stream(n=2000, seed=0, geometry=None, t_end=1.0):
@@ -84,14 +84,6 @@ class TestE2SF:
         assert report.operation_saving > 1.0
         assert report.num_events == 500
 
-    def test_convert_sequence(self):
-        stream = make_stream()
-        per_interval = Event2SparseFrameConverter(4).convert_sequence(stream, [0.0, 0.5, 1.0])
-        assert len(per_interval) == 2
-        assert all(len(frames) == 4 for frames in per_interval)
-        with pytest.raises(ValueError):
-            Event2SparseFrameConverter(4).convert_sequence(stream, [0.0])
-
     def test_mean_occupancy(self):
         converter = Event2SparseFrameConverter(4)
         frames = converter.convert(make_stream(), 0.0, 1.0)
@@ -100,43 +92,57 @@ class TestE2SF:
 
 
 class TestMergeBucket:
+    """The production merge bucket: an index range into a frame stack."""
+
     def test_capacity_enforced(self):
-        bucket = MergeBucket(capacity=2)
-        bucket.add(make_frame(1))
-        bucket.add(make_frame(2))
+        stack = FrameStack.from_frames([make_frame(i) for i in range(3)])
+        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
+        bucket.add_index(0)
+        bucket.add_index(1)
         assert bucket.is_full
         with pytest.raises(RuntimeError):
-            bucket.add(make_frame(3))
+            bucket.add_index(2)
 
     def test_accepts_respects_time_threshold(self):
-        bucket = MergeBucket(capacity=4)
-        bucket.add(make_frame(1, t_start=0.0, t_end=0.01))
-        late = make_frame(2, t_start=1.0, t_end=1.01)
-        assert not bucket.accepts(late, max_delay=0.5, max_density_change=1.0)
-        assert bucket.accepts(late, max_delay=2.0, max_density_change=1.0)
+        stack = FrameStack.from_frames(
+            [make_frame(1, t_start=0.0, t_end=0.01), make_frame(2, t_start=1.0, t_end=1.01)]
+        )
+        bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
+        bucket.add_index(0)
+        late = (stack.t_starts_list()[1], stack.densities_list()[1])
+        assert not bucket.accepts_index(*late, max_delay=0.5, max_density_change=1.0)
+        assert bucket.accepts_index(*late, max_delay=2.0, max_density_change=1.0)
 
     def test_accepts_respects_density_threshold(self):
-        bucket = MergeBucket(capacity=4)
-        bucket.add(make_frame(1, n=20))
-        dense = make_frame(2, n=600)
-        assert not bucket.accepts(dense, max_delay=1.0, max_density_change=0.1)
-        assert bucket.accepts(dense, max_delay=1.0, max_density_change=1.0)
+        stack = FrameStack.from_frames([make_frame(1, n=20), make_frame(2, n=600)])
+        bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
+        bucket.add_index(0)
+        dense = (stack.t_starts_list()[1], stack.densities_list()[1])
+        assert not bucket.accepts_index(*dense, max_delay=1.0, max_density_change=0.1)
+        assert bucket.accepts_index(*dense, max_delay=1.0, max_density_change=1.0)
 
     def test_merge_modes(self):
         frames = [make_frame(1), make_frame(2)]
-        bucket = MergeBucket(capacity=2, frames=list(frames))
-        added = bucket.merge(MergeMode.ADD)
-        averaged = bucket.merge(MergeMode.AVERAGE)
+        stack = FrameStack.from_frames(frames)
+        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
+        bucket.add_index(0)
+        bucket.add_index(1)
+        span = [(bucket.start, bucket.stop)]
+        added = stack.merge_ranges(span).frame(0)
+        averaged = stack.merge_ranges(span, average=True).frame(0)
         assert added.num_events == pytest.approx(sum(f.num_events for f in frames))
         assert averaged.num_events == pytest.approx(added.num_events / 2)
 
     def test_merge_empty_bucket_rejected(self):
-        with pytest.raises(RuntimeError):
-            MergeBucket(capacity=2).merge(MergeMode.ADD)
+        stack = FrameStack.from_frames([make_frame(1)])
+        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
+        with pytest.raises(ValueError):
+            stack.merge_ranges([(bucket.start, bucket.stop)])
 
     def test_invalid_capacity(self):
+        stack = FrameStack.from_frames([make_frame(1)])
         with pytest.raises(ValueError):
-            MergeBucket(capacity=0)
+            StackMergeBucket(capacity=0, stack=stack, start=0)
 
 
 class TestDSFAConfig:
@@ -151,31 +157,40 @@ class TestDSFAConfig:
             DSFAConfig(inference_queue_depth=0)
 
 
+def push_frames(dsfa, frames, hardware_available=False):
+    """Push ``frames`` through ``push_index`` over one packed stack.
+
+    Returns every batch the pushes dispatched, in order.
+    """
+    stack = FrameStack.from_frames(frames)
+    batches = []
+    for i in range(len(stack)):
+        batch = dsfa.push_index(stack, i, hardware_available=hardware_available)
+        if batch is not None:
+            batches.append(batch)
+    return batches
+
+
 class TestDSFA:
     def test_buffer_overflow_triggers_dispatch(self):
         config = DSFAConfig(event_buffer_size=4, merge_bucket_size=2, max_density_change=10.0)
         dsfa = DynamicSparseFrameAggregator(config)
-        dispatched = None
-        for i in range(4):
-            dispatched = dsfa.push(make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001))
-        assert dispatched is not None
+        frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
+        (dispatched,) = push_frames(dsfa, frames)
         assert dsfa.buffer_occupancy == 0
         # 4 frames in buckets of 2 -> batch of 2 merged frames.
         assert len(dispatched) == 2
 
     def test_hardware_available_dispatches_early(self):
         dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=8, merge_bucket_size=4))
-        batch = dsfa.push(make_frame(0), hardware_available=True)
-        assert batch is not None
+        (batch,) = push_frames(dsfa, [make_frame(0)], hardware_available=True)
         assert len(batch) == 1
 
     def test_cbatch_mode_keeps_frames_separate(self):
         config = DSFAConfig(event_buffer_size=4, merge_bucket_size=4, merge_mode=MergeMode.BATCH)
         dsfa = DynamicSparseFrameAggregator(config)
-        batch = None
-        for i in range(4):
-            batch = dsfa.push(make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001))
-        assert batch is not None
+        frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
+        (batch,) = push_frames(dsfa, frames)
         assert len(batch) == 4  # every frame in its own bucket
 
     def test_cadd_conserves_events(self):
@@ -183,38 +198,20 @@ class TestDSFA:
                             max_time_delay=10.0)
         dsfa = DynamicSparseFrameAggregator(config)
         frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
-        batch = None
-        for frame in frames:
-            batch = dsfa.push(frame)
-        assert batch is not None
+        (batch,) = push_frames(dsfa, frames)
         assert batch.num_events == pytest.approx(sum(f.num_events for f in frames))
 
     def test_flush_empties_buffer(self):
         dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=8, merge_bucket_size=2))
-        dsfa.push(make_frame(0))
+        push_frames(dsfa, [make_frame(0)])
         assert dsfa.flush() is not None
         assert dsfa.flush() is None
         assert dsfa.buffer_occupancy == 0
 
-    def test_inference_queue_eviction(self):
-        config = DSFAConfig(event_buffer_size=1, merge_bucket_size=1, inference_queue_depth=1)
-        dsfa = DynamicSparseFrameAggregator(config)
-        dsfa.push(make_frame(0))
-        dsfa.push(make_frame(1))
-        assert dsfa.discarded_frames > 0
-        assert len(dsfa.inference_queue) == 1
-
-    def test_pop_batch_fifo(self):
-        dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=1, merge_bucket_size=1))
-        dsfa.push(make_frame(0))
-        assert dsfa.pop_batch() is not None
-        assert dsfa.pop_batch() is None
-
     def test_density_mismatch_opens_new_bucket(self):
         config = DSFAConfig(event_buffer_size=8, merge_bucket_size=4, max_density_change=0.05)
         dsfa = DynamicSparseFrameAggregator(config)
-        dsfa.push(make_frame(0, n=20))
-        dsfa.push(make_frame(1, n=800))
+        push_frames(dsfa, [make_frame(0, n=20), make_frame(1, n=800)])
         assert dsfa.num_buckets == 2
 
 
@@ -237,7 +234,7 @@ class TestConvertStack:
         converter = Event2SparseFrameConverter(num_bins)
         stack = converter.convert_stack(stream, timestamps)
         oracle = [
-            f for interval in converter.convert_sequence(stream, list(timestamps))
+            f for interval in convert_sequence(converter, stream, list(timestamps))
             for f in interval
         ]
         assert len(stack) == len(oracle) == (len(timestamps) - 1) * num_bins
@@ -315,14 +312,19 @@ class TestBufferOccupancyCounter:
             max_density_change=0.3,
         )
         dsfa = DynamicSparseFrameAggregator(config)
-        for i in range(40):
-            frame = make_frame(
-                seed=i,
-                n=60 if i % 5 else 600,
-                t_start=i * 0.002,
-                t_end=(i + 1) * 0.002,
-            )
-            dsfa.push(frame, hardware_available=(i % 11 == 0))
+        stack = FrameStack.from_frames(
+            [
+                make_frame(
+                    seed=i,
+                    n=60 if i % 5 else 600,
+                    t_start=i * 0.002,
+                    t_end=(i + 1) * 0.002,
+                )
+                for i in range(40)
+            ]
+        )
+        for i in range(len(stack)):
+            dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
             assert dsfa.buffer_occupancy == self._recomputed(dsfa)
         dsfa.flush()
         assert dsfa.buffer_occupancy == self._recomputed(dsfa) == 0
@@ -331,16 +333,18 @@ class TestBufferOccupancyCounter:
         dsfa = DynamicSparseFrameAggregator(
             DSFAConfig(event_buffer_size=2, merge_bucket_size=2)
         )
-        dsfa.push(make_frame(0))
+        stack = FrameStack.from_frames([make_frame(0), make_frame(1, t_start=0.01, t_end=0.02)])
+        assert dsfa.push_index(stack, 0) is None
         assert dsfa.buffer_occupancy == 1
-        batch = dsfa.push(make_frame(1, t_start=0.01, t_end=0.02))
-        assert batch is not None
+        assert dsfa.push_index(stack, 1) is not None
         assert dsfa.buffer_occupancy == 0
 
 
 class TestSegmentedDispatch:
     @pytest.mark.parametrize("mode", list(MergeMode))
     def test_dispatch_matches_per_bucket_merge(self, mode):
+        # One merge_ranges call over every bucket must equal merging each
+        # bucket on its own with the per-frame oracle.
         config = DSFAConfig(
             event_buffer_size=12,
             merge_bucket_size=4,
@@ -349,16 +353,20 @@ class TestSegmentedDispatch:
             max_density_change=0.25,
             inference_queue_depth=8,
         )
-        dsfa = DynamicSparseFrameAggregator(config)
         frames = [
             make_frame(seed=i, n=80, t_start=i * 0.002, t_end=(i + 1) * 0.002)
             for i in range(11)
         ]
+        dsfa = DynamicSparseFrameAggregator(config)
+        assert push_frames(dsfa, frames) == []
+        oracle = ReferenceAggregator(config)
         for frame in frames:
-            dsfa.push(frame)
-        expected = [bucket.merge(mode) for bucket in dsfa._buckets]
+            assert oracle.push(frame) is None
+        num_buckets = len(oracle.buckets)
+        assert dsfa.num_buckets == num_buckets > 1
         batch = dsfa.flush()
-        assert len(batch) == len(expected)
+        expected = oracle.flush()
+        assert len(batch) == len(expected) == num_buckets
         for merged, reference in zip(batch, expected):
             assert frames_bit_identical(merged, reference)
 
@@ -370,7 +378,7 @@ class TestSegmentedDispatch:
     buffer=st.integers(min_value=4, max_value=12),
 )
 def test_property_dsfa_never_loses_events_before_queue_eviction(num_frames, bucket, buffer):
-    """Property: with a deep inference queue, cAdd merging conserves all events."""
+    """Property: cAdd merging conserves all events across every dispatch."""
     bucket = min(bucket, buffer)
     config = DSFAConfig(
         event_buffer_size=buffer,
@@ -381,15 +389,17 @@ def test_property_dsfa_never_loses_events_before_queue_eviction(num_frames, buck
     )
     dsfa = DynamicSparseFrameAggregator(config)
     frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(num_frames)]
-    for frame in frames:
-        dsfa.push(frame)
-    dsfa.flush()
-    total = sum(batch.num_events for batch in dsfa.inference_queue)
+    batches = push_frames(dsfa, frames)
+    last = dsfa.flush()
+    if last is not None:
+        batches.append(last)
+    total = sum(batch.num_events for batch in batches)
     assert total == pytest.approx(sum(f.num_events for f in frames))
 
 
 class TestStackIndexProtocol:
-    """push_index(stack, i) must be step-for-step identical to push(frame_i)."""
+    """push_index(stack, i) must be step-for-step identical to the per-frame
+    oracle's push(frame_i)."""
 
     def _config(self, mode=MergeMode.ADD):
         return DSFAConfig(
@@ -414,11 +424,9 @@ class TestStackIndexProtocol:
 
     @pytest.mark.parametrize("mode", list(MergeMode))
     def test_push_index_matches_push(self, mode):
-        from repro.frames import FrameStack
-
         frames = self._frames()
         stack = FrameStack.from_frames(frames)
-        by_frame = DynamicSparseFrameAggregator(self._config(mode))
+        by_frame = ReferenceAggregator(self._config(mode))
         by_index = DynamicSparseFrameAggregator(self._config(mode))
         for i, frame in enumerate(frames):
             hw = i % 7 == 0
@@ -429,8 +437,9 @@ class TestStackIndexProtocol:
                 assert len(a) == len(b)
                 for fa, fb in zip(a, b):
                     assert frames_bit_identical(fa, fb)
-            # The occupancy counter is protocol-independent state.
+            # Buffered frames and bucket layout match push for push.
             assert by_frame.buffer_occupancy == by_index.buffer_occupancy, i
+            assert len(by_frame.buckets) == by_index.num_buckets, i
         a, b = by_frame.flush(), by_index.flush()
         assert len(a) == len(b)
         for fa, fb in zip(a, b):
@@ -438,10 +447,7 @@ class TestStackIndexProtocol:
         assert by_frame.merge_statistics() == by_index.merge_statistics()
 
     def test_occupancy_counter_under_push_index(self):
-        from repro.frames import FrameStack
-
-        frames = self._frames()
-        stack = FrameStack.from_frames(frames)
+        stack = FrameStack.from_frames(self._frames())
         dsfa = DynamicSparseFrameAggregator(self._config())
         for i in range(len(stack)):
             dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
@@ -452,22 +458,30 @@ class TestStackIndexProtocol:
         assert dsfa.buffer_occupancy == 0
 
     def test_dispatch_is_stack_backed_for_single_stream(self):
-        from repro.frames import FrameStack
-
-        frames = self._frames(n=5)
-        stack = FrameStack.from_frames(frames)
+        stack = FrameStack.from_frames(self._frames(n=5))
         dsfa = DynamicSparseFrameAggregator(self._config())
         for i in range(len(stack)):
             assert dsfa.push_index(stack, i) is None
+        num_buckets = dsfa.num_buckets
         batch = dsfa.flush()
-        # Same-stack buckets dispatch through merge_ranges into one
-        # stack-backed batch (no per-frame materialisation).
-        assert batch.stack is not None
+        # All buckets merge in one merge_ranges call: the batch spans the
+        # whole merged stack, one frame per bucket.
+        assert batch.stack_range == (0, len(batch.stack)) == (0, num_buckets)
+
+    def test_push_from_second_stack_raises(self):
+        first = FrameStack.from_frames(self._frames(n=3))
+        second = FrameStack.from_frames(self._frames(n=3))
+        dsfa = DynamicSparseFrameAggregator(self._config())
+        assert dsfa.push_index(first, 0) is None
+        with pytest.raises(ValueError):
+            dsfa.push_index(second, 0)
+        assert dsfa.buffer_occupancy == 1
+        # Once the buffer is drained, the next stack is accepted.
+        assert dsfa.flush() is not None
+        assert dsfa.push_index(second, 0) is None
+        assert dsfa.buffer_occupancy == 1
 
     def test_bucket_contiguity_guard(self):
-        from repro.core import StackMergeBucket
-        from repro.frames import FrameStack
-
         stack = FrameStack.from_frames(self._frames(n=4))
         bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
         bucket.add_index(0)

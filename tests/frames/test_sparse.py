@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frames import SparseFrame, SparseFrameBatch
+from oracles.frames import batch_to_dense_reference, frame_batch, to_dense_reference
+from repro.frames import FrameStack, SparseFrame, SparseFrameBatch
 
 
 def random_sparse_frame(seed=0, h=24, w=32, n_events=200, t_start=0.0, t_end=0.1):
@@ -139,7 +140,7 @@ class TestMergeOperations:
 class TestBatch:
     def test_batch_dense_shape(self):
         frames = [random_sparse_frame(seed=s) for s in range(3)]
-        batch = SparseFrameBatch(frames)
+        batch = frame_batch(frames)
         assert len(batch) == 3
         assert batch.to_dense().shape == (3, 2, 24, 32)
 
@@ -148,24 +149,14 @@ class TestBatch:
             random_sparse_frame(seed=1, t_start=0.0, t_end=0.1),
             random_sparse_frame(seed=2, t_start=0.1, t_end=0.25),
         ]
-        batch = SparseFrameBatch(frames)
+        batch = frame_batch(frames)
         assert batch.t_start == 0.0
         assert batch.t_end == pytest.approx(0.25)
         assert batch.num_events == pytest.approx(sum(f.num_events for f in frames))
 
-    def test_batch_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            SparseFrameBatch([random_sparse_frame(h=8, w=8), random_sparse_frame(h=16, w=16)])
-
-    def test_batch_concatenate(self):
-        b1 = SparseFrameBatch([random_sparse_frame(seed=1)])
-        b2 = SparseFrameBatch([random_sparse_frame(seed=2), random_sparse_frame(seed=3)])
-        merged = SparseFrameBatch.concatenate([b1, b2])
-        assert len(merged) == 3
-        assert merged[0] == b1[0]
-
     def test_empty_batch(self):
-        batch = SparseFrameBatch([])
+        stack = FrameStack.from_frames([random_sparse_frame(seed=1)])
+        batch = SparseFrameBatch.from_stack(stack, 0, 0)
         assert batch.mean_density == 0.0
         assert batch.num_events == 0.0
 
@@ -211,15 +202,15 @@ class TestToDense:
             [1, 1, 1, 2], [3, 3, 3, 0], [1.5, 2.0, 0.25, 1.0], [0.5, 0.0, 1.0, 0.0],
             height=4, width=5,
         )
-        assert np.array_equal(frame.to_dense(), frame.to_dense_reference())
+        assert np.array_equal(frame.to_dense(), to_dense_reference(frame))
         assert frame.to_dense()[0, 1, 3] == 1.5 + 2.0 + 0.25
 
     def test_matches_reference_on_random_frames(self):
         for seed in range(5):
             frame = random_sparse_frame(seed=seed)
-            assert np.array_equal(frame.to_dense(), frame.to_dense_reference())
+            assert np.array_equal(frame.to_dense(), to_dense_reference(frame))
         empty = SparseFrame.empty(8, 8)
-        assert np.array_equal(empty.to_dense(), empty.to_dense_reference())
+        assert np.array_equal(empty.to_dense(), to_dense_reference(empty))
 
 
 class TestFromEventsValidation:
@@ -256,8 +247,6 @@ def test_property_dense_roundtrip(seed, n):
 
 class TestStackBackedBatch:
     def _stack(self, n=5):
-        from repro.frames import FrameStack
-
         frames = [
             random_sparse_frame(seed=s, t_start=0.1 * s, t_end=0.1 * (s + 1))
             for s in range(n)
@@ -265,18 +254,20 @@ class TestStackBackedBatch:
         return frames, FrameStack.from_frames(frames)
 
     def test_from_stack_matches_frame_backed(self):
+        # Every batch query equals the per-frame formula over the frames
+        # the range covers.
         frames, stack = self._stack()
         stacked = SparseFrameBatch.from_stack(stack, 1, 4)
-        listed = SparseFrameBatch(frames[1:4])
+        members = frames[1:4]
         assert len(stacked) == 3
         assert stacked.stack is stack
         assert stacked.stack_range == (1, 4)
-        assert stacked.t_start == listed.t_start
-        assert stacked.t_end == listed.t_end
-        assert stacked.num_events == listed.num_events
-        assert stacked.mean_density == listed.mean_density
-        assert stacked.frame_densities() == listed.frame_densities()
-        for view, frame in zip(stacked, frames[1:4]):
+        assert stacked.t_start == min(f.t_start for f in members)
+        assert stacked.t_end == max(f.t_end for f in members)
+        assert stacked.num_events == float(sum(f.num_events for f in members))
+        assert stacked.mean_density == float(np.mean([f.density for f in members]))
+        assert stacked.frame_densities() == tuple(f.density for f in members)
+        for view, frame in zip(stacked, members):
             assert view == frame
 
     def test_from_stack_defaults_to_whole_stack(self):
@@ -294,17 +285,12 @@ class TestStackBackedBatch:
         with pytest.raises(IndexError):
             SparseFrameBatch.from_stack(stack, 0, 4)
 
-    def test_frame_backed_batch_has_no_stack(self):
-        batch = SparseFrameBatch([random_sparse_frame(seed=1)])
-        assert batch.stack is None
-        assert batch.stack_range is None
-
     def test_to_dense_matches_reference_and_frame_backed(self):
         frames, stack = self._stack()
         stacked = SparseFrameBatch.from_stack(stack, 1, 5)
-        assert np.array_equal(stacked.to_dense(), stacked.to_dense_reference())
+        assert np.array_equal(stacked.to_dense(), batch_to_dense_reference(stacked))
         assert np.array_equal(
-            stacked.to_dense(), SparseFrameBatch(frames[1:5]).to_dense()
+            stacked.to_dense(), np.stack([f.to_dense() for f in frames[1:5]])
         )
 
     def test_to_dense_empty_range(self):
@@ -313,30 +299,3 @@ class TestStackBackedBatch:
         assert empty.to_dense().shape == (0, 2, 0, 0)
         assert empty.num_events == 0.0
         assert empty.mean_density == 0.0
-
-    def test_concatenate_adjacent_views_stays_stack_backed(self):
-        _, stack = self._stack()
-        left = SparseFrameBatch.from_stack(stack, 0, 2)
-        right = SparseFrameBatch.from_stack(stack, 2, 5)
-        merged = SparseFrameBatch.concatenate([left, right])
-        assert merged.stack is stack
-        assert merged.stack_range == (0, 5)
-        assert len(merged) == 5
-
-    def test_concatenate_non_adjacent_falls_back_to_frames(self):
-        frames, stack = self._stack()
-        left = SparseFrameBatch.from_stack(stack, 0, 2)
-        right = SparseFrameBatch.from_stack(stack, 3, 5)
-        merged = SparseFrameBatch.concatenate([left, right])
-        assert merged.stack is None
-        assert len(merged) == 4
-        for view, frame in zip(merged, frames[0:2] + frames[3:5]):
-            assert view == frame
-
-    def test_concatenate_mixed_backings(self):
-        frames, stack = self._stack()
-        stacked = SparseFrameBatch.from_stack(stack, 0, 2)
-        listed = SparseFrameBatch([random_sparse_frame(seed=9)])
-        merged = SparseFrameBatch.concatenate([stacked, listed])
-        assert merged.stack is None
-        assert len(merged) == 3

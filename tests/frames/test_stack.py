@@ -7,7 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.frames import FrameStack, SparseFrame, segment_add, segment_average
+from oracles.frames import add_reference
+from repro.frames import FrameStack, SparseFrame
 from repro.frames.sparse import _grouped_reduce
 
 
@@ -158,51 +159,70 @@ class TestVectorisedQueries:
         assert stack.event_counts()[0] == 0.0
 
 
+def merge_groups(groups, average=False):
+    """Merge each group of frames with ``merge_ranges`` over one packed stack."""
+    frames = [f for group in groups for f in group]
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    return FrameStack.from_frames(frames).merge_ranges(ranges, average=average)
+
+
 class TestSegmentedMerges:
+    """cAdd / cAverage of one segment (``SparseFrame.add`` / ``average`` and a
+    one-range ``merge_ranges``) and of groups of loose frames packed with
+    ``FrameStack.from_frames``, all against the ``np.unique`` oracle."""
+
     def test_segment_add_bit_identical_to_reference(self):
         frames = make_frames(n=5)
-        assert frames_bit_identical(segment_add(frames), SparseFrame.add_reference(frames))
+        expected = add_reference(frames)
+        assert frames_bit_identical(SparseFrame.add(frames), expected)
+        assert frames_bit_identical(merge_groups([frames]).frame(0), expected)
 
     def test_segment_add_fractional_values(self):
         # Averaged (non-integer) inputs exercise float accumulation order.
         frames = [f.scale(1.0 / 3.0) for f in make_frames(n=4)]
-        assert frames_bit_identical(segment_add(frames), SparseFrame.add_reference(frames))
+        expected = add_reference(frames)
+        assert frames_bit_identical(SparseFrame.add(frames), expected)
+        assert frames_bit_identical(merge_groups([frames]).frame(0), expected)
 
     def test_segment_average_matches_scaled_add(self):
         frames = make_frames(n=4)
-        merged = segment_average(frames)
-        expected = SparseFrame.add_reference(frames).scale(1.0 / 4.0)
-        assert frames_bit_identical(merged, expected)
+        expected = add_reference(frames).scale(1.0 / 4.0)
+        assert frames_bit_identical(SparseFrame.average(frames), expected)
+        assert frames_bit_identical(
+            merge_groups([frames], average=True).frame(0), expected
+        )
 
     def test_merge_groups_bit_identical_to_per_bucket_add(self):
         frames = make_frames(n=12, nnz=60)
         groups = [frames[0:4], frames[4:6], frames[6:12]]
-        stack = FrameStack.merge_groups(groups)
+        stack = merge_groups(groups)
         assert len(stack) == 3
         for view, group in zip(stack.frames(), groups):
-            assert frames_bit_identical(view, SparseFrame.add_reference(group))
+            assert frames_bit_identical(view, add_reference(group))
 
     def test_merge_groups_average_mode(self):
         frames = make_frames(n=6, nnz=60)
         groups = [frames[0:2], frames[2:6]]
-        stack = FrameStack.merge_groups(groups, average=True)
+        stack = merge_groups(groups, average=True)
         for view, group in zip(stack.frames(), groups):
-            assert frames_bit_identical(view, SparseFrame.average(group))
+            expected = add_reference(group).scale(1.0 / len(group))
+            assert frames_bit_identical(view, expected)
 
     def test_merge_groups_single_frame_groups(self):
         frames = make_frames(n=3)
-        stack = FrameStack.merge_groups([[f] for f in frames])
+        stack = merge_groups([[f] for f in frames])
         for view, frame in zip(stack.frames(), frames):
-            assert frames_bit_identical(view, SparseFrame.add_reference([frame]))
+            assert frames_bit_identical(view, add_reference([frame]))
 
     def test_merge_groups_with_empty_frames(self):
         group = [SparseFrame.empty(24, 32, 0.0, 0.1), random_sparse_frame(seed=7)]
-        stack = FrameStack.merge_groups([group])
-        assert frames_bit_identical(stack.frame(0), SparseFrame.add_reference(group))
+        stack = merge_groups([group])
+        assert frames_bit_identical(stack.frame(0), add_reference(group))
 
     def test_merge_groups_time_bounds(self):
         frames = make_frames(n=4)
-        stack = FrameStack.merge_groups([[frames[2], frames[0]], [frames[3], frames[1]]])
+        stack = merge_groups([[frames[2], frames[0]], [frames[3], frames[1]]])
         assert stack.t_starts[0] == frames[0].t_start
         assert stack.t_ends[0] == frames[2].t_end
         assert stack.t_starts[1] == frames[1].t_start
@@ -210,11 +230,11 @@ class TestSegmentedMerges:
 
     def test_merge_groups_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            FrameStack.merge_groups([])
+            merge_groups([])
         with pytest.raises(ValueError):
-            FrameStack.merge_groups([[]])
+            merge_groups([[random_sparse_frame()], []])
         with pytest.raises(ValueError):
-            FrameStack.merge_groups(
+            merge_groups(
                 [[random_sparse_frame(h=24, w=32)], [random_sparse_frame(h=16, w=16)]]
             )
 
@@ -324,27 +344,25 @@ class TestSlice:
 
 
 class TestMergeRanges:
-    def test_adjacent_ranges_match_merge_groups(self):
+    def test_adjacent_ranges_match_add_reference(self):
         # DSFA buckets partition a contiguous arrival run: the adjacency
-        # fast path (single parent slice) must be bit-identical to the
-        # per-group frame-view kernel.
+        # fast path (single parent slice) must be bit-identical to merging
+        # each range's frames with the np.unique oracle.
         frames = make_frames(n=12, nnz=60)
         stack = FrameStack.from_frames(frames)
         ranges = [(0, 4), (4, 6), (6, 12)]
         merged = stack.merge_ranges(ranges)
-        reference = FrameStack.merge_groups([frames[a:b] for a, b in ranges])
         assert len(merged) == len(ranges)
-        for view, ref in zip(merged.frames(), reference.frames()):
-            assert frames_bit_identical(view, ref)
+        for (a, b), view in zip(ranges, merged.frames()):
+            assert frames_bit_identical(view, add_reference(frames[a:b]))
 
-    def test_non_adjacent_ranges_match_merge_groups(self):
+    def test_non_adjacent_ranges_match_add_reference(self):
         frames = make_frames(n=10, nnz=60)
         stack = FrameStack.from_frames(frames)
         ranges = [(0, 2), (3, 5), (8, 10)]
         merged = stack.merge_ranges(ranges)
-        reference = FrameStack.merge_groups([frames[a:b] for a, b in ranges])
-        for view, ref in zip(merged.frames(), reference.frames()):
-            assert frames_bit_identical(view, ref)
+        for (a, b), view in zip(ranges, merged.frames()):
+            assert frames_bit_identical(view, add_reference(frames[a:b]))
 
     def test_average_mode(self):
         frames = make_frames(n=6, nnz=60)
@@ -359,7 +377,7 @@ class TestMergeRanges:
         stack = FrameStack.from_frames(frames)
         merged = stack.merge_ranges([(i, i + 1) for i in range(3)])
         for view, frame in zip(merged.frames(), frames):
-            assert frames_bit_identical(view, SparseFrame.add_reference([frame]))
+            assert frames_bit_identical(view, add_reference([frame]))
 
     def test_time_bounds(self):
         frames = make_frames(n=4)

@@ -29,16 +29,13 @@ claims stay machine-checked:
   chain walk instead of graph propagation.  The divergence tests use it
   to pin that graph propagation is bit-identical on serial networks and
   diverges exactly at DAG join nodes.
-* :class:`ReferenceAggregator` — the fully per-frame DSFA: placement
-  probes re-merge whole frame lists per call (``SparseFrame.add_reference``)
-  and every dispatch merges bucket by bucket, with no stack ranges or
-  segmented grouped-reduce anywhere.
 * :func:`generate_frames_reference` — the per-interval render loop the
   columnar :meth:`~repro.runtime.streams.StreamSource.generate_stack`
   replaced.
 * :class:`PerFrameReferenceClient` — the per-frame transport: frames from
   :func:`generate_frames_reference`, one frame object per ``FrameReady``,
-  pushed into a :class:`ReferenceAggregator`.
+  pushed into the per-frame DSFA
+  (:class:`~oracles.frames.ReferenceAggregator`).
 * :class:`EagerPrimeClient` — the horizon-wide arrival discipline the
   per-stream arrival cursors replaced: every ``FrameReady`` of the stream
   is heaped at prime time.
@@ -63,14 +60,8 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.dsfa import (
-    BucketStatus,
-    DynamicSparseFrameAggregator,
-    MergeBucket,
-    MergeMode,
-)
 from repro.core.e2sf import Event2SparseFrameConverter
-from repro.frames.sparse import SparseFrame, SparseFrameBatch
+from repro.frames.sparse import SparseFrame
 from repro.nn.occupancy import OccupancyProfile
 from repro.runtime.executor import SignatureServer, _PendingDispatch
 from repro.runtime.sim import (
@@ -85,13 +76,13 @@ from repro.runtime.sim import (
 )
 from repro.runtime.streams import MultiStreamSimulator, StreamClient, StreamSource
 
+from .frames import ReferenceAggregator, frame_batch
+
 __all__ = [
     "LegacyScanKernel",
     "LegacyListServer",
     "ScalarCostModel",
     "ChainCostModel",
-    "ReferenceMergeBucket",
-    "ReferenceAggregator",
     "generate_frames_reference",
     "PerFrameReferenceClient",
     "EagerPrimeClient",
@@ -285,65 +276,6 @@ class ChainCostModel(NetworkCostModel):
         return raw.bucketed(self.table.bucket)
 
 
-class ReferenceMergeBucket(MergeBucket):
-    """A merge bucket with every columnar merge optimization stripped.
-
-    * density probes re-merge the *whole* frame list per :meth:`accepts`
-      call through :meth:`SparseFrame.add_reference` (no incremental cache,
-      no grouped-reduce kernel);
-    * :meth:`merge` combines the list with ``add_reference`` as well,
-      scaling for cAverage.
-
-    Both are bit-identical to the production bucket — merging is associative
-    on the support and ``add_reference`` is the proven oracle for ``add`` —
-    just quadratic where the stack path is O(1) per probe.
-    """
-
-    def _merged_support(self) -> SparseFrame:
-        return SparseFrame.add_reference(self.frames)
-
-    def add(self, frame: SparseFrame) -> None:
-        if self.is_full:
-            raise RuntimeError("cannot add a frame to a FULL merge bucket")
-        self.frames.append(frame)
-        if self.occupancy >= self.capacity:
-            self.status = BucketStatus.FULL
-
-    def merge(self, mode: MergeMode) -> SparseFrame:
-        if not self.frames:
-            raise RuntimeError("cannot merge an empty bucket")
-        merged = SparseFrame.add_reference(self.frames)
-        if mode is MergeMode.AVERAGE:
-            merged = merged.scale(1.0 / len(self.frames))
-        return merged
-
-
-class ReferenceAggregator(DynamicSparseFrameAggregator):
-    """The fully per-frame DSFA: reference buckets, per-bucket merges.
-
-    The aggregator of :class:`PerFrameReferenceClient`: placement probes
-    re-merge frame lists per call and every dispatch merges bucket by
-    bucket through ``add_reference`` — no stack ranges, no segmented
-    grouped-reduce pass.  Dispatch decisions and merged values are
-    bit-identical to the production aggregator.
-    """
-
-    def _new_bucket(self, capacity: int) -> MergeBucket:
-        return ReferenceMergeBucket(capacity=capacity)
-
-    def _merge_buckets(self) -> SparseFrameBatch:
-        average = self.config.merge_mode is MergeMode.AVERAGE
-        merged: List[SparseFrame] = []
-        for bucket in self._buckets:
-            if not bucket.occupancy:
-                continue
-            frame = SparseFrame.add_reference(bucket.frames)
-            if average:
-                frame = frame.scale(1.0 / len(bucket.frames))
-            merged.append(frame)
-        return SparseFrameBatch(merged)
-
-
 def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseFrame]]:
     """Render ``source`` with the pre-columnar per-interval loop.
 
@@ -404,8 +336,8 @@ class PerFrameReferenceClient(StreamClient):
     Frames come from :func:`generate_frames_reference` (not the columnar
     render) and are primed horizon-wide; each ``FrameReady`` carries the
     frame's position in that list, and the handler pushes the frame object
-    itself into a :class:`ReferenceAggregator` (or dispatches it as a
-    one-frame batch without DSFA).  Reports must be bit-identical to the
+    itself into a :class:`~oracles.frames.ReferenceAggregator` (or
+    dispatches it as a one-frame batch without DSFA).  Reports must be bit-identical to the
     production stack transport.
     """
 
@@ -447,7 +379,7 @@ class PerFrameReferenceClient(StreamClient):
             )
             return
         self.kernel.schedule(
-            DispatchBatch(time=arrival, stream=self.name, batch=SparseFrameBatch([frame]))
+            DispatchBatch(time=arrival, stream=self.name, batch=frame_batch([frame]))
         )
 
 

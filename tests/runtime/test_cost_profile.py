@@ -26,6 +26,7 @@ from repro.runtime import (
 )
 from repro.nn import LayerGraph, LayerKind, LayerSpec
 
+from oracles.frames import frame_batch
 from oracles.runtime import ChainCostModel, ScalarCostModel, ScalarCostSimulator
 
 
@@ -195,8 +196,7 @@ class TestBatchProfiles:
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
         stack, _ = source.generate_stack()
-        frames = [stack.frame(i) for i in range(4)]
-        batch = SparseFrameBatch(frames)
+        batch = SparseFrameBatch.from_stack(stack, 0, 4)
         profile = model.batch_profile(batch)
         assert profile == model.occupancy_profile(max(batch.mean_density, 1e-4))
 
@@ -212,7 +212,7 @@ class TestBatchProfiles:
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
         frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
-        batch = SparseFrameBatch([frames[0], frames[-1]])  # extremes of the run
+        batch = frame_batch([frames[0], frames[-1]])  # extremes of the run
         assert frames[0].density != frames[-1].density
         profile = model.batch_profile(batch)
         members = [
@@ -235,9 +235,10 @@ class TestBatchProfiles:
             ),
         )
         aggregator = DynamicSparseFrameAggregator(source.config.dsfa)
+        stack, _ = source.generate_stack()
         batch = None
-        for frame in source.generate_stack()[0].frames():
-            batch = aggregator.push(frame)
+        for i in range(len(stack)):
+            batch = aggregator.push_index(stack, i)
             if batch is not None and len(batch) > 1:
                 break
         assert batch is not None and len(batch) > 1
@@ -264,7 +265,7 @@ class TestBatchProfiles:
             EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
         )
         frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
-        batch = SparseFrameBatch([frames[0], frames[-1]])
+        batch = frame_batch([frames[0], frames[-1]])
         profile = model.batch_profile(batch)
         members = [
             model.occupancy_profile(max(density, 1e-4))
@@ -279,7 +280,13 @@ class TestBatchProfiles:
             config=EvEdgeConfig(optimization=OptimizationLevel.BASELINE),
             cost_mode="profile",
         )
-        batch = SparseFrameBatch([])
+        stack, _ = StreamSource(
+            "s",
+            generate_sequence("indoor_flying1", scale=0.08, duration=0.2, seed=0),
+            network,
+            EvEdgeConfig(optimization=OptimizationLevel.BASELINE),
+        ).generate_stack()
+        batch = SparseFrameBatch.from_stack(stack, 0, 0)
         assert model.batch_profile(batch, 1.0) == model.occupancy_profile(1.0)
 
     def test_profile_length_mismatch_rejected(self, network, platform):

@@ -327,8 +327,8 @@ def _manual_server(platform, sequence, network, max_merge_streams, num_clients):
     for i in range(num_clients):
         source = StreamSource(f"c{i}", sequence, network, config)
         clients.append(StreamClient(source, kernel, server, model))
-    frames = StreamSource("feed", sequence, network, config).generate_stack()[0].frames()
-    return kernel, server, clients, frames
+    stack = StreamSource("feed", sequence, network, config).generate_stack()[0]
+    return kernel, server, clients, stack
 
 
 class TestMultiStreamBaselines:
@@ -387,16 +387,16 @@ class TestSignatureServerMerging:
         # latency, not the full batch latency — otherwise the per-dispatch
         # service estimate (_last_duration) is inflated by the merge and the
         # drop rule misbehaves on the frames that follow.
-        kernel, server, clients, frames = _manual_server(
+        kernel, server, clients, stack = _manual_server(
             platform, sequence, network, max_merge_streams=2, num_clients=3
         )
         a, b, c = clients
-        server.dispatch(a, SparseFrameBatch([frames[0]]), 0.0)
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)
         busy = server.busy_until()
         assert busy > 0
         # Both dispatches queue while the server is busy, then merge.
-        server.dispatch(b, SparseFrameBatch([frames[1]]), 0.0)
-        server.dispatch(c, SparseFrameBatch([frames[2]]), 0.0)
+        server.dispatch(b, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)
+        server.dispatch(c, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
         kernel.run()
         assert server.merged_dispatches == 2
         (rec_b,) = b.report.records
@@ -412,14 +412,14 @@ class TestSignatureServerMerging:
         # One stream's backlog must not consume the whole cross-stream merge
         # budget: the merge takes the oldest pending dispatch of each of the
         # first max_merge_streams *distinct* streams.
-        kernel, server, clients, frames = _manual_server(
+        kernel, server, clients, stack = _manual_server(
             platform, sequence, network, max_merge_streams=2, num_clients=2
         )
         a, b = clients
-        server.dispatch(a, SparseFrameBatch([frames[0]]), 0.0)
-        server.dispatch(a, SparseFrameBatch([frames[1]]), 0.0)  # pending A#1
-        server.dispatch(a, SparseFrameBatch([frames[2]]), 0.0)  # pending A#2
-        server.dispatch(b, SparseFrameBatch([frames[3]]), 0.0)  # pending B#1
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)  # pending A#1
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)  # pending A#2
+        server.dispatch(b, SparseFrameBatch.from_stack(stack, 3, 4), 0.0)  # pending B#1
         kernel.run()
         a_records = sorted(a.report.records, key=lambda r: r.start_time)
         (rec_b,) = b.report.records
@@ -434,13 +434,13 @@ class TestSignatureServerMerging:
         assert a_records[2].start_time >= a_records[1].end_time - 1e-12
 
     def test_max_merge_one_never_batches(self, platform, sequence, network):
-        kernel, server, clients, frames = _manual_server(
+        kernel, server, clients, stack = _manual_server(
             platform, sequence, network, max_merge_streams=1, num_clients=2
         )
         a, b = clients
-        server.dispatch(a, SparseFrameBatch([frames[0]]), 0.0)
-        server.dispatch(a, SparseFrameBatch([frames[1]]), 0.0)
-        server.dispatch(b, SparseFrameBatch([frames[2]]), 0.0)
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)
+        server.dispatch(b, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
         kernel.run()
         assert server.merged_dispatches == 0
         windows = [
@@ -469,20 +469,20 @@ class TestBacklogEstimate:
     def test_server_estimate_includes_queued_service_time(
         self, platform, sequence, network
     ):
-        kernel, server, clients, frames = _manual_server(
+        kernel, server, clients, stack = _manual_server(
             platform, sequence, network, max_merge_streams=1, num_clients=3
         )
         a, b, c = clients
-        server.dispatch(a, SparseFrameBatch([frames[0]]), 0.0)
+        server.dispatch(a, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)
         busy = server.busy_until()
         assert busy > 0
         assert server.queued_service_estimate() == 0.0
         # Warm the senders' service estimates, then enqueue while busy.
         b.note_dispatch(0.5)
         c.note_dispatch(0.25)
-        server.dispatch(b, SparseFrameBatch([frames[1]]), 0.0)
+        server.dispatch(b, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)
         assert server.queued_service_estimate() == 0.5
-        server.dispatch(c, SparseFrameBatch([frames[2]]), 0.0)
+        server.dispatch(c, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
         assert server.queued_service_estimate() == 0.5 + 0.25
         # The estimate a prospective sender sees covers busy lead + queue.
         assert server.backlog_estimate(b, 0.0) == busy + 0.75
@@ -504,14 +504,14 @@ class TestBacklogEstimate:
         server = SignatureServer(kernel, model, name="server:test", max_merge_streams=1)
         source = StreamSource("c0", sequence, network, config)
         client = StreamClient(source, kernel, server, model)
-        frames = source.generate_stack()[0].frames()
-        server.dispatch(client, SparseFrameBatch([frames[0]]), 0.0)  # executes
+        stack = source.generate_stack()[0]
+        server.dispatch(client, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)  # executes
         client.note_dispatch(0.5)
-        server.dispatch(client, SparseFrameBatch([frames[1]]), 0.0)  # pending
+        server.dispatch(client, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)  # pending
         client.note_dispatch(0.3)
         # Depth 1: the pending entry (estimate 0.5) is evicted, replaced by
         # the new one (estimate 0.3).
-        server.dispatch(client, SparseFrameBatch([frames[2]]), 0.0)
+        server.dispatch(client, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
         assert server.pending_count == 1
         assert server.queued_service_estimate() == pytest.approx(0.3)
         assert client.report.frames_dropped == 1
@@ -610,3 +610,43 @@ class TestStackTransportAccounting:
         )
         assert report.frames_dropped > 0
         assert report.frames_dropped == evicted
+
+
+class _BusyStubExecutor:
+    """Executor stub with a fixed busy frontier that records dispatches."""
+
+    def __init__(self, busy_until: float) -> None:
+        self._busy_until = busy_until
+        self.dispatches = []
+
+    def busy_until(self, client=None) -> float:
+        return self._busy_until
+
+    def dispatch(self, client, batch, time: float) -> None:
+        self.dispatches.append((time, len(batch)))
+
+
+class TestHardwareAvailability:
+    """DSFA dispatches early exactly when the hardware is free at arrival."""
+
+    @pytest.mark.parametrize("lead, expected", [(0.0, 1), (1e-6, 0)])
+    def test_frame_arriving_at_busy_until_dispatches(
+        self, platform, sequence, network, lead, expected
+    ):
+        # The executor frees up ``lead`` after the first frame arrives.  At
+        # lead 0 the hardware counts as available, so the one buffered frame
+        # dispatches on its own; any later frontier keeps it buffered (the
+        # buffer holds 8 frames).
+        config = EvEdgeConfig(
+            num_bins=5,
+            optimization=OptimizationLevel.E2SF_DSFA,
+            dsfa=DSFAConfig(event_buffer_size=8, merge_bucket_size=4),
+        )
+        source = StreamSource("s", sequence, network, config)
+        first = source.arrival_times()[0]
+        kernel = SimulationKernel()
+        executor = _BusyStubExecutor(busy_until=first + lead)
+        model = NetworkCostModel(network, platform, config=config)
+        StreamClient(source, kernel, executor, model).prime()
+        kernel.run(until=first)
+        assert executor.dispatches == [(first, 1)] * expected
