@@ -14,9 +14,10 @@ from repro.core import (
     EvEdgeConfig,
     EvEdgePipeline,
     Event2SparseFrameConverter,
+    EvolutionaryStrategy,
+    MapperEngine,
     MergeMode,
     NMPConfig,
-    NetworkMapper,
     OptimizationLevel,
 )
 from repro.events import generate_sequence
@@ -118,12 +119,12 @@ def test_ablation_nmp_population_size(benchmark, settings):
     def sweep():
         latencies = {}
         for population in (4, 16, 32):
-            result = NetworkMapper(
+            result = MapperEngine(
                 graph,
                 platform,
                 profile,
                 NMPConfig(population_size=population, generations=8, seed=settings.seed),
-            ).run()
+            ).run(EvolutionaryStrategy())
             latencies[population] = result.best_latency
         return latencies
 

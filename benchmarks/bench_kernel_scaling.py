@@ -16,7 +16,7 @@ but not asserted — worker processes cannot conjure cores.
 
 The memory-attribution tier (``test_kernel_memory_attribution``) records
 tracemalloc peak allocations and the kernel heap's high-water mark at each
-tier (``retain_records=False``, so queued events dominate) and gates the
+tier (``record_limit=0``, so queued events dominate) and gates the
 arrival cursors' bounds: the heap holds at most four events per stream, and
 doubling the horizon leaves it flat.  Its rows land in the same
 ``BENCH_kernel_scaling.json`` trajectory under ``section="memory"``.
@@ -283,7 +283,7 @@ def test_kernel_memory_attribution():
     if not MEMORY_TIERS:
         pytest.skip("KERNEL_MEMORY_TIERS is empty")
     platform = jetson_xavier_agx()
-    sim_kwargs = dict(retain_records=False)
+    sim_kwargs = dict(record_limit=0)
     base_duration = 0.2
 
     rows = []
@@ -359,7 +359,7 @@ def test_kernel_memory_attribution():
             "tiers": list(MEMORY_TIERS),
             "heap_factor": MEMORY_HEAP_FACTOR,
             "horizon_slack": MEMORY_HORIZON_SLACK,
-            "retain_records": False,
+            "record_limit": 0,
         },
         section="memory",
     )

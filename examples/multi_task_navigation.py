@@ -10,7 +10,7 @@ Gantt view of where each layer executes (paper Figure 9 style).
 Run with:  python examples/multi_task_navigation.py
 """
 
-from repro.core import NMPConfig, NetworkMapper
+from repro.core import EvolutionaryStrategy, MapperEngine, NMPConfig
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
@@ -40,14 +40,15 @@ def main() -> None:
         sparse=True,
     )
 
-    mapper = NetworkMapper(
+    engine = MapperEngine(
         graph,
         platform,
         executor.profile,
         NMPConfig(population_size=24, generations=15, seed=0),
-        initial_candidates=[rr_layer.mapping, rr_net.mapping],
     )
-    nmp_result = mapper.run()
+    nmp_result = engine.run(
+        EvolutionaryStrategy(), initial_candidates=[rr_layer.mapping, rr_net.mapping]
+    )
     nmp = executor.execute(nmp_result.best_candidate, sparse=True)
 
     print()

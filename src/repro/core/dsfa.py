@@ -118,11 +118,6 @@ class StackMergeBucket:
         return self.status is BucketStatus.FULL or self.occupancy >= self.capacity
 
     @property
-    def earliest_time(self) -> float:
-        """Timestamp of the earliest frame (``Time(Evf_1)``), inf when empty."""
-        return self._earliest
-
-    @property
     def merged_density(self) -> float:
         """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
         if self.stop == self.start:

@@ -13,7 +13,10 @@ conventional pipelines build.  The steps follow the paper exactly:
 4. each accumulated bin is stored as row indices, column indices and the two
    polarity channels — a two-channel sparse frame in COO format.
 
-The converter also reports the cost of the direct path next to the
+:meth:`Event2SparseFrameConverter.convert_stack` is the one binning
+implementation: it runs these steps for a whole recording in one pass, and
+:meth:`~Event2SparseFrameConverter.convert` is its one-interval case.  The
+converter also reports the cost of the direct path next to the
 dense-then-encode path so the paper's overhead argument can be reproduced
 quantitatively.
 """
@@ -26,7 +29,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..events.types import EventStream
-from ..frames.dense import assign_event_bins
 from ..frames.encoding import ConversionCost, encode_cost, events_to_sparse_cost
 from ..frames.sparse import SparseFrame, _grouped_reduce
 from ..frames.stack import FrameStack
@@ -79,39 +81,12 @@ class Event2SparseFrameConverter:
         t_start: float,
         t_end: float,
     ) -> List[SparseFrame]:
-        """Convert the events in ``[t_start, t_end)`` into ``num_bins`` sparse frames."""
-        if t_end <= t_start:
-            raise ValueError("t_end must be greater than t_start")
-        window = stream.slice_time(t_start, t_end)
-        geometry = stream.geometry
-        bin_duration = (t_end - t_start) / self.num_bins
-        frames: List[SparseFrame] = []
-        if len(window) == 0:
-            for k in range(self.num_bins):
-                frames.append(
-                    SparseFrame.empty(
-                        geometry.height,
-                        geometry.width,
-                        t_start + k * bin_duration,
-                        t_start + (k + 1) * bin_duration,
-                    )
-                )
-            return frames
-        bins = assign_event_bins(window.t, t_start, t_end, self.num_bins)
-        for k in range(self.num_bins):
-            mask = bins == k
-            frames.append(
-                SparseFrame.from_events(
-                    window.x[mask],
-                    window.y[mask],
-                    window.p[mask],
-                    geometry.height,
-                    geometry.width,
-                    t_start + k * bin_duration,
-                    t_start + (k + 1) * bin_duration,
-                )
-            )
-        return frames
+        """Convert the events in ``[t_start, t_end)`` into ``num_bins`` sparse frames.
+
+        The one-interval case of :meth:`convert_stack`: the frames are
+        zero-copy views into a two-timestamp stack.
+        """
+        return self.convert_stack(stream, (t_start, t_end)).frames()
 
     def convert_with_report(
         self, stream: EventStream, t_start: float, t_end: float
@@ -141,14 +116,14 @@ class Event2SparseFrameConverter:
     ) -> FrameStack:
         """Bin an entire recording into one columnar :class:`FrameStack`.
 
-        One pass replaces a :meth:`convert` call per grayscale interval:
-        every event gets an ``(interval, bin, pixel)`` key, a single stable
+        Every event gets an ``(interval, bin, pixel)`` key, a single stable
         sort groups the whole recording, and segmented reductions
         accumulate the two polarity channels.  The resulting stack holds
         ``num_intervals * num_bins`` frames in interval-major order — empty
         bins included — with the same time bounds, canonical
-        (ascending-pixel) site order and accumulated values as the
-        per-interval loop, bit for bit.
+        (ascending-pixel) site order and accumulated values as a loop that
+        slices each interval and builds one frame per bin, bit for bit (the
+        loop is the test suite's oracle).
         """
         timestamps = np.asarray(frame_timestamps, dtype=np.float64)
         if timestamps.ndim != 1 or timestamps.size < 2:

@@ -1,9 +1,7 @@
 """Network Mapper (NMP): pluggable layer-to-PE mapping search with precision choice."""
 
 from .candidate import Assignment, MappingCandidate
-from .evolutionary import NetworkMapper
 from .objective import FitnessBreakdown, FitnessEvaluator
-from .random_search import RandomSearchMapper
 from .scheduler import ExecutionScheduler, FlatGraph, ScheduledNode, ScheduleResult
 from .search import (
     EvolutionaryStrategy,
@@ -29,11 +27,9 @@ __all__ = [
     "ScheduledNode",
     "FitnessEvaluator",
     "FitnessBreakdown",
-    "NetworkMapper",
     "NMPConfig",
     "NMPResult",
     "GenerationStats",
-    "RandomSearchMapper",
     "MapperEngine",
     "SearchContext",
     "SearchStrategy",

@@ -19,10 +19,9 @@ indices, compute mask, per-precision output bytes and pre-resolved profile
 entries per (PE, precision) with the sparse/dense preference already applied.
 ``schedule`` / ``schedule_metrics`` then run a tight loop over those arrays
 instead of re-resolving ``graph.spec()`` / ``graph.predecessors()`` and
-re-querying the profile table for every node of every candidate.
-``schedule_reference`` keeps the original graph-walking implementation as the
-bit-for-bit oracle for regression tests and the
-``benchmarks/bench_nmp_search.py`` speedup measurement.
+re-querying the profile table for every node of every candidate.  That loop
+is the only scheduler in the library; the graph-walking implementation it
+replaced is kept as a bit-for-bit oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -300,80 +299,3 @@ class ExecutionScheduler:
 
         task_latencies = dict(zip(flat.task_names, task_end))
         return task_latencies, total_energy
-
-    # ------------------------------------------------------------------
-    def schedule_reference(
-        self, graph: MultiTaskGraph, mapping: MappingCandidate
-    ) -> ScheduleResult:
-        """The original graph-walking list scheduler (pre-flattening).
-
-        Kept verbatim as the correctness oracle: regression tests assert the
-        flat path reproduces it bit-for-bit, and
-        ``benchmarks/bench_nmp_search.py`` measures the flattening speedup
-        against it.
-        """
-        queue_ready: Dict[str, float] = {pe.name: 0.0 for pe in self.platform}
-        queue_ready[_MEMORY_QUEUE] = 0.0
-        end_time: Dict[str, float] = {}
-        timeline: List[ScheduledNode] = []
-        task_latencies: Dict[str, float] = {name: 0.0 for name in graph.task_names}
-        total_energy = 0.0
-
-        for node in graph.nodes():
-            spec = graph.spec(node)
-            if not spec.kind.is_compute:
-                parents = graph.predecessors(node)
-                end_time[node] = max((end_time[p] for p in parents), default=0.0)
-                continue
-            assignment = mapping[node]
-            pe_name = assignment.pe
-            precision = assignment.precision
-
-            ready = 0.0
-            for parent in graph.predecessors(node):
-                parent_end = end_time.get(parent, 0.0)
-                parent_spec = graph.spec(parent)
-                if not parent_spec.kind.is_compute or parent not in mapping:
-                    ready = max(ready, parent_end)
-                    continue
-                parent_assignment = mapping[parent]
-                if parent_assignment.pe == pe_name:
-                    ready = max(ready, parent_end)
-                    continue
-                transfer_time = self.platform.transfer_time(
-                    parent_spec.output_bytes(parent_assignment.precision),
-                    parent_assignment.pe,
-                    pe_name,
-                )
-                start = max(parent_end, queue_ready[_MEMORY_QUEUE])
-                finish = start + transfer_time
-                queue_ready[_MEMORY_QUEUE] = finish
-                timeline.append(
-                    ScheduledNode(
-                        node=f"{parent}->{node}",
-                        queue=_MEMORY_QUEUE,
-                        start=start,
-                        end=finish,
-                        kind="transfer",
-                    )
-                )
-                ready = max(ready, finish)
-
-            use_sparse = self.sparse and self.profile.has(node, pe_name, precision, True)
-            entry = self.profile.lookup(node, pe_name, precision, use_sparse)
-            start = max(ready, queue_ready[pe_name])
-            finish = start + entry.latency
-            queue_ready[pe_name] = finish
-            end_time[node] = finish
-            total_energy += entry.energy
-            timeline.append(
-                ScheduledNode(node=node, queue=pe_name, start=start, end=finish)
-            )
-            task = graph.network_of(node)
-            task_latencies[task] = max(task_latencies[task], finish)
-
-        return ScheduleResult(
-            timeline=timeline,
-            task_latencies=task_latencies,
-            energy=total_energy,
-        )

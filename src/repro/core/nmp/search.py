@@ -18,15 +18,16 @@ a strategy plug-in architecture:
   evaluation budget and stops early when the best fitness stagnates for
   ``patience`` generations.
 * Four built-in strategies: :class:`EvolutionaryStrategy` (the paper's
-  genetic search, bit-for-bit identical to the pre-engine ``NetworkMapper``
-  for a given seed), :class:`RandomSearchStrategy` (the paper's Figure 10b
-  baseline), :class:`SimulatedAnnealingStrategy` (parallel Metropolis chains
-  with geometric cooling) and :class:`GreedyLayerwiseStrategy` (coordinate
-  descent over layers: sweep every (PE, precision) option of one layer per
-  generation).
+  genetic search of Section 4.3.1, bit-for-bit identical to the pre-engine
+  evolutionary mapper for a given seed), :class:`RandomSearchStrategy` (the
+  paper's Figure 10b baseline), :class:`SimulatedAnnealingStrategy`
+  (parallel Metropolis chains with geometric cooling) and
+  :class:`GreedyLayerwiseStrategy` (coordinate descent over layers: sweep
+  every (PE, precision) option of one layer per generation).
 
-``NetworkMapper`` and ``RandomSearchMapper`` remain as thin wrappers in
-:mod:`.evolutionary` / :mod:`.random_search` for backwards compatibility.
+The engine is the one mapper entry point: the paper's mapper is
+``MapperEngine(graph, platform, profile, config).run(EvolutionaryStrategy(),
+initial_candidates=...)``.
 """
 
 from __future__ import annotations
@@ -205,9 +206,24 @@ def _ranked(
 
 
 class EvolutionaryStrategy:
-    """The paper's genetic search: elitism + neighbour-pair crossover + mutation.
+    """The paper's genetic search (Section 4.3.1).
 
-    Reproduces the pre-engine ``NetworkMapper`` exactly: for a given
+    The search space grows as ``(#precisions * #PEs) ** #layers``, so the
+    mapper explores it with a genetic algorithm:
+
+    1. sample an initial population of mapping candidates (warm starts
+       first, padded with random candidates);
+    2. evaluate each candidate's fitness (Equation 2) with the list
+       scheduler and the (subset-sampled, cached) accuracy evaluators;
+    3. keep the fittest candidates as parents ("elitism"), create children
+       by the paper's neighbour-pair crossover (one of each neighbouring
+       pair of parents survives with equal likelihood) and mutate a fixed
+       number of layers per child;
+    4. repeat for a configured number of generations, recording the best
+       and mean fitness per generation (the convergence curve of Figure
+       10a).
+
+    Reproduces the pre-engine evolutionary mapper exactly: for a given
     :attr:`NMPConfig.seed` it consumes the RNG in the same order and
     therefore returns the same best candidate and convergence history.
     """
@@ -413,8 +429,8 @@ class MapperEngine:
     cache — for any number of ``run`` calls, so strategy comparisons (Figure
     10) and repeated online remaps reuse each other's work.
 
-    Parameters mirror the original ``NetworkMapper``; ``evaluator`` lets
-    callers share an existing evaluator across engines.
+    ``evaluator`` lets callers share an existing evaluator across engines;
+    warm starts are passed per run.
     """
 
     def __init__(
@@ -425,7 +441,6 @@ class MapperEngine:
         config: Optional[NMPConfig] = None,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
         sparse: bool = True,
-        initial_candidates: Optional[List[MappingCandidate]] = None,
         evaluator: Optional[FitnessEvaluator] = None,
     ) -> None:
         self.graph = graph
@@ -440,7 +455,6 @@ class MapperEngine:
             accuracy_threshold=self.config.accuracy_threshold,
             sparse=sparse,
         )
-        self.initial_candidates = list(initial_candidates or [])
 
     # ------------------------------------------------------------------
     def run(
@@ -453,7 +467,8 @@ class MapperEngine:
 
         ``config`` overrides the engine's default configuration for this run
         (e.g. to hand different strategies an equal ``max_evaluations``
-        budget); ``initial_candidates`` overrides the warm starts.  The
+        budget); ``initial_candidates`` are the warm starts that strategies
+        seed their first population with (none by default).  The
         ``accuracy_threshold`` cannot be overridden per run — it is baked
         into the shared evaluator (and its fitness cache) at engine
         construction, so a differing value raises rather than being
@@ -466,15 +481,12 @@ class MapperEngine:
                 f"FitnessEvaluator was built with {self.evaluator.accuracy_threshold}, "
                 f"got {cfg.accuracy_threshold}; construct a new MapperEngine instead"
             )
-        seeds = list(
-            self.initial_candidates if initial_candidates is None else initial_candidates
-        )
         ctx = SearchContext(
             graph=self.graph,
             platform=self.platform,
             config=cfg,
             rng=np.random.default_rng(cfg.seed),
-            initial_candidates=seeds,
+            initial_candidates=list(initial_candidates or []),
         )
         strategy.reset()
         evaluations_before = self.evaluator.evaluations
@@ -531,10 +543,6 @@ class MapperEngine:
             strategy=strategy.name,
             requested_evaluations=requested,
         )
-
-    def run_named(self, strategy_name: str, **kwargs) -> NMPResult:
-        """Convenience wrapper: ``run(make_strategy(strategy_name), ...)``."""
-        return self.run(make_strategy(strategy_name), **kwargs)
 
     def equal_budget_config(self, generous_generations: int = 10_000) -> NMPConfig:
         """The engine's config with ``max_evaluations`` pinned to its schedule.

@@ -11,7 +11,9 @@ than the contrast threshold since the last event at that pixel
 scene generators in :mod:`repro.events.synthetic`) into an
 :class:`~repro.events.types.EventStream` plus the grayscale keyframes whose
 timestamps (``Tstart`` / ``Tend`` in the paper) anchor the Event2Sparse
-Frame converter.
+Frame converter.  Event generation has one implementation, restricted per
+interval to the pixels that can fire; the dense per-pixel transcription of
+the model it must match bit for bit lives in the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ class DVSCamera:
     ):
         """Vectorized event generation: per-interval active-pixel subset.
 
-        Bit-identical to :meth:`_generate_events_dense` (regression-tested)
-        but restricts the per-step work to pixels that *can* fire inside the
+        Bit-identical to a dense loop that subtracts every pixel at every
+        sub-step (the equivalence oracle in ``tests/oracles/events.py``) but
+        restricts the per-step work to pixels that *can* fire inside the
         interval.  The interpolated log intensity is linear in ``frac`` and
         the reference level only moves at pixels that fire, so a pixel's
         first crossing in the interval requires
@@ -215,58 +218,4 @@ class DVSCamera:
                 let[fired] = t_mid
             reference[cand_y, cand_x] = ref
             last_event_time[cand_y, cand_x] = let
-        return xs, ys, ts, ps
-
-    def _generate_events_dense(
-        self,
-        log_frames: Sequence[np.ndarray],
-        times: np.ndarray,
-        reference: np.ndarray,
-        last_event_time: np.ndarray,
-        theta: float,
-    ):
-        """Reference per-interval loop: one dense subtract per sub-step.
-
-        Kept as the oracle the vectorized path is equivalence-tested
-        against — a direct transcription of the pixel model, no gathering.
-        """
-        xs: List[np.ndarray] = []
-        ys: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        ps: List[np.ndarray] = []
-        steps = self.interpolation_steps
-        refractory = self.geometry.refractory_period
-
-        for idx in range(len(log_frames) - 1):
-            start_log, end_log = log_frames[idx], log_frames[idx + 1]
-            t0, t1 = times[idx], times[idx + 1]
-            for s in range(1, steps + 1):
-                frac = s / steps
-                current = start_log * (1.0 - frac) + end_log * frac
-                t_mid = t0 + frac * (t1 - t0)
-                # Emit as many events per pixel as the log intensity has
-                # crossed multiples of theta since the reference level.
-                delta = current - reference
-                n_events = np.floor(np.abs(delta) / theta).astype(np.int64)
-                eligible = (t_mid - last_event_time) >= refractory
-                n_events = np.where(eligible, n_events, 0)
-                if not n_events.any():
-                    continue
-                yy, xx = np.nonzero(n_events)
-                counts = n_events[yy, xx]
-                pol = np.sign(delta[yy, xx]).astype(np.int8)
-                # Repeat pixels that crossed the threshold multiple times.
-                rep_x = np.repeat(xx, counts).astype(np.int32)
-                rep_y = np.repeat(yy, counts).astype(np.int32)
-                rep_p = np.repeat(pol, counts)
-                jitter = self._rng.uniform(0.0, (t1 - t0) / (steps * 4.0), rep_x.size)
-                rep_t = np.full(rep_x.size, t_mid, dtype=np.float64) + jitter
-                xs.append(rep_x)
-                ys.append(rep_y)
-                ts.append(rep_t)
-                ps.append(rep_p)
-                # Update the per-pixel reference to the nearest crossed level
-                # and the last event time.
-                reference[yy, xx] += pol * counts * theta
-                last_event_time[yy, xx] = t_mid
         return xs, ys, ts, ps

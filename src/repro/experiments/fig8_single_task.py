@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from ..core.config import EvEdgeConfig, OptimizationLevel
 from ..core.dsfa import DSFAConfig
-from ..core.nmp.evolutionary import NMPConfig, NetworkMapper
+from ..core.nmp.search import EvolutionaryStrategy, MapperEngine, NMPConfig
 from ..core.pipeline import EvEdgePipeline
 from ..events.datasets import generate_sequence
 from ..hw.jetson import jetson_xavier_agx
@@ -57,14 +57,13 @@ def _single_task_nmp_mapping(network, platform: Platform, settings: ExperimentSe
         for precision in Precision.ordered()
         if gpu.supports_precision(precision)
     ]
-    mapper = NetworkMapper(
+    engine = MapperEngine(
         graph,
         platform,
         profile,
         NMPConfig(population_size=16, generations=10, seed=settings.seed),
-        initial_candidates=seeds,
     )
-    return mapper.run().best_candidate
+    return engine.run(EvolutionaryStrategy(), initial_candidates=seeds).best_candidate
 
 
 def run_fig8(

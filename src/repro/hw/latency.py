@@ -157,7 +157,7 @@ class LatencyModel:
 
         ``occupancies`` optionally carries one non-zero activation fraction
         per *compute* layer (an occupancy profile, e.g. from
-        :meth:`repro.nn.graph.LayerGraph.occupancy_profile`); entries of
+        :func:`repro.nn.occupancy.propagate_occupancy_graph`); entries of
         ``None`` fall back to the layer's static ``activation_sparsity``.
         """
         compute = [l for l in layers if l.kind.is_compute]

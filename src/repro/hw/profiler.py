@@ -3,10 +3,10 @@
 "The individual execution time for each layer and the communication time
 between layers are measured on the hardware platform and recorded before the
 search process begins" (paper Section 4.3.2).  :class:`PlatformProfiler`
-produces exactly those tables from the analytic latency/energy models:
-
-* per (layer, device, precision) execution latency and energy, and
-* per (producer, consumer, device pair, precision) communication time.
+produces the per (layer, device, precision) execution latency and energy
+table from the analytic latency/energy models; the communication time of a
+producer's output between two devices is
+:meth:`~repro.hw.pe.Platform.transfer_time`.
 
 The Network Mapper, the round-robin baselines and the runtime executor all
 consume :class:`ProfileTable` rather than calling the models directly, so a
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..nn.graph import MultiTaskGraph
-from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .energy import EnergyModel
 from .latency import LatencyModel
@@ -130,9 +129,3 @@ class PlatformProfiler:
                             node, pe.name, precision, sparse, ProfileEntry(latency, energy)
                         )
         return table
-
-    def communication_time(
-        self, producer: LayerSpec, precision: Precision, src: str, dst: str
-    ) -> float:
-        """Transfer time of ``producer``'s output activation from ``src`` to ``dst``."""
-        return self.platform.transfer_time(producer.output_bytes(precision), src, dst)

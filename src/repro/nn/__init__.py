@@ -19,8 +19,6 @@ from .occupancy import (
     OccupancyProfile,
     combine_supports,
     layer_output_occupancy,
-    propagate_occupancy,
-    propagate_occupancy_chain,
     propagate_occupancy_graph,
 )
 from .snn import LIFParameters, LIFState, lif_run, lif_step, spike_rate
@@ -49,8 +47,6 @@ __all__ = [
     "OccupancyProfile",
     "combine_supports",
     "layer_output_occupancy",
-    "propagate_occupancy",
-    "propagate_occupancy_chain",
     "propagate_occupancy_graph",
     "CalibrationResult",
     "estimate_firing_fractions",

@@ -160,24 +160,6 @@ class LayerGraph:
         """Total weight count."""
         return sum(l.num_parameters for l in self.layers())
 
-    def occupancy_profile(self, input_density: float) -> Tuple[float, ...]:
-        """Per-layer input occupancies for one input density.
-
-        Propagates the measured input density through the compute layers in
-        topological order using the support-dilation / activation-
-        sparsification rules of :mod:`repro.nn.occupancy`, following the
-        *graph*: at multi-input nodes each predecessor's output support is
-        dilated independently and the supports are combined (union for
-        element-wise fusion, channel-weighted mean for concat-style skips)
-        before the consumer's firing fraction applies.  For purely serial
-        networks this is bit-identical to the legacy chain walk.  Entries
-        are raw (unquantized); the layered cost stack buckets them per
-        layer.
-        """
-        from .occupancy import propagate_occupancy_graph
-
-        return propagate_occupancy_graph(self, input_density)
-
     def with_firing_fractions(self, fractions: Dict[str, float]) -> "LayerGraph":
         """Copy of the graph with calibrated per-layer firing fractions.
 

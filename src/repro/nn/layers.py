@@ -126,11 +126,6 @@ class LayerSpec:
         return self.in_width if self.kind is not LayerKind.FC else 1
 
     @property
-    def input_shape(self) -> Tuple[int, int, int]:
-        """``(C, H, W)`` of the input activation."""
-        return (self.in_channels, self.in_height, self.in_width)
-
-    @property
     def output_shape(self) -> Tuple[int, int, int]:
         """``(C, H, W)`` of the output activation."""
         return (self.out_channels, self.out_height, self.out_width)
@@ -223,7 +218,3 @@ class LayerSpec:
     def with_sparsity(self, activation_sparsity: float) -> "LayerSpec":
         """Return a copy with a different expected activation sparsity."""
         return replace(self, activation_sparsity=activation_sparsity)
-
-    def with_input_size(self, height: int, width: int) -> "LayerSpec":
-        """Return a copy with a different input spatial size."""
-        return replace(self, in_height=height, in_width=width)

@@ -26,29 +26,32 @@ sparsity behaviour the rest of the framework already encodes:
   nearly-empty input keeps deep layers nearly empty while a dense input
   saturates at the layer's modelled activity.
 
-Composing the two per layer yields an :class:`OccupancyProfile` — one input
-occupancy per compute layer.  Profiles from different input densities
-*converge* within a few layers (the composition is a contraction onto the
-modelled activity fix point), which is what lets the layered cost stack in
-:mod:`repro.runtime.sim` share deep-layer cache entries across mixed-density
-traffic after per-layer bucketing.
+:func:`propagate_occupancy_graph` composes the two along the network's
+DAG — at a join, the predecessors' dilated supports are combined
+(:func:`combine_supports`) before the consumer's firing fraction applies —
+and yields an :class:`OccupancyProfile`: one input occupancy per compute
+layer.  Along a serial segment the composition is a contraction onto the
+modelled-activity fix point, so profiles from different input densities
+converge within a few layers there; that is what lets the layered cost
+stack in :mod:`repro.runtime.sim` share deep-layer cache entries across
+mixed-density traffic after per-layer bucketing.  Joins re-inject the
+density difference carried by their skip branches, so in networks with
+joins deep entries can stay apart by more than one bucket.  This is the
+only propagation in the library; the serial chain walk it replaced is kept
+as a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .graph import LayerGraph
 from .layers import LayerKind, LayerSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports us lazily)
-    from .graph import LayerGraph
 
 __all__ = [
     "OccupancyProfile",
     "combine_supports",
     "layer_output_occupancy",
-    "propagate_occupancy",
-    "propagate_occupancy_chain",
     "propagate_occupancy_graph",
 ]
 
@@ -62,7 +65,7 @@ def layer_output_occupancy(spec: LayerSpec, occupancy: float) -> float:
 
     Pure support dilation under an independent-active-site model; the
     activation sparsification of the *consuming* layer is applied by
-    :func:`propagate_occupancy`, not here.
+    :func:`propagate_occupancy_graph`, not here.
     """
     d = _clamp(occupancy)
     if d == 0.0:
@@ -83,44 +86,6 @@ def layer_output_occupancy(spec: LayerSpec, occupancy: float) -> float:
         # the support of their input.
         return d
     return _clamp(1.0 - (1.0 - d) ** receptive)
-
-
-def propagate_occupancy_chain(
-    specs: Sequence[LayerSpec], input_occupancy: float
-) -> Tuple[float, ...]:
-    """Per-layer *input* occupancies for ``specs`` executed as a serial chain.
-
-    ``specs`` is the compute-layer sequence in topological order (the same
-    serial composition the cost models walk).  The first entry is the
-    measured input occupancy itself — the one quantity the simulator knows
-    exactly.  Every later entry is the previous layer's dilated output
-    scaled by the consuming layer's modelled firing fraction
-    (``1 - activation_sparsity``): activation sparsification caps how much
-    of the dilated support actually carries activity.
-
-    For a purely serial network this is exactly what
-    :func:`propagate_occupancy_graph` computes (bit-identical — the graph
-    walker runs the same float ops for single-predecessor nodes), which is
-    why the chain survives as the serial oracle.  For a DAG it is *wrong*
-    at every join: the chain dilates whichever spec happened to precede
-    the join in topological order and ignores the other branches.
-    """
-    occ = _clamp(input_occupancy)
-    entries: List[float] = []
-    previous: Optional[LayerSpec] = None
-    for spec in specs:
-        if previous is not None:
-            occ = layer_output_occupancy(previous, occ)
-            occ *= 1.0 - spec.activation_sparsity
-        entries.append(occ)
-        previous = spec
-    return tuple(entries)
-
-
-#: Backward-compatible alias — PR-4..8 callers imported the chain walker
-#: under this name.  New code should pick the chain or graph walker
-#: explicitly.
-propagate_occupancy = propagate_occupancy_chain
 
 
 def combine_supports(
@@ -157,15 +122,15 @@ def combine_supports(
 
 
 def propagate_occupancy_graph(
-    graph: "LayerGraph", input_occupancy: float
+    graph: LayerGraph, input_occupancy: float
 ) -> Tuple[float, ...]:
     """Per-layer *input* occupancies for ``graph``'s compute layers.
 
     Visits the compute nodes in topological order.  Source compute nodes
     (no compute predecessors) receive the measured ``input_occupancy`` —
     for a two-stream network every stream head sees the measured input,
-    instead of the chain walker's accident of dilating whichever spec
-    preceded it in topological order.  Every other node dilates *each*
+    not a dilation of whichever spec preceded it in topological order.
+    Every other node dilates *each*
     compute predecessor's recorded entry through that predecessor's own
     receptive field (:func:`layer_output_occupancy`), combines multiple
     predecessor supports with :func:`combine_supports` (union for
@@ -175,6 +140,8 @@ def propagate_occupancy_graph(
     Entries are returned in topological order over compute layers — the
     same order as ``graph.layers()`` filtered to compute specs, which is
     the order the runtime cost models resolve their layer assignments in.
+    Entries are raw (unquantized); the layered cost stack buckets them per
+    layer.
     """
     occ_in = _clamp(input_occupancy)
     entries: Dict[str, float] = {}
@@ -231,19 +198,8 @@ class OccupancyProfile:
         return cls((occupancy,) + (None,) * (num_layers - 1))
 
     @classmethod
-    def propagate(
-        cls, specs: Sequence[LayerSpec], input_occupancy: float
-    ) -> "OccupancyProfile":
-        """Chain-propagated per-layer profile for one input density.
-
-        Serial-chain semantics (:func:`propagate_occupancy_chain`); the
-        legacy oracle path.  Graph-aware callers use :meth:`from_graph`.
-        """
-        return cls(propagate_occupancy_chain(specs, input_occupancy))
-
-    @classmethod
     def from_graph(
-        cls, graph: "LayerGraph", input_occupancy: float
+        cls, graph: LayerGraph, input_occupancy: float
     ) -> "OccupancyProfile":
         """Graph-propagated per-layer profile for one input density."""
         return cls(propagate_occupancy_graph(graph, input_occupancy))

@@ -34,8 +34,9 @@ on:
   to the pre-profile scalar path.  In ``cost_mode="profile"`` the input
   density is *propagated* layer by layer (support dilation + activation
   sparsification) and bucketed per layer **after** propagation, so
-  mixed-density traffic converges onto shared deep-layer cache cells
-  instead of thrashing the memo per input bucket.
+  mixed-density traffic whose deep entries converge (as they do along
+  serial segments) shares deep-layer cache cells instead of thrashing the
+  memo per input bucket.
 
 Single-stream clients (``EvEdgePipeline.run``) and the multi-stream traffic
 simulator (:mod:`repro.runtime.streams`) are both thin protocol drivers on
@@ -106,24 +107,15 @@ class PipelineReport:
     maintained as *streaming accumulators* updated by :meth:`add_records`,
     so reading a property never materializes an array over the full record
     list — a fleet-scale run reads these per stream without touching its
-    (possibly huge) record history.  With ``keep_records=False`` the record
-    list itself is not retained either: only the accumulators survive, which
-    is the memory-lean mode the large-fleet benchmarks run in.  The default
-    keeps full records, which traces and the per-record regression tests
-    rely on.
+    (possibly huge) record history.  Records must be accounted through
+    :meth:`add_records`; ``records`` is only the retained history.
 
-    ``records`` stays a plain mutable list for backward compatibility; a
-    report whose list was appended to directly (bypassing
-    :meth:`add_records`) falls back to recomputing its aggregates from the
-    records with the same sequential formulas.
-
-    ``record_limit`` bounds the retained list to the *most recent* N
-    records (oldest entries are discarded as new ones arrive) while the
-    streaming aggregates keep accounting every record — the middle ground
-    between full retention and ``keep_records=False`` for long-horizon
-    fleets that still want a tail of records for inspection.  A limited
-    report never takes the direct-mutation recompute fallback: its list is
-    intentionally shorter than ``_num_records``.
+    ``record_limit`` bounds that history to the *most recent* N records
+    (oldest entries are discarded as new ones arrive) while the streaming
+    aggregates keep accounting every record: ``None`` (the default) keeps
+    every record, which traces and the per-record regression tests rely on;
+    ``0`` keeps none — the memory-lean mode the large-fleet benchmarks run
+    in; ``N`` keeps an inspectable tail for long-horizon fleets.
     """
 
     __slots__ = (
@@ -131,7 +123,6 @@ class PipelineReport:
         "frames_generated",
         "frames_merged",
         "frames_dropped",
-        "keep_records",
         "record_limit",
         "cost_mode",
         "_num_records",
@@ -141,16 +132,13 @@ class PipelineReport:
         "_max_end_time",
     )
 
-    def __init__(
-        self, keep_records: bool = True, record_limit: Optional[int] = None
-    ) -> None:
-        if record_limit is not None and record_limit < 1:
-            raise ValueError("record_limit must be >= 1 or None")
+    def __init__(self, record_limit: Optional[int] = None) -> None:
+        if record_limit is not None and record_limit < 0:
+            raise ValueError("record_limit must be >= 0 or None")
         self.records: List[InferenceRecord] = []
         self.frames_generated = 0
         self.frames_merged = 0
         self.frames_dropped = 0
-        self.keep_records = keep_records
         self.record_limit = record_limit
         # Cost-stack semantics the run was costed under ("flat"/"profile");
         # stamped by the stream client, None until a cost model is attached.
@@ -170,9 +158,9 @@ class PipelineReport:
             self._occupancy_sum += record.occupancy
             if record.end_time > self._max_end_time:
                 self._max_end_time = record.end_time
-        if self.keep_records:
+        limit = self.record_limit
+        if limit != 0:
             self.records.extend(records)
-            limit = self.record_limit
             if limit is not None and len(self.records) > limit:
                 del self.records[: len(self.records) - limit]
 
@@ -180,20 +168,18 @@ class PipelineReport:
         """Combine two reports into a new one (shard-report composition).
 
         Frame counters and streaming accumulators are summed, the completion
-        time is the max of the two, and records are concatenated when *both*
-        inputs retained them (a lean report anywhere in the merge keeps the
-        result lean — the accumulators are the part that composes at fleet
-        scale).  Neither input is mutated.
+        time is the max of the two, and the retained records are
+        concatenated under the smaller of the two record limits (a lean
+        report anywhere in the merge keeps the result lean — the
+        accumulators are the part that composes at fleet scale).  Neither
+        input is mutated.
         """
         limits = [
             part.record_limit
             for part in (self, other)
             if part.record_limit is not None
         ]
-        merged = PipelineReport(
-            keep_records=self.keep_records and other.keep_records,
-            record_limit=min(limits) if limits else None,
-        )
+        merged = PipelineReport(record_limit=min(limits) if limits else None)
         merged.cost_mode = (
             self.cost_mode if self.cost_mode == other.cost_mode else "mixed"
         )
@@ -201,78 +187,47 @@ class PipelineReport:
         merged.frames_merged = self.frames_merged + other.frames_merged
         merged.frames_dropped = self.frames_dropped + other.frames_dropped
         for part in (self, other):
-            count, latency, energy, occupancy, max_end = part._accumulators()
-            merged._num_records += count
-            merged._latency_sum += latency
-            merged._energy_sum += energy
-            merged._occupancy_sum += occupancy
-            if max_end > merged._max_end_time:
-                merged._max_end_time = max_end
-        if merged.keep_records:
+            merged._num_records += part._num_records
+            merged._latency_sum += part._latency_sum
+            merged._energy_sum += part._energy_sum
+            merged._occupancy_sum += part._occupancy_sum
+            if part._max_end_time > merged._max_end_time:
+                merged._max_end_time = part._max_end_time
+        limit = merged.record_limit
+        if limit != 0:
             merged.records = self.records + other.records
-            limit = merged.record_limit
             if limit is not None and len(merged.records) > limit:
                 del merged.records[: len(merged.records) - limit]
         return merged
 
-    def _accumulators(self) -> Tuple[int, float, float, float, float]:
-        """(count, latency_sum, energy_sum, occupancy_sum, max_end_time).
-
-        Recomputed from ``records`` when the list was mutated directly —
-        never for a ``record_limit``-bounded report, whose trimmed list is
-        legitimately shorter than the accounted record count.
-        """
-        if (
-            self.keep_records
-            and self.record_limit is None
-            and len(self.records) != self._num_records
-        ):
-            latency = energy = occupancy = max_end = 0.0
-            for record in self.records:
-                latency += record.latency
-                energy += record.energy
-                occupancy += record.occupancy
-                if record.end_time > max_end:
-                    max_end = record.end_time
-            return len(self.records), latency, energy, occupancy, max_end
-        return (
-            self._num_records,
-            self._latency_sum,
-            self._energy_sum,
-            self._occupancy_sum,
-            self._max_end_time,
-        )
-
     @property
     def num_inferences(self) -> int:
         """Number of network invocations performed."""
-        return self._accumulators()[0]
+        return self._num_records
 
     @property
     def total_time(self) -> float:
         """Wall-clock completion time of the last inference."""
-        return self._accumulators()[4]
+        return self._max_end_time
 
     @property
     def mean_latency(self) -> float:
         """Mean per-inference latency (dispatch to completion), seconds."""
-        count, latency_sum, _, _, _ = self._accumulators()
-        if count == 0:
+        if self._num_records == 0:
             return 0.0
-        return latency_sum / count
+        return self._latency_sum / self._num_records
 
     @property
     def total_energy(self) -> float:
         """Total energy in joules."""
-        return self._accumulators()[2]
+        return self._energy_sum
 
     @property
     def mean_occupancy(self) -> float:
         """Mean input occupancy across inferences."""
-        count, _, _, occupancy_sum, _ = self._accumulators()
-        if count == 0:
+        if self._num_records == 0:
             return 0.0
-        return occupancy_sum / count
+        return self._occupancy_sum / self._num_records
 
 
 # ----------------------------------------------------------------------
@@ -759,10 +714,11 @@ class NetworkCostModel:
     * ``"profile"`` — the input density is propagated through the layers
       (support dilation + activation sparsification, see
       :mod:`repro.nn.occupancy`) and bucketed **per layer after
-      propagation**.  Mixed-density traffic converges onto the same deep
-      buckets within a few layers, so DSFA merges and heterogeneous
-      streams share every deep-layer cache cell instead of thrashing the
-      memo per input bucket.
+      propagation**.  Along serial segments mixed-density traffic
+      converges onto the same deep buckets within a few layers, so DSFA
+      merges and heterogeneous streams share those deep-layer cache cells
+      instead of thrashing the memo per input bucket; joins can keep deep
+      entries a bucket or more apart.
     """
 
     def __init__(

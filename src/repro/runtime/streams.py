@@ -235,7 +235,6 @@ class StreamClient:
         kernel: SimulationKernel,
         executor,
         cost_model: NetworkCostModel,
-        keep_records: bool = True,
         record_limit: Optional[int] = None,
     ) -> None:
         self.source = source
@@ -245,9 +244,7 @@ class StreamClient:
         self.cost_model = cost_model
         self.config = source.config
         self.queue_depth = source.config.dsfa.inference_queue_depth
-        self.report = PipelineReport(
-            keep_records=keep_records, record_limit=record_limit
-        )
+        self.report = PipelineReport(record_limit=record_limit)
         self.report.cost_mode = cost_model.cost_mode
         # Arrival-cursor state, populated by prime(): the rendered stack and
         # arrivals (held on the client rather than closed over by queued
@@ -651,14 +648,13 @@ class MultiStreamReport:
 
         Computed from the per-stream streaming accumulators, so it works
         (and costs O(streams), not O(records)) even when the fleet ran with
-        ``retain_records=False``.
+        ``record_limit=0``.
         """
         count = 0
         latency_sum = 0.0
         for report in self.reports.values():
-            stream_count, stream_latency, _, _, _ = report._accumulators()
-            count += stream_count
-            latency_sum += stream_latency
+            count += report._num_records
+            latency_sum += report._latency_sum
         if count == 0:
             return 0.0
         return latency_sum / count
@@ -771,17 +767,14 @@ class MultiStreamSimulator:
         re-runs a budgeted NMP search over the networks active at that
         instant and rebinds the affected cost models.  Only streams whose
         optimization level uses NMP participate.
-    retain_records:
-        Keep the full per-inference record list on every stream report
-        (default).  ``False`` keeps only the streaming aggregates — the
-        memory-lean mode for very large fleets; traces still work, but
-        per-record analyses need the default.
     record_limit:
-        With ``retain_records=True``, bound every stream's retained record
-        list to its most recent N :class:`~repro.runtime.sim.
-        InferenceRecord` entries (``None`` = unbounded).  The streaming
-        aggregates keep accounting every record, so report-level statistics
-        are unchanged — only the inspectable tail is capped.
+        How many of its most recent :class:`~repro.runtime.sim.
+        InferenceRecord` entries every stream report retains: ``None``
+        (default) keeps the full list, ``0`` keeps none — the memory-lean
+        mode for very large fleets; traces still work, but per-record
+        analyses need retained records — and ``N`` keeps the newest N.  The
+        streaming aggregates keep accounting every record, so report-level
+        statistics are unchanged.
     shards:
         Number of worker kernels the fleet is partitioned across
         (default 1 = the in-process path, bit-identical to the unsharded
@@ -841,7 +834,6 @@ class MultiStreamSimulator:
         occupancy_resolution: Optional[float] = 1.0 / 64.0,
         max_merge_streams: int = 4,
         remap_policy: Optional[RemapPolicy] = None,
-        retain_records: bool = True,
         record_limit: Optional[int] = None,
         cost_mode: str = "flat",
         shards: int = 1,
@@ -858,8 +850,8 @@ class MultiStreamSimulator:
             raise ValueError(
                 f"unknown cost_mode {cost_mode!r}; expected one of {COST_MODES}"
             )
-        if record_limit is not None and record_limit < 1:
-            raise ValueError("record_limit must be >= 1 or None")
+        if record_limit is not None and record_limit < 0:
+            raise ValueError("record_limit must be >= 0 or None")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
@@ -874,7 +866,6 @@ class MultiStreamSimulator:
             occupancy_resolution=occupancy_resolution,
             max_merge_streams=max_merge_streams,
             remap_policy=remap_policy,
-            retain_records=retain_records,
             record_limit=record_limit,
             cost_mode=cost_mode,
         )
@@ -885,7 +876,6 @@ class MultiStreamSimulator:
         )
         self.max_merge_streams = max_merge_streams
         self.remap_policy = remap_policy
-        self.retain_records = retain_records
         self.record_limit = record_limit
         self.cost_mode = cost_mode
         self.remap_client = (
@@ -1016,7 +1006,6 @@ class MultiStreamSimulator:
                     kernel,
                     executor=servers[signature],
                     cost_model=cost_models[signature],
-                    keep_records=self.retain_records,
                     record_limit=self.record_limit,
                 )
             )

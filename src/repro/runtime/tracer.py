@@ -80,11 +80,6 @@ class KernelTrace:
         self.record_details = record_details
         self.entries_dropped = 0
 
-    @property
-    def dropped_entries(self) -> int:
-        """Backward-compatible alias of :attr:`entries_dropped`."""
-        return self.entries_dropped
-
     def record(self, event) -> None:
         """Append one kernel event (called by the kernel itself).
 

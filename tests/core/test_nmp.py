@@ -7,12 +7,13 @@ import pytest
 
 from repro.core import (
     Assignment,
+    EvolutionaryStrategy,
     ExecutionScheduler,
     FitnessEvaluator,
+    MapperEngine,
     MappingCandidate,
     NMPConfig,
-    NetworkMapper,
-    RandomSearchMapper,
+    RandomSearchStrategy,
 )
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
@@ -141,7 +142,9 @@ class TestFitnessAndSearch:
 
     def test_nmp_improves_over_generations(self, graph, platform, profile):
         config = NMPConfig(population_size=10, generations=6, seed=0)
-        result = NetworkMapper(graph, platform, profile, config).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy()
+        )
         assert result.convergence[-1] <= result.convergence[0]
         assert result.best_latency > 0
         assert len(result.history) == 6
@@ -151,29 +154,35 @@ class TestFitnessAndSearch:
         evaluator_reference = FitnessEvaluator(graph, platform, profile)
         seed_fitness = evaluator_reference.evaluate(seed_candidate).fitness
         config = NMPConfig(population_size=8, generations=4, seed=0)
-        result = NetworkMapper(
-            graph, platform, profile, config, initial_candidates=[seed_candidate]
-        ).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy(), initial_candidates=[seed_candidate]
+        )
         assert result.best_breakdown.fitness <= seed_fitness + 1e-12
 
     def test_nmp_beats_round_robin(self, graph, platform, profile):
         config = NMPConfig(population_size=16, generations=10, seed=1)
         seeds = [rr_network_mapping(graph, platform), rr_layer_mapping(graph, platform)]
-        result = NetworkMapper(graph, platform, profile, config, initial_candidates=seeds).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy(), initial_candidates=seeds
+        )
         scheduler = ExecutionScheduler(platform, profile, sparse=True)
         rr_latency = scheduler.schedule(graph, rr_network_mapping(graph, platform)).max_task_latency
         assert result.best_latency <= rr_latency
 
     def test_full_precision_search_uses_only_highest_precision(self, graph, platform, profile):
         config = NMPConfig(population_size=8, generations=3, full_precision_only=True, seed=0)
-        result = NetworkMapper(graph, platform, profile, config).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy()
+        )
         for node, assignment in result.best_candidate.assignments.items():
             pe = platform.pe(assignment.pe)
             assert assignment.precision == pe.highest_supported_precision()
 
     def test_random_search_runs(self, graph, platform, profile):
         config = NMPConfig(population_size=8, generations=4, seed=0)
-        result = RandomSearchMapper(graph, platform, profile, config).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            RandomSearchStrategy()
+        )
         assert result.best_latency > 0
         # Best-so-far curve is non-increasing by construction.
         assert all(b <= a + 1e-12 for a, b in zip(result.convergence, result.convergence[1:]))

@@ -15,8 +15,6 @@ from repro.core import (
     MapperEngine,
     MappingCandidate,
     NMPConfig,
-    NetworkMapper,
-    RandomSearchMapper,
     RandomSearchStrategy,
     STRATEGIES,
     SimulatedAnnealingStrategy,
@@ -26,6 +24,8 @@ from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, TaskAccuracyEvaluator, TaskSpec
 from repro.runtime import all_gpu_mapping, rr_layer_mapping
+
+from oracles.nmp import schedule_reference
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def profile(platform, graph):
 
 
 def seed_reference_evolutionary(graph, platform, profile, config, initial_candidates=()):
-    """The pre-engine ``NetworkMapper.run`` loop, re-implemented verbatim.
+    """The pre-engine evolutionary mapper's ``run`` loop, re-implemented verbatim.
 
     The refactored engine must reproduce this bit-for-bit for a given seed
     (the Figure-10 regression contract).
@@ -112,7 +112,9 @@ class TestSeedReproduction:
         expected_candidate, expected_best, expected_history = (
             seed_reference_evolutionary(graph, platform, profile, config)
         )
-        result = NetworkMapper(graph, platform, profile, config).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy()
+        )
         assert result.best_candidate.key() == expected_candidate.key()
         assert result.best_breakdown.fitness == expected_best.fitness
         assert [
@@ -125,9 +127,9 @@ class TestSeedReproduction:
         expected_candidate, _, expected_history = seed_reference_evolutionary(
             graph, platform, profile, config, initial_candidates=seeds
         )
-        result = NetworkMapper(
-            graph, platform, profile, config, initial_candidates=seeds
-        ).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy(), initial_candidates=seeds
+        )
         assert result.best_candidate.key() == expected_candidate.key()
         assert [
             (g.best_fitness, g.mean_fitness, g.best_latency) for g in result.history
@@ -285,7 +287,7 @@ class TestFlatScheduler:
         ] + [MappingCandidate.random(graph, platform, rng) for _ in range(10)]
         for mapping in mappings:
             flat = scheduler.schedule(graph, mapping)
-            reference = scheduler.schedule_reference(graph, mapping)
+            reference = schedule_reference(scheduler, graph, mapping)
             assert flat.task_latencies == reference.task_latencies
             assert flat.energy == reference.energy
             assert flat.makespan == reference.makespan
@@ -318,7 +320,7 @@ class TestFlatScheduler:
         with pytest.raises(KeyError):
             scheduler.schedule(graph, mapping)
         with pytest.raises(KeyError):
-            scheduler.schedule_reference(graph, mapping)
+            schedule_reference(scheduler, graph, mapping)
 
 
 class TestDeltaEvaluation:
@@ -383,7 +385,7 @@ class TestDeltaEvaluation:
         for _ in range(8):
             candidate = MappingCandidate.random(graph, platform, rng)
             latencies, energy = scheduler.schedule_metrics(graph, candidate)
-            reference = scheduler.schedule_reference(graph, candidate)
+            reference = schedule_reference(scheduler, graph, candidate)
             assert latencies == dict(reference.task_latencies)
             assert energy == reference.energy
             # No accuracy evaluators: the fitness is the reference makespan.
@@ -391,18 +393,3 @@ class TestDeltaEvaluation:
                 reference.task_latencies.values()
             )
 
-
-class TestMapperCompatibility:
-    def test_network_mapper_exposes_engine_and_evaluator(self, graph, platform, profile):
-        mapper = NetworkMapper(graph, platform, profile, NMPConfig(population_size=4, generations=2))
-        assert mapper.evaluator is mapper.engine.evaluator
-        result = mapper.run()
-        assert result.strategy == "evolutionary"
-
-    def test_random_mapper_runs_through_engine(self, graph, platform, profile):
-        mapper = RandomSearchMapper(
-            graph, platform, profile, NMPConfig(population_size=4, generations=2)
-        )
-        result = mapper.run()
-        assert result.strategy == "random"
-        assert result.requested_evaluations == 8

@@ -104,7 +104,7 @@ class TestPipeline:
     def test_kernel_run_matches_seed_reference(self, network, platform, sequence):
         """``run()`` on the event kernel must replay the seed's inline loop
         record for record (same dispatch/start/end times, energy, counters)."""
-        from oracles.frames import ReferenceAggregator, frame_batch
+        from oracles.frames import ReferenceAggregator, convert_sequence, frame_batch
         from repro.core.e2sf import Event2SparseFrameConverter
         from repro.core.pipeline import InferenceRecord, PipelineReport
 
@@ -128,19 +128,18 @@ class TestPipeline:
                     max(occupancy, 1e-4), max(len(batch), 1)
                 )
                 start = max(dispatch_time, busy_until)
-                report.records.append(
-                    InferenceRecord(
-                        dispatch_time, start, start + latency,
-                        len(batch), occupancy, energy,
-                    )
+                report.add_records(
+                    [
+                        InferenceRecord(
+                            dispatch_time, start, start + latency,
+                            len(batch), occupancy, energy,
+                        )
+                    ]
                 )
                 return start + latency
 
             timestamps = seq.frame_timestamps
-            for i in range(seq.num_intervals):
-                frames = converter.convert(
-                    seq.events, float(timestamps[i]), float(timestamps[i + 1])
-                )
+            for frames in convert_sequence(converter, seq.events, timestamps):
                 report.frames_generated += len(frames)
                 for frame in frames:
                     arrival = frame.t_end

@@ -1,9 +1,10 @@
 """Vectorized DVS event generation vs the dense reference loop.
 
 ``DVSCamera._generate_events`` gathers a per-interval active-pixel subset;
-``_generate_events_dense`` is the direct transcription of the pixel model
-kept as the oracle.  Same seed, same frames → bit-identical event arrays
-(values, dtypes, ordering) and identical per-pixel reference state.
+:func:`oracles.events.generate_events_dense` is the direct transcription of
+the pixel model kept as the oracle.  Same seed, same frames → bit-identical
+event arrays (values, dtypes, ordering) and identical per-pixel reference
+state.
 """
 
 from __future__ import annotations
@@ -11,25 +12,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.events import generate_events_dense
 from repro.events.camera import DVSCamera, _LOG_EPS
 from repro.events.types import SensorGeometry
 
 
-def _run(method: str, geometry, frames, times, seed=42, steps=4):
+def _run(generate, geometry, frames, times, seed=42, steps=4):
     camera = DVSCamera(geometry=geometry, interpolation_steps=steps, seed=seed)
     log_frames = [np.log(np.maximum(f, 0.0) + _LOG_EPS) for f in frames]
     reference = log_frames[0].copy()
     last_event_time = np.full((geometry.height, geometry.width), -np.inf)
-    out = getattr(camera, method)(
-        log_frames, times, reference, last_event_time, geometry.contrast_threshold
+    out = generate(
+        camera,
+        log_frames,
+        times,
+        reference,
+        last_event_time,
+        geometry.contrast_threshold,
     )
     return out, reference, last_event_time
 
 
 def _assert_equivalent(geometry, frames, times, seed=42, steps=4):
-    vec, ref_v, let_v = _run("_generate_events", geometry, frames, times, seed, steps)
+    vec, ref_v, let_v = _run(
+        DVSCamera._generate_events, geometry, frames, times, seed, steps
+    )
     dense, ref_d, let_d = _run(
-        "_generate_events_dense", geometry, frames, times, seed, steps
+        generate_events_dense, geometry, frames, times, seed, steps
     )
     for vec_chunks, dense_chunks in zip(vec, dense):
         assert len(vec_chunks) == len(dense_chunks)
@@ -73,6 +82,37 @@ class TestVectorizedCamera:
         times = np.linspace(0.0, 0.5, len(frames))
         _assert_equivalent(geometry, frames, times)
 
+        # Exact refractory tie: with one sub-step per interval every pixel
+        # fires at each grayscale timestamp, exactly one refractory period
+        # after its previous event, which must not block it.
+        tie = SensorGeometry(height=4, width=4, refractory_period=0.25)
+        levels = [0.2, 0.9, 0.2, 0.9, 0.2]
+        vec = _assert_equivalent(
+            tie,
+            [np.full((4, 4), level) for level in levels],
+            np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+            steps=1,
+        )
+        assert all(chunks for chunks in vec)
+
+        # A pixel the refractory period blocks while the intensity runs
+        # 5 theta ahead of its reference, then drifts back to 1.25 theta
+        # above the start: it ends the next interval only 0.25 theta past
+        # its reference but crosses several levels at the first sub-step.
+        drift = SensorGeometry(height=4, width=4, refractory_period=0.03)
+        theta = drift.contrast_threshold
+        log_start = np.log(0.5 + _LOG_EPS)
+        vec = _assert_equivalent(
+            drift,
+            [
+                np.full((4, 4), np.exp(log_start + k * theta) - _LOG_EPS)
+                for k in (0.0, 5.0, 1.25)
+            ],
+            np.array([0.0, 0.01, 0.21]),
+            steps=4,
+        )
+        assert all(chunks for chunks in vec)
+
     def test_static_scene_emits_nothing_and_draws_no_jitter(self, geometry):
         # Identical frames: the vectorized path must skip whole intervals
         # without touching the rng, exactly like the dense loop.
@@ -86,7 +126,9 @@ class TestVectorizedCamera:
         times = np.linspace(0.0, 0.5, len(frames))
         fast = DVSCamera(geometry=geometry, seed=7).simulate(frames, times)
         slow_camera = DVSCamera(geometry=geometry, seed=7)
-        slow_camera._generate_events = slow_camera._generate_events_dense
+        slow_camera._generate_events = lambda *args: generate_events_dense(
+            slow_camera, *args
+        )
         slow = slow_camera.simulate(frames, times)
         assert np.array_equal(fast.events.x, slow.events.x)
         assert np.array_equal(fast.events.y, slow.events.y)

@@ -1,10 +1,11 @@
 """Tests for graph-aware occupancy propagation (repro.nn.occupancy).
 
 Covers the graph walker against every zoo network: serial nets must be
-bit-identical to the chain oracle, DAG join nodes must see the combined
-predecessor support (union for element-wise fusion, channel-weighted mean
-for concat-style skips), two-stream networks must give *every* source the
-measured input, and profiles must stay monotone in input density.
+bit-identical to the chain oracle (:mod:`oracles.occupancy`), DAG join
+nodes must see the combined predecessor support (union for element-wise
+fusion, channel-weighted mean for concat-style skips), two-stream networks
+must give *every* source the measured input, and profiles must stay
+monotone in input density.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.models import available_networks, build_network
+from oracles.occupancy import propagate_occupancy_chain
 from repro.nn import (
     LayerGraph,
     LayerKind,
     LayerSpec,
     combine_supports,
     layer_output_occupancy,
-    propagate_occupancy_chain,
     propagate_occupancy_graph,
 )
 
@@ -195,10 +196,6 @@ class TestGraphPropagation:
         assert len(sources) >= 2, f"{name} should be two-stream"
         for source in sources:
             assert entries[source] == pytest.approx(0.07)
-
-    def test_layer_graph_occupancy_profile_routes_through_graph(self):
-        net = build_network("spikeflownet", 64, 64)
-        assert net.occupancy_profile(0.09) == propagate_occupancy_graph(net, 0.09)
 
 
 class TestWithFiringFractions:

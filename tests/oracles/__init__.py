@@ -1,1 +1,12 @@
-"""Frozen reference implementations pinned by the equivalence tests."""
+"""Frozen reference implementations pinned by the equivalence tests.
+
+Each module holds the implementation a production path in ``src/``
+replaced, kept so the tests can require bit-identical results:
+
+* :mod:`.events` — dense DVS event generation (the camera);
+* :mod:`.frames` — per-bin E2SF rendering, per-frame merges and DSFA;
+* :mod:`.occupancy` — serial-chain occupancy propagation;
+* :mod:`.nmp` — the graph-walking NMP list scheduler;
+* :mod:`.runtime` — the pre-refactor kernel, server, cost stacks and
+  stream clients.
+"""

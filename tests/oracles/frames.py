@@ -9,7 +9,8 @@ compare against:
 * :func:`add_reference` — the ``np.unique`` + ``np.bincount`` cAdd merge;
 * :func:`to_dense_reference` / :func:`batch_to_dense_reference` — the
   ``np.add.at`` frame decode and the per-frame ``np.stack`` batch decode;
-* :func:`convert_sequence` — the per-interval × per-bin E2SF loop;
+* :func:`convert_sequence` — the per-interval × per-bin E2SF loop
+  (``slice_time``, ``assign_event_bins``, ``SparseFrame.from_events``);
 * :class:`ReferenceMergeBucket` / :class:`ReferenceAggregator` — the
   per-frame DSFA of paper Figure 6: list-of-frames buckets whose density
   probes re-merge the whole list, the full bucket scan per push and one
@@ -30,6 +31,7 @@ import numpy as np
 from repro.core.dsfa import BucketStatus, DSFAConfig, MergeMode
 from repro.core.e2sf import Event2SparseFrameConverter
 from repro.events.types import EventStream
+from repro.frames.dense import assign_event_bins
 from repro.frames.sparse import SparseFrame, SparseFrameBatch
 from repro.frames.stack import FrameStack
 
@@ -96,16 +98,37 @@ def convert_sequence(
 ) -> List[List[SparseFrame]]:
     """The per-interval × per-bin render loop behind ``convert_stack``.
 
-    One :meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert` call per
-    consecutive grayscale interval, one list of ``num_bins`` frames each.
+    For each consecutive grayscale interval: slice the half-open event
+    window, assign every event its Equation-1 bin and build one frame per
+    bin with :meth:`~repro.frames.sparse.SparseFrame.from_events` — one list
+    of ``converter.num_bins`` frames per interval.
     """
-    timestamps = list(frame_timestamps)
+    timestamps = [float(t) for t in frame_timestamps]
     if len(timestamps) < 2:
         raise ValueError("at least two grayscale frame timestamps are required")
-    return [
-        converter.convert(stream, timestamps[i], timestamps[i + 1])
-        for i in range(len(timestamps) - 1)
-    ]
+    num_bins = converter.num_bins
+    geometry = stream.geometry
+    out: List[List[SparseFrame]] = []
+    for t_start, t_end in zip(timestamps[:-1], timestamps[1:]):
+        window = stream.slice_time(t_start, t_end)
+        bin_duration = (t_end - t_start) / num_bins
+        bins = assign_event_bins(window.t, t_start, t_end, num_bins)
+        frames: List[SparseFrame] = []
+        for k in range(num_bins):
+            mask = bins == k
+            frames.append(
+                SparseFrame.from_events(
+                    window.x[mask],
+                    window.y[mask],
+                    window.p[mask],
+                    geometry.height,
+                    geometry.width,
+                    t_start + k * bin_duration,
+                    t_start + (k + 1) * bin_duration,
+                )
+            )
+        out.append(frames)
+    return out
 
 
 def frame_batch(frames: Sequence[SparseFrame]) -> SparseFrameBatch:

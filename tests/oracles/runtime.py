@@ -50,8 +50,8 @@ Oracle fleets run on :class:`~repro.runtime.streams.MultiStreamSimulator`
 subclasses that swap one component class each (:class:`LegacySimulator`,
 :class:`ScalarCostSimulator`, :class:`EagerSimulator`,
 :class:`PerFrameReferenceSimulator`).  Like
-:meth:`~repro.core.nmp.scheduler.ExecutionScheduler.schedule_reference` for
-the NMP fast path, this is deliberately unoptimized verification code.
+:func:`~oracles.nmp.schedule_reference` for the NMP fast path, this is
+deliberately unoptimized verification code.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ from repro.runtime.sim import (
 )
 from repro.runtime.streams import MultiStreamSimulator, StreamClient, StreamSource
 
-from .frames import ReferenceAggregator, frame_batch
+from .frames import ReferenceAggregator, convert_sequence, frame_batch
+from .occupancy import propagate_occupancy_chain
 
 __all__ = [
     "LegacyScanKernel",
@@ -254,7 +255,7 @@ class ChainCostModel(NetworkCostModel):
     Identical to :class:`~repro.runtime.sim.NetworkCostModel` in every
     architectural respect (per-layer bucketing, layered memoization) but
     builds its profiles with the serial chain walk
-    (:func:`~repro.nn.occupancy.propagate_occupancy_chain`) instead of
+    (:func:`~oracles.occupancy.propagate_occupancy_chain`) instead of
     graph propagation.  The divergence tests pin the graph refactor's
     semantics against it:
 
@@ -272,27 +273,25 @@ class ChainCostModel(NetworkCostModel):
         if self.cost_mode == "flat" or occ_key is None or num_layers <= 1:
             return OccupancyProfile.flat(occ_key, num_layers)
         specs = [spec for spec, _, _ in self._assignments]
-        raw = OccupancyProfile.propagate(specs, occ_key)
+        raw = OccupancyProfile(propagate_occupancy_chain(specs, occ_key))
         return raw.bucketed(self.table.bucket)
 
 
 def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseFrame]]:
     """Render ``source`` with the pre-columnar per-interval loop.
 
-    One :meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert` call per
-    grayscale interval, one frame object per bin, arrival ``t_end +
-    start_offset``, frames arriving after ``stop_time`` dropped — uncached
-    and deliberately unoptimized.  The columnar
+    Frames come from the per-bin loop :func:`~oracles.frames.convert_sequence`
+    (one frame object per bin), arrival ``t_end + start_offset``, frames
+    arriving after ``stop_time`` dropped — uncached and deliberately
+    unoptimized.  The columnar
     :meth:`~repro.runtime.streams.StreamSource.generate_stack` render must
     be bit-identical to it.
     """
     converter = Event2SparseFrameConverter(source.config.num_bins)
-    timestamps = source.sequence.frame_timestamps
     out: List[Tuple[float, SparseFrame]] = []
-    for i in range(source.sequence.num_intervals):
-        frames = converter.convert(
-            source.sequence.events, float(timestamps[i]), float(timestamps[i + 1])
-        )
+    for frames in convert_sequence(
+        converter, source.sequence.events, source.sequence.frame_timestamps
+    ):
         for frame in frames:
             arrival = frame.t_end + source.start_offset
             if source.stop_time is not None and arrival > source.stop_time:

@@ -24,7 +24,7 @@ from repro.runtime import (
     OccupancyProfile,
     StreamSource,
 )
-from repro.nn import LayerGraph, LayerKind, LayerSpec
+from repro.nn import LayerGraph, LayerKind, LayerSpec, propagate_occupancy_graph
 
 from oracles.frames import frame_batch
 from oracles.runtime import ChainCostModel, ScalarCostModel, ScalarCostSimulator
@@ -386,7 +386,7 @@ class TestHardwareProfileHooks:
         model = LatencyModel()
         gpu = platform.gpu()
         specs = [s for s in network.layers() if s.kind.is_compute]
-        profile = network.occupancy_profile(0.08)
+        profile = propagate_occupancy_graph(network, 0.08)
         from repro.nn import Precision
 
         total = model.network_latency(
@@ -411,7 +411,7 @@ class TestHardwareProfileHooks:
         model = EnergyModel()
         gpu = platform.gpu()
         specs = [s for s in network.layers() if s.kind.is_compute]
-        profile = network.occupancy_profile(0.08)
+        profile = propagate_occupancy_graph(network, 0.08)
         total = model.network_energy(
             network.layers(), gpu, Precision.FP16, sparse=True, occupancies=profile
         )

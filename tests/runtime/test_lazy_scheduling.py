@@ -213,7 +213,6 @@ class TestBoundedRetention:
         assert len(ring) == 32
         assert list(ring.entries) == full.entries[-32:]
         assert ring.entries_dropped == len(full) - 32
-        assert ring.dropped_entries == ring.entries_dropped  # compat alias
         assert f"... {ring.entries_dropped} more events" in ring.format_log(
             max_rows=32
         )
@@ -261,12 +260,12 @@ class TestBoundedRetention:
 
     def test_record_limit_validation(self, registry):
         with pytest.raises(ValueError, match="record_limit"):
-            PipelineReport(record_limit=0)
+            PipelineReport(record_limit=-1)
         with pytest.raises(ValueError, match="record_limit"):
             MultiStreamSimulator(
                 jetson_xavier_agx(),
                 registry.compile("steady", **SMALL),
-                record_limit=0,
+                record_limit=-1,
             )
 
 

@@ -215,7 +215,7 @@ class TestKernelTrace:
         kernel.schedule(FrameReady(time=1.0, stream="s"))
         kernel.run()
         assert len(trace) == 1
-        assert trace.dropped_entries == 1
+        assert trace.entries_dropped == 1
 
     def test_frame_ready_detail_reads_the_referenced_frame(self):
         from repro.frames import FrameStack, SparseFrame

@@ -577,12 +577,12 @@ class TestStackTransportAccounting:
             report.throughput,
         )
 
-    def test_retain_records_toggle_keeps_aggregates(self, platform, sequence, network):
+    def test_record_limit_zero_keeps_aggregates(self, platform, sequence, network):
         kept = MultiStreamSimulator(
-            platform, make_sources(sequence, network, 6), retain_records=True
+            platform, make_sources(sequence, network, 6), record_limit=None
         ).run()
         slim = MultiStreamSimulator(
-            platform, make_sources(sequence, network, 6), retain_records=False
+            platform, make_sources(sequence, network, 6), record_limit=0
         ).run()
         assert self._aggregates(kept) == self._aggregates(slim)
         assert any(len(r.records) > 0 for r in kept.reports.values())
