@@ -115,7 +115,10 @@ class NMPResult:
     ``evaluations`` / ``cache_hits`` count *this run's* scheduler evaluations
     and fitness-cache hits even when several runs share one evaluator;
     ``requested_evaluations`` counts every candidate the engine asked the
-    evaluator about (the budget currency).
+    evaluator about (the budget currency).  A search memoized by
+    :class:`~repro.runtime.streams.AdaptiveMappingClient` reports what a
+    re-run on the same engine would: ``evaluations == 0`` and
+    ``cache_hits == requested_evaluations``, everything else unchanged.
     """
 
     best_candidate: MappingCandidate

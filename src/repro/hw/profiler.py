@@ -17,7 +17,7 @@ touching the search code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..nn.graph import MultiTaskGraph
 from ..nn.quantization import Precision
@@ -42,6 +42,25 @@ class ProfileTable:
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
         self._entries: Dict[Tuple[str, str, Precision, bool], ProfileEntry] = {}
+
+    @classmethod
+    def union(cls, tables: Sequence[ProfileTable]) -> ProfileTable:
+        """One table holding every entry of ``tables`` (profiled on one platform).
+
+        An entry depends only on its node's layer spec and the profiling
+        settings, so the union of per-network tables profiled alike equals
+        the table of their joint :class:`~repro.nn.graph.MultiTaskGraph`,
+        whose ``"<network>.<layer>"`` node ids keep the networks apart.
+        """
+        if not tables:
+            raise ValueError("a profile union needs at least one table")
+        platform = tables[0].platform
+        merged = cls(platform)
+        for table in tables:
+            if table.platform is not platform:
+                raise ValueError("cannot merge profile tables of different platforms")
+            merged._entries.update(table._entries)
+        return merged
 
     # ------------------------------------------------------------------
     def record(

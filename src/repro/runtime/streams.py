@@ -43,12 +43,17 @@ invalidating its memoized whole-network costs while keeping the shared
 per-layer cost table warm.  Only streams whose optimization level uses NMP
 (:attr:`~repro.core.config.OptimizationLevel.FULL`) participate; the search
 itself is treated as instantaneous in simulated time (it runs on a host core
-concurrently with inference in a real deployment).
+concurrently with inference in a real deployment).  Churning fleets bring the
+same network set back with the same deployed mapping again and again, so the
+client profiles each network once and memoizes whole searches on (network
+set, warm starts); a hit returns exactly what a re-run would.  Everything is
+keyed by network name, so a name must denote one :class:`LayerGraph` per
+client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +69,7 @@ from ..frames.stack import FrameStack
 from ..hw.energy import EnergyModel
 from ..hw.latency import LatencyModel
 from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler
+from ..hw.profiler import PlatformProfiler, ProfileTable
 from ..nn.graph import LayerGraph, MultiTaskGraph, TaskSpec
 from ..nn.quantization import Precision
 from .executor import SerialExecutor, SignatureServer
@@ -451,17 +456,34 @@ class RemapRecord:
 class AdaptiveMappingClient:
     """Online remapping driver: budgeted NMP searches over the active mix.
 
-    One :class:`~repro.core.nmp.search.MapperEngine` (and therefore one
-    fitness cache, flattened schedule and profile table) is kept per distinct
-    network set, so repeated joins/leaves of the same mix re-search with a
-    warm cache.  The client is simulator-agnostic — it can also be used
-    standalone to compute a mapping for an arbitrary set of networks.
+    The client never redoes work it has already done:
+
+    * each network is profiled once, as a one-network
+      :class:`~repro.nn.graph.MultiTaskGraph`, and a network set's profile is
+      the :meth:`~repro.hw.profiler.ProfileTable.union` of its networks'
+      tables;
+    * one :class:`~repro.core.nmp.search.MapperEngine` (and therefore one
+      fitness cache and flattened schedule) is kept per distinct network set;
+    * whole searches are memoized on (network set, warm starts).  The policy
+      fixes the strategy and config and every run reseeds its RNG, so a
+      repeated search would propose the same candidates and hit the fitness
+      cache for each of them: a memo hit returns exactly that re-run's
+      result (see :class:`~repro.core.nmp.search.NMPResult`).
+
+    Networks, engines, profiles and searches are all keyed by network name,
+    so a name must always denote the same :class:`LayerGraph` object within
+    one client; :meth:`engine_for` raises ``ValueError`` otherwise.  The
+    client is simulator-agnostic — it can also be used standalone to compute
+    a mapping for an arbitrary set of networks.
     """
 
     def __init__(self, platform: Platform, policy: Optional[RemapPolicy] = None) -> None:
         self.platform = platform
         self.policy = policy or RemapPolicy()
+        self._networks: Dict[str, LayerGraph] = {}
+        self._profiles: Dict[str, ProfileTable] = {}
         self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
+        self._searches: Dict[tuple, NMPResult] = {}
         self.records: List[RemapRecord] = []
         self._last_remap_time: Optional[float] = None
 
@@ -488,15 +510,43 @@ class AdaptiveMappingClient:
             return False
         return True
 
+    def _distinct(self, networks: Sequence[LayerGraph]) -> List[LayerGraph]:
+        """``networks`` without repeated names, in first-seen order.
+
+        Raises ``ValueError`` when a name denotes another graph than the
+        first one this client saw under that name.
+        """
+        unique: Dict[str, LayerGraph] = {}
+        for net in networks:
+            known = self._networks.setdefault(net.name, net)
+            if known is not net:
+                raise ValueError(
+                    f"network name '{net.name}' already denotes a different "
+                    "LayerGraph in this client; give each graph its own name "
+                    "or use a new AdaptiveMappingClient"
+                )
+            unique.setdefault(net.name, net)
+        return list(unique.values())
+
+    def _profile(self, network: LayerGraph) -> ProfileTable:
+        """The (cached) profile table of one network."""
+        table = self._profiles.get(network.name)
+        if table is None:
+            table = PlatformProfiler(self.platform).profile(
+                MultiTaskGraph([TaskSpec(network)]),
+                occupancy=self.policy.profile_occupancy,
+            )
+            self._profiles[network.name] = table
+        return table
+
     def engine_for(self, networks: Sequence[LayerGraph]) -> MapperEngine:
         """The (cached) search engine for one set of networks."""
-        key = tuple(sorted(net.name for net in networks))
+        unique = self._distinct(networks)
+        key = tuple(sorted(net.name for net in unique))
         engine = self._engines.get(key)
         if engine is None:
-            graph = MultiTaskGraph([TaskSpec(net) for net in networks])
-            profile = PlatformProfiler(self.platform).profile(
-                graph, occupancy=self.policy.profile_occupancy
-            )
+            graph = MultiTaskGraph([TaskSpec(net) for net in unique])
+            profile = ProfileTable.union([self._profile(net) for net in unique])
             engine = MapperEngine(
                 graph, self.platform, profile, config=self.policy.nmp_config
             )
@@ -527,14 +577,11 @@ class AdaptiveMappingClient:
         ``current_assignments`` is the union of the deployed per-node
         assignments; with :attr:`RemapPolicy.warm_start` it seeds the search
         (missing nodes — e.g. of a newly joined network — fall back to the
-        GPU).  Returns ``None`` when ``networks`` is empty.
+        GPU).  Returns ``None`` when ``networks`` is empty.  A repeat of an
+        earlier search returns its memoized result with a fresh copy of the
+        best candidate.
         """
-        unique: List[LayerGraph] = []
-        seen = set()
-        for net in networks:
-            if net.name not in seen:
-                unique.append(net)
-                seen.add(net.name)
+        unique = self._distinct(networks)
         if not unique:
             return None
         engine = self.engine_for(unique)
@@ -547,9 +594,28 @@ class AdaptiveMappingClient:
                 if node in warm:
                     warm[node] = assignment
             seeds.insert(0, MappingCandidate(warm))
-        result = engine.run(
-            make_strategy(self.policy.strategy), initial_candidates=seeds
+        key = (
+            tuple(sorted(net.name for net in unique)),
+            tuple(seed.key() for seed in seeds),
         )
+        # Callers keep the candidates handed out (rebind() stores them), so
+        # the memo holds its own copy and every hit returns a fresh one.
+        memo = self._searches.get(key)
+        if memo is None:
+            result = engine.run(
+                make_strategy(self.policy.strategy), initial_candidates=seeds
+            )
+            self._searches[key] = replace(
+                result, best_candidate=result.best_candidate.copy()
+            )
+        else:
+            result = replace(
+                memo,
+                best_candidate=memo.best_candidate.copy(),
+                history=list(memo.history),
+                evaluations=0,
+                cache_hits=memo.requested_evaluations,
+            )
         self._last_remap_time = time
         self.records.append(
             RemapRecord(

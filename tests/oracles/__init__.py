@@ -8,5 +8,5 @@ replaced, kept so the tests can require bit-identical results:
 * :mod:`.occupancy` — serial-chain occupancy propagation;
 * :mod:`.nmp` — the graph-walking NMP list scheduler;
 * :mod:`.runtime` — the pre-refactor kernel, server, cost stacks and
-  stream clients.
+  stream clients, and a remap client that runs every search.
 """

@@ -39,6 +39,9 @@ claims stay machine-checked:
 * :class:`EagerPrimeClient` — the horizon-wide arrival discipline the
   per-stream arrival cursors replaced: every ``FrameReady`` of the stream
   is heaped at prime time.
+* :class:`RerunMappingClient` — the remap client before search memoization
+  and per-network profiles: every remap runs the search, on an engine whose
+  profile comes from the joint multi-task graph.
 
 The kernel, server and cost-model oracles implement the *current*
 accounting semantics (per-member latency shares, the queued-service
@@ -47,9 +50,9 @@ performance refactor, not the accounting bugfixes, so the equivalence tests
 compare like with like.
 
 Oracle fleets run on :class:`~repro.runtime.streams.MultiStreamSimulator`
-subclasses that swap one component class each (:class:`LegacySimulator`,
+subclasses that swap one component each (:class:`LegacySimulator`,
 :class:`ScalarCostSimulator`, :class:`EagerSimulator`,
-:class:`PerFrameReferenceSimulator`).  Like
+:class:`PerFrameReferenceSimulator`, :class:`RerunRemapSimulator`).  Like
 :func:`~oracles.nmp.schedule_reference` for the NMP fast path, this is
 deliberately unoptimized verification code.
 """
@@ -61,8 +64,14 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.e2sf import Event2SparseFrameConverter
+from repro.core.nmp.candidate import Assignment, MappingCandidate
+from repro.core.nmp.search import MapperEngine, NMPResult, make_strategy
 from repro.frames.sparse import SparseFrame
+from repro.hw.pe import Platform
+from repro.hw.profiler import PlatformProfiler
+from repro.nn.graph import MultiTaskGraph, TaskSpec
 from repro.nn.occupancy import OccupancyProfile
+from repro.nn.quantization import Precision
 from repro.runtime.executor import SignatureServer, _PendingDispatch
 from repro.runtime.sim import (
     DispatchBatch,
@@ -74,7 +83,13 @@ from repro.runtime.sim import (
     SimulationKernel,
     StreamEnd,
 )
-from repro.runtime.streams import MultiStreamSimulator, StreamClient, StreamSource
+from repro.runtime.streams import (
+    MultiStreamSimulator,
+    RemapPolicy,
+    RemapRecord,
+    StreamClient,
+    StreamSource,
+)
 
 from .frames import ReferenceAggregator, convert_sequence, frame_batch
 from .occupancy import propagate_occupancy_chain
@@ -87,10 +102,12 @@ __all__ = [
     "generate_frames_reference",
     "PerFrameReferenceClient",
     "EagerPrimeClient",
+    "RerunMappingClient",
     "LegacySimulator",
     "ScalarCostSimulator",
     "EagerSimulator",
     "PerFrameReferenceSimulator",
+    "RerunRemapSimulator",
 ]
 
 
@@ -382,6 +399,91 @@ class PerFrameReferenceClient(StreamClient):
         )
 
 
+class RerunMappingClient:
+    """A remap client that runs the NMP search on every remap.
+
+    One :class:`MapperEngine` per network set, profiled from the set's joint
+    :class:`MultiTaskGraph`, and no memo of whole searches.
+    :class:`~repro.runtime.streams.AdaptiveMappingClient`, with its search
+    memo and per-network profile union, must return the same results bit
+    for bit.
+    """
+
+    def __init__(self, platform: Platform, policy: RemapPolicy) -> None:
+        self.platform = platform
+        self.policy = policy
+        self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
+        self.records: List[RemapRecord] = []
+        self._last_remap_time: Optional[float] = None
+
+    def reset_cooldown(self) -> None:
+        self._last_remap_time = None
+
+    def should_remap(self, time: float, reason: str) -> bool:
+        policy = self.policy
+        if reason == "join" and not policy.remap_on_join:
+            return False
+        if reason == "leave" and not policy.remap_on_leave:
+            return False
+        last = self._last_remap_time
+        return last is None or time - last >= policy.min_interval
+
+    def remap(
+        self,
+        networks,
+        time: float = 0.0,
+        reason: str = "join",
+        current_assignments=None,
+        stream_names: Tuple[str, ...] = (),
+    ) -> Optional[NMPResult]:
+        unique = {}
+        for net in networks:
+            unique.setdefault(net.name, net)
+        if not unique:
+            return None
+        key = tuple(sorted(unique))
+        if key not in self._engines:
+            graph = MultiTaskGraph([TaskSpec(net) for net in unique.values()])
+            profile = PlatformProfiler(self.platform).profile(
+                graph, occupancy=self.policy.profile_occupancy
+            )
+            self._engines[key] = MapperEngine(
+                graph, self.platform, profile, config=self.policy.nmp_config
+            )
+        engine = self._engines[key]
+        gpu = self.platform.gpu()
+        precision = (
+            Precision.FP16
+            if gpu.supports_precision(Precision.FP16)
+            else gpu.highest_supported_precision()
+        )
+        fallback = {
+            node: Assignment(gpu.name, precision)
+            for node in engine.graph.compute_nodes()
+        }
+        seeds = [MappingCandidate(fallback)]
+        if self.policy.warm_start and current_assignments:
+            warm = dict(fallback)
+            warm.update(
+                (node, a) for node, a in current_assignments.items() if node in warm
+            )
+            seeds.insert(0, MappingCandidate(warm))
+        result = engine.run(make_strategy(self.policy.strategy), initial_candidates=seeds)
+        self._last_remap_time = time
+        self.records.append(
+            RemapRecord(
+                time=time,
+                reason=reason,
+                active_streams=tuple(stream_names),
+                networks=tuple(unique),
+                best_latency=result.best_latency,
+                evaluations=result.requested_evaluations,
+                strategy=self.policy.strategy,
+            )
+        )
+        return result
+
+
 class LegacySimulator(MultiStreamSimulator):
     """A fleet on the pre-routing kernel and the flat-list server."""
 
@@ -405,3 +507,12 @@ class PerFrameReferenceSimulator(MultiStreamSimulator):
     """A fleet on the per-frame transport with the reference DSFA."""
 
     client_class = PerFrameReferenceClient
+
+
+class RerunRemapSimulator(MultiStreamSimulator):
+    """A fleet whose remaps all run the search (:class:`RerunMappingClient`)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.remap_policy is not None:
+            self.remap_client = RerunMappingClient(self.platform, self.remap_policy)

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import EvEdgeConfig, NMPConfig, OptimizationLevel
 from repro.events import generate_sequence
-from repro.hw import jetson_xavier_agx
+from repro.hw import PlatformProfiler, ProfileTable, jetson_xavier_agx
 from repro.models import build_network
+from repro.nn import MultiTaskGraph, TaskSpec
 from repro.runtime import (
     AdaptiveMappingClient,
     MultiStreamSimulator,
@@ -16,6 +17,9 @@ from repro.runtime import (
     RemapPolicy,
     StreamSource,
 )
+from repro.scenarios import default_registry
+
+from oracles.runtime import RerunMappingClient, RerunRemapSimulator
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +218,139 @@ class TestAdaptiveMultiStream:
         assert len(first.remaps) == 1
         assert len(second.remaps) == 1
         assert second.remaps[0].time == 0.0
+
+
+def _same_search(result, expected):
+    """Everything a search returns except its cache counters."""
+    assert result.best_candidate.key() == expected.best_candidate.key()
+    assert result.best_breakdown == expected.best_breakdown
+    assert result.history == expected.history
+    assert result.requested_evaluations == expected.requested_evaluations
+    assert result.strategy == expected.strategy
+
+
+class TestSearchMemo:
+    def test_repeated_remap_returns_the_memoized_search(self, platform, networks):
+        client = AdaptiveMappingClient(platform, fast_policy())
+        nets = list(networks.values())
+        first = client.remap(nets)
+        again = client.remap(list(reversed(nets)))
+        _same_search(again, first)
+        # A re-run would hit the fitness cache for every candidate it proposes.
+        assert again.evaluations == 0
+        assert again.cache_hits == again.requested_evaluations
+        assert client.records[1].best_latency == client.records[0].best_latency
+        assert client.records[1].evaluations == client.records[0].evaluations
+        # rebind() stores the candidate, so every remap hands out its own and
+        # a caller's edits never reach the memo.
+        assert again.best_candidate is not first.best_candidate
+        expected = first.best_candidate.key()
+        first.best_candidate.assignments.clear()
+        again.best_candidate.assignments.clear()
+        assert client.remap(nets).best_candidate.key() == expected
+
+    def test_remap_sequence_matches_rerun_oracle(self, platform, networks):
+        # The same network set recurs with different warm starts: the memo
+        # must tell them apart and must not change any search's outcome.
+        policy = fast_policy()
+        client = AdaptiveMappingClient(platform, policy)
+        oracle = RerunMappingClient(platform, policy)
+        nets = list(networks.values())
+        solo = [networks["e2depth"]]
+        deployed = {}
+        for step in [nets, solo, nets, nets, solo, nets, list(reversed(nets))]:
+            result = client.remap(step, current_assignments=dict(deployed))
+            expected = oracle.remap(step, current_assignments=dict(deployed))
+            _same_search(result, expected)
+            deployed.update(result.best_candidate.assignments)
+        assert client.records == oracle.records
+
+    def test_churn_fleet_matches_rerun_oracle(self, platform):
+        registry = default_registry()
+        sources = registry.compile(
+            "churn",
+            num_streams=16,
+            duration=0.4,
+            scale=0.12,
+            seed=0,
+            params={"optimization": "e2sf+dsfa+nmp"},
+        )
+        policy = fast_policy()
+        report = MultiStreamSimulator(
+            platform, sources, remap_policy=policy, cost_mode="profile"
+        ).run()
+        oracle = RerunRemapSimulator(
+            platform, sources, remap_policy=policy, cost_mode="profile"
+        ).run()
+        network_sets = {frozenset(r.networks) for r in report.remaps}
+        assert len(report.remaps) > 2 * len(network_sets)  # sets recur
+        assert report.remaps == oracle.remaps
+        assert _fleet_aggregates(report) == _fleet_aggregates(oracle)
+
+
+def _fleet_aggregates(report):
+    per_stream = {
+        name: (r.num_inferences, r.frames_generated, r.frames_dropped, r.total_energy)
+        for name, r in report.reports.items()
+    }
+    return (
+        per_stream,
+        report.events_processed,
+        report.total_inferences,
+        report.frames_dropped,
+        report.total_energy,
+        report.makespan,
+        report.mean_latency,
+        report.throughput,
+    )
+
+
+class TestProfilesPerNetwork:
+    def test_engine_profile_equals_joint_profile(self, platform):
+        nets = {
+            name: build_network(name, 32, 32)
+            for name in ("dotie", "e2depth", "evflownet")
+        }
+        policy = fast_policy()
+        client = AdaptiveMappingClient(platform, policy)
+        # Overlapping subsets share per-network tables inside the client.
+        for subset in (
+            ["dotie", "e2depth"],
+            ["e2depth", "evflownet"],
+            ["evflownet", "dotie", "e2depth"],
+            ["e2depth"],
+        ):
+            graphs = [nets[name] for name in subset]
+            joint = PlatformProfiler(platform).profile(
+                MultiTaskGraph([TaskSpec(g) for g in graphs]),
+                occupancy=policy.profile_occupancy,
+            )
+            assert client.engine_for(graphs).profile._entries == joint._entries
+
+    def test_union_rejects_tables_of_other_platforms(self, platform):
+        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 32, 32))])
+        tables = [
+            PlatformProfiler(p).profile(graph) for p in (platform, jetson_xavier_agx())
+        ]
+        with pytest.raises(ValueError, match="different platforms"):
+            ProfileTable.union(tables)
+
+
+class TestOneGraphPerName:
+    def test_reused_name_for_another_graph_raises(self, platform):
+        large = build_network("dotie", 96, 96)
+        small = build_network("dotie", 32, 32)
+        client = AdaptiveMappingClient(platform, fast_policy())
+        client.remap([large])
+        with pytest.raises(ValueError, match="dotie"):
+            client.engine_for([small])
+        with pytest.raises(ValueError, match="dotie"):
+            client.remap([small])
+        # The same graph object stays welcome; a fresh client takes the other.
+        assert client.remap([large]) is not None
+        assert AdaptiveMappingClient(platform, fast_policy()).remap([small]) is not None
+
+    def test_two_graphs_with_one_name_in_one_call_raise(self, platform):
+        client = AdaptiveMappingClient(platform, fast_policy())
+        with pytest.raises(ValueError, match="dotie"):
+            client.remap([build_network("dotie", 32, 32), build_network("dotie", 32, 32)])
