@@ -3,9 +3,9 @@ on commodity edge platforms (DAC 2024).
 
 The package is organised as:
 
-* :mod:`repro.events`   — event camera substrate (DVS simulation, datasets, AER, noise)
-* :mod:`repro.frames`   — dense and sparse (COO) event frame representations
-* :mod:`repro.nn`       — neural network substrate (layers, graphs, SNN, quantization)
+* :mod:`repro.events`   — event camera substrate (DVS simulation, datasets, noise)
+* :mod:`repro.frames`   — sparse (COO) event frames, dense event bins, conversion costs
+* :mod:`repro.nn`       — neural network substrate (layers, graphs, occupancy, quantization)
 * :mod:`repro.models`   — the six networks of the paper's Table 1
 * :mod:`repro.hw`       — heterogeneous edge platform model (Jetson Xavier AGX)
 * :mod:`repro.runtime`  — discrete-event execution engine and scheduling baselines

@@ -1,13 +1,5 @@
 """Event camera substrate: event types, DVS simulation, datasets and noise."""
 
-from .aer import (
-    decode_aer,
-    encode_aer,
-    load_aer,
-    save_aer,
-    stream_from_text,
-    stream_to_text,
-)
 from .camera import CameraOutput, DVSCamera, GrayscaleFrame
 from .datasets import (
     DENSE_SEQUENCES,
@@ -56,10 +48,4 @@ __all__ = [
     "HotPixelNoise",
     "EventDropNoise",
     "NoisePipeline",
-    "encode_aer",
-    "decode_aer",
-    "save_aer",
-    "load_aer",
-    "stream_to_text",
-    "stream_from_text",
 ]

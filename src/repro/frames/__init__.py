@@ -1,22 +1,7 @@
-"""Event frame representations: dense frames, sparse COO frames and conversions."""
+"""Event frame representations: dense event bins, sparse COO frames and conversion costs."""
 
-from .dense import (
-    assign_event_bins,
-    bin_boundaries,
-    discretized_event_bins,
-    ev_flownet_frame,
-    event_count_frame,
-    frame_occupancy,
-    time_surface,
-)
-from .encoding import (
-    ConversionCost,
-    decode_cost,
-    dense_to_sparse,
-    encode_cost,
-    events_to_sparse_cost,
-    sparse_to_dense,
-)
+from .dense import assign_event_bins, discretized_event_bins
+from .encoding import ConversionCost, encode_cost, events_to_sparse_cost
 from .sparse import SparseFrame, SparseFrameBatch
 from .stack import FrameStack
 
@@ -24,17 +9,9 @@ __all__ = [
     "SparseFrame",
     "SparseFrameBatch",
     "FrameStack",
-    "event_count_frame",
-    "time_surface",
-    "ev_flownet_frame",
     "discretized_event_bins",
-    "bin_boundaries",
     "assign_event_bins",
-    "frame_occupancy",
     "ConversionCost",
-    "dense_to_sparse",
-    "sparse_to_dense",
     "encode_cost",
-    "decode_cost",
     "events_to_sparse_cost",
 ]

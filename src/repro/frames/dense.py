@@ -1,48 +1,24 @@
-"""Dense event-frame representations.
+"""Dense event bins: the input representation E2SF avoids building.
 
 State-of-the-art event networks convert raw events into dense image-like
-inputs before inference (paper Section 2, Figure 2).  This module implements
-the popular representations so the baselines (all-GPU dense pipeline) and the
-input-representation experiments (Figures 1 and 3) have the exact dense path
-that Ev-Edge's E2SF avoids:
+inputs before inference (paper Section 2, Figure 2).  Spike-FlowNet and
+Fusion-FlowNet split the events between two grayscale frames into ``nB``
+uniformly spaced bins (paper Equation 1):
 
-* **count frames** — per-pixel event counts, one channel per polarity;
-* **discretized voxel grids / event bins** — events between two grayscale
-  frames split into ``nB`` uniformly spaced bins (EV-FlowNet, Spike-FlowNet
-  style);
-* **time surfaces** — per-pixel most-recent timestamp (EV-FlowNet's
-  four-channel representation combines counts and time surfaces).
+* :func:`assign_event_bins` maps timestamps to bin indices — the binning
+  rule E2SF applies as well;
+* :func:`discretized_event_bins` accumulates them into a dense
+  ``(nB, 2, H, W)`` tensor, the input of the accuracy surrogates
+  (:mod:`repro.nn.accuracy`).
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..events.types import EventStream
 
-__all__ = [
-    "event_count_frame",
-    "time_surface",
-    "ev_flownet_frame",
-    "discretized_event_bins",
-    "bin_boundaries",
-    "assign_event_bins",
-    "frame_occupancy",
-]
-
-
-def bin_boundaries(t_start: float, t_end: float, num_bins: int) -> np.ndarray:
-    """Return the ``num_bins + 1`` uniformly spaced bin edges in ``[t_start, t_end]``.
-
-    Mirrors Equation 1 of the paper: ``biS = (Tend - Tstart) / nB``.
-    """
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-    if t_end <= t_start:
-        raise ValueError("t_end must be greater than t_start")
-    return np.linspace(t_start, t_end, num_bins + 1)
+__all__ = ["discretized_event_bins", "assign_event_bins"]
 
 
 def assign_event_bins(
@@ -62,70 +38,6 @@ def assign_event_bins(
     return np.clip(idx, 0, num_bins - 1)
 
 
-def event_count_frame(
-    stream: EventStream, t_start: Optional[float] = None, t_end: Optional[float] = None
-) -> np.ndarray:
-    """Accumulate events into a dense ``(2, H, W)`` count frame.
-
-    Channel 0 holds positive-polarity counts, channel 1 negative ones.
-    """
-    if t_start is not None or t_end is not None:
-        stream = stream.slice_time(
-            t_start if t_start is not None else -np.inf,
-            t_end if t_end is not None else np.inf,
-        )
-    h, w = stream.geometry.height, stream.geometry.width
-    frame = np.zeros((2, h, w), dtype=np.float64)
-    if len(stream):
-        pos = stream.p > 0
-        np.add.at(frame[0], (stream.y[pos], stream.x[pos]), 1.0)
-        np.add.at(frame[1], (stream.y[~pos], stream.x[~pos]), 1.0)
-    return frame
-
-
-def time_surface(
-    stream: EventStream,
-    t_start: Optional[float] = None,
-    t_end: Optional[float] = None,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Per-pixel most recent event timestamp, one channel per polarity.
-
-    When ``normalize`` is True the timestamps are mapped to ``[0, 1]`` over
-    the covered interval (the representation used by EV-FlowNet).
-    """
-    if t_start is None:
-        t_start = stream.t_start
-    if t_end is None:
-        t_end = stream.t_end
-    window = stream.slice_time(t_start, t_end + 1e-12)
-    h, w = stream.geometry.height, stream.geometry.width
-    surface = np.zeros((2, h, w), dtype=np.float64)
-    if len(window):
-        # Events are time sorted, so later writes overwrite earlier ones.
-        pos = window.p > 0
-        surface[0][window.y[pos], window.x[pos]] = window.t[pos]
-        surface[1][window.y[~pos], window.x[~pos]] = window.t[~pos]
-        if normalize and t_end > t_start:
-            active = surface > 0
-            surface[active] = (surface[active] - t_start) / (t_end - t_start)
-    return surface
-
-
-def ev_flownet_frame(
-    stream: EventStream, t_start: float, t_end: float
-) -> np.ndarray:
-    """EV-FlowNet style 4-channel frame: [count+, count-, ts+, ts-].
-
-    This is the fully-accumulated representation of [4] in the paper
-    (events between two consecutive grayscale frames, counts plus the most
-    recent timestamp per pixel).
-    """
-    counts = event_count_frame(stream, t_start, t_end)
-    surfaces = time_surface(stream, t_start, t_end, normalize=True)
-    return np.concatenate([counts, surfaces], axis=0)
-
-
 def discretized_event_bins(
     stream: EventStream,
     t_start: float,
@@ -136,8 +48,7 @@ def discretized_event_bins(
 
     Returns a ``(num_bins, 2, H, W)`` tensor — the dense counterpart of what
     E2SF produces sparsely.  This is the representation of Spike-FlowNet /
-    Fusion-FlowNet ([7, 11] in the paper) and the dense baseline that the
-    encode/decode-overhead experiments compare against.
+    Fusion-FlowNet ([7, 11] in the paper).
     """
     window = stream.slice_time(t_start, t_end + 1e-12)
     h, w = stream.geometry.height, stream.geometry.width
@@ -149,21 +60,3 @@ def discretized_event_bins(
     np.add.at(grid, (bins[pos], 0, window.y[pos], window.x[pos]), 1.0)
     np.add.at(grid, (bins[~pos], 1, window.y[~pos], window.x[~pos]), 1.0)
     return grid
-
-
-def frame_occupancy(frame: np.ndarray) -> float:
-    """Fraction of pixels with at least one event in a dense frame.
-
-    Accepts ``(2, H, W)`` or ``(B, 2, H, W)`` tensors; for batched input the
-    mean per-frame occupancy is returned.  This is the quantity the paper
-    plots in Figures 1 and 3 (average percentage of events in an event
-    frame).
-    """
-    frame = np.asarray(frame)
-    if frame.ndim == 3:
-        active = np.any(frame != 0, axis=0)
-        return float(active.mean())
-    if frame.ndim == 4:
-        active = np.any(frame != 0, axis=1)
-        return float(active.reshape(frame.shape[0], -1).mean())
-    raise ValueError("expected a (2, H, W) or (B, 2, H, W) frame")

@@ -1,31 +1,19 @@
-"""Dense <-> sparse conversion with explicit overhead accounting.
+"""Analytic cost of building sparse frames, via a dense frame or directly.
 
 The paper's argument for E2SF (Section 4.1) is that although dense event
 frames *could* be converted to sparse tensors and processed with sparse
-libraries, the encoding/decoding overhead outweighs the benefit.  To study
-that trade-off quantitatively we model the conversion cost in elementary
-operations and bytes moved, and expose both the "dense -> sparse" encode
-path and the direct "events -> sparse" E2SF path for comparison.
+libraries, the encoding overhead outweighs the benefit.  To study that
+trade-off quantitatively we model the conversion cost in elementary
+operations and bytes moved: :func:`encode_cost` prices the "dense ->
+sparse" encode pass, :func:`events_to_sparse_cost` the direct "events ->
+sparse" E2SF path.  :class:`~repro.core.e2sf.E2SFReport` records both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-import numpy as np
-
-from .dense import discretized_event_bins
-from .sparse import SparseFrame
-
-__all__ = [
-    "ConversionCost",
-    "dense_to_sparse",
-    "sparse_to_dense",
-    "encode_cost",
-    "decode_cost",
-    "events_to_sparse_cost",
-]
+__all__ = ["ConversionCost", "encode_cost", "events_to_sparse_cost"]
 
 
 @dataclass(frozen=True)
@@ -58,51 +46,12 @@ class ConversionCost:
         )
 
 
-def dense_to_sparse(dense: np.ndarray) -> Tuple[SparseFrame, ConversionCost]:
-    """Encode a dense ``(2, H, W)`` frame into COO format, with its cost.
-
-    The encode pass must scan every dense pixel (that is the overhead the
-    paper wants to avoid): ``operations = H*W`` comparisons plus one copy per
-    non-zero.
-    """
-    frame = SparseFrame.from_dense(dense)
-    _, h, w = dense.shape
-    cost = ConversionCost(
-        operations=h * w + 3 * frame.num_active,
-        bytes_read=dense.size * 4,
-        bytes_written=frame.nnz_bytes,
-    )
-    return frame, cost
-
-
-def sparse_to_dense(frame: SparseFrame) -> Tuple[np.ndarray, ConversionCost]:
-    """Decode a COO frame back to dense, with its cost.
-
-    Decoding must zero-fill the whole dense frame and then scatter the
-    non-zeros.  The cost is analytic (:func:`decode_cost` from the frame's
-    ``nnz``) and the decode itself is the flat ``bincount`` scatter of
-    :meth:`SparseFrame.to_dense` — nothing dense is built to price the
-    conversion.
-    """
-    cost = decode_cost(frame.height, frame.width, frame.num_active)
-    return frame.to_dense(), cost
-
-
 def encode_cost(height: int, width: int, nnz: int) -> ConversionCost:
     """Analytic cost of dense->sparse encoding without materialising arrays."""
     return ConversionCost(
         operations=height * width + 3 * nnz,
         bytes_read=2 * height * width * 4,
         bytes_written=nnz * 24,
-    )
-
-
-def decode_cost(height: int, width: int, nnz: int) -> ConversionCost:
-    """Analytic cost of sparse->dense decoding without materialising arrays."""
-    return ConversionCost(
-        operations=height * width + 2 * nnz,
-        bytes_read=nnz * 24,
-        bytes_written=2 * height * width * 4,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .latency import LatencyModel
-from .pe import Platform, ProcessingElement
+from .pe import ProcessingElement
 
 __all__ = ["EnergyModel", "EnergyEstimate"]
 
@@ -74,51 +74,9 @@ class EnergyModel:
         memory_energy = data_bytes * _DRAM_ENERGY_PER_BYTE
         return EnergyEstimate(compute_energy, memory_energy)
 
-    def network_energy(
-        self,
-        layers,
-        pe: ProcessingElement,
-        precision: Precision,
-        sparse: bool = False,
-        batch: int = 1,
-        occupancies=None,
-    ) -> float:
-        """Total energy of a list of layers run serially on one device.
-
-        Mirrors :meth:`LatencyModel.network_latency`: ``occupancies``
-        optionally carries one non-zero activation fraction per compute
-        layer (an occupancy profile); ``None`` entries fall back to the
-        layer's static modelled sparsity.
-        """
-        compute = [l for l in layers if l.kind.is_compute]
-        if occupancies is None:
-            occupancies = [None] * len(compute)
-        occupancies = list(occupancies)
-        if len(occupancies) != len(compute):
-            raise ValueError(
-                "occupancies must carry one entry per compute layer "
-                f"({len(occupancies)} != {len(compute)})"
-            )
-        return float(
-            sum(
-                self.layer_energy(
-                    l, pe, precision, sparse=sparse, occupancy=occ, batch=batch
-                ).total
-                for l, occ in zip(compute, occupancies)
-            )
-        )
-
     def transfer_energy(self, num_bytes: int) -> float:
         """Energy of moving activations between PEs through unified memory."""
         if num_bytes <= 0:
             return 0.0
         # One write plus one read of the shared DRAM.
         return 2.0 * num_bytes * _DRAM_ENERGY_PER_BYTE
-
-    def idle_energy(self, platform: Platform, busy_pe: str, duration: float) -> float:
-        """Idle power burned by the other PEs while ``busy_pe`` runs for ``duration``."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return float(
-            sum(pe.idle_power_w * duration for pe in platform if pe.name != busy_pe)
-        )

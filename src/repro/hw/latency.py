@@ -143,37 +143,3 @@ class LatencyModel:
 
         overhead = pe.kernel_launch_overhead
         return LatencyEstimate(compute_time, memory_time, overhead)
-
-    def network_latency(
-        self,
-        layers,
-        pe: ProcessingElement,
-        precision: Precision,
-        sparse: bool = False,
-        batch: int = 1,
-        occupancies=None,
-    ) -> float:
-        """Serial execution time of a list of layers on one device.
-
-        ``occupancies`` optionally carries one non-zero activation fraction
-        per *compute* layer (an occupancy profile, e.g. from
-        :func:`repro.nn.occupancy.propagate_occupancy_graph`); entries of
-        ``None`` fall back to the layer's static ``activation_sparsity``.
-        """
-        compute = [l for l in layers if l.kind.is_compute]
-        if occupancies is None:
-            occupancies = [None] * len(compute)
-        occupancies = list(occupancies)
-        if len(occupancies) != len(compute):
-            raise ValueError(
-                "occupancies must carry one entry per compute layer "
-                f"({len(occupancies)} != {len(compute)})"
-            )
-        return float(
-            sum(
-                self.layer_latency(
-                    l, pe, precision, sparse=sparse, occupancy=occ, batch=batch
-                ).total
-                for l, occ in zip(compute, occupancies)
-            )
-        )

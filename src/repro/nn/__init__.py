@@ -1,4 +1,4 @@
-"""Neural network substrate: layers, graphs, SNN dynamics, quantization and surrogates."""
+"""Neural network substrate: layers, graphs, occupancy, quantization and surrogates."""
 
 from .accuracy import TaskAccuracyEvaluator, TaskSample, map_layer_precisions_to_stages
 from .graph import LayerGraph, MultiTaskGraph, TaskSpec
@@ -20,14 +20,6 @@ from .occupancy import (
     combine_supports,
     layer_output_occupancy,
     propagate_occupancy_graph,
-)
-from .snn import LIFParameters, LIFState, lif_run, lif_step, spike_rate
-from .sparse_conv import (
-    dense_conv2d,
-    dense_conv2d_macs,
-    sparse_conv2d,
-    sparse_conv2d_macs,
-    submanifold_conv2d,
 )
 from .surrogate import (
     DepthSurrogate,
@@ -56,16 +48,6 @@ __all__ = [
     "dequantize",
     "fake_quantize",
     "quantization_error",
-    "LIFParameters",
-    "LIFState",
-    "lif_step",
-    "lif_run",
-    "spike_rate",
-    "dense_conv2d",
-    "dense_conv2d_macs",
-    "sparse_conv2d",
-    "sparse_conv2d_macs",
-    "submanifold_conv2d",
     "FlowSurrogate",
     "SegmentationSurrogate",
     "DepthSurrogate",

@@ -11,14 +11,14 @@ identical activity.
 This module models how occupancy actually evolves layer by layer, using the
 sparsity behaviour the rest of the framework already encodes:
 
-* **Support dilation** (:func:`layer_output_occupancy`) — a convolution
-  scatters every active input site into a ``K x K`` output neighbourhood
-  (exactly what :func:`repro.nn.sparse_conv.sparse_conv2d` implements), so
-  under an independent-site model an output site is active with probability
-  ``1 - (1 - d) ** r`` where ``r`` is the receptive-field size.  Pooling
-  dilates the same way (any active input in the window activates the
-  output); transposed convolutions spread over ``K^2 / S^2`` sites; a fully
-  connected layer mixes everything; element-wise fusion preserves support.
+* **Support dilation** (:func:`layer_output_occupancy`) — a sparse
+  convolution scatters every active input site into a ``K x K`` output
+  neighbourhood, so under an independent-site model an output site is
+  active with probability ``1 - (1 - d) ** r`` where ``r`` is the
+  receptive-field size.  Pooling dilates the same way (any active input in
+  the window activates the output); transposed convolutions spread over
+  ``K^2 / S^2`` sites; a fully connected layer mixes everything;
+  element-wise fusion preserves support.
 * **Activation sparsification** — the layer's nonlinearity (LIF spiking
   dynamics, ReLU) re-sparsifies the dilated support: the modelled firing
   fraction is the layer's ``1 - activation_sparsity``

@@ -1,5 +1,10 @@
 """Runtime execution engine: simulation kernel, traffic streams, schedulers."""
 
+# repro.core re-exports EvEdgePipeline, a client of this package, while the
+# modules below import from repro.core.  Loading core first keeps either
+# package from being seen half-initialised, whichever one a process imports
+# first (a spawned shard worker starts with repro.runtime.shard).
+from .. import core as _core  # noqa: F401
 from .executor import (
     ExecutionReport,
     MappedExecutor,
@@ -25,11 +30,9 @@ from .sim import (
     StreamEnd,
 )
 from .shard import (
-    DEFAULT_EPOCHS,
-    EpochSummary,
     ShardedSimulator,
     ShardPlan,
-    epoch_rows,
+    ShardSummary,
     partition_sources,
     signature_groups,
 )
@@ -80,13 +83,11 @@ __all__ = [
     "AdaptiveMappingClient",
     "MultiStreamReport",
     "MultiStreamSimulator",
-    "DEFAULT_EPOCHS",
     "ShardPlan",
-    "EpochSummary",
+    "ShardSummary",
     "ShardedSimulator",
     "signature_groups",
     "partition_sources",
-    "epoch_rows",
     "KernelTrace",
     "TraceEntry",
     "timeline_by_device",

@@ -1,82 +1,63 @@
-"""Sharded multiprocess runtime: epoch-synced worker kernels for 10k+ fleets.
+"""Sharded multiprocess runtime: a fleet run as N independent platform replicas.
 
 One Python heap and one GIL cap how many streams a single
 :class:`~repro.runtime.sim.SimulationKernel` can sustain regardless of
-per-event cost.  This module partitions a fleet's
-:class:`~repro.runtime.streams.StreamSource`s into *shards* that each own
-their :class:`~repro.runtime.executor.SignatureServer`s,
-:class:`~repro.runtime.sim.NetworkCostModel`s and
-:class:`~repro.runtime.sim.LayerCostTable` outright, runs one kernel per
-shard (worker processes, or inline), and merges the per-shard streaming
-reports with :meth:`~repro.runtime.streams.MultiStreamReport.merge`.
+per-event cost.  ``shards=N`` scales past that by simulating the fleet on
+*N replicas of the platform*, in three steps:
 
-**Partitioning rules.**  The unit of partitioning is the *signature group*
-— every stream sharing one (network, mapping, config) signature — because
-:class:`SignatureServer` only ever merges dispatches within a signature: a
-signature-disjoint partition needs no cross-shard event traffic at all.
-Two rules are available:
+1. :func:`partition_sources` splits the fleet's stream sources into at
+   most N shards;
+2. each shard runs to completion on its own
+   :class:`~repro.runtime.streams.MultiStreamSimulator` — its own kernel,
+   signature servers, cost models and
+   :class:`~repro.runtime.sim.LayerCostTable` — in a worker process or
+   inline;
+3. :meth:`~repro.runtime.streams.MultiStreamReport.merged` folds the shard
+   reports into one.
 
-* ``by="signature"`` (default) — signature groups are greedily balanced
-  across the requested shard count (largest group first onto the lightest
-  shard; deterministic).  Each shard tracks busy time on its *own* kernel,
-  so signatures that share a PE name but land on different shards stop
-  contending: the shards model replicas of the platform (fleet-of-fleets),
-  which is the scaling semantics the 10k-stream benchmark tiers measure.
-* ``by="platform_group"`` — signature groups are first merged into
-  connected components over shared PEs and only whole components are
-  distributed.  Shards are then PE-disjoint by construction, so the merged
-  report is **bit-identical** to the single-process kernel (the
-  equivalence the seeded tests pin); the shard count is capped at the
-  number of components.
+**Partitioning.**  The unit of partitioning is the *signature group* —
+every stream sharing one (network, mapping, config) signature — because
+:class:`SignatureServer` only ever merges dispatches within a signature.
+Signature groups are greedily balanced across the requested shard count
+(largest group first onto the lightest shard; deterministic), so shards
+never exchange an event: a sharded report equals, bit for bit, the merge
+of independent single-process runs of the partitions.
 
-**Epoch-barrier time sync.**  Shards must still agree on time for
-platform-level accounting, so shards advance in lockstep through epochs of
-``epoch_length`` simulated seconds: each shard runs its kernel up to the
-epoch boundary, publishes an :class:`EpochSummary` (cumulative events /
-inferences / drops plus its per-resource busy frontier) and blocks until
-every shard reached the barrier.  The protocol is *conservative* — with a
-signature-disjoint partition no cross-shard event can exist, so pausing a
-kernel at a barrier never reorders its heap and the merged result is
-independent of the epoch length (property-tested).  The summaries are the
-hook later cross-shard consumers (fault events, admission control, global
-telemetry) attach to; :func:`epoch_rows` folds them into one platform-level
-per-epoch timeline.
+**Replica semantics.**  Each shard tracks busy time on its own kernel, so
+signatures that share a PE but land on different shards stop contending:
+the merged report describes N platforms (a fleet of fleets), not one.
+Only when the shards' signatures occupy disjoint PEs is it bit-identical
+to the single-process run.  With one effective shard the run *is* the
+single-process run.
 
-**Limitations.**  Cross-stream merging stays within a shard (it already
-stayed within a signature, and signatures never straddle shards).  Under
-``by="signature"``, PE contention between different signatures is not
-modelled across shards — use ``by="platform_group"`` when single-platform
-fidelity matters more than scale.  Traces do not compose across kernels,
-so sharded runs do not accept a trace.
+**Execution.**  ``mode="process"`` starts one worker process per shard;
+each sends its report (or its traceback) as the only message over a
+one-way pipe.  Under the fork start method the workers inherit the fleet —
+rendered frame stacks included — without pickling; under spawn the
+fleet is pickled to each worker.  Daemonic processes (sweep pool workers)
+may not have children, so there the run falls back to ``mode="inline"``,
+which runs the shards one after another in this process with identical
+results.  Traces do not compose across kernels, so sharded runs do not
+accept a trace.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .sim import NetworkCostModel
-from .streams import MultiStreamReport, MultiStreamSimulator, StreamSource
+from .streams import SHARD_MODES, MultiStreamReport, MultiStreamSimulator, StreamSource
 
 __all__ = [
-    "DEFAULT_EPOCHS",
     "ShardPlan",
-    "EpochSummary",
+    "ShardSummary",
     "signature_groups",
     "partition_sources",
-    "epoch_rows",
     "ShardedSimulator",
 ]
-
-# Epochs a fleet's horizon is divided into when no epoch length is given:
-# few enough barriers to stay off the hot path, frequent enough that the
-# per-epoch platform accounting resolves the load curve.
-DEFAULT_EPOCHS = 8
-
-PARTITION_RULES = ("signature", "platform_group")
 
 
 # ----------------------------------------------------------------------
@@ -89,12 +70,11 @@ class ShardPlan:
     ``assignments[s]`` are the (ascending) indices into the source list
     owned by shard ``s``; every source appears in exactly one shard and
     streams sharing a signature always land together.  ``num_shards`` can
-    be smaller than ``requested`` when there are fewer partition units
-    (signature groups, or PE-connected components) than shards asked for.
+    be smaller than ``requested`` when there are fewer signature groups
+    than shards asked for.
     """
 
     assignments: Tuple[Tuple[int, ...], ...]
-    by: str
     requested: int
 
     @property
@@ -118,67 +98,16 @@ def signature_groups(sources: Sequence[StreamSource]) -> List[List[int]]:
     return list(groups.values())
 
 
-def _platform_group_units(
-    sources: Sequence[StreamSource],
-    groups: List[List[int]],
-    platform,
-) -> List[List[int]]:
-    """Merge signature groups into connected components over shared PEs.
-
-    Resolving one :class:`NetworkCostModel` per signature yields the PE set
-    its mapping occupies; groups whose PE sets intersect are unioned.  Only
-    whole components may move between shards, which is what makes a
-    ``platform_group`` partition bit-identical to the single-process run.
-    """
-    pe_sets = []
-    for group in groups:
-        source = sources[group[0]]
-        model = NetworkCostModel(
-            source.network, platform, config=source.config, mapping=source.mapping
-        )
-        pe_sets.append(set(model.pes_used))
-    parent = list(range(len(groups)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            if pe_sets[i] & pe_sets[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    components: Dict[int, List[int]] = {}
-    for i, group in enumerate(groups):
-        components.setdefault(find(i), []).extend(group)
-    return [components[root] for root in sorted(components)]
-
-
-def partition_sources(
-    sources: Sequence[StreamSource],
-    shards: int,
-    by: str = "signature",
-    platform=None,
-) -> ShardPlan:
+def partition_sources(sources: Sequence[StreamSource], shards: int) -> ShardPlan:
     """Partition a fleet into at most ``shards`` balanced, disjoint shards.
 
-    Units (signature groups, or PE-connected components for
-    ``by="platform_group"``) are assigned largest-first onto the currently
-    lightest shard — a pure function of the source list, so the same fleet
-    always shards the same way in every process.
+    Signature groups are assigned largest-first onto the currently lightest
+    shard — a pure function of the source list, so the same fleet always
+    shards the same way in every process.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if by not in PARTITION_RULES:
-        raise ValueError(f"unknown partition rule {by!r}; expected one of {PARTITION_RULES}")
     units = signature_groups(sources)
-    if by == "platform_group":
-        if platform is None:
-            raise ValueError("platform_group partitioning requires the platform")
-        units = _platform_group_units(sources, units, platform)
     num_shards = min(shards, len(units))
     order = sorted(range(len(units)), key=lambda u: (-len(units[u]), u))
     loads = [0] * num_shards
@@ -189,119 +118,47 @@ def partition_sources(
         loads[target] += len(units[u])
     return ShardPlan(
         assignments=tuple(tuple(sorted(bucket)) for bucket in buckets),
-        by=by,
         requested=shards,
     )
 
 
-# ----------------------------------------------------------------------
-# epoch-barrier protocol
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class EpochSummary:
-    """One shard's state at an epoch barrier (cumulative counters).
+class ShardSummary:
+    """One shard's closing counters, read from that shard's own report.
 
-    ``t_end`` is the nominal epoch boundary for interior epochs and the
-    shard's actual final kernel time for the closing epoch; ``busy`` is the
-    per-resource busy frontier — the platform-level occupancy exchange the
-    barrier exists for.  Counters are cumulative since the start of the
-    run; :func:`epoch_rows` differences them into per-epoch deltas.
-    ``heap_high_water`` is the shard kernel's peak event-heap population so
-    far — under lazy arrival cursors it stays O(the shard's active streams)
-    at every barrier, and pausing at a barrier cannot lose a stream's
-    cursor: the successor arrival is heaped *before* the current frame is
-    processed, so the next event is always queued when the epoch closes.
+    ``t_end`` is the shard kernel's final time; ``heap_high_water`` its peak
+    event-heap population.
     """
 
     shard: int
-    epoch: int
     t_end: float
     events_processed: int
     inferences: int
     frames_dropped: int
-    busy: Dict[str, float]
-    heap_high_water: int = 0
+    heap_high_water: int
 
-
-def epoch_rows(summaries: Sequence[EpochSummary]) -> List[Dict[str, object]]:
-    """Fold per-shard epoch summaries into one platform-level timeline.
-
-    One row per epoch with the per-epoch (not cumulative) event/inference/
-    drop totals across shards and the number of shards that reported.
-    """
-    previous: Dict[int, EpochSummary] = {}
-    rows: Dict[int, Dict[str, object]] = {}
-    for summary in sorted(summaries, key=lambda s: (s.epoch, s.shard)):
-        prev = previous.get(summary.shard)
-        row = rows.setdefault(
-            summary.epoch,
-            {
-                "epoch": summary.epoch,
-                "t_end": summary.t_end,
-                "events": 0,
-                "inferences": 0,
-                "frames_dropped": 0,
-                "shards": 0,
-                "heap_high_water": 0,
-            },
+    @classmethod
+    def of(cls, shard: int, report: MultiStreamReport) -> "ShardSummary":
+        return cls(
+            shard=shard,
+            t_end=report.end_time,
+            events_processed=report.events_processed,
+            inferences=report.total_inferences,
+            frames_dropped=report.frames_dropped,
+            heap_high_water=report.heap_high_water,
         )
-        row["t_end"] = max(row["t_end"], summary.t_end)
-        # Peak heap population is a max (not a delta): the row reports the
-        # worst shard's high-water mark as of that barrier.
-        row["heap_high_water"] = max(
-            row["heap_high_water"], summary.heap_high_water
-        )
-        row["events"] += summary.events_processed - (prev.events_processed if prev else 0)
-        row["inferences"] += summary.inferences - (prev.inferences if prev else 0)
-        row["frames_dropped"] += summary.frames_dropped - (
-            prev.frames_dropped if prev else 0
-        )
-        row["shards"] += 1
-        previous[summary.shard] = summary
-    return [rows[epoch] for epoch in sorted(rows)]
 
 
-def _summarize(shard_id, epoch, t_end, kernel, clients) -> EpochSummary:
-    """Snapshot one shard's cumulative counters at an epoch boundary."""
-    inferences = 0
-    dropped = 0
-    for client in clients:
-        inferences += client.report.num_inferences
-        dropped += client.report.frames_dropped
-    return EpochSummary(
-        shard=shard_id,
-        epoch=epoch,
-        t_end=t_end,
-        events_processed=kernel.events_processed,
-        inferences=inferences,
-        frames_dropped=dropped,
-        busy=kernel.resource_busy_times(),
-        heap_high_water=kernel.heap_high_water,
-    )
+def _shard_worker(conn, platform, sources, sim_kwargs) -> None:
+    """Worker-process entry point: run one shard to completion and send its
+    report — or its traceback — as the pipe's only message.
 
-
-def _shard_worker(conn, shard_id, platform, sources, sim_kwargs, boundaries):
-    """Worker-process entry point: one shard's epoch-lockstep simulation.
-
-    Runs the shard's kernel to each epoch boundary, sends the summary and
-    blocks on the parent's ``"proceed"`` token (the barrier), then drains
-    the kernel and ships the shard report.  Module-level so it is picklable
-    under spawn start methods; under fork the sources arrive without any
-    serialisation cost.
+    Module-level so it is picklable under spawn start methods; under fork
+    the sources arrive without any serialisation cost.
     """
     try:
-        simulator = MultiStreamSimulator(platform, sources, **sim_kwargs)
-        kernel, clients, remaps_before = simulator._setup(None)
-        for epoch, boundary in enumerate(boundaries):
-            kernel.run(until=boundary)
-            conn.send(("epoch", _summarize(shard_id, epoch, boundary, kernel, clients)))
-            token = conn.recv()
-            if token != "proceed":
-                raise RuntimeError(f"unexpected barrier token {token!r}")
-        end_time = kernel.run()
-        report = simulator._finalize(kernel, clients, remaps_before, None, end_time)
-        final = _summarize(shard_id, len(boundaries), end_time, kernel, clients)
-        conn.send(("done", report, final))
+        report = MultiStreamSimulator(platform, sources, **sim_kwargs).run()
+        conn.send(("report", report))
     except Exception:  # pragma: no cover - exercised via the parent's error path
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -312,31 +169,26 @@ def _shard_worker(conn, shard_id, platform, sources, sim_kwargs, boundaries):
 # orchestration
 # ----------------------------------------------------------------------
 class ShardedSimulator:
-    """Partition a fleet, run one kernel per shard, merge the reports.
+    """Partition a fleet, run each shard to completion, merge the reports.
 
     Parameters
     ----------
     platform:
         The platform model.  Every shard receives the same object (fork) or
-        an identical copy (spawn); under ``by="signature"`` each shard's
-        kernel tracks its own busy time, i.e. shards behave like platform
-        replicas.
+        an identical copy (spawn) and tracks its own busy time on it: each
+        shard is a replica of the platform.
     sources:
         The full fleet; partitioned by :func:`partition_sources`.
-    shards / shard_by:
-        Requested shard count and partition rule.  The effective count may
-        be lower (see :class:`ShardPlan`); with one effective shard the run
-        collapses to a plain in-process :class:`MultiStreamSimulator` —
-        bit-identical to the unsharded kernel.
-    epoch_length:
-        Barrier interval in simulated seconds; ``None`` divides the fleet
-        horizon into :data:`DEFAULT_EPOCHS` epochs.
+    shards:
+        Requested shard count.  The effective count may be lower (see
+        :class:`ShardPlan`); with one effective shard the run collapses to a
+        plain in-process :class:`MultiStreamSimulator` — bit-identical to
+        the unsharded kernel.
     mode:
-        ``"process"`` — one worker process per shard, epoch barriers over
-        pipes (falls back to inline inside daemonic processes, which may
-        not fork children — e.g. sweep pool workers).  ``"inline"`` — the
-        same lockstep protocol run sequentially in one process: identical
-        results, no parallelism, no pickling.
+        ``"process"`` — one worker process per shard (falls back to inline
+        inside daemonic processes, which may not fork children — e.g. sweep
+        pool workers).  ``"inline"`` — the shards run one after another in
+        this process: identical results, no parallelism, no pickling.
     **sim_kwargs:
         Forwarded verbatim to every shard's :class:`MultiStreamSimulator`.
     """
@@ -346,149 +198,68 @@ class ShardedSimulator:
         platform,
         sources: Sequence[StreamSource],
         shards: int = 2,
-        shard_by: str = "signature",
-        epoch_length: Optional[float] = None,
         mode: str = "process",
         **sim_kwargs,
     ) -> None:
-        if mode not in ("process", "inline"):
-            raise ValueError(f"unknown shard mode {mode!r}; expected 'process' or 'inline'")
-        if epoch_length is not None and epoch_length <= 0:
-            raise ValueError("epoch_length must be positive")
+        if mode not in SHARD_MODES:
+            raise ValueError(f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}")
         self.platform = platform
         self.sources = list(sources)
-        self.plan = partition_sources(
-            self.sources, shards, by=shard_by, platform=platform
-        )
-        self.epoch_length = epoch_length
+        self.plan = partition_sources(self.sources, shards)
         self.mode = mode
         self.sim_kwargs = dict(sim_kwargs)
 
-    # ------------------------------------------------------------------
-    def _boundaries(self) -> List[float]:
-        """Interior epoch boundaries over the fleet horizon.
-
-        The closing epoch is the final drain (no ``until``), so a fleet
-        whose last events land ulps past the horizon still completes; with
-        ``num_epochs <= 1`` there are no barriers at all.
-        """
-        horizon = max(source.end_time for source in self.sources)
-        length = self.epoch_length
-        if length is None:
-            if horizon <= 0:
-                return []
-            length = horizon / DEFAULT_EPOCHS
-        num_epochs = max(int(math.ceil(horizon / length)), 1)
-        return [length * e for e in range(1, num_epochs)]
-
-    def _shard_fleets(self) -> List[List[StreamSource]]:
-        return [
-            [self.sources[i] for i in indices] for indices in self.plan.assignments
-        ]
+    def _simulator(self, fleet: Sequence[StreamSource]) -> MultiStreamSimulator:
+        return MultiStreamSimulator(self.platform, fleet, **self.sim_kwargs)
 
     def run(self) -> MultiStreamReport:
         """Simulate every shard to completion and merge the shard reports."""
         if self.plan.num_shards == 1:
-            return MultiStreamSimulator(
-                self.platform, self.sources, **self.sim_kwargs
-            ).run()
-        boundaries = self._boundaries()
-        fleets = self._shard_fleets()
+            return self._simulator(self.sources).run()
+        fleets = [
+            [self.sources[i] for i in indices] for indices in self.plan.assignments
+        ]
         mode = self.mode
         if mode == "process" and multiprocessing.current_process().daemon:
             # Daemonic workers (e.g. sweep pool processes) may not have
-            # children; the inline protocol produces identical results.
+            # children; inline runs produce identical results.
             mode = "inline"
         if mode == "inline":
-            reports, summaries = self._run_inline(fleets, boundaries)
+            reports = [self._simulator(fleet).run() for fleet in fleets]
         else:
-            reports, summaries = self._run_process(fleets, boundaries)
+            reports = self._run_process(fleets)
         merged = MultiStreamReport.merged(reports)
-        merged.epochs = sorted(summaries, key=lambda s: (s.epoch, s.shard))
+        merged.epochs = [
+            ShardSummary.of(shard, report) for shard, report in enumerate(reports)
+        ]
         return merged
 
-    # ------------------------------------------------------------------
-    def _run_inline(
-        self, fleets: List[List[StreamSource]], boundaries: List[float]
-    ) -> Tuple[List[MultiStreamReport], List[EpochSummary]]:
-        """Sequential lockstep: every shard reaches epoch ``e`` before any
-        shard enters epoch ``e + 1`` — the barrier, minus the processes."""
-        simulators = [
-            MultiStreamSimulator(self.platform, fleet, **self.sim_kwargs)
-            for fleet in fleets
-        ]
-        states = [simulator._setup(None) for simulator in simulators]
-        summaries: List[EpochSummary] = []
-        for epoch, boundary in enumerate(boundaries):
-            for shard_id, (kernel, clients, _) in enumerate(states):
-                kernel.run(until=boundary)
-                summaries.append(
-                    _summarize(shard_id, epoch, boundary, kernel, clients)
-                )
-        reports = []
-        for shard_id, (simulator, (kernel, clients, remaps_before)) in enumerate(
-            zip(simulators, states)
-        ):
-            end_time = kernel.run()
-            summaries.append(
-                _summarize(shard_id, len(boundaries), end_time, kernel, clients)
-            )
-            reports.append(
-                simulator._finalize(kernel, clients, remaps_before, None, end_time)
-            )
-        return reports, summaries
-
     def _run_process(
-        self, fleets: List[List[StreamSource]], boundaries: List[float]
-    ) -> Tuple[List[MultiStreamReport], List[EpochSummary]]:
-        """One worker process per shard, barriers over duplex pipes."""
+        self, fleets: List[List[StreamSource]]
+    ) -> List[MultiStreamReport]:
+        """One worker process per shard, one report per one-way pipe."""
         ctx = multiprocessing.get_context()
         processes = []
         connections = []
         try:
             for shard_id, fleet in enumerate(fleets):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                reader, writer = ctx.Pipe(duplex=False)
                 process = ctx.Process(
                     target=_shard_worker,
-                    args=(
-                        child_conn,
-                        shard_id,
-                        self.platform,
-                        fleet,
-                        self.sim_kwargs,
-                        boundaries,
-                    ),
+                    args=(writer, self.platform, fleet, self.sim_kwargs),
                     name=f"shard-{shard_id}",
                     daemon=True,
                 )
                 process.start()
-                child_conn.close()  # EOF in the parent when the worker dies
+                writer.close()  # EOF in the parent when the worker dies
                 processes.append(process)
-                connections.append(parent_conn)
-            summaries: List[EpochSummary] = []
-            for _epoch in range(len(boundaries)):
-                # Barrier: collect every shard's summary, then release all.
-                for shard_id, conn in enumerate(connections):
-                    kind, payload = self._recv(conn, shard_id)
-                    if kind != "epoch":
-                        raise RuntimeError(
-                            f"shard {shard_id}: expected epoch summary, got {kind!r}"
-                        )
-                    summaries.append(payload)
-                for conn in connections:
-                    conn.send("proceed")
-            reports: List[Optional[MultiStreamReport]] = [None] * len(fleets)
-            for shard_id, conn in enumerate(connections):
-                kind, *payload = self._recv(conn, shard_id, expect_done=True)
-                if kind != "done":
-                    raise RuntimeError(
-                        f"shard {shard_id}: expected final report, got {kind!r}"
-                    )
-                reports[shard_id] = payload[0]
-                summaries.append(payload[1])
+                connections.append(reader)
+            reports = [
+                self._recv(conn, shard_id) for shard_id, conn in enumerate(connections)
+            ]
             for process in processes:
                 process.join(timeout=60.0)
-            return [report for report in reports if report is not None], summaries
+            return reports
         finally:
             for conn in connections:
                 conn.close()
@@ -498,14 +269,14 @@ class ShardedSimulator:
                     process.join(timeout=5.0)
 
     @staticmethod
-    def _recv(conn, shard_id: int, expect_done: bool = False):
-        """Receive one protocol message, surfacing worker failures."""
+    def _recv(conn, shard_id: int) -> MultiStreamReport:
+        """Receive a worker's report, surfacing worker failures."""
         try:
-            message = conn.recv()
+            kind, payload = conn.recv()
         except EOFError:
             raise RuntimeError(
                 f"shard {shard_id} worker exited without a result"
             ) from None
-        if message[0] == "error":
-            raise RuntimeError(f"shard {shard_id} worker failed:\n{message[1]}")
-        return message
+        if kind == "error":
+            raise RuntimeError(f"shard {shard_id} worker failed:\n{payload}")
+        return payload

@@ -98,6 +98,7 @@ __all__ = [
     "AdaptiveMappingClient",
     "MultiStreamReport",
     "MultiStreamSimulator",
+    "SHARD_MODES",
 ]
 
 @dataclass
@@ -341,8 +342,8 @@ class StreamClient:
     def _on_frame(self, event: FrameReady) -> None:
         cursor = self._cursor
         if cursor < self._num_frames:
-            # Heap the successor *before* processing, so an epoch barrier
-            # pausing the kernel mid-stream always finds the next arrival
+            # Heap the successor *before* processing, so a kernel paused with
+            # ``run(until=...)`` mid-stream always finds the next arrival
             # already queued.
             self._cursor = cursor + 1
             self.kernel.schedule(
@@ -638,10 +639,10 @@ class AdaptiveMappingClient:
 class MultiStreamReport:
     """Per-stream and aggregate statistics of one traffic simulation.
 
-    ``shards`` counts the worker kernels that produced the report (1 for the
-    single-process path); ``epochs`` carries the per-shard
-    :class:`~repro.runtime.shard.EpochSummary` rows of a sharded run's
-    epoch-barrier protocol (``None`` on the single-process path).
+    ``shards`` counts the kernels that produced the report (1 for the
+    single-process path); ``epochs`` carries one closing
+    :class:`~repro.runtime.shard.ShardSummary` per shard of a sharded run
+    (``None`` on the single-process path).
     """
 
     reports: Dict[str, PipelineReport]
@@ -653,6 +654,9 @@ class MultiStreamReport:
     events_processed: int = 0
     cost_mode: str = "flat"
     shards: int = 1
+    # One closing ShardSummary per shard.  perfbench/run.py reads ``.shard``
+    # and ``.events_processed`` from it for ``shard.events_imbalance``, so
+    # the field keeps this name until that benchmark changes.
     epochs: Optional[list] = None
     # Largest simultaneous kernel-heap population of the run (the max over
     # shards for a sharded run): the observable the per-stream arrival
@@ -803,6 +807,10 @@ class MultiStreamReport:
         ]
 
 
+# How a sharded run executes its shards: worker processes or in-process.
+SHARD_MODES = ("process", "inline")
+
+
 class MultiStreamSimulator:
     """Multiplex N heterogeneous traffic streams onto one platform.
 
@@ -842,31 +850,21 @@ class MultiStreamSimulator:
         streaming aggregates keep accounting every record, so report-level
         statistics are unchanged.
     shards:
-        Number of worker kernels the fleet is partitioned across
-        (default 1 = the in-process path, bit-identical to the unsharded
-        kernel).  With ``shards > 1`` the sources are partitioned by
-        ``shard_by``, each shard runs its own :class:`SimulationKernel` /
-        :class:`SignatureServer` set / cost tables (in worker processes, or
-        inline per ``shard_mode``), shards advance in lockstep through
-        epoch barriers of ``epoch_length`` simulated seconds, and the
-        per-shard reports are merged with :meth:`MultiStreamReport.merge`.
-        See :mod:`repro.runtime.shard` for partitioning and equivalence
-        semantics — cross-stream merging always stays within a shard.
-    shard_by:
-        Partition rule: ``"signature"`` (default) splits whole signature
-        groups across shards and models each shard as its own platform
-        replica (fleet-of-fleets); ``"platform_group"`` only splits
-        PE-disjoint signature components, which keeps the merged report
-        bit-identical to the single-process kernel by construction.
-    epoch_length:
-        Epoch-barrier interval in simulated seconds (``None`` = the fleet
-        horizon divided by :data:`~repro.runtime.shard.DEFAULT_EPOCHS`).
+        Number of platform replicas the fleet runs on (default 1 = the
+        in-process path on one platform).  With ``shards = N > 1`` the
+        sources are partitioned into at most N groups of whole signatures,
+        each group runs to completion on its own platform replica — its
+        own :class:`SimulationKernel`, :class:`SignatureServer` set and
+        cost tables — and the per-shard reports are merged with
+        :meth:`MultiStreamReport.merged`.  Signatures on different shards
+        never contend for a PE, so the merged report describes N platforms;
+        see :mod:`repro.runtime.shard`.
     shard_mode:
-        ``"process"`` (default) runs shards in worker processes —
-        falling back to inline execution where children are unavailable
-        (daemonic workers); ``"inline"`` runs the same epoch-lockstep
-        protocol sequentially in-process (deterministic tests, 1-core
-        machines).
+        One of :data:`SHARD_MODES`.  ``"process"`` (default) runs the
+        shards in worker processes — falling back to inline execution where
+        children are unavailable (daemonic workers); ``"inline"`` runs them
+        one after another in-process (deterministic tests, 1-core
+        machines) with identical results.
     cost_mode:
         Cost-stack semantics shared by every stream
         (:data:`~repro.runtime.sim.COST_MODES`).  ``"flat"`` (default) is
@@ -903,8 +901,6 @@ class MultiStreamSimulator:
         record_limit: Optional[int] = None,
         cost_mode: str = "flat",
         shards: int = 1,
-        shard_by: str = "signature",
-        epoch_length: Optional[float] = None,
         shard_mode: str = "process",
     ) -> None:
         if not sources:
@@ -920,9 +916,11 @@ class MultiStreamSimulator:
             raise ValueError("record_limit must be >= 0 or None")
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if shard_mode not in SHARD_MODES:
+            raise ValueError(
+                f"unknown shard_mode {shard_mode!r}; expected one of {SHARD_MODES}"
+            )
         self.shards = shards
-        self.shard_by = shard_by
-        self.epoch_length = epoch_length
         self.shard_mode = shard_mode
         # The raw per-shard simulator configuration, forwarded verbatim to
         # every shard's MultiStreamSimulator by the sharded runner.
@@ -1003,9 +1001,9 @@ class MultiStreamSimulator:
     def run(self, trace: Optional[KernelTrace] = None) -> MultiStreamReport:
         """Simulate all streams to completion and return the traffic report.
 
-        With ``shards > 1`` the fleet is partitioned and run through the
-        epoch-synced sharded runtime (:mod:`repro.runtime.shard`); the
-        single-shard path below is untouched, so ``shards=1`` is
+        With ``shards > 1`` the fleet is partitioned and each shard runs to
+        completion on its own platform replica (:mod:`repro.runtime.shard`);
+        the single-shard path below is untouched, so ``shards=1`` is
         bit-identical to the pre-sharding kernel.
         """
         if self.shards > 1:
@@ -1021,8 +1019,6 @@ class MultiStreamSimulator:
                 self.platform,
                 self.sources,
                 shards=self.shards,
-                shard_by=self.shard_by,
-                epoch_length=self.epoch_length,
                 mode=self.shard_mode,
                 **self._shard_sim_kwargs,
             ).run()
@@ -1035,10 +1031,10 @@ class MultiStreamSimulator:
     ) -> Tuple[SimulationKernel, List[StreamClient], int]:
         """Build the kernel, servers and clients and prime every stream.
 
-        Split out of :meth:`run` so the sharded runtime can drive the primed
-        kernel epoch by epoch (``kernel.run(until=...)``) with exactly the
-        construction sequence — and therefore exactly the event ordering —
-        of the single-process path.
+        :meth:`run` is ``_setup``, ``kernel.run()``, :meth:`_finalize`; the
+        split lets a caller inspect or step the primed kernel
+        (``kernel.run(until=...)``) with exactly the construction sequence —
+        and therefore exactly the event ordering — of :meth:`run`.
         """
         kernel = self.kernel_class(trace=trace)
         cost_models: Dict[tuple, NetworkCostModel] = {}

@@ -106,9 +106,10 @@ class SweepPolicy:
         selects the pre-profile scalar path (the ``flat_costs`` built-in).
     shards:
         Shard count handed to :class:`MultiStreamSimulator` (1 = the
-        single-process kernel; >1 partitions the fleet by signature across
-        epoch-synced shards, see :mod:`repro.runtime.shard`).  Inside pool
-        workers the shards run inline — daemonic workers cannot fork.
+        single-process kernel on one platform; N > 1 partitions the fleet
+        by signature onto N platform replicas, each run to completion, see
+        :mod:`repro.runtime.shard`).  Inside pool workers the shards run
+        inline — daemonic workers cannot fork.
     """
 
     name: str

@@ -1,4 +1,4 @@
-"""Tests for dataset generation, noise injection and AER encoding."""
+"""Tests for dataset generation and noise injection."""
 
 from __future__ import annotations
 
@@ -11,15 +11,8 @@ from repro.events import (
     EventStream,
     HotPixelNoise,
     NoisePipeline,
-    SensorGeometry,
     available_sequences,
-    decode_aer,
-    encode_aer,
     generate_sequence,
-    load_aer,
-    save_aer,
-    stream_from_text,
-    stream_to_text,
 )
 
 
@@ -124,47 +117,3 @@ class TestNoise:
         out = pipeline.apply(base_stream)
         assert isinstance(out, EventStream)
         assert np.all(np.diff(out.t) >= 0)
-
-
-class TestAER:
-    def test_roundtrip_binary(self, random_events):
-        data = encode_aer(random_events)
-        decoded = decode_aer(data)
-        assert len(decoded) == len(random_events)
-        assert np.array_equal(decoded.x, random_events.x)
-        assert np.array_equal(decoded.y, random_events.y)
-        assert np.array_equal(decoded.p, random_events.p)
-        # Timestamps survive to microsecond precision.
-        assert np.allclose(decoded.t, random_events.t, atol=2e-6)
-
-    def test_roundtrip_empty(self):
-        empty = EventStream.empty(SensorGeometry(width=32, height=24))
-        decoded = decode_aer(encode_aer(empty))
-        assert len(decoded) == 0
-        assert decoded.geometry.width == 32
-
-    def test_decode_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            decode_aer(b"nonsense")
-        with pytest.raises(ValueError):
-            decode_aer(b"XXXX" + b"\x00" * 30)
-
-    def test_file_roundtrip(self, tmp_path, random_events):
-        path = tmp_path / "events.aer"
-        save_aer(random_events, path)
-        loaded = load_aer(path)
-        assert len(loaded) == len(random_events)
-
-    def test_text_roundtrip(self, random_events):
-        subset = random_events.slice_index(0, 100)
-        text = stream_to_text(subset)
-        parsed = stream_from_text(text, subset.geometry)
-        assert len(parsed) == len(subset)
-        assert np.array_equal(parsed.x, subset.x)
-        assert np.array_equal(parsed.p, subset.p)
-
-    def test_text_ignores_comments_and_blanks(self):
-        text = "# comment\n\n0.5 3 4 1\n"
-        parsed = stream_from_text(text, SensorGeometry(width=8, height=8))
-        assert len(parsed) == 1
-        assert parsed.p[0] == 1

@@ -1,4 +1,4 @@
-"""Tests for dense frame builders and conversion overhead accounting."""
+"""Tests for dense event bins and conversion overhead accounting."""
 
 from __future__ import annotations
 
@@ -7,19 +7,10 @@ import pytest
 
 from repro.events import EventStream, SensorGeometry
 from repro.frames import (
-    ConversionCost,
     assign_event_bins,
-    bin_boundaries,
-    decode_cost,
-    dense_to_sparse,
     discretized_event_bins,
     encode_cost,
-    ev_flownet_frame,
-    event_count_frame,
     events_to_sparse_cost,
-    frame_occupancy,
-    sparse_to_dense,
-    time_surface,
 )
 
 
@@ -34,17 +25,6 @@ def simple_stream():
 
 
 class TestBinning:
-    def test_bin_boundaries_count(self):
-        edges = bin_boundaries(0.0, 1.0, 5)
-        assert edges.shape == (6,)
-        assert edges[0] == 0.0 and edges[-1] == 1.0
-
-    def test_bin_boundaries_invalid(self):
-        with pytest.raises(ValueError):
-            bin_boundaries(0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            bin_boundaries(1.0, 1.0, 2)
-
     def test_assign_event_bins_equation1(self):
         # biS = (1.0 - 0.0) / 4 = 0.25; EB_k = floor(t / 0.25)
         t = np.array([0.0, 0.1, 0.25, 0.6, 0.99, 1.0])
@@ -63,31 +43,6 @@ class TestBinning:
 
 
 class TestDenseFrames:
-    def test_event_count_frame_totals(self, simple_stream):
-        frame = event_count_frame(simple_stream)
-        assert frame.shape == (2, 12, 16)
-        assert frame[0].sum() == 3  # three positive events
-        assert frame[1].sum() == 2  # two negative events
-
-    def test_event_count_frame_windowed(self, simple_stream):
-        frame = event_count_frame(simple_stream, t_start=0.2, t_end=0.6)
-        assert frame.sum() == 2
-
-    def test_time_surface_latest_timestamp_wins(self):
-        geometry = SensorGeometry(width=8, height=8)
-        stream = EventStream([2, 2], [3, 3], [0.1, 0.6], [1, 1], geometry)
-        surface = time_surface(stream, 0.0, 1.0, normalize=False)
-        assert surface[0, 3, 2] == pytest.approx(0.6)
-
-    def test_time_surface_normalized_range(self, simple_stream):
-        surface = time_surface(simple_stream, 0.0, 1.0, normalize=True)
-        assert surface.min() >= 0.0
-        assert surface.max() <= 1.0
-
-    def test_ev_flownet_frame_has_four_channels(self, simple_stream):
-        frame = ev_flownet_frame(simple_stream, 0.0, 1.0)
-        assert frame.shape == (4, 12, 16)
-
     def test_discretized_event_bins_conserves_events(self, simple_stream):
         grid = discretized_event_bins(simple_stream, 0.0, 1.0, 4)
         assert grid.shape == (4, 2, 12, 16)
@@ -97,45 +52,13 @@ class TestDenseFrames:
         grid = discretized_event_bins(simple_stream, 5.0, 6.0, 4)
         assert grid.sum() == 0
 
-    def test_frame_occupancy_values(self):
-        frame = np.zeros((2, 10, 10))
-        frame[0, 0, 0] = 1
-        frame[1, 5, 5] = 2
-        assert frame_occupancy(frame) == pytest.approx(0.02)
-
-    def test_frame_occupancy_batched(self):
-        grid = np.zeros((4, 2, 10, 10))
-        grid[0, 0, 0, 0] = 1
-        assert frame_occupancy(grid) == pytest.approx(0.01 / 4)
-
-    def test_frame_occupancy_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            frame_occupancy(np.zeros((10, 10)))
-
 
 class TestConversionCosts:
-    def test_dense_to_sparse_matches_analytic(self):
-        dense = np.zeros((2, 20, 30))
-        dense[0, 1, 2] = 3
-        dense[1, 4, 5] = 1
-        frame, cost = dense_to_sparse(dense)
-        assert frame.num_active == 2
-        analytic = encode_cost(20, 30, 2)
-        assert cost.operations == analytic.operations
-        assert cost.bytes_written == analytic.bytes_written
-
-    def test_sparse_to_dense_cost(self):
-        dense = np.zeros((2, 20, 30))
-        dense[0, 1, 2] = 3
-        frame, _ = dense_to_sparse(dense)
-        rebuilt, cost = sparse_to_dense(frame)
-        assert np.allclose(rebuilt, dense)
-        assert cost.operations == decode_cost(20, 30, 1).operations
-
     def test_cost_addition(self):
-        total = encode_cost(10, 10, 5) + decode_cost(10, 10, 5)
-        assert total.operations == encode_cost(10, 10, 5).operations + decode_cost(10, 10, 5).operations
-        assert total.total_bytes > 0
+        encode, direct = encode_cost(10, 10, 5), events_to_sparse_cost(7, 5)
+        total = encode + direct
+        assert total.operations == encode.operations + direct.operations
+        assert total.total_bytes == encode.total_bytes + direct.total_bytes
 
     def test_direct_path_cheaper_for_sparse_input(self):
         """E2SF's core claim: events->sparse is cheaper than events->dense->sparse

@@ -14,7 +14,7 @@ from repro.hw import (
     jetson_orin_nano,
     jetson_xavier_agx,
 )
-from repro.models import build_network, build_spikeflownet
+from repro.models import build_network
 from repro.nn import LayerKind, LayerSpec, MultiTaskGraph, Precision, TaskSpec
 
 
@@ -146,18 +146,6 @@ class TestLatencyModel:
         four = model.layer_latency(conv_layer, gpu, Precision.FP16, batch=4).total
         assert four < 4 * one
 
-    def test_network_latency_sums_layers(self, xavier):
-        model = LatencyModel()
-        net = build_spikeflownet(height=64, width=64)
-        total = model.network_latency(net.layers(), xavier.gpu(), Precision.FP16)
-        assert total > 0
-        per_layer = sum(
-            model.layer_latency(l, xavier.gpu(), Precision.FP16).total
-            for l in net.layers()
-            if l.kind.is_compute
-        )
-        assert total == pytest.approx(per_layer)
-
     def test_invalid_model_parameters(self):
         with pytest.raises(ValueError):
             LatencyModel(sustained_fraction=0.0)
@@ -179,13 +167,6 @@ class TestEnergyModel:
         model = EnergyModel()
         assert model.transfer_energy(0) == 0.0
         assert model.transfer_energy(1_000_000) > 0.0
-
-    def test_idle_energy(self, xavier):
-        model = EnergyModel()
-        idle = model.idle_energy(xavier, "gpu", 1.0)
-        assert idle > 0
-        with pytest.raises(ValueError):
-            model.idle_energy(xavier, "gpu", -1.0)
 
 
 class TestProfiler:

@@ -1,29 +1,17 @@
-"""Tests for quantization, LIF dynamics and sparse convolution."""
+"""Tests for precisions and quantization."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frames import SparseFrame
 from repro.nn import (
-    LIFParameters,
-    LIFState,
     Precision,
-    dense_conv2d,
-    dense_conv2d_macs,
     dequantize,
     fake_quantize,
-    lif_run,
-    lif_step,
     quantization_error,
     quantize,
-    sparse_conv2d,
-    sparse_conv2d_macs,
-    spike_rate,
-    submanifold_conv2d,
 )
 
 
@@ -82,117 +70,3 @@ class TestQuantization:
         x = np.array(values)
         codes, scale = quantize(x, Precision.INT8)
         assert np.all(np.abs(dequantize(codes, scale) - x) <= scale * 0.5 + 1e-9)
-
-
-class TestLIF:
-    def test_subthreshold_input_never_spikes(self):
-        params = LIFParameters(threshold=10.0, leak=0.0)
-        spikes, _ = lif_run([np.ones((4, 4))] * 5, params)
-        assert all(s.sum() == 0 for s in spikes)
-
-    def test_integration_reaches_threshold(self):
-        params = LIFParameters(threshold=2.5, leak=1.0)
-        spikes, _ = lif_run([np.ones((2, 2))] * 3, params)
-        assert spikes[0].sum() == 0
-        assert spikes[1].sum() == 0
-        assert spikes[2].sum() == 4
-
-    def test_subtract_reset_keeps_residual(self):
-        params = LIFParameters(threshold=1.0, leak=1.0, reset_mode="subtract")
-        state = LIFState.zeros((1,))
-        spikes, state = lif_step(state, np.array([1.7]), params)
-        assert spikes[0] == 1
-        assert state.membrane[0] == pytest.approx(0.7)
-
-    def test_zero_reset_clears_membrane(self):
-        params = LIFParameters(threshold=1.0, leak=1.0, reset_mode="zero")
-        state = LIFState.zeros((1,))
-        _, state = lif_step(state, np.array([1.7]), params)
-        assert state.membrane[0] == 0.0
-
-    def test_leak_decays_membrane(self):
-        params = LIFParameters(threshold=10.0, leak=0.5)
-        state = LIFState.zeros((1,))
-        _, state = lif_step(state, np.array([1.0]), params)
-        _, state = lif_step(state, np.array([0.0]), params)
-        assert state.membrane[0] == pytest.approx(0.5)
-
-    def test_spike_rate(self):
-        spikes = [np.array([[1, 0], [0, 0]]), np.array([[1, 1], [0, 0]])]
-        assert spike_rate(spikes) == pytest.approx((0.25 + 0.5) / 2)
-        assert spike_rate([]) == 0.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            LIFParameters(threshold=0.0)
-        with pytest.raises(ValueError):
-            LIFParameters(leak=1.5)
-        with pytest.raises(ValueError):
-            LIFParameters(reset_mode="bogus")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lif_step(LIFState.zeros((2, 2)), np.ones((3, 3)), LIFParameters())
-
-    def test_lif_run_requires_input(self):
-        with pytest.raises(ValueError):
-            lif_run([])
-
-
-class TestSparseConv:
-    def make_frame(self, seed=0, h=20, w=24, n=60):
-        rng = np.random.default_rng(seed)
-        return SparseFrame.from_events(
-            rng.integers(0, w, n), rng.integers(0, h, n), rng.choice([-1, 1], n), h, w
-        )
-
-    def test_sparse_matches_dense_result(self):
-        frame = self.make_frame()
-        rng = np.random.default_rng(1)
-        weights = rng.normal(size=(4, 2, 3, 3))
-        dense_in = frame.to_dense()
-        expected = dense_conv2d(dense_in, weights)
-        actual, macs = sparse_conv2d(frame, weights)
-        assert np.allclose(actual, expected)
-        assert macs == sparse_conv2d_macs(frame.num_active, 2, 4, 3)
-
-    def test_sparse_with_stride(self):
-        frame = self.make_frame(seed=2)
-        weights = np.random.default_rng(2).normal(size=(3, 2, 3, 3))
-        expected = dense_conv2d(frame.to_dense(), weights, stride=2)
-        actual, _ = sparse_conv2d(frame, weights, stride=2)
-        assert np.allclose(actual, expected)
-
-    def test_sparse_cheaper_than_dense_for_sparse_input(self):
-        frame = self.make_frame(h=64, w=64, n=50)
-        sparse_macs = sparse_conv2d_macs(frame.num_active, 2, 8, 3)
-        dense_macs = dense_conv2d_macs(64, 64, 2, 8, 3)
-        assert sparse_macs < dense_macs
-
-    def test_submanifold_preserves_active_set(self):
-        frame = self.make_frame(seed=3)
-        weights = np.random.default_rng(3).normal(size=(2, 2, 3, 3))
-        out, _ = submanifold_conv2d(frame, weights)
-        assert out.num_active == frame.num_active
-        assert np.array_equal(out.rows, frame.rows)
-        assert np.array_equal(out.cols, frame.cols)
-
-    def test_empty_frame_zero_work(self):
-        frame = SparseFrame.empty(16, 16)
-        weights = np.zeros((2, 2, 3, 3))
-        out, macs = sparse_conv2d(frame, weights)
-        assert macs == 0
-        assert np.all(out == 0)
-
-    def test_invalid_weights(self):
-        frame = self.make_frame()
-        with pytest.raises(ValueError):
-            sparse_conv2d(frame, np.zeros((2, 2, 2, 2)))  # even kernel
-        with pytest.raises(ValueError):
-            sparse_conv2d(frame, np.zeros((2, 3, 3, 3)))  # wrong in-channels
-        with pytest.raises(ValueError):
-            dense_conv2d(np.zeros((2, 8, 8)), np.zeros((2, 2, 3)))  # bad ndim
-
-    def test_dense_conv_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_conv2d(np.zeros((3, 8, 8)), np.zeros((2, 2, 3, 3)))

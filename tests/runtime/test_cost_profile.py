@@ -24,7 +24,7 @@ from repro.runtime import (
     OccupancyProfile,
     StreamSource,
 )
-from repro.nn import LayerGraph, LayerKind, LayerSpec, propagate_occupancy_graph
+from repro.nn import LayerGraph, LayerKind, LayerSpec
 
 from oracles.frames import frame_batch
 from oracles.runtime import ChainCostModel, ScalarCostModel, ScalarCostSimulator
@@ -374,68 +374,6 @@ class TestGraphChainDivergence:
         for occ in (0.02, 0.3):
             assert graph_model.inference_cost(occ, 1) == chain_model.inference_cost(
                 occ, 1
-            )
-
-
-class TestHardwareProfileHooks:
-    """The hw-layer cost hooks accept per-layer occupancy sequences."""
-
-    def test_network_latency_with_profile_matches_layer_sum(self, network, platform):
-        from repro.hw.latency import LatencyModel
-
-        model = LatencyModel()
-        gpu = platform.gpu()
-        specs = [s for s in network.layers() if s.kind.is_compute]
-        profile = propagate_occupancy_graph(network, 0.08)
-        from repro.nn import Precision
-
-        total = model.network_latency(
-            network.layers(), gpu, Precision.FP16, sparse=True, occupancies=profile
-        )
-        expected = sum(
-            model.layer_latency(
-                spec, gpu, Precision.FP16, sparse=True, occupancy=occ
-            ).total
-            for spec, occ in zip(specs, profile)
-        )
-        assert total == pytest.approx(expected)
-        # And the profile-aware total differs from the static-sparsity one.
-        assert total != model.network_latency(
-            network.layers(), gpu, Precision.FP16, sparse=True
-        )
-
-    def test_network_energy_with_profile_matches_layer_sum(self, network, platform):
-        from repro.hw.energy import EnergyModel
-        from repro.nn import Precision
-
-        model = EnergyModel()
-        gpu = platform.gpu()
-        specs = [s for s in network.layers() if s.kind.is_compute]
-        profile = propagate_occupancy_graph(network, 0.08)
-        total = model.network_energy(
-            network.layers(), gpu, Precision.FP16, sparse=True, occupancies=profile
-        )
-        expected = sum(
-            model.layer_energy(
-                spec, gpu, Precision.FP16, sparse=True, occupancy=occ
-            ).total
-            for spec, occ in zip(specs, profile)
-        )
-        assert total == pytest.approx(expected)
-
-    def test_occupancy_length_mismatch_rejected(self, network, platform):
-        from repro.hw.energy import EnergyModel
-        from repro.hw.latency import LatencyModel
-        from repro.nn import Precision
-
-        gpu = platform.gpu()
-        with pytest.raises(ValueError):
-            LatencyModel().network_latency(
-                network.layers(), gpu, Precision.FP16, occupancies=[0.1]
-            )
-        with pytest.raises(ValueError):
-            EnergyModel().network_energy(
-                network.layers(), gpu, Precision.FP16, occupancies=[0.1]
             )
 
 

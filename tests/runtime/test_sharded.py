@@ -1,16 +1,21 @@
 """Sharded runtime: partition invariants, report merging, equivalence.
 
-The load-bearing guarantee is seeded equivalence: a ``platform_group``
-partition is PE-disjoint by construction, so the sharded run's merged
-``MultiStreamReport`` must be **bit-identical** to the single-process
-kernel — per-stream records included — for any epoch length and in both
-inline and worker-process modes.  ``shards=1`` must take the unmodified
-single-process path.
+The load-bearing guarantee is the partition oracle: shards never exchange
+an event, so a sharded run's ``MultiStreamReport`` must equal, bit for bit
+— per-stream records included — ``MultiStreamReport.merged`` of independent
+single-process runs of each ``partition_sources`` partition, in inline and
+worker-process modes and under the spawn start method.  On a fleet whose
+signatures occupy disjoint PEs that merge is the single-process run itself.
+``shards=1`` and one-signature fleets take the single-process path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -23,13 +28,12 @@ from repro.nn.quantization import Precision
 from repro.runtime import (
     MultiStreamReport,
     MultiStreamSimulator,
-    NetworkCostModel,
     ShardedSimulator,
+    ShardSummary,
     StreamSource,
     partition_sources,
     signature_groups,
 )
-from repro.runtime.shard import epoch_rows
 
 from test_kernel_equivalence import assert_reports_identical
 
@@ -53,9 +57,9 @@ def disjoint_sources(platform):
     """A seeded fleet whose two signatures occupy disjoint PE sets.
 
     One network pinned wholly onto the GPU, the other wholly onto the CPU
-    (``OptimizationLevel.FULL`` honours the explicit mapping), so a
-    ``platform_group`` partition has two independent components and the
-    sharded run can be compared bit-for-bit against the single kernel.
+    (``OptimizationLevel.FULL`` honours the explicit mapping), so the two
+    signatures never contend and a two-shard run can be compared
+    bit-for-bit against the single kernel.
     """
     sequence = generate_sequence("indoor_flying1", scale=0.1, duration=0.3, seed=1)
     heavy = build_network("adaptive_spikenet", 96, 96)
@@ -148,103 +152,76 @@ class TestPartitioning:
         b = partition_sources(list(mixed_sources), 3)
         assert a == b
 
-    def test_platform_group_merges_pe_sharing_signatures(
-        self, platform, mixed_sources, disjoint_sources
-    ):
-        # Overlapping mappings: one connected component, one effective shard.
-        plan = partition_sources(
-            mixed_sources, 4, by="platform_group", platform=platform
-        )
-        assert plan.num_shards == 1
-        # PE-disjoint mappings: two components, shards stay PE-disjoint.
-        plan = partition_sources(
-            disjoint_sources, 4, by="platform_group", platform=platform
-        )
-        assert plan.num_shards == 2
-        for bucket in plan.assignments:
-            pes = set()
-            for i in bucket:
-                source = disjoint_sources[i]
-                model = NetworkCostModel(
-                    source.network,
-                    platform,
-                    config=source.config,
-                    mapping=source.mapping,
-                )
-                pes |= set(model.pes_used)
-            assert pes in ({"gpu"}, {"cpu"})
-
-    def test_platform_group_requires_platform(self, mixed_sources):
-        with pytest.raises(ValueError, match="platform"):
-            partition_sources(mixed_sources, 2, by="platform_group")
-
-    def test_unknown_rule_and_bad_shards_raise(self, mixed_sources):
-        with pytest.raises(ValueError, match="partition rule"):
-            partition_sources(mixed_sources, 2, by="round_robin")
+    def test_bad_shard_count_raises(self, mixed_sources):
         with pytest.raises(ValueError, match="shards"):
             partition_sources(mixed_sources, 0)
 
 
+def _assert_reports_equal(new, old):
+    """Records, aggregates and every merged counter agree bit for bit."""
+    assert_reports_identical(new, old)
+    assert new.events_processed == old.events_processed
+    assert new.cache_info == old.cache_info
+    assert new.heap_high_water == old.heap_high_water
+    assert (new.start_time, new.end_time) == (old.start_time, old.end_time)
+    assert new.shards == old.shards
+
+
 class TestShardedEquivalence:
-    def test_platform_group_sharding_is_bit_identical(
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_sharded_report_equals_merged_partition_runs(
+        self, platform, mixed_sources, mode
+    ):
+        # The signatures share PEs, so two platform replicas differ from one
+        # platform; they must equal independent runs of each partition.
+        plan = partition_sources(mixed_sources, 2)
+        parts = [
+            MultiStreamSimulator(
+                platform, [mixed_sources[i] for i in indices]
+            ).run()
+            for indices in plan.assignments
+        ]
+        sharded = MultiStreamSimulator(
+            platform, mixed_sources, shards=2, shard_mode=mode
+        ).run()
+        assert sharded.total_inferences > 0
+        _assert_reports_equal(sharded, MultiStreamReport.merged(parts))
+        assert sharded.epochs == [
+            ShardSummary.of(shard, part) for shard, part in enumerate(parts)
+        ]
+
+    def test_pe_disjoint_sharding_is_bit_identical(
         self, platform, disjoint_sources
     ):
         single = MultiStreamSimulator(platform, disjoint_sources).run()
         sharded = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-            shard_mode="inline",
+            platform, disjoint_sources, shards=2, shard_mode="inline"
         ).run()
         assert single.total_inferences > 0
         assert_reports_identical(sharded, single)
         assert sharded.events_processed == single.events_processed
         assert sharded.shards == 2
-        assert sharded.epochs  # barrier summaries survive the merge
 
     def test_process_mode_matches_inline_mode(self, platform, disjoint_sources):
         inline = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-            shard_mode="inline",
+            platform, disjoint_sources, shards=2, shard_mode="inline"
         ).run()
-        process = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-        ).run()
-        assert_reports_identical(process, inline)
+        process = MultiStreamSimulator(platform, disjoint_sources, shards=2).run()
+        _assert_reports_equal(process, inline)
         assert process.epochs == inline.epochs
 
-    def test_merged_report_is_epoch_length_invariant(
-        self, platform, disjoint_sources
+    def test_closing_summaries_resum_to_report_totals(
+        self, platform, mixed_sources
     ):
-        # The barrier is conservative: pausing a kernel mid-heap never
-        # reorders it, so the epoch length must not change any result.
-        coarse = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-            shard_mode="inline",
+        report = MultiStreamSimulator(
+            platform, mixed_sources, shards=2, shard_mode="inline"
         ).run()
-        fine = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-            shard_mode="inline",
-            epoch_length=0.01,
-        ).run()
-        assert len(fine.epochs) > len(coarse.epochs)
-        assert_reports_identical(fine, coarse)
-        # Pausing at every barrier loses no arrival cursor, and the heap
-        # each barrier saw stays bounded by the stream count.
-        assert max(s.heap_high_water for s in fine.epochs) <= 4 * len(disjoint_sources)
+        assert [summary.shard for summary in report.epochs] == [0, 1]
+        assert sum(s.events_processed for s in report.epochs) == report.events_processed
+        assert sum(s.inferences for s in report.epochs) == report.total_inferences
+        assert sum(s.frames_dropped for s in report.epochs) == report.frames_dropped
+        assert max(s.t_end for s in report.epochs) == report.end_time
+        assert max(s.heap_high_water for s in report.epochs) == report.heap_high_water
 
     def test_shards_1_takes_the_single_process_path(self, platform, mixed_sources):
         plain = MultiStreamSimulator(platform, mixed_sources).run()
@@ -256,14 +233,15 @@ class TestShardedEquivalence:
     def test_one_effective_shard_collapses_to_single_process(
         self, platform, mixed_sources
     ):
-        # platform_group on PE-overlapping signatures: one component, so
-        # even shards=4 must degrade to the unsharded bit-identical run.
-        plain = MultiStreamSimulator(platform, mixed_sources).run()
-        collapsed = MultiStreamSimulator(
-            platform, mixed_sources, shards=4, shard_by="platform_group"
-        ).run()
-        assert_reports_identical(collapsed, plain)
+        # One signature is one partition unit, so even shards=4 must
+        # degrade to the unsharded bit-identical run.
+        fleet = mixed_sources[:6]
+        assert len(signature_groups(fleet)) == 1
+        plain = MultiStreamSimulator(platform, fleet).run()
+        collapsed = MultiStreamSimulator(platform, fleet, shards=4).run()
+        _assert_reports_equal(collapsed, plain)
         assert collapsed.shards == 1
+        assert collapsed.epochs is None
 
     def test_signature_sharding_conserves_traffic(self, platform, mixed_sources):
         # Signature shards model platform replicas: contention changes, the
@@ -282,27 +260,72 @@ class TestShardedEquivalence:
         with pytest.raises(ValueError, match="trac"):
             MultiStreamSimulator(platform, mixed_sources, shards=2).run(trace=True)
 
-    def test_epoch_rows_fold_cumulative_summaries(self, platform, disjoint_sources):
-        report = MultiStreamSimulator(
-            platform,
-            disjoint_sources,
-            shards=2,
-            shard_by="platform_group",
-            shard_mode="inline",
-        ).run()
-        rows = epoch_rows(report.epochs)
-        assert [row["epoch"] for row in rows] == sorted(row["epoch"] for row in rows)
-        assert all(row["shards"] == 2 for row in rows)
-        # Per-epoch deltas re-sum to the run totals.
-        assert sum(row["events"] for row in rows) == report.events_processed
-        assert sum(row["inferences"] for row in rows) == report.total_inferences
-        assert sum(row["frames_dropped"] for row in rows) == report.frames_dropped
-
     def test_invalid_modes_raise(self, platform, mixed_sources):
         with pytest.raises(ValueError, match="mode"):
             ShardedSimulator(platform, mixed_sources, shards=2, mode="threads")
-        with pytest.raises(ValueError, match="epoch_length"):
-            ShardedSimulator(platform, mixed_sources, shards=2, epoch_length=0.0)
+        # The simulator rejects an unknown mode up front, sharded or not.
+        for shards in (1, 2):
+            with pytest.raises(ValueError, match="shard_mode"):
+                MultiStreamSimulator(
+                    platform, mixed_sources, shards=shards, shard_mode="threads"
+                )
+
+
+# Run in a fresh interpreter whose first import is repro.runtime.shard, as in
+# a spawned shard worker unpickling its target.
+_SPAWN_SCRIPT = textwrap.dedent(
+    """
+    import repro.runtime.shard
+    import multiprocessing
+
+    from repro.core import EvEdgeConfig, OptimizationLevel
+    from repro.events import generate_sequence
+    from repro.hw import jetson_xavier_agx
+    from repro.models import build_network
+    from repro.runtime import MultiStreamSimulator, StreamSource
+
+    multiprocessing.set_start_method("spawn")
+    sequence = generate_sequence("indoor_flying1", scale=0.05, duration=0.2, seed=0)
+    config = EvEdgeConfig(num_bins=4, optimization=OptimizationLevel.E2SF_DSFA)
+    sources = [
+        StreamSource(f"{name}{i}", sequence, build_network(name, 32, 32), config,
+                     start_offset=0.001 * i)
+        for name in ("dotie", "spikeflownet")
+        for i in range(2)
+    ]
+
+    def summary(report):
+        streams = {
+            name: (r.records, r.frames_generated, r.frames_dropped, r.total_energy)
+            for name, r in report.reports.items()
+        }
+        return streams, report.events_processed, report.end_time, report.epochs
+
+    platform = jetson_xavier_agx()
+    process = MultiStreamSimulator(platform, sources, shards=2).run()
+    inline = MultiStreamSimulator(platform, sources, shards=2, shard_mode="inline").run()
+    assert process.shards == 2 and process.total_inferences > 0
+    assert summary(process) == summary(inline)
+    print("inferences", process.total_inferences)
+    """
+)
+
+
+def test_spawned_shard_workers_match_inline_run():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("inferences ")
 
 
 class TestReportMerge:
