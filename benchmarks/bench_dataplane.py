@@ -8,10 +8,13 @@ Two sections, both timing the production kernels only:
   :class:`~repro.frames.stack.FrameStack` views).  Tiers are total event
   bins per recording.
 * **merge** — frames-merged/sec of the
-  :meth:`~repro.frames.stack.FrameStack.merge_ranges` DSFA dispatch kernel
-  (all buckets of a dispatch reduced in one grouped pass), in cAdd and
-  cAverage.  Tiers are bucket counts per dispatch batch, in the paper's
-  sparse regime (~0.6 % occupancy, merge buckets of 4).
+  :meth:`~repro.frames.stack.FrameStack.merge_ranges` kernel that builds a
+  DSFA batch's merged frames (all buckets of a dispatch reduced in one
+  grouped pass), in cAdd and cAverage.  A dispatch itself does not merge:
+  its batch runs this kernel only when a caller first reads frame
+  contents, which the simulator never does.  Tiers are bucket counts per
+  dispatch batch, in the paper's sparse regime (~0.6 % occupancy, merge
+  buckets of 4).
 
 Bit-identity of both kernels to the per-frame reference paths is pinned by
 the tier-1 tests (``tests/frames``, ``tests/core/test_e2sf_dsfa.py``), so

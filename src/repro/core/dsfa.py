@@ -22,8 +22,12 @@ The implementation follows Figure 6 of the paper:
 Frames arrive as ``(stack, index)`` references into one rendered
 :class:`~repro.frames.stack.FrameStack`
 (:meth:`DynamicSparseFrameAggregator.push_index`): every merge bucket is a
-contiguous index range of that stack (:class:`StackMergeBucket`), and a
-dispatch merges all buckets with one :meth:`FrameStack.merge_ranges` call.
+contiguous index range of that stack (:class:`StackMergeBucket`).  A
+dispatch merges nothing: it hands out a
+:meth:`~repro.frames.sparse.SparseFrameBatch.from_merge` batch of the
+buckets' ranges and merged densities — all that costing a dispatch reads —
+which runs one :meth:`FrameStack.merge_ranges` call over every bucket only
+if a caller reads its frame contents.
 The bounded inference queue of Figure 6 is the executor's: the
 :class:`~repro.runtime.executor.SignatureServer` keeps at most
 ``inference_queue_depth`` pending dispatches per stream.  The per-frame
@@ -80,7 +84,9 @@ class StackMergeBucket:
     ``MBmerged``) as the unique-key count of the range's flat pixel keys —
     bit-identical to the density of the cAdd merge of the bucket's frames
     (density depends only on the active-site union), without building any
-    intermediate frame.
+    intermediate frame.  A one-frame bucket of a stack whose frames repeat
+    no key (:meth:`FrameStack.keys_strictly_ascending`) reads the stack's
+    cached density column instead.
     """
 
     __slots__ = (
@@ -123,18 +129,23 @@ class StackMergeBucket:
         if self.stop == self.start:
             return 0.0
         if self._density is None:
-            lo = int(self.stack.offsets[self.start])
-            hi = int(self.stack.offsets[self.stop])
-            # Cardinality of a key set equals ``np.unique(...).size`` and
-            # the int64 -> python int round trip is exact, so the density
-            # is bit-identical to the cAdd-merge's.  The set is transient:
-            # a bucket holds at most ``capacity`` sparse frames, so
-            # rebuilding it per probe beats both an ``np.unique`` dispatch
-            # and retaining a per-bucket support cache across the fleet.
-            support = set(self.stack.flat_buffer()[lo:hi].tolist())
-            self._density = len(support) / float(
-                self.stack.height * self.stack.width
-            )
+            stack = self.stack
+            if self.stop - self.start == 1 and stack.keys_strictly_ascending():
+                # The frame repeats no key: its nnz is its distinct-key
+                # count, so the cached column holds the merged density.
+                self._density = stack.densities_list()[self.start]
+            else:
+                lo = int(stack.offsets[self.start])
+                hi = int(stack.offsets[self.stop])
+                # Cardinality of a key set equals ``np.unique(...).size``
+                # and the int64 -> python int round trip is exact, so the
+                # density is bit-identical to the cAdd-merge's.  The set is
+                # transient: a bucket holds at most ``capacity`` sparse
+                # frames, so rebuilding it per probe beats both an
+                # ``np.unique`` dispatch and retaining a per-bucket support
+                # cache across the fleet.
+                support = set(stack.flat_buffer()[lo:hi].tolist())
+                self._density = len(support) / float(stack.height * stack.width)
         return self._density
 
     def accepts_index(
@@ -338,19 +349,23 @@ class DynamicSparseFrameAggregator:
         buckets.append(bucket)
 
     def _dispatch(self) -> SparseFrameBatch:
-        # Every bucket of the dispatch merges in one grouped-reduce pass.
-        # The buckets partition a contiguous run of the stack (placement
-        # invariant), so the ranges are adjacent and the merge reads one
+        # No merge runs here.  A merged frame has one entry per distinct key
+        # of its bucket, so its density is the bucket's merged density, and
+        # the batch merges every bucket in one grouped-reduce pass only if a
+        # caller reads frame contents.  The buckets partition a contiguous
+        # run of the stack (placement invariant), so that merge reads one
         # parent slice.
         buckets = self._buckets
-        merged = buckets[0].stack.merge_ranges(
+        batch = SparseFrameBatch.from_merge(
+            buckets[0].stack,
             [(bucket.start, bucket.stop) for bucket in buckets],
+            [bucket.merged_density for bucket in buckets],
             average=self.config.merge_mode is MergeMode.AVERAGE,
         )
         self._buckets = []
         self._buffered_frames = 0
         self.dispatched_batches += 1
-        return SparseFrameBatch.from_stack(merged)
+        return batch
 
     # ------------------------------------------------------------------
     def merge_statistics(self) -> dict:

@@ -9,7 +9,8 @@ negative polarity counts — essentially the sparse Coordinate (COO) format.
 Sparse Frame Aggregator needs: element-wise add, average, density queries
 and conversion to/from dense arrays.  :class:`SparseFrameBatch` is one
 dispatched inference input: an index range into a
-:class:`~repro.frames.stack.FrameStack`.
+:class:`~repro.frames.stack.FrameStack`, or a DSFA dispatch's pending
+merge of index ranges that is built only when its frames are read.
 """
 
 from __future__ import annotations
@@ -466,17 +467,28 @@ class SparseFrameBatch:
 
     The batch is what gets presented to the network as a multi-channel /
     multi-timestep input: ``B`` sparse frames concatenated along a leading
-    batch dimension.  It is the index range ``[start, stop)`` of a
-    :class:`~repro.frames.stack.FrameStack` (:meth:`from_stack`), the
-    columnar transport the runtime uses end to end: density and time-bound
-    queries read the stack's vectorised columns, :meth:`to_dense` scatters
-    the whole batch in one flat ``bincount`` pass, and no per-frame objects
-    exist until a caller iterates the batch (zero-copy views).  Loose
-    frames are batched by packing them first with
+    batch dimension.  It is backed by a
+    :class:`~repro.frames.stack.FrameStack`, the columnar transport the
+    runtime uses end to end, in one of two forms:
+
+    * a *range* (:meth:`from_stack`) — frames ``[start, stop)`` of a stack,
+      zero-copy: density queries read the stack's cached density column;
+    * a *pending merge* (:meth:`from_merge`) — one merged frame per frame
+      index range of a source stack, as a DSFA dispatch produces.  It
+      carries each merged frame's density, so :func:`len`,
+      :attr:`mean_density` and :meth:`frame_densities` (all that costing a
+      dispatch reads) never merge anything.  The merged stack is built
+      with :meth:`FrameStack.merge_ranges` the first time a caller reads
+      frame contents — :attr:`stack`, :attr:`frames`, iteration, indexing,
+      :meth:`to_dense`, :attr:`num_events` or the time bounds — and cached.
+
+    :meth:`to_dense` scatters the whole batch in one flat ``bincount`` pass
+    and no per-frame objects exist until a caller iterates the batch
+    (zero-copy views).  Loose frames are batched by packing them first with
     :meth:`FrameStack.from_frames`.
     """
 
-    __slots__ = ("_stack", "_start", "_stop")
+    __slots__ = ("_stack", "_start", "_stop", "_merge", "_densities")
 
     def __init__(self, stack, start: int = 0, stop: Optional[int] = None) -> None:
         stop = stack.num_frames if stop is None else int(stop)
@@ -489,6 +501,8 @@ class SparseFrameBatch:
         self._stack = stack
         self._start = start
         self._stop = stop
+        self._merge = None
+        self._densities = None
 
     @classmethod
     def from_stack(
@@ -502,9 +516,37 @@ class SparseFrameBatch:
         """
         return cls(stack, start, stop)
 
+    @classmethod
+    def from_merge(
+        cls,
+        stack,
+        ranges: Sequence[Tuple[int, int]],
+        densities: Sequence[float],
+        average: bool = False,
+    ) -> "SparseFrameBatch":
+        """Batch of the merges of frame index ``ranges`` of ``stack``, built lazily.
+
+        ``densities[i]`` must be the spatial density of merged frame ``i``
+        — its distinct-key count over ``height * width``, which is what
+        :attr:`~repro.core.dsfa.StackMergeBucket.merged_density` computes.
+        The merge itself (``stack.merge_ranges(ranges, average)``) runs only
+        when frame contents are first read.
+        """
+        batch = cls.__new__(cls)
+        batch._stack = None
+        batch._start = 0
+        batch._stop = len(ranges)
+        batch._merge = (stack, ranges, average)
+        batch._densities = tuple(densities)
+        return batch
+
     @property
     def stack(self):
-        """The backing :class:`FrameStack`."""
+        """The backing :class:`FrameStack` (a pending merge is built here, once)."""
+        if self._merge is not None:
+            source, ranges, average = self._merge
+            self._stack = source.merge_ranges(ranges, average=average)
+            self._merge = None
         return self._stack
 
     @property
@@ -515,7 +557,8 @@ class SparseFrameBatch:
     @property
     def frames(self) -> List[SparseFrame]:
         """The batch's frames, materialised as zero-copy stack views."""
-        return [self._stack.frame(i) for i in range(self._start, self._stop)]
+        stack = self.stack
+        return [stack.frame(i) for i in range(self._start, self._stop)]
 
     def __repr__(self) -> str:
         return f"SparseFrameBatch({len(self)} frames)"
@@ -534,14 +577,14 @@ class SparseFrameBatch:
         """Earliest start time in the batch."""
         if self._stop == self._start:
             return 0.0
-        return float(self._stack.t_starts[self._start : self._stop].min())
+        return float(self.stack.t_starts[self._start : self._stop].min())
 
     @property
     def t_end(self) -> float:
         """Latest end time in the batch."""
         if self._stop == self._start:
             return 0.0
-        return float(self._stack.t_ends[self._start : self._stop].max())
+        return float(self.stack.t_ends[self._start : self._stop].max())
 
     @property
     def num_events(self) -> float:
@@ -556,10 +599,17 @@ class SparseFrameBatch:
 
     @property
     def mean_density(self) -> float:
-        """Mean spatial density across the batch (0 for an empty batch)."""
+        """Mean spatial density across the batch (0 for an empty batch).
+
+        ``np.mean`` over the carried densities equals ``np.mean`` over the
+        built stack's density column: same float64 values, same order.
+        """
         n = self._stop - self._start
         if n == 0:
             return 0.0
+        densities = self._densities
+        if densities is not None:
+            return densities[0] if n == 1 else float(np.mean(densities))
         if n == 1:
             # Bit-identical to np.mean over one element; single-frame
             # batches dominate the traffic hot path.
@@ -572,9 +622,12 @@ class SparseFrameBatch:
         These seed the per-member occupancy profiles of the layered cost
         stack: a merged dispatch's per-layer occupancy is the mean of its
         members' propagated profiles, so the combination needs the
-        individual densities, not just :attr:`mean_density`.  They are read
-        off the stack's cached density column.
+        individual densities, not just :attr:`mean_density`.  A pending
+        merge returns its carried densities; a range reads them off the
+        stack's cached density column.
         """
+        if self._densities is not None:
+            return self._densities
         return tuple(self._stack.densities()[self._start : self._stop].tolist())
 
     def to_dense(self) -> np.ndarray:
@@ -587,10 +640,10 @@ class SparseFrameBatch:
         accumulates duplicate coordinates in input order within each frame,
         exactly as the per-frame scatter does.
         """
-        stack = self._stack
         num = self._stop - self._start
         if num == 0:
             return np.zeros((0, 2, 0, 0))
+        stack = self.stack
         h, w = stack.height, stack.width
         size = h * w
         lo = int(stack.offsets[self._start])

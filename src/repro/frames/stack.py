@@ -17,10 +17,10 @@ Operations on the stack are vectorised across frames:
   SparseFrame` view over the buffers (buffer slices share memory with the
   stack and carry their slice of the key cache);
 * :meth:`FrameStack.merge_ranges` — the segmented merge kernel behind DSFA
-  dispatches: merges *all* buckets of a dispatch (frame index ranges of
-  the stack) in one grouped-reduce pass instead of one ``np.unique`` round
-  trip per bucket.  Loose frames merge the same way once packed with
-  :meth:`FrameStack.from_frames`.
+  batches: merges *all* buckets of a dispatch (frame index ranges of the
+  stack) in one grouped-reduce pass instead of one ``np.unique`` round trip
+  per bucket, when a caller first reads the batch's frame contents.  Loose
+  frames merge the same way once packed with :meth:`FrameStack.from_frames`.
 
 The merge kernel is bit-identical to merging each range's frames with
 :meth:`SparseFrame.add` / :meth:`SparseFrame.average` (stable sort,
@@ -74,6 +74,7 @@ class FrameStack:
         "_ts_list",
         "_te_list",
         "_d_list",
+        "_ascending",
     )
 
     def __init__(
@@ -129,6 +130,7 @@ class FrameStack:
         self._ts_list = None
         self._te_list = None
         self._d_list = None
+        self._ascending = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -164,6 +166,7 @@ class FrameStack:
         stack._ts_list = None
         stack._te_list = None
         stack._d_list = None
+        stack._ascending = None
         return stack
 
     @classmethod
@@ -272,6 +275,27 @@ class FrameStack:
             self._d_list = self.densities().tolist()
         return self._d_list
 
+    def keys_strictly_ascending(self) -> bool:
+        """True when every frame's pixel keys are strictly ascending (cached).
+
+        Such a frame repeats no key, so its ``nnz`` is its distinct-key
+        count and its cached density equals the density of its merge with
+        itself.  Stacks rendered by ``convert_stack`` (grouped-reduce key
+        order) and frames from :meth:`SparseFrame.from_events` /
+        :meth:`SparseFrame.from_dense` always pass; stacks built from other
+        columns may repeat or unsort keys and fail.  One vectorised pass
+        over :meth:`flat_buffer`; key pairs that straddle a frame boundary
+        are exempt.
+        """
+        if self._ascending is None:
+            flat = self.flat_buffer()
+            step = np.diff(flat) > 0
+            starts = self.offsets[1:-1]
+            starts = starts[(starts > 0) & (starts < flat.size)]
+            step[starts - 1] = True
+            self._ascending = bool(step.all())
+        return self._ascending
+
     def event_counts(self) -> np.ndarray:
         """Per-frame accumulated event counts (``pos + neg``), vectorised."""
         counts = np.zeros(self.num_frames, dtype=np.float64)
@@ -293,9 +317,8 @@ class FrameStack:
         The view's columns are slices of the stack buffers (shared memory).
         Its flat-key cache is pre-seeded from the stack's key buffer only
         when that buffer already exists: computing the whole column just to
-        seed one view would charge merged dispatch stacks — whose views are
-        materialised for density reads that never touch the keys — an int64
-        column per dispatch.  Callers that materialise every frame for
+        seed one view would charge every stack whose views never touch the
+        keys an int64 column.  Callers that materialise every frame for
         key-consuming merges warm :meth:`flat_buffer` first.
         """
         if not 0 <= index < self.num_frames:
@@ -386,6 +409,7 @@ class FrameStack:
         self._ts_list = None
         self._te_list = None
         self._d_list = None
+        self._ascending = None
 
     # ------------------------------------------------------------------
     # segmented merge kernels
@@ -397,9 +421,11 @@ class FrameStack:
 
         ``ranges`` is a sequence of non-empty ``(start, stop)`` frame-index
         ranges; merged frame ``i`` of the result is the merge of frames
-        ``[ranges[i][0], ranges[i][1])``.  This is the slice-backed DSFA
-        dispatch kernel: buckets that hold index ranges into one stream's
-        stack merge without ever materialising per-frame views.  When the
+        ``[ranges[i][0], ranges[i][1])``.  This is the slice-backed kernel
+        behind DSFA batches (:meth:`SparseFrameBatch.from_merge` runs it the
+        first time a caller reads a dispatched batch's frame contents):
+        buckets that hold index ranges into one stream's stack merge
+        without ever materialising per-frame views.  When the
         ranges are adjacent and ascending — always true for DSFA buckets,
         which partition a contiguous run of arrivals — the entry columns are
         one parent slice and nothing is concatenated at all.
@@ -445,11 +471,11 @@ class FrameStack:
         np.cumsum(
             np.bincount(unique_segment, minlength=len(ranges)), out=offsets[1:]
         )
-        # The flat key cache is deliberately NOT carried onto the result:
-        # dispatched batches sit in inference queues for a while and are
-        # never re-merged, so retaining the int64 key column would grow the
-        # fleet's steady-state footprint ~25% for keys nobody reads (they
-        # recompute lazily in the rare paths that want them).
+        # The flat key cache is not carried onto the result.  Queued DSFA
+        # batches no longer hold merged stacks (they build one only when
+        # read), but a caller that builds one may keep it, and the int64
+        # column would add about a quarter to its footprint for keys that
+        # only the rare key-reading paths want; those recompute them lazily.
         return FrameStack._view(
             (unique_flat // self.width).astype(np.int32),
             (unique_flat % self.width).astype(np.int32),

@@ -397,6 +397,118 @@ def test_property_dsfa_never_loses_events_before_queue_eviction(num_frames, buck
     assert total == pytest.approx(sum(f.num_events for f in frames))
 
 
+class TestOneFrameDensityFallback:
+    """A one-frame bucket reads its merged density off the stack's density
+    column only when every frame's keys are strictly ascending; a stack
+    with repeated or unsorted keys falls back to the distinct-key count."""
+
+    H, W = 6, 8  # 48 pixels
+
+    def _config(self, mode):
+        return DSFAConfig(
+            event_buffer_size=6,
+            merge_bucket_size=3,
+            merge_mode=mode,
+            max_time_delay=0.01,
+            max_density_change=0.3,
+            inference_queue_depth=4,
+        )
+
+    def _frames(self):
+        h, w = self.H, self.W
+        # Twelve entries on three distinct pixels: the density column says
+        # 12/48 = 0.25, the merged (distinct-key) density is 3/48.
+        repeated = SparseFrame(
+            [0, 2, 5] * 4, [1, 4, 7] * 4, np.arange(1.0, 13.0), np.zeros(12),
+            h, w, 0.0, 0.001,
+        )
+        # Three distinct pixels in descending key order: density 3/48.
+        descending = SparseFrame(
+            [4, 3, 1], [6, 2, 0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
+            h, w, 0.001, 0.002,
+        )
+        frames = [repeated, descending]
+        for i in range(2, 14):
+            frames.append(
+                make_frame(
+                    seed=i,
+                    n=3 if i % 4 else 30,
+                    t_start=i * 0.001,
+                    t_end=(i + 1) * 0.001,
+                    h=h,
+                    w=w,
+                )
+            )
+        frames.append(
+            SparseFrame(
+                [1, 1, 3], [2, 2, 5], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                h, w, 0.014, 0.015,
+            )
+        )
+        return frames
+
+    def test_stack_fails_the_check(self):
+        stack = FrameStack.from_frames(self._frames())
+        assert not stack.keys_strictly_ascending()
+        bucket = StackMergeBucket(capacity=3, stack=stack, start=0)
+        bucket.add_index(0)
+        assert stack.densities_list()[0] == 12 / 48
+        assert bucket.merged_density == 3 / 48
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_push_index_matches_reference(self, mode):
+        frames = self._frames()
+        stack = FrameStack.from_frames(frames)
+        by_frame = ReferenceAggregator(self._config(mode))
+        by_index = DynamicSparseFrameAggregator(self._config(mode))
+        dispatches = 0
+        for i, frame in enumerate(frames):
+            hw = i in (5, 13)
+            a = by_frame.push(frame, hardware_available=hw)
+            b = by_index.push_index(stack, i, hardware_available=hw)
+            assert (a is None) == (b is None), i
+            if i == 1 and mode is not MergeMode.BATCH:
+                # The descending frame joins the repeated frame's bucket
+                # (0.0625 vs 0.0625).  Read off the density column, the
+                # bucket would claim 0.25 and reject it (change 0.75 > 0.3).
+                assert by_index.num_buckets == len(by_frame.buckets) == 1
+            assert len(by_frame.buckets) == by_index.num_buckets, i
+            if a is not None:
+                dispatches += 1
+                assert b.frame_densities() == tuple(f.density for f in a), i
+                assert b.mean_density == a.mean_density, i
+                assert len(a) == len(b)
+                for fa, fb in zip(a, b):
+                    assert frames_bit_identical(fa, fb)
+        # The last frame (a repeated key) dispatches alone: the batch must
+        # carry its distinct-key density, 2/48, not the column's 3/48.
+        a, b = by_frame.flush(), by_index.flush()
+        assert b.frame_densities() == tuple(f.density for f in a) == (2 / 48,)
+        assert frames_bit_identical(a[0], b[0])
+        assert dispatches >= 2
+
+    @pytest.mark.parametrize("num_bins", [1, 4, 10])
+    def test_shortcut_is_exact_on_rendered_stacks(self, num_bins):
+        # A rendered stack passes the check, so every one-frame bucket reads
+        # the density column; that must equal the distinct-key count and
+        # the density of the frame merged on its own.  The last interval
+        # lies past the recording, so empty frames are covered too.
+        stack = Event2SparseFrameConverter(num_bins).convert_stack(
+            make_stream(n=3000, seed=17), np.linspace(0.0, 1.25, 6)
+        )
+        assert stack.keys_strictly_ascending()
+        flat = stack.flat_buffer()
+        size = float(stack.height * stack.width)
+        merged = stack.merge_ranges([(i, i + 1) for i in range(len(stack))])
+        assert (stack.nnz_counts() == 0).any()
+        for i, density in enumerate(merged.densities().tolist()):
+            bucket = StackMergeBucket(capacity=2, stack=stack, start=i)
+            bucket.add_index(i)
+            lo, hi = int(stack.offsets[i]), int(stack.offsets[i + 1])
+            distinct = len(set(flat[lo:hi].tolist())) / size
+            assert bucket.merged_density == distinct == density, i
+
+
 class TestStackIndexProtocol:
     """push_index(stack, i) must be step-for-step identical to the per-frame
     oracle's push(frame_i)."""

@@ -299,3 +299,83 @@ class TestStackBackedBatch:
         assert empty.to_dense().shape == (0, 2, 0, 0)
         assert empty.num_events == 0.0
         assert empty.mean_density == 0.0
+
+
+# Reads of a pending merge that need its frame contents; each must build
+# the merged stack on first use.
+_CONTENT_READS = {
+    "stack": lambda batch: batch.stack.frames(),
+    "frames": lambda batch: batch.frames,
+    "iteration": lambda batch: list(batch),
+    "indexing": lambda batch: [batch[i] for i in range(len(batch))],
+    "to_dense": lambda batch: batch.to_dense(),
+    "num_events": lambda batch: batch.num_events,
+    "t_start": lambda batch: batch.t_start,
+    "t_end": lambda batch: batch.t_end,
+}
+
+
+def _same_read(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+    return a == b
+
+
+class TestPendingMergeBatch:
+    """``from_merge`` answers len and the density reads from the carried
+    densities, and builds the merged stack once, on the first read of
+    frame contents."""
+
+    RANGES = [(0, 2), (2, 3), (3, 6), (6, 7)]
+
+    def _pending(self, monkeypatch, average):
+        # Few events on a small sensor, so merged frames share pixels.
+        frames = [
+            random_sparse_frame(
+                seed=s, h=6, w=8, n_events=12, t_start=0.1 * s, t_end=0.1 * (s + 1)
+            )
+            for s in range(7)
+        ]
+        merge = SparseFrame.average if average else SparseFrame.add
+        expected = [merge(frames[a:b]) for a, b in self.RANGES]
+        stack = FrameStack.from_frames(frames)
+        merges = []
+        merge_ranges = FrameStack.merge_ranges
+
+        def counting_merge(stack, ranges, average=False):
+            merges.append(list(ranges))
+            return merge_ranges(stack, ranges, average=average)
+
+        monkeypatch.setattr(FrameStack, "merge_ranges", counting_merge)
+        batch = SparseFrameBatch.from_merge(
+            stack, self.RANGES, [f.density for f in expected], average=average
+        )
+        return batch, expected, merges
+
+    @pytest.mark.parametrize("average", [False, True], ids=["add", "average"])
+    def test_carried_reads_never_merge(self, monkeypatch, average):
+        batch, expected, merges = self._pending(monkeypatch, average)
+        densities = tuple(f.density for f in expected)
+        assert len(batch) == len(self.RANGES)
+        assert batch.frame_densities() == densities
+        assert batch.mean_density == float(np.mean(densities))
+        assert batch.stack_range == (0, len(self.RANGES))
+        assert repr(batch) == f"SparseFrameBatch({len(self.RANGES)} frames)"
+        assert merges == []
+
+    @pytest.mark.parametrize("average", [False, True], ids=["add", "average"])
+    @pytest.mark.parametrize("read", sorted(_CONTENT_READS))
+    def test_content_read_builds_the_merge_once(self, monkeypatch, read, average):
+        batch, expected, merges = self._pending(monkeypatch, average)
+        value = _CONTENT_READS[read](batch)
+        assert merges == [self.RANGES]
+        assert _same_read(value, _CONTENT_READS[read](frame_batch(expected)))
+        stack = batch.stack
+        for other in _CONTENT_READS.values():
+            other(batch)
+        assert batch.stack is stack
+        assert len(merges) == 1
+        assert stack.densities().tolist() == list(batch.frame_densities())
+        assert all(view == frame for view, frame in zip(batch, expected))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from oracles.frames import add_reference
+from repro.core.e2sf import Event2SparseFrameConverter
+from repro.events import EventStream, SensorGeometry
 from repro.frames import FrameStack, SparseFrame
 from repro.frames.sparse import _grouped_reduce
 
@@ -388,8 +390,8 @@ class TestMergeRanges:
         assert merged.t_starts[1] == frames[3].t_start
 
     def test_result_does_not_retain_flat_cache(self):
-        # Dispatched batches sit in inference queues; the int64 key column
-        # is deliberately dropped (recomputed lazily if ever needed).
+        # A merged stack is never re-merged; the int64 key column is
+        # deliberately dropped (recomputed lazily if ever needed).
         stack = FrameStack.from_frames(make_frames(n=4))
         merged = stack.merge_ranges([(0, 2), (2, 4)])
         assert merged._flat is None
@@ -404,3 +406,129 @@ class TestMergeRanges:
             stack.merge_ranges([(0, 5)])
         with pytest.raises(IndexError):
             stack.merge_ranges([(-1, 2)])
+
+
+def _repeated_key_frame():
+    # Pixel (1, 3) appears three times: four entries over two distinct
+    # keys (8 and 10).
+    return SparseFrame(
+        [1, 1, 1, 2], [3, 3, 3, 0], [1.5, 2.0, 0.25, 1.0], [0.5, 0.0, 1.0, 0.0],
+        height=4, width=5, t_start=0.0, t_end=0.1,
+    )
+
+
+def _descending_key_frame():
+    # Distinct keys 16, 10, 4: no repeats, but not in ascending order.
+    return SparseFrame(
+        [3, 2, 0], [1, 0, 4], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
+        height=4, width=5, t_start=0.1, t_end=0.2,
+    )
+
+
+def _stack_of_keys(frame_keys, height=4, width=5):
+    """A stack whose frame ``i`` holds the flat pixel keys ``frame_keys[i]``."""
+    keys = np.array([k for keys in frame_keys for k in keys], dtype=np.int64)
+    n = len(frame_keys)
+    return FrameStack(
+        keys // width,
+        keys % width,
+        np.ones(keys.size),
+        np.zeros(keys.size),
+        np.cumsum([0] + [len(keys) for keys in frame_keys]),
+        0.1 * np.arange(n),
+        0.1 * np.arange(1, n + 1),
+        height,
+        width,
+    )
+
+
+class TestKeysStrictlyAscending:
+    @pytest.mark.parametrize(
+        "frame_keys, expected",
+        [
+            ([], True),
+            ([[], [], []], True),
+            ([[7]], True),
+            ([[3, 9], [1, 4]], True),
+            ([[2, 7], [7, 8]], True),
+            ([[], [4, 8], [], [], [1, 3], []], True),
+            ([[2, 2], [1]], False),
+            ([[1, 2], [0, 5, 4]], False),
+            ([[], [6, 6]], False),
+            ([[9, 3], []], False),
+            ([[0, 1, 19], [], [5, 4, 10]], False),
+        ],
+        ids=[
+            "no-frames",
+            "all-empty",
+            "one-entry",
+            "descent-across-boundary",
+            "repeat-across-boundary",
+            "empty-frames-between",
+            "repeat-in-first-frame",
+            "descent-in-last-frame",
+            "repeat-after-empty-frame",
+            "descent-before-empty-frame",
+            "descent-after-empty-frame",
+        ],
+    )
+    def test_matches_per_frame_check(self, frame_keys, expected):
+        # Only key pairs inside one frame count, wherever the empty frames
+        # and frame boundaries fall.
+        assert expected == all(
+            a < b for keys in frame_keys for a, b in zip(keys, keys[1:])
+        )
+        stack = _stack_of_keys(frame_keys)
+        assert stack.keys_strictly_ascending() is expected
+
+    def test_rendered_and_constructed_stacks_pass(self):
+        rng = np.random.default_rng(3)
+        geometry = SensorGeometry(width=20, height=12)
+        n = 1500
+        stream = EventStream(
+            rng.integers(0, geometry.width, n),
+            rng.integers(0, geometry.height, n),
+            np.sort(rng.uniform(0.0, 1.0, n)),
+            rng.choice([-1, 1], n),
+            geometry,
+        )
+        rendered = Event2SparseFrameConverter(4).convert_stack(
+            stream, np.linspace(0.0, 1.0, 6)
+        )
+        assert rendered.keys_strictly_ascending()
+        from_events = FrameStack.from_frames(make_frames(n=5, h=12, w=20, nnz=150))
+        # Consecutive frames overlap in keys: only pairs inside a frame count.
+        assert from_events.keys_strictly_ascending()
+        dense = make_frames(n=3, h=12, w=20)
+        from_dense = FrameStack.from_frames(
+            [SparseFrame.from_dense(f.to_dense(), f.t_start, f.t_end) for f in dense]
+        )
+        assert from_dense.keys_strictly_ascending()
+        # Empty frames at either end leave the boundary exemptions in range.
+        padded = FrameStack.from_frames(
+            [SparseFrame.empty(12, 20)] + dense + [SparseFrame.empty(12, 20)]
+        )
+        assert padded.keys_strictly_ascending()
+        assert FrameStack.from_frames([SparseFrame.empty(12, 20)]).keys_strictly_ascending()
+
+    def test_repeated_or_descending_keys_fail(self):
+        repeated, descending = _repeated_key_frame(), _descending_key_frame()
+        assert not FrameStack.from_frames([repeated, descending]).keys_strictly_ascending()
+        assert not FrameStack.from_frames([repeated]).keys_strictly_ascending()
+        assert not FrameStack.from_frames([descending]).keys_strictly_ascending()
+
+    def test_survives_pickling_and_slicing(self):
+        mixed = FrameStack.from_frames(
+            [_repeated_key_frame(), random_sparse_frame(h=4, w=5, n_events=6)]
+        )
+        clean = FrameStack.from_frames(make_frames(n=3))
+        for stack in (mixed, clean):
+            expected = stack.keys_strictly_ascending()
+            loaded = pickle.loads(pickle.dumps(stack))
+            assert loaded._ascending is None
+            assert loaded.keys_strictly_ascending() == expected
+        assert not mixed.keys_strictly_ascending()
+        assert clean.keys_strictly_ascending()
+        # A slice rechecks only its own frames.
+        assert mixed.slice(1, 2).keys_strictly_ascending()
+        assert not mixed.slice(0, 1).keys_strictly_ascending()

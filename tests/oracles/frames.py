@@ -17,8 +17,8 @@ compare against:
   merge per bucket at dispatch.
 
 :func:`frame_batch` packs loose frames into a
-:class:`~repro.frames.sparse.SparseFrameBatch` (a batch is always a
-``FrameStack`` range).  Like the runtime oracles, this is deliberately
+:class:`~repro.frames.sparse.SparseFrameBatch` (a range over a fresh
+``FrameStack``).  Like the runtime oracles, this is deliberately
 unoptimized verification code.
 """
 
