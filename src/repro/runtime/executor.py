@@ -99,7 +99,8 @@ class SerialExecutor:
         self.kernel.schedule(
             InferenceDone(
                 time=end, stream=client.name, records=(record,), profile=profile
-            )
+            ),
+            client._on_done,
         )
 
 
@@ -172,7 +173,6 @@ class SignatureServer:
         self._pending_count = 0
         self._pending_service = 0.0
         self._next_wakeup: Optional[float] = None
-        kernel.on(InferenceDone, self._on_done, stream=name)
 
     # ------------------------------------------------------------------
     def busy_until(self, client: Optional["object"] = None) -> float:
@@ -239,8 +239,8 @@ class SignatureServer:
         self._pending_count += 1
         self._pending_service += entry.service_estimate
         # The PEs may be held by a *different* server (shared devices), whose
-        # completion events never reach this server's stream — make sure a
-        # wake-up exists at the busy frontier so the queue always drains.
+        # completions never call this server — make sure a wake-up exists
+        # at the busy frontier so the queue always drains.
         self._schedule_wakeup(max(busy, time))
 
     # ------------------------------------------------------------------
@@ -249,7 +249,9 @@ class SignatureServer:
         if self._next_wakeup is not None and self._next_wakeup <= time:
             return
         self._next_wakeup = time
-        self.kernel.schedule(InferenceDone(time=time, stream=self.name, records=()))
+        self.kernel.schedule(
+            InferenceDone(time=time, stream=self.name, records=()), self._on_done
+        )
 
     def _take_members(self) -> List[_PendingDispatch]:
         """Pop the merge set: the oldest pending dispatch of each of the
@@ -325,10 +327,13 @@ class SignatureServer:
                     stream=member.client.name,
                     records=(record,),
                     profile=profile,
-                )
+                ),
+                member.client._on_done,
             )
         # The server's own completion event drives pending-queue draining.
-        self.kernel.schedule(InferenceDone(time=end, stream=self.name, records=()))
+        self.kernel.schedule(
+            InferenceDone(time=end, stream=self.name, records=()), self._on_done
+        )
 
     def _on_done(self, event: InferenceDone) -> None:
         if self._next_wakeup is not None and event.time >= self._next_wakeup - 1e-15:

@@ -34,10 +34,11 @@ single-process run.
 each sends its report (or its traceback) as the only message over a
 one-way pipe.  Under the fork start method the workers inherit the fleet —
 rendered frame stacks included — without pickling; under spawn the
-fleet is pickled to each worker.  Daemonic processes (sweep pool workers)
-may not have children, so there the run falls back to ``mode="inline"``,
-which runs the shards one after another in this process with identical
-results.  Traces do not compose across kernels, so sharded runs do not
+fleet is pickled to each worker.  Daemonic processes (e.g.
+``multiprocessing.Pool`` workers) may not have children, so there the run
+falls back to ``mode="inline"``, which runs the shards one after another in
+this process with identical results.  Sweep workers are not daemonic and
+start shard processes.  Traces do not compose across kernels, so sharded runs do not
 accept a trace.
 """
 
@@ -186,8 +187,8 @@ class ShardedSimulator:
         the unsharded kernel.
     mode:
         ``"process"`` — one worker process per shard (falls back to inline
-        inside daemonic processes, which may not fork children — e.g. sweep
-        pool workers).  ``"inline"`` — the shards run one after another in
+        inside daemonic processes, which may not fork children — e.g.
+        ``multiprocessing.Pool`` workers).  ``"inline"`` — the shards run one after another in
         this process: identical results, no parallelism, no pickling.
     **sim_kwargs:
         Forwarded verbatim to every shard's :class:`MultiStreamSimulator`.
@@ -221,8 +222,8 @@ class ShardedSimulator:
         ]
         mode = self.mode
         if mode == "process" and multiprocessing.current_process().daemon:
-            # Daemonic workers (e.g. sweep pool processes) may not have
-            # children; inline runs produce identical results.
+            # Daemonic workers (e.g. multiprocessing.Pool processes) may not
+            # have children; inline runs produce identical results.
             mode = "inline"
         if mode == "inline":
             reports = [self._simulator(fleet).run() for fleet in fleets]

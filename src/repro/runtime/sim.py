@@ -16,11 +16,8 @@ on:
   same timestamp are ordered by a per-type priority (completions free their
   devices before new frames are examined, dispatches run before later
   arrivals) and FIFO within a type, which is exactly the ordering the seed's
-  inline loop produced implicitly.  Delivery is O(1) in the number of
-  registered handlers: handlers live in a routing table keyed on
-  ``(event_type, stream)`` with a wildcard bucket per type, so a
-  1024-stream fleet no longer pays a linear scan over every stream's
-  handlers for every event.  The kernel also owns per-resource busy
+  inline loop produced implicitly.  Each event is scheduled together with
+  the callable that handles it.  The kernel also owns per-resource busy
   tracking (``busy_until`` / ``acquire``) so clients share one notion of
   device occupancy.
 * **Layered cost stack** — :class:`LayerCostTable` holds per-layer cost
@@ -46,7 +43,6 @@ top of this kernel.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -163,42 +159,6 @@ class PipelineReport:
             self.records.extend(records)
             if limit is not None and len(self.records) > limit:
                 del self.records[: len(self.records) - limit]
-
-    def merge(self, other: "PipelineReport") -> "PipelineReport":
-        """Combine two reports into a new one (shard-report composition).
-
-        Frame counters and streaming accumulators are summed, the completion
-        time is the max of the two, and the retained records are
-        concatenated under the smaller of the two record limits (a lean
-        report anywhere in the merge keeps the result lean — the
-        accumulators are the part that composes at fleet scale).  Neither
-        input is mutated.
-        """
-        limits = [
-            part.record_limit
-            for part in (self, other)
-            if part.record_limit is not None
-        ]
-        merged = PipelineReport(record_limit=min(limits) if limits else None)
-        merged.cost_mode = (
-            self.cost_mode if self.cost_mode == other.cost_mode else "mixed"
-        )
-        merged.frames_generated = self.frames_generated + other.frames_generated
-        merged.frames_merged = self.frames_merged + other.frames_merged
-        merged.frames_dropped = self.frames_dropped + other.frames_dropped
-        for part in (self, other):
-            merged._num_records += part._num_records
-            merged._latency_sum += part._latency_sum
-            merged._energy_sum += part._energy_sum
-            merged._occupancy_sum += part._occupancy_sum
-            if part._max_end_time > merged._max_end_time:
-                merged._max_end_time = part._max_end_time
-        limit = merged.record_limit
-        if limit != 0:
-            merged.records = self.records + other.records
-            if limit is not None and len(merged.records) > limit:
-                del merged.records[: len(merged.records) - limit]
-        return merged
 
     @property
     def num_inferences(self) -> int:
@@ -398,14 +358,10 @@ class RemapTriggered(SimEvent):
 class SimulationKernel:
     """Priority-queue event loop with per-resource busy tracking.
 
-    Handler delivery is O(1) in the number of registered handlers: the
-    kernel keeps a routing table keyed on ``(event_type, stream)`` plus a
-    wildcard bucket per type (handlers registered with ``stream=None``).
-    The first event of a given ``(type, stream)`` builds that key's route —
-    the exact and wildcard handler lists merged by registration order — and
-    later registrations patch every built route they belong to, so handlers
-    registered mid-run are delivered exactly as the pre-routing linear scan
-    would have: FIFO by registration order within an event's priority class.
+    Every event carries its handler: :meth:`schedule` stores the callable
+    in the event's heap entry and :meth:`run` calls it when the event is
+    popped.  An event scheduled without a handler is still counted in
+    ``events_processed`` and traced, but calls nothing.
 
     Parameters
     ----------
@@ -415,36 +371,38 @@ class SimulationKernel:
     """
 
     def __init__(self, trace: Optional[object] = None) -> None:
-        self._heap: List[Tuple[float, int, int, SimEvent]] = []
+        self._heap: List[
+            Tuple[float, int, int, SimEvent, Optional[Callable[[SimEvent], None]]]
+        ] = []
         # Plain int rather than itertools.count: lazy schedulers reserve
         # contiguous sequence blocks up front (reserve_sequences), which an
         # opaque counter cannot hand out.
         self._seq = 0
         self._heap_high_water = 0
-        # Registration tokens order handlers globally; routes merge the
-        # exact and wildcard lists by token.
-        self._reg = itertools.count()
-        self._exact: Dict[Tuple[type, str], List[Tuple[int, Callable[[SimEvent], None]]]] = {}
-        self._wild: Dict[type, List[Tuple[int, Callable[[SimEvent], None]]]] = {}
-        self._routes: Dict[Tuple[type, str], List[Callable[[SimEvent], None]]] = {}
-        self._routed_streams: Dict[type, set] = {}
         self._busy: Dict[str, float] = {}
         self.now = 0.0
         self.events_processed = 0
         self.trace = trace
 
     # -- scheduling ----------------------------------------------------
-    def schedule(self, event: SimEvent, seq: Optional[int] = None) -> None:
+    def schedule(
+        self,
+        event: SimEvent,
+        handler: Optional[Callable[[SimEvent], None]] = None,
+        seq: Optional[int] = None,
+    ) -> None:
         """Enqueue ``event``; scheduling into the past is a client bug.
 
-        ``seq`` is the event's FIFO tie-break within its ``(time, priority)``
-        class.  Left as ``None`` (the normal case) it is drawn from the
-        kernel's monotone counter at call time.  Lazy arrival schedulers pass
-        a sequence number pre-reserved via :meth:`reserve_sequences` so that
-        events scheduled *during* the run occupy exactly the heap slots the
-        horizon-wide prime would have assigned — same-timestamp ordering,
-        and therefore every downstream report, is independent of when the
-        event was scheduled.
+        ``handler`` is called with the event when it is popped (``None``:
+        the event is only counted and traced).  ``seq`` is the event's FIFO
+        tie-break within its ``(time, priority)`` class.  Left as ``None``
+        (the normal case) it is drawn from the kernel's monotone counter at
+        call time.  Lazy arrival schedulers pass a sequence number
+        pre-reserved via :meth:`reserve_sequences` so that events scheduled
+        *during* the run occupy exactly the heap slots the horizon-wide
+        prime would have assigned — same-timestamp ordering, and therefore
+        every downstream report, is independent of when the event was
+        scheduled.
         """
         if event.time < self.now - 1e-12:
             raise ValueError(
@@ -455,7 +413,7 @@ class SimulationKernel:
             seq = self._seq
             self._seq = seq + 1
         heap = self._heap
-        heapq.heappush(heap, (event.time, event.PRIORITY, seq, event))
+        heapq.heappush(heap, (event.time, event.PRIORITY, seq, event, handler))
         if len(heap) > self._heap_high_water:
             self._heap_high_water = len(heap)
 
@@ -463,9 +421,9 @@ class SimulationKernel:
         """Reserve ``count`` consecutive sequence numbers; return the first.
 
         The caller owns ``[base, base + count)`` and stamps them onto events
-        via ``schedule(event, seq=base + i)``.  Reserving advances the
-        counter exactly as ``count`` immediate ``schedule`` calls would, so
-        every later auto-assigned sequence number is unchanged versus
+        via ``schedule(event, handler, seq=base + i)``.  Reserving advances
+        the counter exactly as ``count`` immediate ``schedule`` calls would,
+        so every later auto-assigned sequence number is unchanged versus
         enqueueing the whole block up front.
         """
         if count < 0:
@@ -474,59 +432,18 @@ class SimulationKernel:
         self._seq = base + count
         return base
 
-    def on(
-        self,
-        event_type: type,
-        handler: Callable[[SimEvent], None],
-        stream: Optional[str] = None,
-    ) -> None:
-        """Register ``handler`` for events of ``event_type``.
-
-        With ``stream`` given, only events carrying that stream name are
-        delivered; handlers registered with ``stream=None`` see every event
-        of the type.
-        """
-        token = next(self._reg)
-        if stream is None:
-            self._wild.setdefault(event_type, []).append((token, handler))
-            # A wildcard handler belongs to every stream's route of this
-            # type; the new token is the largest so far, so appending keeps
-            # each built route sorted by registration order.
-            for routed in self._routed_streams.get(event_type, ()):
-                self._routes[(event_type, routed)].append(handler)
-        else:
-            self._exact.setdefault((event_type, stream), []).append((token, handler))
-            if stream in self._routed_streams.get(event_type, ()):
-                self._routes[(event_type, stream)].append(handler)
-
-    def _build_route(
-        self, event_type: type, stream: str
-    ) -> List[Callable[[SimEvent], None]]:
-        """Merge exact and wildcard handlers of one key by registration order."""
-        entries = list(self._exact.get((event_type, stream), ()))
-        entries += self._wild.get(event_type, ())
-        entries.sort(key=lambda entry: entry[0])
-        route = [handler for _, handler in entries]
-        self._routes[(event_type, stream)] = route
-        self._routed_streams.setdefault(event_type, set()).add(stream)
-        return route
-
     def run(self, until: Optional[float] = None) -> float:
         """Process events in time/priority order; return the final time."""
         heap = self._heap
-        routes = self._routes
         while heap:
             if until is not None and heap[0][0] > until:
                 break
-            time, _, _, event = heapq.heappop(heap)
+            time, _, _, event, handler = heapq.heappop(heap)
             self.now = time
             self.events_processed += 1
             if self.trace is not None:
                 self.trace.record(event)
-            route = routes.get((event.__class__, event.stream))
-            if route is None:
-                route = self._build_route(event.__class__, event.stream)
-            for handler in route:
+            if handler is not None:
                 handler(event)
         return self.now
 

@@ -267,10 +267,6 @@ class StreamClient:
             else None
         )
         self._last_duration = 0.0
-        kernel.on(FrameReady, self._on_frame, stream=self.name)
-        kernel.on(DispatchBatch, self._on_dispatch, stream=self.name)
-        kernel.on(InferenceDone, self._on_done, stream=self.name)
-        kernel.on(StreamEnd, self._on_stream_end, stream=self.name)
 
     # ------------------------------------------------------------------
     def _frame_event(self, index: int) -> FrameReady:
@@ -315,14 +311,17 @@ class StreamClient:
         self._seq_base = self.kernel.reserve_sequences(count)
         self._cursor = 1 if count else 0
         if count:
-            self.kernel.schedule(self._frame_event(0), seq=self._seq_base)
+            self.kernel.schedule(
+                self._frame_event(0), self._on_frame, seq=self._seq_base
+            )
         # The last bin's computed t_end can differ from the final grayscale
         # timestamp by a few ulps; the flush must still come after every
         # frame arrival.
         self.kernel.schedule(
             StreamEnd(
                 time=max(self.source.end_time, last_arrival), stream=self.name
-            )
+            ),
+            self._on_stream_end,
         )
 
     def note_dispatch(self, duration: float) -> None:
@@ -347,7 +346,7 @@ class StreamClient:
             # already queued.
             self._cursor = cursor + 1
             self.kernel.schedule(
-                self._frame_event(cursor), seq=self._seq_base + cursor
+                self._frame_event(cursor), self._on_frame, seq=self._seq_base + cursor
             )
         arrival = event.time
         if self.aggregator is not None:
@@ -358,7 +357,8 @@ class StreamClient:
             if batch is not None:
                 self.report.frames_merged += len(batch)
                 self.kernel.schedule(
-                    DispatchBatch(time=arrival, stream=self.name, batch=batch)
+                    DispatchBatch(time=arrival, stream=self.name, batch=batch),
+                    self._on_dispatch,
                 )
             return
         # Without DSFA every frame is processed individually.  A real
@@ -377,7 +377,8 @@ class StreamClient:
             return
         batch = SparseFrameBatch.from_stack(event.stack, event.index, event.index + 1)
         self.kernel.schedule(
-            DispatchBatch(time=arrival, stream=self.name, batch=batch)
+            DispatchBatch(time=arrival, stream=self.name, batch=batch),
+            self._on_dispatch,
         )
 
     def _on_stream_end(self, event: StreamEnd) -> None:
@@ -391,7 +392,8 @@ class StreamClient:
             self.kernel.schedule(
                 DispatchBatch(
                     time=self.source.end_time, stream=self.name, batch=batch
-                )
+                ),
+                self._on_dispatch,
             )
 
     def _on_dispatch(self, event: DispatchBatch) -> None:
@@ -733,25 +735,26 @@ class MultiStreamReport:
         """Combine two reports over *disjoint* stream sets into a new one.
 
         This is the shard-composition operation: per-stream reports are
-        unioned (a stream appearing in both inputs has its
-        :class:`~repro.runtime.sim.PipelineReport` accumulators merged —
-        partial shard reports of one stream compose too), the active window
-        spans both inputs (``start_time`` min / ``end_time`` max), event and
-        cache counters are summed, remap records are concatenated in time
-        order and ``shards`` adds up.  Traces do not compose across kernels,
-        so the merged report carries none.  Cost modes must agree: merging
-        reports produced under different cost semantics would silently mix
-        incomparable numbers.
+        unioned, the active window spans both inputs (``start_time`` min /
+        ``end_time`` max), event and cache counters are summed, remap
+        records are concatenated in time order and ``shards`` adds up.
+        Traces do not compose across kernels, so the merged report carries
+        none.  Inputs that share a stream name, or that were produced under
+        different cost semantics, raise ``ValueError``: either would
+        silently mix numbers that do not add up.
         """
         if self.cost_mode != other.cost_mode:
             raise ValueError(
                 f"cannot merge reports with different cost modes "
                 f"({self.cost_mode!r} != {other.cost_mode!r})"
             )
-        reports = dict(self.reports)
-        for name, report in other.reports.items():
-            existing = reports.get(name)
-            reports[name] = report if existing is None else existing.merge(report)
+        shared = self.reports.keys() & other.reports.keys()
+        if shared:
+            raise ValueError(
+                "cannot merge reports over overlapping stream sets "
+                f"(shared: {sorted(shared)})"
+            )
+        reports = {**self.reports, **other.reports}
         cache_info = None
         if self.cache_info is not None or other.cache_info is not None:
             cache_info = {"hits": 0.0, "misses": 0.0, "entries": 0.0}
@@ -875,16 +878,14 @@ class MultiStreamSimulator:
         deep-layer profiles share cost-cache entries across streams and
         DSFA merges (see ``benchmarks/bench_cost_model.py``).
 
-    The kernel, execution servers, cost models and stream clients are built
-    from the :attr:`kernel_class`, :attr:`server_class`,
-    :attr:`cost_model_class` and :attr:`client_class` class attributes, so a
-    subclass can run a fleet on alternative implementations of any of them
-    with the construction sequence — and therefore the event ordering — of
-    this class.  Sharded runs (``shards > 1``) build every shard from this
-    base class.
+    The execution servers, cost models and stream clients are built from
+    the :attr:`server_class`, :attr:`cost_model_class` and
+    :attr:`client_class` class attributes, so a subclass can run a fleet on
+    alternative implementations of any of them with the construction
+    sequence — and therefore the event ordering — of this class.  Sharded
+    runs (``shards > 1``) build every shard from this base class.
     """
 
-    kernel_class = SimulationKernel
     server_class = SignatureServer
     cost_model_class = NetworkCostModel
     client_class = StreamClient
@@ -949,12 +950,17 @@ class MultiStreamSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _schedule_remap_triggers(self, kernel: SimulationKernel) -> None:
+    def _schedule_remap_triggers(
+        self, kernel: SimulationKernel, clients: List[StreamClient]
+    ) -> None:
         """One remap trigger per distinct join/leave instant."""
         triggers = {(source.start_offset, "join") for source in self.sources}
         triggers |= {(source.end_time, "leave") for source in self.sources}
         for time, reason in sorted(triggers):
-            kernel.schedule(RemapTriggered(time=time, reason=reason))
+            kernel.schedule(
+                RemapTriggered(time=time, reason=reason),
+                lambda event: self._on_remap(event, clients),
+            )
 
     def _active_clients(
         self, clients: List[StreamClient], time: float
@@ -1036,7 +1042,7 @@ class MultiStreamSimulator:
         (``kernel.run(until=...)``) with exactly the construction sequence —
         and therefore exactly the event ordering — of :meth:`run`.
         """
-        kernel = self.kernel_class(trace=trace)
+        kernel = SimulationKernel(trace=trace)
         cost_models: Dict[tuple, NetworkCostModel] = {}
         servers: Dict[tuple, SignatureServer] = {}
         clients: List[StreamClient] = []
@@ -1075,10 +1081,7 @@ class MultiStreamSimulator:
         if self.remap_client is not None:
             remaps_before = len(self.remap_client.records)
             self.remap_client.reset_cooldown()
-            kernel.on(
-                RemapTriggered, lambda event: self._on_remap(event, clients)
-            )
-            self._schedule_remap_triggers(kernel)
+            self._schedule_remap_triggers(kernel, clients)
         for client in clients:
             client.prime()
         return kernel, clients, remaps_before

@@ -16,10 +16,13 @@ exact same traffic.  Because the sweep simulates the spec *as written*, any
 row can be reproduced outside the runner with ``registry.compile(spec)`` or
 ``python -m repro.scenarios run``.
 
-:class:`SweepRunner` fans dirty cells across a ``multiprocessing`` pool
+:class:`SweepRunner` fans dirty cells across a process pool
 (cells are pure functions of picklable value objects, so workers need no
 shared state) and returns per-cell aggregate rows plus cache accounting.
-Workers re-resolve :func:`~repro.scenarios.registry.default_registry`, so
+A worker that dies mid-sweep fails the run with
+:class:`~concurrent.futures.process.BrokenProcessPool` (a ``RuntimeError``)
+instead of leaving it waiting for a result that never comes.  Workers
+re-resolve :func:`~repro.scenarios.registry.default_registry`, so
 under a *spawn* start method (macOS/Windows defaults) only the built-in
 families are visible inside the pool — sweeps over custom-registered
 families need a fork context or ``workers=1``.
@@ -32,6 +35,7 @@ import json
 import multiprocessing
 import os
 import time as _time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -108,8 +112,9 @@ class SweepPolicy:
         Shard count handed to :class:`MultiStreamSimulator` (1 = the
         single-process kernel on one platform; N > 1 partitions the fleet
         by signature onto N platform replicas, each run to completion, see
-        :mod:`repro.runtime.shard`).  Inside pool workers the shards run
-        inline — daemonic workers cannot fork.
+        :mod:`repro.runtime.shard`).  Sweep workers are not daemonic, so a
+        sharded cell starts its shard processes there too; results are
+        identical to an inline run.
     """
 
     name: str
@@ -190,7 +195,7 @@ def sweep_grid(
 
 
 # Worker-side compiled-source cache, keyed on the spec's content hash.
-# Pool workers are long-lived across ``imap`` tasks, so one worker asked to
+# Pool workers are long-lived across ``map`` tasks, so one worker asked to
 # simulate several cells of the same scenario (platform/policy axes of a
 # grid) compiles it once and reuses the sources — including their rendered
 # frame caches.  Bounded FIFO: sweep grids iterate scenarios outermost, so
@@ -365,14 +370,14 @@ class SweepRunner:
                 dirty.append(i)
         if dirty:
             if workers > 1 and len(dirty) > 1:
-                ctx = multiprocessing.get_context()
-                with ctx.Pool(processes=min(workers, len(dirty))) as pool:
-                    # imap (not map) so each finished cell is cached as soon
-                    # as its result arrives — a crash or kill mid-sweep keeps
-                    # every already-completed cell warm for the re-run.
-                    results = pool.imap(
-                        simulate_cell, [cells[i] for i in dirty], chunksize=1
-                    )
+                with ProcessPoolExecutor(
+                    min(workers, len(dirty)), mp_context=multiprocessing.get_context()
+                ) as pool:
+                    # Rows arrive in cell order and each is cached as soon as
+                    # it arrives, so a crash or kill mid-sweep keeps every
+                    # already-completed cell warm for the re-run.  A dead
+                    # worker raises BrokenProcessPool here.
+                    results = pool.map(simulate_cell, [cells[i] for i in dirty])
                     for i, row in zip(dirty, results):
                         rows[i] = row
                         self._store(row)

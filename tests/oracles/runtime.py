@@ -6,9 +6,6 @@ Every refactor of the runtime hot path was required to be
 after.  This module keeps the pre-refactor implementations alive so those
 claims stay machine-checked:
 
-* :class:`LegacyScanKernel` — linear handler-scan delivery: every event
-  walks *all* registered handlers of its type and string-compares stream
-  names, exactly as the kernel did before the routing table.
 * :class:`LegacyListServer` — one flat pending list per server with
   O(queue) scans for enqueue bounding and distinct-stream merge selection,
   plus one scheduled wake-up per enqueued dispatch (the event storm the
@@ -43,7 +40,7 @@ claims stay machine-checked:
   and per-network profiles: every remap runs the search, on an engine whose
   profile comes from the joint multi-task graph.
 
-The kernel, server and cost-model oracles implement the *current*
+The server and cost-model oracles implement the *current*
 accounting semantics (per-member latency shares, the queued-service
 backlog estimate) on the *old* data structures — they isolate the
 performance refactor, not the accounting bugfixes, so the equivalence tests
@@ -59,9 +56,8 @@ deliberately unoptimized verification code.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.e2sf import Event2SparseFrameConverter
 from repro.core.nmp.candidate import Assignment, MappingCandidate
@@ -79,8 +75,6 @@ from repro.runtime.sim import (
     InferenceDone,
     NetworkCostModel,
     QueueEvict,
-    SimEvent,
-    SimulationKernel,
     StreamEnd,
 )
 from repro.runtime.streams import (
@@ -95,7 +89,6 @@ from .frames import ReferenceAggregator, convert_sequence, frame_batch
 from .occupancy import propagate_occupancy_chain
 
 __all__ = [
-    "LegacyScanKernel",
     "LegacyListServer",
     "ScalarCostModel",
     "ChainCostModel",
@@ -109,38 +102,6 @@ __all__ = [
     "PerFrameReferenceSimulator",
     "RerunRemapSimulator",
 ]
-
-
-class LegacyScanKernel(SimulationKernel):
-    """Linear-scan event delivery (the pre-routing-table kernel)."""
-
-    def __init__(self, trace: Optional[object] = None) -> None:
-        super().__init__(trace=trace)
-        self._legacy_handlers: Dict[
-            type, List[Tuple[Optional[str], Callable[[SimEvent], None]]]
-        ] = {}
-
-    def on(
-        self,
-        event_type: type,
-        handler: Callable[[SimEvent], None],
-        stream: Optional[str] = None,
-    ) -> None:
-        self._legacy_handlers.setdefault(event_type, []).append((stream, handler))
-
-    def run(self, until: Optional[float] = None) -> float:
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            time, _, _, event = heapq.heappop(self._heap)
-            self.now = time
-            self.events_processed += 1
-            if self.trace is not None:
-                self.trace.record(event)
-            for stream, handler in self._legacy_handlers.get(type(event), []):
-                if stream is None or stream == event.stream:
-                    handler(event)
-        return self.now
 
 
 class LegacyListServer(SignatureServer):
@@ -190,7 +151,8 @@ class LegacyListServer(SignatureServer):
         self._pending_service += entry.service_estimate
         # One wake-up per enqueued dispatch: the pre-refactor event storm.
         self.kernel.schedule(
-            InferenceDone(time=max(busy, time), stream=self.name, records=())
+            InferenceDone(time=max(busy, time), stream=self.name, records=()),
+            self._on_done,
         )
 
     def _on_done(self, event: InferenceDone) -> None:
@@ -199,7 +161,8 @@ class LegacyListServer(SignatureServer):
         busy = self.busy_until()
         if busy > event.time:
             self.kernel.schedule(
-                InferenceDone(time=busy, stream=self.name, records=())
+                InferenceDone(time=busy, stream=self.name, records=()),
+                self._on_done,
             )
             return
         members: List[_PendingDispatch] = []
@@ -338,11 +301,13 @@ class EagerPrimeClient(StreamClient):
         self.report.frames_generated += count
         for i in range(count):
             self.kernel.schedule(
-                FrameReady(time=arrivals[i], stream=self.name, stack=stack, index=i)
+                FrameReady(time=arrivals[i], stream=self.name, stack=stack, index=i),
+                self._on_frame,
             )
         last_arrival = arrivals[count - 1] if count else self.source.start_offset
         self.kernel.schedule(
-            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name)
+            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name),
+            self._on_stream_end,
         )
 
 
@@ -368,10 +333,13 @@ class PerFrameReferenceClient(StreamClient):
         self._frames = [frame for _, frame in rendered]
         self.report.frames_generated += len(rendered)
         for i, (arrival, _) in enumerate(rendered):
-            self.kernel.schedule(FrameReady(time=arrival, stream=self.name, index=i))
+            self.kernel.schedule(
+                FrameReady(time=arrival, stream=self.name, index=i), self._on_frame
+            )
         last_arrival = rendered[-1][0] if rendered else self.source.start_offset
         self.kernel.schedule(
-            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name)
+            StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name),
+            self._on_stream_end,
         )
 
     def _on_frame(self, event: FrameReady) -> None:
@@ -384,7 +352,8 @@ class PerFrameReferenceClient(StreamClient):
             if batch is not None:
                 self.report.frames_merged += len(batch)
                 self.kernel.schedule(
-                    DispatchBatch(time=arrival, stream=self.name, batch=batch)
+                    DispatchBatch(time=arrival, stream=self.name, batch=batch),
+                    self._on_dispatch,
                 )
             return
         backlog = self.executor.backlog_estimate(self, arrival)
@@ -395,7 +364,8 @@ class PerFrameReferenceClient(StreamClient):
             )
             return
         self.kernel.schedule(
-            DispatchBatch(time=arrival, stream=self.name, batch=frame_batch([frame]))
+            DispatchBatch(time=arrival, stream=self.name, batch=frame_batch([frame])),
+            self._on_dispatch,
         )
 
 
@@ -485,9 +455,8 @@ class RerunMappingClient:
 
 
 class LegacySimulator(MultiStreamSimulator):
-    """A fleet on the pre-routing kernel and the flat-list server."""
+    """A fleet on the flat-list server."""
 
-    kernel_class = LegacyScanKernel
     server_class = LegacyListServer
 
 

@@ -1,7 +1,7 @@
 """Report-equivalence regression: refactored hot path vs pre-refactor oracle.
 
-The fleet-scale refactor (O(1) kernel routing, indexed pending queues,
-coalesced wake-ups, streaming report accumulators) must be *provably
+The fleet-scale refactor (indexed pending queues, coalesced wake-ups,
+streaming report accumulators) must be *provably
 report-identical*: the same fleet and seed produce bit-identical
 ``MultiStreamReport`` aggregates on the refactored path and on the
 pre-refactor reference implementations kept in ``tests/oracles``.

@@ -66,11 +66,10 @@ class TestLazyEagerEquivalence:
             reference = PerFrameReferenceSimulator(platform, sources).run()
             assert_reports_identical(lazy, reference)
 
-    def test_mid_run_handler_registration_matches_eager_delivery(self):
-        """PR-4 routing regression, lazy edition: a handler registered
-        mid-run (while successors are still being scheduled with reserved
-        sequence numbers) sees exactly the deliveries the eager prime
-        produces."""
+    def test_reserved_sequences_match_eager_delivery(self):
+        """Successors scheduled mid-run on reserved sequence numbers reach
+        their handlers in exactly the eager prime's order, including
+        against a same-time event of another stream heaped before them."""
         times = [0.0, 0.1, 0.1, 0.2]
 
         def drive(lazy: bool):
@@ -84,30 +83,33 @@ class TestLazyEagerEquivalence:
                     state["cursor"] = cursor + 1
                     kernel.schedule(
                         FrameReady(time=times[cursor], stream="s"),
+                        on_frame,
                         seq=state["base"] + cursor,
                     )
-                seen.append(("frame", event.time))
-                if len(seen) == 1:  # register a second handler mid-run
-                    kernel.on(
-                        FrameReady,
-                        lambda e: seen.append(("late", e.time)),
-                        stream="s",
-                    )
+                seen.append((event.stream, event.time))
 
-            kernel.on(FrameReady, on_frame, stream="s")
             if lazy:
                 state["base"] = kernel.reserve_sequences(len(times))
                 state["cursor"] = 1
                 kernel.schedule(
-                    FrameReady(time=times[0], stream="s"), seq=state["base"]
+                    FrameReady(time=times[0], stream="s"), on_frame, seq=state["base"]
                 )
             else:
                 for t in times:
-                    kernel.schedule(FrameReady(time=t, stream="s"))
+                    kernel.schedule(FrameReady(time=t, stream="s"), on_frame)
+            for t in (0.1, 0.2):
+                kernel.schedule(
+                    FrameReady(time=t, stream="t"),
+                    lambda e: seen.append((e.stream, e.time)),
+                )
             kernel.run()
             return seen
 
-        assert drive(lazy=True) == drive(lazy=False)
+        lazy = drive(lazy=True)
+        assert lazy == drive(lazy=False)
+        assert lazy == [
+            ("s", 0.0), ("s", 0.1), ("s", 0.1), ("t", 0.1), ("s", 0.2), ("t", 0.2)
+        ]
 
 
 class TestChurnCursorCut:
@@ -232,31 +234,6 @@ class TestBoundedRetention:
             # ...while the retained list is the most recent tail.
             assert trimmed.records == report.records[-2:]
         assert capped.mean_latency == full.mean_latency
-
-    def test_record_limit_survives_merge(self):
-        left = PipelineReport(record_limit=3)
-        right = PipelineReport()
-        for report, lat in ((left, 1.0), (right, 2.0)):
-            for i in range(4):
-                from repro.runtime.sim import InferenceRecord
-
-                report.add_records(
-                    [
-                        InferenceRecord(
-                            dispatch_time=i * lat,
-                            start_time=i * lat,
-                            end_time=i * lat + lat,
-                            num_frames=1,
-                            occupancy=0.1,
-                            energy=0.5,
-                        )
-                    ]
-                )
-        assert len(left.records) == 3 and left.num_inferences == 4
-        merged = left.merge(right)
-        assert merged.record_limit == 3
-        assert len(merged.records) == 3
-        assert merged.num_inferences == 8  # accumulators account everything
 
     def test_record_limit_validation(self, registry):
         with pytest.raises(ValueError, match="record_limit"):

@@ -365,12 +365,20 @@ class TestReportMerge:
             )
 
     def test_merge_rejects_mixed_cost_modes(self, platform, disjoint_sources):
-        left, _ = self._run_split(platform, disjoint_sources, 5)
+        left, right = self._run_split(platform, disjoint_sources, 5)
         other = dataclasses.replace(
-            left, cost_mode="flat" if left.cost_mode != "flat" else "profile"
+            right, cost_mode="flat" if right.cost_mode != "flat" else "profile"
         )
         with pytest.raises(ValueError, match="cost modes"):
             left.merge(other)
+
+    def test_merge_rejects_overlapping_stream_sets(self, platform, disjoint_sources):
+        left = MultiStreamSimulator(platform, disjoint_sources[:5]).run()
+        overlapping = MultiStreamSimulator(platform, disjoint_sources[4:]).run()
+        with pytest.raises(ValueError, match="overlapping stream sets"):
+            left.merge(overlapping)
+        with pytest.raises(ValueError, match="overlapping stream sets"):
+            left.merge(left)
 
     def test_merged_classmethod_folds_many(self, platform, disjoint_sources):
         whole = MultiStreamSimulator(platform, disjoint_sources).run()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
+
 import pytest
 
 from repro.core import EvEdgeConfig, OptimizationLevel
@@ -15,9 +18,13 @@ from repro.runtime import (
     InferenceDone,
     KernelTrace,
     LayerCostTable,
+    MultiStreamSimulator,
     NetworkCostModel,
     QueueEvict,
+    RemapPolicy,
+    RemapTriggered,
     SimulationKernel,
+    StreamClient,
     StreamEnd,
 )
 
@@ -37,8 +44,10 @@ class TestKernelOrdering:
         kernel = SimulationKernel()
         seen = []
         for event_type in (FrameReady, DispatchBatch, InferenceDone, QueueEvict, StreamEnd):
-            kernel.on(event_type, lambda e: seen.append(type(e).__name__))
-            kernel.schedule(event_type(time=1.0, stream="s"))
+            kernel.schedule(
+                event_type(time=1.0, stream="s"),
+                lambda e: seen.append(type(e).__name__),
+            )
         kernel.run()
         assert seen == [
             "InferenceDone",
@@ -51,130 +60,200 @@ class TestKernelOrdering:
     def test_fifo_within_one_priority_class(self):
         kernel = SimulationKernel()
         seen = []
-        kernel.on(FrameReady, lambda e: seen.append(e.stream))
         for name in ("a", "b", "c"):
-            kernel.schedule(FrameReady(time=2.0, stream=name))
+            kernel.schedule(FrameReady(time=2.0, stream=name), lambda e: seen.append(e.stream))
         kernel.run()
         assert seen == ["a", "b", "c"]
 
     def test_time_orders_before_priority(self):
         kernel = SimulationKernel()
         seen = []
-        kernel.on(FrameReady, lambda e: seen.append("frame"))
-        kernel.on(StreamEnd, lambda e: seen.append("end"))
-        kernel.schedule(FrameReady(time=2.0, stream="s"))
-        kernel.schedule(StreamEnd(time=1.0, stream="s"))
+        kernel.schedule(FrameReady(time=2.0, stream="s"), lambda e: seen.append("frame"))
+        kernel.schedule(StreamEnd(time=1.0, stream="s"), lambda e: seen.append("end"))
         kernel.run()
         assert seen == ["end", "frame"]
 
     def test_scheduling_into_the_past_raises(self):
         kernel = SimulationKernel()
-        kernel.on(FrameReady, lambda e: None)
-        kernel.schedule(FrameReady(time=1.0, stream="s"))
+        kernel.schedule(FrameReady(time=1.0, stream="s"), lambda e: None)
         kernel.run()
         with pytest.raises(ValueError):
-            kernel.schedule(FrameReady(time=0.5, stream="s"))
+            kernel.schedule(FrameReady(time=0.5, stream="s"), lambda e: None)
 
-    def test_stream_filtered_handlers(self):
+
+class TestEventDelivery:
+    """Each event is delivered to the one handler it was scheduled with."""
+
+    def test_each_handler_is_called_once_at_pop_time_in_heap_order(self):
         kernel = SimulationKernel()
-        mine, everyone = [], []
-        kernel.on(FrameReady, lambda e: mine.append(e.stream), stream="a")
-        kernel.on(FrameReady, lambda e: everyone.append(e.stream))
-        kernel.schedule(FrameReady(time=0.0, stream="a"))
-        kernel.schedule(FrameReady(time=0.0, stream="b"))
-        kernel.run()
-        assert mine == ["a"]
-        assert everyone == ["a", "b"]
+        calls = []
 
-    def test_handlers_can_schedule_followups(self):
+        def handler(tag):
+            def on_event(event):
+                calls.append((tag, event, kernel.now, kernel.events_processed))
+
+            return on_event
+
+        # Scheduled out of order: (time, priority, FIFO) decides delivery.
+        events = {
+            "frame-late": FrameReady(time=2.0, stream="s"),
+            "frame-a": FrameReady(time=1.0, stream="s"),
+            "frame-b": FrameReady(time=1.0, stream="t"),
+            "done": InferenceDone(time=1.0, stream="s"),
+        }
+        for tag, event in events.items():
+            kernel.schedule(event, handler(tag))
+        assert calls == []  # nothing is delivered before run()
+        kernel.run()
+        assert calls == [
+            ("done", events["done"], 1.0, 1),
+            ("frame-a", events["frame-a"], 1.0, 2),
+            ("frame-b", events["frame-b"], 1.0, 3),
+            ("frame-late", events["frame-late"], 2.0, 4),
+        ]
+        kernel.run()  # a drained kernel delivers nothing twice
+        assert len(calls) == 4
+
+    def test_event_without_handler_is_counted_and_traced_only(self):
+        trace = KernelTrace()
+        kernel = SimulationKernel(trace=trace)
+        seen = []
+        kernel.schedule(QueueEvict(time=0.2, stream="s", num_frames=2, reason="queue-full"))
+        kernel.schedule(FrameReady(time=0.3, stream="s"), lambda e: seen.append(e.time))
+        assert kernel.run() == 0.3
+        assert seen == [0.3]
+        assert kernel.events_processed == 2
+        assert trace.counts() == {"QueueEvict": 1, "FrameReady": 1}
+        assert "queue-full" in trace.entries[0].detail
+
+    def test_handler_can_schedule_a_same_time_followup(self):
         kernel = SimulationKernel()
         seen = []
-        kernel.on(FrameReady, lambda e: kernel.schedule(DispatchBatch(time=e.time, stream=e.stream)))
-        kernel.on(DispatchBatch, lambda e: seen.append(e.time))
-        kernel.schedule(FrameReady(time=3.0, stream="s"))
+
+        def on_frame(event):
+            seen.append(("frame", event.stream))
+            if event.stream == "a":
+                kernel.schedule(
+                    DispatchBatch(time=event.time, stream="a"),
+                    lambda e: seen.append(("dispatch", e.stream)),
+                )
+
+        kernel.schedule(FrameReady(time=3.0, stream="a"), on_frame)
+        kernel.schedule(FrameReady(time=3.0, stream="b"), on_frame)
         end = kernel.run()
-        assert seen == [3.0]
+        # The follow-up's priority puts it ahead of the frame still queued
+        # at the same time.
+        assert seen == [("frame", "a"), ("dispatch", "a"), ("frame", "b")]
         assert end == 3.0
         assert kernel.pending_events == 0
+        assert kernel.events_processed == 3
 
+    def test_drained_kernel_keeps_no_handler_alive(self):
+        # Handlers live only in heap entries: once its events are delivered,
+        # the kernel holds no reference to a handler's owner.
+        class Owner:
+            def on_event(self, event):
+                pass
 
-class TestRoutingTable:
-    """The O(1) routing table must reproduce the linear scan's delivery
-    semantics exactly: registration-order FIFO across per-stream and
-    wildcard handlers, including handlers registered mid-run."""
-
-    def test_interleaved_wildcard_and_stream_registration_order(self):
         kernel = SimulationKernel()
-        seen = []
-        kernel.on(FrameReady, lambda e: seen.append("wild0"))
-        kernel.on(FrameReady, lambda e: seen.append("a0"), stream="a")
-        kernel.on(FrameReady, lambda e: seen.append("wild1"))
-        kernel.on(FrameReady, lambda e: seen.append("b0"), stream="b")
-        kernel.on(FrameReady, lambda e: seen.append("a1"), stream="a")
-        kernel.schedule(FrameReady(time=0.0, stream="a"))
-        kernel.schedule(FrameReady(time=1.0, stream="b"))
+        owner = Owner()
+        kernel.schedule(FrameReady(time=0.0, stream="s"), owner.on_event)
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is not None  # the queued event still needs it
         kernel.run()
-        # Stream "a": registration order wild0, a0, wild1, a1.
-        # Stream "b": wild0, wild1, b0.
-        assert seen == ["wild0", "a0", "wild1", "a1", "wild0", "wild1", "b0"]
+        assert ref() is None
 
-    def test_matches_legacy_scan_delivery_order(self):
-        from oracles.runtime import LegacyScanKernel
 
-        def drive(kernel):
-            seen = []
-            kernel.on(FrameReady, lambda e: seen.append(("w0", e.stream)))
-            kernel.on(FrameReady, lambda e: seen.append(("s-a", e.stream)), stream="a")
-            kernel.on(DispatchBatch, lambda e: seen.append(("d", e.stream)))
-            kernel.on(FrameReady, lambda e: seen.append(("w1", e.stream)))
-            kernel.on(FrameReady, lambda e: seen.append(("s-b", e.stream)), stream="b")
-            for t, s in [(0.0, "a"), (0.0, "b"), (1.0, "c"), (1.0, "a")]:
-                kernel.schedule(FrameReady(time=t, stream=s))
-            kernel.schedule(DispatchBatch(time=0.5, stream="a"))
-            kernel.run()
-            return seen
+def _contended_fleet():
+    """No-DSFA and DSFA streams on one heavy server with depth-1 queues:
+    backlog drops, queue-full evictions, merges and wake-ups all fire."""
+    from repro.core import DSFAConfig
+    from repro.events import generate_sequence
+    from repro.runtime import StreamSource
 
-        assert drive(SimulationKernel()) == drive(LegacyScanKernel())
+    sequence = generate_sequence("indoor_flying1", scale=0.12, duration=0.4, seed=0)
+    heavy = build_network("adaptive_spikenet", 128, 128)
+    depth = DSFAConfig(inference_queue_depth=1)
+    configs = {
+        "raw": EvEdgeConfig(num_bins=10, optimization=OptimizationLevel.E2SF, dsfa=depth),
+        "agg": EvEdgeConfig(
+            num_bins=10, optimization=OptimizationLevel.E2SF_DSFA, dsfa=depth
+        ),
+    }
+    return [
+        StreamSource(f"{kind}{i}", sequence, heavy, config, start_offset=0.001 * i)
+        for kind, config in configs.items()
+        for i in range(6)
+    ], None
 
-    def test_handler_registered_mid_run_sees_later_events(self):
-        kernel = SimulationKernel()
-        seen = []
 
-        def register_late(event):
-            seen.append("first")
-            kernel.on(FrameReady, lambda e: seen.append("late"), stream="s")
+def _remapping_fleet():
+    """A churning NMP fleet: joins and leaves fire remap triggers."""
+    from repro.core.nmp.search import NMPConfig
+    from repro.scenarios import default_registry
 
-        kernel.on(FrameReady, register_late, stream="s")
-        kernel.schedule(FrameReady(time=0.0, stream="s"))
-        kernel.schedule(FrameReady(time=1.0, stream="s"))
-        kernel.run()
-        # The late handler appends to the already-built route: it is invoked
-        # for the event that registered it (same semantics as the old list
-        # scan, which saw appends during iteration) and for every later one.
-        assert seen == ["first", "late", "first", "late", "late"]
+    full = OptimizationLevel.FULL
+    sources = [
+        dataclasses.replace(
+            source, config=dataclasses.replace(source.config, optimization=full)
+        )
+        for source in default_registry().compile(
+            "churn", num_streams=8, duration=0.3, scale=0.1, num_bins=4
+        )
+    ]
+    policy = RemapPolicy(nmp_config=NMPConfig(population_size=4, generations=2, seed=0))
+    return sources, policy
 
-    def test_wildcard_registered_after_route_built_is_patched_in(self):
-        kernel = SimulationKernel()
-        seen = []
-        kernel.on(FrameReady, lambda e: seen.append("stream"), stream="s")
-        kernel.schedule(FrameReady(time=0.0, stream="s"))
-        kernel.run()  # builds the ("s", FrameReady) route
-        kernel.on(FrameReady, lambda e: seen.append("wild"))
-        kernel.schedule(FrameReady(time=2.0, stream="s"))
-        kernel.schedule(FrameReady(time=2.0, stream="t"))  # fresh route
-        kernel.run()
-        assert seen == ["stream", "stream", "wild", "wild"]
 
-    def test_stream_handler_registered_after_route_built_is_patched_in(self):
-        kernel = SimulationKernel()
-        seen = []
-        kernel.on(FrameReady, lambda e: seen.append("wild"))
-        kernel.schedule(FrameReady(time=0.0, stream="s"))
-        kernel.run()
-        kernel.on(FrameReady, lambda e: seen.append("stream"), stream="s")
-        kernel.schedule(FrameReady(time=1.0, stream="s"))
-        kernel.run()
-        assert seen == ["wild", "wild", "stream"]
+class TestProductionWiring:
+    """Every scheduling site hands the kernel the callee of its event.
+
+    Each fleet builder returns ``(sources, remap_policy)``.
+    """
+
+    @pytest.mark.parametrize("fleet", [_contended_fleet, _remapping_fleet])
+    def test_each_event_reaches_its_stream_callee(self, monkeypatch, fleet):
+        sources, policy = fleet()
+        scheduled = []
+        schedule = SimulationKernel.schedule
+
+        def recording(kernel, event, handler=None, seq=None):
+            scheduled.append((event, handler))
+            schedule(kernel, event, handler, seq)
+
+        monkeypatch.setattr(SimulationKernel, "schedule", recording)
+        report = MultiStreamSimulator(
+            jetson_xavier_agx(), sources, remap_policy=policy
+        ).run()
+        callees = {
+            FrameReady: "_on_frame",
+            DispatchBatch: "_on_dispatch",
+            StreamEnd: "_on_stream_end",
+            InferenceDone: "_on_done",
+        }
+        evict_reasons = set()
+        for event, handler in scheduled:
+            kind = type(event)
+            if kind is QueueEvict:
+                assert handler is None
+                evict_reasons.add(event.reason)
+            elif kind is RemapTriggered:
+                assert callable(handler)
+            else:
+                # Stream clients and signature servers each own one name.
+                assert handler.__name__ == callees[kind]
+                assert handler.__self__.name == event.stream
+                is_client = isinstance(handler.__self__, StreamClient)
+                # Only a server's wake-ups and own completions carry no records.
+                assert is_client == (kind is not InferenceDone or bool(event.records))
+        kinds = {type(event) for event, _ in scheduled}
+        assert set(callees) <= kinds
+        if policy is None:
+            assert evict_reasons == {"backlog", "queue-full"}
+        else:
+            assert RemapTriggered in kinds
+        assert report.events_processed == len(scheduled)
 
 
 class TestKernelResources:

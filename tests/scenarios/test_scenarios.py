@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -19,6 +25,7 @@ from repro.scenarios import (
     simulate_cell,
     sweep_grid,
 )
+from repro.scenarios import sweep as sweep_module
 from repro.scenarios.cli import main as scenarios_cli
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
@@ -158,6 +165,10 @@ class TestFamilies:
         }
 
 
+def _worker_daemon_row(cell):
+    return {"hash": cell.content_hash(), "daemon": multiprocessing.current_process().daemon}
+
+
 class TestSweep:
     def _cells(self, policies=("batched",), scenarios=("steady", "hotspot")):
         return sweep_grid(scenarios, policies=policies, **SMALL)
@@ -258,9 +269,9 @@ class TestSweep:
         assert simulate_cell(unsharded)["shards"] == 1
 
     def test_sharded_cells_run_inside_pool_workers(self, tmp_path):
-        # Daemonic pool workers cannot fork shard processes; the sharded
-        # simulator must fall back to the inline protocol and still match
-        # a serial run of the same cells bit-for-bit.
+        # Sweep workers are not daemonic, so a sharded cell starts shard
+        # processes inside them; the rows must still match a serial run of
+        # the same cells bit-for-bit.
         policy = dataclasses.replace(
             BUILTIN_POLICIES["batched"], name="batched2", shards=2
         )
@@ -272,6 +283,70 @@ class TestSweep:
         ]
         assert strip(parallel.rows) == strip(serial.rows)
         assert all(row["shards"] == 2 for row in serial.rows)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="workers must inherit the patched cell function",
+    )
+    def test_pool_workers_are_not_daemonic(self, monkeypatch):
+        # Only a non-daemonic process may start children, so this is what
+        # lets a sharded cell start shard processes inside a sweep worker.
+        monkeypatch.setattr(sweep_module, "simulate_cell", _worker_daemon_row)
+        cells = self._cells(policies=("batched", "unbatched"))
+        report = SweepRunner(workers=2).run(cells)
+        assert report.simulated == len(cells)
+        assert [row["daemon"] for row in report.rows] == [False] * len(cells)
+
+
+# A sweep whose worker dies on the ``steady`` cell.  Forked workers inherit
+# the patched ``simulate_cell``.
+_CRASHING_SWEEP = textwrap.dedent(
+    """
+    import multiprocessing
+    import os
+
+    from repro.scenarios import sweep
+
+    multiprocessing.set_start_method("fork")
+    simulate = sweep.simulate_cell
+
+    def crashing_cell(cell):
+        if cell.scenario.name == "steady":
+            os._exit(3)
+        return simulate(cell)
+
+    sweep.simulate_cell = crashing_cell
+    cells = sweep.sweep_grid(["steady", "churn"], num_streams=2, duration=0.2)
+    try:
+        sweep.SweepRunner(workers=2).run(cells)
+    except RuntimeError as exc:
+        print("raised", type(exc).__name__)
+    else:
+        print("finished")
+    """
+)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the fork start method")
+def test_crashed_sweep_worker_fails_the_run():
+    # Regression: a worker that dies used to leave SweepRunner.run blocked
+    # forever on a result that never came.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _CRASHING_SWEEP],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised BrokenProcessPool"
+    assert time.perf_counter() - start < 30
 
 
 class TestCLI:
