@@ -114,7 +114,7 @@ def test_ablation_nmp_population_size(benchmark, settings):
         [TaskSpec(build_network(n, *settings.network_resolution)) for n in ("dotie", "halsie")]
     )
     platform = jetson_xavier_agx()
-    profile = PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    profile = PlatformProfiler(platform).profile(graph)
 
     def sweep():
         latencies = {}

@@ -39,7 +39,7 @@ def test_nmp_flattened_scheduler_throughput(settings):
     """Schedules/sec of the flattened scheduler's metrics-only fast path."""
     platform = jetson_xavier_agx()
     graph = _mixed_graph(settings)
-    profile = PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    profile = PlatformProfiler(platform).profile(graph)
     rng = np.random.default_rng(0)
     candidates = [MappingCandidate.random(graph, platform, rng) for _ in range(150)]
 

@@ -58,8 +58,7 @@ def main() -> None:
         ]
 
     policy = RemapPolicy(
-        nmp_config=NMPConfig(population_size=12, generations=8, seed=0),
-        strategy="evolutionary",
+        nmp_config=NMPConfig(population_size=12, generations=8, seed=0)
     )
     static = MultiStreamSimulator(platform, sources()).run()
     adaptive = MultiStreamSimulator(platform, sources(), remap_policy=policy).run()

@@ -29,7 +29,7 @@ def main() -> None:
     graph = MultiTaskGraph([TaskSpec(build_network(name)) for name in networks])
     print(f"multi-task graph: {graph.task_names}, {len(graph.compute_nodes())} layers total")
 
-    executor = MappedExecutor(graph, platform, occupancy=0.1)
+    executor = MappedExecutor(graph, platform)
 
     rr_net = executor.execute(
         rr_network_mapping(graph, platform, precision=Precision.FP16, devices=["gpu", "dla0"]),

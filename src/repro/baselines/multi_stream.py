@@ -10,8 +10,9 @@ MultiStreamSimulator` results:
   cross-stream batching is disabled (``max_merge_streams=1``), isolating
   how much of the shared-platform throughput comes from merging.
 
-Both baselines default to ``cost_mode="profile"`` — the same propagated
-per-layer occupancy semantics the simulator they bracket runs under (a
+Both baselines cost on the default latency and energy models, like the
+simulator they bracket, and default to ``cost_mode="profile"`` — the same
+propagated per-layer occupancy semantics that simulator runs under (a
 bracket costed on different semantics than its subject would not bracket
 anything).  The mode is recorded in every returned report
 (``PipelineReport.cost_mode`` / ``MultiStreamReport.cost_mode``); pass
@@ -20,11 +21,9 @@ anything).  The mode is recorded in every returned report
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..core.pipeline import EvEdgePipeline, PipelineReport
-from ..hw.energy import EnergyModel
-from ..hw.latency import LatencyModel
 from ..hw.pe import Platform
 from ..runtime.streams import MultiStreamReport, MultiStreamSimulator, StreamSource
 
@@ -34,8 +33,6 @@ __all__ = ["run_streams_isolated", "run_streams_unbatched"]
 def run_streams_isolated(
     sources: Sequence[StreamSource],
     platform: Platform,
-    latency_model: Optional[LatencyModel] = None,
-    energy_model: Optional[EnergyModel] = None,
     cost_mode: str = "profile",
 ) -> Dict[str, PipelineReport]:
     """Run every stream on a private copy of the platform (no contention).
@@ -52,8 +49,6 @@ def run_streams_isolated(
             platform,
             config=source.config,
             mapping=source.mapping,
-            latency_model=latency_model,
-            energy_model=energy_model,
             cost_mode=cost_mode,
         )
         reports[source.name] = pipeline.run(source.sequence)
@@ -63,17 +58,9 @@ def run_streams_isolated(
 def run_streams_unbatched(
     sources: Sequence[StreamSource],
     platform: Platform,
-    latency_model: Optional[LatencyModel] = None,
-    energy_model: Optional[EnergyModel] = None,
     cost_mode: str = "profile",
 ) -> MultiStreamReport:
     """Share one platform across streams with cross-stream batching disabled."""
-    simulator = MultiStreamSimulator(
-        platform,
-        sources,
-        latency_model=latency_model,
-        energy_model=energy_model,
-        max_merge_streams=1,
-        cost_mode=cost_mode,
-    )
-    return simulator.run()
+    return MultiStreamSimulator(
+        platform, sources, max_merge_streams=1, cost_mode=cost_mode
+    ).run()

@@ -314,14 +314,9 @@ class SimulatedAnnealingStrategy:
     """
 
     name = "annealing"
+    cooling = 0.85
 
-    def __init__(self, cooling: float = 0.85, initial_acceptance_scale: float = 1.0) -> None:
-        if not 0.0 < cooling < 1.0:
-            raise ValueError("cooling must be in (0, 1)")
-        if initial_acceptance_scale <= 0.0:
-            raise ValueError("initial_acceptance_scale must be positive")
-        self.cooling = cooling
-        self.initial_acceptance_scale = initial_acceptance_scale
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -357,9 +352,7 @@ class SimulatedAnnealingStrategy:
             fitnesses = [b.fitness for _, b in evaluated]
             spread = float(np.std(fitnesses))
             scale = float(np.mean(np.abs(fitnesses)))
-            self._temperature = self.initial_acceptance_scale * max(
-                spread, 0.05 * scale, 1e-12
-            )
+            self._temperature = max(spread, 0.05 * scale, 1e-12)
             return self._propose(ctx)
         temperature = max(self._temperature, 1e-300)
         for i, (candidate, breakdown) in enumerate(evaluated):
@@ -547,18 +540,20 @@ class MapperEngine:
             requested_evaluations=requested,
         )
 
-    def equal_budget_config(self, generous_generations: int = 10_000) -> NMPConfig:
+    def equal_budget_config(self) -> NMPConfig:
         """The engine's config with ``max_evaluations`` pinned to its schedule.
 
         Strategies whose population shape differs from the evolutionary
         ``generations x population_size`` grid (e.g. the greedy layer sweep)
-        run with this config so every strategy spends the same budget.
+        run with this config so every strategy spends the same budget.  The
+        generation cap is raised to at least 10,000 so that the evaluation
+        budget, not the generation count, ends every run.
         """
         budget = self.config.generations * self.config.population_size
         return replace(
             self.config,
             max_evaluations=budget,
-            generations=max(self.config.generations, generous_generations),
+            generations=max(self.config.generations, 10_000),
         )
 
 
@@ -571,7 +566,7 @@ STRATEGIES = {
 }
 
 
-def make_strategy(name: str, **kwargs) -> SearchStrategy:
+def make_strategy(name: str) -> SearchStrategy:
     """Instantiate a registered strategy by name."""
     try:
         factory = STRATEGIES[name]
@@ -579,4 +574,4 @@ def make_strategy(name: str, **kwargs) -> SearchStrategy:
         raise KeyError(
             f"unknown search strategy '{name}' (available: {sorted(STRATEGIES)})"
         ) from None
-    return factory(**kwargs)
+    return factory()

@@ -26,11 +26,9 @@ multi-stream traffic simulator reuses the same pieces.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..events.datasets import EventSequence
-from ..hw.energy import EnergyModel
-from ..hw.latency import LatencyModel
 from ..hw.pe import Platform
 from ..nn.graph import LayerGraph
 from ..runtime.sim import (
@@ -57,8 +55,6 @@ class EvEdgePipeline:
         platform: Platform,
         config: Optional[EvEdgeConfig] = None,
         mapping: Optional[MappingCandidate] = None,
-        latency_model: Optional[LatencyModel] = None,
-        energy_model: Optional[EnergyModel] = None,
         cost_mode: str = "flat",
     ) -> None:
         """``cost_mode`` selects the cost-stack semantics
@@ -69,30 +65,14 @@ class EvEdgePipeline:
         self.platform = platform
         self.config = config or EvEdgeConfig()
         self.mapping = mapping
-        self.latency_model = latency_model or LatencyModel()
-        self.energy_model = energy_model or EnergyModel(self.latency_model)
         self.cost_model = NetworkCostModel(
             network,
             platform,
             config=self.config,
             mapping=mapping,
-            table=LayerCostTable(self.latency_model, self.energy_model),
+            table=LayerCostTable(),
             cost_mode=cost_mode,
         )
-
-    # ------------------------------------------------------------------
-    def inference_time_and_energy(
-        self, occupancy: float, batch: int
-    ) -> Tuple[float, float]:
-        """Latency and energy of one network invocation.
-
-        The measured occupancy of the merged input drives the first layer;
-        deeper layers use their modelled activation sparsity.  When producer
-        and consumer layers sit on different devices a unified-memory
-        transfer is added (single-task execution is serial, so transfers are
-        simply summed).  Results are memoized per ``(occupancy, batch)``.
-        """
-        return self.cost_model.inference_cost(occupancy, batch)
 
     # ------------------------------------------------------------------
     def run(self, sequence: EventSequence, trace: Optional[object] = None) -> PipelineReport:

@@ -49,7 +49,7 @@ def run_fig10(
     graph = MultiTaskGraph(
         [TaskSpec(build_network(name, *settings.network_resolution)) for name in networks]
     )
-    profile = PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    profile = PlatformProfiler(platform).profile(graph)
     nmp_config = nmp_config or NMPConfig(population_size=20, generations=15, seed=settings.seed)
     engine = MapperEngine(graph, platform, profile, nmp_config)
     budget = nmp_config.generations * nmp_config.population_size

@@ -50,7 +50,7 @@ def _single_task_nmp_mapping(network, platform: Platform, settings: ExperimentSe
     from ..nn.quantization import Precision
 
     graph = MultiTaskGraph([TaskSpec(network)])
-    profile = PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    profile = PlatformProfiler(platform).profile(graph)
     gpu = platform.gpu()
     seeds = [
         MappingCandidate.uniform(graph, gpu.name, precision)

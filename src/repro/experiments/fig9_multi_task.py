@@ -63,7 +63,7 @@ def run_fig9(
     rows: List[Dict[str, object]] = []
     for config_name, networks in configs.items():
         graph = _build_graph(networks, settings)
-        profile = PlatformProfiler(platform).profile(graph, occupancy=0.1)
+        profile = PlatformProfiler(platform).profile(graph)
         accuracy_evaluators = None
         if with_accuracy:
             accuracy_evaluators = {

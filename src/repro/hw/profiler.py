@@ -17,7 +17,7 @@ touching the search code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..nn.graph import MultiTaskGraph
 from ..nn.quantization import Precision
@@ -25,7 +25,12 @@ from .energy import EnergyModel
 from .latency import LatencyModel
 from .pe import Platform
 
-__all__ = ["ProfileEntry", "ProfileTable", "PlatformProfiler"]
+__all__ = ["ProfileEntry", "ProfileTable", "PlatformProfiler", "PROFILE_OCCUPANCY"]
+
+# Activation occupancy of every sparse-mode profile entry: the mapper
+# searches offline (and between inference batches online), before the
+# incoming frames' density is known.
+PROFILE_OCCUPANCY = 0.1
 
 
 @dataclass(frozen=True)
@@ -106,27 +111,16 @@ class ProfileTable:
 class PlatformProfiler:
     """Profile every layer of a multi-task graph on every capable device."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        latency_model: Optional[LatencyModel] = None,
-        energy_model: Optional[EnergyModel] = None,
-    ) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.latency_model = latency_model or LatencyModel()
-        self.energy_model = energy_model or EnergyModel(self.latency_model)
+        self.latency_model = LatencyModel()
+        self.energy_model = EnergyModel(self.latency_model)
 
-    def profile(
-        self,
-        graph: MultiTaskGraph,
-        sparse_modes: Iterable[bool] = (False, True),
-        occupancy: Optional[float] = None,
-    ) -> ProfileTable:
+    def profile(self, graph: MultiTaskGraph) -> ProfileTable:
         """Build the full profile table for ``graph`` on the platform.
 
-        ``occupancy`` optionally overrides the non-zero activation fraction
-        used for the sparse-mode entries (e.g. the measured density of the
-        incoming merged sparse frames).
+        Every layer is profiled dense and, on devices with sparse kernels,
+        sparse; sparse entries run at :data:`PROFILE_OCCUPANCY`.
         """
         table = ProfileTable(self.platform)
         for node in graph.compute_nodes():
@@ -135,14 +129,16 @@ class PlatformProfiler:
                 if not pe.supports_layer(spec):
                     continue
                 for precision in pe.supported_precisions:
-                    for sparse in sparse_modes:
+                    for sparse in (False, True):
                         if sparse and not pe.supports_sparse:
                             continue
                         latency = self.latency_model.layer_latency(
-                            spec, pe, precision, sparse=sparse, occupancy=occupancy
+                            spec, pe, precision,
+                            sparse=sparse, occupancy=PROFILE_OCCUPANCY,
                         ).total
                         energy = self.energy_model.layer_energy(
-                            spec, pe, precision, sparse=sparse, occupancy=occupancy
+                            spec, pe, precision,
+                            sparse=sparse, occupancy=PROFILE_OCCUPANCY,
                         ).total
                         table.record(
                             node, pe.name, precision, sparse, ProfileEntry(latency, energy)

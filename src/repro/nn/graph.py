@@ -210,7 +210,6 @@ class TaskSpec:
 
     network: LayerGraph
     accuracy_budget: float = 0.05
-    priority: float = 1.0
 
     @property
     def name(self) -> str:

@@ -30,8 +30,6 @@ import numpy as np
 from ..core.nmp.candidate import MappingCandidate
 from ..core.nmp.scheduler import ExecutionScheduler, ScheduleResult
 from ..frames.sparse import SparseFrameBatch
-from ..hw.energy import EnergyModel
-from ..hw.latency import LatencyModel
 from ..hw.pe import Platform
 from ..hw.profiler import PlatformProfiler, ProfileTable
 from ..nn.graph import MultiTaskGraph
@@ -63,9 +61,10 @@ class SerialExecutor:
     single-task execution is serial end to end.
     """
 
-    def __init__(self, kernel: SimulationKernel, resource: str = "platform") -> None:
+    resource = "platform"
+
+    def __init__(self, kernel: SimulationKernel) -> None:
         self.kernel = kernel
-        self.resource = resource
 
     def busy_until(self, client: Optional["object"] = None) -> float:
         """Time the accelerator frees up."""
@@ -83,8 +82,11 @@ class SerialExecutor:
     def dispatch(self, client, batch: SparseFrameBatch, time: float) -> None:
         """Execute ``batch`` for ``client``, queuing behind earlier work."""
         cost_model = client.cost_model
-        occupancy = batch.mean_density if cost_model.uses_sparse else 1.0
-        profile = cost_model.batch_profile(batch, occupancy)
+        if cost_model.uses_sparse:
+            densities, occupancy = batch.frame_densities(), batch.mean_density
+        else:
+            densities, occupancy = [], 1.0
+        profile = cost_model.densities_profile(densities, occupancy)
         latency, energy = cost_model.profile_cost(profile, max(len(batch), 1))
         start, end = self.kernel.acquire((self.resource,), time, latency)
         client.note_dispatch(latency)
@@ -385,18 +387,10 @@ class ExecutionReport:
 class MappedExecutor:
     """Profile once, then execute any number of mappings of the same graph."""
 
-    def __init__(
-        self,
-        graph: MultiTaskGraph,
-        platform: Platform,
-        latency_model: Optional[LatencyModel] = None,
-        energy_model: Optional[EnergyModel] = None,
-        occupancy: Optional[float] = None,
-    ) -> None:
+    def __init__(self, graph: MultiTaskGraph, platform: Platform) -> None:
         self.graph = graph
         self.platform = platform
-        profiler = PlatformProfiler(platform, latency_model, energy_model)
-        self.profile: ProfileTable = profiler.profile(graph, occupancy=occupancy)
+        self.profile: ProfileTable = PlatformProfiler(platform).profile(graph)
         # One scheduler per sparse mode: each keeps the flattened form of the
         # graph, so repeated execute() calls skip re-flattening.
         self._schedulers: Dict[bool, ExecutionScheduler] = {}

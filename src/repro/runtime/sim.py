@@ -517,16 +517,11 @@ class LayerCostTable:
     multi-stream traffic.
     """
 
-    def __init__(
-        self,
-        latency_model: Optional[LatencyModel] = None,
-        energy_model: Optional[EnergyModel] = None,
-        occupancy_resolution: Optional[float] = None,
-    ) -> None:
+    def __init__(self, occupancy_resolution: Optional[float] = None) -> None:
         if occupancy_resolution is not None and not 0 < occupancy_resolution <= 1:
             raise ValueError("occupancy_resolution must be in (0, 1] or None")
-        self.latency_model = latency_model or LatencyModel()
-        self.energy_model = energy_model or EnergyModel(self.latency_model)
+        self.latency_model = LatencyModel()
+        self.energy_model = EnergyModel(self.latency_model)
         self.occupancy_resolution = occupancy_resolution
         self._cache: Dict[tuple, LayerCost] = {}
         self.hits = 0
@@ -686,9 +681,9 @@ class NetworkCostModel:
         layer/PE/precision, not on the mapping), but the resolved assignment
         list, the occupied-PE set and the whole-network cost memo are all
         mapping-dependent and must be rebuilt.  Note that an execution
-        server's *grouping* of streams (its :meth:`signature` at construction
-        time) is intentionally not revisited — streams that shared a cost
-        surface before a remap still share the rebound one.
+        server's *grouping* of streams (its :meth:`signature_for` at
+        construction time) is intentionally not revisited — streams that
+        shared a cost surface before a remap still share the rebound one.
         """
         self.mapping = mapping
         self._resolve()
@@ -725,13 +720,20 @@ class NetworkCostModel:
         config: Optional[EvEdgeConfig] = None,
         mapping: Optional[MappingCandidate] = None,
     ) -> tuple:
-        """Signature of the cost surface *without* constructing a model.
+        """Identity of a (network, mapping, config) cost surface.
 
-        The traffic simulator uses this to decide whether a stream joins an
-        existing :class:`NetworkCostModel` (and execution server) before
-        paying for a full assignment resolution — constructing a model per
-        source just to discard it when the signature already had a server
-        was a measurable share of fleet start-up time.
+        Streams with equal signatures run the same computation and may be
+        batched together by the traffic simulator.  The layer specs are part
+        of the identity: two networks that share a name but differ
+        structurally (e.g. the same zoo model built at two resolutions) must
+        not share a cost model or an execution server.
+
+        It is computed *without* constructing a model: the traffic
+        simulator uses it to decide whether a stream joins an existing
+        :class:`NetworkCostModel` (and execution server) before paying for a
+        full assignment resolution — constructing a model per source just to
+        discard it when the signature already had a server was a measurable
+        share of fleet start-up time.
         """
         config = config or EvEdgeConfig()
         mapping_key = None if mapping is None else mapping.key()
@@ -742,20 +744,6 @@ class NetworkCostModel:
             config.optimization,
             config.baseline_precision,
         )
-
-    def signature(self) -> tuple:
-        """Identity of the (network, mapping, config) cost surface.
-
-        Streams with equal signatures run the same computation and may be
-        batched together by the traffic simulator.  The layer specs are part
-        of the identity: two networks that share a name but differ
-        structurally (e.g. the same zoo model built at two resolutions) must
-        not share a cost model or an execution server.
-
-        Delegates to :meth:`signature_for` so the model-free and model-bound
-        identity definitions cannot drift apart.
-        """
-        return NetworkCostModel.signature_for(self.network, self.config, self.mapping)
 
     # ------------------------------------------------------------------
     # occupancy profiles
@@ -786,43 +774,24 @@ class NetworkCostModel:
             self._profiles[occ_key] = profile
         return profile
 
-    def batch_profile(
-        self,
-        batch: SparseFrameBatch,
-        occupancy: Optional[float] = None,
-    ) -> OccupancyProfile:
-        """Input profile of one (possibly merged) dispatched batch.
-
-        ``occupancy`` is the caller's already-computed mean input density
-        (the scalar stamped on the inference record); when omitted it is
-        derived from the batch.  In ``"flat"`` mode the batch is costed at
-        that single density — exactly the scalar path.  In ``"profile"``
-        mode each frame of the batch is propagated independently and the
-        member profiles are combined entry-wise (merge-time profile
-        combination): a batched inference runs every member through the
-        same layers, so the batch's per-layer occupancy is the mean of the
-        members' per-layer occupancies — not the propagation of their mean,
-        which differs because propagation is nonlinear.
-        """
-        if occupancy is None:
-            occupancy = batch.mean_density if self.uses_sparse else 1.0
-        if (
-            self.cost_mode == "flat"
-            or not self.uses_sparse
-            or len(batch) <= 1
-        ):
-            return self.occupancy_profile(max(float(occupancy), 1e-4))
-        return self.densities_profile(batch.frame_densities(), occupancy)
-
     def densities_profile(
         self, densities: Sequence[float], occupancy: float
     ) -> OccupancyProfile:
-        """Input profile from an explicit per-frame density sequence.
+        """Input profile of one (possibly merged) dispatch.
 
-        The density-column form of :meth:`batch_profile`: cross-stream
-        merges hand the member batches' density columns straight to the
-        cost stack, so no concatenated batch (and no per-frame view) is
-        ever materialised for costing.
+        ``densities`` are the per-frame input densities of every member
+        batch and ``occupancy`` their mean (the scalar stamped on the
+        inference record); dense configurations pass ``([], 1.0)``.
+        Dispatchers hand the members' density columns straight to the cost
+        stack, so no concatenated batch (and no per-frame view) is ever
+        materialised for costing.  In ``"flat"`` mode the dispatch is
+        costed at the single mean density — exactly the scalar path.  In
+        ``"profile"`` mode each frame is propagated independently and the
+        member profiles are combined entry-wise (merge-time profile
+        combination): a batched inference runs every member through the
+        same layers, so its per-layer occupancy is the mean of the members'
+        per-layer occupancies — not the propagation of their mean, which
+        differs because propagation is nonlinear.
         """
         occupancy = max(float(occupancy), 1e-4)
         if self.cost_mode == "flat" or not self.uses_sparse or len(densities) <= 1:
@@ -901,11 +870,3 @@ class NetworkCostModel:
     # representatives already, so this mirrors the pre-profile double
     # bucketing bit for bit); the scalar-keyed oracle overrides it.
     _quantize_layers = True
-
-    def inference_cost(self, occupancy: float, batch: int) -> Tuple[float, float]:
-        """Memoized latency and energy of one network invocation.
-
-        Convenience wrapper: builds the occupancy profile for the measured
-        input density and composes it through :meth:`profile_cost`.
-        """
-        return self.profile_cost(self.occupancy_profile(occupancy), batch)

@@ -62,12 +62,15 @@ from ..core.config import EvEdgeConfig
 from ..core.dsfa import DynamicSparseFrameAggregator
 from ..core.e2sf import Event2SparseFrameConverter
 from ..core.nmp.candidate import Assignment, MappingCandidate
-from ..core.nmp.search import MapperEngine, NMPConfig, NMPResult, make_strategy
+from ..core.nmp.search import (
+    EvolutionaryStrategy,
+    MapperEngine,
+    NMPConfig,
+    NMPResult,
+)
 from ..events.datasets import EventSequence
 from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
-from ..hw.energy import EnergyModel
-from ..hw.latency import LatencyModel
 from ..hw.pe import Platform
 from ..hw.profiler import PlatformProfiler, ProfileTable
 from ..nn.graph import LayerGraph, MultiTaskGraph, TaskSpec
@@ -408,7 +411,7 @@ class StreamClient:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RemapPolicy:
-    """When and how hard to re-run the NMP search as the traffic mix changes.
+    """How hard to re-run the NMP search as the traffic mix changes.
 
     Attributes
     ----------
@@ -416,31 +419,11 @@ class RemapPolicy:
         The *budgeted* search configuration.  Online remaps run between
         inference batches, so the default budget is far smaller than the
         offline searches of Figures 9/10.
-    strategy:
-        Name of the registered search strategy
-        (:data:`~repro.core.nmp.search.STRATEGIES`).
-    remap_on_join / remap_on_leave:
-        Which traffic-mix changes trigger a search.
-    min_interval:
-        Cooldown in simulated seconds between remaps (joins/leaves inside
-        the cooldown window keep the current mapping).
-    profile_occupancy:
-        Activation occupancy assumed when profiling a network set for the
-        search.
-    warm_start:
-        Seed the search with the currently deployed mapping (plus an all-GPU
-        fallback), so a remap can only improve on the status quo.
     """
 
     nmp_config: NMPConfig = field(
         default_factory=lambda: NMPConfig(population_size=12, generations=8, seed=0)
     )
-    strategy: str = "evolutionary"
-    remap_on_join: bool = True
-    remap_on_leave: bool = True
-    min_interval: float = 0.0
-    profile_occupancy: float = 0.1
-    warm_start: bool = True
 
 
 @dataclass(frozen=True)
@@ -467,8 +450,9 @@ class AdaptiveMappingClient:
       tables;
     * one :class:`~repro.core.nmp.search.MapperEngine` (and therefore one
       fitness cache and flattened schedule) is kept per distinct network set;
-    * whole searches are memoized on (network set, warm starts).  The policy
-      fixes the strategy and config and every run reseeds its RNG, so a
+    * whole searches are memoized on (network set, warm starts).  Every
+      search runs the evolutionary strategy under the policy's
+      :class:`~repro.core.nmp.search.NMPConfig` and reseeds its RNG, so a
       repeated search would propose the same candidates and hit the fitness
       cache for each of them: a memo hit returns exactly that re-run's
       result (see :class:`~repro.core.nmp.search.NMPResult`).
@@ -488,31 +472,8 @@ class AdaptiveMappingClient:
         self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
         self._searches: Dict[tuple, NMPResult] = {}
         self.records: List[RemapRecord] = []
-        self._last_remap_time: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def reset_cooldown(self) -> None:
-        """Forget the last remap time (call when a new simulation starts).
-
-        Simulations share the client's engines and caches across runs, but
-        the cooldown clock is per-run simulated time and must not leak.
-        """
-        self._last_remap_time = None
-
-    def should_remap(self, time: float, reason: str) -> bool:
-        """Policy gate: trigger switches plus the cooldown interval."""
-        policy = self.policy
-        if reason == "join" and not policy.remap_on_join:
-            return False
-        if reason == "leave" and not policy.remap_on_leave:
-            return False
-        if (
-            self._last_remap_time is not None
-            and time - self._last_remap_time < policy.min_interval
-        ):
-            return False
-        return True
-
     def _distinct(self, networks: Sequence[LayerGraph]) -> List[LayerGraph]:
         """``networks`` without repeated names, in first-seen order.
 
@@ -536,8 +497,7 @@ class AdaptiveMappingClient:
         table = self._profiles.get(network.name)
         if table is None:
             table = PlatformProfiler(self.platform).profile(
-                MultiTaskGraph([TaskSpec(network)]),
-                occupancy=self.policy.profile_occupancy,
+                MultiTaskGraph([TaskSpec(network)])
             )
             self._profiles[network.name] = table
         return table
@@ -577,12 +537,13 @@ class AdaptiveMappingClient:
     ) -> Optional[NMPResult]:
         """Search a new mapping for ``networks`` and record the remap.
 
-        ``current_assignments`` is the union of the deployed per-node
-        assignments; with :attr:`RemapPolicy.warm_start` it seeds the search
-        (missing nodes — e.g. of a newly joined network — fall back to the
-        GPU).  Returns ``None`` when ``networks`` is empty.  A repeat of an
-        earlier search returns its memoized result with a fresh copy of the
-        best candidate.
+        The search always warm-starts: an all-GPU fallback mapping seeds
+        it, and so does ``current_assignments`` — the union of the deployed
+        per-node assignments — when given (missing nodes, e.g. of a newly
+        joined network, fall back to the GPU), so a remap can only improve
+        on the status quo.  Returns ``None`` when ``networks`` is empty.  A
+        repeat of an earlier search returns its memoized result with a
+        fresh copy of the best candidate.
         """
         unique = self._distinct(networks)
         if not unique:
@@ -591,7 +552,7 @@ class AdaptiveMappingClient:
         graph = engine.graph
         fallback = self._fallback_mapping(graph)
         seeds = [MappingCandidate(fallback)]
-        if self.policy.warm_start and current_assignments:
+        if current_assignments:
             warm = dict(fallback)
             for node, assignment in current_assignments.items():
                 if node in warm:
@@ -605,9 +566,7 @@ class AdaptiveMappingClient:
         # the memo holds its own copy and every hit returns a fresh one.
         memo = self._searches.get(key)
         if memo is None:
-            result = engine.run(
-                make_strategy(self.policy.strategy), initial_candidates=seeds
-            )
+            result = engine.run(EvolutionaryStrategy(), initial_candidates=seeds)
             self._searches[key] = replace(
                 result, best_candidate=result.best_candidate.copy()
             )
@@ -619,7 +578,6 @@ class AdaptiveMappingClient:
                 evaluations=0,
                 cache_hits=memo.requested_evaluations,
             )
-        self._last_remap_time = time
         self.records.append(
             RemapRecord(
                 time=time,
@@ -628,7 +586,7 @@ class AdaptiveMappingClient:
                 networks=tuple(net.name for net in unique),
                 best_latency=result.best_latency,
                 evaluations=result.requested_evaluations,
-                strategy=self.policy.strategy,
+                strategy=result.strategy,
             )
         )
         return result
@@ -828,10 +786,9 @@ class MultiStreamSimulator:
         end time, so scenario specs with scheduled joins/leaves need no
         extra plumbing here — joins/leaves also drive the remap triggers
         below.
-    latency_model / energy_model:
-        Shared hardware models (defaults match the pipeline's).
     occupancy_resolution:
-        Occupancy bucket width of the shared :class:`LayerCostTable`.  The
+        Occupancy bucket width of the shared :class:`LayerCostTable`, which
+        builds the default latency and energy models itself.  The
         default (1/64) keeps the modelling error well below the run-to-run
         variation of real hardware while making the per-layer cache hit on
         virtually every inference under heavy traffic.
@@ -894,8 +851,6 @@ class MultiStreamSimulator:
         self,
         platform: Platform,
         sources: Sequence[StreamSource],
-        latency_model: Optional[LatencyModel] = None,
-        energy_model: Optional[EnergyModel] = None,
         occupancy_resolution: Optional[float] = 1.0 / 64.0,
         max_merge_streams: int = 4,
         remap_policy: Optional[RemapPolicy] = None,
@@ -913,6 +868,8 @@ class MultiStreamSimulator:
             raise ValueError(
                 f"unknown cost_mode {cost_mode!r}; expected one of {COST_MODES}"
             )
+        if max_merge_streams < 1:
+            raise ValueError("max_merge_streams must be >= 1")
         if record_limit is not None and record_limit < 0:
             raise ValueError("record_limit must be >= 0 or None")
         if shards < 1:
@@ -926,8 +883,6 @@ class MultiStreamSimulator:
         # The raw per-shard simulator configuration, forwarded verbatim to
         # every shard's MultiStreamSimulator by the sharded runner.
         self._shard_sim_kwargs = dict(
-            latency_model=latency_model,
-            energy_model=energy_model,
             occupancy_resolution=occupancy_resolution,
             max_merge_streams=max_merge_streams,
             remap_policy=remap_policy,
@@ -936,9 +891,7 @@ class MultiStreamSimulator:
         )
         self.platform = platform
         self.sources = list(sources)
-        self.table = LayerCostTable(
-            latency_model, energy_model, occupancy_resolution=occupancy_resolution
-        )
+        self.table = LayerCostTable(occupancy_resolution=occupancy_resolution)
         self.max_merge_streams = max_merge_streams
         self.remap_policy = remap_policy
         self.record_limit = record_limit
@@ -977,8 +930,6 @@ class MultiStreamSimulator:
 
     def _on_remap(self, event: RemapTriggered, clients: List[StreamClient]) -> None:
         assert self.remap_client is not None
-        if not self.remap_client.should_remap(event.time, event.reason):
-            return
         active = self._active_clients(clients, event.time)
         if not active:
             return
@@ -1080,7 +1031,6 @@ class MultiStreamSimulator:
         remaps_before = 0
         if self.remap_client is not None:
             remaps_before = len(self.remap_client.records)
-            self.remap_client.reset_cooldown()
             self._schedule_remap_triggers(kernel, clients)
         for client in clients:
             client.prime()

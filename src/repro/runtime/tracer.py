@@ -61,23 +61,17 @@ class KernelTrace:
         out (or never retained) in ``entries_dropped`` — a long-horizon run
         always ends with its newest activity inspectable under a fixed
         memory cap.  ``None`` (the default) retains everything.
-    record_details:
-        Format each event's payload summary (the default).  ``False`` skips
-        the per-event string formatting — the expensive part of tracing a
-        large fleet — and stores empty details; timelines, per-stream
-        grouping and event counts still work.
+
+    Every entry carries its event's formatted payload summary.
     """
 
-    def __init__(
-        self, max_events: Optional[int] = None, record_details: bool = True
-    ) -> None:
+    def __init__(self, max_events: Optional[int] = None) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be >= 1 or None")
         # A bounded trace is a deque ring (appends past the cap evict the
         # oldest entry in O(1)); an unbounded trace stays a plain list.
         self.entries = [] if max_events is None else deque(maxlen=max_events)
         self.max_events = max_events
-        self.record_details = record_details
         self.entries_dropped = 0
 
     def record(self, event) -> None:
@@ -95,7 +89,7 @@ class KernelTrace:
                 time=event.time,
                 kind=type(event).__name__,
                 stream=event.stream,
-                detail=event.trace_detail() if self.record_details else "",
+                detail=event.trace_detail(),
                 profile=None if profile is None else tuple(profile),
             )
         )

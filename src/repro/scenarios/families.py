@@ -28,7 +28,6 @@ Families shipped here:
 from __future__ import annotations
 
 import hashlib
-import os
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -47,7 +46,6 @@ __all__ = [
     "compile_churn",
     "compile_hotspot",
     "compile_mixed_fleet",
-    "configure_sequence_cache",
     "BUILTIN_FAMILIES",
     "DEFAULT_SEQUENCE_POOL",
 ]
@@ -74,25 +72,6 @@ def _rng(spec: ScenarioSpec, salt: str) -> np.random.Generator:
     return np.random.default_rng([spec.seed, int.from_bytes(digest[:4], "big")])
 
 
-# Sequence generation is the expensive part of a compile; large fleets used
-# to thrash the old fixed 64-entry cache.  The bound is configurable via the
-# REPRO_SEQUENCE_CACHE environment variable or configure_sequence_cache().
-
-
-def _sequence_cache_size_from_env(default: int = 256) -> int:
-    """Parse REPRO_SEQUENCE_CACHE; malformed or non-positive ⇒ default."""
-    raw = os.environ.get("REPRO_SEQUENCE_CACHE")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
-
-_SEQUENCE_CACHE_SIZE = _sequence_cache_size_from_env()
-
 # Streams of one family share rendered sequences: stream ``i`` draws its
 # sequence seed from a pool of ``sequence_pool`` seeds (param override per
 # spec) instead of a distinct seed per stream, so a 1024-stream fleet renders
@@ -101,30 +80,14 @@ _SEQUENCE_CACHE_SIZE = _sequence_cache_size_from_env()
 DEFAULT_SEQUENCE_POOL = 8
 
 
-def _build_sequence_cache(maxsize: int):
-    @lru_cache(maxsize=maxsize)
-    def _sequence(name: str, scale: float, duration: float, seed: int):
-        """Memoized event-sequence generation (the expensive part of a compile)."""
-        return generate_sequence(name, scale=scale, duration=duration, seed=seed)
-
-    return _sequence
-
-
-_sequence = _build_sequence_cache(_SEQUENCE_CACHE_SIZE)
-
-
-def configure_sequence_cache(maxsize: int) -> None:
-    """Resize the rendered-sequence LRU cache (drops current entries).
-
-    The default bound is 256 (env override ``REPRO_SEQUENCE_CACHE``); raise
-    it for sweeps that cycle through more distinct (name, scale, duration,
-    seed) combinations than that within one process.
-    """
-    global _sequence, _SEQUENCE_CACHE_SIZE
-    if maxsize < 1:
-        raise ValueError("sequence cache size must be >= 1")
-    _SEQUENCE_CACHE_SIZE = int(maxsize)
-    _sequence = _build_sequence_cache(_SEQUENCE_CACHE_SIZE)
+# Sequence generation is the expensive part of a compile; large fleets used
+# to thrash the old fixed 64-entry cache.  Every miss looks up the module
+# global ``generate_sequence``, so a wrapper installed there (perfbench's
+# ``events.generate`` span) sees each render.
+@lru_cache(maxsize=256)
+def _sequence(name: str, scale: float, duration: float, seed: int):
+    """Memoized event-sequence generation (the expensive part of a compile)."""
+    return generate_sequence(name, scale=scale, duration=duration, seed=seed)
 
 
 @lru_cache(maxsize=32)

@@ -42,10 +42,9 @@ class ScenarioRegistry:
         name: str,
         compiler: Callable[[ScenarioSpec], List[StreamSource]],
         description: str = "",
-        overwrite: bool = False,
     ) -> ScenarioFamily:
         """Register a compiler under ``name``."""
-        if name in self._families and not overwrite:
+        if name in self._families:
             raise ValueError(f"family '{name}' is already registered")
         family = ScenarioFamily(name, compiler, description)
         self._families[name] = family
@@ -65,10 +64,10 @@ class ScenarioRegistry:
         return sorted(self._families)
 
     # -- named scenarios -----------------------------------------------
-    def register(self, spec: ScenarioSpec, overwrite: bool = False) -> ScenarioSpec:
+    def register(self, spec: ScenarioSpec) -> ScenarioSpec:
         """Register a named scenario (its family must exist)."""
         self.family(spec.family)  # validate early
-        if spec.name in self._scenarios and not overwrite:
+        if spec.name in self._scenarios:
             raise ValueError(f"scenario '{spec.name}' is already registered")
         self._scenarios[spec.name] = spec
         return spec

@@ -333,6 +333,8 @@ class SweepRunner:
                 row = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None  # corrupt entries are treated as dirty
+        if not isinstance(row, dict) or row.get("hash") != cell_hash:
+            return None  # so is anything but this cell's own row
         row["from_cache"] = True
         return row
 

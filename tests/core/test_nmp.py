@@ -38,7 +38,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def profile(platform, graph):
-    return PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    return PlatformProfiler(platform).profile(graph)
 
 
 class TestMappingCandidate:

@@ -17,7 +17,6 @@ from repro.core import (
     NMPConfig,
     RandomSearchStrategy,
     STRATEGIES,
-    SimulatedAnnealingStrategy,
     make_strategy,
 )
 from repro.hw import PlatformProfiler, jetson_xavier_agx
@@ -45,7 +44,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def profile(platform, graph):
-    return PlatformProfiler(platform).profile(graph, occupancy=0.1)
+    return PlatformProfiler(platform).profile(graph)
 
 
 def seed_reference_evolutionary(graph, platform, profile, config, initial_candidates=()):
@@ -205,12 +204,6 @@ class TestStrategies:
             GreedyLayerwiseStrategy(), initial_candidates=[seed_candidate]
         )
         assert result.best_breakdown.fitness <= seed_fitness + 1e-15
-
-    def test_annealing_constructor_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedAnnealingStrategy(cooling=1.5)
-        with pytest.raises(ValueError):
-            SimulatedAnnealingStrategy(initial_acceptance_scale=0.0)
 
     def test_make_strategy_unknown_name(self):
         with pytest.raises(KeyError):

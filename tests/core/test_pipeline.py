@@ -124,8 +124,10 @@ class TestPipeline:
                     if pipeline.config.optimization.uses_sparse
                     else 1.0
                 )
-                latency, energy = pipeline.inference_time_and_energy(
-                    max(occupancy, 1e-4), max(len(batch), 1)
+                cost_model = pipeline.cost_model
+                latency, energy = cost_model.profile_cost(
+                    cost_model.occupancy_profile(max(occupancy, 1e-4)),
+                    max(len(batch), 1),
                 )
                 start = max(dispatch_time, busy_until)
                 report.add_records(

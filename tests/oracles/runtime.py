@@ -61,10 +61,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.e2sf import Event2SparseFrameConverter
 from repro.core.nmp.candidate import Assignment, MappingCandidate
-from repro.core.nmp.search import MapperEngine, NMPResult, make_strategy
+from repro.core.nmp.search import EvolutionaryStrategy, MapperEngine, NMPResult
 from repro.frames.sparse import SparseFrame
+from repro.hw.energy import EnergyModel
+from repro.hw.latency import LatencyModel
 from repro.hw.pe import Platform
-from repro.hw.profiler import PlatformProfiler
+from repro.hw.profiler import ProfileEntry, ProfileTable
 from repro.nn.graph import MultiTaskGraph, TaskSpec
 from repro.nn.occupancy import OccupancyProfile
 from repro.nn.quantization import Precision
@@ -369,14 +371,36 @@ class PerFrameReferenceClient(StreamClient):
         )
 
 
+def _profile_joint(graph: MultiTaskGraph, platform: Platform) -> ProfileTable:
+    """The profile table of ``graph``, every sparse entry at occupancy 0.1."""
+    latency_model = LatencyModel()
+    energy_model = EnergyModel(latency_model)
+    table = ProfileTable(platform)
+    for node in graph.compute_nodes():
+        spec = graph.spec(node)
+        for pe in [pe for pe in platform if pe.supports_layer(spec)]:
+            modes = (False, True) if pe.supports_sparse else (False,)
+            for precision, sparse in itertools.product(pe.supported_precisions, modes):
+                latency = latency_model.layer_latency(
+                    spec, pe, precision, sparse=sparse, occupancy=0.1
+                ).total
+                energy = energy_model.layer_energy(
+                    spec, pe, precision, sparse=sparse, occupancy=0.1
+                ).total
+                table.record(
+                    node, pe.name, precision, sparse, ProfileEntry(latency, energy)
+                )
+    return table
+
+
 class RerunMappingClient:
     """A remap client that runs the NMP search on every remap.
 
     One :class:`MapperEngine` per network set, profiled from the set's joint
-    :class:`MultiTaskGraph`, and no memo of whole searches.
-    :class:`~repro.runtime.streams.AdaptiveMappingClient`, with its search
-    memo and per-network profile union, must return the same results bit
-    for bit.
+    :class:`MultiTaskGraph` at activation occupancy 0.1, and no memo of
+    whole searches.  :class:`~repro.runtime.streams.AdaptiveMappingClient`,
+    with its search memo and per-network profile union, must return the
+    same results bit for bit.
     """
 
     def __init__(self, platform: Platform, policy: RemapPolicy) -> None:
@@ -384,19 +408,6 @@ class RerunMappingClient:
         self.policy = policy
         self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
         self.records: List[RemapRecord] = []
-        self._last_remap_time: Optional[float] = None
-
-    def reset_cooldown(self) -> None:
-        self._last_remap_time = None
-
-    def should_remap(self, time: float, reason: str) -> bool:
-        policy = self.policy
-        if reason == "join" and not policy.remap_on_join:
-            return False
-        if reason == "leave" and not policy.remap_on_leave:
-            return False
-        last = self._last_remap_time
-        return last is None or time - last >= policy.min_interval
 
     def remap(
         self,
@@ -414,11 +425,11 @@ class RerunMappingClient:
         key = tuple(sorted(unique))
         if key not in self._engines:
             graph = MultiTaskGraph([TaskSpec(net) for net in unique.values()])
-            profile = PlatformProfiler(self.platform).profile(
-                graph, occupancy=self.policy.profile_occupancy
-            )
             self._engines[key] = MapperEngine(
-                graph, self.platform, profile, config=self.policy.nmp_config
+                graph,
+                self.platform,
+                _profile_joint(graph, self.platform),
+                config=self.policy.nmp_config,
             )
         engine = self._engines[key]
         gpu = self.platform.gpu()
@@ -432,14 +443,13 @@ class RerunMappingClient:
             for node in engine.graph.compute_nodes()
         }
         seeds = [MappingCandidate(fallback)]
-        if self.policy.warm_start and current_assignments:
+        if current_assignments:
             warm = dict(fallback)
             warm.update(
                 (node, a) for node, a in current_assignments.items() if node in warm
             )
             seeds.insert(0, MappingCandidate(warm))
-        result = engine.run(make_strategy(self.policy.strategy), initial_candidates=seeds)
-        self._last_remap_time = time
+        result = engine.run(EvolutionaryStrategy(), initial_candidates=seeds)
         self.records.append(
             RemapRecord(
                 time=time,
@@ -448,7 +458,7 @@ class RerunMappingClient:
                 networks=tuple(unique),
                 best_latency=result.best_latency,
                 evaluations=result.requested_evaluations,
-                strategy=self.policy.strategy,
+                strategy="evolutionary",
             )
         )
         return result

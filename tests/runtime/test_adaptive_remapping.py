@@ -62,10 +62,8 @@ def make_sources(resident_sequence, joining_sequence, networks):
     ]
 
 
-def fast_policy(**kwargs):
-    return RemapPolicy(
-        nmp_config=NMPConfig(population_size=8, generations=4, seed=0), **kwargs
-    )
+def fast_policy():
+    return RemapPolicy(nmp_config=NMPConfig(population_size=8, generations=4, seed=0))
 
 
 class TestAdaptiveMappingClient:
@@ -86,20 +84,6 @@ class TestAdaptiveMappingClient:
         nets = list(networks.values())
         assert client.engine_for(nets) is client.engine_for(list(reversed(nets)))
 
-    def test_cooldown_suppresses_rapid_remaps(self, platform):
-        client = AdaptiveMappingClient(platform, fast_policy(min_interval=1.0))
-        assert client.should_remap(0.0, "join")
-        client._last_remap_time = 0.0
-        assert not client.should_remap(0.5, "join")
-        assert client.should_remap(1.5, "leave")
-
-    def test_trigger_switches(self, platform):
-        client = AdaptiveMappingClient(
-            platform, fast_policy(remap_on_join=False, remap_on_leave=False)
-        )
-        assert not client.should_remap(0.0, "join")
-        assert not client.should_remap(0.0, "leave")
-
     def test_empty_network_set_is_a_noop(self, platform):
         client = AdaptiveMappingClient(platform, fast_policy())
         assert client.remap([]) is None
@@ -109,14 +93,14 @@ class TestAdaptiveMappingClient:
 class TestCostModelRebind:
     def test_rebind_swaps_assignments_and_clears_cache(self, platform, networks):
         model = NetworkCostModel(networks["e2depth"], platform, config=FULL)
-        baseline_cost = model.inference_cost(0.1, 1)
+        baseline_cost = model.profile_cost(model.occupancy_profile(0.1), 1)
         assert model._cache  # memoized
         client = AdaptiveMappingClient(platform, fast_policy())
         result = client.remap([networks["e2depth"], networks["evflownet"]])
         model.rebind(result.best_candidate)
         assert model.mapping is result.best_candidate
         assert not model._cache  # every memoized whole-network cost invalidated
-        rebound_cost = model.inference_cost(0.1, 1)
+        rebound_cost = model.profile_cost(model.occupancy_profile(0.1), 1)
         # The searched mapping differs from the all-GPU default for this
         # contended two-network scenario, so the cost surface changed.
         assert rebound_cost != baseline_cost or model.pes_used != ("gpu",)
@@ -130,11 +114,16 @@ class TestAdaptiveMultiStream:
         report = MultiStreamSimulator(
             platform, sources, remap_policy=fast_policy()
         ).run()
-        times_reasons = [(r.time, r.reason) for r in report.remaps]
-        assert (0.0, "join") in times_reasons
-        assert (JOIN_TIME, "join") in times_reasons
-        reasons = {r.reason for r in report.remaps}
-        assert "leave" in reasons
+        resident, joiner = sources
+        # Every distinct join or leave instant with an active NMP stream
+        # remaps; when the resident leaves last, no stream is left to map.
+        assert joiner.end_time < resident.end_time
+        assert [(r.time, r.reason) for r in report.remaps] == [
+            (0.0, "join"),
+            (JOIN_TIME, "join"),
+            (joiner.end_time, "leave"),
+        ]
+        assert {r.strategy for r in report.remaps} == {"evolutionary"}
         # The mid-run join searches over both networks.
         join_record = next(r for r in report.remaps if r.time == JOIN_TIME)
         assert set(join_record.networks) == set(networks)
@@ -167,14 +156,6 @@ class TestAdaptiveMultiStream:
         assert len(adaptive.remaps) >= 2
         assert static.remaps == []
 
-    def test_remap_policy_off_means_no_triggers(
-        self, platform, resident_sequence, joining_sequence, networks
-    ):
-        sources = make_sources(resident_sequence, joining_sequence, networks)
-        policy = fast_policy(remap_on_join=False, remap_on_leave=False)
-        report = MultiStreamSimulator(platform, sources, remap_policy=policy).run()
-        assert report.remaps == []
-
     def test_non_nmp_streams_do_not_participate(
         self, platform, resident_sequence, joining_sequence, networks
     ):
@@ -194,30 +175,6 @@ class TestAdaptiveMultiStream:
         ).run()
         # Triggers fire but no NMP-enabled stream is active, so no search runs.
         assert report.remaps == []
-
-    def test_min_interval_coalesces_remaps(
-        self, platform, resident_sequence, joining_sequence, networks
-    ):
-        sources = make_sources(resident_sequence, joining_sequence, networks)
-        policy = fast_policy(min_interval=10.0)
-        report = MultiStreamSimulator(platform, sources, remap_policy=policy).run()
-        assert len(report.remaps) == 1
-        assert report.remaps[0].time == 0.0
-
-    def test_cooldown_resets_between_runs(
-        self, platform, resident_sequence, joining_sequence, networks
-    ):
-        # The cooldown clock is per-run simulated time: a second run of the
-        # same simulator must remap again rather than inherit the first
-        # run's last-remap timestamp.
-        sources = make_sources(resident_sequence, joining_sequence, networks)
-        policy = fast_policy(min_interval=10.0)
-        simulator = MultiStreamSimulator(platform, sources, remap_policy=policy)
-        first = simulator.run()
-        second = simulator.run()
-        assert len(first.remaps) == 1
-        assert len(second.remaps) == 1
-        assert second.remaps[0].time == 0.0
 
 
 def _same_search(result, expected):
@@ -311,8 +268,7 @@ class TestProfilesPerNetwork:
             name: build_network(name, 32, 32)
             for name in ("dotie", "e2depth", "evflownet")
         }
-        policy = fast_policy()
-        client = AdaptiveMappingClient(platform, policy)
+        client = AdaptiveMappingClient(platform, fast_policy())
         # Overlapping subsets share per-network tables inside the client.
         for subset in (
             ["dotie", "e2depth"],
@@ -322,8 +278,7 @@ class TestProfilesPerNetwork:
         ):
             graphs = [nets[name] for name in subset]
             joint = PlatformProfiler(platform).profile(
-                MultiTaskGraph([TaskSpec(g) for g in graphs]),
-                occupancy=policy.profile_occupancy,
+                MultiTaskGraph([TaskSpec(g) for g in graphs])
             )
             assert client.engine_for(graphs).profile._entries == joint._entries
 

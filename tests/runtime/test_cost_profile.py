@@ -179,7 +179,7 @@ class TestOccupancyProfileBuilding:
     def test_rebind_keeps_profiles_but_drops_network_memo(self, network, platform):
         model = _sparse_model(network, platform, cost_mode="profile")
         profile = model.occupancy_profile(0.1)
-        model.inference_cost(0.1, 1)
+        model.profile_cost(profile, 1)
         assert model._cache
         model.rebind(None)
         assert not model._cache
@@ -197,7 +197,7 @@ class TestBatchProfiles:
         )
         stack, _ = source.generate_stack()
         batch = SparseFrameBatch.from_stack(stack, 0, 4)
-        profile = model.batch_profile(batch)
+        profile = model.densities_profile(batch.frame_densities(), batch.mean_density)
         assert profile == model.occupancy_profile(max(batch.mean_density, 1e-4))
 
     def test_merge_time_combination_is_member_mean(self, network, platform):
@@ -214,7 +214,7 @@ class TestBatchProfiles:
         frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
         batch = frame_batch([frames[0], frames[-1]])  # extremes of the run
         assert frames[0].density != frames[-1].density
-        profile = model.batch_profile(batch)
+        profile = model.densities_profile(batch.frame_densities(), batch.mean_density)
         members = [
             model.occupancy_profile(max(density, 1e-4))
             for density in batch.frame_densities()
@@ -242,7 +242,7 @@ class TestBatchProfiles:
             if batch is not None and len(batch) > 1:
                 break
         assert batch is not None and len(batch) > 1
-        profile = model.batch_profile(batch)
+        profile = model.densities_profile(batch.frame_densities(), batch.mean_density)
         assert len(profile) == len(model._assignments)
         assert all(e is not None for e in profile.entries)
 
@@ -266,7 +266,7 @@ class TestBatchProfiles:
         )
         frames = sorted(source.generate_stack()[0].frames(), key=lambda f: f.density)
         batch = frame_batch([frames[0], frames[-1]])
-        profile = model.batch_profile(batch)
+        profile = model.densities_profile(batch.frame_densities(), batch.mean_density)
         members = [
             model.occupancy_profile(max(density, 1e-4))
             for density in batch.frame_densities()
@@ -280,14 +280,10 @@ class TestBatchProfiles:
             config=EvEdgeConfig(optimization=OptimizationLevel.BASELINE),
             cost_mode="profile",
         )
-        stack, _ = StreamSource(
-            "s",
-            generate_sequence("indoor_flying1", scale=0.08, duration=0.2, seed=0),
-            network,
-            EvEdgeConfig(optimization=OptimizationLevel.BASELINE),
-        ).generate_stack()
-        batch = SparseFrameBatch.from_stack(stack, 0, 0)
-        assert model.batch_profile(batch, 1.0) == model.occupancy_profile(1.0)
+        # Dense dispatchers pass ([], 1.0); a dense model never combines
+        # per-frame profiles, whatever densities it is handed.
+        assert model.densities_profile([], 1.0) == model.occupancy_profile(1.0)
+        assert model.densities_profile([0.01, 0.5], 1.0) == model.occupancy_profile(1.0)
 
     def test_profile_length_mismatch_rejected(self, network, platform):
         model = _sparse_model(network, platform)
@@ -307,15 +303,15 @@ class TestProfileCosts:
             table=LayerCostTable(occupancy_resolution=1.0 / 64.0),
         )
         for occupancy, batch in [(1e-4, 1), (0.05, 2), (0.3, 4), (1.0, 1)]:
-            assert layered.inference_cost(occupancy, batch) == oracle.inference_cost(
-                occupancy, batch
-            )
+            assert layered.profile_cost(
+                layered.occupancy_profile(occupancy), batch
+            ) == oracle.profile_cost(oracle.occupancy_profile(occupancy), batch)
 
     def test_propagated_costs_are_cheaper_for_sparse_inputs(self, network, platform):
         flat = _sparse_model(network, platform)
         profiled = _sparse_model(network, platform, cost_mode="profile")
-        lat_flat, en_flat = flat.inference_cost(0.02, 1)
-        lat_prof, en_prof = profiled.inference_cost(0.02, 1)
+        lat_flat, en_flat = flat.profile_cost(flat.occupancy_profile(0.02), 1)
+        lat_prof, en_prof = profiled.profile_cost(profiled.occupancy_profile(0.02), 1)
         # A nearly-empty input keeps deep layers sparser than their static
         # modelled activity, so the propagated cost can only be lower.
         assert lat_prof <= lat_flat
@@ -338,9 +334,9 @@ class TestGraphChainDivergence:
             assert graph_model.occupancy_profile(occ) == chain_model.occupancy_profile(
                 occ
             )
-            assert graph_model.inference_cost(occ, 2) == chain_model.inference_cost(
-                occ, 2
-            )
+            assert graph_model.profile_cost(
+                graph_model.occupancy_profile(occ), 2
+            ) == chain_model.profile_cost(chain_model.occupancy_profile(occ), 2)
 
     def test_dag_network_diverges_from_chain_oracle_at_joins(self, network, platform):
         graph_model = _sparse_model(network, platform, cost_mode="profile")
@@ -372,9 +368,9 @@ class TestGraphChainDivergence:
         graph_model = _sparse_model(network, platform)
         chain_model = _sparse_model(network, platform, model_cls=ChainCostModel)
         for occ in (0.02, 0.3):
-            assert graph_model.inference_cost(occ, 1) == chain_model.inference_cost(
-                occ, 1
-            )
+            assert graph_model.profile_cost(
+                graph_model.occupancy_profile(occ), 1
+            ) == chain_model.profile_cost(chain_model.occupancy_profile(occ), 1)
 
 
 class TestFleetEquivalenceAndSharing:

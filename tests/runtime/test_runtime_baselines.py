@@ -39,7 +39,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def executor(graph, platform):
-    return MappedExecutor(graph, platform, occupancy=0.1)
+    return MappedExecutor(graph, platform)
 
 
 class TestMappingPolicies:

@@ -270,6 +270,25 @@ class TestShardedEquivalence:
                     platform, mixed_sources, shards=shards, shard_mode="threads"
                 )
 
+    @pytest.mark.parametrize(
+        "shards, shard_mode", [(1, "process"), (2, "inline"), (2, "process")]
+    )
+    def test_bad_merge_bound_raises_at_construction(
+        self, platform, mixed_sources, shards, shard_mode
+    ):
+        # Rejected up front in every mode, not first in run() — where the
+        # inline path raised only once it built a server and the process
+        # path only after forking its workers.
+        for max_merge_streams in (0, -1):
+            with pytest.raises(ValueError, match="max_merge_streams"):
+                MultiStreamSimulator(
+                    platform,
+                    mixed_sources,
+                    max_merge_streams=max_merge_streams,
+                    shards=shards,
+                    shard_mode=shard_mode,
+                )
+
 
 # Run in a fresh interpreter whose first import is repro.runtime.shard, as in
 # a spawned shard worker unpickling its target.

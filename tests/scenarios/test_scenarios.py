@@ -245,6 +245,26 @@ class TestSweep:
         report = runner.run(cells)
         assert report.simulated == 1
 
+    @pytest.mark.parametrize("content", ["{}", "[]", "null", "other cell's row"])
+    def test_malformed_cache_row_is_dirty(self, tmp_path, content):
+        # Valid JSON that is not this cell's own row is re-simulated and
+        # overwritten, never served: an empty object, an array, null, or a
+        # row whose hash names another cell.
+        cells = self._cells(scenarios=("steady",))
+        cell_hash = cells[0].content_hash()
+        fresh = simulate_cell(cells[0])
+        if content == "other cell's row":
+            other = self._cells(scenarios=("hotspot",))[0]
+            content = json.dumps(dict(fresh, hash=other.content_hash()))
+        runner = SweepRunner(cache_dir=tmp_path / "cache", workers=1)
+        path = runner._cache_path(cell_hash)
+        path.write_text(content, encoding="utf-8")
+        report = runner.run(cells)
+        assert (report.simulated, report.from_cache) == (1, 0)
+        strip = lambda row: {k: v for k, v in row.items() if k != "from_cache"}
+        assert strip(report.rows[0]) == strip(fresh)
+        assert json.loads(path.read_text(encoding="utf-8"))["hash"] == cell_hash
+
     def test_parallel_matches_serial(self, tmp_path):
         cells = self._cells(policies=("batched", "unbatched"))
         serial = SweepRunner(workers=1).run(cells)
