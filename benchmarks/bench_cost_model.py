@@ -123,7 +123,7 @@ def _timed_run(platform, sources, repeats=REPEATS, **sim_kwargs):
 def _stack_rows(tier, platform, sources):
     """Time ``sources`` under both cost modes; print and check one row per mode."""
     for source in sources:
-        source.generate_stack()  # warm the per-source render cache
+        source.generate_stack()  # warm the shared render and arrivals
     rows = []
     reports = {}
     for mode in ("flat", "profile"):

@@ -4,7 +4,8 @@ Runs steady and churn fleets (compiled through the scenario registry) at
 64/256/1024 streams on the production runtime — O(1) event routing, indexed
 ``SignatureServer`` pending queues, coalesced wake-ups, per-stream arrival
 cursors — and records events-processed/sec per tier.  Every source's render
-cache is warmed before timing, so the rows measure the runtime, not E2SF.
+(one shared stack per sequence, plus the source's arrivals) is warmed before
+timing, so the rows measure the runtime, not E2SF.
 
 The sharded tiers (``test_kernel_scaling_sharded``) push past the single
 process: 4096- and 10240-stream steady fleets partitioned by signature
@@ -129,7 +130,7 @@ def test_kernel_scaling(benchmark):
         for num_streams in TIERS:
             sources = _fleet(family, num_streams)
             for source in sources:
-                source.generate_stack()  # warm the per-source render cache
+                source.generate_stack()  # warm the shared render and arrivals
             if family == FAMILIES[0] and TIERS and num_streams == max(TIERS):
                 benchmark.pedantic(
                     lambda: MultiStreamSimulator(platform, sources).run(),
@@ -180,7 +181,7 @@ def test_kernel_scaling_sharded(benchmark):
     for num_streams in SHARD_TIERS:
         sources = _fleet("steady", num_streams)
         for source in sources:
-            source.generate_stack()  # warm caches before the workers fork
+            source.generate_stack()  # warm the renders before the workers fork
         if num_streams == max(SHARD_TIERS):
             benchmark.pedantic(
                 lambda: MultiStreamSimulator(
@@ -259,9 +260,10 @@ def test_kernel_scaling_sharded(benchmark):
 def _traced_run(platform, sources, **sim_kwargs):
     """One warmed, tracemalloc-attributed fleet run.
 
-    The warmup run renders every source cache (stacks, flat buffers,
-    arrival lists) so the measured run's peak attributes the *runtime* —
-    queued events, heap, pending queues — not the one-time render.
+    The warmup run renders every sequence's shared stack (flat buffers and
+    density columns included) and every source's arrival list, so the
+    measured run's peak attributes the *runtime* — queued events, heap,
+    pending queues — not the one-time render.
     """
     MultiStreamSimulator(platform, sources, **sim_kwargs).run()
     tracemalloc.start()

@@ -19,8 +19,8 @@ dense ground-truth maps used by the accuracy experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .synthetic import (
     SceneSequence,
 )
 from .types import EventStream, SensorGeometry
+
+if TYPE_CHECKING:
+    from ..frames.stack import FrameStack
 
 __all__ = [
     "EventSequence",
@@ -59,16 +62,26 @@ class EventSequence:
     frames:
         Synchronized grayscale frames (``Tstart``/``Tend`` anchors for E2SF).
     ground_truth:
-        Per frame-interval dense ground truth (flow, depth, segmentation).
+        Per frame-interval dense ground truth (flow, depth, segmentation);
+        generated sequences paint each interval on first read.
     geometry:
         Sensor geometry used to render the sequence.
+    stacks:
+        Rendered frame stacks by E2SF bin count (``None`` for a sequence
+        with no interval).  The render depends only on the recording and
+        the bin count, so every stream over this sequence shares one
+        read-only stack; :meth:`repro.runtime.streams.StreamSource.
+        generate_stack` fills it.
     """
 
     name: str
     events: EventStream
     frames: List[GrayscaleFrame]
-    ground_truth: List[SceneGroundTruth]
+    ground_truth: Sequence[SceneGroundTruth]
     geometry: SensorGeometry
+    stacks: Dict[int, Optional["FrameStack"]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def frame_timestamps(self) -> np.ndarray:

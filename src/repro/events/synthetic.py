@@ -9,11 +9,15 @@ the recorded sequences once passed through :class:`~repro.events.camera.DVSCamer
 Every generator returns ``(frames, timestamps, ground_truth)`` where
 ``ground_truth`` carries per-interval dense optical flow / depth /
 segmentation maps so that accuracy metrics can be computed against a known
-reference (the substitution documented in DESIGN.md Section 2).
+reference (the substitution documented in DESIGN.md Section 2).  Ground
+truth is painted on first read: a simulation never reads it, and painting
+draws no random numbers, so the frames are the same either way.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -57,7 +61,7 @@ class SceneSequence:
 
     frames: List[np.ndarray]
     timestamps: np.ndarray
-    ground_truth: List[SceneGroundTruth]
+    ground_truth: Sequence[SceneGroundTruth]
     name: str = "scene"
 
     def __post_init__(self) -> None:
@@ -90,12 +94,26 @@ def _render_rect(
 ) -> None:
     """Draw an axis-aligned bright rectangle onto ``image`` (in place)."""
     h, w = image.shape
-    x0 = int(np.clip(np.floor(cx - half_w), 0, w))
-    x1 = int(np.clip(np.ceil(cx + half_w), 0, w))
-    y0 = int(np.clip(np.floor(cy - half_h), 0, h))
-    y1 = int(np.clip(np.ceil(cy + half_h), 0, h))
+    x0, x1, y0, y1 = _rect_bounds(cx, cy, half_w, half_h, w, h)
     if x1 > x0 and y1 > y0:
         image[y0:y1, x0:x1] = intensity
+
+
+def _rect_bounds(
+    cx: float, cy: float, half_w: float, half_h: float, w: int, h: int
+) -> Tuple[int, int, int, int]:
+    """Pixel bounds ``(x0, x1, y0, y1)`` of a rectangle, clipped to the image.
+
+    Python's ``math.floor``/``math.ceil`` with ``min``/``max``: for finite
+    positions the same integers as clipping ``np.floor``/``np.ceil``, without
+    four numpy calls per object and frame.
+    """
+    return (
+        min(max(math.floor(cx - half_w), 0), w),
+        min(max(math.ceil(cx + half_w), 0), w),
+        min(max(math.floor(cy - half_h), 0), h),
+        min(max(math.ceil(cy + half_h), 0), h),
+    )
 
 
 def _render_disk(
@@ -144,10 +162,7 @@ class _MovingObject:
             mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= self.size_x**2
         else:
             mask = np.zeros((h, w), dtype=bool)
-            x0 = int(np.clip(np.floor(cx - self.size_x), 0, w))
-            x1 = int(np.clip(np.ceil(cx + self.size_x), 0, w))
-            y0 = int(np.clip(np.floor(cy - self.size_y), 0, h))
-            y1 = int(np.clip(np.ceil(cy + self.size_y), 0, h))
+            x0, x1, y0, y1 = _rect_bounds(cx, cy, self.size_x, self.size_y, w, h)
             mask[y0:y1, x0:x1] = True
         gt.flow[0][mask] = self.vx * dt
         gt.flow[1][mask] = self.vy * dt
@@ -180,8 +195,21 @@ class _ObjectScene:
     def _objects_at(self, t: float) -> List[_MovingObject]:
         raise NotImplementedError
 
+    def ground_truth_at(self, t: float) -> SceneGroundTruth:
+        """Paint the ground truth of the interval that starts at ``t``."""
+        h, w = self.geometry.height, self.geometry.width
+        gt = SceneGroundTruth(
+            flow=np.zeros((2, h, w)),
+            depth=np.full((h, w), np.inf),
+            segmentation=np.zeros((h, w), dtype=np.int32),
+        )
+        dt = 1.0 / self.frame_rate
+        for obj in self._objects_at(t):
+            obj.paint_ground_truth(gt, t, dt)
+        return gt
+
     def generate(self) -> SceneSequence:
-        """Render the full sequence of intensity frames and ground truth."""
+        """Render the intensity frames; ground truth is painted on first read."""
         n_frames = int(round(self.duration * self.frame_rate)) + 1
         timestamps = np.arange(n_frames) / self.frame_rate
         background = _background(self.geometry, self.rng)
@@ -193,26 +221,43 @@ class _ObjectScene:
                 obj.render(image, float(t))
             frames.append(image)
 
-        ground_truth: List[SceneGroundTruth] = []
-        h, w = self.geometry.height, self.geometry.width
-        dt = 1.0 / self.frame_rate
-        for i in range(n_frames - 1):
-            t = float(timestamps[i])
-            gt = SceneGroundTruth(
-                flow=np.zeros((2, h, w)),
-                depth=np.full((h, w), np.inf),
-                segmentation=np.zeros((h, w), dtype=np.int32),
-            )
-            for obj in self._objects_at(t):
-                obj.paint_ground_truth(gt, t, dt)
-            ground_truth.append(gt)
-
         return SceneSequence(
             frames=frames,
             timestamps=timestamps,
-            ground_truth=ground_truth,
+            ground_truth=_PaintedGroundTruth(self, timestamps),
             name=self.name,
         )
+
+
+class _PaintedGroundTruth(Sequence):
+    """Per-interval ground truth of a scene, painted on first read.
+
+    ``len()`` paints nothing.  Item ``i`` is painted from the scene's
+    objects at ``timestamps[i]`` the first time it is read, then kept, so
+    repeated reads return the same :class:`SceneGroundTruth`.
+    ``_objects_at`` draws no random numbers, so reading ground truth before,
+    after or never leaves the frames and events unchanged.
+    """
+
+    def __init__(self, scene: _ObjectScene, timestamps: np.ndarray) -> None:
+        self.scene = scene
+        self.timestamps = timestamps
+        self._painted: List[Optional[SceneGroundTruth]] = [None] * max(
+            timestamps.size - 1, 0
+        )
+
+    def __len__(self) -> int:
+        return len(self._painted)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        gt = self._painted[i]
+        if gt is None:
+            t = float(self.timestamps[i])
+            gt = self._painted[i] = self.scene.ground_truth_at(t)
+        return gt
 
 
 class MovingBarsScene(_ObjectScene):

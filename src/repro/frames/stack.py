@@ -296,6 +296,35 @@ class FrameStack:
             self._ascending = bool(step.all())
         return self._ascending
 
+    def freeze(self) -> "FrameStack":
+        """Warm every derived column, then make every buffer read-only.
+
+        Computes the flat keys, the density column, the python-float time
+        and density lists and the key-order flag, so readers of a frozen
+        stack do no render work.  Then clears ``flags.writeable`` on
+        ``rows``/``cols``/``pos``/``neg``/``offsets``/``t_starts``/
+        ``t_ends``, the flat keys and the density column: one stack can be
+        shared by many streams, and a stray write raises ``ValueError``
+        instead of leaking into the others.  Returns ``self``.
+        """
+        self.t_starts_list()
+        self.t_ends_list()
+        self.densities_list()
+        self.keys_strictly_ascending()
+        for column in (
+            self.rows,
+            self.cols,
+            self.pos,
+            self.neg,
+            self.offsets,
+            self.t_starts,
+            self.t_ends,
+            self._flat,
+            self._dens,
+        ):
+            column.flags.writeable = False
+        return self
+
     def event_counts(self) -> np.ndarray:
         """Per-frame accumulated event counts (``pos + neg``), vectorised."""
         counts = np.zeros(self.num_frames, dtype=np.float64)

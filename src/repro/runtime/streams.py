@@ -144,57 +144,50 @@ class StreamSource:
     _arrival_times: Optional[List[float]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _end_time: Optional[float] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def generate_stack(self) -> Tuple[Optional[FrameStack], np.ndarray]:
-        """Render the stream as a ``(stack, arrivals)`` column pair.
+        """The stream as a ``(stack, arrivals)`` column pair.
 
-        The whole recording renders through the one-pass columnar converter
-        (:meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert_stack`)
-        into one :class:`~repro.frames.stack.FrameStack`; the arrivals
-        column is the stack's ``t_ends`` shifted by ``start_offset`` (a
-        frame becomes available when its event bin closes).  Arrivals are
-        non-decreasing by construction — the E2SF bin boundaries of a
-        validated, strictly increasing timestamp grid — so a ``stop_time``
-        churn window is a prefix cut: one ``searchsorted`` plus a zero-copy
+        The stack is the recording's shared render (:func:`_shared_stack`):
+        one read-only :class:`~repro.frames.stack.FrameStack` per
+        (sequence, ``num_bins``), however many streams replay it.  Only the
+        arrivals column is the source's own: the stack's ``t_ends`` shifted
+        by ``start_offset`` (a frame becomes available when its event bin
+        closes).  Arrivals are non-decreasing by construction — the E2SF
+        bin boundaries of a validated, strictly increasing timestamp grid —
+        so a ``stop_time`` churn window is a prefix cut: one
+        ``searchsorted`` plus a zero-copy, frozen
         :meth:`~repro.frames.stack.FrameStack.slice`, matching the
         per-frame filter ``arrival <= stop_time`` exactly.
 
-        An empty sequence yields ``(None, empty)``.  Rendering is a pure
-        function of the (immutable) sequence and config, so the result is
-        computed once and cached on the source; callers must not mutate
-        the returned arrays.
+        An empty sequence yields ``(None, empty)``.  The pair is computed
+        once and cached on the source.
         """
         if self._stack is not None:
             return self._stack
-        if self.sequence.num_intervals > 0:
-            converter = Event2SparseFrameConverter(self.config.num_bins)
-            stack = converter.convert_stack(
-                self.sequence.events, self.sequence.frame_timestamps
-            )
-            arrivals = stack.t_ends + self.start_offset
-            if self.stop_time is not None:
-                keep = int(np.searchsorted(arrivals, self.stop_time, side="right"))
-                if keep < len(stack):
-                    stack = stack.slice(0, keep)
-                    arrivals = arrivals[:keep]
-            # The flat key and density columns are part of the rendered
-            # product: DSFA placement probes read both on the very first
-            # push, so warming them here keeps the simulation loop free of
-            # render work.
-            stack.flat_buffer()
-            stack.densities()
-            stack.t_starts_list()
-            stack.t_ends_list()
-            stack.densities_list()
-            # tolist() round-trips float64 exactly; the scheduling loop
-            # reads python floats without a numpy scalar extraction per
-            # frame, and the boxed floats are part of the rendered cache
-            # rather than per-run allocations.
-            self._arrival_times = arrivals.tolist()
-            self._stack = (stack, arrivals)
-        else:
+        stack = _shared_stack(self.sequence, self.config.num_bins)
+        if stack is None:
             self._arrival_times = []
             self._stack = (None, np.zeros(0))
+            return self._stack
+        arrivals = stack.t_ends + self.start_offset
+        if self.stop_time is not None:
+            keep = int(np.searchsorted(arrivals, self.stop_time, side="right"))
+            if keep < len(stack):
+                # The slice's own columns (offsets, densities, lists) are
+                # warmed here too, so a churned stream's simulation does no
+                # render work either.
+                stack = stack.slice(0, keep).freeze()
+                arrivals = arrivals[:keep]
+        # tolist() round-trips float64 exactly; the scheduling loop reads
+        # python floats without a numpy scalar extraction per frame, and the
+        # boxed floats are part of the cached render rather than per-run
+        # allocations.
+        self._arrival_times = arrivals.tolist()
+        self._stack = (stack, arrivals)
         return self._stack
 
     def arrival_times(self) -> List[float]:
@@ -209,16 +202,45 @@ class StreamSource:
 
         The last grayscale frame anchor shifted by ``start_offset``, clamped
         to ``stop_time`` when a churn schedule ends the stream early (and
-        never before the stream's own join time).
+        never before the stream's own join time).  Computed on first read
+        and cached: remap triggers read it for every stream at every remap.
         """
-        timestamps = self.sequence.frame_timestamps
-        if timestamps.size == 0:
+        if self._end_time is None:
+            frames = self.sequence.frames
             end = self.start_offset
-        else:
-            end = float(timestamps[-1]) + self.start_offset
-        if self.stop_time is not None:
-            end = min(end, self.stop_time)
-        return max(end, self.start_offset)
+            if frames:
+                end = float(frames[-1].timestamp) + self.start_offset
+            if self.stop_time is not None:
+                end = min(end, self.stop_time)
+            self._end_time = max(end, self.start_offset)
+        return self._end_time
+
+
+def _shared_stack(sequence: EventSequence, num_bins: int) -> Optional[FrameStack]:
+    """The recording's rendered stack at ``num_bins``, shared and read-only.
+
+    The first caller renders the whole recording through the one-pass
+    columnar converter
+    (:meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert_stack`),
+    then warms it and marks it read-only with
+    :meth:`~repro.frames.stack.FrameStack.freeze`: the flat key and density
+    columns are part of the rendered product (DSFA placement probes read
+    both on the very first push), so warming them here keeps the simulation
+    loop free of render work.  The stack is cached on the sequence object
+    itself (``sequence.stacks``, keyed by ``num_bins``), so it lives
+    exactly as long as the sequence.  A sequence with no interval renders
+    to ``None``.
+    """
+    stacks = sequence.stacks
+    if num_bins not in stacks:
+        stack = None
+        if sequence.num_intervals > 0:
+            converter = Event2SparseFrameConverter(num_bins)
+            stack = converter.convert_stack(
+                sequence.events, sequence.frame_timestamps
+            ).freeze()
+        stacks[num_bins] = stack
+    return stacks[num_bins]
 
 
 class StreamClient:

@@ -83,7 +83,9 @@ DEFAULT_SEQUENCE_POOL = 8
 # Sequence generation is the expensive part of a compile; large fleets used
 # to thrash the old fixed 64-entry cache.  Every miss looks up the module
 # global ``generate_sequence``, so a wrapper installed there (perfbench's
-# ``events.generate`` span) sees each render.
+# ``events.generate`` span) sees each render.  A cached sequence also keeps
+# its shared frame stacks (``EventSequence.stacks``) alive, so this bound
+# covers them too.
 @lru_cache(maxsize=256)
 def _sequence(name: str, scale: float, duration: float, seed: int):
     """Memoized event-sequence generation (the expensive part of a compile)."""

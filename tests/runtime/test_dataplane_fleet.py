@@ -1,9 +1,11 @@
 """Fleet-level equivalence of the columnar data plane.
 
 The acceptance bar for the FrameStack render path: frames from
-``StreamSource.generate_stack`` (one ``convert_stack`` per stream) must be
-bit-identical to ``generate_frames_reference`` (the per-interval ``convert``
-loop kept in ``tests/oracles``) across every built-in scenario family.  The
+``StreamSource.generate_stack`` (one shared ``convert_stack`` render per
+sequence and bin count, sliced per stream for churn) must be bit-identical
+to ``generate_frames_reference`` (the per-interval ``convert`` loop kept in
+``tests/oracles``, rendered afresh for every stream) across every built-in
+scenario family.  The
 end-to-end stack transport extends the bar: the production runtime and the
 fully per-frame reference transport (reference render, frame objects,
 reference DSFA) must produce identical ``MultiStreamReport`` aggregates on

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import DSFAConfig, EvEdgeConfig, OptimizationLevel
@@ -73,6 +76,108 @@ class TestStreamSource:
         t1 = shifted.arrival_times()[0]
         assert t1 == pytest.approx(t0 + 0.25)
         assert shifted.end_time == pytest.approx(base.end_time + 0.25)
+
+
+def _stack_columns(stack):
+    """Every buffer of a rendered stack, derived columns included."""
+    return {
+        "rows": stack.rows,
+        "cols": stack.cols,
+        "pos": stack.pos,
+        "neg": stack.neg,
+        "offsets": stack.offsets,
+        "t_starts": stack.t_starts,
+        "t_ends": stack.t_ends,
+        "flat": stack.flat_buffer(),
+        "densities": stack.densities(),
+    }
+
+
+def _stack_lists(stack):
+    """The python-float columns and the key-order flag of a stack."""
+    return (
+        list(stack.t_starts_list()),
+        list(stack.t_ends_list()),
+        list(stack.densities_list()),
+        stack.keys_strictly_ascending(),
+    )
+
+
+class TestSharedRender:
+    """One read-only render per (sequence, num_bins), shared by its streams."""
+
+    def test_sources_over_one_sequence_share_one_stack(self, sequence, network):
+        config = EvEdgeConfig(num_bins=5)
+        a = StreamSource("a", sequence, network, config, start_offset=0.1)
+        b = StreamSource("b", sequence, network, config, start_offset=0.35)
+        stack_a, arrivals_a = a.generate_stack()
+        stack_b, arrivals_b = b.generate_stack()
+        assert stack_a is stack_b
+        assert sequence.stacks[5] is stack_a
+        assert np.array_equal(arrivals_a, stack_a.t_ends + 0.1)
+        assert np.array_equal(arrivals_b, stack_a.t_ends + 0.35)
+        assert a.arrival_times() == arrivals_a.tolist()
+        assert b.arrival_times() == arrivals_b.tolist()
+
+    def test_churn_slice_leaves_other_streams_intact(self, sequence, network):
+        config = EvEdgeConfig(num_bins=5)
+        full = StreamSource("full", sequence, network, config, start_offset=0.1)
+        stack, arrivals = full.generate_stack()
+        before = {k: v.copy() for k, v in _stack_columns(stack).items()}
+        lists_before = _stack_lists(stack)
+        times_before = list(full.arrival_times())
+        stop = float(arrivals[len(arrivals) // 3])
+
+        churned = StreamSource(
+            "churned", sequence, network, config, start_offset=0.1, stop_time=stop
+        )
+        sliced, sliced_arrivals = churned.generate_stack()
+        assert 0 < len(sliced) < len(stack)
+
+        assert full.generate_stack()[0] is stack
+        assert len(stack) == len(before["t_ends"])
+        assert full.arrival_times() == times_before
+        for name, column in _stack_columns(stack).items():
+            assert np.array_equal(column, before[name]), name
+        assert _stack_lists(stack) == lists_before
+
+        fresh = dataclasses.replace(sequence)
+        window = StreamSource(
+            "window", fresh, network, config, start_offset=0.1, stop_time=stop
+        )
+        expected, expected_arrivals = window.generate_stack()
+        assert expected is not sliced
+        assert np.array_equal(sliced_arrivals, expected_arrivals)
+        assert churned.arrival_times() == window.arrival_times()
+        expected_columns = _stack_columns(expected)
+        for name, column in _stack_columns(sliced).items():
+            assert column.dtype == expected_columns[name].dtype, name
+            assert np.array_equal(column, expected_columns[name]), name
+        assert _stack_lists(sliced) == _stack_lists(expected)
+
+    def test_shared_buffers_reject_writes(self, sequence, network):
+        config = EvEdgeConfig(num_bins=5)
+        stack, arrivals = StreamSource("s", sequence, network, config).generate_stack()
+        churned = StreamSource(
+            "c", sequence, network, config, stop_time=float(arrivals[4])
+        )
+        sliced, _ = churned.generate_stack()
+        for rendered in (stack, sliced):
+            for name, column in _stack_columns(rendered).items():
+                assert column.size, name
+                with pytest.raises(ValueError):
+                    column[0] = column[0]
+                with pytest.raises(ValueError):
+                    column += 0
+
+    def test_bin_counts_render_separately(self, sequence, network):
+        four = StreamSource("four", sequence, network, EvEdgeConfig(num_bins=4))
+        five = StreamSource("five", sequence, network, EvEdgeConfig(num_bins=5))
+        stack4, _ = four.generate_stack()
+        stack5, _ = five.generate_stack()
+        assert stack4 is not stack5
+        assert len(stack4) == 4 * sequence.num_intervals
+        assert len(stack5) == 5 * sequence.num_intervals
 
 
 class TestMultiStreamSimulator:
