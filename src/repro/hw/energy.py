@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
-from .latency import LatencyModel
+from .latency import LatencyEstimate, LatencyModel
 from .pe import ProcessingElement
 
 __all__ = ["EnergyModel", "EnergyEstimate"]
@@ -62,16 +62,22 @@ class EnergyModel:
         estimate = self.latency_model.layer_latency(
             layer, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
         )
-        power = pe.active_power_w * _PRECISION_POWER[precision]
-        compute_energy = estimate.total * power
-        data_bytes = layer.weight_bytes(precision) + layer.activation_bytes(precision) * batch
-        if sparse:
-            occ = occupancy if occupancy is not None else 1.0 - layer.activation_sparsity
-            data_bytes = (
-                layer.weight_bytes(precision)
-                + layer.activation_bytes(precision) * batch * min(max(occ, 0.0), 1.0) * 1.5
-            )
-        memory_energy = data_bytes * _DRAM_ENERGY_PER_BYTE
+        return self.estimate_energy(estimate, pe, precision)
+
+    def estimate_energy(
+        self, estimate: LatencyEstimate, pe: ProcessingElement, precision: Precision
+    ) -> EnergyEstimate:
+        """Energy of a layer execution the latency model already timed.
+
+        Power is integrated over the estimate's roofline total and the
+        estimate's DRAM traffic is charged per byte, so a caller that needs
+        both latency and energy evaluates the roofline once.  Because the
+        bytes come from the estimate, energy follows every decision the
+        latency model made — including running a sparse request dense on a
+        device without sparse kernels.
+        """
+        compute_energy = estimate.total * (pe.active_power_w * _PRECISION_POWER[precision])
+        memory_energy = estimate.data_bytes * _DRAM_ENERGY_PER_BYTE
         return EnergyEstimate(compute_energy, memory_energy)
 
     def transfer_energy(self, num_bytes: int) -> float:

@@ -44,11 +44,17 @@ _SNN_EFFICIENCY = 0.6
 
 @dataclass(frozen=True)
 class LatencyEstimate:
-    """Breakdown of one layer's estimated execution time on one device."""
+    """Breakdown of one layer's estimated execution time on one device.
+
+    ``data_bytes`` is the DRAM traffic the memory term moved (weights plus
+    activations, or the sparse payload); the energy model charges it per
+    byte, so energy never re-derives it.
+    """
 
     compute_time: float
     memory_time: float
     overhead: float
+    data_bytes: float
 
     @property
     def total(self) -> float:
@@ -132,14 +138,12 @@ class LatencyModel:
             throughput *= self.snn_efficiency
         compute_time = work / throughput
 
-        data_bytes = (
-            layer.weight_bytes(precision) + layer.activation_bytes(precision) * batch
-        )
+        activation = layer.activation_bytes(precision) * batch
         if sparse:
             # Sparse activations move only the non-zero payload plus indices.
-            activation = layer.activation_bytes(precision) * batch
-            data_bytes = layer.weight_bytes(precision) + activation * occupancy * 1.5
+            activation = activation * occupancy * 1.5
+        data_bytes = layer.weight_bytes(precision) + activation
         memory_time = data_bytes / pe.memory_bandwidth
 
         overhead = pe.kernel_launch_overhead
-        return LatencyEstimate(compute_time, memory_time, overhead)
+        return LatencyEstimate(compute_time, memory_time, overhead, data_bytes)

@@ -120,7 +120,9 @@ class PlatformProfiler:
         """Build the full profile table for ``graph`` on the platform.
 
         Every layer is profiled dense and, on devices with sparse kernels,
-        sparse; sparse entries run at :data:`PROFILE_OCCUPANCY`.
+        sparse; sparse entries run at :data:`PROFILE_OCCUPANCY`.  Each entry
+        evaluates the roofline once: its energy comes from its latency
+        estimate.
         """
         table = ProfileTable(self.platform)
         for node in graph.compute_nodes():
@@ -132,15 +134,16 @@ class PlatformProfiler:
                     for sparse in (False, True):
                         if sparse and not pe.supports_sparse:
                             continue
-                        latency = self.latency_model.layer_latency(
+                        estimate = self.latency_model.layer_latency(
                             spec, pe, precision,
                             sparse=sparse, occupancy=PROFILE_OCCUPANCY,
-                        ).total
-                        energy = self.energy_model.layer_energy(
-                            spec, pe, precision,
-                            sparse=sparse, occupancy=PROFILE_OCCUPANCY,
-                        ).total
+                        )
+                        energy = self.energy_model.estimate_energy(estimate, pe, precision)
                         table.record(
-                            node, pe.name, precision, sparse, ProfileEntry(latency, energy)
+                            node,
+                            pe.name,
+                            precision,
+                            sparse,
+                            ProfileEntry(estimate.total, energy.total),
                         )
         return table

@@ -10,13 +10,15 @@ what NMP, the round-robin baselines and the runtime executor operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import networkx as nx
 
 from .layers import LayerSpec
 
 __all__ = ["LayerGraph", "TaskSpec", "MultiTaskGraph"]
+
+_T = TypeVar("_T")
 
 
 class LayerGraph:
@@ -37,6 +39,8 @@ class LayerGraph:
         self.task = task
         self._graph = nx.DiGraph()
         self._topo_order: Optional[List[str]] = None
+        # Builder -> the structure it compiled from this graph (compiled()).
+        self._compiled: Dict[Callable, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -55,7 +59,9 @@ class LayerGraph:
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_node(layer.name)
             raise ValueError(f"adding layer '{layer.name}' would create a cycle")
-        self._topo_order = None  # mutation invalidates the cached order
+        # Mutation invalidates the cached order and every compiled structure.
+        self._topo_order = None
+        self._compiled.clear()
         return layer
 
     def chain(self, layers: Sequence[LayerSpec]) -> None:
@@ -88,6 +94,20 @@ class LayerGraph:
         if self._topo_order is None:
             self._topo_order = list(nx.topological_sort(self._graph))
         return self._topo_order
+
+    def compiled(self, build: Callable[["LayerGraph"], _T]) -> _T:
+        """``build(self)``, computed once per graph structure.
+
+        Lets another layer compile the graph into its own index arrays
+        (the occupancy propagation plan of :mod:`repro.nn.occupancy`) once
+        instead of walking the networkx graph per call; :meth:`add_layer`
+        drops every compiled structure, exactly as it drops the cached
+        topological order.
+        """
+        compiled = self._compiled.get(build)
+        if compiled is None:
+            compiled = self._compiled[build] = build(self)
+        return compiled  # type: ignore[return-value]
 
     def layers(self) -> List[LayerSpec]:
         """All layers in topological order."""

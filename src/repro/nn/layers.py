@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Tuple
 
 from .quantization import Precision
@@ -73,6 +74,11 @@ class LayerSpec:
         Expected fraction of *zero* activations at the layer input.  Event
         data and spiking activations are highly sparse (paper Figure 1);
         sparse-aware execution skips that fraction of the work.
+
+    The derived workload numbers (output size, parameter, MAC and
+    activation counts) depend only on these frozen fields, so each is
+    computed once per spec and cached on the instance: the roofline model
+    reads them on every cost-table miss.
     """
 
     name: str
@@ -107,7 +113,7 @@ class LayerSpec:
         """True if this layer contains LIF dynamics."""
         return self.kind.is_spiking
 
-    @property
+    @cached_property
     def out_height(self) -> int:
         """Output activation height."""
         if self.kind in (LayerKind.CONV2D, LayerKind.CONV_LIF, LayerKind.POOL):
@@ -116,7 +122,7 @@ class LayerSpec:
             return self.in_height * self.stride
         return self.in_height if self.kind is not LayerKind.FC else 1
 
-    @property
+    @cached_property
     def out_width(self) -> int:
         """Output activation width."""
         if self.kind in (LayerKind.CONV2D, LayerKind.CONV_LIF, LayerKind.POOL):
@@ -133,7 +139,7 @@ class LayerSpec:
     # ------------------------------------------------------------------
     # workload
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def num_parameters(self) -> int:
         """Number of weights (+ biases) in the layer."""
         if self.kind in (
@@ -153,7 +159,7 @@ class LayerSpec:
             )
         return 0
 
-    @property
+    @cached_property
     def macs(self) -> int:
         """Dense multiply-accumulate count for one inference (all timesteps)."""
         if self.kind in (LayerKind.CONV2D, LayerKind.CONV_LIF):
@@ -192,12 +198,12 @@ class LayerSpec:
         """
         return int(round(self.macs * (1.0 - self.activation_sparsity)))
 
-    @property
+    @cached_property
     def input_activation_elements(self) -> int:
         """Number of scalars in the input activation (all timesteps)."""
         return self.in_channels * self.in_height * self.in_width * self.timesteps
 
-    @property
+    @cached_property
     def output_activation_elements(self) -> int:
         """Number of scalars in the output activation (all timesteps)."""
         return self.out_channels * self.out_height * self.out_width * self.timesteps

@@ -37,13 +37,16 @@ stack in :mod:`repro.runtime.sim` share deep-layer cache entries across
 mixed-density traffic after per-layer bucketing.  Joins re-inject the
 density difference carried by their skip branches, so in networks with
 joins deep entries can stay apart by more than one bucket.  This is the
-only propagation in the library; the serial chain walk it replaced is kept
-as a test oracle.
+only propagation in the library.  It walks a plan compiled once per graph
+structure (predecessor indices, join kinds, receptive fields, firing
+fractions and channel weights); the per-node graph walk and the serial
+chain walk it replaced are kept as test oracles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graph import LayerGraph
 from .layers import LayerKind, LayerSpec
@@ -60,32 +63,68 @@ def _clamp(value: float) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
+# Receptive field of a layer that mixes every input site into every output
+# site (a fully connected layer): any activity reaches the whole output.
+_GLOBAL = math.inf
+
+
+def _receptive_field(spec: LayerSpec) -> Optional[float]:
+    """Input sites feeding one output site of ``spec``.
+
+    ``None`` for layers that keep their input's support (element-wise
+    fusion and the pseudo-layers); :data:`_GLOBAL` for global mixing.
+    """
+    if spec.kind in (LayerKind.CONV2D, LayerKind.CONV_LIF, LayerKind.POOL):
+        return float(spec.kernel_size * spec.kernel_size)
+    if spec.kind in (LayerKind.DECONV2D, LayerKind.DECONV_LIF):
+        # The output grid is S x larger; each output site is reached by
+        # roughly K^2 / S^2 input sites.
+        return max(
+            float(spec.kernel_size * spec.kernel_size) / float(spec.stride * spec.stride),
+            1.0,
+        )
+    if spec.kind is LayerKind.FC:
+        return _GLOBAL
+    return None
+
+
+def _dilate(receptive: Optional[float], occupancy: float) -> float:
+    """Support dilation through a layer with the given receptive field."""
+    d = _clamp(occupancy)
+    if d == 0.0:
+        return 0.0
+    if receptive is None:
+        return d
+    if receptive == _GLOBAL:
+        return 1.0
+    return _clamp(1.0 - (1.0 - d) ** receptive)
+
+
 def layer_output_occupancy(spec: LayerSpec, occupancy: float) -> float:
     """Output support occupancy of ``spec`` given its input occupancy.
 
     Pure support dilation under an independent-active-site model; the
     activation sparsification of the *consuming* layer is applied by
-    :func:`propagate_occupancy_graph`, not here.
+    :func:`propagate_occupancy_graph`, not here.  A convolution or pool
+    activates an output site when any of its ``K x K`` input sites is
+    active; a transposed convolution spreads over ``K^2 / S^2`` sites; a
+    fully connected layer mixes everything; element-wise fusion and the
+    INPUT/OUTPUT pseudo-layers preserve the support of their input.
     """
-    d = _clamp(occupancy)
-    if d == 0.0:
-        return 0.0
-    if spec.kind in (LayerKind.CONV2D, LayerKind.CONV_LIF, LayerKind.POOL):
-        receptive = float(spec.kernel_size * spec.kernel_size)
-    elif spec.kind in (LayerKind.DECONV2D, LayerKind.DECONV_LIF):
-        # The output grid is S x larger; each output site is reached by
-        # roughly K^2 / S^2 input sites.
-        receptive = max(
-            float(spec.kernel_size * spec.kernel_size) / float(spec.stride * spec.stride),
-            1.0,
-        )
-    elif spec.kind is LayerKind.FC:
-        return 1.0  # global mixing: any activity reaches every output
-    else:
-        # ELEMENTWISE fusion and the INPUT/OUTPUT pseudo-layers preserve
-        # the support of their input.
-        return d
-    return _clamp(1.0 - (1.0 - d) ** receptive)
+    return _dilate(_receptive_field(spec), occupancy)
+
+
+def _union(supports: Iterable[float]) -> float:
+    survive = 1.0
+    for d in supports:
+        survive *= 1.0 - _clamp(d)
+    return _clamp(1.0 - survive)
+
+
+def _weighted_mean(
+    supports: Iterable[float], weights: Iterable[float], total: float
+) -> float:
+    return _clamp(sum(d * w for d, w in zip(supports, weights)) / total)
 
 
 def combine_supports(
@@ -111,14 +150,33 @@ def combine_supports(
     if not supports:
         raise ValueError("cannot combine an empty set of supports")
     if consumer.kind is LayerKind.ELEMENTWISE:
-        survive = 1.0
-        for d in supports:
-            survive *= 1.0 - _clamp(d)
-        return _clamp(1.0 - survive)
+        return _union(supports)
     total = sum(weights)
     if total <= 0:
         raise ValueError("combined support weights must sum to a positive value")
-    return _clamp(sum(d * w for d, w in zip(supports, weights)) / total)
+    return _weighted_mean(supports, weights, total)
+
+
+def _propagation_plan(graph: LayerGraph):
+    """``graph``'s compute layers compiled for propagation, in topo order.
+
+    One step per layer: its compute predecessors (indices into the same
+    order, in networkx predecessor order), whether they join as a union
+    (else as a channel-weighted mean), their channel weights and the
+    weights' total, and the layer's firing fraction ``1 -
+    activation_sparsity``.  Also each layer's receptive field, through
+    which its own output dilates.
+    """
+    names = [n for n in graph.layer_names() if graph.layer(n).kind.is_compute]
+    index = {name: i for i, name in enumerate(names)}
+    specs = [graph.layer(n) for n in names]
+    steps = []
+    for name, spec in zip(names, specs):
+        preds = tuple(index[p] for p in graph.predecessors(name) if p in index)
+        weights = tuple(float(max(specs[j].out_channels, 1)) for j in preds)
+        union = spec.kind is LayerKind.ELEMENTWISE
+        steps.append((preds, union, weights, sum(weights), 1.0 - spec.activation_sparsity))
+    return tuple(steps), tuple(_receptive_field(spec) for spec in specs)
 
 
 def propagate_occupancy_graph(
@@ -137,38 +195,34 @@ def propagate_occupancy_graph(
     element-wise fusion, channel-weighted mean for concat-style skips)
     and applies its own firing fraction ``1 - activation_sparsity``.
 
+    The walk runs over the graph's propagation plan — predecessor
+    indices, join kinds, receptive fields, firing fractions and channel
+    weights compiled once per graph structure (:meth:`LayerGraph.compiled`)
+    — with the same float operations in the same order as the per-node
+    definitions above.
+
     Entries are returned in topological order over compute layers — the
     same order as ``graph.layers()`` filtered to compute specs, which is
     the order the runtime cost models resolve their layer assignments in.
     Entries are raw (unquantized); the layered cost stack buckets them per
     layer.
     """
+    steps, receptive = graph.compiled(_propagation_plan)
     occ_in = _clamp(input_occupancy)
-    entries: Dict[str, float] = {}
-    order: List[str] = []
-    for name in graph.layer_names():
-        spec = graph.layer(name)
-        if not spec.kind.is_compute:
-            continue
-        preds = [p for p in graph.predecessors(name) if graph.layer(p).kind.is_compute]
+    entries: List[float] = []
+    for preds, union, weights, total, fire in steps:
         if not preds:
-            occ = occ_in
+            entries.append(occ_in)
+            continue
+        dilated = [_dilate(receptive[j], entries[j]) for j in preds]
+        if len(dilated) == 1:
+            occ = dilated[0]
+        elif union:
+            occ = _union(dilated)
         else:
-            dilated = [
-                layer_output_occupancy(graph.layer(p), entries[p]) for p in preds
-            ]
-            if len(dilated) == 1:
-                occ = dilated[0]
-            else:
-                occ = combine_supports(
-                    spec,
-                    dilated,
-                    [float(max(graph.layer(p).out_channels, 1)) for p in preds],
-                )
-            occ *= 1.0 - spec.activation_sparsity
-        entries[name] = occ
-        order.append(name)
-    return tuple(entries[n] for n in order)
+            occ = _weighted_mean(dilated, weights, total)
+        entries.append(occ * fire)
+    return tuple(entries)
 
 
 class OccupancyProfile:
@@ -279,7 +333,3 @@ class OccupancyProfile:
     def key(self) -> Tuple[Optional[float], ...]:
         """Hashable identity used by the layered cost stack's memo."""
         return self.entries
-
-    def bucketed(self, bucket) -> "OccupancyProfile":
-        """Quantize every entry with ``bucket`` (per-layer bucketing)."""
-        return OccupancyProfile(bucket(e) for e in self.entries)

@@ -186,12 +186,6 @@ class SignatureServer:
         """Number of dispatches waiting in the pending queues."""
         return self._pending_count
 
-    def pending_entries(self) -> List[_PendingDispatch]:
-        """Pending dispatches in aggregate FIFO order (debug/test helper)."""
-        entries = [e for queue in self._queues.values() for e in queue]
-        entries.sort(key=lambda e: e.seq)
-        return entries
-
     def queued_service_estimate(self) -> float:
         """Estimated total service time of all pending dispatches."""
         return self._pending_service
@@ -290,17 +284,22 @@ class SignatureServer:
         # concatenated batch (and no per-frame view) is materialised for a
         # cross-stream merge.  Flattening the per-member columns preserves
         # the exact values and order a concatenated batch would expose, so
-        # the mean and the combined profile are bit-identical.
+        # the mean and the combined profile are bit-identical.  One density
+        # is its own mean (np.mean over one element returns it unchanged);
+        # longer columns keep np.mean's pairwise summation order.
         if sparse:
             densities = [d for m in members for d in m.batch.frame_densities()]
-            occupancy = float(np.mean(densities)) if densities else 0.0
+            if len(densities) == 1:
+                occupancy = float(densities[0])
+            else:
+                occupancy = float(np.mean(densities)) if densities else 0.0
         else:
             densities = []
             occupancy = 1.0
         # The dispatch path hands the cost stack a per-layer occupancy
         # profile, not a scalar: under ``cost_mode="profile"`` the merged
-        # batch's profile is the entry-wise combination of its members'
-        # propagated profiles (flat mode reduces to the scalar path).
+        # batch's profile is the column-wise mean of its members' bucketed
+        # rows (flat mode reduces to the scalar path).
         profile = self.cost_model.densities_profile(densities, occupancy)
         latency, energy = self.cost_model.profile_cost(profile, max(num_frames, 1))
         start, end = self.kernel.acquire(self.cost_model.pes_used, ready_time, latency)

@@ -20,20 +20,26 @@ on:
   the callable that handles it.  The kernel also owns per-resource busy
   tracking (``busy_until`` / ``acquire``) so clients share one notion of
   device occupancy.
-* **Layered cost stack** — :class:`LayerCostTable` holds per-layer cost
-  cells keyed on ``(layer, pe, precision, sparse, layer-bucket, batch)``;
-  :class:`NetworkCostModel` resolves a network's layer→(PE, precision)
-  assignment once and composes the cells into memoized whole-network costs.
-  Costs are driven by an :class:`~repro.nn.occupancy.OccupancyProfile` —
-  one occupancy per layer.  In ``cost_mode="flat"`` (the default) the
-  profile carries the measured input occupancy in its first slot and defers
-  to each deeper layer's static modelled sparsity, which is bit-identical
-  to the pre-profile scalar path.  In ``cost_mode="profile"`` the input
-  density is *propagated* layer by layer (support dilation + activation
-  sparsification) and bucketed per layer **after** propagation, so
-  mixed-density traffic whose deep entries converge (as they do along
-  serial segments) shares deep-layer cache cells instead of thrashing the
-  memo per input bucket.
+* **Compiled, layered cost stack** — :class:`LayerCostTable` interns each
+  ``(layer, pe, precision, sparse)`` execution to an integer *cell* and
+  memoizes costs per ``(cell, occupancy-bucket, batch)``; a miss evaluates
+  the roofline once (energy comes from the latency estimate).
+  :class:`NetworkCostModel` compiles a network's layer→(PE, precision)
+  assignment into cells plus the bytes each cross-PE boundary moves, and
+  composes cell costs into memoized whole-network costs.  Costs are driven
+  by an :class:`~repro.nn.occupancy.OccupancyProfile` — one occupancy per
+  layer — and each input bucket's profile row is built once.  In
+  ``cost_mode="flat"`` (the default) the row carries the measured input
+  occupancy in its first slot and defers to each deeper layer's static
+  modelled sparsity, which is bit-identical to the pre-profile scalar
+  path.  In ``cost_mode="profile"`` the input density is *propagated*
+  layer by layer (support dilation + activation sparsification) and
+  bucketed per layer **after** propagation, so mixed-density traffic whose
+  deep entries converge (as they do along serial segments) shares
+  deep-layer cache cells instead of thrashing the memo per input bucket; a
+  merged dispatch's profile is the column-wise mean of its members' rows.
+  The object-walking stack this replaced is the bit-for-bit reference in
+  ``tests/oracles``.
 
 Single-stream clients (``EvEdgePipeline.run``) and the multi-stream traffic
 simulator (:mod:`repro.runtime.streams`) are both thin protocol drivers on
@@ -54,7 +60,7 @@ from ..hw.latency import LatencyModel
 from ..hw.pe import Platform, ProcessingElement
 from ..nn.graph import LayerGraph
 from ..nn.layers import LayerSpec
-from ..nn.occupancy import OccupancyProfile
+from ..nn.occupancy import OccupancyProfile, propagate_occupancy_graph
 from ..nn.quantization import Precision
 
 __all__ = [
@@ -507,14 +513,17 @@ class LayerCost:
 class LayerCostTable:
     """Memo table for per-layer latency and energy.
 
-    Entries are keyed on ``(layer, pe, precision, sparse, occupancy-bucket,
-    batch)``.  With ``occupancy_resolution=None`` (the default) the bucket is
-    the exact occupancy value — results are bit-for-bit identical to calling
-    the latency/energy models directly, and repeated occupancies (the dense
-    path always passes 1.0) still hit the cache.  A positive resolution
-    quantizes the occupancy to that grid before *both* keying and computing,
-    trading a bounded modelling error for a much higher hit rate under heavy
-    multi-stream traffic.
+    A *cell* is one ``(layer, pe, precision, sparse)`` execution.
+    :meth:`cell` interns it to an integer once, when a cost model resolves
+    its mapping; costs are then memoized per ``(cell, occupancy-bucket,
+    batch)``, so a lookup hashes two small numbers and a float instead of a
+    layer descriptor.  With ``occupancy_resolution=None`` (the default) the
+    bucket is the exact occupancy value — results are bit-for-bit identical
+    to calling the latency/energy models directly, and repeated occupancies
+    (the dense path always passes 1.0) still hit the cache.  A positive
+    resolution quantizes the occupancy to that grid before *both* keying
+    and computing, trading a bounded modelling error for a much higher hit
+    rate under heavy multi-stream traffic.
     """
 
     def __init__(self, occupancy_resolution: Optional[float] = None) -> None:
@@ -523,7 +532,12 @@ class LayerCostTable:
         self.latency_model = LatencyModel()
         self.energy_model = EnergyModel(self.latency_model)
         self.occupancy_resolution = occupancy_resolution
-        self._cache: Dict[tuple, LayerCost] = {}
+        # (layer, pe name, precision, sparse) -> cell id, and the reverse.
+        self._cells: Dict[Tuple[LayerSpec, str, Precision, bool], int] = {}
+        self._cell_specs: List[
+            Tuple[LayerSpec, ProcessingElement, Precision, bool]
+        ] = []
+        self._cache: Dict[Tuple[int, Optional[float], int], LayerCost] = {}
         self.hits = 0
         self.misses = 0
 
@@ -535,6 +549,9 @@ class LayerCostTable:
         must not quantize to ``0.0``, which would zero the dense
         memory-traffic term in the latency model and clamp sparse costs down
         to the ``min_sparse_fraction`` floor regardless of the actual input.
+        Bucketing is idempotent — a representative is its own bucket — so
+        profile entries, which are representatives already, key the memo
+        as they are.
         """
         if occupancy is None:
             return None
@@ -546,44 +563,42 @@ class LayerCostTable:
             steps = 1
         return min(steps * self.occupancy_resolution, 1.0)
 
-    def layer_cost(
+    def cell(
         self,
         layer: LayerSpec,
         pe: ProcessingElement,
         precision: Precision,
-        sparse: bool = False,
-        occupancy: Optional[float] = None,
-        batch: int = 1,
-        quantize: bool = True,
-    ) -> LayerCost:
-        """Memoized ``(latency, energy)`` of one layer execution.
+        sparse: bool,
+    ) -> int:
+        """Interned id of one ``(layer, pe, precision, sparse)`` execution."""
+        key = (layer, pe.name, precision, sparse)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = len(self._cell_specs)
+            self._cell_specs.append((layer, pe, precision, sparse))
+        return cell
 
-        With ``quantize=False`` the occupancy is used (and keyed) exactly as
-        given instead of being snapped to its bucket.  The scalar-keyed
-        oracle of the test suite (``tests/oracles``) uses this to model the
-        pre-profile stack, whose cells had no per-layer quantization —
-        production callers leave it enabled.
+    def cell_cost(
+        self, cell: int, occupancy: Optional[float], batch: int
+    ) -> LayerCost:
+        """Memoized ``(latency, energy)`` of ``cell`` at one occupancy.
+
+        ``occupancy`` must be a bucket representative (see :meth:`bucket`;
+        ``None`` = the layer's static modelled sparsity).  A miss evaluates
+        the roofline once: the energy comes from the latency estimate.
         """
-        if quantize:
-            occ = self.bucket(occupancy)
-        elif occupancy is None:
-            occ = None
-        else:
-            occ = min(max(float(occupancy), 0.0), 1.0)
-        key = (layer, pe.name, precision, sparse, occ, batch)
+        key = (cell, occupancy, batch)
         cached = self._cache.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        latency = self.latency_model.layer_latency(
-            layer, pe, precision, sparse=sparse, occupancy=occ, batch=batch
-        ).total
-        energy = self.energy_model.layer_energy(
-            layer, pe, precision, sparse=sparse, occupancy=occ, batch=batch
-        ).total
-        cost = LayerCost(latency, energy)
-        self._cache[key] = cost
+        layer, pe, precision, sparse = self._cell_specs[cell]
+        estimate = self.latency_model.layer_latency(
+            layer, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
+        )
+        energy = self.energy_model.estimate_energy(estimate, pe, precision)
+        cost = self._cache[key] = LayerCost(estimate.total, energy.total)
         return cost
 
     def cache_info(self) -> Dict[str, float]:
@@ -610,14 +625,16 @@ class NetworkCostModel:
     The layer→(PE, precision) assignment is resolved once at construction
     (the same rules the seed pipeline applied per call: NMP mapping when
     enabled, GPU + baseline precision otherwise, GPU fallback for layers the
-    assigned device cannot run).
+    assigned device cannot run) and compiled into integer cells of the
+    shared :class:`LayerCostTable` plus the bytes each cross-PE boundary
+    moves.
 
     The model is a *layered cost stack*: every inference is costed from an
     :class:`~repro.nn.occupancy.OccupancyProfile` (one occupancy per
-    resolved layer) whose per-layer entries index the shared
-    :class:`LayerCostTable` cells; the composed whole-network result is
-    memoized on ``(profile, batch)``.  ``cost_mode`` selects how profiles
-    are built:
+    resolved layer) whose per-layer entries index the table cells; the
+    composed whole-network result is memoized on ``(profile, batch)``.
+    Each input bucket has one bucketed profile row, built on first use.
+    ``cost_mode`` selects how rows are built:
 
     * ``"flat"`` (default) — the measured input occupancy drives the first
       layer, deeper layers use their static modelled sparsity.  Semantics
@@ -654,23 +671,49 @@ class NetworkCostModel:
         self.cost_mode = cost_mode
         self._specs = [spec for spec in network.layers() if spec.kind.is_compute]
         self._cache: Dict[tuple, Tuple[float, float]] = {}
-        # Input bucket -> built profile.  Profiles depend only on the layer
-        # structure (never on the mapping), so rebind() leaves this intact.
+        # Input bucket -> its bucketed profile row, and a merged dispatch's
+        # member density -> its row (frame densities recur across streams
+        # sharing a recording, so a row is usually one dict hit away).  Rows
+        # depend only on the layer structure (never on the mapping), so
+        # rebind() keeps both.
         self._profiles: Dict[Optional[float], OccupancyProfile] = {}
+        self._density_rows: Dict[float, Tuple[Optional[float], ...]] = {}
         self._resolve()
 
     def _resolve(self) -> None:
-        """Resolve the layer→(PE, precision) assignment under the active mapping."""
-        self._assignments: List[Tuple[LayerSpec, ProcessingElement, Precision]] = []
+        """Compile the layer→(PE, precision) assignment under the active mapping.
+
+        Each layer becomes a :class:`LayerCostTable` cell; a layer whose
+        producer ran on another PE also records ``(producer output bytes,
+        producer PE, PE)``, the unified-memory transfer a batch of one
+        moves across that boundary (``None`` elsewhere).
+        """
+        sparse = self.uses_sparse
+        cells: List[int] = []
+        transfers: List[Optional[Tuple[int, str, str]]] = []
+        seen: List[str] = []
+        previous = None
         for spec in self._specs:
             pe, precision = self._assignment_for(spec.name)
             if not pe.supports_layer(spec):
                 pe = self.platform.gpu()
-            self._assignments.append((spec, pe, precision))
-        seen: List[str] = []
-        for _, pe, _ in self._assignments:
+            cells.append(
+                self.table.cell(spec, pe, precision, sparse and pe.supports_sparse)
+            )
+            transfer = None
+            if previous is not None and previous[0].name != pe.name:
+                producer_pe, producer_spec, producer_precision = previous
+                transfer = (
+                    producer_spec.output_bytes(producer_precision),
+                    producer_pe.name,
+                    pe.name,
+                )
+            transfers.append(transfer)
             if pe.name not in seen:
                 seen.append(pe.name)
+            previous = (pe, spec, precision)
+        self._cells = tuple(cells)
+        self._transfers = tuple(transfers)
         self._pes_used = tuple(seen)
 
     def rebind(self, mapping: Optional[MappingCandidate]) -> None:
@@ -678,12 +721,13 @@ class NetworkCostModel:
 
         Used by online traffic-adaptive remapping: the per-layer costs in the
         shared :class:`LayerCostTable` stay valid (they are keyed on the
-        layer/PE/precision, not on the mapping), but the resolved assignment
-        list, the occupied-PE set and the whole-network cost memo are all
-        mapping-dependent and must be rebuilt.  Note that an execution
-        server's *grouping* of streams (its :meth:`signature_for` at
-        construction time) is intentionally not revisited — streams that
-        shared a cost surface before a remap still share the rebound one.
+        layer/PE/precision cell, not on the mapping), but the resolved
+        cells, the transfer boundaries, the occupied-PE set and the
+        whole-network cost memo are all mapping-dependent and must be
+        rebuilt.  Note that an execution server's *grouping* of streams
+        (its :meth:`signature_for` at construction time) is intentionally
+        not revisited — streams that shared a cost surface before a remap
+        still share the rebound one.
         """
         self.mapping = mapping
         self._resolve()
@@ -748,29 +792,26 @@ class NetworkCostModel:
     # ------------------------------------------------------------------
     # occupancy profiles
     # ------------------------------------------------------------------
-    def _build_profile(self, occ_key: Optional[float]) -> OccupancyProfile:
-        """Profile for one *bucketed* input occupancy (subclass hook).
-
-        Propagation follows the network *graph*: multi-input layers see the
-        combined support of all their predecessors rather than whichever
-        spec happened to precede them in topological order.  The entries
-        come back in the same topo order the assignments were resolved in
-        (``network.layers()`` filtered to compute specs), so memoization
-        keys and per-layer bucketing are unchanged — and for purely serial
-        networks the result is bit-identical to the chain walk.
-        """
-        num_layers = len(self._assignments)
-        if self.cost_mode == "flat" or occ_key is None or num_layers <= 1:
-            return OccupancyProfile.flat(occ_key, num_layers)
-        raw = OccupancyProfile.from_graph(self.network, occ_key)
-        return raw.bucketed(self.table.bucket)
-
     def occupancy_profile(self, occupancy: Optional[float]) -> OccupancyProfile:
-        """The (cached) per-layer profile for one measured input occupancy."""
+        """The bucketed profile row of one measured input occupancy.
+
+        Built once per input bucket.  Propagation follows the network
+        *graph* (:func:`~repro.nn.occupancy.propagate_occupancy_graph`):
+        multi-input layers see the combined support of all their
+        predecessors.  Entries come back in the topo order the cells were
+        resolved in, each snapped to its table bucket.
+        """
         occ_key = self.table.bucket(occupancy)
         profile = self._profiles.get(occ_key)
         if profile is None:
-            profile = self._build_profile(occ_key)
+            num_layers = len(self._specs)
+            if self.cost_mode == "flat" or occ_key is None or num_layers <= 1:
+                profile = OccupancyProfile.flat(occ_key, num_layers)
+            else:
+                bucket = self.table.bucket
+                profile = OccupancyProfile(
+                    bucket(e) for e in propagate_occupancy_graph(self.network, occ_key)
+                )
             self._profiles[occ_key] = profile
         return profile
 
@@ -786,29 +827,29 @@ class NetworkCostModel:
         stack, so no concatenated batch (and no per-frame view) is ever
         materialised for costing.  In ``"flat"`` mode the dispatch is
         costed at the single mean density — exactly the scalar path.  In
-        ``"profile"`` mode each frame is propagated independently and the
-        member profiles are combined entry-wise (merge-time profile
-        combination): a batched inference runs every member through the
-        same layers, so its per-layer occupancy is the mean of the members'
-        per-layer occupancies — not the propagation of their mean, which
-        differs because propagation is nonlinear.
+        ``"profile"`` mode each frame contributes its input bucket's row
+        and the dispatch's profile is the column-wise mean of the member
+        rows, summed in member order, then bucketed per layer: a batched
+        inference runs every member through the same layers, so its
+        per-layer occupancy is the mean of the members' per-layer
+        occupancies — not the propagation of their mean, which differs
+        because propagation is nonlinear.  The sums run in the float order
+        of :meth:`OccupancyProfile.combine` with unit weights.
         """
         occupancy = max(float(occupancy), 1e-4)
         if self.cost_mode == "flat" or not self.uses_sparse or len(densities) <= 1:
             return self.occupancy_profile(occupancy)
-        members = [
-            self.occupancy_profile(max(density, 1e-4)) for density in densities
-        ]
-        return self._bucket_profile(OccupancyProfile.combine(members))
-
-    def _bucket_profile(self, profile: OccupancyProfile) -> OccupancyProfile:
-        """Per-layer quantization of a freshly combined profile.
-
-        Subclass hook: the layered stack snaps every entry to its table
-        bucket; the scalar-keyed oracle keeps combined entries raw, matching
-        its no-per-layer-bucketing architecture.
-        """
-        return profile.bucketed(self.table.bucket)
+        density_rows = self._density_rows
+        rows = []
+        for density in densities:
+            row = density_rows.get(density)
+            if row is None:
+                row = self.occupancy_profile(max(density, 1e-4)).entries
+                density_rows[density] = row
+            rows.append(row)
+        count = len(rows)
+        bucket = self.table.bucket
+        return OccupancyProfile([bucket(sum(column) / count) for column in zip(*rows)])
 
     # ------------------------------------------------------------------
     def profile_cost(
@@ -821,52 +862,34 @@ class NetworkCostModel:
         costed at its profile entry (``None`` = static modelled sparsity),
         and a unified-memory transfer is added whenever producer and
         consumer sit on different devices (execution is serial, so
-        transfers are summed).  The composed result is memoized on
-        ``(profile, batch)`` — profiles that converge onto the same
-        per-layer buckets share one entry.
+        transfers are summed, each right after its consumer's cost).  The
+        composed result is memoized on ``(profile, batch)`` — profiles that
+        converge onto the same per-layer buckets share one entry.  Entries
+        are bucket representatives already, so they key the cells as they
+        are.
         """
-        key = (profile.key(), batch)
+        entries = profile.entries
+        key = (entries, batch)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if len(profile) != len(self._assignments):
+        if len(entries) != len(self._cells):
             raise ValueError(
                 "profile length does not match the resolved layer count "
-                f"({len(profile)} != {len(self._assignments)})"
+                f"({len(entries)} != {len(self._cells)})"
             )
-        sparse = self.uses_sparse
-        quantize = self._quantize_layers
+        cell_cost = self.table.cell_cost
         total_latency = 0.0
         total_energy = 0.0
-        previous_pe = None
-        previous_spec = None
-        previous_precision = None
-        for (spec, pe, precision), occ in zip(self._assignments, profile):
-            layer_sparse = sparse and pe.supports_sparse
-            cost = self.table.layer_cost(
-                spec,
-                pe,
-                precision,
-                sparse=layer_sparse,
-                occupancy=occ,
-                batch=batch,
-                quantize=quantize,
-            )
+        for cell, transfer, occupancy in zip(self._cells, self._transfers, entries):
+            cost = cell_cost(cell, occupancy, batch)
             total_latency += cost.latency
             total_energy += cost.energy
-            if previous_pe is not None and previous_pe.name != pe.name:
-                transfer_bytes = previous_spec.output_bytes(previous_precision) * batch
-                total_latency += self.platform.transfer_time(
-                    transfer_bytes, previous_pe.name, pe.name
-                )
+            if transfer is not None:
+                out_bytes, src, dst = transfer
+                transfer_bytes = out_bytes * batch
+                total_latency += self.platform.transfer_time(transfer_bytes, src, dst)
                 total_energy += self.table.energy_model.transfer_energy(transfer_bytes)
-            previous_pe, previous_spec, previous_precision = pe, spec, precision
         result = (total_latency, total_energy)
         self._cache[key] = result
         return result
-
-    # Whether profile entries are snapped to table buckets when costing a
-    # layer.  The layered stack always quantizes (entries are bucket
-    # representatives already, so this mirrors the pre-profile double
-    # bucketing bit for bit); the scalar-keyed oracle overrides it.
-    _quantize_layers = True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.hw import (
@@ -16,6 +18,8 @@ from repro.hw import (
 )
 from repro.models import build_network
 from repro.nn import LayerKind, LayerSpec, MultiTaskGraph, Precision, TaskSpec
+
+from oracles.hw import layer_energy_reference, profile_reference
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +172,42 @@ class TestEnergyModel:
         assert model.transfer_energy(0) == 0.0
         assert model.transfer_energy(1_000_000) > 0.0
 
+    def test_sparse_request_on_dense_only_pe_costs_dense_energy(self, xavier):
+        # The latency model runs sparse=True as dense on a PE without sparse
+        # kernels; energy used to charge the sparse byte formula anyway
+        # (10x less memory energy than the dense call it was timed as).
+        head = build_network("e2depth", 64, 64).layer("head")
+        dla = xavier.pe("dla0")
+        assert not dla.supports_sparse
+        model = EnergyModel()
+        args = (head, dla, Precision.FP16)
+        assert model.latency_model.layer_latency(
+            *args, sparse=True, occupancy=0.05
+        ) == model.latency_model.layer_latency(*args, occupancy=0.05)
+        sparse = model.layer_energy(*args, sparse=True, occupancy=0.05)
+        assert sparse == model.layer_energy(*args, occupancy=0.05)
+
+    def test_energy_from_estimate_matches_reference_formula(self, xavier):
+        # Wherever the sparse request is honoured (and for every dense
+        # request), energy from the latency estimate equals the formula
+        # that re-ran the roofline, bit for bit.
+        model = EnergyModel()
+        latency_model = model.latency_model
+        specs = [s for s in build_network("e2depth", 64, 64).layers() if s.kind.is_compute]
+        for spec, pe in itertools.product(specs, xavier):
+            if not pe.supports_layer(spec):
+                continue
+            modes = (False, True) if pe.supports_sparse else (False,)
+            for precision, sparse, occupancy, batch in itertools.product(
+                pe.supported_precisions, modes, (None, 0.0, 0.05, 1.0), (1, 3)
+            ):
+                args = (spec, pe, precision)
+                kwargs = dict(sparse=sparse, occupancy=occupancy, batch=batch)
+                estimate = latency_model.layer_latency(*args, **kwargs)
+                assert model.estimate_energy(
+                    estimate, pe, precision
+                ) == layer_energy_reference(latency_model, *args, **kwargs)
+
 
 class TestProfiler:
     def test_profile_covers_all_compute_nodes(self, xavier):
@@ -183,6 +223,17 @@ class TestProfiler:
         node = graph.compute_nodes()[0]
         assert not table.has(node, "dla0", Precision.FP16)
         assert table.has(node, "gpu", Precision.FP16)
+
+    def test_entries_match_two_roofline_reference(self, xavier):
+        # Each entry now evaluates the roofline once (energy from the
+        # latency estimate); the table must not move by a bit.
+        graph = MultiTaskGraph(
+            [TaskSpec(build_network(name, 64, 64)) for name in ("dotie", "e2depth")]
+        )
+        table = PlatformProfiler(xavier).profile(graph)
+        reference = profile_reference(xavier, graph)
+        assert table._entries == reference._entries
+        assert len(table) > 0
 
     def test_unknown_node_lookup_raises(self, xavier):
         graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])

@@ -174,11 +174,6 @@ class TestOccupancyProfile:
         with pytest.raises(ValueError):
             OccupancyProfile.combine([OccupancyProfile((0.1,))], weights=[1, 2])
 
-    def test_bucketed_applies_per_entry(self):
-        profile = OccupancyProfile((0.013, None, 0.5))
-        bucketed = profile.bucketed(lambda v: None if v is None else round(v, 1))
-        assert bucketed.entries == (0.0, None, 0.5)
-
     def test_equality_and_hash(self):
         assert OccupancyProfile((0.1, None)) == OccupancyProfile((0.1, None))
         assert hash(OccupancyProfile((0.1, None))) == hash(

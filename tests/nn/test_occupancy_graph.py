@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.models import available_networks, build_network
-from oracles.occupancy import propagate_occupancy_chain
+from oracles.occupancy import propagate_occupancy_chain, propagate_occupancy_nodes
 from repro.nn import (
     LayerGraph,
     LayerKind,
@@ -113,6 +113,50 @@ class TestGraphPropagation:
         for density in (0.01, 0.2, 0.9):
             assert propagate_occupancy_graph(g, density) == propagate_occupancy_chain(
                 specs, density
+            )
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_compiled_plan_bit_identical_to_node_walk(self, name):
+        # The propagation plan (predecessor indices, join kinds, receptive
+        # fields, firing fractions, channel weights) must replay the
+        # per-node networkx walk's float operations exactly.
+        net = build_network(name, 64, 64)
+        for density in (0.0, 1e-5, 1e-4, 0.03, 0.1, 0.37, 0.5, 0.999, 1.0):
+            assert propagate_occupancy_graph(net, density) == propagate_occupancy_nodes(
+                net, density
+            )
+
+    def test_synthetic_joins_bit_identical_to_node_walk(self):
+        # Union and weighted-mean joins, an FC head and a strided deconv.
+        g = LayerGraph("joins")
+        g.add_layer(_conv("a", sparsity=0.5))
+        g.add_layer(
+            LayerSpec(
+                name="b",
+                kind=LayerKind.DECONV2D,
+                in_channels=4,
+                out_channels=6,
+                in_height=16,
+                in_width=16,
+                kernel_size=4,
+                stride=2,
+            ),
+            inputs=["a"],
+        )
+        g.add_layer(_conv("c", sparsity=0.2), inputs=["a"])
+        g.add_layer(
+            LayerSpec(name="add", kind=LayerKind.ELEMENTWISE, in_channels=4, out_channels=4),
+            inputs=["b", "c"],
+        )
+        g.add_layer(_conv("cat", sparsity=0.7), inputs=["add", "a", "c"])
+        g.add_layer(
+            LayerSpec(name="fc", kind=LayerKind.FC, in_channels=4, out_channels=10),
+            inputs=["cat"],
+        )
+        g.add_layer(_conv("tail", sparsity=0.1), inputs=["fc", "b"])
+        for density in (0.0, 0.004, 0.2, 0.8, 1.0):
+            assert propagate_occupancy_graph(g, density) == propagate_occupancy_nodes(
+                g, density
             )
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)

@@ -10,6 +10,13 @@ claims stay machine-checked:
   O(queue) scans for enqueue bounding and distinct-stream merge selection,
   plus one scheduled wake-up per enqueued dispatch (the event storm the
   refactor coalesces).
+* :class:`ReferenceCostModel` (on :class:`ReferenceLayerCostTable`) — the
+  object-walking cost stack the compiled
+  :class:`~repro.runtime.sim.NetworkCostModel` replaced: one profile per
+  member frame combined with :meth:`OccupancyProfile.combine`, layer cells
+  hashed on ``(LayerSpec, pe, precision, sparse, bucket, batch)`` and
+  re-bucketed per lookup, two roofline evaluations per miss.  The compiled
+  stack must match it bit for bit; the next two oracles build on it.
 * :class:`ScalarCostModel` — the pre-profile *scalar-keyed* cost stack.  In
   ``cost_mode="flat"`` it is the pre-profile path itself (measured input
   occupancy on the first layer, static modelled sparsity deeper) and must
@@ -48,8 +55,9 @@ compare like with like.
 
 Oracle fleets run on :class:`~repro.runtime.streams.MultiStreamSimulator`
 subclasses that swap one component each (:class:`LegacySimulator`,
-:class:`ScalarCostSimulator`, :class:`EagerSimulator`,
-:class:`PerFrameReferenceSimulator`, :class:`RerunRemapSimulator`).  Like
+:class:`ReferenceCostSimulator`, :class:`ScalarCostSimulator`,
+:class:`EagerSimulator`, :class:`PerFrameReferenceSimulator`,
+:class:`RerunRemapSimulator`).  Like
 :func:`~oracles.nmp.schedule_reference` for the NMP fast path, this is
 deliberately unoptimized verification code.
 """
@@ -65,9 +73,10 @@ from repro.core.nmp.search import EvolutionaryStrategy, MapperEngine, NMPResult
 from repro.frames.sparse import SparseFrame
 from repro.hw.energy import EnergyModel
 from repro.hw.latency import LatencyModel
-from repro.hw.pe import Platform
+from repro.hw.pe import Platform, ProcessingElement
 from repro.hw.profiler import ProfileEntry, ProfileTable
 from repro.nn.graph import MultiTaskGraph, TaskSpec
+from repro.nn.layers import LayerSpec
 from repro.nn.occupancy import OccupancyProfile
 from repro.nn.quantization import Precision
 from repro.runtime.executor import SignatureServer, _PendingDispatch
@@ -75,6 +84,8 @@ from repro.runtime.sim import (
     DispatchBatch,
     FrameReady,
     InferenceDone,
+    LayerCost,
+    LayerCostTable,
     NetworkCostModel,
     QueueEvict,
     StreamEnd,
@@ -88,10 +99,14 @@ from repro.runtime.streams import (
 )
 
 from .frames import ReferenceAggregator, convert_sequence, frame_batch
-from .occupancy import propagate_occupancy_chain
+from .hw import layer_energy_reference
+from .occupancy import propagate_occupancy_chain, propagate_occupancy_nodes
 
 __all__ = [
     "LegacyListServer",
+    "ReferenceLayerCostTable",
+    "ReferenceCostModel",
+    "bucketed",
     "ScalarCostModel",
     "ChainCostModel",
     "generate_frames_reference",
@@ -99,6 +114,7 @@ __all__ = [
     "EagerPrimeClient",
     "RerunMappingClient",
     "LegacySimulator",
+    "ReferenceCostSimulator",
     "ScalarCostSimulator",
     "EagerSimulator",
     "PerFrameReferenceSimulator",
@@ -183,7 +199,190 @@ class LegacyListServer(SignatureServer):
         self._execute(members, event.time)
 
 
-class ScalarCostModel(NetworkCostModel):
+class ReferenceLayerCostTable(LayerCostTable):
+    """The layer-cost memo keyed on objects, as it was before cell interning.
+
+    :meth:`layer_cost` hashes the full ``(layer, pe name, precision, sparse,
+    occupancy-bucket, batch)`` key on every lookup, re-buckets the
+    occupancy each time (``quantize=True``) or keys it raw
+    (``quantize=False``, for the scalar-keyed stack), and evaluates the
+    roofline twice per miss (latency, then the pre-estimate energy
+    formula).  Hit/miss counting and table size follow the same rules as
+    the compiled table, so ``cache_info()`` must agree.
+    """
+
+    def layer_cost(
+        self,
+        layer: LayerSpec,
+        pe: ProcessingElement,
+        precision: Precision,
+        sparse: bool = False,
+        occupancy: Optional[float] = None,
+        batch: int = 1,
+        quantize: bool = True,
+    ) -> LayerCost:
+        if quantize:
+            occ = self.bucket(occupancy)
+        elif occupancy is None:
+            occ = None
+        else:
+            occ = min(max(float(occupancy), 0.0), 1.0)
+        key = (layer, pe.name, precision, sparse, occ, batch)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        latency = self.latency_model.layer_latency(
+            layer, pe, precision, sparse=sparse, occupancy=occ, batch=batch
+        ).total
+        energy = layer_energy_reference(
+            self.latency_model,
+            layer,
+            pe,
+            precision,
+            sparse=sparse,
+            occupancy=occ,
+            batch=batch,
+        ).total
+        cost = LayerCost(latency, energy)
+        self._cache[key] = cost
+        return cost
+
+
+def bucketed(profile: OccupancyProfile, bucket) -> OccupancyProfile:
+    """Quantize every entry of ``profile`` with ``bucket``."""
+    return OccupancyProfile(bucket(e) for e in profile.entries)
+
+
+class ReferenceCostModel(NetworkCostModel):
+    """The object-walking cost stack, kept alive as the compiled stack's oracle.
+
+    Resolves a list of ``(spec, pe, precision)`` assignments instead of
+    table cells; propagates input buckets with the per-node graph walk
+    (:func:`~oracles.occupancy.propagate_occupancy_nodes`); builds one
+    :class:`OccupancyProfile` per member frame of a merged dispatch and
+    combines them with :meth:`OccupancyProfile.combine` before bucketing;
+    and costs a profile by walking the assignments through
+    :meth:`ReferenceLayerCostTable.layer_cost`, which re-buckets each
+    entry.  Reports, profiles, latency and energy floats and
+    ``cache_info()`` must equal the compiled
+    :class:`~repro.runtime.sim.NetworkCostModel` bit for bit.
+
+    Three hooks let the other oracles vary one aspect each:
+    :meth:`_build_profile` (how an input bucket's profile is built),
+    :meth:`_bucket_profile` (how a combined profile is quantized) and
+    :attr:`_quantize_layers` (whether layer cells re-bucket entries).
+    """
+
+    def __init__(
+        self,
+        network,
+        platform,
+        config=None,
+        mapping=None,
+        table=None,
+        cost_mode="flat",
+    ) -> None:
+        if table is not None and not isinstance(table, ReferenceLayerCostTable):
+            raise TypeError("the object-walking stack needs a ReferenceLayerCostTable")
+        super().__init__(
+            network,
+            platform,
+            config=config,
+            mapping=mapping,
+            table=table if table is not None else ReferenceLayerCostTable(),
+            cost_mode=cost_mode,
+        )
+
+    def _resolve(self) -> None:
+        self._assignments: List[Tuple[LayerSpec, ProcessingElement, Precision]] = []
+        for spec in self._specs:
+            pe, precision = self._assignment_for(spec.name)
+            if not pe.supports_layer(spec):
+                pe = self.platform.gpu()
+            self._assignments.append((spec, pe, precision))
+        seen: List[str] = []
+        for _, pe, _ in self._assignments:
+            if pe.name not in seen:
+                seen.append(pe.name)
+        self._pes_used = tuple(seen)
+
+    def _build_profile(self, occ_key: Optional[float]) -> OccupancyProfile:
+        num_layers = len(self._assignments)
+        if self.cost_mode == "flat" or occ_key is None or num_layers <= 1:
+            return OccupancyProfile.flat(occ_key, num_layers)
+        raw = OccupancyProfile(propagate_occupancy_nodes(self.network, occ_key))
+        return bucketed(raw, self.table.bucket)
+
+    def occupancy_profile(self, occupancy: Optional[float]) -> OccupancyProfile:
+        occ_key = self.table.bucket(occupancy)
+        profile = self._profiles.get(occ_key)
+        if profile is None:
+            profile = self._build_profile(occ_key)
+            self._profiles[occ_key] = profile
+        return profile
+
+    def densities_profile(self, densities, occupancy: float) -> OccupancyProfile:
+        occupancy = max(float(occupancy), 1e-4)
+        if self.cost_mode == "flat" or not self.uses_sparse or len(densities) <= 1:
+            return self.occupancy_profile(occupancy)
+        members = [
+            self.occupancy_profile(max(density, 1e-4)) for density in densities
+        ]
+        return self._bucket_profile(OccupancyProfile.combine(members))
+
+    def _bucket_profile(self, profile: OccupancyProfile) -> OccupancyProfile:
+        return bucketed(profile, self.table.bucket)
+
+    # Whether profile entries are snapped to table buckets when costing a
+    # layer (entries are bucket representatives already, so this re-buckets
+    # them); the scalar-keyed oracle overrides it.
+    _quantize_layers = True
+
+    def profile_cost(self, profile: OccupancyProfile, batch: int) -> Tuple[float, float]:
+        key = (profile.key(), batch)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        if len(profile) != len(self._assignments):
+            raise ValueError(
+                "profile length does not match the resolved layer count "
+                f"({len(profile)} != {len(self._assignments)})"
+            )
+        sparse = self.uses_sparse
+        quantize = self._quantize_layers
+        total_latency = 0.0
+        total_energy = 0.0
+        previous_pe = None
+        previous_spec = None
+        previous_precision = None
+        for (spec, pe, precision), occ in zip(self._assignments, profile):
+            layer_sparse = sparse and pe.supports_sparse
+            cost = self.table.layer_cost(
+                spec,
+                pe,
+                precision,
+                sparse=layer_sparse,
+                occupancy=occ,
+                batch=batch,
+                quantize=quantize,
+            )
+            total_latency += cost.latency
+            total_energy += cost.energy
+            if previous_pe is not None and previous_pe.name != pe.name:
+                transfer_bytes = previous_spec.output_bytes(previous_precision) * batch
+                total_latency += self.platform.transfer_time(
+                    transfer_bytes, previous_pe.name, pe.name
+                )
+                total_energy += self.table.energy_model.transfer_energy(transfer_bytes)
+            previous_pe, previous_spec, previous_precision = pe, spec, precision
+        result = (total_latency, total_energy)
+        self._cache[key] = result
+        return result
+
+
+class ScalarCostModel(ReferenceCostModel):
     """The pre-profile scalar-keyed cost stack, kept alive as an oracle.
 
     Two roles:
@@ -215,7 +414,7 @@ class ScalarCostModel(NetworkCostModel):
         # Same graph-propagated semantics as the layered stack — the two
         # models differ *only* in caching architecture — but raw entries:
         # no per-layer bucketing.
-        return OccupancyProfile.from_graph(self.network, occ_key)
+        return OccupancyProfile(propagate_occupancy_nodes(self.network, occ_key))
 
     def _bucket_profile(self, profile):
         # Merge-time combinations stay raw too: the scalar-keyed stack has
@@ -231,12 +430,13 @@ class ScalarCostModel(NetworkCostModel):
         return self.cost_mode != "profile"
 
 
-class ChainCostModel(NetworkCostModel):
+class ChainCostModel(ReferenceCostModel):
     """The pre-graph *chain-propagated* cost stack, kept alive as an oracle.
 
-    Identical to :class:`~repro.runtime.sim.NetworkCostModel` in every
-    architectural respect (per-layer bucketing, layered memoization) but
-    builds its profiles with the serial chain walk
+    Identical to :class:`ReferenceCostModel` (and so to
+    :class:`~repro.runtime.sim.NetworkCostModel`) in every architectural
+    respect (per-layer bucketing, layered memoization) but builds its
+    profiles with the serial chain walk
     (:func:`~oracles.occupancy.propagate_occupancy_chain`) instead of
     graph propagation.  The divergence tests pin the graph refactor's
     semantics against it:
@@ -256,7 +456,7 @@ class ChainCostModel(NetworkCostModel):
             return OccupancyProfile.flat(occ_key, num_layers)
         specs = [spec for spec, _, _ in self._assignments]
         raw = OccupancyProfile(propagate_occupancy_chain(specs, occ_key))
-        return raw.bucketed(self.table.bucket)
+        return bucketed(raw, self.table.bucket)
 
 
 def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseFrame]]:
@@ -470,7 +670,17 @@ class LegacySimulator(MultiStreamSimulator):
     server_class = LegacyListServer
 
 
-class ScalarCostSimulator(MultiStreamSimulator):
+class ReferenceCostSimulator(MultiStreamSimulator):
+    """A fleet costed by the object-walking cost stack."""
+
+    cost_model_class = ReferenceCostModel
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.table = ReferenceLayerCostTable(self.table.occupancy_resolution)
+
+
+class ScalarCostSimulator(ReferenceCostSimulator):
     """A fleet costed by the scalar-keyed cost stack."""
 
     cost_model_class = ScalarCostModel

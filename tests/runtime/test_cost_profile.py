@@ -27,7 +27,14 @@ from repro.runtime import (
 from repro.nn import LayerGraph, LayerKind, LayerSpec
 
 from oracles.frames import frame_batch
-from oracles.runtime import ChainCostModel, ScalarCostModel, ScalarCostSimulator
+from oracles.runtime import (
+    ChainCostModel,
+    ReferenceCostModel,
+    ReferenceLayerCostTable,
+    ScalarCostModel,
+    ScalarCostSimulator,
+    bucketed,
+)
 
 
 def assert_reports_identical(new, old):
@@ -90,11 +97,16 @@ def mixed_density_sources(network):
 
 
 def _sparse_model(network, platform, model_cls=NetworkCostModel, **kwargs):
+    table_cls = (
+        ReferenceLayerCostTable
+        if issubclass(model_cls, ReferenceCostModel)
+        else LayerCostTable
+    )
     return model_cls(
         network,
         platform,
         config=EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
-        table=LayerCostTable(occupancy_resolution=1.0 / 64.0),
+        table=table_cls(occupancy_resolution=1.0 / 64.0),
         **kwargs,
     )
 
@@ -219,7 +231,7 @@ class TestBatchProfiles:
             model.occupancy_profile(max(density, 1e-4))
             for density in batch.frame_densities()
         ]
-        expected = OccupancyProfile.combine(members).bucketed(model.table.bucket)
+        expected = bucketed(OccupancyProfile.combine(members), model.table.bucket)
         assert profile == expected
 
     def test_dsfa_dispatched_batch_gets_combined_profile(self, network, platform):
@@ -243,7 +255,7 @@ class TestBatchProfiles:
                 break
         assert batch is not None and len(batch) > 1
         profile = model.densities_profile(batch.frame_densities(), batch.mean_density)
-        assert len(profile) == len(model._assignments)
+        assert len(profile) == len(model.occupancy_profile(0.1))
         assert all(e is not None for e in profile.entries)
 
     def test_scalar_oracle_keeps_merged_profiles_raw(self, network, platform):
@@ -255,7 +267,7 @@ class TestBatchProfiles:
             network,
             platform,
             config=EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
-            table=LayerCostTable(occupancy_resolution=1.0 / 64.0),
+            table=ReferenceLayerCostTable(occupancy_resolution=1.0 / 64.0),
             cost_mode="profile",
         )
         source = StreamSource(
@@ -300,7 +312,7 @@ class TestProfileCosts:
             network,
             platform,
             config=EvEdgeConfig(optimization=OptimizationLevel.E2SF_DSFA),
-            table=LayerCostTable(occupancy_resolution=1.0 / 64.0),
+            table=ReferenceLayerCostTable(occupancy_resolution=1.0 / 64.0),
         )
         for occupancy, batch in [(1e-4, 1), (0.05, 2), (0.3, 4), (1.0, 1)]:
             assert layered.profile_cost(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core import EvEdgeConfig, OptimizationLevel
@@ -352,11 +353,10 @@ class TestLayerCostTable:
         layers = [s for s in network.layers() if s.kind.is_compute]
         for precision in Precision.ordered():
             for occupancy in (0.0, 0.013, 0.26, 0.5, 0.777, 1.0):
+                bucket = table.bucket(occupancy)
                 for spec in layers:
-                    cost = table.layer_cost(
-                        spec, gpu, precision, sparse=True, occupancy=occupancy, batch=2
-                    )
-                    bucket = table.bucket(occupancy)
+                    cell = table.cell(spec, gpu, precision, True)
+                    cost = table.cell_cost(cell, bucket, 2)
                     direct_latency = latency_model.layer_latency(
                         spec, gpu, precision, sparse=True, occupancy=bucket, batch=2
                     ).total
@@ -370,7 +370,9 @@ class TestLayerCostTable:
         table = LayerCostTable()
         gpu = platform.gpu()
         spec = next(s for s in network.layers() if s.kind.is_compute)
-        cost = table.layer_cost(spec, gpu, Precision.FP16, sparse=True, occupancy=0.1234)
+        assert table.bucket(0.1234) == 0.1234
+        cell = table.cell(spec, gpu, Precision.FP16, True)
+        cost = table.cell_cost(cell, table.bucket(0.1234), 1)
         direct = table.latency_model.layer_latency(
             spec, gpu, Precision.FP16, sparse=True, occupancy=0.1234
         ).total
@@ -380,12 +382,32 @@ class TestLayerCostTable:
         table = LayerCostTable(occupancy_resolution=1 / 16)
         gpu = platform.gpu()
         spec = next(s for s in network.layers() if s.kind.is_compute)
-        table.layer_cost(spec, gpu, Precision.FP16, occupancy=0.50)
+        cell = table.cell(spec, gpu, Precision.FP16, False)
+        table.cell_cost(cell, table.bucket(0.50), 1)
         assert table.cache_info()["misses"] == 1
         # 0.47 and 0.50 land in the same 1/16 bucket.
-        table.layer_cost(spec, gpu, Precision.FP16, occupancy=0.47)
+        table.cell_cost(cell, table.bucket(0.47), 1)
         assert table.cache_info()["hits"] == 1
         assert table.cache_info()["entries"] == 1
+
+    def test_cells_are_interned_on_layer_pe_precision_and_sparse(self, platform, network):
+        table = LayerCostTable()
+        gpu = platform.gpu()
+        first, second = [s for s in network.layers() if s.kind.is_compute][:2]
+        cell = table.cell(first, gpu, Precision.FP16, True)
+        assert table.cell(first, gpu, Precision.FP16, True) == cell
+        # An equal spec and a PE of the same name resolve to the same cell.
+        twin_spec, twin_gpu = dataclasses.replace(first), dataclasses.replace(gpu)
+        assert table.cell(twin_spec, twin_gpu, Precision.FP16, True) == cell
+        others = {
+            table.cell(first, gpu, Precision.FP16, False),
+            table.cell(first, gpu, Precision.FP32, True),
+            table.cell(first, platform.pe("dla0"), Precision.FP16, True),
+            table.cell(second, gpu, Precision.FP16, True),
+        }
+        assert cell not in others and len(others) == 4
+        # Interning computes nothing.
+        assert table.cache_info()["entries"] == 0
 
     def test_bucket_clamps_and_quantizes(self):
         table = LayerCostTable(occupancy_resolution=0.25)
@@ -395,6 +417,26 @@ class TestLayerCostTable:
         assert table.bucket(0.3) == 0.25
         exact = LayerCostTable()
         assert exact.bucket(0.3) == 0.3
+
+    @pytest.mark.parametrize("resolution", [1 / 64, 1 / 16, 0.25, 0.3, 0.07, None])
+    def test_bucket_is_idempotent(self, resolution):
+        # Cost models key table cells on profile entries as they are, which
+        # is sound only because an entry (already a bucket representative)
+        # is its own bucket.
+        table = LayerCostTable(occupancy_resolution=resolution)
+        grid = []
+        if resolution is not None:
+            steps = int(round(1.0 / resolution)) + 1
+            grid = [min(k * resolution, 1.0) for k in range(steps + 1)]
+        rng = np.random.default_rng(0)
+        samples = [0.0, 1e-5, 1.0] + rng.random(500).tolist()
+        for x in grid + samples:
+            once = table.bucket(x)
+            assert table.bucket(once) == once, x
+        for representative in grid:
+            assert table.bucket(table.bucket(representative)) == table.bucket(
+                representative
+            )
 
     def test_bucket_rounds_small_nonzero_occupancy_up(self, platform, network):
         # Regression: density 1e-4 with the default 1/64 resolution used to
@@ -408,11 +450,10 @@ class TestLayerCostTable:
         assert table.bucket(0.0) == 0.0
         gpu = platform.gpu()
         spec = next(s for s in network.layers() if s.kind.is_compute)
-        tiny = table.layer_cost(spec, gpu, Precision.FP16, sparse=True, occupancy=1e-4)
-        first_bucket = table.layer_cost(
-            spec, gpu, Precision.FP16, sparse=True, occupancy=1.0 / 64.0
-        )
-        zero = table.layer_cost(spec, gpu, Precision.FP16, sparse=True, occupancy=0.0)
+        cell = table.cell(spec, gpu, Precision.FP16, True)
+        tiny = table.cell_cost(cell, table.bucket(1e-4), 1)
+        first_bucket = table.cell_cost(cell, table.bucket(1.0 / 64.0), 1)
+        zero = table.cell_cost(cell, table.bucket(0.0), 1)
         assert tiny == first_bucket
         # The zero bucket moves no activation bytes; a tiny-but-nonzero
         # occupancy must not be costed like it.
