@@ -10,7 +10,7 @@ The package is organised as:
 * :mod:`repro.hw`       — heterogeneous edge platform model (Jetson Xavier AGX)
 * :mod:`repro.runtime`  — discrete-event execution engine and scheduling baselines
 * :mod:`repro.scenarios`— declarative traffic scenarios and the parallel sweep runner
-* :mod:`repro.baselines`— dense all-GPU pipeline and static aggregation baselines
+* :mod:`repro.baselines`— static aggregation and multi-stream baselines
 * :mod:`repro.core`     — the paper's contribution: E2SF, DSFA and NMP
 * :mod:`repro.metrics`  — task accuracy metrics (AEE, mIOU, depth error)
 * :mod:`repro.experiments` — one module per paper figure/table

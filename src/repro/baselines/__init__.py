@@ -1,12 +1,9 @@
-"""Baselines: dense all-GPU pipeline, static aggregation, multi-stream refs."""
+"""Baselines: static aggregation and multi-stream references."""
 
-from .dense_pipeline import baseline_config, run_all_gpu_baseline
 from .multi_stream import run_streams_isolated, run_streams_unbatched
 from .static_agg import CountBasedAggregator, FixedIntervalAggregator
 
 __all__ = [
-    "baseline_config",
-    "run_all_gpu_baseline",
     "CountBasedAggregator",
     "FixedIntervalAggregator",
     "run_streams_isolated",

@@ -9,7 +9,7 @@ and produce a hashable key for fitness caching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -128,14 +128,6 @@ class MappingCandidate:
         return child
 
     # ------------------------------------------------------------------
-    def task_precisions(self, graph: MultiTaskGraph, task_name: str) -> List[Precision]:
-        """Per-layer precisions of one task, in topological layer order."""
-        return [
-            self.assignments[node].precision
-            for node in graph.compute_nodes()
-            if graph.network_of(node) == task_name
-        ]
-
     def pe_utilisation(self) -> Dict[str, int]:
         """Number of layers mapped to each device."""
         counts: Dict[str, int] = {}

@@ -96,9 +96,8 @@ class FitnessEvaluator:
         self.accuracy_threshold = accuracy_threshold
         self.penalty_weight = penalty_weight
         self.accuracy_subset = accuracy_subset
-        # Per-task compute nodes in topological order, resolved once: both
-        # the degradation keys and ``task_precisions`` re-derivations are on
-        # the hot path.
+        # Per-task compute nodes in topological order, resolved once: the
+        # degradation keys and per-task precision lists are on the hot path.
         self._task_nodes: Dict[str, Tuple[str, ...]] = {
             name: tuple(
                 n for n in graph.compute_nodes() if graph.network_of(n) == name

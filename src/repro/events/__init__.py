@@ -11,7 +11,6 @@ from .datasets import (
 )
 from .noise import (
     BackgroundActivityNoise,
-    EventDropNoise,
     HotPixelNoise,
     NoisePipeline,
 )
@@ -46,6 +45,5 @@ __all__ = [
     "DENSE_SEQUENCES",
     "BackgroundActivityNoise",
     "HotPixelNoise",
-    "EventDropNoise",
     "NoisePipeline",
 ]

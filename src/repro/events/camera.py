@@ -19,7 +19,7 @@ the model it must match bit for bit lives in the test suite's oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,16 +48,6 @@ class CameraOutput:
 
     events: EventStream
     frames: List[GrayscaleFrame]
-
-    @property
-    def frame_timestamps(self) -> np.ndarray:
-        """Timestamps of the grayscale frames, in seconds."""
-        return np.array([f.timestamp for f in self.frames], dtype=np.float64)
-
-    def frame_pairs(self) -> List[Tuple[float, float]]:
-        """Return ``(Tstart, Tend)`` for every consecutive pair of frames."""
-        ts = self.frame_timestamps
-        return [(float(ts[i]), float(ts[i + 1])) for i in range(len(ts) - 1)]
 
 
 class DVSCamera:

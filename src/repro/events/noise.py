@@ -1,10 +1,10 @@
 """Sensor noise models for simulated DVS streams.
 
 Real event cameras exhibit background activity (spurious events without a
-brightness change), hot pixels (pixels firing at an abnormally high rate) and
-event drop under bus saturation.  The paper's datasets contain such noise;
-the Ev-Edge optimizations (E2SF/DSFA) must be robust to it, so we provide
-composable noise injectors that operate on :class:`~repro.events.types.EventStream`.
+brightness change) and hot pixels (pixels firing at an abnormally high rate).
+The paper's datasets contain such noise; the Ev-Edge optimizations
+(E2SF/DSFA) must be robust to it, so we provide composable noise injectors
+that operate on :class:`~repro.events.types.EventStream`.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .types import EventStream, SensorGeometry, concatenate_streams
+from .types import EventStream, concatenate_streams
 
 __all__ = [
     "BackgroundActivityNoise",
     "HotPixelNoise",
-    "EventDropNoise",
     "NoisePipeline",
 ]
 
@@ -99,23 +98,6 @@ class HotPixelNoise:
                 )
             )
         return concatenate_streams(pieces)
-
-
-class EventDropNoise:
-    """Randomly drop a fraction of events (bus saturation / readout loss)."""
-
-    def __init__(self, drop_probability: float = 0.05, seed: Optional[int] = None) -> None:
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
-        self.drop_probability = drop_probability
-        self._rng = np.random.default_rng(seed)
-
-    def apply(self, stream: EventStream) -> EventStream:
-        """Return ``stream`` with each event independently dropped."""
-        if len(stream) == 0 or self.drop_probability == 0.0:
-            return stream.copy()
-        keep = self._rng.random(len(stream)) >= self.drop_probability
-        return stream.select(keep)
 
 
 class NoisePipeline:

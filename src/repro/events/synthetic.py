@@ -70,11 +70,6 @@ class SceneSequence:
         if len(self.ground_truth) != max(len(self.frames) - 1, 0):
             raise ValueError("one ground-truth record per frame interval is required")
 
-    @property
-    def num_intervals(self) -> int:
-        """Number of inter-frame intervals (frames - 1)."""
-        return max(len(self.frames) - 1, 0)
-
 
 def _background(geometry: SensorGeometry, rng: np.random.Generator) -> np.ndarray:
     """Low-contrast static background texture."""

@@ -13,7 +13,7 @@ converter, frame builders, dataset generators) operate on these types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class SensorGeometry:
             raise ValueError("contrast_threshold must be positive")
         if self.refractory_period < 0:
             raise ValueError("refractory_period must be non-negative")
-
-    @property
-    def resolution(self) -> Tuple[int, int]:
-        """Return ``(width, height)``."""
-        return (self.width, self.height)
 
     @property
     def num_pixels(self) -> int:
@@ -131,18 +126,6 @@ class EventStream:
         zero = np.zeros(0)
         return cls(zero, zero, zero, zero, geometry=geometry)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        array: np.ndarray,
-        geometry: Optional[SensorGeometry] = None,
-    ) -> "EventStream":
-        """Build a stream from an ``(N, 4)`` array of ``[x, y, t, p]`` rows."""
-        array = np.asarray(array)
-        if array.ndim != 2 or array.shape[1] != 4:
-            raise ValueError("expected an (N, 4) array of [x, y, t, p] rows")
-        return cls(array[:, 0], array[:, 1], array[:, 2], array[:, 3], geometry)
-
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
@@ -194,20 +177,6 @@ class EventStream:
         """Timestamp of the last event (0 if empty)."""
         return float(self.t[-1]) if len(self) else 0.0
 
-    @property
-    def event_rate(self) -> float:
-        """Mean events per second over the stream duration."""
-        if self.duration <= 0:
-            return 0.0
-        return len(self) / self.duration
-
-    def select(self, mask: np.ndarray) -> "EventStream":
-        """Return a new stream containing events where ``mask`` is True."""
-        mask = np.asarray(mask, dtype=bool)
-        return EventStream(
-            self.x[mask], self.y[mask], self.t[mask], self.p[mask], self.geometry
-        )
-
     def slice_time(self, t_start: float, t_end: float) -> "EventStream":
         """Return the events with ``t_start <= t < t_end``.
 
@@ -230,40 +199,9 @@ class EventStream:
             self.geometry,
         )
 
-    def split_time(self, boundaries: Sequence[float]) -> List["EventStream"]:
-        """Split the stream at the given time ``boundaries``.
-
-        ``boundaries`` of length B produce B+1 streams covering
-        ``(-inf, b0), [b0, b1), ..., [b_{B-1}, +inf)``.
-        """
-        idx = np.searchsorted(self.t, np.asarray(boundaries, dtype=np.float64))
-        pieces = []
-        prev = 0
-        for i in list(idx) + [len(self)]:
-            pieces.append(self.slice_index(prev, int(i)))
-            prev = int(i)
-        return pieces
-
-    def shift_time(self, offset: float) -> "EventStream":
-        """Return a copy with all timestamps shifted by ``offset`` seconds."""
-        return EventStream(self.x, self.y, self.t + offset, self.p, self.geometry)
-
-    def polarity_split(self) -> Tuple["EventStream", "EventStream"]:
-        """Return ``(positive, negative)`` sub-streams."""
-        pos = self.select(self.p > 0)
-        neg = self.select(self.p < 0)
-        return pos, neg
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def spatial_density(self) -> float:
-        """Fraction of sensor pixels touched by at least one event."""
-        if len(self) == 0:
-            return 0.0
-        flat = self.y.astype(np.int64) * self.geometry.width + self.x
-        return float(np.unique(flat).size) / self.geometry.num_pixels
-
     def temporal_density(self, window: float) -> np.ndarray:
         """Events per consecutive time ``window`` (seconds) over the stream.
 
@@ -279,28 +217,10 @@ class EventStream:
         idx = np.minimum((rel / window).astype(np.int64), n_windows - 1)
         return np.bincount(idx, minlength=n_windows).astype(np.int64)
 
-    def events_per_pixel(self) -> np.ndarray:
-        """Return an ``(height, width)`` histogram of event counts per pixel."""
-        counts = np.zeros((self.geometry.height, self.geometry.width), dtype=np.int64)
-        np.add.at(counts, (self.y, self.x), 1)
-        return counts
-
     def copy(self) -> "EventStream":
         """Deep-copy the stream."""
         return EventStream(
             self.x.copy(), self.y.copy(), self.t.copy(), self.p.copy(), self.geometry
-        )
-
-    def to_array(self) -> np.ndarray:
-        """Return an ``(N, 4)`` float64 array of ``[x, y, t, p]`` rows."""
-        return np.stack(
-            [
-                self.x.astype(np.float64),
-                self.y.astype(np.float64),
-                self.t,
-                self.p.astype(np.float64),
-            ],
-            axis=1,
         )
 
 

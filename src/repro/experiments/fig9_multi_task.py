@@ -26,7 +26,6 @@ from ..hw.jetson import DLA_NAME, GPU_NAME, jetson_xavier_agx
 from ..hw.pe import Platform
 from ..hw.profiler import PlatformProfiler
 from ..models.zoo import build_network
-from ..nn.accuracy import TaskAccuracyEvaluator
 from ..nn.graph import MultiTaskGraph, TaskSpec
 from ..nn.quantization import Precision
 from ..runtime.schedulers import rr_layer_mapping, rr_network_mapping
@@ -54,7 +53,6 @@ def run_fig9(
     configs: Optional[Dict[str, List[str]]] = None,
     platform: Optional[Platform] = None,
     nmp_config: Optional[NMPConfig] = None,
-    with_accuracy: bool = False,
 ) -> List[Dict[str, object]]:
     """Latency of NMP, NMP-FP, RR-Network and RR-Layer per configuration."""
     platform = platform or jetson_xavier_agx()
@@ -64,21 +62,7 @@ def run_fig9(
     for config_name, networks in configs.items():
         graph = _build_graph(networks, settings)
         profile = PlatformProfiler(platform).profile(graph)
-        accuracy_evaluators = None
-        if with_accuracy:
-            accuracy_evaluators = {
-                task.name: TaskAccuracyEvaluator(
-                    task.network.task, scale=0.15, num_intervals=3, seed=settings.seed
-                )
-                for task in graph.tasks
-            }
-        engine = MapperEngine(
-            graph,
-            platform,
-            profile,
-            config=nmp_config,
-            accuracy_evaluators=accuracy_evaluators,
-        )
+        engine = MapperEngine(graph, platform, profile, config=nmp_config)
 
         # Round-robin baselines cycle over the devices TensorRT deploys
         # networks on (GPU + DLA) at the Jetson's default FP16 precision.
@@ -124,7 +108,6 @@ def run_fig9(
                 "speedup_vs_rr_network": rr_network_latency / nmp_latency,
                 "speedup_vs_rr_layer": rr_layer_latency / nmp_latency,
                 "nmp_fp_slowdown": nmp_fp_latency / nmp_latency,
-                "max_degradation": max(nmp.best_breakdown.degradations.values(), default=0.0),
             }
         )
     return rows

@@ -33,11 +33,6 @@ class ConversionCost:
     bytes_read: int
     bytes_written: int
 
-    @property
-    def total_bytes(self) -> int:
-        """Total traffic in bytes."""
-        return self.bytes_read + self.bytes_written
-
     def __add__(self, other: "ConversionCost") -> "ConversionCost":
         return ConversionCost(
             self.operations + other.operations,

@@ -5,11 +5,11 @@ of one temporal bin into a *two-channel sparse frame*: for every active pixel
 it stores the row index, the column index and the accumulated positive and
 negative polarity counts — essentially the sparse Coordinate (COO) format.
 
-:class:`SparseFrame` is that representation plus the operations the Dynamic
-Sparse Frame Aggregator needs: element-wise add, average, density queries
-and conversion to/from dense arrays.  :class:`SparseFrameBatch` is one
-dispatched inference input: an index range into a
-:class:`~repro.frames.stack.FrameStack`, or a DSFA dispatch's pending
+:class:`SparseFrame` is that representation plus density queries and
+conversion to/from dense arrays; frames merge on whole stacks with
+:meth:`~repro.frames.stack.FrameStack.merge_ranges`.
+:class:`SparseFrameBatch` is one dispatched inference input: an index range
+into a :class:`~repro.frames.stack.FrameStack`, or a DSFA dispatch's pending
 merge of index ranges that is built only when its frames are read.
 """
 
@@ -265,27 +265,6 @@ class SparseFrame:
         """Fraction of pixels that are active — the paper's ``%events``."""
         return self.num_active / float(self.height * self.width)
 
-    @property
-    def duration(self) -> float:
-        """Time span covered by the frame (seconds)."""
-        return max(self.t_end - self.t_start, 0.0)
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Dense-equivalent shape ``(2, H, W)``."""
-        return (2, self.height, self.width)
-
-    @property
-    def nnz_bytes(self) -> int:
-        """Memory footprint of the COO representation in bytes."""
-        # rows + cols as int32, pos + neg as float64
-        return self.num_active * (4 + 4 + 8 + 8)
-
-    @property
-    def dense_bytes(self) -> int:
-        """Memory footprint of the equivalent dense frame in bytes (float32)."""
-        return 2 * self.height * self.width * 4
-
     def __repr__(self) -> str:
         return (
             f"SparseFrame({self.height}x{self.width}, nnz={self.num_active}, "
@@ -359,107 +338,6 @@ class SparseFrame:
             self.t_end,
         ) = state
         self._flat = None
-
-    def copy(self) -> "SparseFrame":
-        """Deep copy."""
-        return SparseFrame(
-            self.rows.copy(),
-            self.cols.copy(),
-            self.pos.copy(),
-            self.neg.copy(),
-            self.height,
-            self.width,
-            self.t_start,
-            self.t_end,
-        )
-
-    def scale(self, factor: float) -> "SparseFrame":
-        """Return a copy with all values multiplied by ``factor``."""
-        out = self.copy()
-        out.pos *= factor
-        out.neg *= factor
-        return out
-
-    def prune_zeros(self, tolerance: float = 0.0) -> "SparseFrame":
-        """Drop entries whose positive and negative values are both ~0."""
-        keep = (np.abs(self.pos) > tolerance) | (np.abs(self.neg) > tolerance)
-        return SparseFrame(
-            self.rows[keep],
-            self.cols[keep],
-            self.pos[keep],
-            self.neg[keep],
-            self.height,
-            self.width,
-            self.t_start,
-            self.t_end,
-        )
-
-    # ------------------------------------------------------------------
-    # merge operations (used by DSFA cAdd / cAverage)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def add(frames: Sequence["SparseFrame"]) -> "SparseFrame":
-        """Element-wise sum of several sparse frames (``cAdd`` mode).
-
-        Runs the grouped-reduce merge kernel of the columnar data plane:
-        cached flat pixel keys (free for frames sliced out of a
-        :class:`~repro.frames.stack.FrameStack`), one stable argsort and
-        segmented reductions — no per-frame ``astype`` copies, no
-        ``np.unique`` inverse construction, no divmod over the merged
-        support.  Bit-identical to the ``np.unique`` + ``np.bincount``
-        merge (see :func:`_grouped_reduce`).
-        """
-        frames = list(frames)
-        if not frames:
-            raise ValueError("cannot add an empty list of frames")
-        h, w = frames[0].height, frames[0].width
-        for f in frames[1:]:
-            if (f.height, f.width) != (h, w):
-                raise ValueError("all frames must share the same dimensions")
-        if len(frames) == 1:
-            flat = frames[0].flat_keys()
-            pos = frames[0].pos
-            neg = frames[0].neg
-        else:
-            flat = np.concatenate([f.flat_keys() for f in frames])
-            pos = np.concatenate([f.pos for f in frames])
-            neg = np.concatenate([f.neg for f in frames])
-        unique_flat, pos_sum, neg_sum = _grouped_reduce(flat, pos, neg)
-        return SparseFrame._view(
-            (unique_flat // w).astype(np.int32),
-            (unique_flat % w).astype(np.int32),
-            pos_sum,
-            neg_sum,
-            h,
-            w,
-            min(f.t_start for f in frames),
-            max(f.t_end for f in frames),
-            flat=unique_flat,
-        )
-
-    @staticmethod
-    def average(frames: Sequence["SparseFrame"]) -> "SparseFrame":
-        """Element-wise average of several sparse frames (``cAverage`` mode)."""
-        frames = list(frames)
-        if not frames:
-            raise ValueError("cannot average an empty list of frames")
-        summed = SparseFrame.add(frames)
-        return summed.scale(1.0 / len(frames))
-
-    def density_change(self, other: "SparseFrame") -> float:
-        """Relative change in spatial density between ``self`` and ``other``.
-
-        DSFA uses this to decide whether an incoming frame may join an
-        existing merge bucket (the ``MdTh`` threshold).  Defined as
-        ``|d_self - d_other| / max(d_self, d_other)`` and 0 when both are
-        empty.
-        """
-        d1, d2 = self.density, other.density
-        top = abs(d1 - d2)
-        bottom = max(d1, d2)
-        if bottom == 0:
-            return 0.0
-        return top / bottom
 
 
 class SparseFrameBatch:

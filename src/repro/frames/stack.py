@@ -22,10 +22,10 @@ Operations on the stack are vectorised across frames:
   per bucket, when a caller first reads the batch's frame contents.  Loose
   frames merge the same way once packed with :meth:`FrameStack.from_frames`.
 
-The merge kernel is bit-identical to merging each range's frames with
-:meth:`SparseFrame.add` / :meth:`SparseFrame.average` (stable sort,
-input-order accumulation; see :func:`~repro.frames.sparse._grouped_reduce`)
-and runs pure numpy.
+The merge kernel is bit-identical to merging each range's frames on its
+own with ``np.unique`` + ``np.bincount`` and, for cAverage, scaling by
+``1 / len(range)`` (stable sort, input-order accumulation; see
+:func:`~repro.frames.sparse._grouped_reduce`), and runs pure numpy.
 """
 
 from __future__ import annotations
@@ -214,11 +214,6 @@ class FrameStack:
             f"nnz={self.rows.size})"
         )
 
-    @property
-    def total_active(self) -> int:
-        """Total active sites across every frame."""
-        return int(self.rows.size)
-
     def flat_buffer(self) -> np.ndarray:
         """The (cached) flat ``row * width + col`` key buffer."""
         if self._flat is None:
@@ -324,18 +319,6 @@ class FrameStack:
         ):
             column.flags.writeable = False
         return self
-
-    def event_counts(self) -> np.ndarray:
-        """Per-frame accumulated event counts (``pos + neg``), vectorised."""
-        counts = np.zeros(self.num_frames, dtype=np.float64)
-        if self.rows.size:
-            starts = self.offsets[:-1]
-            occupied = np.flatnonzero(np.diff(self.offsets) > 0)
-            # reduceat cannot express empty segments directly: reduce only
-            # the occupied frames and scatter the sums back.
-            totals = np.add.reduceat(self.pos + self.neg, starts[occupied])
-            counts[occupied] = totals
-        return counts
 
     # ------------------------------------------------------------------
     # frame views
@@ -459,10 +442,11 @@ class FrameStack:
         which partition a contiguous run of arrivals — the entry columns are
         one parent slice and nothing is concatenated at all.
 
-        Bit-identical to merging each range's frames with
-        :meth:`SparseFrame.add` (or :meth:`SparseFrame.average`): within a
-        segment the grouped reduction accumulates the same entries in the
-        same order, and the time bounds are the same min/max.
+        Bit-identical to merging each range's frames on its own with
+        ``np.unique`` + ``np.bincount`` (then scaling by ``1 / len(range)``
+        for cAverage): within a segment the grouped reduction accumulates
+        the same entries in the same order, and the time bounds are the same
+        min/max.
         """
         if not len(ranges):
             raise ValueError("cannot merge an empty list of ranges")

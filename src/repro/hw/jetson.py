@@ -31,18 +31,12 @@ DLA_NAME = "dla0"
 CPU_NAME = "cpu"
 
 
-def jetson_xavier_agx(num_dlas: int = 1) -> Platform:
+def jetson_xavier_agx() -> Platform:
     """Build the Jetson Xavier AGX platform model used throughout the paper.
 
-    Parameters
-    ----------
-    num_dlas:
-        Number of DLA instances to expose (the physical board has two; the
-        paper's experiments use the DLA as a single additional PE, which is
-        the default here).
+    The physical board has two DLAs; the paper's experiments use the DLA as
+    a single additional PE, and so does this model.
     """
-    if num_dlas < 0:
-        raise ValueError("num_dlas must be non-negative")
     gpu = ProcessingElement(
         name=GPU_NAME,
         pe_type=PEType.GPU,
@@ -70,27 +64,23 @@ def jetson_xavier_agx(num_dlas: int = 1) -> Platform:
         # NEON gives a modest speedup at lower precision, far from the GPU's 4x.
         precision_scaling={Precision.FP16: 1.5, Precision.INT8: 2.0},
     )
-    elements = [cpu, gpu]
-    for i in range(num_dlas):
-        elements.append(
-            ProcessingElement(
-                name=f"dla{i}",
-                pe_type=PEType.DLA,
-                peak_macs_per_s=0.7e12,
-                memory_bandwidth=60e9,
-                # No FP32 path on NVDLA.
-                supported_precisions=(Precision.FP16, Precision.INT8),
-                supports_snn=False,
-                supports_sparse=False,
-                kernel_launch_overhead=60e-6,
-                active_power_w=8.0,
-                idle_power_w=0.8,
-                precision_scaling={Precision.FP16: 1.0, Precision.INT8: 2.0},
-            )
-        )
+    dla = ProcessingElement(
+        name=DLA_NAME,
+        pe_type=PEType.DLA,
+        peak_macs_per_s=0.7e12,
+        memory_bandwidth=60e9,
+        # No FP32 path on NVDLA.
+        supported_precisions=(Precision.FP16, Precision.INT8),
+        supports_snn=False,
+        supports_sparse=False,
+        kernel_launch_overhead=60e-6,
+        active_power_w=8.0,
+        idle_power_w=0.8,
+        precision_scaling={Precision.FP16: 1.0, Precision.INT8: 2.0},
+    )
     return Platform(
         name="jetson-xavier-agx",
-        elements=elements,
+        elements=[cpu, gpu, dla],
         unified_memory_bandwidth=137e9,
         transfer_latency=100e-6,
     )

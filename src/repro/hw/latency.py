@@ -65,27 +65,6 @@ class LatencyEstimate:
 class LatencyModel:
     """Estimate per-layer execution latency on a processing element."""
 
-    def __init__(
-        self,
-        sustained_fraction: float = _SUSTAINED_FRACTION,
-        sparse_overhead: float = _SPARSE_OVERHEAD,
-        snn_efficiency: float = _SNN_EFFICIENCY,
-        min_sparse_fraction: float = _MIN_SPARSE_FRACTION,
-    ) -> None:
-        if not 0 < sustained_fraction <= 1:
-            raise ValueError("sustained_fraction must be in (0, 1]")
-        if sparse_overhead < 0:
-            raise ValueError("sparse_overhead must be non-negative")
-        if not 0 < snn_efficiency <= 1:
-            raise ValueError("snn_efficiency must be in (0, 1]")
-        if not 0 <= min_sparse_fraction <= 1:
-            raise ValueError("min_sparse_fraction must be in [0, 1]")
-        self.sustained_fraction = sustained_fraction
-        self.sparse_overhead = sparse_overhead
-        self.snn_efficiency = snn_efficiency
-        self.min_sparse_fraction = min_sparse_fraction
-
-    # ------------------------------------------------------------------
     def layer_latency(
         self,
         layer: LayerSpec,
@@ -127,15 +106,15 @@ class LatencyModel:
 
         if sparse:
             sparse_fraction = max(
-                occupancy * (1.0 + self.sparse_overhead), self.min_sparse_fraction
+                occupancy * (1.0 + _SPARSE_OVERHEAD), _MIN_SPARSE_FRACTION
             )
             work = dense_macs * min(sparse_fraction, 1.0)
         else:
             work = dense_macs
 
-        throughput = pe.effective_throughput(precision) * self.sustained_fraction
+        throughput = pe.effective_throughput(precision) * _SUSTAINED_FRACTION
         if layer.is_spiking:
-            throughput *= self.snn_efficiency
+            throughput *= _SNN_EFFICIENCY
         compute_time = work / throughput
 
         activation = layer.activation_bytes(precision) * batch

@@ -17,7 +17,7 @@ touching the search code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..nn.graph import MultiTaskGraph
 from ..nn.quantization import Precision
@@ -88,21 +88,6 @@ class ProfileTable:
     def has(self, node: str, pe_name: str, precision: Precision, sparse: bool = False) -> bool:
         """True if the combination was profiled (i.e. is executable)."""
         return (node, pe_name, precision, sparse) in self._entries
-
-    def options(self, node: str) -> List[Tuple[str, Precision]]:
-        """All (device, precision) pairs profiled for a node (dense or sparse)."""
-        seen = []
-        for (n, pe_name, precision, _sparse) in self._entries:
-            if n == node and (pe_name, precision) not in seen:
-                seen.append((pe_name, precision))
-        return seen
-
-    def best_latency(self, node: str) -> float:
-        """Smallest profiled latency for a node across devices/precisions."""
-        values = [e.latency for (n, *_), e in self._entries.items() if n == node]
-        if not values:
-            raise KeyError(f"node '{node}' was not profiled")
-        return min(values)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -6,23 +6,17 @@
 * average (log) depth error for depth estimation — lower is better.
 """
 
-from .flow import average_endpoint_error, flow_outlier_ratio
-from .segmentation import confusion_matrix, mean_iou, pixel_accuracy
-from .depth import average_depth_error, absolute_relative_error
-from .tracking import box_iou, mask_iou
-from .stats import geometric_mean, relative_change, summarize
+from .flow import average_endpoint_error
+from .segmentation import confusion_matrix, mean_iou
+from .depth import average_depth_error
+from .tracking import box_iou
+from .stats import geometric_mean
 
 __all__ = [
     "average_endpoint_error",
-    "flow_outlier_ratio",
     "mean_iou",
-    "pixel_accuracy",
     "confusion_matrix",
     "average_depth_error",
-    "absolute_relative_error",
     "box_iou",
-    "mask_iou",
     "geometric_mean",
-    "relative_change",
-    "summarize",
 ]

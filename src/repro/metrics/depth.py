@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["average_depth_error", "absolute_relative_error"]
+__all__ = ["average_depth_error"]
 
 
 def _validate(predicted: np.ndarray, ground_truth: np.ndarray, mask: Optional[np.ndarray]):
@@ -34,17 +34,3 @@ def average_depth_error(
     if not valid.any():
         return float("nan")
     return float(np.mean(np.abs(np.log(predicted[valid]) - np.log(ground_truth[valid]))))
-
-
-def absolute_relative_error(
-    predicted: np.ndarray,
-    ground_truth: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> float:
-    """Mean of ``|pred - gt| / gt`` over valid pixels."""
-    predicted, ground_truth, valid = _validate(predicted, ground_truth, mask)
-    if not valid.any():
-        return float("nan")
-    return float(
-        np.mean(np.abs(predicted[valid] - ground_truth[valid]) / ground_truth[valid])
-    )

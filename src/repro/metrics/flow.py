@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["average_endpoint_error", "flow_outlier_ratio"]
+__all__ = ["average_endpoint_error"]
 
 
 def average_endpoint_error(
@@ -36,23 +36,3 @@ def average_endpoint_error(
             return float("nan")
         error = error[mask]
     return float(error.mean())
-
-
-def flow_outlier_ratio(
-    predicted: np.ndarray,
-    ground_truth: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    threshold: float = 3.0,
-) -> float:
-    """Fraction of pixels whose endpoint error exceeds ``threshold`` pixels."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    ground_truth = np.asarray(ground_truth, dtype=np.float64)
-    error = np.sqrt(
-        (predicted[0] - ground_truth[0]) ** 2 + (predicted[1] - ground_truth[1]) ** 2
-    )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            return float("nan")
-        error = error[mask]
-    return float((error > threshold).mean())

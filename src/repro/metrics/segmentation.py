@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["confusion_matrix", "mean_iou", "pixel_accuracy"]
+__all__ = ["confusion_matrix", "mean_iou"]
 
 
 def confusion_matrix(
@@ -46,14 +46,3 @@ def mean_iou(
         return float("nan")
     iou = intersection[present] / np.maximum(union[present], 1)
     return float(iou.mean() * 100.0)
-
-
-def pixel_accuracy(predicted: np.ndarray, ground_truth: np.ndarray) -> float:
-    """Fraction of pixels whose predicted class matches the ground truth."""
-    predicted = np.asarray(predicted)
-    ground_truth = np.asarray(ground_truth)
-    if predicted.shape != ground_truth.shape:
-        raise ValueError("prediction and ground truth must have the same shape")
-    if predicted.size == 0:
-        return float("nan")
-    return float((predicted == ground_truth).mean())

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["geometric_mean", "relative_change", "summarize"]
+__all__ = ["geometric_mean"]
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -17,25 +17,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(values <= 0):
         raise ValueError("geometric mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(values))))
-
-
-def relative_change(baseline: float, value: float) -> float:
-    """``|value - baseline| / |baseline|`` (0 when the baseline is 0)."""
-    if baseline == 0:
-        return 0.0 if value == 0 else float("inf")
-    return abs(value - baseline) / abs(baseline)
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Return min / max / mean / median / std of a sequence."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return {"min": float("nan"), "max": float("nan"), "mean": float("nan"),
-                "median": float("nan"), "std": float("nan")}
-    return {
-        "min": float(values.min()),
-        "max": float(values.max()),
-        "mean": float(values.mean()),
-        "median": float(np.median(values)),
-        "std": float(values.std()),
-    }

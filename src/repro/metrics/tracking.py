@@ -1,12 +1,10 @@
-"""Object tracking metrics (bounding-box and mask IoU)."""
+"""Object tracking metric: bounding-box IoU."""
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
-__all__ = ["box_iou", "mask_iou"]
+__all__ = ["box_iou"]
 
 
 def box_iou(
@@ -29,17 +27,4 @@ def box_iou(
     union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0:
         return 0.0
-    return float(inter / union)
-
-
-def mask_iou(predicted: np.ndarray, ground_truth: np.ndarray) -> float:
-    """IoU of two binary masks (any non-zero value counts as foreground)."""
-    predicted = np.asarray(predicted) != 0
-    ground_truth = np.asarray(ground_truth) != 0
-    if predicted.shape != ground_truth.shape:
-        raise ValueError("masks must have the same shape")
-    union = np.logical_or(predicted, ground_truth).sum()
-    if union == 0:
-        return 0.0
-    inter = np.logical_and(predicted, ground_truth).sum()
     return float(inter / union)

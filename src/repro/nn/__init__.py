@@ -7,7 +7,6 @@ from .quantization import (
     Precision,
     dequantize,
     fake_quantize,
-    quantization_error,
     quantize,
 )
 from .calibration import (
@@ -27,7 +26,6 @@ from .surrogate import (
     SegmentationSurrogate,
     SurrogateResult,
     TrackingSurrogate,
-    surrogate_for_task,
 )
 
 __all__ = [
@@ -47,13 +45,11 @@ __all__ = [
     "quantize",
     "dequantize",
     "fake_quantize",
-    "quantization_error",
     "FlowSurrogate",
     "SegmentationSurrogate",
     "DepthSurrogate",
     "TrackingSurrogate",
     "SurrogateResult",
-    "surrogate_for_task",
     "TaskAccuracyEvaluator",
     "TaskSample",
     "map_layer_precisions_to_stages",

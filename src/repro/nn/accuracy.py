@@ -154,11 +154,6 @@ class TaskAccuracyEvaluator:
         return samples
 
     @property
-    def samples(self) -> List[TaskSample]:
-        """The validation samples (read-only use intended)."""
-        return self._samples
-
-    @property
     def lower_is_better(self) -> bool:
         """True when a smaller metric value means higher accuracy."""
         return _LOWER_IS_BETTER[self.task]

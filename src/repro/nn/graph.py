@@ -122,10 +122,6 @@ class LayerGraph:
         """Names of the layers feeding ``name``."""
         return list(self._graph.predecessors(name))
 
-    def successors(self, name: str) -> List[str]:
-        """Names of the layers consuming ``name``'s output."""
-        return list(self._graph.successors(name))
-
     def edges(self) -> List[Tuple[str, str]]:
         """All (producer, consumer) pairs."""
         return list(self._graph.edges())
@@ -202,15 +198,6 @@ class LayerGraph:
             clone._graph.nodes[name]["spec"] = spec.with_sparsity(1.0 - f)
         return clone
 
-    def critical_path_macs(self) -> int:
-        """MACs along the longest dependency chain (lower bound on serial work)."""
-        best: Dict[str, int] = {}
-        for name in nx.topological_sort(self._graph):
-            spec = self.layer(name)
-            parents = self.predecessors(name)
-            best[name] = spec.macs + max((best[p] for p in parents), default=0)
-        return max(best.values(), default=0)
-
     def copy(self, name: Optional[str] = None) -> "LayerGraph":
         """Return a copy of the graph, optionally renamed."""
         clone = LayerGraph(name or self.name, self.task)
@@ -229,7 +216,6 @@ class TaskSpec:
     """One task in a multi-task execution scenario."""
 
     network: LayerGraph
-    accuracy_budget: float = 0.05
 
     @property
     def name(self) -> str:
@@ -296,14 +282,6 @@ class MultiTaskGraph:
     def predecessors(self, node: str) -> List[str]:
         """Data-dependency parents of a node."""
         return list(self._graph.predecessors(node))
-
-    def successors(self, node: str) -> List[str]:
-        """Data-dependency children of a node."""
-        return list(self._graph.successors(node))
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """All (producer, consumer) node-id pairs."""
-        return list(self._graph.edges())
 
     def task(self, name: str) -> TaskSpec:
         """Look up a task by network name."""

@@ -252,13 +252,6 @@ class OccupancyProfile:
         return cls((occupancy,) + (None,) * (num_layers - 1))
 
     @classmethod
-    def from_graph(
-        cls, graph: LayerGraph, input_occupancy: float
-    ) -> "OccupancyProfile":
-        """Graph-propagated per-layer profile for one input density."""
-        return cls(propagate_occupancy_graph(graph, input_occupancy))
-
-    @classmethod
     def combine(
         cls,
         profiles: Sequence["OccupancyProfile"],

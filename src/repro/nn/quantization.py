@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["Precision", "quantize", "dequantize", "fake_quantize", "quantization_error"]
+__all__ = ["Precision", "quantize", "dequantize", "fake_quantize"]
 
 
 class Precision(Enum):
@@ -35,11 +35,6 @@ class Precision(Enum):
     def bytes_per_element(self) -> float:
         """Storage size of one element in bytes."""
         return self.bits / 8.0
-
-    @property
-    def is_integer(self) -> bool:
-        """True for fixed-point formats that require (de)quantization."""
-        return self is Precision.INT8
 
     @property
     def relative_throughput(self) -> float:
@@ -97,12 +92,3 @@ def fake_quantize(tensor: np.ndarray, precision: Precision) -> np.ndarray:
         return np.asarray(tensor, dtype=np.float16).astype(np.float64)
     codes, scale = quantize(tensor, precision)
     return dequantize(codes, scale)
-
-
-def quantization_error(tensor: np.ndarray, precision: Precision) -> float:
-    """Root-mean-square error introduced by quantizing ``tensor``."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.size == 0:
-        return 0.0
-    approx = fake_quantize(tensor, precision)
-    return float(np.sqrt(np.mean((tensor - approx) ** 2)))

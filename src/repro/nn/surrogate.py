@@ -31,7 +31,6 @@ __all__ = [
     "SegmentationSurrogate",
     "DepthSurrogate",
     "TrackingSurrogate",
-    "surrogate_for_task",
 ]
 
 
@@ -284,20 +283,3 @@ class TrackingSurrogate:
         if ys.size == 0:
             return None
         return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
-
-
-_TASK_SURROGATES = {
-    "optical_flow": FlowSurrogate,
-    "semantic_segmentation": SegmentationSurrogate,
-    "depth_estimation": DepthSurrogate,
-    "object_tracking": TrackingSurrogate,
-}
-
-
-def surrogate_for_task(task: str):
-    """Instantiate the surrogate estimator for a task name."""
-    if task not in _TASK_SURROGATES:
-        raise KeyError(
-            f"no surrogate for task '{task}'; available: {sorted(_TASK_SURROGATES)}"
-        )
-    return _TASK_SURROGATES[task]()

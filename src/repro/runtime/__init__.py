@@ -11,7 +11,7 @@ from .executor import (
     SerialExecutor,
     SignatureServer,
 )
-from .schedulers import all_gpu_mapping, rr_layer_mapping, rr_network_mapping
+from .schedulers import rr_layer_mapping, rr_network_mapping
 from .sim import (
     COST_MODES,
     DispatchBatch,
@@ -56,7 +56,6 @@ from .tracer import (
 __all__ = [
     "MappedExecutor",
     "ExecutionReport",
-    "all_gpu_mapping",
     "rr_network_mapping",
     "rr_layer_mapping",
     "SimEvent",

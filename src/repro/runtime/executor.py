@@ -368,16 +368,6 @@ class ExecutionReport:
         return self.schedule.max_task_latency
 
     @property
-    def makespan(self) -> float:
-        """End-to-end completion time across all tasks and transfers."""
-        return self.schedule.makespan
-
-    @property
-    def energy(self) -> float:
-        """Total energy in joules."""
-        return self.schedule.energy
-
-    @property
     def task_latencies(self) -> Dict[str, float]:
         """Per-task completion times."""
         return self.schedule.task_latencies

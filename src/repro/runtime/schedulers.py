@@ -1,16 +1,17 @@
-"""Baseline mapping policies: all-GPU, RR-Network and RR-Layer.
+"""Baseline mapping policies: RR-Network and RR-Layer.
 
 The paper compares the Network Mapper against
 
 * an **all-GPU** implementation (the single-task baseline of Figure 8): every
-  layer of every network runs on the GPU at full precision on dense frames;
+  layer of every network runs on the GPU at full precision on dense frames —
+  :meth:`~repro.core.nmp.candidate.MappingCandidate.uniform` on the GPU;
 * **RR-Network** (Figure 9): a coarse-grained round-robin policy that assigns
   each *network* to a processing element, cycling through the PEs;
 * **RR-Layer** (Figure 9): a fine-grained round-robin policy that assigns
   each *layer* to a processing element in turn.
 
-All three produce :class:`~repro.core.nmp.candidate.MappingCandidate` objects
-so they can be evaluated by exactly the same list scheduler as NMP.
+All three are :class:`~repro.core.nmp.candidate.MappingCandidate` objects,
+so they are evaluated by exactly the same list scheduler as NMP.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..hw.pe import Platform, ProcessingElement
 from ..nn.graph import MultiTaskGraph
 from ..nn.quantization import Precision
 
-__all__ = ["all_gpu_mapping", "rr_network_mapping", "rr_layer_mapping"]
+__all__ = ["rr_network_mapping", "rr_layer_mapping"]
 
 
 def _precision_on(pe: ProcessingElement, requested: Precision) -> Precision:
@@ -30,19 +31,6 @@ def _precision_on(pe: ProcessingElement, requested: Precision) -> Precision:
     if pe.supports_precision(requested):
         return requested
     return pe.highest_supported_precision()
-
-
-def all_gpu_mapping(
-    graph: MultiTaskGraph,
-    platform: Platform,
-    precision: Precision = Precision.FP32,
-) -> MappingCandidate:
-    """Map every compute layer to the GPU at the requested precision."""
-    gpu = platform.gpu()
-    chosen = _precision_on(gpu, precision)
-    return MappingCandidate(
-        {node: Assignment(gpu.name, chosen) for node in graph.compute_nodes()}
-    )
 
 
 def _round_robin_elements(

@@ -316,17 +316,9 @@ class StreamClient:
         stack, _ = self.source.generate_stack()
         self._stack = stack
         self._arrivals = self.source.arrival_times()
+        # generate_stack already cut the arrivals at stop_time, so a churned
+        # stream schedules no frame after it leaves the platform.
         count = 0 if stack is None else len(stack)
-        stop = self.source.stop_time
-        if stop is not None:
-            # Churn guard: the cursor must never advance past the stop
-            # window.  Rendered arrivals are already prefix-cut against
-            # stop_time (a searchsorted on the non-decreasing column), so
-            # this normally trims nothing — but a render cache seeded out of
-            # band keeps the invariant that no frame is scheduled after the
-            # stream left the platform.
-            while count and self._arrivals[count - 1] > stop:
-                count -= 1
         self._num_frames = count
         self.report.frames_generated += count
         last_arrival = self._arrivals[count - 1] if count else self.source.start_offset
@@ -538,17 +530,6 @@ class AdaptiveMappingClient:
             self._engines[key] = engine
         return engine
 
-    def _fallback_mapping(self, graph: MultiTaskGraph) -> Dict[str, Assignment]:
-        gpu = self.platform.gpu()
-        precision = (
-            Precision.FP16
-            if gpu.supports_precision(Precision.FP16)
-            else gpu.highest_supported_precision()
-        )
-        return {
-            node: Assignment(gpu.name, precision) for node in graph.compute_nodes()
-        }
-
     def remap(
         self,
         networks: Sequence[LayerGraph],
@@ -571,11 +552,16 @@ class AdaptiveMappingClient:
         if not unique:
             return None
         engine = self.engine_for(unique)
-        graph = engine.graph
-        fallback = self._fallback_mapping(graph)
-        seeds = [MappingCandidate(fallback)]
+        gpu = self.platform.gpu()
+        precision = (
+            Precision.FP16
+            if gpu.supports_precision(Precision.FP16)
+            else gpu.highest_supported_precision()
+        )
+        fallback = MappingCandidate.uniform(engine.graph, gpu.name, precision)
+        seeds = [fallback]
         if current_assignments:
-            warm = dict(fallback)
+            warm = dict(fallback.assignments)
             for node, assignment in current_assignments.items():
                 if node in warm:
                     warm[node] = assignment

@@ -84,6 +84,19 @@ class TestE2SF:
         assert report.operation_saving > 1.0
         assert report.num_events == 500
 
+    def test_report_for_empty_window_has_unbounded_saving(self):
+        # No events: the direct path does no work while the dense path still
+        # scans every pixel of every bin.
+        stream = make_stream()
+        frames, report = Event2SparseFrameConverter(5).convert_with_report(
+            stream, 5.0, 6.0
+        )
+        assert len(frames) == 5
+        assert report.num_events == 0
+        assert report.direct_cost.operations == 0
+        assert report.dense_path_cost.operations > 0
+        assert report.operation_saving == float("inf")
+
     def test_mean_occupancy(self):
         converter = Event2SparseFrameConverter(4)
         frames = converter.convert(make_stream(), 0.0, 1.0)
@@ -155,6 +168,10 @@ class TestDSFAConfig:
             DSFAConfig(max_time_delay=0.0)
         with pytest.raises(ValueError):
             DSFAConfig(inference_queue_depth=0)
+        with pytest.raises(ValueError):
+            DSFAConfig(merge_bucket_size=0)
+        with pytest.raises(ValueError):
+            DSFAConfig(max_density_change=-0.1)
 
 
 def push_frames(dsfa, frames, hardware_available=False):

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
-from repro.runtime import all_gpu_mapping, rr_layer_mapping, rr_network_mapping
+from repro.runtime import rr_layer_mapping, rr_network_mapping
 
 
 @pytest.fixture(scope="module")
@@ -79,16 +79,10 @@ class TestMappingCandidate:
         candidate = MappingCandidate.random(graph, platform, rng)
         assert candidate.key() == candidate.copy().key()
 
-    def test_task_precisions_length(self, graph, platform):
-        candidate = MappingCandidate.uniform(graph, "gpu", Precision.INT8)
-        precisions = candidate.task_precisions(graph, "dotie")
-        assert len(precisions) == 1  # DOTIE has a single layer
-        assert precisions[0] == Precision.INT8
-
 
 class TestScheduler:
     def test_all_gpu_schedule_is_serial(self, graph, platform, profile):
-        mapping = all_gpu_mapping(graph, platform)
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         result = ExecutionScheduler(platform, profile).schedule(graph, mapping)
         busy = result.device_busy_time()
         assert set(busy) == {"gpu"}
@@ -106,7 +100,7 @@ class TestScheduler:
         assert any(entry.kind == "transfer" for entry in result.timeline)
 
     def test_sparse_flag_reduces_latency(self, graph, platform, profile):
-        mapping = all_gpu_mapping(graph, platform)
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         dense = ExecutionScheduler(platform, profile, sparse=False).schedule(graph, mapping)
         sparse = ExecutionScheduler(platform, profile, sparse=True).schedule(graph, mapping)
         assert sparse.max_task_latency < dense.max_task_latency
@@ -127,7 +121,7 @@ class TestScheduler:
 class TestFitnessAndSearch:
     def test_fitness_caches_repeated_candidates(self, graph, platform, profile):
         evaluator = FitnessEvaluator(graph, platform, profile)
-        candidate = all_gpu_mapping(graph, platform)
+        candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         first = evaluator.evaluate(candidate)
         second = evaluator.evaluate(candidate.copy())
         assert first.fitness == second.fitness
@@ -136,7 +130,7 @@ class TestFitnessAndSearch:
 
     def test_fitness_feasible_without_accuracy_models(self, graph, platform, profile):
         evaluator = FitnessEvaluator(graph, platform, profile)
-        breakdown = evaluator.evaluate(all_gpu_mapping(graph, platform))
+        breakdown = evaluator.evaluate(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
         assert breakdown.feasible
         assert breakdown.fitness == pytest.approx(breakdown.max_task_latency)
 
@@ -150,7 +144,7 @@ class TestFitnessAndSearch:
         assert len(result.history) == 6
 
     def test_nmp_with_seeds_never_worse_than_seed(self, graph, platform, profile):
-        seed_candidate = all_gpu_mapping(graph, platform, Precision.FP16)
+        seed_candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
         evaluator_reference = FitnessEvaluator(graph, platform, profile)
         seed_fitness = evaluator_reference.evaluate(seed_candidate).fitness
         config = NMPConfig(population_size=8, generations=4, seed=0)

@@ -21,8 +21,8 @@ from repro.core import (
 )
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
-from repro.nn import MultiTaskGraph, TaskAccuracyEvaluator, TaskSpec
-from repro.runtime import all_gpu_mapping, rr_layer_mapping
+from repro.nn import MultiTaskGraph, Precision, TaskAccuracyEvaluator, TaskSpec
+from repro.runtime import rr_layer_mapping
 
 from oracles.nmp import schedule_reference
 
@@ -122,7 +122,10 @@ class TestSeedReproduction:
 
     def test_engine_reproduces_warm_started_search(self, graph, platform, profile):
         config = NMPConfig(population_size=8, generations=4, seed=1)
-        seeds = [all_gpu_mapping(graph, platform), rr_layer_mapping(graph, platform)]
+        seeds = [
+            MappingCandidate.uniform(graph, "gpu", Precision.FP32),
+            rr_layer_mapping(graph, platform),
+        ]
         expected_candidate, _, expected_history = seed_reference_evolutionary(
             graph, platform, profile, config, initial_candidates=seeds
         )
@@ -197,7 +200,7 @@ class TestStrategies:
 
     def test_greedy_descends_from_warm_start(self, graph, platform, profile):
         config = NMPConfig(population_size=4, generations=30, seed=0)
-        seed_candidate = all_gpu_mapping(graph, platform)
+        seed_candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         engine = MapperEngine(graph, platform, profile, config)
         seed_fitness = engine.evaluator.evaluate(seed_candidate).fitness
         result = engine.run(
@@ -275,7 +278,7 @@ class TestFlatScheduler:
         scheduler = ExecutionScheduler(platform, profile, sparse=sparse)
         rng = np.random.default_rng(0)
         mappings = [
-            all_gpu_mapping(graph, platform),
+            MappingCandidate.uniform(graph, "gpu", Precision.FP32),
             rr_layer_mapping(graph, platform),
         ] + [MappingCandidate.random(graph, platform, rng) for _ in range(10)]
         for mapping in mappings:
@@ -302,10 +305,8 @@ class TestFlatScheduler:
 
     def test_unmappable_assignment_raises(self, graph, platform, profile):
         from repro.core import Assignment
-        from repro.nn import Precision
-
         scheduler = ExecutionScheduler(platform, profile, sparse=True)
-        mapping = all_gpu_mapping(graph, platform)
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         # Spiking layers cannot run on the DLA: the flat options table must
         # reject the assignment just like the reference profile lookup.
         spiking = next(n for n in graph.compute_nodes() if graph.spec(n).is_spiking)
@@ -332,7 +333,7 @@ class TestDeltaEvaluation:
         evaluator = FitnessEvaluator(
             graph, platform, profile, accuracy_evaluators=accuracy_evaluators
         )
-        parent = all_gpu_mapping(graph, platform)
+        parent = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         first = evaluator.evaluate(parent)
         delta_hits_before = evaluator.delta_hits
         # Move one layer to the CPU at the SAME precision: no task's
@@ -352,12 +353,10 @@ class TestDeltaEvaluation:
         self, graph, platform, profile, accuracy_evaluators
     ):
         from repro.core import Assignment
-        from repro.nn import Precision
-
         evaluator = FitnessEvaluator(
             graph, platform, profile, accuracy_evaluators=accuracy_evaluators
         )
-        parent = all_gpu_mapping(graph, platform, Precision.FP16)
+        parent = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
         evaluator.evaluate(parent)
         child = parent.copy()
         touched = next(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import run_all_gpu_baseline
 from repro.core import DSFAConfig, EvEdgeConfig, EvEdgePipeline, OptimizationLevel
 from repro.events import generate_sequence
 from repro.hw import jetson_xavier_agx
@@ -41,7 +40,8 @@ class TestOptimizationLevel:
 
 class TestPipeline:
     def test_baseline_produces_inferences(self, network, platform, sequence):
-        report = run_all_gpu_baseline(network, platform, sequence, num_bins=5)
+        config = EvEdgeConfig(num_bins=5, optimization=OptimizationLevel.BASELINE)
+        report = EvEdgePipeline(network, platform, config).run(sequence)
         assert report.num_inferences > 0
         assert report.mean_latency > 0
         assert report.total_energy > 0

@@ -9,8 +9,11 @@ from repro.events import (
     DVSCamera,
     DroneFlightScene,
     DrivingScene,
+    GrayscaleFrame,
     MovingBarsScene,
     RotatingDiskScene,
+    SceneGroundTruth,
+    SceneSequence,
     SensorGeometry,
 )
 
@@ -62,13 +65,6 @@ class TestDVSCamera:
         assert out.events.t_start >= 0.0
         assert out.events.t_end <= scene.timestamps[-1] + 0.1
 
-    def test_frame_pairs(self, geometry):
-        camera = DVSCamera(geometry=geometry, seed=0)
-        frame = np.full((48, 64), 0.5)
-        out = camera.simulate([frame, frame, frame], [0.0, 0.1, 0.2])
-        pairs = out.frame_pairs()
-        assert pairs == [(0.0, 0.1), (pytest.approx(0.1), pytest.approx(0.2))]
-
     def test_rejects_mismatched_inputs(self, geometry):
         camera = DVSCamera(geometry=geometry)
         frame = np.full((48, 64), 0.5)
@@ -80,6 +76,11 @@ class TestDVSCamera:
             camera.simulate([frame, np.zeros((10, 10))], [0.0, 0.1])
         with pytest.raises(ValueError):
             camera.simulate([frame, frame], [0.1, 0.1])
+
+    def test_grayscale_frame_must_be_two_dimensional(self):
+        GrayscaleFrame(0.0, np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            GrayscaleFrame(0.0, np.zeros((2, 4, 4)))
 
     def test_rejects_bad_interpolation_steps(self, geometry):
         with pytest.raises(ValueError):
@@ -108,13 +109,22 @@ class TestScenes:
     def test_scene_sequence_shapes(self, geometry):
         scene = DrivingScene(geometry=geometry, duration=0.3, seed=1).generate()
         assert len(scene.frames) == scene.timestamps.size
-        assert scene.num_intervals == len(scene.frames) - 1
+        assert len(scene.ground_truth) == len(scene.frames) - 1
         for frame in scene.frames:
             assert frame.shape == (geometry.height, geometry.width)
         for gt in scene.ground_truth:
             assert gt.flow.shape == (2, geometry.height, geometry.width)
             assert gt.depth.shape == (geometry.height, geometry.width)
             assert gt.segmentation.shape == (geometry.height, geometry.width)
+
+    def test_scene_sequence_validates_lengths(self):
+        frames = [np.zeros((4, 4))] * 3
+        gt = SceneGroundTruth(np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
+        SceneSequence(frames, np.arange(3.0), [gt, gt])
+        with pytest.raises(ValueError):
+            SceneSequence(frames, np.arange(2.0), [gt, gt])
+        with pytest.raises(ValueError):
+            SceneSequence(frames, np.arange(3.0), [gt])
 
     def test_drone_scene_activity_envelope(self, geometry):
         scene = DroneFlightScene(geometry=geometry, duration=0.5, seed=0)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.events import (
     BackgroundActivityNoise,
-    EventDropNoise,
     EventStream,
     HotPixelNoise,
     NoisePipeline,
@@ -73,6 +72,13 @@ class TestDatasets:
         assert density.max() > 2 * max(np.median(density), 1)
 
 
+def events_per_pixel(stream: EventStream) -> np.ndarray:
+    """Event count of every pixel of the stream's sensor, flattened."""
+    geometry = stream.geometry
+    keys = stream.y.astype(np.int64) * geometry.width + stream.x
+    return np.bincount(keys, minlength=geometry.num_pixels)
+
+
 class TestNoise:
     @pytest.fixture()
     def base_stream(self, random_events):
@@ -89,17 +95,53 @@ class TestNoise:
     def test_hot_pixels_concentrate_events(self, base_stream):
         noisy = HotPixelNoise(num_hot_pixels=2, pixel_rate_hz=5000.0, seed=0).apply(base_stream)
         assert len(noisy) > len(base_stream)
-        counts = noisy.events_per_pixel()
-        assert counts.max() > base_stream.events_per_pixel().max()
+        assert events_per_pixel(noisy).max() > events_per_pixel(base_stream).max()
 
-    def test_event_drop_removes_fraction(self, base_stream):
-        dropped = EventDropNoise(drop_probability=0.5, seed=0).apply(base_stream)
-        assert len(dropped) < len(base_stream)
-        assert len(dropped) > 0
+    def test_hot_pixels_disabled_is_identity(self, base_stream):
+        for noise in (
+            HotPixelNoise(num_hot_pixels=0, seed=0),
+            HotPixelNoise(num_hot_pixels=3, pixel_rate_hz=0.0, seed=0),
+        ):
+            assert noise.apply(base_stream) == base_stream
 
-    def test_event_drop_zero_probability(self, base_stream):
-        dropped = EventDropNoise(drop_probability=0.0, seed=0).apply(base_stream)
-        assert len(dropped) == len(base_stream)
+    def test_hot_pixels_with_negligible_rate_add_nothing(self, base_stream):
+        # Every hot pixel draws zero events from its Poisson budget.
+        noisy = HotPixelNoise(num_hot_pixels=4, pixel_rate_hz=1e-12, seed=0).apply(base_stream)
+        assert noisy == base_stream
+
+    def test_noise_on_empty_stream_returns_empty_copy(self, small_geometry):
+        empty = EventStream.empty(small_geometry)
+        for noise in (BackgroundActivityNoise(seed=0), HotPixelNoise(seed=0)):
+            out = noise.apply(empty)
+            assert out is not empty
+            assert len(out) == 0
+            assert out.geometry == small_geometry
+
+    def test_noise_is_deterministic_per_seed(self, base_stream):
+        for make in (
+            lambda seed: BackgroundActivityNoise(rate_hz=3000.0, seed=seed),
+            lambda seed: HotPixelNoise(num_hot_pixels=3, seed=seed),
+        ):
+            assert make(7).apply(base_stream) == make(7).apply(base_stream)
+            assert make(7).apply(base_stream) != make(8).apply(base_stream)
+
+    def test_noise_stays_inside_stream_window_and_sensor(self, base_stream):
+        pipeline = NoisePipeline(
+            BackgroundActivityNoise(rate_hz=5000.0, seed=0),
+            HotPixelNoise(num_hot_pixels=3, pixel_rate_hz=5000.0, seed=1),
+        )
+        out = pipeline.apply(base_stream)
+        geometry = base_stream.geometry
+        assert out.t_start >= base_stream.t_start
+        assert out.t_end <= base_stream.t_end
+        assert out.x.max() < geometry.width and out.y.max() < geometry.height
+        assert out.geometry == geometry
+
+    def test_apply_leaves_input_stream_unchanged(self, base_stream):
+        before = base_stream.copy()
+        BackgroundActivityNoise(rate_hz=5000.0, seed=0).apply(base_stream)
+        HotPixelNoise(num_hot_pixels=2, seed=0).apply(base_stream)
+        assert base_stream == before
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -107,12 +149,15 @@ class TestNoise:
         with pytest.raises(ValueError):
             HotPixelNoise(num_hot_pixels=-1)
         with pytest.raises(ValueError):
-            EventDropNoise(drop_probability=1.5)
+            HotPixelNoise(pixel_rate_hz=-1.0)
+
+    def test_empty_pipeline_passes_stream_through(self, base_stream):
+        assert NoisePipeline().apply(base_stream) == base_stream
 
     def test_pipeline_composes(self, base_stream):
         pipeline = NoisePipeline(
             BackgroundActivityNoise(rate_hz=2000.0, seed=0),
-            EventDropNoise(drop_probability=0.1, seed=1),
+            HotPixelNoise(num_hot_pixels=2, seed=1),
         )
         out = pipeline.apply(base_stream)
         assert isinstance(out, EventStream)

@@ -23,7 +23,7 @@ def make_stream(n=100, seed=0, geometry=None):
 class TestSensorGeometry:
     def test_defaults_are_davis346(self):
         g = SensorGeometry()
-        assert g.resolution == (346, 260)
+        assert (g.width, g.height) == (346, 260)
         assert g.num_pixels == 346 * 260
 
     def test_rejects_nonpositive_dimensions(self):
@@ -46,8 +46,6 @@ class TestEventStreamConstruction:
         s = EventStream.empty()
         assert len(s) == 0
         assert s.duration == 0.0
-        assert s.event_rate == 0.0
-        assert s.spatial_density() == 0.0
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -71,15 +69,42 @@ class TestEventStreamConstruction:
         assert np.all(np.diff(s.t) >= 0)
         assert list(s.x) == [1, 2, 0]
 
-    def test_from_arrays_roundtrip(self):
-        s = make_stream(50)
-        arr = s.to_array()
-        s2 = EventStream.from_arrays(arr, s.geometry)
-        assert s2 == s
-
-    def test_from_arrays_rejects_wrong_shape(self):
+    def test_two_dimensional_columns_rejected(self):
         with pytest.raises(ValueError):
-            EventStream.from_arrays(np.zeros((5, 3)))
+            EventStream(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
+
+    def test_iteration_yields_python_tuples(self):
+        g = SensorGeometry(width=8, height=8)
+        s = EventStream([3, 1], [2, 5], [0.1, 0.2], [1, -1], g)
+        events = list(s)
+        assert events == [(3, 2, 0.1, 1), (1, 5, 0.2, -1)]
+        assert all(type(v) in (int, float) for event in events for v in event)
+
+    def test_repr_reports_count_span_and_sensor(self):
+        assert repr(EventStream.empty()) == "EventStream(num_events=0)"
+        g = SensorGeometry(width=8, height=6)
+        text = repr(EventStream([0, 1], [0, 0], [0.25, 0.5], [1, 1], g))
+        assert "num_events=2" in text
+        assert "t=[0.250000, 0.500000]" in text
+        assert "sensor=8x6" in text
+
+    def test_equality_compares_geometry_and_type(self):
+        s = make_stream(20)
+        same_events_other_sensor = EventStream(
+            s.x, s.y, s.t, s.p, SensorGeometry(width=64, height=64)
+        )
+        assert s == s.copy()
+        assert s != same_events_other_sensor
+        assert s != "not a stream"
+
+    def test_copy_is_independent(self):
+        s = make_stream(20)
+        clone = s.copy()
+        clone.x[0] = (clone.x[0] + 1) % s.geometry.width
+        clone.t[-1] += 1.0
+        assert clone.geometry == s.geometry
+        assert clone.x[0] != s.x[0]
+        assert clone.t[-1] != s.t[-1]
 
 
 class TestEventStreamSlicing:
@@ -93,36 +118,16 @@ class TestEventStreamSlicing:
         s = make_stream(200)
         assert len(s.slice_time(-1.0, 2.0)) == len(s)
 
-    def test_split_time_partitions_all_events(self):
-        s = make_stream(500)
-        pieces = s.split_time([0.2, 0.5, 0.9])
-        assert sum(len(p) for p in pieces) == len(s)
-        assert len(pieces) == 4
-
-    def test_shift_time(self):
-        s = make_stream(10)
-        shifted = s.shift_time(5.0)
-        assert np.allclose(shifted.t, s.t + 5.0)
-
-    def test_polarity_split(self):
-        s = make_stream(300)
-        pos, neg = s.polarity_split()
-        assert len(pos) + len(neg) == len(s)
-        assert np.all(pos.p == 1)
-        assert np.all(neg.p == -1)
-
-    def test_select_mask(self):
-        s = make_stream(100)
-        mask = s.x < 10
-        sel = s.select(mask)
-        assert np.all(sel.x < 10)
+    def test_slice_index_selects_positions(self):
+        s = make_stream(50)
+        sliced = s.slice_index(10, 20)
+        assert len(sliced) == 10
+        assert np.array_equal(sliced.x, s.x[10:20])
+        assert np.array_equal(sliced.t, s.t[10:20])
+        assert sliced.geometry == s.geometry
 
 
 class TestEventStreamStatistics:
-    def test_spatial_density_bounds(self):
-        s = make_stream(5000)
-        assert 0.0 < s.spatial_density() <= 1.0
-
     def test_temporal_density_sums_to_total(self):
         s = make_stream(2000)
         counts = s.temporal_density(0.1)
@@ -133,16 +138,13 @@ class TestEventStreamStatistics:
         with pytest.raises(ValueError):
             s.temporal_density(0.0)
 
-    def test_events_per_pixel_total(self):
-        s = make_stream(400)
-        counts = s.events_per_pixel()
-        assert counts.sum() == len(s)
-        assert counts.shape == (s.geometry.height, s.geometry.width)
-
-    def test_event_rate(self):
-        g = SensorGeometry(width=8, height=8)
-        s = EventStream([0, 1], [0, 0], [0.0, 2.0], [1, 1], g)
-        assert s.event_rate == pytest.approx(1.0)
+    def test_empty_stream_statistics(self):
+        s = EventStream.empty(SensorGeometry(width=8, height=8))
+        assert s.t_start == 0.0
+        assert s.t_end == 0.0
+        counts = s.temporal_density(0.1)
+        assert counts.size == 0
+        assert counts.dtype == np.int64
 
 
 class TestConcatenate:

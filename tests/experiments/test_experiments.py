@@ -24,8 +24,9 @@ from repro.experiments import (
     run_fig10,
     run_table1,
     run_table2,
+    traffic_mix,
 )
-from repro.core import NMPConfig
+from repro.core import NMPConfig, OptimizationLevel
 
 
 TINY = ExperimentSettings(scale=0.12, duration=0.4, num_bins=5, seed=0)
@@ -110,3 +111,44 @@ class TestTables:
             assert row["degradation"] <= 0.3
             assert row["baseline"] == pytest.approx(row["baseline"])
         assert "ev_edge" in format_table2(rows)
+
+
+class TestTrafficMix:
+    def test_streams_cycle_the_recipe_and_share_inputs(self):
+        sources = traffic_mix(6, settings=TINY, stagger=0.01)
+        assert [s.name for s in sources] == [
+            "s00:spikeflownet",
+            "s01:dotie",
+            "s02:halsie",
+            "s03:e2depth",
+            "s04:spikeflownet",
+            "s05:dotie",
+        ]
+        assert [s.start_offset for s in sources] == pytest.approx(
+            [0.01 * i for i in range(6)]
+        )
+        # Streams on the same recipe entry reuse one network and one sequence.
+        assert sources[4].network is sources[0].network
+        assert sources[4].sequence is sources[0].sequence
+        assert sources[0].sequence is not sources[1].sequence
+        for source in sources:
+            assert source.config.num_bins == TINY.num_bins
+            assert source.config.optimization is OptimizationLevel.E2SF_DSFA
+            assert source.stop_time is None
+
+    def test_defaults_overrides_and_validation(self):
+        settings = ExperimentSettings(
+            scale=0.12, duration=0.4, num_bins=5, seed=0, num_streams=2
+        )
+        sources = traffic_mix(
+            settings=settings,
+            network_resolution=(32, 48),
+            optimization=OptimizationLevel.BASELINE,
+        )
+        assert len(sources) == 2
+        assert all(s.config.optimization is OptimizationLevel.BASELINE for s in sources)
+        for source in sources:
+            first = source.network.layers()[0]
+            assert (first.in_height, first.in_width) == (32, 48)
+        with pytest.raises(ValueError):
+            traffic_mix(0, settings=settings)

@@ -58,7 +58,8 @@ class TestConversionCosts:
         encode, direct = encode_cost(10, 10, 5), events_to_sparse_cost(7, 5)
         total = encode + direct
         assert total.operations == encode.operations + direct.operations
-        assert total.total_bytes == encode.total_bytes + direct.total_bytes
+        assert total.bytes_read == encode.bytes_read + direct.bytes_read
+        assert total.bytes_written == encode.bytes_written + direct.bytes_written
 
     def test_direct_path_cheaper_for_sparse_input(self):
         """E2SF's core claim: events->sparse is cheaper than events->dense->sparse
@@ -69,7 +70,10 @@ class TestConversionCosts:
         direct = events_to_sparse_cost(num_events, nnz)
         via_dense = encode_cost(height, width, nnz)
         assert direct.operations < via_dense.operations
-        assert direct.total_bytes < via_dense.total_bytes
+        assert (
+            direct.bytes_read + direct.bytes_written
+            < via_dense.bytes_read + via_dense.bytes_written
+        )
 
     def test_dense_path_can_win_when_dense(self):
         """With near-full occupancy the dense scan is no longer the bottleneck."""

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles.frames import add_reference
+from oracles.frames import add_reference, scale
 from repro.core.e2sf import Event2SparseFrameConverter
 from repro.events import EventStream, SensorGeometry
 from repro.frames import FrameStack, SparseFrame
@@ -51,7 +51,7 @@ class TestConstruction:
         frames = make_frames()
         stack = FrameStack.from_frames(frames)
         assert len(stack) == stack.num_frames == len(frames)
-        assert stack.total_active == sum(f.num_active for f in frames)
+        assert stack.rows.size == sum(f.num_active for f in frames)
         for original, view in zip(frames, stack):
             assert frames_bit_identical(original, view)
 
@@ -101,9 +101,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FrameStack(f.rows, f.cols, f.pos, f.neg, offsets, [0.0, 0.5], [0.1], 24, 32)
 
+    def test_init_validates_column_shapes_and_dimensions(self):
+        one = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError):
+            FrameStack([0, 1], [0], [1.0], [0.0], one, [0.0], [0.1], 24, 32)
+        grid = np.zeros((1, 1))
+        with pytest.raises(ValueError):
+            FrameStack(grid, grid, grid, grid, one, [0.0], [0.1], 24, 32)
+        with pytest.raises(ValueError):
+            FrameStack([0], [0], [1.0], [0.0], one, [0.0], [0.1], 0, 32)
+        with pytest.raises(ValueError):
+            FrameStack([0], [0], [1.0], [0.0], np.zeros(0, dtype=np.int64), [], [], 24, 32)
+
     def test_init_validates_bounds(self):
         with pytest.raises(ValueError):
             FrameStack([50], [0], [1.0], [0.0], np.array([0, 1]), [0.0], [0.1], 24, 32)
+        with pytest.raises(ValueError):
+            FrameStack([0], [32], [1.0], [0.0], np.array([0, 1]), [0.0], [0.1], 24, 32)
 
 
 class TestViews:
@@ -117,6 +131,12 @@ class TestViews:
         assert view._flat is None
         stack.flat_buffer()
         assert np.shares_memory(stack.frame(2).flat_keys(), stack.flat_buffer())
+
+    def test_repr_reports_frames_dimensions_and_nnz(self):
+        frames = make_frames(n=3)
+        stack = FrameStack.from_frames(frames)
+        nnz = sum(f.num_active for f in frames)
+        assert repr(stack) == f"FrameStack(3 frames, 24x32, nnz={nnz})"
 
     def test_frame_index_out_of_range(self):
         stack = FrameStack.from_frames(make_frames(n=3))
@@ -147,18 +167,9 @@ class TestVectorisedQueries:
         expected = [stack.frame(i).density for i in range(len(stack))]
         assert np.array_equal(stack.densities(), expected)
 
-    def test_event_counts_match_per_frame_property(self):
-        frames = make_frames()
-        frames.insert(2, SparseFrame.empty(24, 32, 0.0, 0.1))
-        stack = FrameStack.from_frames(frames)
-        expected = [f.num_events for f in frames]
-        assert np.allclose(stack.event_counts(), expected)
-        assert stack.event_counts()[2] == 0.0
-
     def test_empty_stack_queries(self):
         stack = FrameStack.from_frames([SparseFrame.empty(8, 8, 0.0, 0.1)])
         assert stack.densities()[0] == 0.0
-        assert stack.event_counts()[0] == 0.0
 
 
 def merge_groups(groups, average=False):
@@ -170,27 +181,24 @@ def merge_groups(groups, average=False):
 
 
 class TestSegmentedMerges:
-    """cAdd / cAverage of one segment (``SparseFrame.add`` / ``average`` and a
-    one-range ``merge_ranges``) and of groups of loose frames packed with
-    ``FrameStack.from_frames``, all against the ``np.unique`` oracle."""
+    """cAdd / cAverage of one segment (a one-range ``merge_ranges``) and of
+    groups of loose frames packed with ``FrameStack.from_frames``, all
+    against the ``np.unique`` oracle."""
 
     def test_segment_add_bit_identical_to_reference(self):
         frames = make_frames(n=5)
         expected = add_reference(frames)
-        assert frames_bit_identical(SparseFrame.add(frames), expected)
         assert frames_bit_identical(merge_groups([frames]).frame(0), expected)
 
     def test_segment_add_fractional_values(self):
         # Averaged (non-integer) inputs exercise float accumulation order.
-        frames = [f.scale(1.0 / 3.0) for f in make_frames(n=4)]
+        frames = [scale(f, 1.0 / 3.0) for f in make_frames(n=4)]
         expected = add_reference(frames)
-        assert frames_bit_identical(SparseFrame.add(frames), expected)
         assert frames_bit_identical(merge_groups([frames]).frame(0), expected)
 
     def test_segment_average_matches_scaled_add(self):
         frames = make_frames(n=4)
-        expected = add_reference(frames).scale(1.0 / 4.0)
-        assert frames_bit_identical(SparseFrame.average(frames), expected)
+        expected = scale(add_reference(frames), 1.0 / 4.0)
         assert frames_bit_identical(
             merge_groups([frames], average=True).frame(0), expected
         )
@@ -208,7 +216,7 @@ class TestSegmentedMerges:
         groups = [frames[0:2], frames[2:6]]
         stack = merge_groups(groups, average=True)
         for view, group in zip(stack.frames(), groups):
-            expected = add_reference(group).scale(1.0 / len(group))
+            expected = scale(add_reference(group), 1.0 / len(group))
             assert frames_bit_identical(view, expected)
 
     def test_merge_groups_single_frame_groups(self):
@@ -305,7 +313,7 @@ class TestSlice:
         stack = FrameStack.from_frames(make_frames(n=4))
         empty = stack.slice(2, 2)
         assert len(empty) == 0
-        assert empty.total_active == 0
+        assert empty.rows.size == 0
 
     def test_pickled_slice_roundtrips_and_drops_caches(self):
         stack = FrameStack.from_frames(make_frames(n=6))
@@ -372,7 +380,8 @@ class TestMergeRanges:
         ranges = [(0, 2), (2, 6)]
         merged = stack.merge_ranges(ranges, average=True)
         for (a, b), view in zip(ranges, merged.frames()):
-            assert frames_bit_identical(view, SparseFrame.average(frames[a:b]))
+            expected = scale(add_reference(frames[a:b]), 1.0 / (b - a))
+            assert frames_bit_identical(view, expected)
 
     def test_single_frame_ranges(self):
         frames = make_frames(n=3)

@@ -13,6 +13,7 @@ from repro.hw import (
     Platform,
     PlatformProfiler,
     ProcessingElement,
+    ProfileTable,
     jetson_orin_nano,
     jetson_xavier_agx,
 )
@@ -68,6 +69,8 @@ class TestProcessingElement:
         with pytest.raises(ValueError):
             ProcessingElement("x", PEType.CPU, peak_macs_per_s=0, memory_bandwidth=1e9)
         with pytest.raises(ValueError):
+            ProcessingElement("x", PEType.CPU, peak_macs_per_s=1e9, memory_bandwidth=0)
+        with pytest.raises(ValueError):
             ProcessingElement("x", PEType.CPU, peak_macs_per_s=1e9, memory_bandwidth=1e9,
                               supported_precisions=())
 
@@ -94,6 +97,28 @@ class TestPlatform:
         with pytest.raises(ValueError):
             Platform("p", [pe, pe])
 
+    def test_invalid_platform_parameters(self):
+        pe = ProcessingElement("gpu", PEType.GPU, 1e12, 1e11)
+        with pytest.raises(ValueError):
+            Platform("p", [])
+        with pytest.raises(ValueError):
+            Platform("p", [pe], unified_memory_bandwidth=0.0)
+
+    def test_gpu_lookup_requires_a_gpu(self):
+        cpu_only = Platform("p", [ProcessingElement("cpu", PEType.CPU, 1e10, 1e10)])
+        with pytest.raises(RuntimeError):
+            cpu_only.gpu()
+
+    def test_empty_transfer_costs_only_sync_latency(self, xavier):
+        assert xavier.transfer_time(0, "gpu", "dla0") == xavier.transfer_latency
+        assert xavier.transfer_time(0, "gpu", "gpu") == 0.0
+
+    def test_repr_names_platform_and_elements(self, xavier):
+        text = repr(xavier)
+        assert repr(xavier.name) in text
+        for name in xavier.pe_names:
+            assert repr(name) in text
+
     def test_orin_nano_is_smaller(self, xavier):
         nano = jetson_orin_nano()
         assert nano.gpu().peak_macs_per_s < xavier.gpu().peak_macs_per_s
@@ -117,7 +142,7 @@ class TestLatencyModel:
         assert sparse < dense
 
     def test_sparse_speedup_is_bounded(self, xavier, conv_layer):
-        model = LatencyModel(min_sparse_fraction=0.2)
+        model = LatencyModel()
         gpu = xavier.gpu()
         dense = model.layer_latency(conv_layer, gpu, Precision.FP16, sparse=False)
         sparse = model.layer_latency(
@@ -143,20 +168,20 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             model.layer_latency(snn_layer, xavier.pe("dla0"), Precision.FP16)
 
+    def test_unsupported_precision_rejected(self, xavier, conv_layer):
+        with pytest.raises(ValueError):
+            LatencyModel().layer_latency(conv_layer, xavier.pe("dla0"), Precision.FP32)
+
+    def test_batch_below_one_rejected(self, xavier, conv_layer):
+        with pytest.raises(ValueError):
+            LatencyModel().layer_latency(conv_layer, xavier.gpu(), Precision.FP16, batch=0)
+
     def test_batching_amortises_overhead(self, xavier, conv_layer):
         model = LatencyModel()
         gpu = xavier.gpu()
         one = model.layer_latency(conv_layer, gpu, Precision.FP16, batch=1).total
         four = model.layer_latency(conv_layer, gpu, Precision.FP16, batch=4).total
         assert four < 4 * one
-
-    def test_invalid_model_parameters(self):
-        with pytest.raises(ValueError):
-            LatencyModel(sustained_fraction=0.0)
-        with pytest.raises(ValueError):
-            LatencyModel(sparse_overhead=-1.0)
-        with pytest.raises(ValueError):
-            LatencyModel(min_sparse_fraction=2.0)
 
 
 class TestEnergyModel:
@@ -214,8 +239,7 @@ class TestProfiler:
         graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
         table = PlatformProfiler(xavier).profile(graph)
         for node in graph.compute_nodes():
-            assert table.options(node)
-            assert table.best_latency(node) > 0
+            assert table.lookup(node, "gpu", Precision.FP32).latency > 0
 
     def test_snn_nodes_have_no_dla_entries(self, xavier):
         graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
@@ -235,8 +259,22 @@ class TestProfiler:
         assert table._entries == reference._entries
         assert len(table) > 0
 
+    def test_union_of_network_tables_equals_joint_table(self, xavier):
+        nets = [build_network(name, 64, 64) for name in ("dotie", "e2depth")]
+        profiler = PlatformProfiler(xavier)
+        tables = [profiler.profile(MultiTaskGraph([TaskSpec(n)])) for n in nets]
+        joint = profiler.profile(MultiTaskGraph([TaskSpec(n) for n in nets]))
+        union = ProfileTable.union(tables)
+        assert union.platform is xavier
+        assert union._entries == joint._entries
+        assert len(union) == sum(len(t) for t in tables)
+
+    def test_union_needs_a_table(self):
+        with pytest.raises(ValueError):
+            ProfileTable.union([])
+
     def test_unknown_node_lookup_raises(self, xavier):
         graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
         table = PlatformProfiler(xavier).profile(graph)
         with pytest.raises(KeyError):
-            table.best_latency("missing.node")
+            table.lookup("missing.node", "gpu", Precision.FP16)

@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    absolute_relative_error,
     average_depth_error,
     average_endpoint_error,
     box_iou,
     confusion_matrix,
-    flow_outlier_ratio,
     geometric_mean,
-    mask_iou,
     mean_iou,
-    pixel_accuracy,
-    relative_change,
-    summarize,
 )
 
 
@@ -53,18 +47,16 @@ class TestFlowMetrics:
         with pytest.raises(ValueError):
             average_endpoint_error(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
 
-    def test_outlier_ratio(self):
-        gt = np.zeros((2, 2, 2))
-        pred = np.zeros((2, 2, 2))
-        pred[0, 0, 0] = 10.0
-        assert flow_outlier_ratio(pred, gt, threshold=3.0) == pytest.approx(0.25)
+    def test_mask_shape_mismatch_rejected(self):
+        flow = np.zeros((2, 4, 4))
+        with pytest.raises(ValueError):
+            average_endpoint_error(flow, flow, np.ones((4, 5), dtype=bool))
 
 
 class TestSegmentationMetrics:
     def test_perfect_prediction(self):
         labels = np.array([[0, 1], [1, 2]])
         assert mean_iou(labels, labels) == pytest.approx(100.0)
-        assert pixel_accuracy(labels, labels) == 1.0
 
     def test_confusion_matrix_counts(self):
         gt = np.array([0, 0, 1, 1])
@@ -89,14 +81,18 @@ class TestSegmentationMetrics:
         with pytest.raises(ValueError):
             confusion_matrix(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
-            pixel_accuracy(np.zeros((2, 2)), np.zeros((3, 3)))
+            mean_iou(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_empty_labels_give_nan_miou(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert confusion_matrix(empty, empty, 3).sum() == 0
+        assert np.isnan(mean_iou(empty, empty, 3))
 
 
 class TestDepthMetrics:
     def test_perfect_depth(self):
         depth = np.full((4, 4), 2.0)
         assert average_depth_error(depth, depth) == 0.0
-        assert absolute_relative_error(depth, depth) == 0.0
 
     def test_log_error_value(self):
         gt = np.full((2, 2), 1.0)
@@ -111,6 +107,13 @@ class TestDepthMetrics:
     def test_all_invalid_gives_nan(self):
         gt = np.full((2, 2), np.inf)
         assert np.isnan(average_depth_error(gt, gt))
+
+    def test_mask_restricts_evaluation(self):
+        gt = np.full((2, 2), 1.0)
+        pred = np.array([[1.0, np.e], [np.e, np.e]])
+        mask = np.array([[True, False], [False, False]])
+        assert average_depth_error(pred, gt, mask) == 0.0
+        assert np.isnan(average_depth_error(pred, gt, np.zeros((2, 2), dtype=bool)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -131,12 +134,6 @@ class TestTrackingMetrics:
         assert box_iou(None, (0, 0, 1, 1)) == 0.0
         assert box_iou((0, 0, 0, 5), (0, 0, 1, 1)) == 0.0
 
-    def test_mask_iou(self):
-        a = np.array([[1, 1], [0, 0]])
-        b = np.array([[1, 0], [0, 0]])
-        assert mask_iou(a, b) == pytest.approx(0.5)
-        assert mask_iou(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
-
 
 class TestStats:
     def test_geometric_mean(self):
@@ -146,17 +143,6 @@ class TestStats:
     def test_geometric_mean_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_relative_change(self):
-        assert relative_change(2.0, 3.0) == pytest.approx(0.5)
-        assert relative_change(0.0, 0.0) == 0.0
-        assert relative_change(0.0, 1.0) == float("inf")
-
-    def test_summarize_keys(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["min"] == 1.0 and stats["max"] == 3.0
-        assert stats["mean"] == pytest.approx(2.0)
-        assert np.isnan(summarize([])["mean"])
 
 
 @settings(max_examples=30, deadline=None)

@@ -69,6 +69,25 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             LayerSpec("bad", LayerKind.CONV2D, activation_sparsity=1.0)
 
+    def test_fc_pool_and_elementwise_macs(self):
+        fc = LayerSpec("fc", LayerKind.FC, in_channels=16, out_channels=10,
+                       in_height=4, in_width=4)
+        assert fc.output_shape == (10, 1, 1)
+        assert fc.macs == 16 * 4 * 4 * 10
+        pool = conv("p", c_in=8, c_out=8, h=8, w=8, stride=2, kind=LayerKind.POOL)
+        assert pool.macs == 4 * 4 * 8 * 9
+        add = conv("a", c_in=8, c_out=8, h=8, w=8, kind=LayerKind.ELEMENTWISE)
+        assert add.macs == 8 * 8 * 8
+        assert LayerSpec("in", LayerKind.INPUT).macs == 0
+
+    def test_spatial_and_kernel_validation(self):
+        with pytest.raises(ValueError):
+            conv("bad", h=0)
+        with pytest.raises(ValueError):
+            conv("bad", stride=0)
+        # Pseudo-layers carry no compute geometry to validate.
+        LayerSpec("in", LayerKind.INPUT, in_channels=0, in_height=0)
+
     def test_with_sparsity_copy(self):
         layer = conv("c")
         copy = layer.with_sparsity(0.5)
@@ -88,7 +107,6 @@ class TestLayerGraph:
         g = self.build_simple()
         assert g.layer_names() == ["enc1", "enc2", "dec1"]
         assert g.predecessors("dec1") == ["enc2"]
-        assert g.successors("enc1") == ["enc2"]
         assert g.sources() == ["enc1"]
         assert g.sinks() == ["dec1"]
 
@@ -118,24 +136,30 @@ class TestLayerGraph:
         with pytest.raises(KeyError):
             g.add_layer(conv("x"), inputs=["missing"])
 
+    def test_self_dependency_rejected_and_rolled_back(self):
+        g = LayerGraph("net")
+        g.add_layer(conv("a"))
+        with pytest.raises(ValueError):
+            g.add_layer(conv("b"), inputs=["b"])
+        assert "b" not in g
+        assert g.layer_names() == ["a"]
+
+    def test_len_and_repr(self):
+        g = self.build_simple()
+        assert len(g) == 3
+        assert repr(g) == (
+            "LayerGraph(name='net', task='optical_flow', layers=3, type=SNN-ANN)"
+        )
+
     def test_chain_builder(self):
         g = LayerGraph("net")
         g.chain([conv("a"), conv("b"), conv("c")])
         assert g.layer_names() == ["a", "b", "c"]
         assert g.predecessors("c") == ["b"]
 
-    def test_total_and_critical_macs(self):
+    def test_total_macs(self):
         g = self.build_simple()
         assert g.total_macs == sum(l.macs for l in g.layers())
-        assert g.critical_path_macs() == g.total_macs  # linear chain
-
-    def test_critical_path_with_branches(self):
-        g = LayerGraph("net")
-        g.add_layer(conv("in"))
-        g.add_layer(conv("left"), inputs=["in"])
-        g.add_layer(conv("right", c_out=64), inputs=["in"])
-        g.add_layer(conv("merge"), inputs=["left", "right"])
-        assert g.critical_path_macs() < g.total_macs
 
     def test_copy_is_independent(self):
         g = self.build_simple()
@@ -160,8 +184,13 @@ class TestMultiTaskGraph:
 
     def test_no_cross_network_edges(self):
         mtg = MultiTaskGraph([TaskSpec(self.make_graph("n1")), TaskSpec(self.make_graph("n2"))])
-        for producer, consumer in mtg.edges():
-            assert mtg.network_of(producer) == mtg.network_of(consumer)
+        for consumer in mtg.nodes():
+            for producer in mtg.predecessors(consumer):
+                assert mtg.network_of(producer) == mtg.network_of(consumer)
+
+    def test_repr_lists_tasks_and_nodes(self):
+        mtg = MultiTaskGraph([TaskSpec(self.make_graph("n1")), TaskSpec(self.make_graph("n2"))])
+        assert repr(mtg) == "MultiTaskGraph(tasks=['n1', 'n2'], nodes=4)"
 
     def test_requires_tasks(self):
         with pytest.raises(ValueError):
@@ -172,7 +201,7 @@ class TestMultiTaskGraph:
             MultiTaskGraph([TaskSpec(self.make_graph("n")), TaskSpec(self.make_graph("n"))])
 
     def test_task_lookup(self):
-        task = TaskSpec(self.make_graph("n1"), accuracy_budget=0.1)
+        task = TaskSpec(self.make_graph("n1"))
         mtg = MultiTaskGraph([task])
         assert mtg.task("n1") is task
         with pytest.raises(KeyError):

@@ -10,7 +10,6 @@ from repro.nn import (
     Precision,
     dequantize,
     fake_quantize,
-    quantization_error,
     quantize,
 )
 
@@ -32,15 +31,22 @@ class TestPrecision:
         assert Precision.ordered() == (Precision.INT8, Precision.FP16, Precision.FP32)
         assert Precision.INT8 < Precision.FP32
 
-    def test_only_int8_is_integer(self):
-        assert Precision.INT8.is_integer
-        assert not Precision.FP16.is_integer
-
 
 class TestQuantization:
     def test_fp32_roundtrip_exact(self):
         x = np.random.default_rng(0).normal(size=100)
         assert np.array_equal(fake_quantize(x, Precision.FP32), x)
+
+    def test_float_precisions_quantize_with_unit_scale(self):
+        x = np.array([0.1, -2.5, 3.14159265, 1e-5])
+        codes, scale = quantize(x, Precision.FP32)
+        assert scale == 1.0
+        assert np.array_equal(codes, x)
+        assert codes is not x
+        codes, scale = quantize(x, Precision.FP16)
+        assert scale == 1.0
+        assert np.array_equal(codes, x.astype(np.float16).astype(np.float64))
+        assert np.array_equal(codes, fake_quantize(x, Precision.FP16))
 
     def test_int8_bounded_codes(self):
         x = np.random.default_rng(0).normal(size=1000) * 10
@@ -52,17 +58,6 @@ class TestQuantization:
         codes, scale = quantize(np.zeros(10), Precision.INT8)
         assert np.all(codes == 0)
         assert scale == 1.0
-
-    def test_error_monotonic_in_precision(self):
-        x = np.random.default_rng(1).normal(size=500)
-        e32 = quantization_error(x, Precision.FP32)
-        e16 = quantization_error(x, Precision.FP16)
-        e8 = quantization_error(x, Precision.INT8)
-        assert e32 == 0.0
-        assert e32 <= e16 <= e8
-
-    def test_empty_tensor_error_zero(self):
-        assert quantization_error(np.zeros(0), Precision.INT8) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50))

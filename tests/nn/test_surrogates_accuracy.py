@@ -16,7 +16,6 @@ from repro.nn import (
     TaskAccuracyEvaluator,
     TrackingSurrogate,
     map_layer_precisions_to_stages,
-    surrogate_for_task,
 )
 
 
@@ -121,18 +120,6 @@ class TestDepthAndTracking:
 
     def test_bounding_box_of_empty_mask(self):
         assert TrackingSurrogate.bounding_box(np.zeros((8, 8))) is None
-
-
-class TestSurrogateRegistry:
-    def test_all_tasks_resolvable(self):
-        assert isinstance(surrogate_for_task("optical_flow"), FlowSurrogate)
-        assert isinstance(surrogate_for_task("semantic_segmentation"), SegmentationSurrogate)
-        assert isinstance(surrogate_for_task("depth_estimation"), DepthSurrogate)
-        assert isinstance(surrogate_for_task("object_tracking"), TrackingSurrogate)
-
-    def test_unknown_task_raises(self):
-        with pytest.raises(KeyError):
-            surrogate_for_task("speech_recognition")
 
 
 class TestPrecisionMapping:

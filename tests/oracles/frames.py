@@ -6,7 +6,10 @@ paths that were each proven bit-identical before they left ``src/``.  They
 live on here as the equivalence oracles the frame, DSFA and pipeline tests
 compare against:
 
-* :func:`add_reference` — the ``np.unique`` + ``np.bincount`` cAdd merge;
+* :func:`add_reference` — the ``np.unique`` + ``np.bincount`` cAdd merge,
+  and :func:`scale`, which turns its result into the cAverage merge;
+* :func:`density_change` — the ``MdTh`` density-change measure between two
+  frames;
 * :func:`to_dense_reference` / :func:`batch_to_dense_reference` — the
   ``np.add.at`` frame decode and the per-frame ``np.stack`` batch decode;
 * :func:`convert_sequence` — the per-interval × per-bin E2SF loop
@@ -37,6 +40,8 @@ from repro.frames.stack import FrameStack
 
 __all__ = [
     "add_reference",
+    "scale",
+    "density_change",
     "to_dense_reference",
     "batch_to_dense_reference",
     "convert_sequence",
@@ -73,6 +78,33 @@ def add_reference(frames: Sequence[SparseFrame]) -> SparseFrame:
         min(f.t_start for f in frames),
         max(f.t_end for f in frames),
     )
+
+
+def scale(frame: SparseFrame, factor: float) -> SparseFrame:
+    """A copy of ``frame`` with every value multiplied by ``factor``."""
+    return SparseFrame(
+        frame.rows.copy(),
+        frame.cols.copy(),
+        frame.pos * factor,
+        frame.neg * factor,
+        frame.height,
+        frame.width,
+        frame.t_start,
+        frame.t_end,
+    )
+
+
+def density_change(a: SparseFrame, b: SparseFrame) -> float:
+    """Relative change in spatial density between ``a`` and ``b``.
+
+    ``|d_a - d_b| / max(d_a, d_b)``, and 0 when both are empty: the
+    quantity DSFA compares with ``MdTh`` before a frame may join a bucket.
+    """
+    d1, d2 = a.density, b.density
+    bottom = max(d1, d2)
+    if bottom == 0:
+        return 0.0
+    return abs(d1 - d2) / bottom
 
 
 def to_dense_reference(frame: SparseFrame) -> np.ndarray:
@@ -170,7 +202,7 @@ class ReferenceMergeBucket:
         if frame.t_start - min(f.t_start for f in self.frames) > max_delay:
             return False
         merged = add_reference(self.frames)
-        return merged.density_change(frame) <= max_density_change
+        return density_change(merged, frame) <= max_density_change
 
     def add(self, frame: SparseFrame) -> None:
         if self.is_full:
@@ -184,7 +216,7 @@ class ReferenceMergeBucket:
             raise RuntimeError("cannot merge an empty bucket")
         merged = add_reference(self.frames)
         if mode is MergeMode.AVERAGE:
-            merged = merged.scale(1.0 / len(self.frames))
+            merged = scale(merged, 1.0 / len(self.frames))
         return merged
 
 

@@ -142,29 +142,6 @@ class TestChurnCursorCut:
             )
         assert_reports_identical(lazy, eager)
 
-    def test_doctored_cache_never_schedules_past_stop_window(self, registry):
-        """A transport whose cached arrivals extend past a (later-imposed)
-        stop_time must not advance the cursor into the closed window."""
-        source = registry.compile("steady", **SMALL)[0]
-        _, arrivals = source.generate_stack()  # render with no stop window
-        assert len(arrivals) >= 4
-        stop = float(arrivals[len(arrivals) // 2])
-        keep = int(np.searchsorted(arrivals, stop, side="right"))
-        # Impose the window *after* the render: the cached stack and
-        # arrivals column still carry the post-stop tail.
-        source.stop_time = stop
-
-        platform = jetson_xavier_agx()
-        trace = KernelTrace()
-        simulator = MultiStreamSimulator(platform, [source])
-        report = simulator.run(trace=trace)
-        assert report.reports[source.name].frames_generated == keep
-        frame_times = [
-            e.time for e in trace.entries if e.kind == "FrameReady"
-        ]
-        assert len(frame_times) == keep
-        assert all(t <= stop for t in frame_times)
-
 
 class TestHeapHighWater:
     def test_steady_fleet_heap_scales_with_streams_not_frames(self, registry):

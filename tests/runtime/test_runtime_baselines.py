@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import CountBasedAggregator, FixedIntervalAggregator
+from repro.core import MappingCandidate, ScheduleResult
 from repro.events import EventStream, SensorGeometry
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
+    KernelTrace,
     MappedExecutor,
-    all_gpu_mapping,
     format_gantt,
     rr_layer_mapping,
     rr_network_mapping,
@@ -43,8 +44,8 @@ def executor(graph, platform):
 
 
 class TestMappingPolicies:
-    def test_all_gpu_mapping_targets_gpu_only(self, graph, platform):
-        mapping = all_gpu_mapping(graph, platform)
+    def test_uniform_gpu_mapping_targets_gpu_only(self, graph, platform):
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         assert set(a.pe for a in mapping.assignments.values()) == {"gpu"}
 
     def test_rr_network_assigns_whole_networks(self, graph, platform):
@@ -153,14 +154,14 @@ class TestDeviceBusyTime:
 
 class TestExecutor:
     def test_execute_returns_consistent_report(self, executor, graph, platform):
-        report = executor.execute(all_gpu_mapping(graph, platform))
+        report = executor.execute(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
         assert report.latency > 0
-        assert report.energy > 0
+        assert report.schedule.energy > 0
         assert set(report.task_latencies) == set(graph.task_names)
-        assert report.makespan >= report.latency - 1e-12
+        assert report.schedule.makespan >= report.latency - 1e-12
 
     def test_sparse_execution_is_faster(self, executor, graph, platform):
-        mapping = all_gpu_mapping(graph, platform)
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         dense = executor.execute(mapping, sparse=False)
         sparse = executor.execute(mapping, sparse=True)
         assert sparse.latency < dense.latency
@@ -178,10 +179,24 @@ class TestTracer:
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in util.values())
 
     def test_format_gantt_renders(self, executor, graph, platform):
-        report = executor.execute(all_gpu_mapping(graph, platform))
+        report = executor.execute(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
         text = format_gantt(report.schedule, width=30, max_rows=5)
         assert "gpu" in text
         assert "#" in text
+
+
+    def test_empty_schedule_renders_placeholders(self):
+        empty = ScheduleResult(timeline=[], task_latencies={}, energy=0.0)
+        assert empty.makespan == 0.0
+        assert empty.max_task_latency == 0.0
+        assert utilisation(empty) == {}
+        assert format_gantt(empty) == "(empty schedule)"
+
+    def test_kernel_trace_capacity_and_empty_log(self):
+        with pytest.raises(ValueError):
+            KernelTrace(max_events=0)
+        assert KernelTrace().format_log() == "(empty trace)"
+        assert KernelTrace(max_events=4).format_log() == "(empty trace)"
 
 
 class TestStaticAggregators:
