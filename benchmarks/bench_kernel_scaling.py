@@ -2,8 +2,9 @@
 
 Runs steady and churn fleets (compiled through the scenario registry) at
 64/256/1024 streams on the production runtime — O(1) event routing, indexed
-``SignatureServer`` pending queues, coalesced wake-ups, per-stream arrival
-cursors — and records events-processed/sec per tier.  Every source's render
+``SignatureServer`` pending queues, coalesced wake-ups, arrivals merged
+once from per-stream columns, same-time dispatches and evictions delivered
+inline — and records events-processed/sec per tier.  Every source's render
 (one shared stack per sequence, plus the source's arrivals) is warmed before
 timing, so the rows measure the runtime, not E2SF.
 
@@ -17,9 +18,9 @@ but not asserted — worker processes cannot conjure cores.
 
 The memory-attribution tier (``test_kernel_memory_attribution``) records
 tracemalloc peak allocations and the kernel heap's high-water mark at each
-tier (``record_limit=0``, so queued events dominate) and gates the
-arrival cursors' bounds: the heap holds at most four events per stream, and
-doubling the horizon leaves it flat.  Its rows land in the same
+tier (``record_limit=0``, so queued events dominate) and gates the heap
+bound of the arrival columns: the heap holds at most four events per
+stream, and doubling the horizon leaves it flat.  Its rows land in the same
 ``BENCH_kernel_scaling.json`` trajectory under ``section="memory"``.
 
 Environment knobs (used by the CI smoke job):
@@ -65,10 +66,11 @@ REPEATS = int(os.environ.get("KERNEL_SCALING_REPEATS", "3"))
 SHARD_TIERS = _tiers("KERNEL_SCALING_SHARD_TIERS", "4096,10240")
 SHARDS = int(os.environ.get("KERNEL_SCALING_SHARDS", "4"))
 MEMORY_TIERS = _tiers("KERNEL_MEMORY_TIERS", "1024,4096")
-# Lazy heap budget per active stream (one queued FrameReady + one StreamEnd
-# plus in-flight dispatch/completion events).
+# Heap budget per stream: one StreamEnd plus in-flight completions and
+# server wake-ups (arrivals never enter the heap, and same-time dispatches
+# and evictions are delivered inline).
 MEMORY_HEAP_FACTOR = 4
-# Horizon-independence slack: doubling the horizon may jiggle the lazy
+# Horizon-independence slack: doubling the horizon may jiggle the
 # high-water by a few in-flight events, never track the doubled frame count.
 MEMORY_HORIZON_SLACK = 1.25
 FAMILIES = ("steady", "churn")
@@ -276,7 +278,7 @@ def _traced_run(platform, sources, **sim_kwargs):
 
 
 def test_kernel_memory_attribution():
-    """Memory attribution of the arrival cursors.
+    """Memory attribution of the arrival columns.
 
     Gates: every tier's heap high-water stays O(active streams) — at most
     ``MEMORY_HEAP_FACTOR`` events per stream — and doubling the horizon at
@@ -330,7 +332,7 @@ def test_kernel_memory_attribution():
         "tracemalloc_peak_bytes",
         "heap_high_water",
     ]
-    print("\n=== Memory attribution: arrival cursors ===")
+    print("\n=== Memory attribution: arrival columns ===")
     print(format_table(rows, columns))
     marks = {(row["streams"], row["horizon_s"]): row for row in rows}
     top = marks[max(MEMORY_TIERS), base_duration]

@@ -19,7 +19,54 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SparseFrame", "SparseFrameBatch"]
+__all__ = ["SparseFrame", "SparseFrameBatch", "pairwise_mean"]
+
+
+def _pairwise_sum(values: Sequence[float], start: int, n: int) -> float:
+    """``values[start:start + n]`` summed in NumPy's float64 order.
+
+    ``np.add.reduce`` sums fewer than 8 values left to right from ``0.0``;
+    up to 128 values in eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail left to right;
+    above that it splits at ``n // 2`` rounded down to a multiple of 8 and
+    recurses.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )
+
+
+def pairwise_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` of non-empty python floats, bit for bit.
+
+    The same pairwise summation order, then one division; a dispatch's
+    handful of densities skips the array conversion ``np.mean`` pays for.
+    A plain left-to-right sum differs from it from 8 values on.
+    """
+    return _pairwise_sum(values, 0, len(values)) / len(values)
 
 
 def _grouped_reduce(
@@ -479,20 +526,21 @@ class SparseFrameBatch:
     def mean_density(self) -> float:
         """Mean spatial density across the batch (0 for an empty batch).
 
-        ``np.mean`` over the carried densities equals ``np.mean`` over the
-        built stack's density column: same float64 values, same order.
+        The mean over the carried densities equals the mean over the built
+        stack's density column: same float64 values, same order.  Both are
+        ``np.mean``'s result (:func:`pairwise_mean`).
         """
         n = self._stop - self._start
         if n == 0:
             return 0.0
         densities = self._densities
         if densities is not None:
-            return densities[0] if n == 1 else float(np.mean(densities))
+            return densities[0] if n == 1 else pairwise_mean(densities)
         if n == 1:
             # Bit-identical to np.mean over one element; single-frame
             # batches dominate the traffic hot path.
             return self._stack.frame_density(self._start)
-        return float(np.mean(self._stack.densities()[self._start : self._stop]))
+        return pairwise_mean(self._stack.densities()[self._start : self._stop].tolist())
 
     def frame_densities(self) -> Tuple[float, ...]:
         """Per-frame spatial densities, in batch order.

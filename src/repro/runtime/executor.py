@@ -25,11 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.nmp.candidate import MappingCandidate
 from ..core.nmp.scheduler import ExecutionScheduler, ScheduleResult
-from ..frames.sparse import SparseFrameBatch
+from ..frames.sparse import SparseFrameBatch, pairwise_mean
 from ..hw.pe import Platform
 from ..hw.profiler import PlatformProfiler, ProfileTable
 from ..nn.graph import MultiTaskGraph
@@ -214,7 +212,9 @@ class SignatureServer:
             self._pending_count -= 1
             self._pending_service -= oldest.service_estimate
             client.report.frames_dropped += len(oldest.batch)
-            self.kernel.schedule(
+            # Delivered inline: a server with pending work is busy past
+            # ``time``, so no same-time wake-up can precede the eviction.
+            self.kernel.deliver(
                 QueueEvict(
                     time=time,
                     stream=client.name,
@@ -286,13 +286,14 @@ class SignatureServer:
         # the exact values and order a concatenated batch would expose, so
         # the mean and the combined profile are bit-identical.  One density
         # is its own mean (np.mean over one element returns it unchanged);
-        # longer columns keep np.mean's pairwise summation order.
+        # longer columns keep np.mean's pairwise summation order
+        # (pairwise_mean).
         if sparse:
             densities = [d for m in members for d in m.batch.frame_densities()]
             if len(densities) == 1:
                 occupancy = float(densities[0])
             else:
-                occupancy = float(np.mean(densities)) if densities else 0.0
+                occupancy = pairwise_mean(densities) if densities else 0.0
         else:
             densities = []
             occupancy = 1.0

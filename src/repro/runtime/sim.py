@@ -17,9 +17,12 @@ on:
   devices before new frames are examined, dispatches run before later
   arrivals) and FIFO within a type, which is exactly the ordering the seed's
   inline loop produced implicitly.  Each event is scheduled together with
-  the callable that handles it.  The kernel also owns per-resource busy
-  tracking (``busy_until`` / ``acquire``) so clients share one notion of
-  device occupancy.
+  the callable that handles it.  Only events that wait are heaped: frame
+  arrivals, whose order is fixed before the run, are registered as columns
+  and merged once, and an event that happens *now* and would be popped next
+  anyway is handed to :meth:`~SimulationKernel.deliver`.  The kernel also
+  owns per-resource busy tracking (``busy_until`` / ``acquire``) so clients
+  share one notion of device occupancy.
 * **Compiled, layered cost stack** — :class:`LayerCostTable` interns each
   ``(layer, pe, precision, sparse)`` execution to an integer *cell* and
   memoizes costs per ``(cell, occupancy-bucket, batch)``; a miss evaluates
@@ -49,8 +52,12 @@ top of this kernel.
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.config import EvEdgeConfig
 from ..core.nmp.candidate import MappingCandidate
@@ -304,8 +311,9 @@ class FrameReady(SimEvent):
     """A sparse frame became available on a traffic stream.
 
     Carries a ``(stack, index)`` reference into the stream's rendered
-    :class:`~repro.frames.stack.FrameStack`, so no per-frame object exists
-    on the event path.
+    :class:`~repro.frames.stack.FrameStack`.  Stream arrivals reach the
+    kernel as columns (:meth:`SimulationKernel.add_arrivals`), so the
+    kernel builds this object only to hand it to an attached trace.
     """
 
     __slots__ = ("stack", "index")
@@ -364,10 +372,25 @@ class RemapTriggered(SimEvent):
 class SimulationKernel:
     """Priority-queue event loop with per-resource busy tracking.
 
-    Every event carries its handler: :meth:`schedule` stores the callable
-    in the event's heap entry and :meth:`run` calls it when the event is
-    popped.  An event scheduled without a handler is still counted in
-    ``events_processed`` and traced, but calls nothing.
+    Events are processed in ``(time, priority, seq)`` order, ``seq`` being
+    the order in which the kernel learnt of them.  They reach it in three
+    ways, and only the first one heaps:
+
+    * :meth:`schedule` heaps an event for a later time together with its
+      handler; :meth:`run` calls the handler when it pops the event.
+    * :meth:`add_arrivals` registers one stream's ``FrameReady`` arrivals
+      as a column of times and a handler called as ``handler(index,
+      time)``.  The first :meth:`run` merges every column once: a stable
+      sort by time over the registration-order concatenation.  Each column
+      takes its block of sequence numbers when it is registered, so the
+      merged order is exactly that of heaping every arrival at
+      registration.  The run loop takes the next arrival unless the heap's
+      top event comes first.
+    * :meth:`deliver` processes an event that happens now and that no
+      heaped event precedes, which is what popping it next would do.
+
+    An event without a handler is still counted in ``events_processed``
+    and traced, but calls nothing.
 
     Parameters
     ----------
@@ -380,93 +403,204 @@ class SimulationKernel:
         self._heap: List[
             Tuple[float, int, int, SimEvent, Optional[Callable[[SimEvent], None]]]
         ] = []
-        # Plain int rather than itertools.count: lazy schedulers reserve
-        # contiguous sequence blocks up front (reserve_sequences), which an
-        # opaque counter cannot hand out.
+        # Plain int rather than itertools.count: an arrival column takes a
+        # whole block of sequence numbers at once.
         self._seq = 0
         self._heap_high_water = 0
         self._busy: Dict[str, float] = {}
         self.now = 0.0
         self.events_processed = 0
         self.trace = trace
+        # One (handler, stream, stack, first seq) per registered column; the
+        # times wait in _unmerged until the first run() merges them into
+        # _arrival_times plus one (column << 32 | index) code per arrival.
+        self._columns: List[Tuple[Callable[[int, float], None], str, object, int]] = []
+        self._unmerged: List[np.ndarray] = []
+        self._arrival_times: Optional[array] = None
+        self._arrival_codes: Optional[array] = None
+        self._next_arrival = 0
 
     # -- scheduling ----------------------------------------------------
     def schedule(
         self,
         event: SimEvent,
         handler: Optional[Callable[[SimEvent], None]] = None,
-        seq: Optional[int] = None,
     ) -> None:
-        """Enqueue ``event``; scheduling into the past is a client bug.
+        """Heap ``event``; scheduling into the past is a client bug.
 
         ``handler`` is called with the event when it is popped (``None``:
-        the event is only counted and traced).  ``seq`` is the event's FIFO
-        tie-break within its ``(time, priority)`` class.  Left as ``None``
-        (the normal case) it is drawn from the kernel's monotone counter at
-        call time.  Lazy arrival schedulers pass a sequence number
-        pre-reserved via :meth:`reserve_sequences` so that events scheduled
-        *during* the run occupy exactly the heap slots the horizon-wide
-        prime would have assigned — same-timestamp ordering, and therefore
-        every downstream report, is independent of when the event was
-        scheduled.
+        the event is only counted and traced).
         """
         if event.time < self.now - 1e-12:
             raise ValueError(
                 f"cannot schedule {type(event).__name__} at t={event.time} "
                 f"before kernel time t={self.now}"
             )
-        if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         heap = self._heap
         heapq.heappush(heap, (event.time, event.PRIORITY, seq, event, handler))
         if len(heap) > self._heap_high_water:
             self._heap_high_water = len(heap)
 
-    def reserve_sequences(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the first.
+    def deliver(
+        self,
+        event: SimEvent,
+        handler: Optional[Callable[[SimEvent], None]] = None,
+    ) -> None:
+        """Process ``event`` now, exactly as popping it next would.
 
-        The caller owns ``[base, base + count)`` and stamps them onto events
-        via ``schedule(event, handler, seq=base + i)``.  Reserving advances
-        the counter exactly as ``count`` immediate ``schedule`` calls would,
-        so every later auto-assigned sequence number is unchanged versus
-        enqueueing the whole block up front.
+        For an event that a running handler creates at the current time
+        and that no heaped event precedes: every same-time event of a lower
+        priority was processed before that handler ran.  The event stamps
+        ``now`` (an end-of-stream flush may sit a few ulps before its
+        ``StreamEnd``), is counted and traced, and ``handler`` is called.
+        Delivering at another time is a client bug.
         """
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        base = self._seq
-        self._seq = base + count
-        return base
+        time = event.time
+        if time < self.now - 1e-12 or time > self.now + 1e-12:
+            raise ValueError(
+                f"cannot deliver {type(event).__name__} at t={time} "
+                f"at kernel time t={self.now}"
+            )
+        self.now = time
+        self.events_processed += 1
+        if self.trace is not None:
+            self.trace.record(event)
+        if handler is not None:
+            handler(event)
+
+    def add_arrivals(
+        self,
+        times: Sequence[float],
+        handler: Callable[[int, float], None],
+        stream: str = "",
+        stack=None,
+    ) -> None:
+        """Register one stream's ``FrameReady`` arrivals as a column.
+
+        Arrival ``i`` at ``times[i]`` calls ``handler(i, times[i])``.
+        ``stream`` and ``stack`` are only read to build the ``FrameReady``
+        an attached trace records.  Columns must be registered before the
+        first :meth:`run`, which merges them.
+        """
+        if self._arrival_times is not None:
+            raise RuntimeError("arrivals must be registered before the first run()")
+        times = np.asarray(times, dtype=np.float64)
+        self._columns.append((handler, stream, stack, self._seq))
+        self._unmerged.append(times)
+        self._seq += len(times)
+
+    def _merge_arrivals(self) -> None:
+        """Merge the registered columns into one time-ordered column.
+
+        Concatenated position ``g`` of column ``c`` (first position
+        ``first[c]``) gets the code ``(c << 32) | (g - first[c])``, which
+        is ``g + ((c << 32) - first[c])``.  Both columns are gathered
+        straight into the typed arrays the run loop reads.
+        """
+        lengths = np.array([len(times) for times in self._unmerged], dtype=np.int64)
+        total = int(lengths.sum())
+        times = np.concatenate(self._unmerged) if total else np.zeros(0)
+        self._unmerged = []
+        order = np.argsort(times, kind="stable")
+        merged = array("d", [0.0]) * total
+        np.take(times, order, out=np.frombuffer(merged, dtype=np.float64))
+        del times
+        offsets = (np.arange(len(lengths), dtype=np.int64) << 32) - (
+            np.cumsum(lengths) - lengths
+        )
+        codes = array("q", [0]) * total
+        view = np.frombuffer(codes, dtype=np.int64)
+        np.take(np.repeat(offsets, lengths), order, out=view)
+        view += order
+        self._arrival_times = merged
+        self._arrival_codes = codes
 
     def run(self, until: Optional[float] = None) -> float:
-        """Process events in time/priority order; return the final time."""
+        """Process events in time/priority order; return the final time.
+
+        With ``until``, events later than it stay queued (held-back
+        arrivals included) and a later call resumes where this one stopped.
+        """
+        if self._arrival_times is None:
+            self._merge_arrivals()
         heap = self._heap
-        while heap:
-            if until is not None and heap[0][0] > until:
+        heappop = heapq.heappop
+        trace = self.trace
+        times = self._arrival_times
+        codes = self._arrival_codes
+        columns = self._columns
+        priority = FrameReady.PRIORITY
+        pos = self._next_arrival
+        stop = len(times) if until is None else bisect_right(times, until, pos)
+        while True:
+            if pos < stop:
+                time = times[pos]
+                # The arrival goes first unless the heap's top event is
+                # earlier, or simultaneous and of a lower priority, or a
+                # heaped FrameReady the kernel learnt of earlier.
+                top = heap[0] if heap else None
+                if (
+                    top is None
+                    or top[0] > time
+                    or (
+                        top[0] == time
+                        and (
+                            top[1] > priority
+                            or (top[1] == priority and top[2] > self._arrival_seq(pos))
+                        )
+                    )
+                ):
+                    code = codes[pos]
+                    pos += 1
+                    self._next_arrival = pos
+                    self.now = time
+                    self.events_processed += 1
+                    handler, stream, stack, _ = columns[code >> 32]
+                    index = code & 0xFFFFFFFF
+                    if trace is not None:
+                        trace.record(FrameReady(time, stream, stack, index))
+                    handler(index, time)
+                    continue
+            elif not heap or (until is not None and heap[0][0] > until):
                 break
-            time, _, _, event, handler = heapq.heappop(heap)
+            time, _, _, event, handler = heappop(heap)
             self.now = time
             self.events_processed += 1
-            if self.trace is not None:
-                self.trace.record(event)
+            if trace is not None:
+                trace.record(event)
             if handler is not None:
                 handler(event)
+        if pos == len(times):
+            # Every arrival is delivered: drop the handlers, or the kernel
+            # and the stream clients holding it would keep each other alive.
+            self._columns = []
         return self.now
+
+    def _arrival_seq(self, pos: int) -> int:
+        """Sequence number of merged arrival ``pos``."""
+        code = self._arrival_codes[pos]
+        return self._columns[code >> 32][3] + (code & 0xFFFFFFFF)
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
+        """Number of events still queued: heaped, plus arrivals not yet taken."""
+        if self._arrival_times is None:
+            arrivals = sum(len(times) for times in self._unmerged)
+        else:
+            arrivals = len(self._arrival_times) - self._next_arrival
+        return len(self._heap) + arrivals
 
     @property
     def heap_high_water(self) -> int:
-        """Largest number of events ever queued at once.
+        """Largest number of events ever heaped at once.
 
-        The memory-plane health metric of the scheduling discipline: the
-        per-stream arrival cursors keep it at O(active streams) plus
-        in-flight dispatch/completion events — independent of horizon
-        length, where heaping every arrival up front would make it
-        O(total frames in the fleet).
+        The memory-plane health metric of the scheduling discipline.
+        Arrivals never enter the heap and same-time dispatches and
+        evictions are delivered inline, so the heap holds in-flight
+        completions plus one ``StreamEnd`` per stream: O(in flight +
+        streams), independent of horizon length.
         """
         return self._heap_high_water
 

@@ -4,9 +4,10 @@ A :class:`StreamSource` wraps one traffic source — an
 :class:`~repro.events.datasets.EventSequence`, the network that consumes it,
 and its :class:`~repro.core.config.EvEdgeConfig` (plus an optional NMP
 mapping and a start offset) — into something the simulation kernel can
-schedule.  :class:`StreamClient` is the per-stream protocol driver: it turns
-``FrameReady`` events into DSFA pushes (or the bounded-queue drop logic of
-the no-DSFA path), emits ``DispatchBatch`` events and accounts the resulting
+schedule.  :class:`StreamClient` is the per-stream protocol driver: it
+registers the stream's frame arrivals with the kernel, turns each arrival
+into a DSFA push (or the bounded-queue drop logic of the no-DSFA path),
+delivers the resulting ``DispatchBatch`` events inline and accounts the
 ``InferenceDone`` records into a per-stream
 :class:`~repro.runtime.sim.PipelineReport`.
 
@@ -79,7 +80,6 @@ from .executor import SerialExecutor, SignatureServer
 from .sim import (
     COST_MODES,
     DispatchBatch,
-    FrameReady,
     InferenceDone,
     LayerCostTable,
     NetworkCostModel,
@@ -104,9 +104,15 @@ __all__ = [
     "SHARD_MODES",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class StreamSource:
     """One traffic source: an event sequence feeding one network.
+
+    A source is immutable: its render and ``end_time`` are cached on first
+    use, and the arrivals column is the kernel's schedule for the stream,
+    so a reassigned ``stop_time`` or ``start_offset`` would replay a stale
+    cut.  Derive a changed source with :func:`dataclasses.replace`, which
+    starts with empty caches.
 
     Attributes
     ----------
@@ -138,10 +144,9 @@ class StreamSource:
     mapping: Optional[MappingCandidate] = None
     start_offset: float = 0.0
     stop_time: Optional[float] = None
+    # Caches, each written once (the dataclass is frozen, so through
+    # object.__setattr__); dataclasses.replace starts a copy without them.
     _stack: Optional[Tuple[Optional[FrameStack], np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _arrival_times: Optional[List[float]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _end_time: Optional[float] = field(
@@ -164,37 +169,30 @@ class StreamSource:
         per-frame filter ``arrival <= stop_time`` exactly.
 
         An empty sequence yields ``(None, empty)``.  The pair is computed
-        once and cached on the source.
+        once and cached on the source, and the arrivals are read-only: they
+        are the column the stream's client registers with the kernel.
         """
         if self._stack is not None:
             return self._stack
         stack = _shared_stack(self.sequence, self.config.num_bins)
-        if stack is None:
-            self._arrival_times = []
-            self._stack = (None, np.zeros(0))
-            return self._stack
-        arrivals = stack.t_ends + self.start_offset
-        if self.stop_time is not None:
-            keep = int(np.searchsorted(arrivals, self.stop_time, side="right"))
-            if keep < len(stack):
-                # The slice's own columns (offsets, densities, lists) are
-                # warmed here too, so a churned stream's simulation does no
-                # render work either.
-                stack = stack.slice(0, keep).freeze()
-                arrivals = arrivals[:keep]
-        # tolist() round-trips float64 exactly; the scheduling loop reads
-        # python floats without a numpy scalar extraction per frame, and the
-        # boxed floats are part of the cached render rather than per-run
-        # allocations.
-        self._arrival_times = arrivals.tolist()
-        self._stack = (stack, arrivals)
+        arrivals = np.zeros(0)
+        if stack is not None:
+            arrivals = stack.t_ends + self.start_offset
+            if self.stop_time is not None:
+                keep = int(np.searchsorted(arrivals, self.stop_time, side="right"))
+                if keep < len(stack):
+                    # The slice's own columns (offsets, densities, lists) are
+                    # warmed here too, so a churned stream's simulation does
+                    # no render work either.
+                    stack = stack.slice(0, keep).freeze()
+                    arrivals = arrivals[:keep]
+        arrivals.flags.writeable = False
+        object.__setattr__(self, "_stack", (stack, arrivals))
         return self._stack
 
     def arrival_times(self) -> List[float]:
-        """Arrival times of :meth:`generate_stack` as cached python floats."""
-        if self._arrival_times is None:
-            self.generate_stack()
-        return self._arrival_times
+        """Arrival times of :meth:`generate_stack` as python floats."""
+        return self.generate_stack()[1].tolist()
 
     @property
     def end_time(self) -> float:
@@ -212,7 +210,7 @@ class StreamSource:
                 end = float(frames[-1].timestamp) + self.start_offset
             if self.stop_time is not None:
                 end = min(end, self.stop_time)
-            self._end_time = max(end, self.start_offset)
+            object.__setattr__(self, "_end_time", max(end, self.start_offset))
         return self._end_time
 
 
@@ -253,11 +251,13 @@ class StreamClient:
     Frames travel as ``(stack, index)`` references into the stream's
     rendered :class:`~repro.frames.stack.FrameStack`: DSFA buffers index
     ranges and dispatches carry stack-backed batches, so no per-frame object
-    is built on the hot path.  Arrivals are walked by a per-stream cursor:
-    the kernel heap holds at most one of this stream's ``FrameReady`` events
-    at any time, and each successor lands on a pre-reserved sequence number
-    (:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences`), so the
-    heap order is exactly that of scheduling the whole horizon up front.
+    is built on the hot path.  :meth:`prime` registers the stream's rendered
+    arrivals column with the kernel
+    (:meth:`~repro.runtime.sim.SimulationKernel.add_arrivals`), which calls
+    :meth:`_on_arrival` with each frame's index and time; only the
+    ``StreamEnd`` is heaped.  A dispatch or an eviction happens at the
+    arrival (or flush) that causes it and is delivered inline
+    (:meth:`~repro.runtime.sim.SimulationKernel.deliver`).
     """
 
     def __init__(
@@ -277,15 +277,8 @@ class StreamClient:
         self.queue_depth = source.config.dsfa.inference_queue_depth
         self.report = PipelineReport(record_limit=record_limit)
         self.report.cost_mode = cost_model.cost_mode
-        # Arrival-cursor state, populated by prime(): the rendered stack and
-        # arrivals (held on the client rather than closed over by queued
-        # events), the scheduled-prefix length, the next index to heap and
-        # the stream's reserved sequence-number base.
+        # The rendered stack the arrival indices point into (set by prime).
         self._stack: Optional[FrameStack] = None
-        self._arrivals: List[float] = []
-        self._num_frames = 0
-        self._cursor = 0
-        self._seq_base = 0
         self.aggregator = (
             DynamicSparseFrameAggregator(source.config.dsfa)
             if source.config.optimization.uses_dsfa
@@ -294,43 +287,24 @@ class StreamClient:
         self._last_duration = 0.0
 
     # ------------------------------------------------------------------
-    def _frame_event(self, index: int) -> FrameReady:
-        """The ``FrameReady`` of rendered frame ``index``."""
-        return FrameReady(
-            time=self._arrivals[index],
-            stream=self.name,
-            stack=self._stack,
-            index=index,
-        )
-
     def prime(self) -> None:
-        """Schedule the stream's first frame arrival and end-of-stream flush.
+        """Register the stream's arrivals and schedule its end-of-stream flush.
 
-        Reserves the stream's contiguous sequence-number block and heaps
-        only arrival 0; the frame handler self-reschedules each successor.
-        ``StreamEnd`` is scheduled even for a stream that generates no
-        frames (an empty sequence, or a churn window that closes before the
-        first arrival): leave-side consumers — remap triggers, traces,
-        per-stream accounting — rely on every stream announcing its end.
+        The arrivals column is the source's cached render, handed to the
+        kernel as it is.  ``StreamEnd`` is scheduled even for a stream that
+        generates no frames (an empty sequence, or a churn window that
+        closes before the first arrival): leave-side consumers — remap
+        triggers, traces, per-stream accounting — rely on every stream
+        announcing its end.
         """
-        stack, _ = self.source.generate_stack()
+        stack, arrivals = self.source.generate_stack()
         self._stack = stack
-        self._arrivals = self.source.arrival_times()
         # generate_stack already cut the arrivals at stop_time, so a churned
-        # stream schedules no frame after it leaves the platform.
-        count = 0 if stack is None else len(stack)
-        self._num_frames = count
+        # stream registers no frame after it leaves the platform.
+        count = len(arrivals)
         self.report.frames_generated += count
-        last_arrival = self._arrivals[count - 1] if count else self.source.start_offset
-        # Reserve the whole block even though only arrival 0 is heaped: the
-        # successors stamped with base + i land on exactly the
-        # (time, priority, seq) slots a horizon-wide prime would have used.
-        self._seq_base = self.kernel.reserve_sequences(count)
-        self._cursor = 1 if count else 0
-        if count:
-            self.kernel.schedule(
-                self._frame_event(0), self._on_frame, seq=self._seq_base
-            )
+        last_arrival = float(arrivals[-1]) if count else self.source.start_offset
+        self.kernel.add_arrivals(arrivals, self._on_arrival, self.name, stack)
         # The last bin's computed t_end can differ from the final grayscale
         # timestamp by a few ulps; the flush must still come after every
         # frame arrival.
@@ -355,25 +329,22 @@ class StreamClient:
         return self._last_duration
 
     # ------------------------------------------------------------------
-    def _on_frame(self, event: FrameReady) -> None:
-        cursor = self._cursor
-        if cursor < self._num_frames:
-            # Heap the successor *before* processing, so a kernel paused with
-            # ``run(until=...)`` mid-stream always finds the next arrival
-            # already queued.
-            self._cursor = cursor + 1
-            self.kernel.schedule(
-                self._frame_event(cursor), self._on_frame, seq=self._seq_base + cursor
-            )
-        arrival = event.time
+    def _on_arrival(self, index: int, arrival: float) -> None:
+        """Frame ``index`` of the rendered stack arrived at ``arrival``.
+
+        A dispatch or eviction it causes happens at the arrival and is
+        delivered inline: the heap would pop it next, because every
+        same-time event of a lower priority than the arrival's has been
+        processed already.
+        """
         if self.aggregator is not None:
             hardware_available = arrival >= self.executor.busy_until(self)
             batch = self.aggregator.push_index(
-                event.stack, event.index, hardware_available=hardware_available
+                self._stack, index, hardware_available=hardware_available
             )
             if batch is not None:
                 self.report.frames_merged += len(batch)
-                self.kernel.schedule(
+                self.kernel.deliver(
                     DispatchBatch(time=arrival, stream=self.name, batch=batch),
                     self._on_dispatch,
                 )
@@ -388,12 +359,12 @@ class StreamClient:
         backlog = self.executor.backlog_estimate(self, arrival)
         if backlog > self.queue_depth * max(self._last_duration, 1e-9):
             self.report.frames_dropped += 1
-            self.kernel.schedule(
+            self.kernel.deliver(
                 QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
             )
             return
-        batch = SparseFrameBatch.from_stack(event.stack, event.index, event.index + 1)
-        self.kernel.schedule(
+        batch = SparseFrameBatch.from_stack(self._stack, index, index + 1)
+        self.kernel.deliver(
             DispatchBatch(time=arrival, stream=self.name, batch=batch),
             self._on_dispatch,
         )
@@ -405,8 +376,9 @@ class StreamClient:
         if batch is not None:
             self.report.frames_merged += len(batch)
             # The flush is anchored to the final grayscale timestamp (the
-            # seed's behaviour), not to the possibly ulp-later flush event.
-            self.kernel.schedule(
+            # seed's behaviour), not to the possibly ulp-later flush event;
+            # nothing is heaped at or before it, so it is delivered inline.
+            self.kernel.deliver(
                 DispatchBatch(
                     time=self.source.end_time, stream=self.name, batch=batch
                 ),
@@ -627,8 +599,8 @@ class MultiStreamReport:
     # the field keeps this name until that benchmark changes.
     epochs: Optional[list] = None
     # Largest simultaneous kernel-heap population of the run (the max over
-    # shards for a sharded run): the observable the per-stream arrival
-    # cursors bound at O(active streams).
+    # shards for a sharded run): O(in-flight + streams), since arrivals and
+    # same-time dispatches and evictions never enter the heap.
     heap_high_water: int = 0
 
     @property

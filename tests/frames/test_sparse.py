@@ -16,6 +16,7 @@ from oracles.frames import (
     to_dense_reference,
 )
 from repro.frames import FrameStack, SparseFrame, SparseFrameBatch
+from repro.frames.sparse import pairwise_mean
 
 
 def merge(frames, average=False):
@@ -392,3 +393,47 @@ class TestPendingMergeBatch:
         assert len(merges) == 1
         assert stack.densities().tolist() == list(batch.frame_densities())
         assert all(view == frame for view, frame in zip(batch, expected))
+
+
+class TestPairwiseMean:
+    """``pairwise_mean`` is ``np.mean`` of python floats, bit for bit."""
+
+    LENGTHS = list(range(1, 300)) + [511, 1000, 1025, 8191, 8193, 20001]
+
+    def test_equals_np_mean_on_seeded_inputs(self):
+        rng = np.random.default_rng(0)
+        values = np.array([0.0, 1e-5, 1.0, 5e-324, 0.1, 1.0 / 3.0])
+        for n in self.LENGTHS:
+            for _ in range(20 if n < 300 else 3):
+                if rng.integers(2):
+                    x = rng.choice(values, n)
+                else:
+                    x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+                column = x.tolist()
+                assert pairwise_mean(column) == float(np.mean(x)), n
+                assert pairwise_mean(tuple(column)) == float(np.mean(column)), n
+
+    def test_not_a_left_to_right_sum(self):
+        # From 8 values on NumPy's order differs from a sequential sum, so
+        # the equality above pins the order and not just the values.
+        rng = np.random.default_rng(1)
+        differs = 0
+        for n in range(8, 64):
+            x = rng.random(n).tolist()
+            total = 0.0
+            for value in x:
+                total += value
+            differs += total / n != pairwise_mean(x)
+        assert differs > 10
+
+    def test_batch_means_match_np_mean(self):
+        frames = [random_sparse_frame(seed=s) for s in range(12)]
+        stack = FrameStack.from_frames(frames)
+        for start, stop in [(0, 2), (0, 9), (3, 12)]:
+            batch = SparseFrameBatch.from_stack(stack, start, stop)
+            expected = float(np.mean(stack.densities()[start:stop]))
+            assert batch.mean_density == expected
+            merged = SparseFrameBatch.from_merge(
+                stack, [(i, i + 1) for i in range(start, stop)], batch.frame_densities()
+            )
+            assert merged.mean_density == expected

@@ -40,9 +40,10 @@ claims stay machine-checked:
   :func:`generate_frames_reference`, one frame object per ``FrameReady``,
   pushed into the per-frame DSFA
   (:class:`~oracles.frames.ReferenceAggregator`).
-* :class:`EagerPrimeClient` — the horizon-wide arrival discipline the
-  per-stream arrival cursors replaced: every ``FrameReady`` of the stream
-  is heaped at prime time.
+* :class:`EagerPrimeClient` on :class:`AllHeapKernel` — the all-heap
+  discipline that arrival columns and inline delivery replaced: every
+  ``FrameReady`` of the stream is heaped at prime time, and every
+  dispatch and eviction production delivers inline is heaped and popped.
 * :class:`RerunMappingClient` — the remap client before search memoization
   and per-network profiles: every remap runs the search, on an engine whose
   profile comes from the joint multi-task graph.
@@ -88,6 +89,7 @@ from repro.runtime.sim import (
     LayerCostTable,
     NetworkCostModel,
     QueueEvict,
+    SimulationKernel,
     StreamEnd,
 )
 from repro.runtime.streams import (
@@ -111,6 +113,7 @@ __all__ = [
     "ChainCostModel",
     "generate_frames_reference",
     "PerFrameReferenceClient",
+    "AllHeapKernel",
     "EagerPrimeClient",
     "RerunMappingClient",
     "LegacySimulator",
@@ -482,35 +485,54 @@ def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseF
     return out
 
 
-class EagerPrimeClient(StreamClient):
-    """The horizon-wide arrival discipline: every arrival heaped at prime.
+class AllHeapKernel(SimulationKernel):
+    """The kernel before inline delivery: :meth:`deliver` heaps the event.
 
-    Each ``FrameReady`` takes its sequence number from the kernel's counter
-    at prime time, with no reservation and no churn clamp.  The production
-    client's cursor reserves the same block and reschedules successors
-    lazily; both must produce bit-identical reports, while this client's
-    kernel heap grows with the horizon instead of the stream count.
+    A delivered event is one the heap would pop next, so heaping it instead
+    must change nothing: not the order, the counts or a trace entry.
     """
 
+    def deliver(self, event, handler=None) -> None:
+        self.schedule(event, handler)
+
+
+class EagerPrimeClient(StreamClient):
+    """The all-heap discipline: every arrival heaped at prime, every
+    dispatch and eviction heaped when it happens.
+
+    Each ``FrameReady`` takes its sequence number from the kernel's counter
+    at prime time and is popped like any other event; the production
+    client registers the same arrivals as a column that the kernel merges
+    once.  The client turns the kernel it is given (which the signature
+    servers share) into an :class:`AllHeapKernel`, so what production
+    delivers inline is heaped too.  Reports, event counts and traces must
+    be identical to production, while this kernel's heap grows with the
+    horizon instead of the stream count.
+    """
+
+    def __init__(self, source, kernel, *args, **kwargs) -> None:
+        kernel.__class__ = AllHeapKernel
+        super().__init__(source, kernel, *args, **kwargs)
+
     def prime(self) -> None:
-        stack, _ = self.source.generate_stack()
-        arrivals = self.source.arrival_times()
-        count = 0 if stack is None else len(stack)
+        stack, arrivals = self.source.generate_stack()
         self._stack = stack
-        self._arrivals = arrivals
-        # A cursor at the end: the inherited frame handler never reschedules.
-        self._num_frames = self._cursor = count
+        count = len(arrivals)
         self.report.frames_generated += count
-        for i in range(count):
+        for i, arrival in enumerate(arrivals.tolist()):
             self.kernel.schedule(
-                FrameReady(time=arrivals[i], stream=self.name, stack=stack, index=i),
+                FrameReady(time=arrival, stream=self.name, stack=stack, index=i),
                 self._on_frame,
             )
-        last_arrival = arrivals[count - 1] if count else self.source.start_offset
+        last_arrival = float(arrivals[-1]) if count else self.source.start_offset
         self.kernel.schedule(
             StreamEnd(time=max(self.source.end_time, last_arrival), stream=self.name),
             self._on_stream_end,
         )
+
+    def _on_frame(self, event: FrameReady) -> None:
+        """Adapter: a popped ``FrameReady`` reaches the production handler."""
+        self._on_arrival(event.index, event.time)
 
 
 class PerFrameReferenceClient(StreamClient):
@@ -520,8 +542,9 @@ class PerFrameReferenceClient(StreamClient):
     render) and are primed horizon-wide; each ``FrameReady`` carries the
     frame's position in that list, and the handler pushes the frame object
     itself into a :class:`~oracles.frames.ReferenceAggregator` (or
-    dispatches it as a one-frame batch without DSFA).  Reports must be bit-identical to the
-    production stack transport.
+    dispatches it as a one-frame batch without DSFA); dispatches and
+    evictions are delivered inline, as production delivers them.  Reports
+    must be bit-identical to the production stack transport.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -553,7 +576,7 @@ class PerFrameReferenceClient(StreamClient):
             )
             if batch is not None:
                 self.report.frames_merged += len(batch)
-                self.kernel.schedule(
+                self.kernel.deliver(
                     DispatchBatch(time=arrival, stream=self.name, batch=batch),
                     self._on_dispatch,
                 )
@@ -561,11 +584,11 @@ class PerFrameReferenceClient(StreamClient):
         backlog = self.executor.backlog_estimate(self, arrival)
         if backlog > self.queue_depth * max(self._last_duration, 1e-9):
             self.report.frames_dropped += 1
-            self.kernel.schedule(
+            self.kernel.deliver(
                 QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
             )
             return
-        self.kernel.schedule(
+        self.kernel.deliver(
             DispatchBatch(time=arrival, stream=self.name, batch=frame_batch([frame])),
             self._on_dispatch,
         )
@@ -687,7 +710,7 @@ class ScalarCostSimulator(ReferenceCostSimulator):
 
 
 class EagerSimulator(MultiStreamSimulator):
-    """A fleet primed horizon-wide instead of through arrival cursors."""
+    """A fleet on the all-heap discipline (:class:`EagerPrimeClient`)."""
 
     client_class = EagerPrimeClient
 

@@ -1,15 +1,14 @@
-"""Lazy arrival-cursor scheduling: equivalence, churn cuts and heap bounds.
+"""Arrival columns: equivalence, churn cuts and heap bounds.
 
-The scheduling refactor must be *provably report-identical*: each stream
-keeps at most one queued ``FrameReady`` — the handler self-reschedules the
-successor onto a pre-reserved kernel sequence number — and the resulting
-``MultiStreamReport`` must be bit-identical to the eager horizon-wide
-oracle (``EagerSimulator`` in ``tests/oracles``) across every scenario
-family.  The payoff the suite pins alongside the equivalence: the kernel
-heap's high-water mark scales with *active streams* under lazy scheduling
-and with *total frames* under eager.  Lazy cursors across epoch barriers
-are covered by the sharded suite (platform-group bit-identity, process ==
-inline, epoch-length invariance).
+Each stream registers its rendered arrivals with the kernel as one column;
+the first ``run()`` merges the columns once, and the run loop takes the
+next arrival unless the heap's top event comes first.  The resulting
+``MultiStreamReport`` must be bit-identical to the all-heap oracle
+(``EagerSimulator`` in ``tests/oracles``) across every scenario family,
+and ``tests/runtime/test_trace_identity.py`` pins the full traces.  The
+payoff the suite pins alongside the equivalence: the kernel heap's
+high-water mark scales with *streams* in production and with *total
+frames* in the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +21,14 @@ import pytest
 import repro.core  # noqa: F401  (import order: runtime pulls core.nmp lazily)
 from repro.hw import jetson_xavier_agx
 from repro.runtime import KernelTrace, MultiStreamSimulator, SimulationKernel
-from repro.runtime.sim import FrameReady, PipelineReport
+from repro.runtime.sim import (
+    DispatchBatch,
+    FrameReady,
+    InferenceDone,
+    PipelineReport,
+    QueueEvict,
+    StreamEnd,
+)
 from repro.scenarios import default_registry
 
 from oracles.runtime import EagerSimulator, PerFrameReferenceSimulator
@@ -30,8 +36,8 @@ from test_kernel_equivalence import assert_reports_identical
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
 
-# Lazy heap budget per active stream: one queued FrameReady + one StreamEnd
-# per live stream, plus in-flight dispatch / completion / eviction events.
+# Heap budget per stream: one StreamEnd per stream plus in-flight
+# completions and server wake-ups.
 HEAP_FACTOR = 4
 
 
@@ -51,8 +57,8 @@ def _run(platform, sources, **kwargs):
 
 class TestLazyEagerEquivalence:
     def test_all_families_all_dataplanes_bit_identical(self, registry, platform):
-        """Arrival cursors reproduce the horizon-wide prime on every family,
-        and so does the fully per-frame reference transport."""
+        """Arrival columns reproduce the all-heap discipline on every
+        family, and so does the fully per-frame reference transport."""
         assert len(registry.families()) >= 6
         for family in registry.families():
             sources = registry.compile(family, **SMALL)
@@ -66,58 +72,137 @@ class TestLazyEagerEquivalence:
             reference = PerFrameReferenceSimulator(platform, sources).run()
             assert_reports_identical(lazy, reference)
 
-    def test_reserved_sequences_match_eager_delivery(self):
-        """Successors scheduled mid-run on reserved sequence numbers reach
-        their handlers in exactly the eager prime's order, including
-        against a same-time event of another stream heaped before them."""
-        times = [0.0, 0.1, 0.1, 0.2]
 
-        def drive(lazy: bool):
-            kernel = SimulationKernel()
-            seen = []
-            state = {"cursor": 0, "base": 0}
+class TestArrivalColumns:
+    """Kernel-level: columns interleave with heaped events in the exact
+    ``(time, priority, seq)`` order of heaping every arrival."""
 
-            def on_frame(event):
-                cursor = state["cursor"]
-                if lazy and cursor < len(times):
-                    state["cursor"] = cursor + 1
-                    kernel.schedule(
-                        FrameReady(time=times[cursor], stream="s"),
-                        on_frame,
-                        seq=state["base"] + cursor,
-                    )
-                seen.append((event.stream, event.time))
+    TIMES = {"s": [0.0, 0.1, 0.1, 0.2], "u": [0.1, 0.2]}
 
-            if lazy:
-                state["base"] = kernel.reserve_sequences(len(times))
-                state["cursor"] = 1
-                kernel.schedule(
-                    FrameReady(time=times[0], stream="s"), on_frame, seq=state["base"]
-                )
+    @staticmethod
+    def _drive(columns: bool, until=None):
+        """Columns ``s`` and ``u`` around heaped events of every priority at
+        the same times (one heaped FrameReady before the columns and one
+        after); returns the order in which handlers ran."""
+        kernel = SimulationKernel()
+        seen = []
+
+        def record(event):
+            seen.append((type(event).__name__, event.stream, event.time))
+
+        def arrival(stream):
+            return lambda index, time: seen.append(("FrameReady", stream, time, index))
+
+        kernel.schedule(FrameReady(time=0.1, stream="early"), record)
+        for stream, times in TestArrivalColumns.TIMES.items():
+            if columns:
+                kernel.add_arrivals(times, arrival(stream), stream)
             else:
-                for t in times:
-                    kernel.schedule(FrameReady(time=t, stream="s"), on_frame)
+                for i, t in enumerate(times):
+                    handler = arrival(stream)
+                    kernel.schedule(
+                        FrameReady(time=t, stream=stream, index=i),
+                        lambda e, h=handler: h(e.index, e.time),
+                    )
+        kernel.schedule(FrameReady(time=0.1, stream="late"), record)
+        for kind in (InferenceDone, QueueEvict, DispatchBatch, StreamEnd):
             for t in (0.1, 0.2):
-                kernel.schedule(
-                    FrameReady(time=t, stream="t"),
-                    lambda e: seen.append((e.stream, e.time)),
-                )
+                kernel.schedule(kind(time=t, stream=kind.__name__), record)
+        if until is not None:
+            kernel.run(until=until)
+            paused = (list(seen), kernel.pending_events)
             kernel.run()
-            return seen
+            return seen, paused, kernel
+        kernel.run()
+        return seen, None, kernel
 
-        lazy = drive(lazy=True)
-        assert lazy == drive(lazy=False)
-        assert lazy == [
-            ("s", 0.0), ("s", 0.1), ("s", 0.1), ("t", 0.1), ("s", 0.2), ("t", 0.2)
+    def test_columns_and_heaped_events_follow_eager_order(self):
+        merged, _, kernel = self._drive(columns=True)
+        assert merged == self._drive(columns=False)[0]
+        at_01 = [entry[:2] for entry in merged if entry[2] == 0.1]
+        assert at_01 == [
+            ("InferenceDone", "InferenceDone"),
+            ("QueueEvict", "QueueEvict"),
+            ("DispatchBatch", "DispatchBatch"),
+            ("FrameReady", "early"),
+            ("FrameReady", "s"),
+            ("FrameReady", "s"),
+            ("FrameReady", "u"),
+            ("FrameReady", "late"),
+            ("StreamEnd", "StreamEnd"),
         ]
+        # Column arrivals reach their handlers with their own indices.
+        assert [e[3] for e in merged if e[0] == "FrameReady" and e[1] == "s"] == [
+            0, 1, 2, 3
+        ]
+        assert kernel.events_processed == len(merged) == 16
+        # Only the ten heaped events ever sat on the heap.
+        assert kernel.heap_high_water == 10
+
+    def test_run_until_mid_column_then_run_gives_the_same_order(self):
+        full = self._drive(columns=True)[0]
+        for until in (0.0, 0.05, 0.1, 0.15):
+            resumed, (paused, pending), kernel = self._drive(columns=True, until=until)
+            assert resumed == full, until
+            assert paused == [e for e in full if e[2] <= until], until
+            assert pending == len(full) - len(paused), until
+            assert kernel.pending_events == 0
+
+    def test_registering_after_run_raises(self):
+        kernel = SimulationKernel()
+        kernel.add_arrivals([0.5], lambda index, time: None)
+        kernel.run(until=0.1)
+        assert kernel.pending_events == 1
+        with pytest.raises(RuntimeError, match="before the first run"):
+            kernel.add_arrivals([1.0], lambda index, time: None)
+        kernel.run()
+        assert kernel.events_processed == 1
+
+    def test_empty_columns(self):
+        kernel = SimulationKernel()
+        seen = []
+        kernel.add_arrivals([], lambda index, time: seen.append(("a", index)))
+        kernel.add_arrivals(
+            np.array([0.2, 0.4]), lambda index, time: seen.append(("b", index))
+        )
+        kernel.add_arrivals([], lambda index, time: seen.append(("c", index)))
+        assert kernel.pending_events == 2
+        assert kernel.run() == 0.4
+        assert seen == [("b", 0), ("b", 1)]
+        # A kernel whose only column is empty runs its heap alone.
+        kernel = SimulationKernel()
+        kernel.add_arrivals([], lambda index, time: None)
+        kernel.schedule(StreamEnd(time=0.3, stream="s"), lambda e: seen.append("end"))
+        assert kernel.run() == 0.3
+        assert kernel.events_processed == 1
+
+    def test_traced_arrival_equals_the_heaped_event_entry(self):
+        from repro.frames import FrameStack, SparseFrame
+
+        stack = FrameStack.from_frames(
+            [
+                SparseFrame.from_events([1, 2], [0, 3], [1, -1], 4, 4, 0.0, 0.1),
+                SparseFrame.from_events([3], [3], [1], 4, 4, 0.1, 0.2),
+            ]
+        )
+        column, heaped = KernelTrace(), KernelTrace()
+        kernel = SimulationKernel(trace=column)
+        kernel.add_arrivals(stack.t_ends, lambda index, time: None, "cam", stack)
+        kernel.run()
+        kernel = SimulationKernel(trace=heaped)
+        for i, t in enumerate(stack.t_ends.tolist()):
+            kernel.schedule(FrameReady(time=t, stream="cam", stack=stack, index=i))
+        kernel.run()
+        assert column.entries == heaped.entries
+        assert column.entries[1].detail.startswith("density=")
 
 
 class TestChurnCursorCut:
     def test_churn_frame_counts_match_searchsorted_prefix_cut(
         self, registry, platform
     ):
-        """Satellite fix: a stop_time that closes before later arrivals must
-        stop the cursor exactly at the eager path's searchsorted cut."""
+        """A stop_time that closes before later arrivals must cut the
+        stream's arrival column exactly at the searchsorted prefix."""
         sources = registry.compile("churn", **{**SMALL, "num_streams": 6})
         churned = [s for s in sources if s.stop_time is not None]
         assert churned, "churn family must produce stop_time windows"
@@ -158,7 +243,7 @@ class TestHeapHighWater:
         eager = EagerSimulator(platform, sources).run()
         assert lazy.frames_generated == eager.frames_generated
         assert lazy.frames_generated > HEAP_FACTOR * streams
-        # Lazy: O(active streams).  Eager: the whole horizon is queued.
+        # Production: O(streams).  All-heap oracle: the whole horizon.
         assert lazy.heap_high_water <= HEAP_FACTOR * streams
         assert eager.heap_high_water >= eager.frames_generated
         assert lazy.heap_high_water < eager.heap_high_water
@@ -174,8 +259,8 @@ class TestHeapHighWater:
                 "lazy": _run(platform, sources).heap_high_water,
                 "eager": EagerSimulator(platform, sources).run().heap_high_water,
             }
-        # Doubling the horizon must not grow the lazy heap (beyond event
-        # jitter), while the eager heap tracks the doubled frame count.
+        # Doubling the horizon must not grow the production heap (beyond
+        # event jitter), while the oracle's heap tracks the frame count.
         assert marks[0.4]["lazy"] <= marks[0.2]["lazy"] * 1.25
         assert marks[0.4]["eager"] >= marks[0.2]["eager"] * 1.5
 
@@ -223,23 +308,24 @@ class TestBoundedRetention:
             )
 
 
-class TestFramesPlaneCursor:
+class TestFramesPlaneColumns:
     def test_frames_plane_holds_sequence_on_client_not_in_events(
         self, registry, platform
     ):
-        """The rendered stack and arrivals live on the client cursor; the
-        heap never holds more than one of the stream's frames at a time."""
+        """The rendered stack lives on the client and the arrivals in the
+        kernel's column: after prime the heap holds one StreamEnd per
+        stream and no FrameReady."""
         sources = registry.compile("steady", **SMALL)
         simulator = MultiStreamSimulator(platform, sources)
         kernel, clients, _ = simulator._setup(None)
         for client in clients:
             assert client._stack is not None
-            assert len(client._arrivals) == client._num_frames
-        # At prime time the heap holds one FrameReady + one StreamEnd per
-        # stream — not the horizon.
-        total_frames = sum(c._num_frames for c in clients)
+        heaped = [entry[3] for entry in kernel._heap]
+        assert sorted(e.stream for e in heaped) == sorted(c.name for c in clients)
+        assert all(isinstance(e, StreamEnd) for e in heaped)
+        total_frames = sum(c.report.frames_generated for c in clients)
         assert total_frames > 2 * len(clients)
-        assert kernel.pending_events == 2 * len(clients)
+        assert kernel.pending_events == total_frames + len(clients)
         end_time = kernel.run()
         report = simulator._finalize(kernel, clients, 0, None, end_time)
         assert_reports_identical(report, EagerSimulator(platform, sources).run())

@@ -24,6 +24,7 @@ from repro.runtime import (
     QueueEvict,
     RemapPolicy,
     RemapTriggered,
+    SignatureServer,
     SimulationKernel,
     StreamClient,
     StreamEnd,
@@ -149,21 +150,96 @@ class TestEventDelivery:
         assert kernel.pending_events == 0
         assert kernel.events_processed == 3
 
+    def test_delivered_event_is_counted_traced_in_place_and_stamps_now(self):
+        trace = KernelTrace()
+        kernel = SimulationKernel(trace=trace)
+        seen = []
+
+        def stamp(tag):
+            seen.append((tag, kernel.now, kernel.events_processed))
+
+        def on_frame(event):
+            # A same-time follow-up, delivered inside the running handler:
+            # it is processed before anything heaped, and before the rest
+            # of this handler.
+            kernel.deliver(
+                DispatchBatch(time=event.time, stream=event.stream),
+                lambda e: stamp("dispatch"),
+            )
+            stamp("frame")
+
+        kernel.schedule(FrameReady(time=1.0, stream="a"), on_frame)
+        kernel.schedule(FrameReady(time=1.0, stream="b"), lambda e: seen.append(("b",)))
+        assert kernel.run() == 1.0
+        assert seen == [("dispatch", 1.0, 2), ("frame", 1.0, 2), ("b",)]
+        assert kernel.events_processed == 3
+        assert [(e.kind, e.stream) for e in trace.entries] == [
+            ("FrameReady", "a"),
+            ("DispatchBatch", "a"),
+            ("FrameReady", "b"),
+        ]
+        # Delivery never touches the heap.
+        assert kernel.heap_high_water == 2
+
+    def test_delivered_event_stamps_a_time_just_before_now(self):
+        # The end-of-stream flush dispatch sits a few ulps before StreamEnd.
+        kernel = SimulationKernel()
+        end = 0.30000000000000004
+        flush = 0.3
+        stamps = []
+
+        def on_end(event):
+            kernel.deliver(
+                DispatchBatch(time=flush, stream="s"),
+                lambda e: stamps.append(kernel.now),
+            )
+
+        kernel.schedule(StreamEnd(time=end, stream="s"), on_end)
+        kernel.run()
+        assert stamps == [flush]
+        assert kernel.now == flush
+
+    def test_delivered_event_without_handler_is_counted_and_traced_only(self):
+        trace = KernelTrace()
+        kernel = SimulationKernel(trace=trace)
+        kernel.deliver(QueueEvict(time=0.0, stream="s", num_frames=2, reason="backlog"))
+        assert kernel.events_processed == 1
+        assert trace.counts() == {"QueueEvict": 1}
+        assert kernel.pending_events == 0
+
+    def test_delivering_at_another_time_raises(self):
+        kernel = SimulationKernel()
+        kernel.schedule(FrameReady(time=1.0, stream="s"), lambda e: None)
+        kernel.run()
+        for time in (0.5, 1.5):
+            with pytest.raises(ValueError, match="cannot deliver"):
+                kernel.deliver(QueueEvict(time=time, stream="s"))
+        assert kernel.events_processed == 1
+
     def test_drained_kernel_keeps_no_handler_alive(self):
-        # Handlers live only in heap entries: once its events are delivered,
-        # the kernel holds no reference to a handler's owner.
+        # Handlers live only in heap entries and arrival columns: once its
+        # events are delivered, the kernel holds no reference to a handler's
+        # owner (a stream client that holds the kernel would otherwise form
+        # a cycle that outlives the run).
         class Owner:
             def on_event(self, event):
+                pass
+
+            def on_arrival(self, index, time):
                 pass
 
         kernel = SimulationKernel()
         owner = Owner()
         kernel.schedule(FrameReady(time=0.0, stream="s"), owner.on_event)
-        ref = weakref.ref(owner)
-        del owner
-        assert ref() is not None  # the queued event still needs it
+        column_owner = Owner()
+        kernel.add_arrivals([0.1, 0.2], column_owner.on_arrival, "t")
+        refs = [weakref.ref(owner), weakref.ref(column_owner)]
+        del owner, column_owner
+        kernel.run(until=0.1)
+        # The queued arrival still needs its handler.
+        assert refs[0]() is None and refs[1]() is not None
         kernel.run()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
 def _contended_fleet():
@@ -208,7 +284,8 @@ def _remapping_fleet():
 
 
 class TestProductionWiring:
-    """Every scheduling site hands the kernel the callee of its event.
+    """Every scheduling, delivery and arrival-registration site hands the
+    kernel the callee of its event.
 
     Each fleet builder returns ``(sources, remap_policy)``.
     """
@@ -216,25 +293,52 @@ class TestProductionWiring:
     @pytest.mark.parametrize("fleet", [_contended_fleet, _remapping_fleet])
     def test_each_event_reaches_its_stream_callee(self, monkeypatch, fleet):
         sources, policy = fleet()
-        scheduled = []
+        heaped, delivered, columns = [], [], []
         schedule = SimulationKernel.schedule
+        deliver = SimulationKernel.deliver
+        add_arrivals = SimulationKernel.add_arrivals
 
-        def recording(kernel, event, handler=None, seq=None):
-            scheduled.append((event, handler))
-            schedule(kernel, event, handler, seq)
+        def recording_schedule(kernel, event, handler=None):
+            heaped.append((event, handler))
+            schedule(kernel, event, handler)
 
-        monkeypatch.setattr(SimulationKernel, "schedule", recording)
+        def recording_deliver(kernel, event, handler=None):
+            delivered.append((event, handler))
+            deliver(kernel, event, handler)
+
+        def recording_add_arrivals(kernel, times, handler, stream="", stack=None):
+            columns.append((len(times), handler, stream))
+            add_arrivals(kernel, times, handler, stream, stack)
+
+        monkeypatch.setattr(SimulationKernel, "schedule", recording_schedule)
+        monkeypatch.setattr(SimulationKernel, "deliver", recording_deliver)
+        monkeypatch.setattr(SimulationKernel, "add_arrivals", recording_add_arrivals)
         report = MultiStreamSimulator(
             jetson_xavier_agx(), sources, remap_policy=policy
         ).run()
+        # One arrival column per stream, handled by that stream's client.
+        assert [stream for _, _, stream in columns] == [s.name for s in sources]
+        for count, handler, stream in columns:
+            assert handler.__name__ == "_on_arrival"
+            assert isinstance(handler.__self__, StreamClient)
+            assert handler.__self__.name == stream
+        arrivals = sum(count for count, _, _ in columns)
+        assert arrivals == report.frames_generated > 0
         callees = {
-            FrameReady: "_on_frame",
             DispatchBatch: "_on_dispatch",
             StreamEnd: "_on_stream_end",
             InferenceDone: "_on_done",
         }
         evict_reasons = set()
-        for event, handler in scheduled:
+        # Only dispatches and evictions are delivered inline; the heap never
+        # sees them, nor a FrameReady.
+        assert {type(event) for event, _ in delivered} <= {DispatchBatch, QueueEvict}
+        assert not {type(event) for event, _ in heaped} & {
+            DispatchBatch,
+            QueueEvict,
+            FrameReady,
+        }
+        for event, handler in heaped + delivered:
             kind = type(event)
             if kind is QueueEvict:
                 assert handler is None
@@ -248,13 +352,36 @@ class TestProductionWiring:
                 is_client = isinstance(handler.__self__, StreamClient)
                 # Only a server's wake-ups and own completions carry no records.
                 assert is_client == (kind is not InferenceDone or bool(event.records))
-        kinds = {type(event) for event, _ in scheduled}
+        kinds = {type(event) for event, _ in heaped + delivered}
         assert set(callees) <= kinds
         if policy is None:
             assert evict_reasons == {"backlog", "queue-full"}
         else:
             assert RemapTriggered in kinds
-        assert report.events_processed == len(scheduled)
+        assert report.events_processed == len(heaped) + len(delivered) + arrivals
+
+    def test_every_enqueue_finds_its_server_busy(self, monkeypatch):
+        """A dispatch that waits finds the server busy past its time.
+
+        This is why a queue-full eviction may be delivered inline: the
+        wake-up the enqueue schedules is strictly later, so no same-time
+        completion can precede the eviction in the heap.
+        """
+        sources, _ = _contended_fleet()
+        dispatch = SignatureServer.dispatch
+        waits = []
+
+        def checked(server, client, batch, time):
+            busy = server.busy_until(client)
+            if server.pending_count or busy > time:
+                waits.append((busy, time, server.pending_count))
+            dispatch(server, client, batch, time)
+
+        monkeypatch.setattr(SignatureServer, "dispatch", checked)
+        report = MultiStreamSimulator(jetson_xavier_agx(), sources).run()
+        assert waits and report.frames_dropped > 0
+        assert any(pending for _, _, pending in waits)
+        assert all(busy > time for busy, time, _ in waits)
 
 
 class TestKernelResources:

@@ -170,6 +170,29 @@ class TestSharedRender:
                 with pytest.raises(ValueError):
                     column += 0
 
+    def test_rendered_source_cannot_serve_a_stale_cut(self, platform):
+        """A source is frozen once built: reassigning its window after the
+        render raises, and ``dataclasses.replace`` derives a fresh cut."""
+        from repro.scenarios import default_registry
+
+        source = default_registry().compile(
+            "steady", num_streams=3, duration=0.3, scale=0.1, num_bins=4
+        )[0]
+        _, arrivals = source.generate_stack()
+        assert len(arrivals) == 36
+        stop = float(arrivals[17])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            source.stop_time = stop
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            source.start_offset = 1.0
+        with pytest.raises(ValueError):
+            arrivals[0] = 0.0  # the kernel's arrival column is read-only
+        cut = dataclasses.replace(source, name="cut", stop_time=stop)
+        assert len(cut.generate_stack()[1]) == 18
+        report = MultiStreamSimulator(platform, [source, cut]).run()
+        assert report.reports[source.name].frames_generated == 36
+        assert report.reports[cut.name].frames_generated == 18
+
     def test_bin_counts_render_separately(self, sequence, network):
         four = StreamSource("four", sequence, network, EvEdgeConfig(num_bins=4))
         five = StreamSource("five", sequence, network, EvEdgeConfig(num_bins=5))
