@@ -4,11 +4,17 @@ A candidate assigns every compute layer of the multi-task graph to one
 processing element and one precision supported by that element (paper
 Section 4.3.1).  Candidates know how to generate themselves randomly, mutate
 and produce a hashable key for fitness caching.
+
+What a random or mutated candidate may choose depends only on the graph and
+the platform, so it is compiled once into a :class:`ChoiceTable` that lives
+on the graph (:meth:`~repro.nn.graph.MultiTaskGraph.compiled`).  Generation
+reads the table and consumes the RNG exactly as a walk over the graph would:
+one ``integers`` call per PE draw and one per precision draw, in node order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -17,15 +23,87 @@ from ...hw.pe import Platform
 from ...nn.graph import MultiTaskGraph
 from ...nn.quantization import Precision
 
-__all__ = ["Assignment", "MappingCandidate"]
+__all__ = ["Assignment", "ChoiceTable", "MappingCandidate"]
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """Placement of one layer: which device and at which precision."""
+    """Placement of one layer: which device and at which precision.
+
+    ``key`` is the ``(pe, precision value)`` pair, computed once: candidate
+    keys and the scheduler's option lookups hash it instead of the
+    :class:`Precision` enum.
+    """
 
     pe: str
     precision: Precision
+    key: Tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.pe, self.precision.value))
+
+
+# One node's choices: per capable PE (platform order) its assignments in
+# ``supported_precisions`` order, and per PE its highest-precision one.
+_Options = Tuple[Tuple[Assignment, ...], ...]
+_Highest = Tuple[Assignment, ...]
+
+
+class ChoiceTable:
+    """Every compute node's (PE, precision) choices on one platform.
+
+    ``choices`` maps each compute node, in topological order, to its
+    ``(options, highest)``: ``options[j]`` holds the assignments of the
+    ``j``-th PE that can run the node, one per supported precision, and
+    ``highest[j]`` that PE's highest-precision assignment.  Assignments are
+    interned per ``(PE, precision)``: they are frozen, so candidates share
+    them.
+    """
+
+    __slots__ = ("choices",)
+
+    def __init__(self, graph: MultiTaskGraph, platform: Platform) -> None:
+        interned: Dict[Tuple[str, Precision], Assignment] = {}
+
+        def intern(pe_name: str, precision: Precision) -> Assignment:
+            return interned.setdefault(
+                (pe_name, precision), Assignment(pe_name, precision)
+            )
+
+        self.choices: Dict[str, Tuple[_Options, _Highest]] = {}
+        for node in graph.compute_nodes():
+            pes = platform.candidates_for(graph.spec(node))
+            options = tuple(
+                tuple(intern(pe.name, p) for p in pe.supported_precisions)
+                for pe in pes
+            )
+            highest = tuple(
+                intern(pe.name, pe.highest_supported_precision()) for pe in pes
+            )
+            self.choices[node] = (options, highest)
+
+    @staticmethod
+    def of(graph: MultiTaskGraph, platform: Platform) -> "ChoiceTable":
+        """The table of ``graph`` on ``platform``, built once per pair."""
+        return graph.compiled(ChoiceTable, platform)
+
+
+def _draw(
+    integers,
+    options: _Options,
+    highest: _Highest,
+    full_precision_only: bool,
+) -> Assignment:
+    """One node's redraw: a PE, then (unless full precision only) its precision.
+
+    Each draw is one ``integers`` call, and the precision draw's bound is
+    the precision count of the PE drawn just before it.
+    """
+    pe = integers(len(options))
+    if full_precision_only:
+        return highest[pe]
+    precisions = options[pe]
+    return precisions[integers(len(precisions))]
 
 
 class MappingCandidate:
@@ -45,21 +123,19 @@ class MappingCandidate:
     ) -> "MappingCandidate":
         """Sample a uniformly random valid candidate.
 
-        ``full_precision_only`` restricts the precision choice to the highest
-        precision each device supports (the Ev-Edge-NMP-FP variant).
+        Per compute node in topological order, one draw picks a capable PE
+        and, unless ``full_precision_only``, a second draw one of its
+        precisions; ``full_precision_only`` takes the highest precision the
+        PE supports (the Ev-Edge-NMP-FP variant).
         """
-        assignments: Dict[str, Assignment] = {}
-        for node in graph.compute_nodes():
-            spec = graph.spec(node)
-            candidates = platform.candidates_for(spec)
-            pe = candidates[rng.integers(len(candidates))]
-            if full_precision_only:
-                precision = pe.highest_supported_precision()
-            else:
-                precisions = list(pe.supported_precisions)
-                precision = precisions[rng.integers(len(precisions))]
-            assignments[node] = Assignment(pe.name, precision)
-        return cls(assignments)
+        choices = ChoiceTable.of(graph, platform).choices
+        integers = rng.integers
+        return cls(
+            {
+                node: _draw(integers, options, highest, full_precision_only)
+                for node, (options, highest) in choices.items()
+            }
+        )
 
     @classmethod
     def uniform(
@@ -69,9 +145,8 @@ class MappingCandidate:
         precision: Precision,
     ) -> "MappingCandidate":
         """Map every compute node to the same device and precision."""
-        return cls(
-            {node: Assignment(pe_name, precision) for node in graph.compute_nodes()}
-        )
+        assignment = Assignment(pe_name, precision)
+        return cls(dict.fromkeys(graph.compute_nodes(), assignment))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -84,14 +159,18 @@ class MappingCandidate:
         return node in self.assignments
 
     def key(self) -> Tuple:
-        """Hashable identity used for fitness caching."""
+        """Hashable identity used for fitness caching.
+
+        The sorted ``(node, pe, precision value)`` triples.
+        """
+        assignments = self.assignments
         return tuple(
-            (node, a.pe, a.precision.value) for node, a in sorted(self.assignments.items())
+            [(node,) + assignments[node].key for node in sorted(assignments)]
         )
 
     def copy(self) -> "MappingCandidate":
         """Independent copy of the candidate."""
-        return MappingCandidate(dict(self.assignments))
+        return MappingCandidate(self.assignments)
 
     # ------------------------------------------------------------------
     def mutate(
@@ -106,25 +185,24 @@ class MappingCandidate:
 
         This is the paper's mutation operator: "a specified number of layers
         in each task is replaced with a random mapping resource and precision
-        choice".
+        choice".  One ``choice`` draw picks the layers among the candidate's
+        nodes (in its insertion order); each is then redrawn as in
+        :meth:`random`.
         """
         child = self.copy()
-        nodes = list(child.assignments)
+        assignments = child.assignments
+        nodes = list(assignments)
         if not nodes:
             return child
         num_mutations = min(max(num_mutations, 0), len(nodes))
         chosen = rng.choice(len(nodes), size=num_mutations, replace=False)
-        for idx in np.atleast_1d(chosen):
-            node = nodes[int(idx)]
-            spec = graph.spec(node)
-            candidates = platform.candidates_for(spec)
-            pe = candidates[rng.integers(len(candidates))]
-            if full_precision_only:
-                precision = pe.highest_supported_precision()
-            else:
-                precisions = list(pe.supported_precisions)
-                precision = precisions[rng.integers(len(precisions))]
-            child.assignments[node] = Assignment(pe.name, precision)
+        choices = ChoiceTable.of(graph, platform).choices
+        integers = rng.integers
+        for idx in chosen.tolist():
+            node = nodes[idx]
+            assignments[node] = _draw(
+                integers, *choices[node], full_precision_only=full_precision_only
+            )
         return child
 
     # ------------------------------------------------------------------

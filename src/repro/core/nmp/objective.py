@@ -96,13 +96,18 @@ class FitnessEvaluator:
         self.accuracy_threshold = accuracy_threshold
         self.penalty_weight = penalty_weight
         self.accuracy_subset = accuracy_subset
-        # Per-task compute nodes in topological order, resolved once: the
-        # degradation keys and per-task precision lists are on the hot path.
+        # Task names, the tasks with an accuracy evaluator, and per-task
+        # compute nodes in topological order, resolved once: the degradation
+        # keys and per-task precision lists are on the hot path.
+        self._task_names: Tuple[str, ...] = tuple(graph.task_names)
+        self._measured_tasks: Tuple[str, ...] = tuple(
+            name for name in self._task_names if name in self.accuracy_evaluators
+        )
         self._task_nodes: Dict[str, Tuple[str, ...]] = {
             name: tuple(
                 n for n in graph.compute_nodes() if graph.network_of(n) == name
             )
-            for name in graph.task_names
+            for name in self._task_names
         }
         self._cache: Dict[tuple, FitnessBreakdown] = {}
         self._degradation_cache: Dict[tuple, float] = {}
@@ -112,9 +117,7 @@ class FitnessEvaluator:
 
     # ------------------------------------------------------------------
     def _task_degradation(self, candidate: MappingCandidate, task_name: str) -> float:
-        evaluator = self.accuracy_evaluators.get(task_name)
-        if evaluator is None:
-            return 0.0
+        evaluator = self.accuracy_evaluators[task_name]
         assignments = candidate.assignments
         layer_precisions = tuple(
             assignments[node].precision for node in self._task_nodes[task_name]
@@ -136,14 +139,16 @@ class FitnessEvaluator:
     def evaluate(self, candidate: MappingCandidate) -> FitnessBreakdown:
         """Return (cached) fitness details for ``candidate``."""
         key = candidate.key()
-        if key in self._cache:
+        cached = self._cache.get(key)
+        if cached is not None:
             self.cache_hits += 1
-            return self._cache[key]
+            return cached
         self.evaluations += 1
         task_latencies, energy = self.scheduler.schedule_metrics(self.graph, candidate)
-        degradations = {
-            name: self._task_degradation(candidate, name) for name in self.graph.task_names
-        }
+        # Tasks without an accuracy evaluator have zero degradation.
+        degradations = dict.fromkeys(self._task_names, 0.0)
+        for name in self._measured_tasks:
+            degradations[name] = self._task_degradation(candidate, name)
         violation = sum(
             max(d - self.accuracy_threshold, 0.0) for d in degradations.values()
         )

@@ -103,10 +103,16 @@ class FlatGraph:
     * ``parents[i]`` — flat indices of the data-dependency parents, in the
       graph's predecessor order (transfer insertion order matters);
     * ``task_index[i]`` — index into ``task_names`` (compute nodes only);
-    * ``options[i]`` — ``(pe_name, precision) -> ProfileEntry`` with the
-      scheduler's sparse preference already resolved (compute nodes only);
-    * ``output_bytes[i]`` — ``precision -> bytes`` of the node's output
-      activation (compute nodes only; consumed when inserting transfers).
+    * ``options[i]`` — ``(pe_name, precision value) -> ProfileEntry`` with
+      the scheduler's sparse preference already resolved (compute nodes
+      only);
+    * ``output_bytes[i]`` — ``precision value -> bytes`` of the node's
+      output activation (compute nodes only; consumed when inserting
+      transfers).
+
+    Both are keyed by :attr:`~.candidate.Assignment.key` parts (plain
+    strings) rather than :class:`Precision` members, whose hash runs in
+    Python.
     """
 
     __slots__ = (
@@ -136,8 +142,8 @@ class FlatGraph:
         self.task_names: List[str] = list(graph.task_names)
         task_index = {name: i for i, name in enumerate(self.task_names)}
         self.task_index: List[int] = []
-        self.options: List[Optional[Dict[Tuple[str, Precision], ProfileEntry]]] = []
-        self.output_bytes: List[Optional[Dict[Precision, int]]] = []
+        self.options: List[Optional[Dict[Tuple[str, str], ProfileEntry]]] = []
+        self.output_bytes: List[Optional[Dict[str, int]]] = []
         for name in nodes:
             spec = graph.spec(name)
             compute = spec.kind.is_compute
@@ -148,7 +154,7 @@ class FlatGraph:
                 self.options.append(None)
                 self.output_bytes.append(None)
                 continue
-            options: Dict[Tuple[str, Precision], ProfileEntry] = {}
+            options: Dict[Tuple[str, str], ProfileEntry] = {}
             for pe in platform:
                 if not pe.supports_layer(spec):
                     continue
@@ -156,12 +162,15 @@ class FlatGraph:
                     use_sparse = sparse and profile.has(name, pe.name, precision, True)
                     if not profile.has(name, pe.name, precision, use_sparse):
                         continue
-                    options[(pe.name, precision)] = profile.lookup(
+                    options[(pe.name, precision.value)] = profile.lookup(
                         name, pe.name, precision, use_sparse
                     )
             self.options.append(options)
             self.output_bytes.append(
-                {precision: spec.output_bytes(precision) for precision in Precision}
+                {
+                    precision.value: spec.output_bytes(precision)
+                    for precision in Precision
+                }
             )
 
 
@@ -261,7 +270,7 @@ class ExecutionScheduler:
                     if parent_end > ready:
                         ready = parent_end
                     continue
-                num_bytes = output_bytes[p][parent_assignment.precision]
+                num_bytes = output_bytes[p][parent_assignment.key[1]]
                 if num_bytes <= 0:
                     transfer_time = transfer_latency
                 else:
@@ -282,7 +291,7 @@ class ExecutionScheduler:
                 if finish > ready:
                     ready = finish
 
-            entry = options[i][(pe_name, assignment.precision)]
+            entry = options[i][assignment.key]
             device_ready = queue_ready[pe_name]
             start = ready if ready > device_ready else device_ready
             finish = start + entry.latency

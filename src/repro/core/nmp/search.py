@@ -38,11 +38,12 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_chec
 
 import numpy as np
 
+from ...frames.sparse import pairwise_mean
 from ...hw.pe import Platform
 from ...hw.profiler import ProfileTable
 from ...nn.accuracy import TaskAccuracyEvaluator
 from ...nn.graph import MultiTaskGraph
-from .candidate import Assignment, MappingCandidate
+from .candidate import ChoiceTable, MappingCandidate
 from .objective import FitnessBreakdown, FitnessEvaluator
 
 __all__ = [
@@ -392,16 +393,14 @@ class GreedyLayerwiseStrategy:
         assert self._incumbent is not None and self._nodes
         node = self._nodes[self._cursor % len(self._nodes)]
         self._cursor += 1
-        spec = ctx.graph.spec(node)
+        options, highest = ChoiceTable.of(ctx.graph, ctx.platform).choices[node]
+        if ctx.config.full_precision_only:
+            options = tuple((assignment,) for assignment in highest)
         variants: List[MappingCandidate] = []
-        for pe in ctx.platform.candidates_for(spec):
-            if ctx.config.full_precision_only:
-                precisions = [pe.highest_supported_precision()]
-            else:
-                precisions = list(pe.supported_precisions)
-            for precision in precisions:
+        for precisions in options:
+            for assignment in precisions:
                 variant = self._incumbent.copy()
-                variant.assignments[node] = Assignment(pe.name, precision)
+                variant.assignments[node] = assignment
                 variants.append(variant)
         return variants
 
@@ -514,9 +513,10 @@ class MapperEngine:
                 GenerationStats(
                     generation=generation,
                     best_fitness=best_breakdown.fitness,
-                    # Mean over the ranked order: summation order is part of
-                    # the bit-for-bit seed-reproduction contract.
-                    mean_fitness=float(np.mean([b.fitness for _, b in ranked])),
+                    # Mean over the ranked order in np.mean's pairwise
+                    # summation order: it is part of the bit-for-bit
+                    # seed-reproduction contract.
+                    mean_fitness=pairwise_mean([b.fitness for _, b in ranked]),
                     best_latency=best_breakdown.max_task_latency,
                 )
             )

@@ -19,6 +19,7 @@ from .layers import LayerSpec
 __all__ = ["LayerGraph", "TaskSpec", "MultiTaskGraph"]
 
 _T = TypeVar("_T")
+_P = TypeVar("_P")
 
 
 class LayerGraph:
@@ -229,6 +230,10 @@ class MultiTaskGraph:
     Nodes are globally identified as ``"<network>.<layer>"``.  Cross-network
     edges are not created: concurrent tasks are independent, but compete for
     the same processing elements.
+
+    The graph has no mutator, so its topological order and compute-node
+    list are computed once, at construction; the NMP search asks for them
+    on every candidate it builds.
     """
 
     def __init__(self, tasks: Sequence[TaskSpec]) -> None:
@@ -253,6 +258,13 @@ class MultiTaskGraph:
                 self._graph.add_edge(
                     self.node_id(net.name, producer), self.node_id(net.name, consumer)
                 )
+        self._order: Tuple[str, ...] = tuple(nx.topological_sort(self._graph))
+        self._compute_order: Tuple[str, ...] = tuple(
+            n for n in self._order if self.spec(n).kind.is_compute
+        )
+        # (builder, id(platform)) -> (platform, what builder compiled); the
+        # entry holds the platform, so its id is never reused while cached.
+        self._compiled: Dict[Tuple[Callable, int], Tuple[object, object]] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -265,11 +277,27 @@ class MultiTaskGraph:
 
     def nodes(self) -> List[str]:
         """All node ids in topological order."""
-        return list(nx.topological_sort(self._graph))
+        return list(self._order)
 
     def compute_nodes(self) -> List[str]:
         """Node ids of compute layers only, topological order."""
-        return [n for n in self.nodes() if self.spec(n).kind.is_compute]
+        return list(self._compute_order)
+
+    def compiled(self, build: Callable[["MultiTaskGraph", _P], _T], platform: _P) -> _T:
+        """``build(self, platform)``, computed once per platform object.
+
+        Lets the mapper compile what depends only on the graph and the
+        platform (the candidate choice tables of
+        :mod:`repro.core.nmp.candidate`) once, on the graph itself, so it
+        lives exactly as long as the graph does.
+        """
+        key = (build, id(platform))
+        entry = self._compiled.get(key)
+        # The identity check guards entries that crossed a pickle, whose
+        # keys hold another process's ids.
+        if entry is None or entry[0] is not platform:
+            entry = self._compiled[key] = (platform, build(self, platform))
+        return entry[1]  # type: ignore[return-value]
 
     def spec(self, node: str) -> LayerSpec:
         """The :class:`LayerSpec` of a node."""

@@ -756,12 +756,12 @@ COST_MODES = ("flat", "profile")
 class NetworkCostModel:
     """Whole-network inference cost under one fixed mapping and config.
 
-    The layer→(PE, precision) assignment is resolved once at construction
-    (the same rules the seed pipeline applied per call: NMP mapping when
-    enabled, GPU + baseline precision otherwise, GPU fallback for layers the
-    assigned device cannot run) and compiled into integer cells of the
-    shared :class:`LayerCostTable` plus the bytes each cross-PE boundary
-    moves.
+    The layer→(PE, precision) assignment is resolved at construction and
+    on every :meth:`rebind` (the same rules the seed pipeline applied per
+    call: NMP mapping when enabled, GPU + baseline precision otherwise, GPU
+    fallback for layers the assigned device cannot run) and compiled into
+    integer cells of the shared :class:`LayerCostTable` plus the bytes each
+    cross-PE boundary moves, once per distinct mapping key.
 
     The model is a *layered cost stack*: every inference is costed from an
     :class:`~repro.nn.occupancy.OccupancyProfile` (one occupancy per
@@ -804,7 +804,17 @@ class NetworkCostModel:
         self.table = table or LayerCostTable()
         self.cost_mode = cost_mode
         self._specs = [spec for spec in network.layers() if spec.kind.is_compute]
+        # Each compute layer's mapping names (full node id, then bare layer
+        # name) and the GPU it falls back to, resolved once per model.
+        self._node_names = tuple(
+            (f"{network.name}.{spec.name}", spec.name) for spec in self._specs
+        )
+        self._gpu = platform.gpu()
+        self._baseline = (self._gpu.name, self.config.baseline_precision.value)
         self._cache: Dict[tuple, Tuple[float, float]] = {}
+        # Mapping key -> its compiled (cells, transfers, pes_used).  A
+        # compiled resolution depends only on the key, so it outlives rebinds.
+        self._resolutions: Dict[tuple, tuple] = {}
         # Input bucket -> its bucketed profile row, and a merged dispatch's
         # member density -> its row (frame densities recur across streams
         # sharing a recording, so a row is usually one dict hit away).  Rows
@@ -814,23 +824,57 @@ class NetworkCostModel:
         self._density_rows: Dict[float, Tuple[Optional[float], ...]] = {}
         self._resolve()
 
-    def _resolve(self) -> None:
-        """Compile the layer→(PE, precision) assignment under the active mapping.
+    def _mapping_key(self) -> Tuple[Tuple[str, str], ...]:
+        """The ``(pe, precision value)`` of each compute layer under the mapping.
 
-        Each layer becomes a :class:`LayerCostTable` cell; a layer whose
-        producer ran on another PE also records ``(producer output bytes,
-        producer PE, PE)``, the unified-memory transfer a batch of one
-        moves across that boundary (``None`` elsewhere).
+        A layer takes the mapping's assignment of its full node id, else of
+        its bare name, else the GPU at the baseline precision; without an
+        NMP mapping every layer takes the latter, so such a model has a
+        single key.
+        """
+        baseline = self._baseline
+        if self.mapping is None or not self.config.optimization.uses_nmp:
+            return (baseline,) * len(self._specs)
+        get = self.mapping.assignments.get
+        key = []
+        for full_node, node_name in self._node_names:
+            assignment = get(full_node)
+            if assignment is None:
+                assignment = get(node_name)
+            key.append(baseline if assignment is None else assignment.key)
+        return tuple(key)
+
+    def _resolve(self) -> None:
+        """Point the model at the compiled resolution of the active mapping.
+
+        Each mapping key is compiled once (:meth:`_compile`) and reused by
+        every later rebind to a mapping with the same key.
+        """
+        key = self._mapping_key()
+        compiled = self._resolutions.get(key)
+        if compiled is None:
+            compiled = self._resolutions[key] = self._compile(key)
+        self._cells, self._transfers, self._pes_used = compiled
+
+    def _compile(self, key: Tuple[Tuple[str, str], ...]) -> tuple:
+        """Compile one mapping key into cells, transfers and the PEs used.
+
+        Each layer becomes a :class:`LayerCostTable` cell, on the GPU when
+        its assigned PE cannot run it; a layer whose producer ran on
+        another PE also records ``(producer output bytes, producer PE,
+        PE)``, the unified-memory transfer a batch of one moves across that
+        boundary (``None`` elsewhere).
         """
         sparse = self.uses_sparse
         cells: List[int] = []
         transfers: List[Optional[Tuple[int, str, str]]] = []
         seen: List[str] = []
         previous = None
-        for spec in self._specs:
-            pe, precision = self._assignment_for(spec.name)
+        for spec, (pe_name, value) in zip(self._specs, key):
+            pe = self.platform.pe(pe_name)
+            precision = Precision(value)
             if not pe.supports_layer(spec):
-                pe = self.platform.gpu()
+                pe = self._gpu
             cells.append(
                 self.table.cell(spec, pe, precision, sparse and pe.supports_sparse)
             )
@@ -846,41 +890,25 @@ class NetworkCostModel:
             if pe.name not in seen:
                 seen.append(pe.name)
             previous = (pe, spec, precision)
-        self._cells = tuple(cells)
-        self._transfers = tuple(transfers)
-        self._pes_used = tuple(seen)
+        return tuple(cells), tuple(transfers), tuple(seen)
 
     def rebind(self, mapping: Optional[MappingCandidate]) -> None:
         """Swap the NMP mapping and invalidate every memoized inference cost.
 
-        Used by online traffic-adaptive remapping: the per-layer costs in the
-        shared :class:`LayerCostTable` stay valid (they are keyed on the
-        layer/PE/precision cell, not on the mapping), but the resolved
-        cells, the transfer boundaries, the occupied-PE set and the
-        whole-network cost memo are all mapping-dependent and must be
-        rebuilt.  Note that an execution server's *grouping* of streams
-        (its :meth:`signature_for` at construction time) is intentionally
-        not revisited — streams that shared a cost surface before a remap
-        still share the rebound one.
+        Used by online traffic-adaptive remapping.  The per-layer costs in
+        the shared :class:`LayerCostTable` stay valid (they are keyed on the
+        layer/PE/precision cell, not on the mapping).  The resolved cells,
+        the transfer boundaries and the occupied-PE set depend only on the
+        mapping key (:meth:`_mapping_key`), so a key compiled before — by
+        an earlier rebind or at construction — is reused as it is.  The
+        whole-network cost memo is cleared on every rebind.  Note that an
+        execution server's *grouping* of streams (its :meth:`signature_for`
+        at construction time) is intentionally not revisited — streams that
+        shared a cost surface before a remap still share the rebound one.
         """
         self.mapping = mapping
         self._resolve()
         self._cache.clear()
-
-    # ------------------------------------------------------------------
-    def _assignment_for(self, node_name: str) -> Tuple[ProcessingElement, Precision]:
-        """(pe, precision) of one layer under the active mapping."""
-        gpu = self.platform.gpu()
-        if self.mapping is None or not self.config.optimization.uses_nmp:
-            return gpu, self.config.baseline_precision
-        full_node = f"{self.network.name}.{node_name}"
-        if full_node in self.mapping:
-            assignment = self.mapping[full_node]
-        elif node_name in self.mapping:
-            assignment = self.mapping[node_name]
-        else:
-            return gpu, self.config.baseline_precision
-        return self.platform.pe(assignment.pe), assignment.precision
 
     @property
     def pes_used(self) -> Tuple[str, ...]:
@@ -913,15 +941,34 @@ class NetworkCostModel:
         discard it when the signature already had a server was a measurable
         share of fleet start-up time.
         """
-        config = config or EvEdgeConfig()
         mapping_key = None if mapping is None else mapping.key()
         return (
             network.name,
             tuple(spec for spec in network.layers() if spec.kind.is_compute),
             mapping_key,
-            config.optimization,
-            config.baseline_precision,
-        )
+        ) + NetworkCostModel._config_identity(config)
+
+    @staticmethod
+    def identity_for(
+        network: LayerGraph,
+        config: Optional[EvEdgeConfig] = None,
+        mapping: Optional[MappingCandidate] = None,
+    ) -> tuple:
+        """The inputs :meth:`signature_for` reads, with objects by identity.
+
+        Equal identities have equal signatures as long as the network and
+        mapping objects are alive and unchanged, so a caller that holds
+        them (the traffic simulator, within one set-up) can resolve each
+        identity's signature once: a fleet shares a few network and
+        mapping objects among many sources.
+        """
+        return (id(network), id(mapping)) + NetworkCostModel._config_identity(config)
+
+    @staticmethod
+    def _config_identity(config: Optional[EvEdgeConfig]) -> tuple:
+        """The configuration fields a cost surface depends on."""
+        config = config or EvEdgeConfig()
+        return (config.optimization, config.baseline_precision)
 
     # ------------------------------------------------------------------
     # occupancy profiles

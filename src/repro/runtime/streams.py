@@ -456,6 +456,9 @@ class AdaptiveMappingClient:
         self._networks: Dict[str, LayerGraph] = {}
         self._profiles: Dict[str, ProfileTable] = {}
         self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
+        # Per engine: its all-GPU fallback warm start and that seed's key.
+        # Searches copy their seeds, so one fallback serves every remap.
+        self._fallbacks: Dict[Tuple[str, ...], Tuple[MappingCandidate, tuple]] = {}
         self._searches: Dict[tuple, NMPResult] = {}
         self.records: List[RemapRecord] = []
 
@@ -500,6 +503,14 @@ class AdaptiveMappingClient:
                 graph, self.platform, profile, config=self.policy.nmp_config
             )
             self._engines[key] = engine
+            gpu = self.platform.gpu()
+            precision = (
+                Precision.FP16
+                if gpu.supports_precision(Precision.FP16)
+                else gpu.highest_supported_precision()
+            )
+            fallback = MappingCandidate.uniform(graph, gpu.name, precision)
+            self._fallbacks[key] = (fallback, fallback.key())
         return engine
 
     def remap(
@@ -524,24 +535,18 @@ class AdaptiveMappingClient:
         if not unique:
             return None
         engine = self.engine_for(unique)
-        gpu = self.platform.gpu()
-        precision = (
-            Precision.FP16
-            if gpu.supports_precision(Precision.FP16)
-            else gpu.highest_supported_precision()
-        )
-        fallback = MappingCandidate.uniform(engine.graph, gpu.name, precision)
+        names = tuple(sorted(net.name for net in unique))
+        fallback, fallback_key = self._fallbacks[names]
         seeds = [fallback]
+        seed_keys: Tuple[tuple, ...] = (fallback_key,)
         if current_assignments:
             warm = dict(fallback.assignments)
             for node, assignment in current_assignments.items():
                 if node in warm:
                     warm[node] = assignment
             seeds.insert(0, MappingCandidate(warm))
-        key = (
-            tuple(sorted(net.name for net in unique)),
-            tuple(seed.key() for seed in seeds),
-        )
+            seed_keys = (seeds[0].key(), fallback_key)
+        key = (names, seed_keys)
         # Callers keep the candidates handed out (rebind() stores them), so
         # the memo holds its own copy and every hit returns a fresh one.
         memo = self._searches.get(key)
@@ -889,34 +894,44 @@ class MultiStreamSimulator:
         """One remap trigger per distinct join/leave instant."""
         triggers = {(source.start_offset, "join") for source in self.sources}
         triggers |= {(source.end_time, "leave") for source in self.sources}
+        # NMP-enabled clients with their [join, leave) windows, read once:
+        # sources are immutable, and every trigger scans them all.
+        windows = [
+            (c, c.source.start_offset, c.source.end_time)
+            for c in clients
+            if c.config.optimization.uses_nmp
+        ]
         for time, reason in sorted(triggers):
             kernel.schedule(
                 RemapTriggered(time=time, reason=reason),
-                lambda event: self._on_remap(event, clients),
+                lambda event: self._on_remap(event, windows),
             )
 
+    @staticmethod
     def _active_clients(
-        self, clients: List[StreamClient], time: float
+        windows: List[Tuple[StreamClient, float, float]], time: float
     ) -> List[StreamClient]:
         """NMP-enabled streams whose [start_offset, end_time) covers ``time``."""
-        eps = 1e-12
-        return [
-            c
-            for c in clients
-            if c.config.optimization.uses_nmp
-            and c.source.start_offset <= time + eps
-            and c.source.end_time > time + eps
-        ]
+        at = time + 1e-12
+        return [c for c, start, end in windows if start <= at and end > at]
 
-    def _on_remap(self, event: RemapTriggered, clients: List[StreamClient]) -> None:
+    def _on_remap(
+        self,
+        event: RemapTriggered,
+        windows: List[Tuple[StreamClient, float, float]],
+    ) -> None:
         assert self.remap_client is not None
-        active = self._active_clients(clients, event.time)
+        active = self._active_clients(windows, event.time)
         if not active:
             return
+        # Streams share cost models, and folding a model's mapping in again
+        # changes nothing: the warm-start union folds each distinct model's
+        # mapping once, at that model's last position among the streams.
+        last = {id(c.cost_model): i for i, c in enumerate(active)}
         current: Dict[str, Assignment] = {}
-        for client in active:
+        for i, client in enumerate(active):
             deployed = client.cost_model.mapping
-            if deployed is not None:
+            if deployed is not None and last[id(client.cost_model)] == i:
                 current.update(deployed.assignments)
         result = self.remap_client.remap(
             [c.source.network for c in active],
@@ -927,13 +942,9 @@ class MultiStreamSimulator:
         )
         if result is None:
             return
-        rebound = set()
-        for client in active:
-            model = client.cost_model
-            if id(model) in rebound:
-                continue
+        # Rebind each model once, in order of first appearance.
+        for model in {id(c.cost_model): c.cost_model for c in active}.values():
             model.rebind(result.best_candidate)
-            rebound.add(id(model))
 
     def run(self, trace: Optional[KernelTrace] = None) -> MultiStreamReport:
         """Simulate all streams to completion and return the traffic report.
@@ -974,37 +985,50 @@ class MultiStreamSimulator:
         and therefore exactly the event ordering — of :meth:`run`.
         """
         kernel = SimulationKernel(trace=trace)
-        cost_models: Dict[tuple, NetworkCostModel] = {}
-        servers: Dict[tuple, SignatureServer] = {}
+        # Signature -> its (cost model, server), and the same pair by the
+        # identity of what the signature reads: a fleet shares a few network
+        # and mapping objects among many sources, so each identity resolves
+        # its signature once.
+        by_signature: Dict[tuple, Tuple[NetworkCostModel, SignatureServer]] = {}
+        by_identity: Dict[tuple, Tuple[NetworkCostModel, SignatureServer]] = {}
         clients: List[StreamClient] = []
         for source in self.sources:
-            # Resolve the signature first: constructing (and resolving) a
-            # full cost model per source just to discard it when the
-            # signature already had a server wastes fleet start-up time.
-            signature = NetworkCostModel.signature_for(
+            identity = NetworkCostModel.identity_for(
                 source.network, source.config, source.mapping
             )
-            if signature not in servers:
-                cost_models[signature] = self.cost_model_class(
-                    source.network,
-                    self.platform,
-                    config=source.config,
-                    mapping=source.mapping,
-                    table=self.table,
-                    cost_mode=self.cost_mode,
+            pair = by_identity.get(identity)
+            if pair is None:
+                # Resolve the signature first: constructing (and resolving)
+                # a full cost model per new identity just to discard it when
+                # the signature already had a server wastes start-up time.
+                signature = NetworkCostModel.signature_for(
+                    source.network, source.config, source.mapping
                 )
-                servers[signature] = self.server_class(
-                    kernel,
-                    cost_models[signature],
-                    name=f"server:{source.network.name}:{len(servers)}",
-                    max_merge_streams=self.max_merge_streams,
-                )
+                pair = by_signature.get(signature)
+                if pair is None:
+                    cost_model = self.cost_model_class(
+                        source.network,
+                        self.platform,
+                        config=source.config,
+                        mapping=source.mapping,
+                        table=self.table,
+                        cost_mode=self.cost_mode,
+                    )
+                    server = self.server_class(
+                        kernel,
+                        cost_model,
+                        name=f"server:{source.network.name}:{len(by_signature)}",
+                        max_merge_streams=self.max_merge_streams,
+                    )
+                    pair = by_signature[signature] = (cost_model, server)
+                by_identity[identity] = pair
+            cost_model, server = pair
             clients.append(
                 self.client_class(
                     source,
                     kernel,
-                    executor=servers[signature],
-                    cost_model=cost_models[signature],
+                    executor=server,
+                    cost_model=cost_model,
                     record_limit=self.record_limit,
                 )
             )

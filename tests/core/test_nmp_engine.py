@@ -24,7 +24,7 @@ from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskAccuracyEvaluator, TaskSpec
 from repro.runtime import rr_layer_mapping
 
-from oracles.nmp import schedule_reference
+from oracles.nmp import mutate_reference, random_candidate_reference, schedule_reference
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,10 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     """The pre-engine evolutionary mapper's ``run`` loop, re-implemented verbatim.
 
     The refactored engine must reproduce this bit-for-bit for a given seed
-    (the Figure-10 regression contract).
+    (the Figure-10 regression contract).  Candidates come from the
+    graph-walking generators of :mod:`oracles.nmp`, so a change to how the
+    production generators draw cannot move the engine and this loop
+    together.
     """
     evaluator = FitnessEvaluator(
         graph, platform, profile, accuracy_threshold=config.accuracy_threshold, sparse=True
@@ -60,7 +63,7 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     population = [c.copy() for c in list(initial_candidates)[: config.population_size]]
     while len(population) < config.population_size:
         population.append(
-            MappingCandidate.random(
+            random_candidate_reference(
                 graph, platform, rng, full_precision_only=config.full_precision_only
             )
         )
@@ -90,7 +93,8 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
             pair = (parents[i], parents[min(i + 1, len(parents) - 1)])
             chosen = pair[int(rng.integers(2))]
             children.append(
-                chosen.mutate(
+                mutate_reference(
+                    chosen,
                     graph,
                     platform,
                     rng,

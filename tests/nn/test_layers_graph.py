@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -195,6 +196,36 @@ class TestMultiTaskGraph:
     def test_requires_tasks(self):
         with pytest.raises(ValueError):
             MultiTaskGraph([])
+
+    def make_diamond(self, name):
+        """input -> a -> (b, c) -> d -> output, with pseudo layers at both ends."""
+        g = LayerGraph(name)
+        g.add_layer(LayerSpec(name="in", kind=LayerKind.INPUT))
+        g.add_layer(conv("a"), inputs=["in"])
+        g.add_layer(conv("b"), inputs=["a"])
+        g.add_layer(conv("c"), inputs=["a"])
+        g.add_layer(conv("d"), inputs=["b", "c"])
+        g.add_layer(LayerSpec(name="out", kind=LayerKind.OUTPUT), inputs=["d"])
+        return g
+
+    def test_orders_equal_the_networkx_sort(self):
+        mtg = MultiTaskGraph(
+            [TaskSpec(self.make_diamond("n1")), TaskSpec(self.make_graph("n2"))]
+        )
+        order = list(nx.topological_sort(mtg._graph))
+        assert mtg.nodes() == order
+        compute = [n for n in order if mtg.spec(n).kind.is_compute]
+        assert mtg.compute_nodes() == compute
+        assert len(compute) == len(order) - 2  # the pseudo layers are left out
+
+    def test_returned_orders_are_fresh_lists(self):
+        mtg = MultiTaskGraph([TaskSpec(self.make_diamond("n1"))])
+        nodes, compute = mtg.nodes(), mtg.compute_nodes()
+        expected_nodes, expected_compute = list(nodes), list(compute)
+        nodes.reverse()
+        compute.clear()
+        assert mtg.nodes() == expected_nodes
+        assert mtg.compute_nodes() == expected_compute
 
     def test_duplicate_network_names_rejected(self):
         with pytest.raises(ValueError):

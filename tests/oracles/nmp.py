@@ -1,4 +1,4 @@
-"""Graph-walking reference for the NMP list scheduler.
+"""Graph-walking references for the NMP list scheduler and candidate generation.
 
 :class:`~repro.core.nmp.scheduler.ExecutionScheduler` flattens a multi-task
 graph once into index arrays and schedules every candidate over them.
@@ -6,19 +6,29 @@ graph once into index arrays and schedules every candidate over them.
 per candidate, resolving ``graph.spec()`` / ``graph.predecessors()``,
 querying the profile table and pricing transfers with
 :meth:`~repro.hw.pe.Platform.transfer_time` for every node.  The scheduler
-and fitness tests require the flat path to reproduce it bit for bit.  Like
-the other oracles, it is deliberately unoptimized verification code.
+and fitness tests require the flat path to reproduce it bit for bit.
+
+:func:`random_candidate_reference` and :func:`mutate_reference` are the
+candidate generators that walked the graph per call, resolving each node's
+capable PEs and their precisions from the platform for every draw.  The
+production generators read a :class:`~repro.core.nmp.candidate.ChoiceTable`
+compiled once per (graph, platform) and must return equal assignments in
+the same order while consuming the RNG identically.  Like the other
+oracles, these are deliberately unoptimized verification code.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.nmp.candidate import MappingCandidate
+import numpy as np
+
+from repro.core.nmp.candidate import Assignment, MappingCandidate
 from repro.core.nmp.scheduler import ExecutionScheduler, ScheduledNode, ScheduleResult
+from repro.hw.pe import Platform
 from repro.nn.graph import MultiTaskGraph
 
-__all__ = ["schedule_reference"]
+__all__ = ["schedule_reference", "random_candidate_reference", "mutate_reference"]
 
 _MEMORY_QUEUE = "unified_memory"
 
@@ -96,3 +106,62 @@ def schedule_reference(
     return ScheduleResult(
         timeline=timeline, task_latencies=task_latencies, energy=total_energy
     )
+
+
+def random_candidate_reference(
+    graph: MultiTaskGraph,
+    platform: Platform,
+    rng: np.random.Generator,
+    full_precision_only: bool = False,
+) -> MappingCandidate:
+    """A uniformly random candidate, drawn node by node from the graph.
+
+    Per compute node in topological order: one draw picks a capable PE, and
+    one more (unless ``full_precision_only``) a precision it supports.
+    """
+    assignments: Dict[str, Assignment] = {}
+    for node in graph.compute_nodes():
+        spec = graph.spec(node)
+        candidates = platform.candidates_for(spec)
+        pe = candidates[rng.integers(len(candidates))]
+        if full_precision_only:
+            precision = pe.highest_supported_precision()
+        else:
+            precisions = list(pe.supported_precisions)
+            precision = precisions[rng.integers(len(precisions))]
+        assignments[node] = Assignment(pe.name, precision)
+    return MappingCandidate(assignments)
+
+
+def mutate_reference(
+    candidate: MappingCandidate,
+    graph: MultiTaskGraph,
+    platform: Platform,
+    rng: np.random.Generator,
+    num_mutations: int = 2,
+    full_precision_only: bool = False,
+) -> MappingCandidate:
+    """A copy of ``candidate`` with ``num_mutations`` random layers redrawn.
+
+    One ``choice`` draw picks the layers among the candidate's nodes in its
+    insertion order; each is then redrawn as in
+    :func:`random_candidate_reference`.
+    """
+    child = candidate.copy()
+    nodes = list(child.assignments)
+    if not nodes:
+        return child
+    num_mutations = min(max(num_mutations, 0), len(nodes))
+    chosen = rng.choice(len(nodes), size=num_mutations, replace=False)
+    for idx in np.atleast_1d(chosen):
+        node = nodes[int(idx)]
+        spec = graph.spec(node)
+        candidates = platform.candidates_for(spec)
+        pe = candidates[rng.integers(len(candidates))]
+        if full_precision_only:
+            precision = pe.highest_supported_precision()
+        else:
+            precisions = list(pe.supported_precisions)
+            precision = precisions[rng.integers(len(precisions))]
+        child.assignments[node] = Assignment(pe.name, precision)
+    return child

@@ -262,7 +262,8 @@ class ReferenceCostModel(NetworkCostModel):
     """The object-walking cost stack, kept alive as the compiled stack's oracle.
 
     Resolves a list of ``(spec, pe, precision)`` assignments instead of
-    table cells; propagates input buckets with the per-node graph walk
+    table cells, by per-layer name lookups on every rebind (no memo of
+    compiled resolutions); propagates input buckets with the per-node graph walk
     (:func:`~oracles.occupancy.propagate_occupancy_nodes`); builds one
     :class:`OccupancyProfile` per member frame of a merged dispatch and
     combines them with :meth:`OccupancyProfile.combine` before bucketing;
@@ -297,6 +298,20 @@ class ReferenceCostModel(NetworkCostModel):
             table=table if table is not None else ReferenceLayerCostTable(),
             cost_mode=cost_mode,
         )
+
+    def _assignment_for(self, node_name: str) -> Tuple[ProcessingElement, Precision]:
+        """(pe, precision) of one layer under the active mapping."""
+        gpu = self.platform.gpu()
+        if self.mapping is None or not self.config.optimization.uses_nmp:
+            return gpu, self.config.baseline_precision
+        full_node = f"{self.network.name}.{node_name}"
+        if full_node in self.mapping:
+            assignment = self.mapping[full_node]
+        elif node_name in self.mapping:
+            assignment = self.mapping[node_name]
+        else:
+            return gpu, self.config.baseline_precision
+        return self.platform.pe(assignment.pe), assignment.precision
 
     def _resolve(self) -> None:
         self._assignments: List[Tuple[LayerSpec, ProcessingElement, Precision]] = []

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import EvEdgeConfig, NMPConfig, OptimizationLevel
+from repro.core.nmp.candidate import MappingCandidate
 from repro.events import generate_sequence
 from repro.hw import PlatformProfiler, ProfileTable, jetson_xavier_agx
 from repro.models import build_network
-from repro.nn import MultiTaskGraph, TaskSpec
+from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
     AdaptiveMappingClient,
     MultiStreamSimulator,
@@ -155,6 +156,43 @@ class TestAdaptiveMultiStream:
         assert contended_latency(adaptive) < contended_latency(static)
         assert len(adaptive.remaps) >= 2
         assert static.remaps == []
+
+    def test_warm_start_union_equals_per_stream_updates(
+        self, platform, resident_sequence, networks
+    ):
+        # Streams 0 and 2 share one cost model and stream 1 has its own;
+        # their mappings disagree on every node.  Folding each stream's
+        # mapping into the warm start in stream order lets stream 2's
+        # mapping win; the simulator folds each distinct model once.
+        network = networks["e2depth"]
+        graph = MultiTaskGraph([TaskSpec(network)])
+        on_gpu = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
+        on_cpu = MappingCandidate.uniform(graph, "cpu", Precision.FP32)
+        sources = [
+            StreamSource(f"s{i}", resident_sequence, network, FULL, mapping=mapping)
+            for i, mapping in enumerate((on_gpu, on_cpu, on_gpu))
+        ]
+        simulator = MultiStreamSimulator(platform, sources, remap_policy=fast_policy())
+        kernel, clients, _ = simulator._setup(None)
+        by_name = {c.name: c for c in clients}
+        assert by_name["s0"].cost_model is by_name["s2"].cost_model
+        assert by_name["s0"].cost_model is not by_name["s1"].cost_model
+        remap = simulator.remap_client.remap
+        warm_starts = []
+
+        def checked(networks, **kwargs):
+            expected = {}
+            for name in kwargs["stream_names"]:
+                deployed = by_name[name].cost_model.mapping
+                if deployed is not None:
+                    expected.update(deployed.assignments)
+            assert kwargs["current_assignments"] == expected
+            warm_starts.append(kwargs["current_assignments"])
+            return remap(networks, **kwargs)
+
+        simulator.remap_client.remap = checked
+        kernel.run()
+        assert warm_starts and warm_starts[0] == on_gpu.assignments
 
     def test_non_nmp_streams_do_not_participate(
         self, platform, resident_sequence, joining_sequence, networks

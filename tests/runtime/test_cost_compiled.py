@@ -23,7 +23,7 @@ from repro.core.nmp.candidate import Assignment, MappingCandidate
 from repro.events import generate_sequence
 from repro.hw import jetson_xavier_agx
 from repro.models import available_networks, build_network
-from repro.nn import Precision
+from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
     COST_MODES,
     KernelTrace,
@@ -256,3 +256,99 @@ def test_compiled_plan_follows_graph_mutation(platform):
     compute = [s for s in network.layers() if s.kind.is_compute]
     assert len(after) == len(compute) == len(before) + 1
     assert after == propagate_occupancy_nodes(network, 0.1)
+
+
+def _resolution(model):
+    return model._cells, model._transfers, model.pes_used
+
+
+def test_rebinds_reuse_compiled_resolutions(platform, monkeypatch):
+    """A → B → None → A restores what a fresh model compiles for each mapping.
+
+    ``A`` maps bare layer names, ``B`` full node ids of a two-network graph.
+    Each mapping key compiles once; profile costs stay bit-identical to the
+    oracle, which re-resolves on every rebind.
+    """
+    network = build_network("spikeflownet", 64, 64)
+    graph = MultiTaskGraph(
+        [TaskSpec(network), TaskSpec(build_network("dotie", 64, 64))]
+    )
+    mapping_a = _mapping(network)
+    mapping_b = MappingCandidate.random(graph, platform, np.random.default_rng(1))
+    config = EvEdgeConfig(optimization=OptimizationLevel.FULL)
+    table, oracle_table = LayerCostTable(), ReferenceLayerCostTable()
+    model = NetworkCostModel(
+        network, platform, config, mapping=mapping_a, table=table, cost_mode="profile"
+    )
+    oracle = ReferenceCostModel(
+        network,
+        platform,
+        config,
+        mapping=mapping_a,
+        table=oracle_table,
+        cost_mode="profile",
+    )
+    compiled = []
+    original = NetworkCostModel._compile
+
+    def counting(self, key):
+        compiled.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(NetworkCostModel, "_compile", counting)
+    first = _resolution(model)
+    for mapping in (mapping_b, None, mapping_a, mapping_b, mapping_a):
+        model.rebind(mapping)
+        oracle.rebind(mapping)
+        fresh = NetworkCostModel(
+            network, platform, config, mapping=mapping, table=table, cost_mode="profile"
+        )
+        assert _resolution(model) == _resolution(fresh)
+        assert model.pes_used == oracle.pes_used
+        for densities in _density_lists(seed=3, count=3):
+            for batch in BATCHES:
+                profile = model.densities_profile(densities, _occupancy(densities))
+                expected = oracle.densities_profile(densities, _occupancy(densities))
+                assert model.profile_cost(profile, batch) == oracle.profile_cost(
+                    expected, batch
+                )
+    assert table.cache_info() == oracle_table.cache_info()
+    assert _resolution(model) == first
+    assert all(a is b for a, b in zip(_resolution(model), first))  # reused, not rebuilt
+    # The rebound model compiled B and the all-baseline key once each; the
+    # fresh models compiled one key each.
+    assert len(compiled) == 2 + 5
+    assert len(set(compiled)) == 3
+
+
+def test_rebind_to_another_networks_change_reuses_the_resolution(platform, monkeypatch):
+    """A mapping that differs only on another network's nodes keys the same."""
+    network, other = build_network("halsie", 64, 64), build_network("dotie", 64, 64)
+    graph = MultiTaskGraph([TaskSpec(network), TaskSpec(other)])
+    mapping = MappingCandidate.random(graph, platform, np.random.default_rng(2))
+    changed = mapping.copy()
+    for node in changed.assignments:
+        if node.startswith(f"{other.name}."):
+            previous = changed[node]
+            changed.assignments[node] = Assignment(
+                "cpu" if previous.pe != "cpu" else "gpu", previous.precision
+            )
+    assert changed.key() != mapping.key()
+    model = NetworkCostModel(
+        network,
+        platform,
+        EvEdgeConfig(optimization=OptimizationLevel.FULL),
+        mapping=mapping,
+        cost_mode="profile",
+    )
+    model.profile_cost(model.occupancy_profile(0.1), 1)
+    before = _resolution(model)
+    monkeypatch.setattr(
+        NetworkCostModel,
+        "_compile",
+        lambda self, key: pytest.fail("a known mapping key was compiled again"),
+    )
+    model.rebind(changed)
+    assert model.mapping is changed
+    assert all(a is b for a, b in zip(_resolution(model), before))
+    assert not model._cache  # the whole-network memo is still cleared

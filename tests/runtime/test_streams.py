@@ -407,6 +407,51 @@ class TestMultiStreamSimulator:
         ends = [e for e in trace.entries if e.kind == "StreamEnd"]
         assert {e.stream for e in ends} == {"empty", "live"}
 
+    def test_sources_share_servers_by_signature(self, platform, sequence, network):
+        # Shared network objects, one network under two optimization levels,
+        # a structural twin under the same name, and equal mappings held by
+        # distinct objects.  Each source joins the server of the first source
+        # with an equal signature; servers are named in creation order.
+        twin = build_network("spikeflownet", 96, 96)
+        mapping = MappingCandidate(
+            {
+                f"{network.name}.{spec.name}": Assignment("gpu", Precision.FP16)
+                for spec in network.layers()
+                if spec.kind.is_compute
+            }
+        )
+
+        def config(level):  # one config object per source, as fleets have
+            return EvEdgeConfig(num_bins=5, optimization=level)
+
+        dsfa, full = OptimizationLevel.E2SF_DSFA, OptimizationLevel.FULL
+        fleet = [
+            (network, dsfa, None),
+            (twin, dsfa, None),
+            (network, full, mapping),
+            (network, dsfa, None),
+            (network, full, mapping.copy()),
+            (twin, full, None),
+            (network, full, None),
+            (twin, dsfa, None),
+        ]
+        sources = [
+            StreamSource(f"s{i}", sequence, net, config(level), mapping=m)
+            for i, (net, level, m) in enumerate(fleet)
+        ]
+        _, clients, _ = MultiStreamSimulator(platform, sources)._setup(None)
+        assert [c.executor.name for c in clients] == [
+            f"server:spikeflownet:{i}" for i in (0, 1, 2, 0, 2, 3, 4, 1)
+        ]
+        shared = {}
+        for client in clients:
+            server, model = shared.setdefault(
+                client.executor.name, (client.executor, client.cost_model)
+            )
+            assert client.executor is server and client.cost_model is model
+            assert model.network is client.source.network
+        assert len({id(server) for server, _ in shared.values()}) == 5
+
     def test_component_classes_drive_setup(self, platform, sequence, network):
         # The simulator builds every component from its class attributes,
         # so a subclass can swap any of them without a constructor knob.
