@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the design choices of E2SF, DSFA and NMP.
 
 * E2SF bin count ``nB`` — temporal resolution vs. per-bin occupancy;
 * DSFA merge-bucket size ``MBsize`` — number of inferences vs. latency;

@@ -14,5 +14,8 @@ def test_fig10_convergence(benchmark, settings):
     # (b) the evolutionary search result is at least as good as random search
     # for the same evaluation budget (paper: 1.42x better).
     assert result["evolutionary_vs_random_speedup"] >= 1.0
+    # Both searches spend exactly the shared budget.
+    for stats in result["strategies"].values():
+        assert stats["requested_evaluations"] == result["evaluation_budget"]
     # Fitness caching kicked in (the paper's search-cost optimisation).
     assert result["evolutionary_cache_hits"] > 0

@@ -1,14 +1,11 @@
-"""Benchmark: NMP search engine — scheduler throughput and strategy race.
+"""Benchmark: throughput of the NMP list scheduler.
 
-Two measurements on the Figure-10 ``mixed_snn_ann`` workload:
-
-1. **Schedules/sec** of the flattened list scheduler
-   (``ExecutionScheduler.schedule_metrics``, the fitness hot path), timed
-   directly on the scheduler.  Bit-identity to the graph-walking reference
-   scheduler is pinned by the tier-1 tests, not here.
-2. **Time-to-target-fitness** per strategy: how many requested evaluations
-   each search strategy spends before first reaching within 5% of the best
-   fitness any strategy finds under the shared budget.
+Schedules/sec of the flattened list scheduler
+(``ExecutionScheduler.schedule_metrics``, the fitness hot path) on the
+Figure-10 ``mixed_snn_ann`` workload, timed directly on the scheduler.
+Bit-identity to the graph-walking reference scheduler is pinned by the
+tier-1 tests, not here.  The evolutionary-vs-random comparison lives in
+``bench_fig10_convergence.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +15,7 @@ import time
 import numpy as np
 
 from bench_utils import write_bench_json
-from repro.core import ExecutionScheduler, MappingCandidate, NMPConfig
-from repro.experiments import run_fig10
+from repro.core import ExecutionScheduler, MappingCandidate
 from repro.experiments.fig9_multi_task import MULTI_TASK_CONFIGS
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
@@ -58,56 +54,3 @@ def test_nmp_flattened_scheduler_throughput(settings):
         [{"flat_eval_per_s": flat_rate}],
         meta={"candidates": len(candidates) - 1},
     )
-
-
-def test_nmp_strategy_time_to_target(settings, benchmark):
-    """Race the four strategies to within 5% of the best fitness found."""
-    config = NMPConfig(population_size=20, generations=15, seed=settings.seed)
-    result = benchmark.pedantic(
-        run_fig10, args=(settings,), kwargs={"nmp_config": config}, iterations=1, rounds=1
-    )
-    strategies = result["strategies"]
-    target = 1.05 * min(stats["fitness"] for stats in strategies.values())
-
-    print("\n=== NMP search: time-to-target-fitness (5% of best) ===")
-    print(f"{'strategy':14s} {'best_ms':>9s} {'evals':>7s} {'to-target':>10s}")
-    strategy_rows = []
-    for name, stats in strategies.items():
-        convergence = stats["convergence"]
-        per_generation = stats["requested_evaluations"] / max(len(convergence), 1)
-        to_target = next(
-            (
-                int((i + 1) * per_generation)
-                for i, fitness in enumerate(convergence)
-                if fitness <= target
-            ),
-            None,
-        )
-        print(
-            f"{name:14s} {stats['latency_ms']:9.3f} {stats['requested_evaluations']:7d} "
-            f"{to_target if to_target is not None else '-':>10}"
-        )
-        strategy_rows.append(
-            {
-                "strategy": name,
-                "best_latency_ms": stats["latency_ms"],
-                "requested_evaluations": stats["requested_evaluations"],
-                "evals_to_target": to_target,
-            }
-        )
-    write_bench_json(
-        "nmp_strategy_race",
-        strategy_rows,
-        meta={"evaluation_budget": result["evaluation_budget"]},
-    )
-
-    # Every strategy spends (at most) the shared budget.
-    budget = result["evaluation_budget"]
-    for stats in strategies.values():
-        assert stats["requested_evaluations"] <= budget
-    # The evolutionary strategy beats random search under the equal budget.
-    assert result["evolutionary_vs_random_speedup"] >= 1.0
-    # The refactored evolutionary search still converges (Figure 10a shape).
-    convergence = result["evolutionary_convergence"]
-    assert all(b <= a + 1e-12 for a, b in zip(convergence, convergence[1:]))
-    assert convergence[-1] < convergence[0]

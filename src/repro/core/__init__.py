@@ -17,19 +17,15 @@ from .nmp import (
     FitnessEvaluator,
     FlatGraph,
     GenerationStats,
-    GreedyLayerwiseStrategy,
     MapperEngine,
     MappingCandidate,
     NMPConfig,
     NMPResult,
     RandomSearchStrategy,
-    STRATEGIES,
     ScheduleResult,
     ScheduledNode,
     SearchContext,
     SearchStrategy,
-    SimulatedAnnealingStrategy,
-    make_strategy,
 )
 from .pipeline import EvEdgePipeline, InferenceRecord, PipelineReport
 
@@ -56,10 +52,6 @@ __all__ = [
     "SearchStrategy",
     "EvolutionaryStrategy",
     "RandomSearchStrategy",
-    "SimulatedAnnealingStrategy",
-    "GreedyLayerwiseStrategy",
-    "STRATEGIES",
-    "make_strategy",
     "FlatGraph",
     "EvEdgeConfig",
     "OptimizationLevel",

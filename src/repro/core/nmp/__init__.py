@@ -1,4 +1,4 @@
-"""Network Mapper (NMP): pluggable layer-to-PE mapping search with precision choice."""
+"""Network Mapper (NMP): layer-to-PE mapping search with precision choice."""
 
 from .candidate import Assignment, MappingCandidate
 from .objective import FitnessBreakdown, FitnessEvaluator
@@ -6,16 +6,12 @@ from .scheduler import ExecutionScheduler, FlatGraph, ScheduledNode, ScheduleRes
 from .search import (
     EvolutionaryStrategy,
     GenerationStats,
-    GreedyLayerwiseStrategy,
     MapperEngine,
     NMPConfig,
     NMPResult,
     RandomSearchStrategy,
-    STRATEGIES,
     SearchContext,
     SearchStrategy,
-    SimulatedAnnealingStrategy,
-    make_strategy,
 )
 
 __all__ = [
@@ -35,8 +31,4 @@ __all__ = [
     "SearchStrategy",
     "EvolutionaryStrategy",
     "RandomSearchStrategy",
-    "SimulatedAnnealingStrategy",
-    "GreedyLayerwiseStrategy",
-    "STRATEGIES",
-    "make_strategy",
 ]

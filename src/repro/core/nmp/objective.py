@@ -19,11 +19,10 @@ optimisation:
 
 * whole-candidate fitness, keyed on the candidate's full assignment key, and
 * **delta evaluation** of the accuracy term: per-task degradations are keyed
-  on the task's layer-precision tuple, so a child that mutates only
-  ``mutation_layers`` assignments re-measures accuracy only for the tasks it
-  actually touched (and only when it changed their *precisions* — device
-  moves never re-trigger accuracy evaluation).  ``delta_hits`` counts the
-  reuses.
+  on the task's layer-precision tuple, so a child that mutates only a few
+  assignments re-measures accuracy only for the tasks it actually touched
+  (and only when it changed their *precisions* — device moves never
+  re-trigger accuracy evaluation).  ``delta_hits`` counts the reuses.
 """
 
 from __future__ import annotations

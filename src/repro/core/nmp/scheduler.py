@@ -34,7 +34,7 @@ from ...hw.pe import Platform
 from ...hw.profiler import ProfileEntry, ProfileTable
 from ...nn.graph import MultiTaskGraph
 from ...nn.quantization import Precision
-from .candidate import MappingCandidate
+from .candidate import ChoiceTable, MappingCandidate
 
 __all__ = [
     "ScheduledNode",
@@ -103,9 +103,9 @@ class FlatGraph:
     * ``parents[i]`` — flat indices of the data-dependency parents, in the
       graph's predecessor order (transfer insertion order matters);
     * ``task_index[i]`` — index into ``task_names`` (compute nodes only);
-    * ``options[i]`` — ``(pe_name, precision value) -> ProfileEntry`` with
-      the scheduler's sparse preference already resolved (compute nodes
-      only);
+    * ``options[i]`` — ``(pe_name, precision value) -> ProfileEntry`` over
+      the node's :class:`~.candidate.ChoiceTable` choices, with the
+      scheduler's sparse preference already resolved (compute nodes only);
     * ``output_bytes[i]`` — ``precision value -> bytes`` of the node's
       output activation (compute nodes only; consumed when inserting
       transfers).
@@ -135,6 +135,7 @@ class FlatGraph:
     ) -> None:
         nodes = graph.nodes()
         index = {name: i for i, name in enumerate(nodes)}
+        choices = ChoiceTable.of(graph, platform).choices
         self.num_nodes = len(nodes)
         self.names: List[str] = nodes
         self.is_compute: List[bool] = []
@@ -155,15 +156,14 @@ class FlatGraph:
                 self.output_bytes.append(None)
                 continue
             options: Dict[Tuple[str, str], ProfileEntry] = {}
-            for pe in platform:
-                if not pe.supports_layer(spec):
-                    continue
-                for precision in pe.supported_precisions:
-                    use_sparse = sparse and profile.has(name, pe.name, precision, True)
-                    if not profile.has(name, pe.name, precision, use_sparse):
+            for precisions in choices[name][0]:
+                for assignment in precisions:
+                    pe_name, precision = assignment.pe, assignment.precision
+                    use_sparse = sparse and profile.has(name, pe_name, precision, True)
+                    if not profile.has(name, pe_name, precision, use_sparse):
                         continue
-                    options[(pe.name, precision.value)] = profile.lookup(
-                        name, pe.name, precision, use_sparse
+                    options[assignment.key] = profile.lookup(
+                        name, pe_name, precision, use_sparse
                     )
             self.options.append(options)
             self.output_bytes.append(

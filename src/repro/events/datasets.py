@@ -4,7 +4,7 @@ The paper evaluates on recorded sequences from the Multi Vehicle Stereo Event
 Camera dataset (MVSEC: ``indoor_flying1/2/3``, ``outdoor_day1``) and the
 DENSE synthetic dataset (``town10``).  Those recordings are not available
 offline, so this module generates sequences with matched qualitative
-statistics (see DESIGN.md Section 2):
+statistics (see the README's "Substitutions" section):
 
 * ``indoor_flying*`` — bursty drone motion, large temporal density variance
   (the paper's Figure 5) and very sparse frames (0.15 %–5 % occupancy).

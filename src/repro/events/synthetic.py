@@ -9,9 +9,10 @@ the recorded sequences once passed through :class:`~repro.events.camera.DVSCamer
 Every generator returns ``(frames, timestamps, ground_truth)`` where
 ``ground_truth`` carries per-interval dense optical flow / depth /
 segmentation maps so that accuracy metrics can be computed against a known
-reference (the substitution documented in DESIGN.md Section 2).  Ground
-truth is painted on first read: a simulation never reads it, and painting
-draws no random numbers, so the frames are the same either way.
+reference (one of the stand-ins listed in the README's "Substitutions"
+section).  Ground truth is painted on first read: a simulation never reads
+it, and painting draws no random numbers, so the frames are the same either
+way.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Figure 10: NMP search convergence and strategy comparison.
+"""Figure 10: NMP search convergence and evolutionary vs random search.
 
 (a) the best fitness per generation of the evolutionary search on the mixed
 SNN-ANN configuration, showing latency and accuracy degradation being
@@ -6,21 +6,24 @@ minimised simultaneously; (b) the latency of the configuration found by the
 evolutionary search versus random sampling of the same number of candidates
 (the paper reports the evolutionary result is 1.42x faster).
 
-Since the search-engine refactor the comparison spans all four registered
-strategies — evolutionary, random, simulated annealing and greedy layer-wise
-local search — running through ONE :class:`~repro.core.nmp.search.
-MapperEngine` and one shared fitness evaluator under an equal evaluation
-budget (``generations x population_size`` requested evaluations each).  The
-evolutionary and random runs use the plain configuration, so their results
-are bit-for-bit the pre-refactor Figure 10 results for a given seed (each
-run draws a fresh RNG from the seed, so this holds in any strategy order).
+Both searches run through ONE :class:`~repro.core.nmp.search.MapperEngine`
+and therefore one shared fitness evaluator, evolutionary first, and each
+requests ``generations x population_size`` evaluations.  Each run draws a
+fresh RNG from the seed and the fitness cache is value-preserving, so the
+order moves only how the random run's evaluations split between the
+scheduler and the cache, never a result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from ..core.nmp.search import MapperEngine, NMPConfig, make_strategy
+from ..core.nmp.search import (
+    EvolutionaryStrategy,
+    MapperEngine,
+    NMPConfig,
+    RandomSearchStrategy,
+)
 from ..hw.jetson import jetson_xavier_agx
 from ..hw.pe import Platform
 from ..hw.profiler import PlatformProfiler
@@ -29,11 +32,7 @@ from ..nn.graph import MultiTaskGraph, TaskSpec
 from .common import ExperimentSettings
 from .fig9_multi_task import MULTI_TASK_CONFIGS
 
-__all__ = ["DEFAULT_STRATEGIES", "run_fig10", "format_fig10"]
-
-#: Each run draws a fresh RNG from the config seed and the shared fitness
-#: cache is value-preserving, so strategy order does not affect results.
-DEFAULT_STRATEGIES = ("evolutionary", "random", "annealing", "greedy")
+__all__ = ["run_fig10", "format_fig10"]
 
 
 def run_fig10(
@@ -41,9 +40,8 @@ def run_fig10(
     platform: Optional[Platform] = None,
     config_name: str = "mixed_snn_ann",
     nmp_config: Optional[NMPConfig] = None,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
 ) -> Dict[str, object]:
-    """Run every search strategy on the mixed SNN-ANN config with one engine."""
+    """Run the evolutionary search, then random search, on one engine."""
     platform = platform or jetson_xavier_agx()
     networks = MULTI_TASK_CONFIGS[config_name]
     graph = MultiTaskGraph(
@@ -52,20 +50,11 @@ def run_fig10(
     profile = PlatformProfiler(platform).profile(graph)
     nmp_config = nmp_config or NMPConfig(population_size=20, generations=15, seed=settings.seed)
     engine = MapperEngine(graph, platform, profile, nmp_config)
-    budget = nmp_config.generations * nmp_config.population_size
 
     per_strategy: Dict[str, Dict[str, object]] = {}
-    for name in strategies:
-        if name in ("evolutionary", "random"):
-            # The seed's fixed generations x population schedule: exactly
-            # ``budget`` requested evaluations, bit-for-bit reproducible.
-            run_config = nmp_config
-        else:
-            # Population shape differs (annealing chains, greedy layer
-            # sweeps), so pin the requested-evaluation budget instead.
-            run_config = engine.equal_budget_config()
-        result = engine.run(make_strategy(name), config=run_config)
-        per_strategy[name] = {
+    for strategy in (EvolutionaryStrategy(), RandomSearchStrategy()):
+        result = engine.run(strategy)
+        per_strategy[strategy.name] = {
             "convergence": result.convergence,
             "latency_ms": result.best_latency * 1e3,
             "fitness": result.best_breakdown.fitness,
@@ -76,28 +65,24 @@ def run_fig10(
             "best_key": result.best_candidate.key(),
         }
 
-    evolutionary = per_strategy.get("evolutionary")
-    random_search = per_strategy.get("random")
-    out: Dict[str, object] = {
+    evolutionary = per_strategy["evolutionary"]
+    random_search = per_strategy["random"]
+    return {
         "config": config_name,
         "generations": nmp_config.generations,
         "population_size": nmp_config.population_size,
-        "evaluation_budget": budget,
+        "evaluation_budget": nmp_config.generations * nmp_config.population_size,
         "strategies": per_strategy,
-    }
-    if evolutionary is not None:
-        out["evolutionary_convergence"] = evolutionary["convergence"]
-        out["evolutionary_latency_ms"] = evolutionary["latency_ms"]
-        out["evolutionary_evaluations"] = evolutionary["scheduler_evaluations"]
-        out["evolutionary_cache_hits"] = evolutionary["cache_hits"]
-    if random_search is not None:
-        out["random_convergence"] = random_search["convergence"]
-        out["random_latency_ms"] = random_search["latency_ms"]
-    if evolutionary is not None and random_search is not None:
-        out["evolutionary_vs_random_speedup"] = (
+        "evolutionary_convergence": evolutionary["convergence"],
+        "evolutionary_latency_ms": evolutionary["latency_ms"],
+        "evolutionary_evaluations": evolutionary["scheduler_evaluations"],
+        "evolutionary_cache_hits": evolutionary["cache_hits"],
+        "random_convergence": random_search["convergence"],
+        "random_latency_ms": random_search["latency_ms"],
+        "evolutionary_vs_random_speedup": (
             random_search["latency_ms"] / evolutionary["latency_ms"]
-        )
-    return out
+        ),
+    }
 
 
 def format_fig10(result: Dict[str, object]) -> str:
@@ -121,8 +106,7 @@ def format_fig10(result: Dict[str, object]) -> str:
             f"{name}: {stats['latency_ms']:.2f} ms" for name, stats in per_strategy.items()
         )
     )
-    if "evolutionary_vs_random_speedup" in result:
-        lines.append(
-            f"evolutionary vs random: {result['evolutionary_vs_random_speedup']:.2f}x"
-        )
+    lines.append(
+        f"evolutionary vs random: {result['evolutionary_vs_random_speedup']:.2f}x"
+    )
     return "\n".join(lines)

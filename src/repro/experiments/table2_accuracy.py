@@ -8,8 +8,8 @@ precision on unmerged bins; the Ev-Edge configuration quantizes the surrogate
 stages to a representative NMP precision mix and merges bins per DSFA.
 
 Absolute metric values differ from the paper (different networks, synthetic
-data — see DESIGN.md), but the *pattern* — small degradations in the
-direction the paper reports — is what the table checks.
+data — see the README's "Substitutions" section), but the *pattern* — small
+degradations in the direction the paper reports — is what the table checks.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ DOTIE                      object tracking         SNN       1
 
 Weights are not needed: the graphs carry layer shapes, MAC counts,
 timesteps and expected activation sparsity, which is all the hardware model,
-the Network Mapper and the experiment harnesses consume (see DESIGN.md's
-substitution table).  Input spatial sizes default to the DAVIS 346x260
+the Network Mapper and the experiment harnesses consume (see the README's
+"Substitutions" section).  Input spatial sizes default to the DAVIS 346x260
 resolution used by MVSEC.
 """
 

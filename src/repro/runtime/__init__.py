@@ -5,12 +5,7 @@
 # package from being seen half-initialised, whichever one a process imports
 # first (a spawned shard worker starts with repro.runtime.shard).
 from .. import core as _core  # noqa: F401
-from .executor import (
-    ExecutionReport,
-    MappedExecutor,
-    SerialExecutor,
-    SignatureServer,
-)
+from .executor import SerialExecutor, SignatureServer
 from .schedulers import rr_layer_mapping, rr_network_mapping
 from .sim import (
     COST_MODES,
@@ -54,8 +49,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "MappedExecutor",
-    "ExecutionReport",
     "rr_network_mapping",
     "rr_layer_mapping",
     "SimEvent",

@@ -1,20 +1,12 @@
-"""Execution backends: dispatch executors and mapped-graph execution.
+"""Kernel dispatch executors: the objects a stream client hands its batches to.
 
-Two families of executors live here:
-
-* **Kernel dispatch executors** — the objects a
-  :class:`~repro.runtime.streams.StreamClient` hands its batches to.
-  :class:`SerialExecutor` models the whole platform as one serial
-  accelerator (the seed pipeline's scalar ``busy_until``);
-  :class:`SignatureServer` serves every stream sharing one (network,
+* :class:`SerialExecutor` models the whole platform as one serial
+  accelerator (the seed pipeline's scalar ``busy_until``).
+* :class:`SignatureServer` serves every stream sharing one (network,
   mapping, config) signature with indexed per-client pending queues,
   cross-stream batching and O(1) amortized dispatch/evict/merge — the
   fleet-scale hot path of :class:`~repro.runtime.streams.
   MultiStreamSimulator`.
-* :class:`MappedExecutor` — static mapped-graph execution: profiles a
-  multi-task graph on the platform, schedules it with the same list
-  scheduler NMP uses internally, and reports latency, energy and a device
-  timeline.
 """
 
 from __future__ import annotations
@@ -22,15 +14,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..core.nmp.candidate import MappingCandidate
-from ..core.nmp.scheduler import ExecutionScheduler, ScheduleResult
 from ..frames.sparse import SparseFrameBatch, pairwise_mean
-from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler, ProfileTable
-from ..nn.graph import MultiTaskGraph
 from .sim import (
     InferenceDone,
     InferenceRecord,
@@ -39,12 +25,7 @@ from .sim import (
     SimulationKernel,
 )
 
-__all__ = [
-    "SerialExecutor",
-    "SignatureServer",
-    "ExecutionReport",
-    "MappedExecutor",
-]
+__all__ = ["SerialExecutor", "SignatureServer"]
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +159,6 @@ class SignatureServer:
     def busy_until(self, client: Optional["object"] = None) -> float:
         """Time every PE of this server's mapping frees up."""
         return self.kernel.busy_until(*self.cost_model.pes_used)
-
-    @property
-    def pending_count(self) -> int:
-        """Number of dispatches waiting in the pending queues."""
-        return self._pending_count
-
-    def queued_service_estimate(self) -> float:
-        """Estimated total service time of all pending dispatches."""
-        return self._pending_service
 
     def backlog_estimate(self, client, time: float) -> float:
         """Backlog behind ``client``'s next dispatch at ``time``.
@@ -349,46 +321,3 @@ class SignatureServer:
             self._schedule_wakeup(busy)
             return
         self._execute(self._take_members(), event.time)
-
-
-# ----------------------------------------------------------------------
-# mapped-graph execution
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ExecutionReport:
-    """Summary of one simulated execution of a mapped multi-task graph."""
-
-    schedule: ScheduleResult
-    mapping: MappingCandidate
-
-    @property
-    def latency(self) -> float:
-        """Maximum task latency (the paper's optimisation objective)."""
-        return self.schedule.max_task_latency
-
-    @property
-    def task_latencies(self) -> Dict[str, float]:
-        """Per-task completion times."""
-        return self.schedule.task_latencies
-
-
-class MappedExecutor:
-    """Profile once, then execute any number of mappings of the same graph."""
-
-    def __init__(self, graph: MultiTaskGraph, platform: Platform) -> None:
-        self.graph = graph
-        self.platform = platform
-        self.profile: ProfileTable = PlatformProfiler(platform).profile(graph)
-        # One scheduler per sparse mode: each keeps the flattened form of the
-        # graph, so repeated execute() calls skip re-flattening.
-        self._schedulers: Dict[bool, ExecutionScheduler] = {}
-
-    def execute(self, mapping: MappingCandidate, sparse: bool = False) -> ExecutionReport:
-        """Simulate the execution of ``mapping`` and return its report."""
-        scheduler = self._schedulers.get(sparse)
-        if scheduler is None:
-            scheduler = ExecutionScheduler(self.platform, self.profile, sparse=sparse)
-            self._schedulers[sparse] = scheduler
-        return ExecutionReport(schedule=scheduler.schedule(self.graph, mapping), mapping=mapping)

@@ -5,7 +5,8 @@ capable PEs and their precisions, built once per (graph, platform).
 ``MappingCandidate.random`` and ``mutate`` read it instead of walking the
 graph; they must draw exactly as the graph-walking generators of
 :mod:`oracles.nmp` do: equal assignments, in the same insertion order, with
-the generator left in the same state.
+the generator left in the same state.  The list scheduler's flattened graph
+takes each node's options from the same table.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import GreedyLayerwiseStrategy, NMPConfig, SearchContext
 from repro.core.nmp.candidate import Assignment, ChoiceTable, MappingCandidate
-from repro.hw import jetson_xavier_agx
+from repro.core.nmp.scheduler import ExecutionScheduler
+from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 
@@ -152,27 +153,17 @@ def test_candidate_key_matches_sorted_enum_values(graph, platform):
     )
 
 
-def test_greedy_variants_come_from_the_table(graph, platform):
-    for full_precision_only in (False, True):
-        config = NMPConfig(full_precision_only=full_precision_only)
-        incumbent = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        rng = np.random.default_rng(0)
-        ctx = SearchContext(graph, platform, config, rng, [incumbent])
-        strategy = GreedyLayerwiseStrategy()
-        strategy.reset()
-        strategy.initial_population(ctx)
-        strategy._incumbent = incumbent
-        node = graph.compute_nodes()[0]
-        pes = platform.candidates_for(graph.spec(node))
-        expected = [
-            (pe.name, precision)
-            for pe in pes
-            for precision in (
-                [pe.highest_supported_precision()]
-                if full_precision_only
-                else pe.supported_precisions
-            )
+def test_flat_graph_options_follow_the_choice_table(graph, platform):
+    # The scheduler's per-node options are the table's choices, in the
+    # table's order; the full profile holds an entry for every one.
+    profile = PlatformProfiler(platform).profile(graph)
+    flat = ExecutionScheduler(platform, profile, sparse=True).flatten(graph)
+    choices = ChoiceTable.of(graph, platform).choices
+    for name, options in zip(flat.names, flat.options):
+        if options is None:
+            assert name not in choices
+            continue
+        options_by_pe, _ = choices[name]
+        assert list(options) == [
+            assignment.key for precisions in options_by_pe for assignment in precisions
         ]
-        variants = strategy._variants(ctx)
-        assert [(v[node].pe, v[node].precision) for v in variants] == expected
-

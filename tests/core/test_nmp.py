@@ -186,5 +186,3 @@ class TestFitnessAndSearch:
             NMPConfig(population_size=1)
         with pytest.raises(ValueError):
             NMPConfig(generations=0)
-        with pytest.raises(ValueError):
-            NMPConfig(elite_fraction=0.0)

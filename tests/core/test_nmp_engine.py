@@ -1,4 +1,4 @@
-"""Tests for the pluggable NMP search engine, its strategies and the flat scheduler."""
+"""Tests for the NMP search engine, its two strategies and the flat scheduler."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from repro.core import (
     EvolutionaryStrategy,
     ExecutionScheduler,
     FitnessEvaluator,
-    GreedyLayerwiseStrategy,
     MapperEngine,
     MappingCandidate,
     NMPConfig,
     RandomSearchStrategy,
-    STRATEGIES,
-    make_strategy,
 )
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
@@ -54,7 +51,9 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     (the Figure-10 regression contract).  Candidates come from the
     graph-walking generators of :mod:`oracles.nmp`, so a change to how the
     production generators draw cannot move the engine and this loop
-    together.
+    together.  The elite fraction (0.25) and the mutated layers per child (2)
+    are literals here, so a change to the production constants fails the
+    comparison.
     """
     evaluator = FitnessEvaluator(
         graph, platform, profile, accuracy_threshold=config.accuracy_threshold, sparse=True
@@ -83,7 +82,7 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
                 gen_best.max_task_latency,
             )
         )
-        num_elite = max(int(round(config.elite_fraction * config.population_size)), 1)
+        num_elite = max(int(round(0.25 * config.population_size)), 1)
         ranked = [c for c, _ in evaluated]
         elites = [c.copy() for c in ranked[:num_elite]]
         children = []
@@ -98,11 +97,49 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
                     graph,
                     platform,
                     rng,
-                    num_mutations=config.mutation_layers,
+                    num_mutations=2,
                     full_precision_only=config.full_precision_only,
                 )
             )
         population = elites + children
+    return best_candidate, best, history
+
+
+def random_search_reference(graph, platform, profile, config):
+    """Figure 10b's random search: a fresh population every generation.
+
+    Each generation draws ``population_size`` candidates from the
+    graph-walking generator of :mod:`oracles.nmp`.  It takes no warm
+    starts, because random search ignores them.  Unlike the evolutionary
+    loop, a generation's best can be worse than an earlier one, so the
+    history records the best so far, with the generation's mean.
+    """
+    evaluator = FitnessEvaluator(
+        graph, platform, profile, accuracy_threshold=config.accuracy_threshold, sparse=True
+    )
+    rng = np.random.default_rng(config.seed)
+    history = []
+    best_candidate = None
+    best = None
+    for _generation in range(config.generations):
+        population = [
+            random_candidate_reference(
+                graph, platform, rng, full_precision_only=config.full_precision_only
+            )
+            for _ in range(config.population_size)
+        ]
+        evaluated = [(c, evaluator.evaluate(c)) for c in population]
+        evaluated.sort(key=lambda pair: pair[1].fitness)
+        gen_best_candidate, gen_best = evaluated[0]
+        if best is None or gen_best.fitness < best.fitness:
+            best_candidate, best = gen_best_candidate.copy(), gen_best
+        history.append(
+            (
+                best.fitness,
+                float(np.mean([b.fitness for _, b in evaluated])),
+                best.max_task_latency,
+            )
+        )
     return best_candidate, best, history
 
 
@@ -141,15 +178,50 @@ class TestSeedReproduction:
             (g.best_fitness, g.mean_fitness, g.best_latency) for g in result.history
         ] == expected_history
 
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_engine_reproduces_random_search(
+        self, graph, platform, profile, seed, warm_start
+    ):
+        config = NMPConfig(population_size=10, generations=6, seed=seed)
+        expected_candidate, expected_best, expected_history = random_search_reference(
+            graph, platform, profile, config
+        )
+        seeds = (
+            [
+                MappingCandidate.uniform(graph, "gpu", Precision.FP32),
+                rr_layer_mapping(graph, platform),
+            ]
+            if warm_start
+            else None
+        )
+        result = MapperEngine(graph, platform, profile, config).run(
+            RandomSearchStrategy(), initial_candidates=seeds
+        )
+        assert result.best_candidate.key() == expected_candidate.key()
+        assert result.best_breakdown.fitness == expected_best.fitness
+        assert [
+            (g.best_fitness, g.mean_fitness, g.best_latency) for g in result.history
+        ] == expected_history
+
+
+STRATEGY_CLASSES = pytest.mark.parametrize(
+    "strategy_class",
+    [EvolutionaryStrategy, RandomSearchStrategy],
+    ids=["evolutionary", "random"],
+)
+
 
 class TestStrategies:
-    @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_every_strategy_is_seed_deterministic(self, graph, platform, profile, name):
+    @STRATEGY_CLASSES
+    def test_every_strategy_is_seed_deterministic(
+        self, graph, platform, profile, strategy_class
+    ):
         config = NMPConfig(population_size=8, generations=5, seed=2)
         runs = []
         for _ in range(2):
             engine = MapperEngine(graph, platform, profile, config)
-            result = engine.run(make_strategy(name))
+            result = engine.run(strategy_class())
             runs.append(result)
         first, second = runs
         assert first.best_candidate.key() == second.best_candidate.key()
@@ -157,12 +229,14 @@ class TestStrategies:
         assert [
             (g.best_fitness, g.mean_fitness) for g in first.history
         ] == [(g.best_fitness, g.mean_fitness) for g in second.history]
-        assert first.strategy == name
+        assert first.strategy == strategy_class.name
 
-    @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_strategy_results_are_valid_mappings(self, graph, platform, profile, name):
+    @STRATEGY_CLASSES
+    def test_strategy_results_are_valid_mappings(
+        self, graph, platform, profile, strategy_class
+    ):
         config = NMPConfig(population_size=6, generations=4, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(make_strategy(name))
+        result = MapperEngine(graph, platform, profile, config).run(strategy_class())
         candidate = result.best_candidate
         assert len(candidate) == len(graph.compute_nodes())
         for node, assignment in candidate.assignments.items():
@@ -174,11 +248,12 @@ class TestStrategies:
         conv = result.convergence
         assert all(b <= a + 1e-12 for a, b in zip(conv, conv[1:]))
 
-    def test_four_strategies_share_one_evaluator(self, graph, platform, profile):
+    def test_both_strategies_share_one_evaluator(self, graph, platform, profile):
         config = NMPConfig(population_size=8, generations=4, seed=0)
         engine = MapperEngine(graph, platform, profile, config)
         results = {
-            name: engine.run(make_strategy(name)) for name in sorted(STRATEGIES)
+            strategy.name: engine.run(strategy)
+            for strategy in (EvolutionaryStrategy(), RandomSearchStrategy())
         }
         # All runs drew from one shared evaluator: its totals are the sums of
         # the per-run deltas.
@@ -188,7 +263,7 @@ class TestStrategies:
         assert engine.evaluator.cache_hits == sum(
             r.cache_hits for r in results.values()
         )
-        # Later runs benefit from earlier runs' cached evaluations.
+        # Repeated candidates are served from the shared fitness cache.
         assert engine.evaluator.cache_hits > 0
 
     def test_evolutionary_beats_random_under_equal_budget(self, graph, platform, profile):
@@ -202,48 +277,8 @@ class TestStrategies:
             <= random_search.best_breakdown.fitness + 1e-15
         )
 
-    def test_greedy_descends_from_warm_start(self, graph, platform, profile):
-        config = NMPConfig(population_size=4, generations=30, seed=0)
-        seed_candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        engine = MapperEngine(graph, platform, profile, config)
-        seed_fitness = engine.evaluator.evaluate(seed_candidate).fitness
-        result = engine.run(
-            GreedyLayerwiseStrategy(), initial_candidates=[seed_candidate]
-        )
-        assert result.best_breakdown.fitness <= seed_fitness + 1e-15
 
-    def test_make_strategy_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_strategy("gradient_descent")
-
-
-class TestBudgetAndPatience:
-    def test_max_evaluations_caps_requested(self, graph, platform, profile):
-        config = NMPConfig(
-            population_size=10, generations=50, seed=0, max_evaluations=35
-        )
-        result = MapperEngine(graph, platform, profile, config).run(
-            RandomSearchStrategy()
-        )
-        assert result.requested_evaluations == 35
-        # 3 full generations of 10 plus one truncated generation of 5.
-        assert len(result.history) == 4
-
-    def test_patience_stops_stagnant_search(self, graph, platform, profile):
-        # A patience-1 run stops right after the first non-improving
-        # generation; random search with a tiny population stalls quickly.
-        config = NMPConfig(population_size=4, generations=200, seed=0, patience=1)
-        result = MapperEngine(graph, platform, profile, config).run(
-            RandomSearchStrategy()
-        )
-        assert len(result.history) < 200
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NMPConfig(max_evaluations=0)
-        with pytest.raises(ValueError):
-            NMPConfig(patience=0)
-
+class TestRunConfig:
     def test_run_config_override(self, graph, platform, profile):
         engine = MapperEngine(
             graph, platform, profile, NMPConfig(population_size=8, generations=10, seed=0)
@@ -265,15 +300,6 @@ class TestBudgetAndPatience:
                 RandomSearchStrategy(),
                 config=replace(engine.config, accuracy_threshold=0.2),
             )
-
-    def test_equal_budget_config(self, graph, platform, profile):
-        engine = MapperEngine(
-            graph, platform, profile, NMPConfig(population_size=8, generations=5, seed=0)
-        )
-        budget_config = engine.equal_budget_config()
-        assert budget_config.max_evaluations == 40
-        result = engine.run(GreedyLayerwiseStrategy(), config=budget_config)
-        assert result.requested_evaluations <= 40
 
 
 class TestFlatScheduler:

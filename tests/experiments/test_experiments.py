@@ -97,6 +97,13 @@ class TestFig9Fig10:
         assert all(b <= a + 1e-12 for a, b in zip(conv, conv[1:]))
         assert result["evolutionary_vs_random_speedup"] > 0
         assert "evolutionary" in format_fig10(result)
+        # Fig. 10b compares exactly the paper's two searches, each at the
+        # full generations x population budget.
+        strategies = result["strategies"]
+        assert list(strategies) == ["evolutionary", "random"]
+        assert result["evaluation_budget"] == 40
+        for stats in strategies.values():
+            assert stats["requested_evaluations"] == result["evaluation_budget"]
 
 
 class TestTables:

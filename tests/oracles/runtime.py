@@ -139,10 +139,6 @@ class LegacyListServer(SignatureServer):
         self._pending_list: List[_PendingDispatch] = []
         self._legacy_seq = itertools.count()
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending_list)
-
     def pending_entries(self) -> List[_PendingDispatch]:
         return list(self._pending_list)
 

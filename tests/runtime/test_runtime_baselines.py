@@ -1,4 +1,4 @@
-"""Tests for the runtime executor, RR mapping policies, tracer and static baselines."""
+"""Tests for mapped-graph scheduling, RR mapping policies, tracer and static baselines."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import CountBasedAggregator, FixedIntervalAggregator
-from repro.core import MappingCandidate, ScheduleResult
+from repro.core import ExecutionScheduler, MappingCandidate, ScheduleResult
 from repro.events import EventStream, SensorGeometry
-from repro.hw import jetson_xavier_agx
+from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
     KernelTrace,
-    MappedExecutor,
     format_gantt,
     rr_layer_mapping,
     rr_network_mapping,
@@ -39,8 +38,14 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def executor(graph, platform):
-    return MappedExecutor(graph, platform)
+def profile(graph, platform):
+    return PlatformProfiler(platform).profile(graph)
+
+
+@pytest.fixture(scope="module")
+def scheduler(platform, profile):
+    """Dense-input scheduling of the module's graph."""
+    return ExecutionScheduler(platform, profile)
 
 
 class TestMappingPolicies:
@@ -112,40 +117,40 @@ class TestPrecisionFallback:
 
 
 class TestDeviceBusyTime:
-    def test_busy_time_sums_timeline_durations(self, executor, graph, platform):
-        report = executor.execute(rr_layer_mapping(graph, platform))
-        busy = report.schedule.device_busy_time()
-        assert set(busy) == {entry.queue for entry in report.schedule.timeline}
+    def test_busy_time_sums_timeline_durations(self, scheduler, graph, platform):
+        schedule = scheduler.schedule(graph, rr_layer_mapping(graph, platform))
+        busy = schedule.device_busy_time()
+        assert set(busy) == {entry.queue for entry in schedule.timeline}
         for queue, total in busy.items():
             expected = sum(
                 entry.duration
-                for entry in report.schedule.timeline
+                for entry in schedule.timeline
                 if entry.queue == queue
             )
             assert total == pytest.approx(expected, rel=1e-12)
 
-    def test_busy_time_bounded_by_makespan(self, executor, graph, platform):
+    def test_busy_time_bounded_by_makespan(self, scheduler, graph, platform):
         # Every queue is serial, so no queue can be busy for longer than the
         # whole schedule takes.
-        report = executor.execute(rr_layer_mapping(graph, platform))
-        makespan = report.schedule.makespan
-        for total in report.schedule.device_busy_time().values():
+        schedule = scheduler.schedule(graph, rr_layer_mapping(graph, platform))
+        makespan = schedule.makespan
+        for total in schedule.device_busy_time().values():
             assert total <= makespan + 1e-12
 
-    def test_utilisation_accounting_matches_busy_time(self, executor, graph, platform):
-        report = executor.execute(rr_layer_mapping(graph, platform))
-        busy = report.schedule.device_busy_time()
-        util = utilisation(report.schedule)
-        makespan = report.schedule.makespan
+    def test_utilisation_accounting_matches_busy_time(self, scheduler, graph, platform):
+        schedule = scheduler.schedule(graph, rr_layer_mapping(graph, platform))
+        busy = schedule.device_busy_time()
+        util = utilisation(schedule)
+        makespan = schedule.makespan
         for queue, fraction in util.items():
             assert fraction == pytest.approx(busy[queue] / makespan, rel=1e-9)
 
-    def test_transfers_accrue_to_memory_queue(self, executor, graph, platform):
-        report = executor.execute(rr_layer_mapping(graph, platform))
-        busy = report.schedule.device_busy_time()
+    def test_transfers_accrue_to_memory_queue(self, scheduler, graph, platform):
+        schedule = scheduler.schedule(graph, rr_layer_mapping(graph, platform))
+        busy = schedule.device_busy_time()
         transfer_total = sum(
             entry.duration
-            for entry in report.schedule.timeline
+            for entry in schedule.timeline
             if entry.kind == "transfer"
         )
         assert transfer_total > 0
@@ -153,34 +158,36 @@ class TestDeviceBusyTime:
 
 
 class TestExecutor:
-    def test_execute_returns_consistent_report(self, executor, graph, platform):
-        report = executor.execute(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
-        assert report.latency > 0
-        assert report.schedule.energy > 0
-        assert set(report.task_latencies) == set(graph.task_names)
-        assert report.schedule.makespan >= report.latency - 1e-12
-
-    def test_sparse_execution_is_faster(self, executor, graph, platform):
+    def test_execute_returns_consistent_report(self, scheduler, graph, platform):
         mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        dense = executor.execute(mapping, sparse=False)
-        sparse = executor.execute(mapping, sparse=True)
-        assert sparse.latency < dense.latency
+        schedule = scheduler.schedule(graph, mapping)
+        assert schedule.max_task_latency > 0
+        assert schedule.energy > 0
+        assert set(schedule.task_latencies) == set(graph.task_names)
+        assert schedule.makespan >= schedule.max_task_latency - 1e-12
+
+    def test_sparse_execution_is_faster(self, scheduler, profile, graph, platform):
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
+        dense = scheduler.schedule(graph, mapping)
+        sparse = ExecutionScheduler(platform, profile, sparse=True).schedule(graph, mapping)
+        assert sparse.max_task_latency < dense.max_task_latency
 
 
 class TestTracer:
-    def test_timeline_and_utilisation(self, executor, graph, platform):
-        report = executor.execute(rr_layer_mapping(graph, platform))
-        grouped = timeline_by_device(report.schedule)
+    def test_timeline_and_utilisation(self, scheduler, graph, platform):
+        schedule = scheduler.schedule(graph, rr_layer_mapping(graph, platform))
+        grouped = timeline_by_device(schedule)
         assert grouped
         for entries in grouped.values():
             starts = [e.start for e in entries]
             assert starts == sorted(starts)
-        util = utilisation(report.schedule)
+        util = utilisation(schedule)
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in util.values())
 
-    def test_format_gantt_renders(self, executor, graph, platform):
-        report = executor.execute(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
-        text = format_gantt(report.schedule, width=30, max_rows=5)
+    def test_format_gantt_renders(self, scheduler, graph, platform):
+        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
+        schedule = scheduler.schedule(graph, mapping)
+        text = format_gantt(schedule, width=30, max_rows=5)
         assert "gpu" in text
         assert "#" in text
 

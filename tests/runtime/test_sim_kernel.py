@@ -373,8 +373,8 @@ class TestProductionWiring:
 
         def checked(server, client, batch, time):
             busy = server.busy_until(client)
-            if server.pending_count or busy > time:
-                waits.append((busy, time, server.pending_count))
+            if server._pending_count or busy > time:
+                waits.append((busy, time, server._pending_count))
             dispatch(server, client, batch, time)
 
         monkeypatch.setattr(SignatureServer, "dispatch", checked)

@@ -649,20 +649,20 @@ class TestBacklogEstimate:
         server.dispatch(a, SparseFrameBatch.from_stack(stack, 0, 1), 0.0)
         busy = server.busy_until()
         assert busy > 0
-        assert server.queued_service_estimate() == 0.0
+        assert server._pending_service == 0.0
         # Warm the senders' service estimates, then enqueue while busy.
         b.note_dispatch(0.5)
         c.note_dispatch(0.25)
         server.dispatch(b, SparseFrameBatch.from_stack(stack, 1, 2), 0.0)
-        assert server.queued_service_estimate() == 0.5
+        assert server._pending_service == 0.5
         server.dispatch(c, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
-        assert server.queued_service_estimate() == 0.5 + 0.25
+        assert server._pending_service == 0.5 + 0.25
         # The estimate a prospective sender sees covers busy lead + queue.
         assert server.backlog_estimate(b, 0.0) == busy + 0.75
-        assert server.pending_count == 2
+        assert server._pending_count == 2
         kernel.run()
-        assert server.pending_count == 0
-        assert server.queued_service_estimate() == 0.0
+        assert server._pending_count == 0
+        assert server._pending_service == 0.0
 
     def test_eviction_releases_queued_service_estimate(
         self, platform, sequence, network
@@ -685,8 +685,8 @@ class TestBacklogEstimate:
         # Depth 1: the pending entry (estimate 0.5) is evicted, replaced by
         # the new one (estimate 0.3).
         server.dispatch(client, SparseFrameBatch.from_stack(stack, 2, 3), 0.0)
-        assert server.pending_count == 1
-        assert server.queued_service_estimate() == pytest.approx(0.3)
+        assert server._pending_count == 1
+        assert server._pending_service == pytest.approx(0.3)
         assert client.report.frames_dropped == 1
 
 
