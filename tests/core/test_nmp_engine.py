@@ -15,6 +15,7 @@ from repro.core import (
     MappingCandidate,
     NMPConfig,
     RandomSearchStrategy,
+    SearchContext,
 )
 from repro.hw import PlatformProfiler, jetson_xavier_agx
 from repro.models import build_network
@@ -266,6 +267,75 @@ class TestStrategies:
         # Repeated candidates are served from the shared fitness cache.
         assert engine.evaluator.cache_hits > 0
 
+    @STRATEGY_CLASSES
+    def test_strategy_instance_reruns_identically(
+        self, graph, platform, profile, strategy_class
+    ):
+        # Strategies keep no state between runs, so one instance re-run on
+        # the same engine proposes the same candidates: the rerun is served
+        # wholly from the fitness cache and returns the same result.
+        config = NMPConfig(population_size=8, generations=4, seed=1)
+        engine = MapperEngine(graph, platform, profile, config)
+        strategy = strategy_class()
+        first = engine.run(strategy)
+        second = engine.run(strategy)
+        assert second.best_candidate.key() == first.best_candidate.key()
+        assert second.history == first.history
+        assert second.evaluations == 0
+        assert second.cache_hits == second.requested_evaluations
+        assert second.requested_evaluations == first.requested_evaluations
+
+    def test_evolutionary_initial_population_truncates_and_pads_warm_starts(
+        self, graph, platform
+    ):
+        warm = [
+            MappingCandidate.uniform(graph, "gpu", precision)
+            for precision in (Precision.FP32, Precision.FP16, Precision.INT8)
+        ] + [rr_layer_mapping(graph, platform)]
+        strategy = EvolutionaryStrategy()
+        # More warm starts than the population holds: the first ones, copied.
+        ctx = SearchContext(
+            graph, platform, NMPConfig(population_size=3), np.random.default_rng(0), warm
+        )
+        population = strategy.initial_population(ctx)
+        assert [c.key() for c in population] == [c.key() for c in warm[:3]]
+        assert all(c is not w for c, w in zip(population, warm))
+        # Fewer: the warm starts, then random candidates drawn from ctx.rng.
+        ctx = SearchContext(
+            graph, platform, NMPConfig(population_size=6), np.random.default_rng(4), warm[:2]
+        )
+        population = strategy.initial_population(ctx)
+        rng = np.random.default_rng(4)
+        padding = [MappingCandidate.random(graph, platform, rng) for _ in range(4)]
+        assert [c.key() for c in population] == [c.key() for c in warm[:2] + padding]
+
+    @pytest.mark.parametrize(
+        "population_size, num_elite", [(2, 1), (6, 2), (10, 2)]
+    )
+    def test_evolutionary_next_population_keeps_elites_and_mutates_parents(
+        self, graph, platform, profile, population_size, num_elite
+    ):
+        # A quarter of the population, rounded half to even and at least
+        # one, survives as copies of the best candidates; every child
+        # re-draws at most two layers of one of the best 2 * num_elite.
+        config = NMPConfig(population_size=population_size, seed=0)
+        ctx = SearchContext(graph, platform, config, np.random.default_rng(0), [])
+        strategy = EvolutionaryStrategy()
+        evaluator = FitnessEvaluator(graph, platform, profile)
+        evaluated = [(c, evaluator.evaluate(c)) for c in strategy.initial_population(ctx)]
+        ranked = [c for c, _ in sorted(evaluated, key=lambda pair: pair[1].fitness)]
+        following = strategy.next_population(evaluated, ctx)
+        assert len(following) == population_size
+        elites, children = following[:num_elite], following[num_elite:]
+        assert [c.key() for c in elites] == [c.key() for c in ranked[:num_elite]]
+        assert all(e is not r for e, r in zip(elites, ranked))
+        parents = ranked[: max(2 * num_elite, 2)]
+        for child in children:
+            assert min(
+                sum(1 for node in parent.assignments if parent[node] != child[node])
+                for parent in parents
+            ) <= 2
+
     def test_evolutionary_beats_random_under_equal_budget(self, graph, platform, profile):
         config = NMPConfig(population_size=12, generations=10, seed=0)
         engine = MapperEngine(graph, platform, profile, config)
@@ -279,6 +349,18 @@ class TestStrategies:
 
 
 class TestRunConfig:
+    @STRATEGY_CLASSES
+    def test_every_run_requests_generations_times_population(
+        self, graph, platform, profile, strategy_class
+    ):
+        # No budget cap and no early stop: a run evaluates exactly
+        # `generations` full populations.
+        config = NMPConfig(population_size=7, generations=5, seed=0)
+        result = MapperEngine(graph, platform, profile, config).run(strategy_class())
+        assert result.requested_evaluations == 7 * 5
+        assert [g.generation for g in result.history] == list(range(5))
+        assert result.evaluations + result.cache_hits == result.requested_evaluations
+
     def test_run_config_override(self, graph, platform, profile):
         engine = MapperEngine(
             graph, platform, profile, NMPConfig(population_size=8, generations=10, seed=0)
