@@ -2,11 +2,11 @@
 
 from .config import EvEdgeConfig, OptimizationLevel
 from .dsfa import (
-    BucketStatus,
     DSFAConfig,
     DynamicSparseFrameAggregator,
     MergeMode,
-    StackMergeBucket,
+    PlacementPlan,
+    placement_plan,
 )
 from .e2sf import E2SFReport, Event2SparseFrameConverter
 from .nmp import (
@@ -35,8 +35,8 @@ __all__ = [
     "DynamicSparseFrameAggregator",
     "DSFAConfig",
     "MergeMode",
-    "StackMergeBucket",
-    "BucketStatus",
+    "PlacementPlan",
+    "placement_plan",
     "Assignment",
     "MappingCandidate",
     "ExecutionScheduler",

@@ -21,13 +21,20 @@ The implementation follows Figure 6 of the paper:
 
 Frames arrive as ``(stack, index)`` references into one rendered
 :class:`~repro.frames.stack.FrameStack`
-(:meth:`DynamicSparseFrameAggregator.push_index`): every merge bucket is a
-contiguous index range of that stack (:class:`StackMergeBucket`).  A
+(:meth:`DynamicSparseFrameAggregator.push_index`), so every merge bucket is
+a contiguous index range of that stack.  Only the last bucket can be ``AVL``
+— a ``FULL`` bucket never reopens — and a dispatch only cuts the buffer,
+never deciding whether a frame joins the open bucket.  So where a bucket
+opened at frame ``s`` closes, and the merged density of each of its
+prefixes, depend only on the stack and the placement settings: they are
+compiled once per (stack, settings) into a :class:`PlacementPlan`, cached
+on the stack (:func:`placement_plan`) and shared by every stream that
+replays it.  A push compares its index with the open bucket's end.  A
 dispatch merges nothing: it hands out a
 :meth:`~repro.frames.sparse.SparseFrameBatch.from_merge` batch of the
-buckets' ranges and merged densities — all that costing a dispatch reads —
-which runs one :meth:`FrameStack.merge_ranges` call over every bucket only
-if a caller reads its frame contents.
+buckets' ranges and their plan densities — all that costing a dispatch
+reads — which runs one :meth:`FrameStack.merge_ranges` call over every
+bucket only if a caller reads its frame contents.
 The bounded inference queue of Figure 6 is the executor's: the
 :class:`~repro.runtime.executor.SignatureServer` keeps at most
 ``inference_queue_depth`` pending dispatches per stream.  The per-frame
@@ -39,16 +46,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
 
 __all__ = [
     "MergeMode",
-    "BucketStatus",
-    "StackMergeBucket",
     "DSFAConfig",
+    "PlacementPlan",
+    "placement_plan",
     "DynamicSparseFrameAggregator",
 ]
 
@@ -59,144 +66,6 @@ class MergeMode(Enum):
     ADD = "cAdd"
     AVERAGE = "cAverage"
     BATCH = "cBatch"
-
-
-class BucketStatus(Enum):
-    """Whether a merge bucket can still accept frames."""
-
-    AVAILABLE = "AVL"
-    FULL = "FULL"
-
-
-class StackMergeBucket:
-    """One merge bucket: an index range into a :class:`FrameStack`.
-
-    Frames are pushed by ``(stack, index)`` reference, so the bucket never
-    materialises frame objects: it holds the contiguous range
-    ``[start, stop)`` of stack indices placed into it.  Contiguity is a
-    structural invariant of the placement loop, not an assumption — once a
-    bucket rejects a frame it is marked ``FULL`` forever, so every placement
-    lands in the *first* non-``FULL`` bucket and each bucket accumulates a
-    contiguous run of pushed indices, with buckets in list order
-    partitioning a contiguous range of the stack.
-
-    Density probes compute the merged-support density (the paper's
-    ``MBmerged``) as the unique-key count of the range's flat pixel keys —
-    bit-identical to the density of the cAdd merge of the bucket's frames
-    (density depends only on the active-site union), without building any
-    intermediate frame.  A one-frame bucket of a stack whose frames repeat
-    no key (:meth:`FrameStack.keys_strictly_ascending`) reads the stack's
-    cached density column instead.
-    """
-
-    __slots__ = (
-        "capacity",
-        "stack",
-        "start",
-        "stop",
-        "status",
-        "_density",
-        "_earliest",
-    )
-
-    def __init__(self, capacity: int, stack: FrameStack, start: int) -> None:
-        if capacity < 1:
-            raise ValueError("bucket capacity must be >= 1")
-        self.capacity = capacity
-        self.stack = stack
-        self.start = start
-        self.stop = start
-        self.status = BucketStatus.AVAILABLE
-        self._density: Optional[float] = None
-        # Running min of the bucket's t_starts (the paper's Time(Evf_1)),
-        # maintained in O(1) per add so placement probes never slice the
-        # stack's time column.
-        self._earliest = float("inf")
-
-    @property
-    def occupancy(self) -> int:
-        """Number of frames currently in the bucket."""
-        return self.stop - self.start
-
-    @property
-    def is_full(self) -> bool:
-        """True when no further frame may be added."""
-        return self.status is BucketStatus.FULL or self.occupancy >= self.capacity
-
-    @property
-    def merged_density(self) -> float:
-        """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
-        if self.stop == self.start:
-            return 0.0
-        if self._density is None:
-            stack = self.stack
-            if self.stop - self.start == 1 and stack.keys_strictly_ascending():
-                # The frame repeats no key: its nnz is its distinct-key
-                # count, so the cached column holds the merged density.
-                self._density = stack.densities_list()[self.start]
-            else:
-                lo = int(stack.offsets[self.start])
-                hi = int(stack.offsets[self.stop])
-                # Cardinality of a key set equals ``np.unique(...).size``
-                # and the int64 -> python int round trip is exact, so the
-                # density is bit-identical to the cAdd-merge's.  The set is
-                # transient: a bucket holds at most ``capacity`` sparse
-                # frames, so rebuilding it per probe beats both an
-                # ``np.unique`` dispatch and retaining a per-bucket support
-                # cache across the fleet.
-                support = set(stack.flat_buffer()[lo:hi].tolist())
-                self._density = len(support) / float(stack.height * stack.width)
-        return self._density
-
-    def accepts_index(
-        self,
-        t_start: float,
-        density: float,
-        max_delay: float,
-        max_density_change: float,
-    ) -> bool:
-        """Greedy placement test for the next frame of the bucket's stack.
-
-        ``t_start`` / ``density`` are the frame's start time and spatial
-        density, read by the caller off the stack's cached columns.  The
-        frame is accepted when the bucket has room, its delay from the
-        bucket's earliest frame is within ``max_delay`` (``MtTh``) and the
-        relative density change versus :attr:`merged_density` is within
-        ``max_density_change`` (``MdTh``).
-        """
-        if self.is_full:
-            return False
-        if self.stop == self.start:
-            return True
-        if t_start - self._earliest > max_delay:
-            return False
-        d1 = self.merged_density
-        bottom = d1 if d1 > density else density
-        if bottom > 0 and abs(d1 - density) / bottom > max_density_change:
-            return False
-        return True
-
-    def add_index(self, index: int) -> None:
-        """Append frame ``index`` (the caller must have checked :meth:`accepts_index`)."""
-        if self.is_full:
-            raise RuntimeError("cannot add a frame to a FULL merge bucket")
-        if index != self.stop:
-            raise RuntimeError(
-                f"stack bucket holds [{self.start}, {self.stop}); "
-                f"index {index} breaks contiguity"
-            )
-        self.stop = index + 1
-        self._density = None
-        t = self.stack.t_starts_list()[index]
-        if t < self._earliest:
-            self._earliest = t
-        if self.occupancy >= self.capacity:
-            self.seal()
-
-    def seal(self) -> None:
-        """Mark the bucket FULL; it is never density-probed again and only
-        waits for dispatch."""
-        self.status = BucketStatus.FULL
 
 
 @dataclass(frozen=True)
@@ -247,22 +116,116 @@ class DSFAConfig:
             raise ValueError("inference_queue_depth must be >= 1")
 
 
+class PlacementPlan(NamedTuple):
+    """DSFA's bucket placement over one stack, for one set of settings.
+
+    ``end[s]`` is the first frame that a bucket opened at frame ``s`` does
+    not take, and ``densities[s][k - 1]`` is the merged density (the
+    paper's ``MBmerged``: distinct active pixels over the frame area) of
+    frames ``[s, s + k)`` for every ``k`` up to ``end[s] - s``.
+    """
+
+    end: List[int]
+    densities: List[List[float]]
+
+
+def _compile_placement(
+    stack: FrameStack, key: Tuple[int, float, float]
+) -> PlacementPlan:
+    """Place a bucket at every start frame of ``stack`` (paper Figure 6).
+
+    A bucket opened at ``s`` takes the next frame while it has room, the
+    frame's delay from the bucket's earliest frame is within ``MtTh`` and
+    its density (the stack's density column) differs from the bucket's
+    merged density by at most ``MdTh`` relative to the larger of the two;
+    the first frame it refuses, or the end of the stack, is ``end[s]``.
+    Each start's prefix densities come from one incremental union of the
+    stack's flat pixel keys: a key set's size equals ``np.unique(...).size``
+    and the int64 -> python int round trip is exact, so every density is
+    bit-identical to the density of the cAdd merge of its range.  A
+    one-frame range of a stack whose frames repeat no key
+    (:meth:`FrameStack.keys_strictly_ascending`) reads the density column.
+    """
+    capacity, max_delay, max_change = key
+    num_frames = stack.num_frames
+    t_starts = stack.t_starts_list()
+    frame_density = stack.densities_list()
+    offsets = stack.offsets.tolist()
+    flat = stack.flat_buffer()
+    area = float(stack.height * stack.width)
+    ascending = stack.keys_strictly_ascending()
+    end: List[int] = []
+    densities: List[List[float]] = []
+    for s in range(num_frames):
+        lo, hi = offsets[s], offsets[s + 1]
+        support = None
+        if ascending:
+            merged = frame_density[s]
+        else:
+            support = set(flat[lo:hi].tolist())
+            merged = len(support) / area
+        prefix = [merged]
+        earliest = t_starts[s]
+        j = s + 1
+        stop = min(s + capacity, num_frames)
+        while j < stop:
+            t = t_starts[j]
+            if t - earliest > max_delay:
+                break
+            density = frame_density[j]
+            bottom = merged if merged > density else density
+            if bottom > 0 and abs(merged - density) / bottom > max_change:
+                break
+            if support is None:
+                support = set(flat[lo:hi].tolist())
+            support.update(flat[offsets[j] : offsets[j + 1]].tolist())
+            merged = len(support) / area
+            prefix.append(merged)
+            if t < earliest:
+                earliest = t
+            j += 1
+        end.append(j)
+        densities.append(prefix)
+    return PlacementPlan(end, densities)
+
+
+def placement_plan(stack: FrameStack, config: DSFAConfig) -> PlacementPlan:
+    """``stack``'s placement under ``config``, compiled once per stack.
+
+    The plan is cached on the stack (:meth:`FrameStack.compiled`), keyed by
+    the settings placement reads: ``merge_bucket_size`` (1 for cBatch, which
+    puts every frame in a fresh bucket), ``max_time_delay`` and
+    ``max_density_change``.  The buffer size, the queue depth and cAdd
+    versus cAverage act at dispatch, so configs that differ only there
+    share a plan.
+    """
+    capacity = 1 if config.merge_mode is MergeMode.BATCH else config.merge_bucket_size
+    key = (capacity, config.max_time_delay, config.max_density_change)
+    return stack.compiled(_compile_placement, key)
+
+
 class DynamicSparseFrameAggregator:
     """Runtime aggregator of sparse frames (one instance per task).
 
-    The aggregator buffers frames of one :class:`FrameStack` at a time: a
-    push from a different stack while frames are buffered raises
-    ``ValueError`` (flush first).
+    The aggregator buffers one contiguous run of one :class:`FrameStack`'s
+    frames at a time, cut into buckets by the stack's
+    :func:`placement_plan`.  A push from a different stack while frames are
+    buffered raises ``ValueError`` (flush first), and a push that does not
+    continue the buffered run raises ``RuntimeError``.
     """
 
     def __init__(self, config: Optional[DSFAConfig] = None) -> None:
         self.config = config or DSFAConfig()
-        self._buckets: List[StackMergeBucket] = []
         self.dispatched_batches = 0
-        # Running buffered-frame count: every push adds exactly one frame
-        # and a dispatch drains every bucket, so the counter is O(1) per
-        # push instead of re-summing all bucket occupancies.
-        self._buffered_frames = 0
+        # The stack whose placement plan is loaded, and that plan's columns.
+        self._stack: Optional[FrameStack] = None
+        self._end: List[int] = []
+        self._densities: List[List[float]] = []
+        # The buffered run [starts[0], stop) is cut into buckets at
+        # ``starts``; the open (last) bucket takes frames below ``limit``.
+        self._starts: List[int] = []
+        self._stop = 0
+        self._limit = 0
 
     # ------------------------------------------------------------------
     # state inspection
@@ -270,12 +233,12 @@ class DynamicSparseFrameAggregator:
     @property
     def buffer_occupancy(self) -> int:
         """Total frames currently buffered across all merge buckets."""
-        return self._buffered_frames
+        return self._stop - self._starts[0] if self._starts else 0
 
     @property
     def num_buckets(self) -> int:
         """Number of (non-dispatched) merge buckets."""
-        return len(self._buckets)
+        return len(self._starts)
 
     # ------------------------------------------------------------------
     # main entry points
@@ -287,83 +250,59 @@ class DynamicSparseFrameAggregator:
 
         Returns the dispatched :class:`SparseFrameBatch` if this push
         caused a dispatch (buffer full or ``hardware_available``), else
-        ``None``.  Placement probes read the stack's density/time columns
-        and buckets record index ranges (:class:`StackMergeBucket`).
+        ``None``.  The frame opens a bucket when the buffer is empty or the
+        open bucket's plan end refuses it, and joins the open bucket
+        otherwise; the first push of a stack compiles or loads its plan.
         """
-        self._place_index(stack, index)
-        return self._maybe_dispatch(hardware_available)
+        starts = self._starts
+        if starts:
+            if stack is not self._stack:
+                raise ValueError(
+                    "DSFA buffers frames of one stack at a time; "
+                    "flush before pushing frames of another stack"
+                )
+            if index != self._stop:
+                raise RuntimeError(
+                    f"DSFA buffers frames [{starts[0]}, {self._stop}); "
+                    f"index {index} breaks contiguity"
+                )
+        elif stack is not self._stack:
+            self._end, self._densities = placement_plan(stack, self.config)
+            self._stack = stack
+        if not starts or index >= self._limit:
+            self._limit = self._end[index]
+            starts.append(index)
+        self._stop = index + 1
+        if self._stop - starts[0] >= self.config.event_buffer_size or hardware_available:
+            return self._dispatch()
+        return None
 
     def flush(self) -> Optional[SparseFrameBatch]:
         """Force-dispatch all buffered frames (end of a sequence)."""
-        if self.num_buckets == 0:
+        if not self._starts:
             return None
         return self._dispatch()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _maybe_dispatch(self, hardware_available: bool) -> Optional[SparseFrameBatch]:
-        if self.buffer_occupancy >= self.config.event_buffer_size:
-            return self._dispatch()
-        if hardware_available and self.num_buckets > 0:
-            # Dispatch whatever is ready to keep the hardware busy.
-            return self._dispatch()
-        return None
-
-    def _place_index(self, stack: FrameStack, index: int) -> None:
-        buckets = self._buckets
-        if buckets and buckets[0].stack is not stack:
-            raise ValueError(
-                "DSFA buffers frames of one stack at a time; "
-                "flush before pushing frames of another stack"
-            )
-        cfg = self.config
-        self._buffered_frames += 1
-        if cfg.merge_mode is MergeMode.BATCH:
-            # cBatch: every generated frame goes into a fresh bucket.
-            bucket = StackMergeBucket(1, stack, index)
-            bucket.add_index(index)
-            buckets.append(bucket)
-            return
-        # Only the tail bucket can ever be open: a bucket that rejects a
-        # frame is sealed on the spot and a full bucket stays FULL forever,
-        # so every bucket before the last was closed before the last was
-        # created.  Probing just the tail is therefore placement-identical
-        # to the paper's full scan (every earlier probe would return False)
-        # without an O(buckets) pass per push.
-        if buckets:
-            bucket = buckets[-1]
-            if bucket.accepts_index(
-                stack.t_starts_list()[index],
-                stack.densities_list()[index],
-                cfg.max_time_delay,
-                cfg.max_density_change,
-            ):
-                bucket.add_index(index)
-                return
-            if not bucket.is_full:
-                # Condition failed: the paper marks the bucket FULL and moves on.
-                bucket.seal()
-        bucket = StackMergeBucket(cfg.merge_bucket_size, stack, index)
-        bucket.add_index(index)
-        buckets.append(bucket)
-
     def _dispatch(self) -> SparseFrameBatch:
         # No merge runs here.  A merged frame has one entry per distinct key
-        # of its bucket, so its density is the bucket's merged density, and
+        # of its bucket, so its density is the bucket's plan density, and
         # the batch merges every bucket in one grouped-reduce pass only if a
-        # caller reads frame contents.  The buckets partition a contiguous
-        # run of the stack (placement invariant), so that merge reads one
-        # parent slice.
-        buckets = self._buckets
+        # caller reads frame contents.  The buckets partition the buffered
+        # run, so that merge reads one parent slice.
+        starts = self._starts
+        stops = starts[1:]
+        stops.append(self._stop)
+        densities = self._densities
         batch = SparseFrameBatch.from_merge(
-            buckets[0].stack,
-            [(bucket.start, bucket.stop) for bucket in buckets],
-            [bucket.merged_density for bucket in buckets],
+            self._stack,
+            list(zip(starts, stops)),
+            [densities[a][b - a - 1] for a, b in zip(starts, stops)],
             average=self.config.merge_mode is MergeMode.AVERAGE,
         )
-        self._buckets = []
-        self._buffered_frames = 0
+        self._starts = []
         self.dispatched_batches += 1
         return batch
 

@@ -39,6 +39,11 @@ from .scheduler import ExecutionScheduler
 
 __all__ = ["FitnessBreakdown", "FitnessEvaluator"]
 
+# Latency units of penalty per unit of accuracy-constraint violation.
+_PENALTY_WEIGHT = 10.0
+# Validation intervals sampled per accuracy evaluation.
+_ACCURACY_SUBSET = 2
+
 
 @dataclass(frozen=True)
 class FitnessBreakdown:
@@ -65,13 +70,11 @@ class FitnessEvaluator:
         latency-only studies fast).
     accuracy_threshold:
         The per-task degradation bound ``dA``.
-    penalty_weight:
-        Latency-units of penalty per unit of constraint violation.
-    accuracy_subset:
-        Number of validation intervals sampled per accuracy evaluation (the
-        paper evaluates on a random subset to reduce search cost).
-    sparse:
-        Whether layers run on sparse inputs (E2SF enabled).
+
+    Layers run on sparse inputs (E2SF enabled), an infeasible candidate's
+    latency is scaled by ``1 + _PENALTY_WEIGHT * violation``, and each
+    accuracy evaluation samples ``_ACCURACY_SUBSET`` validation intervals
+    (the paper evaluates on a random subset to reduce search cost).
     """
 
     def __init__(
@@ -81,20 +84,15 @@ class FitnessEvaluator:
         profile: ProfileTable,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
         accuracy_threshold: float = 0.05,
-        penalty_weight: float = 10.0,
-        accuracy_subset: Optional[int] = 2,
-        sparse: bool = True,
     ) -> None:
         if accuracy_threshold < 0:
             raise ValueError("accuracy_threshold must be non-negative")
         self.graph = graph
         self.platform = platform
         self.profile = profile
-        self.scheduler = ExecutionScheduler(platform, profile, sparse=sparse)
+        self.scheduler = ExecutionScheduler(platform, profile, sparse=True)
         self.accuracy_evaluators = accuracy_evaluators or {}
         self.accuracy_threshold = accuracy_threshold
-        self.penalty_weight = penalty_weight
-        self.accuracy_subset = accuracy_subset
         # Task names, the tasks with an accuracy evaluator, and per-task
         # compute nodes in topological order, resolved once: the degradation
         # keys and per-task precision lists are on the hot path.
@@ -131,7 +129,7 @@ class FitnessEvaluator:
         stage_precisions = map_layer_precisions_to_stages(
             list(layer_precisions), surrogate_stages
         )
-        value = evaluator.degradation(stage_precisions, subset=self.accuracy_subset)
+        value = evaluator.degradation(stage_precisions, subset=_ACCURACY_SUBSET)
         self._degradation_cache[key] = value
         return value
 
@@ -153,7 +151,7 @@ class FitnessEvaluator:
         )
         feasible = violation == 0.0
         latency = max(task_latencies.values()) if task_latencies else 0.0
-        fitness = latency * (1.0 + self.penalty_weight * violation)
+        fitness = latency * (1.0 + _PENALTY_WEIGHT * violation)
         breakdown = FitnessBreakdown(
             fitness=fitness,
             max_task_latency=latency,

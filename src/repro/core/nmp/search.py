@@ -287,7 +287,6 @@ class MapperEngine:
         profile: ProfileTable,
         config: Optional[NMPConfig] = None,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
-        sparse: bool = True,
     ) -> None:
         self.graph = graph
         self.platform = platform
@@ -299,7 +298,6 @@ class MapperEngine:
             profile,
             accuracy_evaluators=accuracy_evaluators,
             accuracy_threshold=self.config.accuracy_threshold,
-            sparse=sparse,
         )
 
     # ------------------------------------------------------------------

@@ -453,7 +453,7 @@ class SparseFrameBatch:
 
         ``densities[i]`` must be the spatial density of merged frame ``i``
         — its distinct-key count over ``height * width``, which is what
-        :attr:`~repro.core.dsfa.StackMergeBucket.merged_density` computes.
+        :attr:`~repro.core.dsfa.PlacementPlan.densities` holds.
         The merge itself (``stack.merge_ranges(ranges, average)``) runs only
         when frame contents are first read.
         """

@@ -30,13 +30,16 @@ own with ``np.unique`` + ``np.bincount`` and, for cAverage, scaling by
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from .sparse import SparseFrame, _grouped_reduce
 
 __all__ = ["FrameStack"]
+
+_K = TypeVar("_K")
+_T = TypeVar("_T")
 
 
 class FrameStack:
@@ -75,6 +78,7 @@ class FrameStack:
         "_te_list",
         "_d_list",
         "_ascending",
+        "_compiled",
     )
 
     def __init__(
@@ -131,6 +135,7 @@ class FrameStack:
         self._te_list = None
         self._d_list = None
         self._ascending = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -167,6 +172,7 @@ class FrameStack:
         stack._te_list = None
         stack._d_list = None
         stack._ascending = None
+        stack._compiled = None
         return stack
 
     @classmethod
@@ -232,7 +238,7 @@ class FrameStack:
 
         Equals ``[stack.frame(i).density for i in range(len(stack))]``
         without materialising a frame view per entry.  The column is cached:
-        DSFA placement probes and batch cost queries read it repeatedly on
+        DSFA's placement compile and batch cost queries read it repeatedly on
         the fleet hot path.  Callers must not mutate the returned array.
         """
         if self._dens is None:
@@ -250,7 +256,8 @@ class FrameStack:
         ``float64.tolist()`` round-trips every value exactly, so indexing
         this list is bit-identical to ``float(self.t_starts[i])`` — but a
         list index is a pointer load, while extracting a numpy scalar per
-        DSFA push costs ~1µs.  Placement probes read one entry per frame.
+        DSFA push costs ~1µs.  The placement compile reads one entry per
+        probed frame.
         """
         if self._ts_list is None:
             self._ts_list = self.t_starts.tolist()
@@ -290,6 +297,25 @@ class FrameStack:
             step[starts - 1] = True
             self._ascending = bool(step.all())
         return self._ascending
+
+    def compiled(self, build: Callable[["FrameStack", _K], _T], key: _K) -> _T:
+        """``build(self, key)``, computed once per ``(build, key)``.
+
+        Lets another layer compile what depends only on the stack's columns
+        and a few settings (DSFA's placement plan,
+        :func:`repro.core.dsfa.placement_plan`) once, on the stack itself, so
+        every stream replaying the stack shares it and it lives exactly as
+        long as the stack does.  ``build`` must only read the columns: a
+        frozen stack stays read-only.  Slices and unpickled copies start
+        with nothing compiled.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = {}
+        entry = compiled.get((build, key))
+        if entry is None:
+            entry = compiled[(build, key)] = build(self, key)
+        return entry
 
     def freeze(self) -> "FrameStack":
         """Warm every derived column, then make every buffer read-only.
@@ -359,10 +385,12 @@ class FrameStack:
         Buffer columns and time bounds are numpy views into this stack
         (shared memory); only the rebased ``offsets`` array is newly
         allocated.  A cached flat-key buffer is carried into the slice (as a
-        view) when present — it is never computed just for the slice.  This
-        is how shard workers and churned streams ship index ranges instead
-        of frame lists; pickling a slice serialises only the sliced
-        elements and drops the derived caches (see :meth:`__getstate__`).
+        view) when present — it is never computed just for the slice; what
+        was :meth:`compiled` on this stack is not, because it indexes this
+        stack's frames.  This is how shard workers and churned streams ship
+        index ranges instead of frame lists; pickling a slice serialises
+        only the sliced elements and drops the derived caches (see
+        :meth:`__getstate__`).
         """
         if not 0 <= start <= stop <= self.num_frames:
             raise IndexError(
@@ -387,11 +415,11 @@ class FrameStack:
     # pickling
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # The flat-key and density caches are derived data (and may alias
-        # buffers of a parent stack) — rebuild them lazily on the other side
-        # instead of shipping them through worker pipes.  Pickling array
-        # views serialises only the viewed elements, so sliced sub-stacks
-        # ship compactly.
+        # The flat-key and density caches and the compiled structures are
+        # derived data (and may alias buffers of a parent stack) — rebuild
+        # them lazily on the other side instead of shipping them through
+        # worker pipes.  Pickling array views serialises only the viewed
+        # elements, so sliced sub-stacks ship compactly.
         return (
             self.rows,
             self.cols,
@@ -422,6 +450,7 @@ class FrameStack:
         self._te_list = None
         self._d_list = None
         self._ascending = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # segmented merge kernels

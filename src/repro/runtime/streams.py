@@ -222,12 +222,14 @@ def _shared_stack(sequence: EventSequence, num_bins: int) -> Optional[FrameStack
     (:meth:`~repro.core.e2sf.Event2SparseFrameConverter.convert_stack`),
     then warms it and marks it read-only with
     :meth:`~repro.frames.stack.FrameStack.freeze`: the flat key and density
-    columns are part of the rendered product (DSFA placement probes read
-    both on the very first push), so warming them here keeps the simulation
-    loop free of render work.  The stack is cached on the sequence object
-    itself (``sequence.stacks``, keyed by ``num_bins``), so it lives
-    exactly as long as the sequence.  A sequence with no interval renders
-    to ``None``.
+    columns are part of the rendered product (DSFA's placement compile
+    reads both on the very first push), so warming them here keeps the
+    simulation loop free of render work.  The stack is cached on the
+    sequence object itself (``sequence.stacks``, keyed by ``num_bins``), so
+    it lives exactly as long as the sequence, and so do the DSFA placement
+    plans cached on it (:func:`~repro.core.dsfa.placement_plan`): every
+    stream that replays the recording shares them.  A sequence with no
+    interval renders to ``None``.
     """
     stacks = sequence.stacks
     if num_bins not in stacks:

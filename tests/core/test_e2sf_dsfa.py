@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from repro.core import (
     DynamicSparseFrameAggregator,
     Event2SparseFrameConverter,
     MergeMode,
-    StackMergeBucket,
+    placement_plan,
 )
 from repro.events import EventStream, SensorGeometry
 from repro.frames import FrameStack, SparseFrame, discretized_event_bins
@@ -104,58 +107,57 @@ class TestE2SF:
         assert converter.mean_occupancy([]) == 0.0
 
 
-class TestMergeBucket:
-    """The production merge bucket: an index range into a frame stack."""
+class TestPlacementPlan:
+    """The compiled placement: where a bucket opened at each frame closes."""
+
+    @staticmethod
+    def _plan(stack, **settings):
+        settings.setdefault("event_buffer_size", 4)
+        return placement_plan(stack, DSFAConfig(**settings))
 
     def test_capacity_enforced(self):
-        stack = FrameStack.from_frames([make_frame(i) for i in range(3)])
-        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
-        bucket.add_index(0)
-        bucket.add_index(1)
-        assert bucket.is_full
-        with pytest.raises(RuntimeError):
-            bucket.add_index(2)
+        stack = FrameStack.from_frames(
+            [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(3)]
+        )
+        config = DSFAConfig(
+            event_buffer_size=4, merge_bucket_size=2, max_time_delay=10.0,
+            max_density_change=10.0,
+        )
+        # Every frame would join on time and density; only capacity cuts.
+        assert placement_plan(stack, config).end == [2, 3, 3]
+        dsfa = DynamicSparseFrameAggregator(config)
+        for i in range(3):
+            assert dsfa.push_index(stack, i) is None
+        assert dsfa.num_buckets == 2
 
     def test_accepts_respects_time_threshold(self):
         stack = FrameStack.from_frames(
             [make_frame(1, t_start=0.0, t_end=0.01), make_frame(2, t_start=1.0, t_end=1.01)]
         )
-        bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
-        bucket.add_index(0)
-        late = (stack.t_starts_list()[1], stack.densities_list()[1])
-        assert not bucket.accepts_index(*late, max_delay=0.5, max_density_change=1.0)
-        assert bucket.accepts_index(*late, max_delay=2.0, max_density_change=1.0)
+        assert self._plan(stack, max_time_delay=0.5, max_density_change=1.0).end[0] == 1
+        assert self._plan(stack, max_time_delay=2.0, max_density_change=1.0).end[0] == 2
 
     def test_accepts_respects_density_threshold(self):
         stack = FrameStack.from_frames([make_frame(1, n=20), make_frame(2, n=600)])
-        bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
-        bucket.add_index(0)
-        dense = (stack.t_starts_list()[1], stack.densities_list()[1])
-        assert not bucket.accepts_index(*dense, max_delay=1.0, max_density_change=0.1)
-        assert bucket.accepts_index(*dense, max_delay=1.0, max_density_change=1.0)
+        assert self._plan(stack, max_time_delay=1.0, max_density_change=0.1).end[0] == 1
+        assert self._plan(stack, max_time_delay=1.0, max_density_change=1.0).end[0] == 2
 
     def test_merge_modes(self):
         frames = [make_frame(1), make_frame(2)]
         stack = FrameStack.from_frames(frames)
-        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
-        bucket.add_index(0)
-        bucket.add_index(1)
-        span = [(bucket.start, bucket.stop)]
+        plan = self._plan(stack, merge_bucket_size=2, max_density_change=10.0)
+        span = [(0, plan.end[0])]
+        assert span == [(0, 2)]
         added = stack.merge_ranges(span).frame(0)
         averaged = stack.merge_ranges(span, average=True).frame(0)
         assert added.num_events == pytest.approx(sum(f.num_events for f in frames))
         assert averaged.num_events == pytest.approx(added.num_events / 2)
+        assert plan.densities[0] == [frames[0].density, added.density]
 
     def test_merge_empty_bucket_rejected(self):
         stack = FrameStack.from_frames([make_frame(1)])
-        bucket = StackMergeBucket(capacity=2, stack=stack, start=0)
         with pytest.raises(ValueError):
-            stack.merge_ranges([(bucket.start, bucket.stop)])
-
-    def test_invalid_capacity(self):
-        stack = FrameStack.from_frames([make_frame(1)])
-        with pytest.raises(ValueError):
-            StackMergeBucket(capacity=0, stack=stack, start=0)
+            stack.merge_ranges([(0, 0)])
 
 
 class TestDSFAConfig:
@@ -172,6 +174,8 @@ class TestDSFAConfig:
             DSFAConfig(merge_bucket_size=0)
         with pytest.raises(ValueError):
             DSFAConfig(max_density_change=-0.1)
+        with pytest.raises(ValueError):
+            DSFAConfig(merge_bucket_size=-1, event_buffer_size=4)
 
 
 def push_frames(dsfa, frames, hardware_available=False):
@@ -316,11 +320,9 @@ class TestConvertStack:
 
 
 class TestBufferOccupancyCounter:
-    def _recomputed(self, dsfa):
-        return sum(bucket.occupancy for bucket in dsfa._buckets)
-
     @pytest.mark.parametrize("mode", list(MergeMode))
     def test_counter_matches_recomputed_sum(self, mode):
+        # The oracle recomputes its occupancy as the sum over its buckets.
         config = DSFAConfig(
             event_buffer_size=6,
             merge_bucket_size=3,
@@ -329,22 +331,25 @@ class TestBufferOccupancyCounter:
             max_density_change=0.3,
         )
         dsfa = DynamicSparseFrameAggregator(config)
-        stack = FrameStack.from_frames(
-            [
-                make_frame(
-                    seed=i,
-                    n=60 if i % 5 else 600,
-                    t_start=i * 0.002,
-                    t_end=(i + 1) * 0.002,
-                )
-                for i in range(40)
-            ]
-        )
-        for i in range(len(stack)):
-            dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
-            assert dsfa.buffer_occupancy == self._recomputed(dsfa)
+        oracle = ReferenceAggregator(config)
+        frames = [
+            make_frame(
+                seed=i,
+                n=60 if i % 5 else 600,
+                t_start=i * 0.002,
+                t_end=(i + 1) * 0.002,
+            )
+            for i in range(40)
+        ]
+        stack = FrameStack.from_frames(frames)
+        for i, frame in enumerate(frames):
+            hw = i % 11 == 0
+            dsfa.push_index(stack, i, hardware_available=hw)
+            oracle.push(frame, hardware_available=hw)
+            assert dsfa.buffer_occupancy == oracle.buffer_occupancy, i
         dsfa.flush()
-        assert dsfa.buffer_occupancy == self._recomputed(dsfa) == 0
+        oracle.flush()
+        assert dsfa.buffer_occupancy == oracle.buffer_occupancy == 0
 
     def test_counter_resets_on_dispatch(self):
         dsfa = DynamicSparseFrameAggregator(
@@ -464,13 +469,13 @@ class TestOneFrameDensityFallback:
         )
         return frames
 
-    def test_stack_fails_the_check(self):
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_stack_fails_the_check(self, mode):
         stack = FrameStack.from_frames(self._frames())
         assert not stack.keys_strictly_ascending()
-        bucket = StackMergeBucket(capacity=3, stack=stack, start=0)
-        bucket.add_index(0)
+        plan = placement_plan(stack, self._config(mode))
         assert stack.densities_list()[0] == 12 / 48
-        assert bucket.merged_density == 3 / 48
+        assert plan.densities[0][0] == 3 / 48
 
     @pytest.mark.parametrize("mode", list(MergeMode))
     def test_push_index_matches_reference(self, mode):
@@ -518,12 +523,11 @@ class TestOneFrameDensityFallback:
         size = float(stack.height * stack.width)
         merged = stack.merge_ranges([(i, i + 1) for i in range(len(stack))])
         assert (stack.nnz_counts() == 0).any()
+        plan = placement_plan(stack, DSFAConfig(event_buffer_size=2, merge_bucket_size=2))
         for i, density in enumerate(merged.densities().tolist()):
-            bucket = StackMergeBucket(capacity=2, stack=stack, start=i)
-            bucket.add_index(i)
             lo, hi = int(stack.offsets[i]), int(stack.offsets[i + 1])
             distinct = len(set(flat[lo:hi].tolist())) / size
-            assert bucket.merged_density == distinct == density, i
+            assert plan.densities[i][0] == distinct == density, i
 
 
 class TestStackIndexProtocol:
@@ -576,14 +580,22 @@ class TestStackIndexProtocol:
         assert by_frame.merge_statistics() == by_index.merge_statistics()
 
     def test_occupancy_counter_under_push_index(self):
-        stack = FrameStack.from_frames(self._frames())
+        # Recomputed from outside: the frames pushed since the last
+        # dispatch, which the next cAdd batch must carry event for event.
+        frames = self._frames(n=38)
+        stack = FrameStack.from_frames(frames)
         dsfa = DynamicSparseFrameAggregator(self._config())
+        first = 0
         for i in range(len(stack)):
-            dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
-            assert dsfa.buffer_occupancy == sum(
-                bucket.occupancy for bucket in dsfa._buckets
-            )
-        dsfa.flush()
+            batch = dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
+            if batch is not None:
+                pushed = sum(f.num_events for f in frames[first : i + 1])
+                assert batch.num_events == pytest.approx(pushed), i
+                first = i + 1
+            assert dsfa.buffer_occupancy == i + 1 - first, i
+        assert dsfa.buffer_occupancy > 0
+        batch = dsfa.flush()
+        assert batch.num_events == pytest.approx(sum(f.num_events for f in frames[first:]))
         assert dsfa.buffer_occupancy == 0
 
     def test_dispatch_is_stack_backed_for_single_stream(self):
@@ -612,8 +624,165 @@ class TestStackIndexProtocol:
 
     def test_bucket_contiguity_guard(self):
         stack = FrameStack.from_frames(self._frames(n=4))
-        bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
-        bucket.add_index(0)
-        bucket.add_index(1)
-        with pytest.raises(RuntimeError):
-            bucket.add_index(3)
+        dsfa = DynamicSparseFrameAggregator(self._config())
+        assert dsfa.push_index(stack, 0) is None
+        assert dsfa.push_index(stack, 1) is None
+        buffered = (dsfa.buffer_occupancy, dsfa.num_buckets)
+        for gap in (3, 1, 0):
+            with pytest.raises(RuntimeError):
+                dsfa.push_index(stack, gap)
+            assert (dsfa.buffer_occupancy, dsfa.num_buckets) == buffered
+        # The run continues where it stopped.
+        assert dsfa.push_index(stack, 2) is None
+        assert dsfa.buffer_occupancy == 3
+
+
+def random_stack(rng, ascending):
+    """A seeded stack that exercises every placement corner.
+
+    Frames may be empty (zero density), share their start time with the
+    previous frame or even start before it, and — unless ``ascending`` —
+    repeat and unsort their pixel keys.
+    """
+    h, w = 5, 6
+    frames = []
+    t = 0.0
+    for _ in range(int(rng.integers(1, 25))):
+        t += float(rng.choice([-0.002, 0.0, 0.0, 0.001, 0.003, 0.01]))
+        nnz = 0 if rng.random() < 0.15 else int(rng.integers(1, 2 * h * w))
+        rows = rng.integers(0, h, nnz)
+        cols = rng.integers(0, w, nnz)
+        if ascending:
+            frame = SparseFrame.from_events(
+                cols, rows, rng.choice([-1, 1], nnz), h, w, t, t + 0.001
+            )
+        else:
+            frame = SparseFrame(
+                rows, cols, rng.random(nnz), rng.random(nnz), h, w, t, t + 0.001
+            )
+        frames.append(frame)
+    return FrameStack.from_frames(frames)
+
+
+def assert_batches_identical(expected, got, where):
+    assert len(expected) == len(got), where
+    assert got.frame_densities() == tuple(f.density for f in expected), where
+    for fa, fb in zip(expected, got):
+        assert frames_bit_identical(fa, fb), where
+
+
+class TestCompiledPlacementMatchesOracle:
+    """Seeded stacks pushed through the compiled placement and the per-frame
+    oracle must agree push for push: dispatch decision, occupancy, bucket
+    count, carried densities and merged frames, and the final flush."""
+
+    MAX_TIME_DELAYS = (0.0005, 0.002, 0.005, 1.0)
+    MAX_DENSITY_CHANGES = (0.0, 0.1, 0.3, 0.8, 10.0)
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_push_for_push(self, mode):
+        rng = np.random.default_rng(list(MergeMode).index(mode))
+        repeated_keys = dispatches = 0
+        for seed in range(100):
+            stack = random_stack(rng, ascending=seed % 2 == 0)
+            repeated_keys += not stack.keys_strictly_ascending()
+            buffer = seed % 8 + 1
+            config = DSFAConfig(
+                event_buffer_size=buffer,
+                merge_bucket_size=seed // 8 % buffer + 1,
+                max_time_delay=self.MAX_TIME_DELAYS[seed % 4],
+                max_density_change=self.MAX_DENSITY_CHANGES[seed % 5],
+                merge_mode=mode,
+            )
+            hardware = rng.random(len(stack)) < float(rng.choice([0.0, 0.2, 0.6]))
+            gap_at = int(rng.integers(0, len(stack)))
+            oracle = ReferenceAggregator(config)
+            dsfa = DynamicSparseFrameAggregator(config)
+            for i in range(len(stack)):
+                where = (seed, i)
+                hw = bool(hardware[i])
+                expected = oracle.push(stack.frame(i), hardware_available=hw)
+                got = dsfa.push_index(stack, i, hardware_available=hw)
+                assert (expected is None) == (got is None), where
+                if expected is not None:
+                    dispatches += 1
+                    assert_batches_identical(expected, got, where)
+                assert dsfa.buffer_occupancy == oracle.buffer_occupancy, where
+                assert dsfa.num_buckets == len(oracle.buckets), where
+                if i == gap_at and dsfa.buffer_occupancy and i + 2 < len(stack):
+                    with pytest.raises(RuntimeError):
+                        dsfa.push_index(stack, i + 2)
+                    assert dsfa.buffer_occupancy == oracle.buffer_occupancy, where
+                    assert dsfa.num_buckets == len(oracle.buckets), where
+            expected, got = oracle.flush(), dsfa.flush()
+            assert (expected is None) == (got is None), seed
+            if expected is not None:
+                assert_batches_identical(expected, got, seed)
+            assert dsfa.merge_statistics() == oracle.merge_statistics()
+        assert repeated_keys >= 40
+        assert dispatches >= 300
+
+
+class TestPlacementPlanCache:
+    """Plans are compiled once per (stack, placement settings), on the stack."""
+
+    BASE = DSFAConfig(
+        event_buffer_size=6, merge_bucket_size=3, max_time_delay=0.004,
+        max_density_change=0.3,
+    )
+
+    def _stack(self):
+        return FrameStack.from_frames(
+            [
+                make_frame(seed=i, n=60 if i % 5 else 600, t_start=i * 0.002,
+                           t_end=(i + 1) * 0.002)
+                for i in range(12)
+            ]
+        )
+
+    def test_aggregators_share_one_plan(self):
+        stack = self._stack()
+        average = replace(
+            self.BASE, merge_mode=MergeMode.AVERAGE, event_buffer_size=9,
+            inference_queue_depth=2,
+        )
+        aggregators = [DynamicSparseFrameAggregator(c) for c in (self.BASE, average)]
+        for dsfa in aggregators:
+            for i in range(len(stack)):
+                dsfa.push_index(stack, i)
+        plan = placement_plan(stack, self.BASE)
+        assert placement_plan(stack, average) is plan
+        assert all(dsfa._end is plan.end for dsfa in aggregators)
+        assert len(stack._compiled) == 1
+        batch = placement_plan(stack, replace(self.BASE, merge_mode=MergeMode.BATCH))
+        # Frames start 2 ms apart: a 1 ms delay bound keeps every bucket alone.
+        later = placement_plan(stack, replace(self.BASE, max_time_delay=0.001))
+        assert batch is not plan and later is not plan and batch is not later
+        assert batch.end == list(range(1, len(stack) + 1))
+        assert later.end == batch.end != plan.end
+        assert len(stack._compiled) == 3
+
+    def test_copies_start_without_plans(self):
+        stack = self._stack()
+        plan = placement_plan(stack, self.BASE)
+        unpickled = pickle.loads(pickle.dumps(stack))
+        whole, prefix = stack.slice(0, len(stack)), stack.slice(0, 5)
+        for copy in (unpickled, whole, prefix):
+            assert copy._compiled is None
+        for copy in (unpickled, whole):
+            again = placement_plan(copy, self.BASE)
+            assert again is not plan and again == plan
+        assert placement_plan(prefix, self.BASE).end == [min(e, 5) for e in plan.end[:5]]
+
+    @pytest.mark.parametrize("repeated_keys", [False, True])
+    def test_compile_leaves_frozen_stack_read_only(self, repeated_keys):
+        stack = random_stack(np.random.default_rng(5), ascending=not repeated_keys)
+        stack.freeze()
+        assert stack.keys_strictly_ascending() is not repeated_keys
+        for mode in MergeMode:
+            placement_plan(stack, replace(self.BASE, merge_mode=mode))
+        columns = (
+            stack.rows, stack.cols, stack.pos, stack.neg, stack.offsets,
+            stack.t_starts, stack.t_ends, stack.flat_buffer(), stack.densities(),
+        )
+        assert not any(column.flags.writeable for column in columns)

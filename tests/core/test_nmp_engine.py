@@ -57,7 +57,7 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     comparison.
     """
     evaluator = FitnessEvaluator(
-        graph, platform, profile, accuracy_threshold=config.accuracy_threshold, sparse=True
+        graph, platform, profile, accuracy_threshold=config.accuracy_threshold
     )
     rng = np.random.default_rng(config.seed)
     population = [c.copy() for c in list(initial_candidates)[: config.population_size]]
@@ -116,7 +116,7 @@ def random_search_reference(graph, platform, profile, config):
     history records the best so far, with the generation's mean.
     """
     evaluator = FitnessEvaluator(
-        graph, platform, profile, accuracy_threshold=config.accuracy_threshold, sparse=True
+        graph, platform, profile, accuracy_threshold=config.accuracy_threshold
     )
     rng = np.random.default_rng(config.seed)
     history = []

@@ -27,11 +27,12 @@ unoptimized verification code.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dsfa import BucketStatus, DSFAConfig, MergeMode
+from repro.core.dsfa import DSFAConfig, MergeMode
 from repro.core.e2sf import Event2SparseFrameConverter
 from repro.events.types import EventStream
 from repro.frames.dense import assign_event_bins
@@ -46,6 +47,7 @@ __all__ = [
     "batch_to_dense_reference",
     "convert_sequence",
     "frame_batch",
+    "BucketStatus",
     "ReferenceMergeBucket",
     "ReferenceAggregator",
 ]
@@ -166,6 +168,13 @@ def convert_sequence(
 def frame_batch(frames: Sequence[SparseFrame]) -> SparseFrameBatch:
     """A batch over ``frames``, packed into a fresh stack."""
     return SparseFrameBatch.from_stack(FrameStack.from_frames(frames))
+
+
+class BucketStatus(Enum):
+    """Whether a merge bucket can still accept frames."""
+
+    AVAILABLE = "AVL"
+    FULL = "FULL"
 
 
 class ReferenceMergeBucket:

@@ -148,3 +148,37 @@ class TestMergedFrameConservation:
         for name, stream in report.reports.items():
             inferred = sum(record.num_frames for record in stream.records)
             assert stream.frames_merged == inferred + stream.frames_dropped, name
+
+
+def _aggregates(report):
+    return (
+        report.frames_generated,
+        report.frames_dropped,
+        report.total_inferences,
+        report.mean_latency,
+        report.total_energy,
+        report.makespan,
+        report.events_processed,
+        {name: stream.frames_merged for name, stream in report.reports.items()},
+    )
+
+
+class TestPlacementPlansAcrossSimulations:
+    def test_second_simulation_compiles_no_plan(self, platform, steady_fleet):
+        # Every stream's stack is its sequence's shared render, so the
+        # placement plans DSFA compiled in one simulation serve the next.
+        # (Other tests of this module may have compiled plans for other
+        # settings on the same stacks.)
+        first = MultiStreamSimulator(platform, steady_fleet, cost_mode="profile").run()
+        stacks = {id(s.generate_stack()[0]): s.generate_stack()[0] for s in steady_fleet}
+        compiled = [dict(stack._compiled) for stack in stacks.values()]
+        assert all(compiled)
+        second = MultiStreamSimulator(platform, steady_fleet, cost_mode="profile").run()
+        assert [stack._compiled for stack in stacks.values()] == compiled
+        assert all(
+            stack._compiled[key] is plans[key]
+            for stack, plans in zip(stacks.values(), compiled)
+            for key in plans
+        )
+        assert first.total_inferences > 0
+        assert _aggregates(second) == _aggregates(first)
