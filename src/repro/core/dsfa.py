@@ -108,9 +108,11 @@ class DSFAConfig:
             raise ValueError("merge_bucket_size must be >= 1")
         if self.merge_bucket_size > self.event_buffer_size:
             raise ValueError("merge_bucket_size cannot exceed event_buffer_size")
-        if self.max_time_delay <= 0:
+        # Negated comparisons, so that NaN (which compares false either
+        # way) is rejected rather than disabling both merge limits.
+        if not self.max_time_delay > 0:
             raise ValueError("max_time_delay must be positive")
-        if self.max_density_change < 0:
+        if not self.max_density_change >= 0:
             raise ValueError("max_density_change must be non-negative")
         if self.inference_queue_depth < 1:
             raise ValueError("inference_queue_depth must be >= 1")

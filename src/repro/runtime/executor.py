@@ -21,7 +21,6 @@ from .sim import (
     InferenceDone,
     InferenceRecord,
     NetworkCostModel,
-    QueueEvict,
     SimulationKernel,
 )
 
@@ -46,8 +45,8 @@ class SerialExecutor:
         self.kernel = kernel
 
     def busy_until(self, client: Optional["object"] = None) -> float:
-        """Time the accelerator frees up."""
-        return self.kernel.busy_until(self.resource)
+        """Time the accelerator frees up: one lookup in the kernel's busy map."""
+        return self.kernel.busy.get(self.resource, 0.0)
 
     def backlog_estimate(self, client, time: float) -> float:
         """Backlog behind ``client``'s next dispatch at ``time``.
@@ -56,7 +55,7 @@ class SerialExecutor:
         the busy timeline immediately — so the backlog is exactly the busy
         frontier's lead over ``time`` (the seed pipeline's drop-rule input).
         """
-        return self.kernel.busy_until(self.resource) - time
+        return self.busy_until(client) - time
 
     def dispatch(self, client, batch: SparseFrameBatch, time: float) -> None:
         """Execute ``batch`` for ``client``, queuing behind earlier work."""
@@ -157,8 +156,17 @@ class SignatureServer:
 
     # ------------------------------------------------------------------
     def busy_until(self, client: Optional["object"] = None) -> float:
-        """Time every PE of this server's mapping frees up."""
-        return self.kernel.busy_until(*self.cost_model.pes_used)
+        """Time every PE of this server's mapping frees up.
+
+        The cost model's ``pes_used`` always names the PEs of the active
+        mapping (each rebind resets it), so a single-PE mapping's frontier
+        is one lookup in the kernel's ``busy`` map; a mapping over several
+        PEs takes the latest of them.
+        """
+        pes = self.cost_model.pes_used
+        if len(pes) == 1:
+            return self.kernel.busy.get(pes[0], 0.0)
+        return self.kernel.busy_until(*pes)
 
     def backlog_estimate(self, client, time: float) -> float:
         """Backlog behind ``client``'s next dispatch at ``time``.
@@ -166,7 +174,8 @@ class SignatureServer:
         The busy frontier's lead over ``time`` *plus* the estimated service
         time of the work already sitting in the pending queues: a dispatch
         enqueued now runs after both, so a drop rule that looked only at
-        ``busy_until`` systematically under-dropped under contention.
+        ``busy_until`` systematically under-dropped under contention.  The
+        frontier is :meth:`busy_until`'s, one lookup for a one-PE mapping.
         """
         return max(self.busy_until(client) - time, 0.0) + self._pending_service
 
@@ -184,16 +193,9 @@ class SignatureServer:
             self._pending_count -= 1
             self._pending_service -= oldest.service_estimate
             client.report.frames_dropped += len(oldest.batch)
-            # Delivered inline: a server with pending work is busy past
+            # Processed now: a server with pending work is busy past
             # ``time``, so no same-time wake-up can precede the eviction.
-            self.kernel.deliver(
-                QueueEvict(
-                    time=time,
-                    stream=client.name,
-                    num_frames=len(oldest.batch),
-                    reason="queue-full",
-                )
-            )
+            self.kernel.evict(time, client.name, len(oldest.batch), "queue-full")
             if queue:
                 # The evicted head's heap entry is now stale; the next
                 # entry becomes this queue's head candidate.

@@ -20,9 +20,11 @@ on:
   the callable that handles it.  Only events that wait are heaped: frame
   arrivals, whose order is fixed before the run, are registered as columns
   and merged once, and an event that happens *now* and would be popped next
-  anyway is handed to :meth:`~SimulationKernel.deliver`.  The kernel also
-  owns per-resource busy tracking (``busy_until`` / ``acquire``) so clients
-  share one notion of device occupancy.
+  anyway is handed to :meth:`~SimulationKernel.deliver`.  An eviction is
+  only counted (:meth:`~SimulationKernel.evict`) unless a trace is
+  attached.  The kernel also owns per-resource busy tracking (the ``busy``
+  map, ``busy_until`` / ``acquire``) so clients share one notion of device
+  occupancy.
 * **Compiled, layered cost stack** — :class:`LayerCostTable` interns each
   ``(layer, pe, precision, sparse)`` execution to an integer *cell* and
   memoizes costs per ``(cell, occupancy-bucket, batch)``; a miss evaluates
@@ -266,7 +268,12 @@ class InferenceDone(SimEvent):
 
 
 class QueueEvict(SimEvent):
-    """Frames were evicted from a bounded queue (backlog or staleness)."""
+    """Frames were evicted from a bounded queue (backlog or staleness).
+
+    Evictions reach the kernel through :meth:`SimulationKernel.evict`,
+    which counts each one and builds this object only to hand it to an
+    attached trace.
+    """
 
     __slots__ = ("num_frames", "reason")
 
@@ -390,7 +397,14 @@ class SimulationKernel:
       heaped event precedes, which is what popping it next would do.
 
     An event without a handler is still counted in ``events_processed``
-    and traced, but calls nothing.
+    and traced, but calls nothing.  An eviction is such an event, and
+    :meth:`evict` is how it reaches the kernel: it is counted, and it is
+    built and delivered as a :class:`QueueEvict` only when a trace is
+    attached, as an arrival's :class:`FrameReady` is.
+
+    ``busy`` maps each resource to the time it frees up.  Clients read it
+    (one ``busy.get(pe, 0.0)`` is a single PE's frontier) but only
+    :meth:`acquire` writes it.
 
     Parameters
     ----------
@@ -407,7 +421,7 @@ class SimulationKernel:
         # whole block of sequence numbers at once.
         self._seq = 0
         self._heap_high_water = 0
-        self._busy: Dict[str, float] = {}
+        self.busy: Dict[str, float] = {}
         self.now = 0.0
         self.events_processed = 0
         self.trace = trace
@@ -469,6 +483,20 @@ class SimulationKernel:
             self.trace.record(event)
         if handler is not None:
             handler(event)
+
+    def evict(self, time: float, stream: str, num_frames: int, reason: str) -> None:
+        """Process the eviction of ``num_frames`` frames of ``stream`` now.
+
+        A :class:`QueueEvict` has no handler, and an eviction happens at
+        the arrival or dispatch being handled, so ``now`` already equals
+        ``time``: counting it is all that delivering it would do.  With a
+        trace attached the event is built and delivered, so the trace
+        records it in place.
+        """
+        if self.trace is None:
+            self.events_processed += 1
+        else:
+            self.deliver(QueueEvict(time, stream, num_frames, reason))
 
     def add_arrivals(
         self,
@@ -597,10 +625,10 @@ class SimulationKernel:
         """Largest number of events ever heaped at once.
 
         The memory-plane health metric of the scheduling discipline.
-        Arrivals never enter the heap and same-time dispatches and
-        evictions are delivered inline, so the heap holds in-flight
-        completions plus one ``StreamEnd`` per stream: O(in flight +
-        streams), independent of horizon length.
+        Arrivals never enter the heap, same-time dispatches are delivered
+        inline and evictions are only counted (:meth:`evict`), so the heap
+        holds in-flight completions plus one ``StreamEnd`` per stream:
+        O(in flight + streams), independent of horizon length.
         """
         return self._heap_high_water
 
@@ -608,10 +636,10 @@ class SimulationKernel:
     def busy_until(self, *resources: str) -> float:
         """Latest time any of ``resources`` is occupied (0 when never used)."""
         if len(resources) == 1:  # single-PE mappings dominate the hot path
-            return self._busy.get(resources[0], 0.0)
+            return self.busy.get(resources[0], 0.0)
         if not resources:
             return 0.0
-        return max(self._busy.get(r, 0.0) for r in resources)
+        return max(self.busy.get(r, 0.0) for r in resources)
 
     def acquire(
         self, resources: Tuple[str, ...], ready_time: float, duration: float
@@ -625,12 +653,12 @@ class SimulationKernel:
         start = max(ready_time, self.busy_until(*resources))
         end = start + duration
         for r in resources:
-            self._busy[r] = end
+            self.busy[r] = end
         return start, end
 
     def resource_busy_times(self) -> Dict[str, float]:
         """Snapshot of each resource's busy-until time."""
-        return dict(self._busy)
+        return dict(self.busy)
 
 
 # ----------------------------------------------------------------------
@@ -782,6 +810,11 @@ class NetworkCostModel:
       merges and heterogeneous streams share those deep-layer cache cells
       instead of thrashing the memo per input bucket; joins can keep deep
       entries a bucket or more apart.
+
+    ``pes_used`` names the processing elements the active mapping occupies,
+    in first-use order.  Each resolution sets it (at construction and on
+    every :meth:`rebind`), so a reader never sees a stale PE set; treat it
+    as read-only.
     """
 
     def __init__(
@@ -848,13 +881,14 @@ class NetworkCostModel:
         """Point the model at the compiled resolution of the active mapping.
 
         Each mapping key is compiled once (:meth:`_compile`) and reused by
-        every later rebind to a mapping with the same key.
+        every later rebind to a mapping with the same key.  Sets
+        ``pes_used``.
         """
         key = self._mapping_key()
         compiled = self._resolutions.get(key)
         if compiled is None:
             compiled = self._resolutions[key] = self._compile(key)
-        self._cells, self._transfers, self._pes_used = compiled
+        self._cells, self._transfers, self.pes_used = compiled
 
     def _compile(self, key: Tuple[Tuple[str, str], ...]) -> tuple:
         """Compile one mapping key into cells, transfers and the PEs used.
@@ -909,11 +943,6 @@ class NetworkCostModel:
         self.mapping = mapping
         self._resolve()
         self._cache.clear()
-
-    @property
-    def pes_used(self) -> Tuple[str, ...]:
-        """Names of the processing elements this network's mapping occupies."""
-        return self._pes_used
 
     @property
     def uses_sparse(self) -> bool:

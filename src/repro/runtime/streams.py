@@ -84,7 +84,6 @@ from .sim import (
     LayerCostTable,
     NetworkCostModel,
     PipelineReport,
-    QueueEvict,
     RemapTriggered,
     SimulationKernel,
     StreamEnd,
@@ -257,9 +256,16 @@ class StreamClient:
     arrivals column with the kernel
     (:meth:`~repro.runtime.sim.SimulationKernel.add_arrivals`), which calls
     :meth:`_on_arrival` with each frame's index and time; only the
-    ``StreamEnd`` is heaped.  A dispatch or an eviction happens at the
-    arrival (or flush) that causes it and is delivered inline
-    (:meth:`~repro.runtime.sim.SimulationKernel.deliver`).
+    ``StreamEnd`` is heaped.  A dispatch happens at the arrival (or flush)
+    that causes it and is delivered inline
+    (:meth:`~repro.runtime.sim.SimulationKernel.deliver`); a backlog drop
+    happens at its arrival and is counted
+    (:meth:`~repro.runtime.sim.SimulationKernel.evict`).
+
+    The drop rule's threshold, ``queue_depth`` (fixed at construction from
+    the source's frozen config) times the latest service estimate (floored
+    at 1 ns), is a field that :meth:`note_dispatch` refreshes, so an
+    arrival compares its backlog with it directly.
     """
 
     def __init__(
@@ -286,7 +292,8 @@ class StreamClient:
             if source.config.optimization.uses_dsfa
             else None
         )
-        self._last_duration = 0.0
+        # Sets _last_duration and _drop_threshold.
+        self.note_dispatch(0.0)
 
     # ------------------------------------------------------------------
     def prime(self) -> None:
@@ -318,8 +325,12 @@ class StreamClient:
         )
 
     def note_dispatch(self, duration: float) -> None:
-        """Record the duration of the stream's most recently started inference."""
+        """Record the duration of the stream's most recently started inference.
+
+        Also refreshes the no-DSFA drop threshold derived from it.
+        """
         self._last_duration = duration
+        self._drop_threshold = self.queue_depth * max(duration, 1e-9)
 
     @property
     def last_duration(self) -> float:
@@ -335,7 +346,7 @@ class StreamClient:
         """Frame ``index`` of the rendered stack arrived at ``arrival``.
 
         A dispatch or eviction it causes happens at the arrival and is
-        delivered inline: the heap would pop it next, because every
+        processed inline: the heap would pop it next, because every
         same-time event of a lower priority than the arrival's has been
         processed already.
         """
@@ -358,12 +369,9 @@ class StreamClient:
         # the busy frontier and any work already sitting in a pending queue
         # — ``busy_until`` alone under-drops when many streams contend for
         # one server.
-        backlog = self.executor.backlog_estimate(self, arrival)
-        if backlog > self.queue_depth * max(self._last_duration, 1e-9):
+        if self.executor.backlog_estimate(self, arrival) > self._drop_threshold:
             self.report.frames_dropped += 1
-            self.kernel.deliver(
-                QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
-            )
+            self.kernel.evict(arrival, self.name, 1, "backlog")
             return
         batch = SparseFrameBatch.from_stack(self._stack, index, index + 1)
         self.kernel.deliver(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import replace
 
@@ -176,6 +177,14 @@ class TestDSFAConfig:
             DSFAConfig(max_density_change=-0.1)
         with pytest.raises(ValueError):
             DSFAConfig(merge_bucket_size=-1, event_buffer_size=4)
+        # NaN compares false against any bound, so it must be rejected
+        # explicitly; an infinite threshold is a valid "no limit".
+        with pytest.raises(ValueError, match="max_time_delay"):
+            DSFAConfig(max_time_delay=float("nan"))
+        with pytest.raises(ValueError, match="max_density_change"):
+            DSFAConfig(max_density_change=float("nan"))
+        unlimited = DSFAConfig(max_time_delay=math.inf, max_density_change=math.inf)
+        assert unlimited.max_time_delay == unlimited.max_density_change == math.inf
 
 
 def push_frames(dsfa, frames, hardware_available=False):

@@ -43,7 +43,8 @@ claims stay machine-checked:
 * :class:`EagerPrimeClient` on :class:`AllHeapKernel` — the all-heap
   discipline that arrival columns and inline delivery replaced: every
   ``FrameReady`` of the stream is heaped at prime time, and every
-  dispatch and eviction production delivers inline is heaped and popped.
+  dispatch production delivers inline and every eviction it counts is
+  heaped and popped.
 * :class:`RerunMappingClient` — the remap client before search memoization
   and per-network profiles: every remap runs the search, on an engine whose
   profile comes from the joint multi-task graph.
@@ -320,7 +321,7 @@ class ReferenceCostModel(NetworkCostModel):
         for _, pe, _ in self._assignments:
             if pe.name not in seen:
                 seen.append(pe.name)
-        self._pes_used = tuple(seen)
+        self.pes_used = tuple(seen)
 
     def _build_profile(self, occ_key: Optional[float]) -> OccupancyProfile:
         num_layers = len(self._assignments)
@@ -497,7 +498,8 @@ def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseF
 
 
 class AllHeapKernel(SimulationKernel):
-    """The kernel before inline delivery: :meth:`deliver` heaps the event.
+    """The kernel before inline delivery: :meth:`deliver` heaps the event,
+    and :meth:`evict` heaps a ``QueueEvict``, traced or not.
 
     A delivered event is one the heap would pop next, so heaping it instead
     must change nothing: not the order, the counts or a trace entry.
@@ -505,6 +507,9 @@ class AllHeapKernel(SimulationKernel):
 
     def deliver(self, event, handler=None) -> None:
         self.schedule(event, handler)
+
+    def evict(self, time, stream, num_frames, reason) -> None:
+        self.schedule(QueueEvict(time, stream, num_frames, reason))
 
 
 class EagerPrimeClient(StreamClient):
@@ -516,7 +521,7 @@ class EagerPrimeClient(StreamClient):
     client registers the same arrivals as a column that the kernel merges
     once.  The client turns the kernel it is given (which the signature
     servers share) into an :class:`AllHeapKernel`, so what production
-    delivers inline is heaped too.  Reports, event counts and traces must
+    delivers inline or only counts is heaped too.  Reports, event counts and traces must
     be identical to production, while this kernel's heap grows with the
     horizon instead of the stream count.
     """

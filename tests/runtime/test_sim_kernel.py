@@ -284,8 +284,8 @@ def _remapping_fleet():
 
 
 class TestProductionWiring:
-    """Every scheduling, delivery and arrival-registration site hands the
-    kernel the callee of its event.
+    """Every scheduling, delivery, eviction and arrival-registration site
+    hands the kernel the callee of its event.
 
     Each fleet builder returns ``(sources, remap_policy)``.
     """
@@ -293,9 +293,10 @@ class TestProductionWiring:
     @pytest.mark.parametrize("fleet", [_contended_fleet, _remapping_fleet])
     def test_each_event_reaches_its_stream_callee(self, monkeypatch, fleet):
         sources, policy = fleet()
-        heaped, delivered, columns = [], [], []
+        heaped, delivered, evicted, columns = [], [], [], []
         schedule = SimulationKernel.schedule
         deliver = SimulationKernel.deliver
+        evict = SimulationKernel.evict
         add_arrivals = SimulationKernel.add_arrivals
 
         def recording_schedule(kernel, event, handler=None):
@@ -306,12 +307,18 @@ class TestProductionWiring:
             delivered.append((event, handler))
             deliver(kernel, event, handler)
 
+        # ``evict`` takes no handler, so an eviction calls nothing.
+        def recording_evict(kernel, time, stream, num_frames, reason):
+            evicted.append((time, stream, num_frames, reason))
+            evict(kernel, time, stream, num_frames, reason)
+
         def recording_add_arrivals(kernel, times, handler, stream="", stack=None):
             columns.append((len(times), handler, stream))
             add_arrivals(kernel, times, handler, stream, stack)
 
         monkeypatch.setattr(SimulationKernel, "schedule", recording_schedule)
         monkeypatch.setattr(SimulationKernel, "deliver", recording_deliver)
+        monkeypatch.setattr(SimulationKernel, "evict", recording_evict)
         monkeypatch.setattr(SimulationKernel, "add_arrivals", recording_add_arrivals)
         report = MultiStreamSimulator(
             jetson_xavier_agx(), sources, remap_policy=policy
@@ -329,10 +336,13 @@ class TestProductionWiring:
             StreamEnd: "_on_stream_end",
             InferenceDone: "_on_done",
         }
-        evict_reasons = set()
-        # Only dispatches and evictions are delivered inline; the heap never
-        # sees them, nor a FrameReady.
-        assert {type(event) for event, _ in delivered} <= {DispatchBatch, QueueEvict}
+        evict_reasons = {reason for _, _, _, reason in evicted}
+        assert {stream for _, stream, _, _ in evicted} <= {s.name for s in sources}
+        assert all(num_frames >= 1 for _, _, num_frames, _ in evicted)
+        # Only dispatches are delivered inline; the heap never sees them,
+        # nor a FrameReady.  This run is untraced, so an eviction is only
+        # counted: no QueueEvict is heaped or delivered.
+        assert {type(event) for event, _ in delivered} <= {DispatchBatch}
         assert not {type(event) for event, _ in heaped} & {
             DispatchBatch,
             QueueEvict,
@@ -340,10 +350,7 @@ class TestProductionWiring:
         }
         for event, handler in heaped + delivered:
             kind = type(event)
-            if kind is QueueEvict:
-                assert handler is None
-                evict_reasons.add(event.reason)
-            elif kind is RemapTriggered:
+            if kind is RemapTriggered:
                 assert callable(handler)
             else:
                 # Stream clients and signature servers each own one name.
@@ -358,7 +365,9 @@ class TestProductionWiring:
             assert evict_reasons == {"backlog", "queue-full"}
         else:
             assert RemapTriggered in kinds
-        assert report.events_processed == len(heaped) + len(delivered) + arrivals
+        assert report.events_processed == (
+            len(heaped) + len(delivered) + len(evicted) + arrivals
+        )
 
     def test_every_enqueue_finds_its_server_busy(self, monkeypatch):
         """A dispatch that waits finds the server busy past its time.
