@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.events import generate_sequence
 from repro.experiments import ExperimentSettings
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, TaskSpec
 
@@ -114,7 +114,7 @@ def test_ablation_nmp_population_size(benchmark, settings):
         [TaskSpec(build_network(n, *settings.network_resolution)) for n in ("dotie", "halsie")]
     )
     platform = jetson_xavier_agx()
-    profile = PlatformProfiler(platform).profile(graph)
+    table = LayerCostTable()
 
     def sweep():
         latencies = {}
@@ -122,7 +122,7 @@ def test_ablation_nmp_population_size(benchmark, settings):
             result = MapperEngine(
                 graph,
                 platform,
-                profile,
+                table,
                 NMPConfig(population_size=population, generations=8, seed=settings.seed),
             ).run(EvolutionaryStrategy())
             latencies[population] = result.best_latency

@@ -17,7 +17,7 @@ import numpy as np
 from bench_utils import write_bench_json
 from repro.core import ExecutionScheduler, MappingCandidate
 from repro.experiments.fig9_multi_task import MULTI_TASK_CONFIGS
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, TaskSpec
 
@@ -35,11 +35,10 @@ def test_nmp_flattened_scheduler_throughput(settings):
     """Schedules/sec of the flattened scheduler's metrics-only fast path."""
     platform = jetson_xavier_agx()
     graph = _mixed_graph(settings)
-    profile = PlatformProfiler(platform).profile(graph)
     rng = np.random.default_rng(0)
     candidates = [MappingCandidate.random(graph, platform, rng) for _ in range(150)]
 
-    scheduler = ExecutionScheduler(platform, profile, sparse=True)
+    scheduler = ExecutionScheduler(platform, LayerCostTable())
     # Warm up: the flat path builds its arrays once per graph.
     scheduler.schedule_metrics(graph, candidates[0])
     start = time.perf_counter()

@@ -11,7 +11,7 @@ Run with:  python examples/multi_task_navigation.py
 """
 
 from repro.core import EvolutionaryStrategy, ExecutionScheduler, MapperEngine, NMPConfig
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
@@ -28,8 +28,8 @@ def main() -> None:
     graph = MultiTaskGraph([TaskSpec(build_network(name)) for name in networks])
     print(f"multi-task graph: {graph.task_names}, {len(graph.compute_nodes())} layers total")
 
-    profile = PlatformProfiler(platform).profile(graph)
-    scheduler = ExecutionScheduler(platform, profile, sparse=True)
+    table = LayerCostTable()
+    scheduler = ExecutionScheduler(platform, table)
 
     rr_net_candidate = rr_network_mapping(
         graph, platform, precision=Precision.FP16, devices=["gpu", "dla0"]
@@ -43,7 +43,7 @@ def main() -> None:
     engine = MapperEngine(
         graph,
         platform,
-        profile,
+        table,
         NMPConfig(population_size=24, generations=15, seed=0),
     )
     nmp_result = engine.run(

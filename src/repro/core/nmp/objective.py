@@ -6,7 +6,9 @@ accuracy degradation staying below a threshold:
     min  max_i Latency(T_i)
     s.t. dA_1, dA_2, ..., dA_n <= dA
 
-Latency comes from the list scheduler (:mod:`.scheduler`); the accuracy
+Latency comes from the list scheduler (:mod:`.scheduler`), which prices
+each layer from the platform's per-layer cost table
+(:class:`~repro.hw.profiler.LayerCostTable`); the accuracy
 degradation of a task is measured by quantizing its surrogate per the
 candidate's layer precisions and evaluating it on a sampled subset of the
 validation set (:class:`~repro.nn.accuracy.TaskAccuracyEvaluator`).
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ...hw.pe import Platform
-from ...hw.profiler import ProfileTable
+from ...hw.profiler import LayerCostTable
 from ...nn.accuracy import TaskAccuracyEvaluator, map_layer_precisions_to_stages
 from ...nn.graph import MultiTaskGraph
 from .candidate import MappingCandidate
@@ -62,8 +64,9 @@ class FitnessEvaluator:
 
     Parameters
     ----------
-    graph, platform, profile:
-        The multi-task graph, the platform and its profiled latency table.
+    graph, platform, table:
+        The multi-task graph, the platform and the per-layer cost table the
+        scheduler prices layers from.
     accuracy_evaluators:
         Optional per-task :class:`TaskAccuracyEvaluator`; tasks without one
         are treated as having zero degradation (useful to keep unit tests and
@@ -81,7 +84,7 @@ class FitnessEvaluator:
         self,
         graph: MultiTaskGraph,
         platform: Platform,
-        profile: ProfileTable,
+        table: LayerCostTable,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
         accuracy_threshold: float = 0.05,
     ) -> None:
@@ -89,8 +92,8 @@ class FitnessEvaluator:
             raise ValueError("accuracy_threshold must be non-negative")
         self.graph = graph
         self.platform = platform
-        self.profile = profile
-        self.scheduler = ExecutionScheduler(platform, profile, sparse=True)
+        self.table = table
+        self.scheduler = ExecutionScheduler(platform, table)
         self.accuracy_evaluators = accuracy_evaluators or {}
         self.accuracy_threshold = accuracy_threshold
         # Task names, the tasks with an accuracy evaluator, and per-task

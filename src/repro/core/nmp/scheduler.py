@@ -12,16 +12,21 @@ and the candidate's latency is the critical-path maximum of the end times.
 Data-transfer nodes are inserted automatically whenever a producer/consumer
 pair is mapped to different devices.
 
+Each node's execution time and energy on a (PE, precision) come from the
+platform's per-layer cost table (:class:`~repro.hw.profiler.LayerCostTable`,
+the table the runtime cost stack reads): a PE with sparse kernels runs the
+layer sparse at :data:`PROFILE_OCCUPANCY`, any other PE runs it dense.
+
 The scheduler sits on the search's hot path — it runs once per candidate
 evaluation — so the multi-task graph is **flattened once per graph** into
 index-based arrays (:class:`FlatGraph`): topological node order, parent
-indices, compute mask, per-precision output bytes and pre-resolved profile
-entries per (PE, precision) with the sparse/dense preference already applied.
-``schedule`` / ``schedule_metrics`` then run a tight loop over those arrays
-instead of re-resolving ``graph.spec()`` / ``graph.predecessors()`` and
-re-querying the profile table for every node of every candidate.  That loop
-is the only scheduler in the library; the graph-walking implementation it
-replaced is kept as a bit-for-bit oracle in the test suite.
+indices, compute mask, per-precision output bytes and the cost of every
+(PE, precision) option.  ``schedule`` / ``schedule_metrics`` then run a
+tight loop over those arrays instead of re-resolving ``graph.spec()`` /
+``graph.predecessors()`` and re-pricing layers for every node of every
+candidate.  That loop is the only scheduler in the library; the
+graph-walking implementation it replaced is kept as a bit-for-bit oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...hw.pe import Platform
-from ...hw.profiler import ProfileEntry, ProfileTable
+from ...hw.profiler import LayerCost, LayerCostTable
 from ...nn.graph import MultiTaskGraph
 from ...nn.quantization import Precision
 from .candidate import ChoiceTable, MappingCandidate
@@ -41,9 +46,15 @@ __all__ = [
     "ScheduleResult",
     "FlatGraph",
     "ExecutionScheduler",
+    "PROFILE_OCCUPANCY",
 ]
 
 _MEMORY_QUEUE = "unified_memory"
+
+# Activation occupancy at which every sparse layer execution is priced: the
+# mapper searches offline (and between inference batches online), before
+# the incoming frames' density is known.
+PROFILE_OCCUPANCY = 0.1
 
 
 @dataclass(frozen=True)
@@ -95,17 +106,18 @@ class ScheduleResult:
 class FlatGraph:
     """A multi-task graph flattened to index-based arrays for scheduling.
 
-    Built once per (graph, profile, sparse-mode) and reused for every
-    candidate evaluation.  Per node ``i`` in topological order:
+    Built once per (graph, cost table) and reused for every candidate
+    evaluation.  Per node ``i`` in topological order:
 
     * ``names[i]`` — the global node id;
     * ``is_compute[i]`` — pseudo layers forward their parents' end times;
     * ``parents[i]`` — flat indices of the data-dependency parents, in the
       graph's predecessor order (transfer insertion order matters);
     * ``task_index[i]`` — index into ``task_names`` (compute nodes only);
-    * ``options[i]`` — ``(pe_name, precision value) -> ProfileEntry`` over
-      the node's :class:`~.candidate.ChoiceTable` choices, with the
-      scheduler's sparse preference already resolved (compute nodes only);
+    * ``options[i]`` — ``(pe_name, precision value) -> LayerCost`` over the
+      node's :class:`~.candidate.ChoiceTable` choices, each read from
+      ``table`` sparse at :data:`PROFILE_OCCUPANCY` where the PE has sparse
+      kernels and dense elsewhere (compute nodes only);
     * ``output_bytes[i]`` — ``precision value -> bytes`` of the node's
       output activation (compute nodes only; consumed when inserting
       transfers).
@@ -127,11 +139,7 @@ class FlatGraph:
     )
 
     def __init__(
-        self,
-        graph: MultiTaskGraph,
-        platform: Platform,
-        profile: ProfileTable,
-        sparse: bool,
+        self, graph: MultiTaskGraph, platform: Platform, table: LayerCostTable
     ) -> None:
         nodes = graph.nodes()
         index = {name: i for i, name in enumerate(nodes)}
@@ -143,8 +151,9 @@ class FlatGraph:
         self.task_names: List[str] = list(graph.task_names)
         task_index = {name: i for i, name in enumerate(self.task_names)}
         self.task_index: List[int] = []
-        self.options: List[Optional[Dict[Tuple[str, str], ProfileEntry]]] = []
+        self.options: List[Optional[Dict[Tuple[str, str], LayerCost]]] = []
         self.output_bytes: List[Optional[Dict[str, int]]] = []
+        occupancy = table.bucket(PROFILE_OCCUPANCY)
         for name in nodes:
             spec = graph.spec(name)
             compute = spec.kind.is_compute
@@ -155,16 +164,12 @@ class FlatGraph:
                 self.options.append(None)
                 self.output_bytes.append(None)
                 continue
-            options: Dict[Tuple[str, str], ProfileEntry] = {}
+            options: Dict[Tuple[str, str], LayerCost] = {}
             for precisions in choices[name][0]:
+                pe = platform.pe(precisions[0].pe)
                 for assignment in precisions:
-                    pe_name, precision = assignment.pe, assignment.precision
-                    use_sparse = sparse and profile.has(name, pe_name, precision, True)
-                    if not profile.has(name, pe_name, precision, use_sparse):
-                        continue
-                    options[assignment.key] = profile.lookup(
-                        name, pe_name, precision, use_sparse
-                    )
+                    cell = table.cell(spec, pe, assignment.precision, pe.supports_sparse)
+                    options[assignment.key] = table.cell_cost(cell, occupancy, 1)
             self.options.append(options)
             self.output_bytes.append(
                 {
@@ -175,17 +180,15 @@ class FlatGraph:
 
 
 class ExecutionScheduler:
-    """Estimate the latency of a mapping candidate with per-device queues."""
+    """Estimate the latency of a mapping candidate with per-device queues.
 
-    def __init__(
-        self,
-        platform: Platform,
-        profile: ProfileTable,
-        sparse: bool = False,
-    ) -> None:
+    Layer costs come from ``table``, sparse where a PE has sparse kernels
+    (see :class:`FlatGraph`).
+    """
+
+    def __init__(self, platform: Platform, table: LayerCostTable) -> None:
         self.platform = platform
-        self.profile = profile
-        self.sparse = sparse
+        self.table = table
         # Flattenings are keyed on graph identity; WeakKey so long-dead
         # graphs do not pin their arrays.
         self._flat: "weakref.WeakKeyDictionary[MultiTaskGraph, FlatGraph]" = (
@@ -197,7 +200,7 @@ class ExecutionScheduler:
         """The (cached) flattened form of ``graph`` for this scheduler."""
         flat = self._flat.get(graph)
         if flat is None:
-            flat = FlatGraph(graph, self.platform, self.profile, self.sparse)
+            flat = FlatGraph(graph, self.platform, self.table)
             self._flat[graph] = flat
         return flat
 

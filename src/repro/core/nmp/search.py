@@ -22,8 +22,9 @@ sampling of the same number of candidates.  This module holds both:
   given seed — and :class:`RandomSearchStrategy`, the Figure 10b baseline.
 
 The engine is the one mapper entry point: the paper's mapper is
-``MapperEngine(graph, platform, profile, config).run(EvolutionaryStrategy(),
-initial_candidates=...)``.
+``MapperEngine(graph, platform, table, config).run(EvolutionaryStrategy(),
+initial_candidates=...)``, where ``table`` is the
+:class:`~repro.hw.profiler.LayerCostTable` that prices every layer option.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from ...frames.sparse import pairwise_mean
 from ...hw.pe import Platform
-from ...hw.profiler import ProfileTable
+from ...hw.profiler import LayerCostTable
 from ...nn.accuracy import TaskAccuracyEvaluator
 from ...nn.graph import MultiTaskGraph
 from .candidate import MappingCandidate
@@ -284,18 +285,18 @@ class MapperEngine:
         self,
         graph: MultiTaskGraph,
         platform: Platform,
-        profile: ProfileTable,
+        table: LayerCostTable,
         config: Optional[NMPConfig] = None,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
     ) -> None:
         self.graph = graph
         self.platform = platform
-        self.profile = profile
+        self.table = table
         self.config = config or NMPConfig()
         self.evaluator = FitnessEvaluator(
             graph,
             platform,
-            profile,
+            table,
             accuracy_evaluators=accuracy_evaluators,
             accuracy_threshold=self.config.accuracy_threshold,
         )

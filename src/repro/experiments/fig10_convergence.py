@@ -26,7 +26,7 @@ from ..core.nmp.search import (
 )
 from ..hw.jetson import jetson_xavier_agx
 from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler
+from ..hw.profiler import LayerCostTable
 from ..models.zoo import build_network
 from ..nn.graph import MultiTaskGraph, TaskSpec
 from .common import ExperimentSettings
@@ -47,9 +47,8 @@ def run_fig10(
     graph = MultiTaskGraph(
         [TaskSpec(build_network(name, *settings.network_resolution)) for name in networks]
     )
-    profile = PlatformProfiler(platform).profile(graph)
     nmp_config = nmp_config or NMPConfig(population_size=20, generations=15, seed=settings.seed)
-    engine = MapperEngine(graph, platform, profile, nmp_config)
+    engine = MapperEngine(graph, platform, LayerCostTable(), nmp_config)
 
     per_strategy: Dict[str, Dict[str, object]] = {}
     for strategy in (EvolutionaryStrategy(), RandomSearchStrategy()):

@@ -21,7 +21,7 @@ from ..core.pipeline import EvEdgePipeline
 from ..events.datasets import generate_sequence
 from ..hw.jetson import jetson_xavier_agx
 from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler
+from ..hw.profiler import LayerCostTable
 from ..models.zoo import build_network
 from ..nn.graph import MultiTaskGraph, TaskSpec
 from .common import ExperimentSettings, format_table
@@ -50,7 +50,6 @@ def _single_task_nmp_mapping(network, platform: Platform, settings: ExperimentSe
     from ..nn.quantization import Precision
 
     graph = MultiTaskGraph([TaskSpec(network)])
-    profile = PlatformProfiler(platform).profile(graph)
     gpu = platform.gpu()
     seeds = [
         MappingCandidate.uniform(graph, gpu.name, precision)
@@ -60,7 +59,7 @@ def _single_task_nmp_mapping(network, platform: Platform, settings: ExperimentSe
     engine = MapperEngine(
         graph,
         platform,
-        profile,
+        LayerCostTable(),
         NMPConfig(population_size=16, generations=10, seed=settings.seed),
     )
     return engine.run(EvolutionaryStrategy(), initial_candidates=seeds).best_candidate

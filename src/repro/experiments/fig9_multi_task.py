@@ -24,7 +24,7 @@ from ..core.nmp.candidate import MappingCandidate
 from ..core.nmp.search import EvolutionaryStrategy, MapperEngine, NMPConfig
 from ..hw.jetson import DLA_NAME, GPU_NAME, jetson_xavier_agx
 from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler
+from ..hw.profiler import LayerCostTable
 from ..models.zoo import build_network
 from ..nn.graph import MultiTaskGraph, TaskSpec
 from ..nn.quantization import Precision
@@ -61,8 +61,7 @@ def run_fig9(
     rows: List[Dict[str, object]] = []
     for config_name, networks in configs.items():
         graph = _build_graph(networks, settings)
-        profile = PlatformProfiler(platform).profile(graph)
-        engine = MapperEngine(graph, platform, profile, config=nmp_config)
+        engine = MapperEngine(graph, platform, LayerCostTable(), config=nmp_config)
 
         # Round-robin baselines cycle over the devices TensorRT deploys
         # networks on (GPU + DLA) at the Jetson's default FP16 precision.

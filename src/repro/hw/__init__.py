@@ -4,7 +4,7 @@ from .energy import EnergyEstimate, EnergyModel
 from .jetson import CPU_NAME, DLA_NAME, GPU_NAME, jetson_orin_nano, jetson_xavier_agx
 from .latency import LatencyEstimate, LatencyModel
 from .pe import PEType, Platform, ProcessingElement
-from .profiler import PlatformProfiler, ProfileEntry, ProfileTable
+from .profiler import LayerCost, LayerCostTable
 
 __all__ = [
     "PEType",
@@ -19,7 +19,6 @@ __all__ = [
     "LatencyEstimate",
     "EnergyModel",
     "EnergyEstimate",
-    "PlatformProfiler",
-    "ProfileTable",
-    "ProfileEntry",
+    "LayerCost",
+    "LayerCostTable",
 ]

@@ -1,134 +1,157 @@
-"""Offline profiling tables for the Network Mapper.
+"""The per-layer cost table: what one layer costs on one processing element.
 
 "The individual execution time for each layer and the communication time
 between layers are measured on the hardware platform and recorded before the
-search process begins" (paper Section 4.3.2).  :class:`PlatformProfiler`
-produces the per (layer, device, precision) execution latency and energy
-table from the analytic latency/energy models; the communication time of a
-producer's output between two devices is
+search process begins" (paper Section 4.3.2).  :class:`LayerCostTable` is
+that record.  It prices a ``(layer, pe, precision, sparse)`` execution with
+the analytic latency and energy models and memoizes the result, and it is
+the one place that does so: the Network Mapper's list scheduler
+(:class:`~repro.core.nmp.scheduler.FlatGraph`) reads each mapping option's
+cost from it, and the runtime cost stack
+(:class:`~repro.runtime.sim.NetworkCostModel`) costs every dispatch from it.
+The communication time of a producer's output between two devices is
 :meth:`~repro.hw.pe.Platform.transfer_time`.
 
-The Network Mapper, the round-robin baselines and the runtime executor all
-consume :class:`ProfileTable` rather than calling the models directly, so a
-user with access to a physical Jetson could drop in measured numbers without
-touching the search code.
+Because the search and the runtime read this one table, measured numbers
+from a physical Jetson would replace the analytic models in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..nn.graph import MultiTaskGraph
+from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .energy import EnergyModel
 from .latency import LatencyModel
-from .pe import Platform
+from .pe import ProcessingElement
 
-__all__ = ["ProfileEntry", "ProfileTable", "PlatformProfiler", "PROFILE_OCCUPANCY"]
-
-# Activation occupancy of every sparse-mode profile entry: the mapper
-# searches offline (and between inference batches online), before the
-# incoming frames' density is known.
-PROFILE_OCCUPANCY = 0.1
+__all__ = ["LayerCost", "LayerCostTable"]
 
 
 @dataclass(frozen=True)
-class ProfileEntry:
-    """Latency/energy of one layer on one device at one precision."""
+class LayerCost:
+    """Memoized latency/energy of one layer execution."""
 
     latency: float
     energy: float
 
 
-class ProfileTable:
-    """Lookup tables produced by :class:`PlatformProfiler`."""
+class LayerCostTable:
+    """Memo table for per-layer latency and energy.
 
-    def __init__(self, platform: Platform) -> None:
-        self.platform = platform
-        self._entries: Dict[Tuple[str, str, Precision, bool], ProfileEntry] = {}
+    A *cell* is one ``(layer, pe, precision, sparse)`` execution.
+    :meth:`cell` interns it to an integer once, when a cost model resolves
+    its mapping or the mapper flattens a graph; costs are then memoized per
+    ``(cell, occupancy-bucket, batch)``, so a lookup hashes two small
+    numbers and a float instead of a layer descriptor.  With
+    ``occupancy_resolution=None`` (the default) the bucket is the exact
+    occupancy value — results are bit-for-bit identical to calling the
+    latency/energy models directly, and repeated occupancies (the dense
+    path always passes 1.0) still hit the cache.  A positive resolution
+    quantizes the occupancy to that grid before *both* keying and
+    computing, trading a bounded modelling error for a much higher hit rate
+    under heavy multi-stream traffic.
 
-    @classmethod
-    def union(cls, tables: Sequence[ProfileTable]) -> ProfileTable:
-        """One table holding every entry of ``tables`` (profiled on one platform).
+    Cells are keyed by PE name, so one table serves one platform:
+    :meth:`cell` raises ``ValueError`` when a PE differs from an earlier PE
+    of the same name.
+    """
 
-        An entry depends only on its node's layer spec and the profiling
-        settings, so the union of per-network tables profiled alike equals
-        the table of their joint :class:`~repro.nn.graph.MultiTaskGraph`,
-        whose ``"<network>.<layer>"`` node ids keep the networks apart.
-        """
-        if not tables:
-            raise ValueError("a profile union needs at least one table")
-        platform = tables[0].platform
-        merged = cls(platform)
-        for table in tables:
-            if table.platform is not platform:
-                raise ValueError("cannot merge profile tables of different platforms")
-            merged._entries.update(table._entries)
-        return merged
-
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        node: str,
-        pe_name: str,
-        precision: Precision,
-        sparse: bool,
-        entry: ProfileEntry,
-    ) -> None:
-        """Store one profiled data point."""
-        self._entries[(node, pe_name, precision, sparse)] = entry
-
-    def lookup(
-        self, node: str, pe_name: str, precision: Precision, sparse: bool = False
-    ) -> ProfileEntry:
-        """Retrieve a profiled data point (raises ``KeyError`` if absent)."""
-        return self._entries[(node, pe_name, precision, sparse)]
-
-    def has(self, node: str, pe_name: str, precision: Precision, sparse: bool = False) -> bool:
-        """True if the combination was profiled (i.e. is executable)."""
-        return (node, pe_name, precision, sparse) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class PlatformProfiler:
-    """Profile every layer of a multi-task graph on every capable device."""
-
-    def __init__(self, platform: Platform) -> None:
-        self.platform = platform
+    def __init__(self, occupancy_resolution: Optional[float] = None) -> None:
+        if occupancy_resolution is not None and not 0 < occupancy_resolution <= 1:
+            raise ValueError("occupancy_resolution must be in (0, 1] or None")
         self.latency_model = LatencyModel()
         self.energy_model = EnergyModel(self.latency_model)
+        self.occupancy_resolution = occupancy_resolution
+        # (layer, pe name, precision, sparse) -> cell id, and the reverse.
+        self._cells: Dict[Tuple[LayerSpec, str, Precision, bool], int] = {}
+        self._cell_specs: List[
+            Tuple[LayerSpec, ProcessingElement, Precision, bool]
+        ] = []
+        # PE name -> the first PE seen under it.
+        self._pes: Dict[str, ProcessingElement] = {}
+        self._cache: Dict[Tuple[int, Optional[float], int], LayerCost] = {}
+        self.hits = 0
+        self.misses = 0
 
-    def profile(self, graph: MultiTaskGraph) -> ProfileTable:
-        """Build the full profile table for ``graph`` on the platform.
+    def bucket(self, occupancy: Optional[float]) -> Optional[float]:
+        """Quantize an occupancy to its bucket representative (clamped [0, 1]).
 
-        Every layer is profiled dense and, on devices with sparse kernels,
-        sparse; sparse entries run at :data:`PROFILE_OCCUPANCY`.  Each entry
-        evaluates the roofline once: its energy comes from its latency
-        estimate.
+        Nonzero occupancies round *up* to at least the first bucket: a small
+        positive density (e.g. ``1e-4`` with the default 1/64 resolution)
+        must not quantize to ``0.0``, which would zero the dense
+        memory-traffic term in the latency model and clamp sparse costs down
+        to the ``min_sparse_fraction`` floor regardless of the actual input.
+        Bucketing is idempotent — a representative is its own bucket — so
+        profile entries, which are representatives already, key the memo
+        as they are.
         """
-        table = ProfileTable(self.platform)
-        for node in graph.compute_nodes():
-            spec = graph.spec(node)
-            for pe in self.platform:
-                if not pe.supports_layer(spec):
-                    continue
-                for precision in pe.supported_precisions:
-                    for sparse in (False, True):
-                        if sparse and not pe.supports_sparse:
-                            continue
-                        estimate = self.latency_model.layer_latency(
-                            spec, pe, precision,
-                            sparse=sparse, occupancy=PROFILE_OCCUPANCY,
-                        )
-                        energy = self.energy_model.estimate_energy(estimate, pe, precision)
-                        table.record(
-                            node,
-                            pe.name,
-                            precision,
-                            sparse,
-                            ProfileEntry(estimate.total, energy.total),
-                        )
-        return table
+        if occupancy is None:
+            return None
+        occupancy = min(max(float(occupancy), 0.0), 1.0)
+        if not self.occupancy_resolution:
+            return occupancy
+        steps = round(occupancy / self.occupancy_resolution)
+        if steps == 0 and occupancy > 0.0:
+            steps = 1
+        return min(steps * self.occupancy_resolution, 1.0)
+
+    def cell(
+        self,
+        layer: LayerSpec,
+        pe: ProcessingElement,
+        precision: Precision,
+        sparse: bool,
+    ) -> int:
+        """Interned id of one ``(layer, pe, precision, sparse)`` execution.
+
+        Raises ``ValueError`` when ``pe`` differs from the PE this table
+        first saw under its name (a PE of another platform).
+        """
+        known = self._pes.setdefault(pe.name, pe)
+        if known is not pe and known != pe:
+            raise ValueError(
+                f"this table already costs another PE named '{pe.name}'; "
+                "a LayerCostTable serves one platform"
+            )
+        key = (layer, pe.name, precision, sparse)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = len(self._cell_specs)
+            self._cell_specs.append((layer, pe, precision, sparse))
+        return cell
+
+    def cell_cost(
+        self, cell: int, occupancy: Optional[float], batch: int
+    ) -> LayerCost:
+        """Memoized ``(latency, energy)`` of ``cell`` at one occupancy.
+
+        ``occupancy`` must be a bucket representative (see :meth:`bucket`;
+        ``None`` = the layer's static modelled sparsity).  A miss evaluates
+        the roofline once: the energy comes from the latency estimate.
+        """
+        key = (cell, occupancy, batch)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        layer, pe, precision, sparse = self._cell_specs[cell]
+        estimate = self.latency_model.layer_latency(
+            layer, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
+        )
+        energy = self.energy_model.estimate_energy(estimate, pe, precision)
+        cost = self._cache[key] = LayerCost(estimate.total, energy.total)
+        return cost
+
+    def cache_info(self) -> Dict[str, float]:
+        """Hit/miss counters, hit-rate and current table size."""
+        lookups = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._cache),
+            "hit_rate": self.hits / lookups if lookups else 0.0,
+        }

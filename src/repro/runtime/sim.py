@@ -25,13 +25,14 @@ on:
   attached.  The kernel also owns per-resource busy tracking (the ``busy``
   map, ``busy_until`` / ``acquire``) so clients share one notion of device
   occupancy.
-* **Compiled, layered cost stack** — :class:`LayerCostTable` interns each
-  ``(layer, pe, precision, sparse)`` execution to an integer *cell* and
-  memoizes costs per ``(cell, occupancy-bucket, batch)``; a miss evaluates
-  the roofline once (energy comes from the latency estimate).
-  :class:`NetworkCostModel` compiles a network's layer→(PE, precision)
-  assignment into cells plus the bytes each cross-PE boundary moves, and
-  composes cell costs into memoized whole-network costs.  Costs are driven
+* **Compiled, layered cost stack** — :class:`LayerCostTable` (defined in
+  :mod:`repro.hw.profiler`, where the Network Mapper reads it too, and
+  re-exported here) interns each ``(layer, pe, precision, sparse)``
+  execution to an integer *cell* and memoizes costs per ``(cell,
+  occupancy-bucket, batch)``; a miss evaluates the roofline once (energy
+  comes from the latency estimate).  :class:`NetworkCostModel` compiles a
+  network's layer→(PE, precision) assignment into cells plus the bytes
+  each cross-PE boundary moves, and composes cell costs into memoized whole-network costs.  Costs are driven
   by an :class:`~repro.nn.occupancy.OccupancyProfile` — one occupancy per
   layer — and each input bucket's profile row is built once.  In
   ``cost_mode="flat"`` (the default) the row carries the measured input
@@ -64,11 +65,9 @@ import numpy as np
 from ..core.config import EvEdgeConfig
 from ..core.nmp.candidate import MappingCandidate
 from ..frames.sparse import SparseFrameBatch
-from ..hw.energy import EnergyModel
-from ..hw.latency import LatencyModel
-from ..hw.pe import Platform, ProcessingElement
+from ..hw.pe import Platform
+from ..hw.profiler import LayerCost, LayerCostTable
 from ..nn.graph import LayerGraph
-from ..nn.layers import LayerSpec
 from ..nn.occupancy import OccupancyProfile, propagate_occupancy_graph
 from ..nn.quantization import Precision
 
@@ -664,116 +663,6 @@ class SimulationKernel:
 # ----------------------------------------------------------------------
 # memoized cost models
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LayerCost:
-    """Memoized latency/energy of one layer execution."""
-
-    latency: float
-    energy: float
-
-
-class LayerCostTable:
-    """Memo table for per-layer latency and energy.
-
-    A *cell* is one ``(layer, pe, precision, sparse)`` execution.
-    :meth:`cell` interns it to an integer once, when a cost model resolves
-    its mapping; costs are then memoized per ``(cell, occupancy-bucket,
-    batch)``, so a lookup hashes two small numbers and a float instead of a
-    layer descriptor.  With ``occupancy_resolution=None`` (the default) the
-    bucket is the exact occupancy value — results are bit-for-bit identical
-    to calling the latency/energy models directly, and repeated occupancies
-    (the dense path always passes 1.0) still hit the cache.  A positive
-    resolution quantizes the occupancy to that grid before *both* keying
-    and computing, trading a bounded modelling error for a much higher hit
-    rate under heavy multi-stream traffic.
-    """
-
-    def __init__(self, occupancy_resolution: Optional[float] = None) -> None:
-        if occupancy_resolution is not None and not 0 < occupancy_resolution <= 1:
-            raise ValueError("occupancy_resolution must be in (0, 1] or None")
-        self.latency_model = LatencyModel()
-        self.energy_model = EnergyModel(self.latency_model)
-        self.occupancy_resolution = occupancy_resolution
-        # (layer, pe name, precision, sparse) -> cell id, and the reverse.
-        self._cells: Dict[Tuple[LayerSpec, str, Precision, bool], int] = {}
-        self._cell_specs: List[
-            Tuple[LayerSpec, ProcessingElement, Precision, bool]
-        ] = []
-        self._cache: Dict[Tuple[int, Optional[float], int], LayerCost] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def bucket(self, occupancy: Optional[float]) -> Optional[float]:
-        """Quantize an occupancy to its bucket representative (clamped [0, 1]).
-
-        Nonzero occupancies round *up* to at least the first bucket: a small
-        positive density (e.g. ``1e-4`` with the default 1/64 resolution)
-        must not quantize to ``0.0``, which would zero the dense
-        memory-traffic term in the latency model and clamp sparse costs down
-        to the ``min_sparse_fraction`` floor regardless of the actual input.
-        Bucketing is idempotent — a representative is its own bucket — so
-        profile entries, which are representatives already, key the memo
-        as they are.
-        """
-        if occupancy is None:
-            return None
-        occupancy = min(max(float(occupancy), 0.0), 1.0)
-        if not self.occupancy_resolution:
-            return occupancy
-        steps = round(occupancy / self.occupancy_resolution)
-        if steps == 0 and occupancy > 0.0:
-            steps = 1
-        return min(steps * self.occupancy_resolution, 1.0)
-
-    def cell(
-        self,
-        layer: LayerSpec,
-        pe: ProcessingElement,
-        precision: Precision,
-        sparse: bool,
-    ) -> int:
-        """Interned id of one ``(layer, pe, precision, sparse)`` execution."""
-        key = (layer, pe.name, precision, sparse)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = len(self._cell_specs)
-            self._cell_specs.append((layer, pe, precision, sparse))
-        return cell
-
-    def cell_cost(
-        self, cell: int, occupancy: Optional[float], batch: int
-    ) -> LayerCost:
-        """Memoized ``(latency, energy)`` of ``cell`` at one occupancy.
-
-        ``occupancy`` must be a bucket representative (see :meth:`bucket`;
-        ``None`` = the layer's static modelled sparsity).  A miss evaluates
-        the roofline once: the energy comes from the latency estimate.
-        """
-        key = (cell, occupancy, batch)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        layer, pe, precision, sparse = self._cell_specs[cell]
-        estimate = self.latency_model.layer_latency(
-            layer, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
-        )
-        energy = self.energy_model.estimate_energy(estimate, pe, precision)
-        cost = self._cache[key] = LayerCost(estimate.total, energy.total)
-        return cost
-
-    def cache_info(self) -> Dict[str, float]:
-        """Hit/miss counters, hit-rate and current table size."""
-        lookups = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._cache),
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
-
-
 # Supported cost-stack semantics: "flat" reproduces the pre-profile scalar
 # path bit for bit (measured occupancy on the first layer, static modelled
 # sparsity deeper); "profile" propagates the input density layer by layer and
@@ -814,7 +703,9 @@ class NetworkCostModel:
     ``pes_used`` names the processing elements the active mapping occupies,
     in first-use order.  Each resolution sets it (at construction and on
     every :meth:`rebind`), so a reader never sees a stale PE set; treat it
-    as read-only.
+    as read-only.  ``uses_sparse`` is True when the configured optimization
+    level executes sparse kernels; the configuration is frozen, so it is
+    read once at construction.
     """
 
     def __init__(
@@ -833,6 +724,7 @@ class NetworkCostModel:
         self.network = network
         self.platform = platform
         self.config = config or EvEdgeConfig()
+        self.uses_sparse = self.config.optimization.uses_sparse
         self.mapping = mapping
         self.table = table or LayerCostTable()
         self.cost_mode = cost_mode
@@ -943,11 +835,6 @@ class NetworkCostModel:
         self.mapping = mapping
         self._resolve()
         self._cache.clear()
-
-    @property
-    def uses_sparse(self) -> bool:
-        """True when the configured optimization level executes sparse kernels."""
-        return self.config.optimization.uses_sparse
 
     @staticmethod
     def signature_for(

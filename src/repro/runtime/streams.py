@@ -44,12 +44,13 @@ invalidating its memoized whole-network costs while keeping the shared
 per-layer cost table warm.  Only streams whose optimization level uses NMP
 (:attr:`~repro.core.config.OptimizationLevel.FULL`) participate; the search
 itself is treated as instantaneous in simulated time (it runs on a host core
-concurrently with inference in a real deployment).  Churning fleets bring the
-same network set back with the same deployed mapping again and again, so the
-client profiles each network once and memoizes whole searches on (network
-set, warm starts); a hit returns exactly what a re-run would.  Everything is
-keyed by network name, so a name must denote one :class:`LayerGraph` per
-client.
+concurrently with inference in a real deployment).  Every engine of a client
+prices layers from one exact :class:`~repro.runtime.sim.LayerCostTable` of
+its own, so each (layer, PE, precision) is costed once per client.  Churning
+fleets bring the same network set back with the same deployed mapping again
+and again, so the client memoizes whole searches on (network set, warm
+starts); a hit returns exactly what a re-run would.  Everything is keyed by
+network name, so a name must denote one :class:`LayerGraph` per client.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from ..events.datasets import EventSequence
 from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
 from ..hw.pe import Platform
-from ..hw.profiler import PlatformProfiler, ProfileTable
 from ..nn.graph import LayerGraph, MultiTaskGraph, TaskSpec
 from ..nn.quantization import Precision
 from .executor import SerialExecutor, SignatureServer
@@ -440,12 +440,13 @@ class AdaptiveMappingClient:
 
     The client never redoes work it has already done:
 
-    * each network is profiled once, as a one-network
-      :class:`~repro.nn.graph.MultiTaskGraph`, and a network set's profile is
-      the :meth:`~repro.hw.profiler.ProfileTable.union` of its networks'
-      tables;
     * one :class:`~repro.core.nmp.search.MapperEngine` (and therefore one
-      fitness cache and flattened schedule) is kept per distinct network set;
+      fitness cache and flattened schedule) is kept per distinct network set,
+      and every engine prices layers from the client's one exact
+      :class:`~repro.runtime.sim.LayerCostTable`, so a layer shared by
+      several network sets is costed once.  It is not the simulator's
+      table: that one may bucket occupancies, and its counters are the
+      simulation's cost-cache statistics;
     * whole searches are memoized on (network set, warm starts).  Every
       search runs the evolutionary strategy under the policy's
       :class:`~repro.core.nmp.search.NMPConfig` and reseeds its RNG, so a
@@ -453,18 +454,18 @@ class AdaptiveMappingClient:
       cache for each of them: a memo hit returns exactly that re-run's
       result (see :class:`~repro.core.nmp.search.NMPResult`).
 
-    Networks, engines, profiles and searches are all keyed by network name,
-    so a name must always denote the same :class:`LayerGraph` object within
-    one client; :meth:`engine_for` raises ``ValueError`` otherwise.  The
-    client is simulator-agnostic — it can also be used standalone to compute
-    a mapping for an arbitrary set of networks.
+    Networks, engines and searches are all keyed by network name, so a name
+    must always denote the same :class:`LayerGraph` object within one
+    client; :meth:`engine_for` raises ``ValueError`` otherwise.  The client
+    is simulator-agnostic — it can also be used standalone to compute a
+    mapping for an arbitrary set of networks.
     """
 
     def __init__(self, platform: Platform, policy: Optional[RemapPolicy] = None) -> None:
         self.platform = platform
         self.policy = policy or RemapPolicy()
         self._networks: Dict[str, LayerGraph] = {}
-        self._profiles: Dict[str, ProfileTable] = {}
+        self.table = LayerCostTable()
         self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
         # Per engine: its all-GPU fallback warm start and that seed's key.
         # Searches copy their seeds, so one fallback serves every remap.
@@ -491,16 +492,6 @@ class AdaptiveMappingClient:
             unique.setdefault(net.name, net)
         return list(unique.values())
 
-    def _profile(self, network: LayerGraph) -> ProfileTable:
-        """The (cached) profile table of one network."""
-        table = self._profiles.get(network.name)
-        if table is None:
-            table = PlatformProfiler(self.platform).profile(
-                MultiTaskGraph([TaskSpec(network)])
-            )
-            self._profiles[network.name] = table
-        return table
-
     def engine_for(self, networks: Sequence[LayerGraph]) -> MapperEngine:
         """The (cached) search engine for one set of networks."""
         unique = self._distinct(networks)
@@ -508,9 +499,8 @@ class AdaptiveMappingClient:
         engine = self._engines.get(key)
         if engine is None:
             graph = MultiTaskGraph([TaskSpec(net) for net in unique])
-            profile = ProfileTable.union([self._profile(net) for net in unique])
             engine = MapperEngine(
-                graph, self.platform, profile, config=self.policy.nmp_config
+                graph, self.platform, self.table, config=self.policy.nmp_config
             )
             self._engines[key] = engine
             gpu = self.platform.gpu()

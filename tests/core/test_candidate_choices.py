@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.nmp.candidate import Assignment, ChoiceTable, MappingCandidate
 from repro.core.nmp.scheduler import ExecutionScheduler
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 
@@ -155,9 +155,8 @@ def test_candidate_key_matches_sorted_enum_values(graph, platform):
 
 def test_flat_graph_options_follow_the_choice_table(graph, platform):
     # The scheduler's per-node options are the table's choices, in the
-    # table's order; the full profile holds an entry for every one.
-    profile = PlatformProfiler(platform).profile(graph)
-    flat = ExecutionScheduler(platform, profile, sparse=True).flatten(graph)
+    # table's order, each priced from the cost table.
+    flat = ExecutionScheduler(platform, LayerCostTable()).flatten(graph)
     choices = ChoiceTable.of(graph, platform).choices
     for name, options in zip(flat.names, flat.options):
         if options is None:

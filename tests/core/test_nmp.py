@@ -15,7 +15,7 @@ from repro.core import (
     NMPConfig,
     RandomSearchStrategy,
 )
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import rr_layer_mapping, rr_network_mapping
@@ -37,8 +37,8 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def profile(platform, graph):
-    return PlatformProfiler(platform).profile(graph)
+def table():
+    return LayerCostTable()
 
 
 class TestMappingCandidate:
@@ -81,31 +81,25 @@ class TestMappingCandidate:
 
 
 class TestScheduler:
-    def test_all_gpu_schedule_is_serial(self, graph, platform, profile):
+    def test_all_gpu_schedule_is_serial(self, graph, platform, table):
         mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        result = ExecutionScheduler(platform, profile).schedule(graph, mapping)
+        result = ExecutionScheduler(platform, table).schedule(graph, mapping)
         busy = result.device_busy_time()
         assert set(busy) == {"gpu"}
         assert result.makespan == pytest.approx(busy["gpu"], rel=1e-6)
 
-    def test_task_latencies_bounded_by_makespan(self, graph, platform, profile):
+    def test_task_latencies_bounded_by_makespan(self, graph, platform, table):
         mapping = rr_layer_mapping(graph, platform)
-        result = ExecutionScheduler(platform, profile).schedule(graph, mapping)
+        result = ExecutionScheduler(platform, table).schedule(graph, mapping)
         for latency in result.task_latencies.values():
             assert latency <= result.makespan + 1e-12
 
-    def test_cross_device_mapping_adds_transfers(self, graph, platform, profile):
+    def test_cross_device_mapping_adds_transfers(self, graph, platform, table):
         mapping = rr_layer_mapping(graph, platform)
-        result = ExecutionScheduler(platform, profile).schedule(graph, mapping)
+        result = ExecutionScheduler(platform, table).schedule(graph, mapping)
         assert any(entry.kind == "transfer" for entry in result.timeline)
 
-    def test_sparse_flag_reduces_latency(self, graph, platform, profile):
-        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        dense = ExecutionScheduler(platform, profile, sparse=False).schedule(graph, mapping)
-        sparse = ExecutionScheduler(platform, profile, sparse=True).schedule(graph, mapping)
-        assert sparse.max_task_latency < dense.max_task_latency
-
-    def test_multi_pe_mapping_can_run_tasks_in_parallel(self, graph, platform, profile):
+    def test_multi_pe_mapping_can_run_tasks_in_parallel(self, graph, platform, table):
         # Put one network on the GPU and the other on the CPU: the makespan
         # should be below the sum of the two serial latencies.
         assignments = {}
@@ -113,14 +107,14 @@ class TestScheduler:
             pe = "gpu" if graph.network_of(node) == "spikeflownet" else "cpu"
             assignments[node] = Assignment(pe, Precision.FP16)
         mapping = MappingCandidate(assignments)
-        result = ExecutionScheduler(platform, profile).schedule(graph, mapping)
+        result = ExecutionScheduler(platform, table).schedule(graph, mapping)
         total_serial = sum(result.device_busy_time().values())
         assert result.makespan < total_serial
 
 
 class TestFitnessAndSearch:
-    def test_fitness_caches_repeated_candidates(self, graph, platform, profile):
-        evaluator = FitnessEvaluator(graph, platform, profile)
+    def test_fitness_caches_repeated_candidates(self, graph, platform, table):
+        evaluator = FitnessEvaluator(graph, platform, table)
         candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         first = evaluator.evaluate(candidate)
         second = evaluator.evaluate(candidate.copy())
@@ -128,53 +122,53 @@ class TestFitnessAndSearch:
         assert evaluator.cache_hits >= 1
         assert evaluator.evaluations == 1
 
-    def test_fitness_feasible_without_accuracy_models(self, graph, platform, profile):
-        evaluator = FitnessEvaluator(graph, platform, profile)
+    def test_fitness_feasible_without_accuracy_models(self, graph, platform, table):
+        evaluator = FitnessEvaluator(graph, platform, table)
         breakdown = evaluator.evaluate(MappingCandidate.uniform(graph, "gpu", Precision.FP32))
         assert breakdown.feasible
         assert breakdown.fitness == pytest.approx(breakdown.max_task_latency)
 
-    def test_nmp_improves_over_generations(self, graph, platform, profile):
+    def test_nmp_improves_over_generations(self, graph, platform, table):
         config = NMPConfig(population_size=10, generations=6, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy()
         )
         assert result.convergence[-1] <= result.convergence[0]
         assert result.best_latency > 0
         assert len(result.history) == 6
 
-    def test_nmp_with_seeds_never_worse_than_seed(self, graph, platform, profile):
+    def test_nmp_with_seeds_never_worse_than_seed(self, graph, platform, table):
         seed_candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
-        evaluator_reference = FitnessEvaluator(graph, platform, profile)
+        evaluator_reference = FitnessEvaluator(graph, platform, table)
         seed_fitness = evaluator_reference.evaluate(seed_candidate).fitness
         config = NMPConfig(population_size=8, generations=4, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy(), initial_candidates=[seed_candidate]
         )
         assert result.best_breakdown.fitness <= seed_fitness + 1e-12
 
-    def test_nmp_beats_round_robin(self, graph, platform, profile):
+    def test_nmp_beats_round_robin(self, graph, platform, table):
         config = NMPConfig(population_size=16, generations=10, seed=1)
         seeds = [rr_network_mapping(graph, platform), rr_layer_mapping(graph, platform)]
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy(), initial_candidates=seeds
         )
-        scheduler = ExecutionScheduler(platform, profile, sparse=True)
+        scheduler = ExecutionScheduler(platform, table)
         rr_latency = scheduler.schedule(graph, rr_network_mapping(graph, platform)).max_task_latency
         assert result.best_latency <= rr_latency
 
-    def test_full_precision_search_uses_only_highest_precision(self, graph, platform, profile):
+    def test_full_precision_search_uses_only_highest_precision(self, graph, platform, table):
         config = NMPConfig(population_size=8, generations=3, full_precision_only=True, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy()
         )
         for node, assignment in result.best_candidate.assignments.items():
             pe = platform.pe(assignment.pe)
             assert assignment.precision == pe.highest_supported_precision()
 
-    def test_random_search_runs(self, graph, platform, profile):
+    def test_random_search_runs(self, graph, platform, table):
         config = NMPConfig(population_size=8, generations=4, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             RandomSearchStrategy()
         )
         assert result.best_latency > 0

@@ -17,11 +17,12 @@ from repro.core import (
     RandomSearchStrategy,
     SearchContext,
 )
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskAccuracyEvaluator, TaskSpec
 from repro.runtime import rr_layer_mapping
 
+from oracles.hw import profile_reference
 from oracles.nmp import mutate_reference, random_candidate_reference, schedule_reference
 
 
@@ -41,11 +42,16 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def profile(platform, graph):
-    return PlatformProfiler(platform).profile(graph)
+def table():
+    return LayerCostTable()
 
 
-def seed_reference_evolutionary(graph, platform, profile, config, initial_candidates=()):
+@pytest.fixture(scope="module")
+def reference_profile(platform, graph):
+    return profile_reference(platform, graph)
+
+
+def seed_reference_evolutionary(graph, platform, table, config, initial_candidates=()):
     """The pre-engine evolutionary mapper's ``run`` loop, re-implemented verbatim.
 
     The refactored engine must reproduce this bit-for-bit for a given seed
@@ -57,7 +63,7 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     comparison.
     """
     evaluator = FitnessEvaluator(
-        graph, platform, profile, accuracy_threshold=config.accuracy_threshold
+        graph, platform, table, accuracy_threshold=config.accuracy_threshold
     )
     rng = np.random.default_rng(config.seed)
     population = [c.copy() for c in list(initial_candidates)[: config.population_size]]
@@ -106,7 +112,7 @@ def seed_reference_evolutionary(graph, platform, profile, config, initial_candid
     return best_candidate, best, history
 
 
-def random_search_reference(graph, platform, profile, config):
+def random_search_reference(graph, platform, table, config):
     """Figure 10b's random search: a fresh population every generation.
 
     Each generation draws ``population_size`` candidates from the
@@ -116,7 +122,7 @@ def random_search_reference(graph, platform, profile, config):
     history records the best so far, with the generation's mean.
     """
     evaluator = FitnessEvaluator(
-        graph, platform, profile, accuracy_threshold=config.accuracy_threshold
+        graph, platform, table, accuracy_threshold=config.accuracy_threshold
     )
     rng = np.random.default_rng(config.seed)
     history = []
@@ -147,13 +153,13 @@ def random_search_reference(graph, platform, profile, config):
 class TestSeedReproduction:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_engine_reproduces_pre_refactor_evolutionary_search(
-        self, graph, platform, profile, seed
+        self, graph, platform, table, seed
     ):
         config = NMPConfig(population_size=10, generations=6, seed=seed)
         expected_candidate, expected_best, expected_history = (
-            seed_reference_evolutionary(graph, platform, profile, config)
+            seed_reference_evolutionary(graph, platform, table, config)
         )
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy()
         )
         assert result.best_candidate.key() == expected_candidate.key()
@@ -162,16 +168,16 @@ class TestSeedReproduction:
             (g.best_fitness, g.mean_fitness, g.best_latency) for g in result.history
         ] == expected_history
 
-    def test_engine_reproduces_warm_started_search(self, graph, platform, profile):
+    def test_engine_reproduces_warm_started_search(self, graph, platform, table):
         config = NMPConfig(population_size=8, generations=4, seed=1)
         seeds = [
             MappingCandidate.uniform(graph, "gpu", Precision.FP32),
             rr_layer_mapping(graph, platform),
         ]
         expected_candidate, _, expected_history = seed_reference_evolutionary(
-            graph, platform, profile, config, initial_candidates=seeds
+            graph, platform, table, config, initial_candidates=seeds
         )
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             EvolutionaryStrategy(), initial_candidates=seeds
         )
         assert result.best_candidate.key() == expected_candidate.key()
@@ -182,11 +188,11 @@ class TestSeedReproduction:
     @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_engine_reproduces_random_search(
-        self, graph, platform, profile, seed, warm_start
+        self, graph, platform, table, seed, warm_start
     ):
         config = NMPConfig(population_size=10, generations=6, seed=seed)
         expected_candidate, expected_best, expected_history = random_search_reference(
-            graph, platform, profile, config
+            graph, platform, table, config
         )
         seeds = (
             [
@@ -196,7 +202,7 @@ class TestSeedReproduction:
             if warm_start
             else None
         )
-        result = MapperEngine(graph, platform, profile, config).run(
+        result = MapperEngine(graph, platform, table, config).run(
             RandomSearchStrategy(), initial_candidates=seeds
         )
         assert result.best_candidate.key() == expected_candidate.key()
@@ -216,12 +222,12 @@ STRATEGY_CLASSES = pytest.mark.parametrize(
 class TestStrategies:
     @STRATEGY_CLASSES
     def test_every_strategy_is_seed_deterministic(
-        self, graph, platform, profile, strategy_class
+        self, graph, platform, table, strategy_class
     ):
         config = NMPConfig(population_size=8, generations=5, seed=2)
         runs = []
         for _ in range(2):
-            engine = MapperEngine(graph, platform, profile, config)
+            engine = MapperEngine(graph, platform, table, config)
             result = engine.run(strategy_class())
             runs.append(result)
         first, second = runs
@@ -234,10 +240,10 @@ class TestStrategies:
 
     @STRATEGY_CLASSES
     def test_strategy_results_are_valid_mappings(
-        self, graph, platform, profile, strategy_class
+        self, graph, platform, table, strategy_class
     ):
         config = NMPConfig(population_size=6, generations=4, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(strategy_class())
+        result = MapperEngine(graph, platform, table, config).run(strategy_class())
         candidate = result.best_candidate
         assert len(candidate) == len(graph.compute_nodes())
         for node, assignment in candidate.assignments.items():
@@ -249,9 +255,9 @@ class TestStrategies:
         conv = result.convergence
         assert all(b <= a + 1e-12 for a, b in zip(conv, conv[1:]))
 
-    def test_both_strategies_share_one_evaluator(self, graph, platform, profile):
+    def test_both_strategies_share_one_evaluator(self, graph, platform, table):
         config = NMPConfig(population_size=8, generations=4, seed=0)
-        engine = MapperEngine(graph, platform, profile, config)
+        engine = MapperEngine(graph, platform, table, config)
         results = {
             strategy.name: engine.run(strategy)
             for strategy in (EvolutionaryStrategy(), RandomSearchStrategy())
@@ -269,13 +275,13 @@ class TestStrategies:
 
     @STRATEGY_CLASSES
     def test_strategy_instance_reruns_identically(
-        self, graph, platform, profile, strategy_class
+        self, graph, platform, table, strategy_class
     ):
         # Strategies keep no state between runs, so one instance re-run on
         # the same engine proposes the same candidates: the rerun is served
         # wholly from the fitness cache and returns the same result.
         config = NMPConfig(population_size=8, generations=4, seed=1)
-        engine = MapperEngine(graph, platform, profile, config)
+        engine = MapperEngine(graph, platform, table, config)
         strategy = strategy_class()
         first = engine.run(strategy)
         second = engine.run(strategy)
@@ -313,7 +319,7 @@ class TestStrategies:
         "population_size, num_elite", [(2, 1), (6, 2), (10, 2)]
     )
     def test_evolutionary_next_population_keeps_elites_and_mutates_parents(
-        self, graph, platform, profile, population_size, num_elite
+        self, graph, platform, table, population_size, num_elite
     ):
         # A quarter of the population, rounded half to even and at least
         # one, survives as copies of the best candidates; every child
@@ -321,7 +327,7 @@ class TestStrategies:
         config = NMPConfig(population_size=population_size, seed=0)
         ctx = SearchContext(graph, platform, config, np.random.default_rng(0), [])
         strategy = EvolutionaryStrategy()
-        evaluator = FitnessEvaluator(graph, platform, profile)
+        evaluator = FitnessEvaluator(graph, platform, table)
         evaluated = [(c, evaluator.evaluate(c)) for c in strategy.initial_population(ctx)]
         ranked = [c for c, _ in sorted(evaluated, key=lambda pair: pair[1].fitness)]
         following = strategy.next_population(evaluated, ctx)
@@ -336,9 +342,9 @@ class TestStrategies:
                 for parent in parents
             ) <= 2
 
-    def test_evolutionary_beats_random_under_equal_budget(self, graph, platform, profile):
+    def test_evolutionary_beats_random_under_equal_budget(self, graph, platform, table):
         config = NMPConfig(population_size=12, generations=10, seed=0)
-        engine = MapperEngine(graph, platform, profile, config)
+        engine = MapperEngine(graph, platform, table, config)
         evolutionary = engine.run(EvolutionaryStrategy())
         random_search = engine.run(RandomSearchStrategy())
         assert evolutionary.requested_evaluations == random_search.requested_evaluations
@@ -351,19 +357,19 @@ class TestStrategies:
 class TestRunConfig:
     @STRATEGY_CLASSES
     def test_every_run_requests_generations_times_population(
-        self, graph, platform, profile, strategy_class
+        self, graph, platform, table, strategy_class
     ):
         # No budget cap and no early stop: a run evaluates exactly
         # `generations` full populations.
         config = NMPConfig(population_size=7, generations=5, seed=0)
-        result = MapperEngine(graph, platform, profile, config).run(strategy_class())
+        result = MapperEngine(graph, platform, table, config).run(strategy_class())
         assert result.requested_evaluations == 7 * 5
         assert [g.generation for g in result.history] == list(range(5))
         assert result.evaluations + result.cache_hits == result.requested_evaluations
 
-    def test_run_config_override(self, graph, platform, profile):
+    def test_run_config_override(self, graph, platform, table):
         engine = MapperEngine(
-            graph, platform, profile, NMPConfig(population_size=8, generations=10, seed=0)
+            graph, platform, table, NMPConfig(population_size=8, generations=10, seed=0)
         )
         result = engine.run(
             RandomSearchStrategy(),
@@ -371,11 +377,11 @@ class TestRunConfig:
         )
         assert len(result.history) == 2
 
-    def test_accuracy_threshold_override_rejected(self, graph, platform, profile):
+    def test_accuracy_threshold_override_rejected(self, graph, platform, table):
         # The threshold is baked into the shared evaluator's fitness cache,
         # so a per-run override must fail loudly instead of being ignored.
         engine = MapperEngine(
-            graph, platform, profile, NMPConfig(population_size=8, generations=2, seed=0)
+            graph, platform, table, NMPConfig(population_size=8, generations=2, seed=0)
         )
         with pytest.raises(ValueError, match="accuracy_threshold"):
             engine.run(
@@ -385,9 +391,10 @@ class TestRunConfig:
 
 
 class TestFlatScheduler:
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_flat_path_matches_reference_exactly(self, graph, platform, profile, sparse):
-        scheduler = ExecutionScheduler(platform, profile, sparse=sparse)
+    def test_flat_path_matches_reference_exactly(
+        self, graph, platform, table, reference_profile
+    ):
+        scheduler = ExecutionScheduler(platform, table)
         rng = np.random.default_rng(0)
         mappings = [
             MappingCandidate.uniform(graph, "gpu", Precision.FP32),
@@ -395,14 +402,14 @@ class TestFlatScheduler:
         ] + [MappingCandidate.random(graph, platform, rng) for _ in range(10)]
         for mapping in mappings:
             flat = scheduler.schedule(graph, mapping)
-            reference = schedule_reference(scheduler, graph, mapping)
+            reference = schedule_reference(platform, reference_profile, graph, mapping)
             assert flat.task_latencies == reference.task_latencies
             assert flat.energy == reference.energy
             assert flat.makespan == reference.makespan
             assert flat.timeline == reference.timeline
 
-    def test_schedule_metrics_matches_schedule(self, graph, platform, profile):
-        scheduler = ExecutionScheduler(platform, profile, sparse=True)
+    def test_schedule_metrics_matches_schedule(self, graph, platform, table):
+        scheduler = ExecutionScheduler(platform, table)
         rng = np.random.default_rng(1)
         for _ in range(5):
             mapping = MappingCandidate.random(graph, platform, rng)
@@ -411,13 +418,15 @@ class TestFlatScheduler:
             assert task_latencies == full.task_latencies
             assert energy == full.energy
 
-    def test_flattening_is_cached_per_graph(self, graph, platform, profile):
-        scheduler = ExecutionScheduler(platform, profile, sparse=True)
+    def test_flattening_is_cached_per_graph(self, graph, platform, table):
+        scheduler = ExecutionScheduler(platform, table)
         assert scheduler.flatten(graph) is scheduler.flatten(graph)
 
-    def test_unmappable_assignment_raises(self, graph, platform, profile):
+    def test_unmappable_assignment_raises(
+        self, graph, platform, table, reference_profile
+    ):
         from repro.core import Assignment
-        scheduler = ExecutionScheduler(platform, profile, sparse=True)
+        scheduler = ExecutionScheduler(platform, table)
         mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         # Spiking layers cannot run on the DLA: the flat options table must
         # reject the assignment just like the reference profile lookup.
@@ -426,7 +435,7 @@ class TestFlatScheduler:
         with pytest.raises(KeyError):
             scheduler.schedule(graph, mapping)
         with pytest.raises(KeyError):
-            schedule_reference(scheduler, graph, mapping)
+            schedule_reference(platform, reference_profile, graph, mapping)
 
 
 class TestDeltaEvaluation:
@@ -440,10 +449,10 @@ class TestDeltaEvaluation:
         }
 
     def test_device_move_reuses_cached_degradations(
-        self, graph, platform, profile, accuracy_evaluators
+        self, graph, platform, table, accuracy_evaluators
     ):
         evaluator = FitnessEvaluator(
-            graph, platform, profile, accuracy_evaluators=accuracy_evaluators
+            graph, platform, table, accuracy_evaluators=accuracy_evaluators
         )
         parent = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
         first = evaluator.evaluate(parent)
@@ -462,11 +471,11 @@ class TestDeltaEvaluation:
         assert evaluator.evaluations == 2
 
     def test_precision_change_reevaluates_only_touched_task(
-        self, graph, platform, profile, accuracy_evaluators
+        self, graph, platform, table, accuracy_evaluators
     ):
         from repro.core import Assignment
         evaluator = FitnessEvaluator(
-            graph, platform, profile, accuracy_evaluators=accuracy_evaluators
+            graph, platform, table, accuracy_evaluators=accuracy_evaluators
         )
         parent = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
         evaluator.evaluate(parent)
@@ -482,14 +491,16 @@ class TestDeltaEvaluation:
         assert evaluator.delta_hits - before == len(graph.task_names) - 1
         assert set(breakdown.degradations) == set(graph.task_names)
 
-    def test_flat_and_reference_fitness_agree(self, graph, platform, profile):
-        evaluator = FitnessEvaluator(graph, platform, profile)
+    def test_flat_and_reference_fitness_agree(
+        self, graph, platform, table, reference_profile
+    ):
+        evaluator = FitnessEvaluator(graph, platform, table)
         scheduler = evaluator.scheduler
         rng = np.random.default_rng(2)
         for _ in range(8):
             candidate = MappingCandidate.random(graph, platform, rng)
             latencies, energy = scheduler.schedule_metrics(graph, candidate)
-            reference = schedule_reference(scheduler, graph, candidate)
+            reference = schedule_reference(platform, reference_profile, graph, candidate)
             assert latencies == dict(reference.task_latencies)
             assert energy == reference.energy
             # No accuracy evaluators: the fitness is the reference makespan.

@@ -6,18 +6,18 @@ import itertools
 
 import pytest
 
+from repro.core.nmp.scheduler import FlatGraph
 from repro.hw import (
     EnergyModel,
     LatencyModel,
+    LayerCostTable,
     PEType,
     Platform,
-    PlatformProfiler,
     ProcessingElement,
-    ProfileTable,
     jetson_orin_nano,
     jetson_xavier_agx,
 )
-from repro.models import build_network
+from repro.models import available_networks, build_network
 from repro.nn import LayerKind, LayerSpec, MultiTaskGraph, Precision, TaskSpec
 
 from oracles.hw import layer_energy_reference, profile_reference
@@ -234,47 +234,48 @@ class TestEnergyModel:
                 ) == layer_energy_reference(latency_model, *args, **kwargs)
 
 
-class TestProfiler:
-    def test_profile_covers_all_compute_nodes(self, xavier):
-        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
-        table = PlatformProfiler(xavier).profile(graph)
-        for node in graph.compute_nodes():
-            assert table.lookup(node, "gpu", Precision.FP32).latency > 0
+class TestLayerCostTable:
+    @pytest.mark.parametrize("make_platform", [jetson_xavier_agx, jetson_orin_nano])
+    @pytest.mark.parametrize("network", available_networks())
+    def test_mapper_options_match_two_roofline_profile(self, make_platform, network):
+        # The Network Mapper prices each (PE, precision) option of a layer
+        # from the cost table: sparse on PEs with sparse kernels, dense on
+        # the others (the DLA), each bit-identical to the offline profile's
+        # two-roofline entry.
+        platform = make_platform()
+        graph = MultiTaskGraph([TaskSpec(build_network(network, 64, 64))])
+        flat = FlatGraph(graph, platform, LayerCostTable())
+        options = {
+            (node, pe, value): (cost.latency, cost.energy)
+            for node, node_options in zip(flat.names, flat.options)
+            if node_options is not None
+            for (pe, value), cost in node_options.items()
+        }
+        expected = {
+            (node, pe, precision.value): entry
+            for (node, pe, precision, sparse), entry in profile_reference(
+                platform, graph
+            ).items()
+            if sparse == platform.pe(pe).supports_sparse
+        }
+        assert options and options == expected
 
-    def test_snn_nodes_have_no_dla_entries(self, xavier):
-        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
-        table = PlatformProfiler(xavier).profile(graph)
-        node = graph.compute_nodes()[0]
-        assert not table.has(node, "dla0", Precision.FP16)
-        assert table.has(node, "gpu", Precision.FP16)
+    def test_a_table_serves_one_platform(self, conv_layer):
+        table = LayerCostTable()
+        xavier_gpu = jetson_xavier_agx().pe("gpu")
+        orin_gpu = jetson_orin_nano().pe("gpu")
+        assert orin_gpu != xavier_gpu
+        table.cell(conv_layer, xavier_gpu, Precision.FP16, True)
+        # Rejected whether or not the cell was interned already.
+        with pytest.raises(ValueError, match="gpu"):
+            table.cell(conv_layer, orin_gpu, Precision.FP16, True)
+        with pytest.raises(ValueError, match="gpu"):
+            table.cell(conv_layer, orin_gpu, Precision.INT8, True)
 
-    def test_entries_match_two_roofline_reference(self, xavier):
-        # Each entry now evaluates the roofline once (energy from the
-        # latency estimate); the table must not move by a bit.
-        graph = MultiTaskGraph(
-            [TaskSpec(build_network(name, 64, 64)) for name in ("dotie", "e2depth")]
+    def test_equal_platforms_share_a_table(self, conv_layer):
+        table = LayerCostTable()
+        first, second = jetson_xavier_agx().pe("gpu"), jetson_xavier_agx().pe("gpu")
+        assert first is not second and first == second
+        assert table.cell(conv_layer, first, Precision.FP16, True) == table.cell(
+            conv_layer, second, Precision.FP16, True
         )
-        table = PlatformProfiler(xavier).profile(graph)
-        reference = profile_reference(xavier, graph)
-        assert table._entries == reference._entries
-        assert len(table) > 0
-
-    def test_union_of_network_tables_equals_joint_table(self, xavier):
-        nets = [build_network(name, 64, 64) for name in ("dotie", "e2depth")]
-        profiler = PlatformProfiler(xavier)
-        tables = [profiler.profile(MultiTaskGraph([TaskSpec(n)])) for n in nets]
-        joint = profiler.profile(MultiTaskGraph([TaskSpec(n) for n in nets]))
-        union = ProfileTable.union(tables)
-        assert union.platform is xavier
-        assert union._entries == joint._entries
-        assert len(union) == sum(len(t) for t in tables)
-
-    def test_union_needs_a_table(self):
-        with pytest.raises(ValueError):
-            ProfileTable.union([])
-
-    def test_unknown_node_lookup_raises(self, xavier):
-        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
-        table = PlatformProfiler(xavier).profile(graph)
-        with pytest.raises(KeyError):
-            table.lookup("missing.node", "gpu", Precision.FP16)

@@ -4,18 +4,21 @@
   energy came from the latency estimate: it re-runs the roofline for the
   compute term and re-derives the DRAM bytes with the sparse formula on
   every device, including devices the latency model runs dense.
-* :func:`profile_reference` — ``PlatformProfiler.profile`` on that
-  formula, i.e. two roofline evaluations per profile entry.
+* :func:`profile_reference` — the offline profile of a multi-task graph
+  on that formula: every (node, capable PE, supported precision) priced
+  dense and, on PEs with sparse kernels, sparse at the mapper's profiling
+  occupancy, with two roofline evaluations per entry.  It is the
+  independent reference for the costs the Network Mapper reads from its
+  :class:`~repro.hw.profiler.LayerCostTable`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.hw.energy import _DRAM_ENERGY_PER_BYTE, _PRECISION_POWER, EnergyEstimate
 from repro.hw.latency import LatencyModel
 from repro.hw.pe import Platform, ProcessingElement
-from repro.hw.profiler import PROFILE_OCCUPANCY, ProfileEntry, ProfileTable
 from repro.nn.graph import MultiTaskGraph
 from repro.nn.layers import LayerSpec
 from repro.nn.quantization import Precision
@@ -49,10 +52,20 @@ def layer_energy_reference(
     return EnergyEstimate(compute_energy, memory_energy)
 
 
-def profile_reference(platform: Platform, graph: MultiTaskGraph) -> ProfileTable:
-    """The profile table of ``graph``, each entry from two roofline runs."""
+# The mapper's profiling occupancy, restated: a change to the production
+# constant fails the comparison.
+_PROFILE_OCCUPANCY = 0.1
+
+
+def profile_reference(
+    platform: Platform, graph: MultiTaskGraph
+) -> Dict[Tuple[str, str, Precision, bool], Tuple[float, float]]:
+    """``{(node, pe, precision, sparse): (latency, energy)}`` of ``graph``.
+
+    Each entry comes from two roofline runs at occupancy 0.1.
+    """
     latency_model = LatencyModel()
-    table = ProfileTable(platform)
+    entries = {}
     for node in graph.compute_nodes():
         spec = graph.spec(node)
         for pe in platform:
@@ -63,7 +76,7 @@ def profile_reference(platform: Platform, graph: MultiTaskGraph) -> ProfileTable
                     if sparse and not pe.supports_sparse:
                         continue
                     latency = latency_model.layer_latency(
-                        spec, pe, precision, sparse=sparse, occupancy=PROFILE_OCCUPANCY
+                        spec, pe, precision, sparse=sparse, occupancy=_PROFILE_OCCUPANCY
                     ).total
                     energy = layer_energy_reference(
                         latency_model,
@@ -71,9 +84,7 @@ def profile_reference(platform: Platform, graph: MultiTaskGraph) -> ProfileTable
                         pe,
                         precision,
                         sparse=sparse,
-                        occupancy=PROFILE_OCCUPANCY,
+                        occupancy=_PROFILE_OCCUPANCY,
                     ).total
-                    table.record(
-                        node, pe.name, precision, sparse, ProfileEntry(latency, energy)
-                    )
-    return table
+                    entries[node, pe.name, precision, sparse] = (latency, energy)
+    return entries

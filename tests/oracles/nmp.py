@@ -4,9 +4,11 @@
 graph once into index arrays and schedules every candidate over them.
 :func:`schedule_reference` is the scheduler it replaced: it walks the graph
 per candidate, resolving ``graph.spec()`` / ``graph.predecessors()``,
-querying the profile table and pricing transfers with
-:meth:`~repro.hw.pe.Platform.transfer_time` for every node.  The scheduler
-and fitness tests require the flat path to reproduce it bit for bit.
+reading each layer's cost from an offline profile
+(:func:`~oracles.hw.profile_reference`, not the scheduler's own cost table)
+and pricing transfers with :meth:`~repro.hw.pe.Platform.transfer_time` for
+every node.  The scheduler and fitness tests require the flat path to
+reproduce it bit for bit.
 
 :func:`random_candidate_reference` and :func:`mutate_reference` are the
 candidate generators that walked the graph per call, resolving each node's
@@ -19,14 +21,15 @@ oracles, these are deliberately unoptimized verification code.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.nmp.candidate import Assignment, MappingCandidate
-from repro.core.nmp.scheduler import ExecutionScheduler, ScheduledNode, ScheduleResult
+from repro.core.nmp.scheduler import ScheduledNode, ScheduleResult
 from repro.hw.pe import Platform
 from repro.nn.graph import MultiTaskGraph
+from repro.nn.quantization import Precision
 
 __all__ = ["schedule_reference", "random_candidate_reference", "mutate_reference"]
 
@@ -34,17 +37,20 @@ _MEMORY_QUEUE = "unified_memory"
 
 
 def schedule_reference(
-    scheduler: ExecutionScheduler, graph: MultiTaskGraph, mapping: MappingCandidate
+    platform: Platform,
+    profile: Dict[Tuple[str, str, Precision, bool], Tuple[float, float]],
+    graph: MultiTaskGraph,
+    mapping: MappingCandidate,
 ) -> ScheduleResult:
-    """Schedule ``mapping`` on ``scheduler``'s platform and profile (Eq. 3).
+    """Schedule ``mapping`` on ``platform`` with ``profile``'s costs (Eq. 3).
 
+    ``profile`` is :func:`~oracles.hw.profile_reference` of ``graph``.
     Every device plus the unified-memory link gets a queue; nodes run in
     the graph's topological order, a transfer node is inserted whenever a
-    compute parent sits on another device, and sparse profile entries are
-    preferred where ``scheduler.sparse`` is set and one exists.
+    compute parent sits on another device, and a node runs sparse where its
+    PE has a sparse entry.  An assignment the profile lacks raises
+    ``KeyError``.
     """
-    platform = scheduler.platform
-    profile = scheduler.profile
     queue_ready: Dict[str, float] = {pe.name: 0.0 for pe in platform}
     queue_ready[_MEMORY_QUEUE] = 0.0
     end_time: Dict[str, float] = {}
@@ -92,13 +98,13 @@ def schedule_reference(
             )
             ready = max(ready, finish)
 
-        use_sparse = scheduler.sparse and profile.has(node, pe_name, precision, True)
-        entry = profile.lookup(node, pe_name, precision, use_sparse)
+        sparse = (node, pe_name, precision, True) in profile
+        latency, energy = profile[node, pe_name, precision, sparse]
         start = max(ready, queue_ready[pe_name])
-        finish = start + entry.latency
+        finish = start + latency
         queue_ready[pe_name] = finish
         end_time[node] = finish
-        total_energy += entry.energy
+        total_energy += energy
         timeline.append(ScheduledNode(node=node, queue=pe_name, start=start, end=finish))
         task = graph.network_of(node)
         task_latencies[task] = max(task_latencies[task], finish)

@@ -46,8 +46,8 @@ claims stay machine-checked:
   dispatch production delivers inline and every eviction it counts is
   heaped and popped.
 * :class:`RerunMappingClient` — the remap client before search memoization
-  and per-network profiles: every remap runs the search, on an engine whose
-  profile comes from the joint multi-task graph.
+  and its shared cost table: every remap runs the search, on an engine
+  that prices layers from a fresh table of its own.
 
 The server and cost-model oracles implement the *current*
 accounting semantics (per-member latency shares, the queued-service
@@ -76,7 +76,6 @@ from repro.frames.sparse import SparseFrame
 from repro.hw.energy import EnergyModel
 from repro.hw.latency import LatencyModel
 from repro.hw.pe import Platform, ProcessingElement
-from repro.hw.profiler import ProfileEntry, ProfileTable
 from repro.nn.graph import MultiTaskGraph, TaskSpec
 from repro.nn.layers import LayerSpec
 from repro.nn.occupancy import OccupancyProfile
@@ -610,36 +609,14 @@ class PerFrameReferenceClient(StreamClient):
         )
 
 
-def _profile_joint(graph: MultiTaskGraph, platform: Platform) -> ProfileTable:
-    """The profile table of ``graph``, every sparse entry at occupancy 0.1."""
-    latency_model = LatencyModel()
-    energy_model = EnergyModel(latency_model)
-    table = ProfileTable(platform)
-    for node in graph.compute_nodes():
-        spec = graph.spec(node)
-        for pe in [pe for pe in platform if pe.supports_layer(spec)]:
-            modes = (False, True) if pe.supports_sparse else (False,)
-            for precision, sparse in itertools.product(pe.supported_precisions, modes):
-                latency = latency_model.layer_latency(
-                    spec, pe, precision, sparse=sparse, occupancy=0.1
-                ).total
-                energy = energy_model.layer_energy(
-                    spec, pe, precision, sparse=sparse, occupancy=0.1
-                ).total
-                table.record(
-                    node, pe.name, precision, sparse, ProfileEntry(latency, energy)
-                )
-    return table
-
-
 class RerunMappingClient:
     """A remap client that runs the NMP search on every remap.
 
-    One :class:`MapperEngine` per network set, profiled from the set's joint
-    :class:`MultiTaskGraph` at activation occupancy 0.1, and no memo of
-    whole searches.  :class:`~repro.runtime.streams.AdaptiveMappingClient`,
-    with its search memo and per-network profile union, must return the
-    same results bit for bit.
+    One :class:`MapperEngine` per network set, each on a fresh
+    :class:`LayerCostTable`, and no memo of whole searches.
+    :class:`~repro.runtime.streams.AdaptiveMappingClient`, with its search
+    memo and one table shared by all its engines, must return the same
+    results bit for bit.
     """
 
     def __init__(self, platform: Platform, policy: RemapPolicy) -> None:
@@ -667,7 +644,7 @@ class RerunMappingClient:
             self._engines[key] = MapperEngine(
                 graph,
                 self.platform,
-                _profile_joint(graph, self.platform),
+                LayerCostTable(),
                 config=self.policy.nmp_config,
             )
         engine = self._engines[key]

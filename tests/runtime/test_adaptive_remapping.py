@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import EvEdgeConfig, NMPConfig, OptimizationLevel
 from repro.core.nmp.candidate import MappingCandidate
+from repro.core.nmp.scheduler import FlatGraph
 from repro.events import generate_sequence
-from repro.hw import PlatformProfiler, ProfileTable, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
@@ -300,33 +301,28 @@ def _fleet_aggregates(report):
     )
 
 
-class TestProfilesPerNetwork:
-    def test_engine_profile_equals_joint_profile(self, platform):
+class TestSharedCostTable:
+    def test_engines_read_one_table_that_prices_each_cell_once(self, platform):
         nets = {
             name: build_network(name, 32, 32)
             for name in ("dotie", "e2depth", "evflownet")
         }
         client = AdaptiveMappingClient(platform, fast_policy())
-        # Overlapping subsets share per-network tables inside the client.
+        # Overlapping subsets share layers, so later engines read cells
+        # that earlier ones priced.
         for subset in (
             ["dotie", "e2depth"],
             ["e2depth", "evflownet"],
             ["evflownet", "dotie", "e2depth"],
             ["e2depth"],
         ):
-            graphs = [nets[name] for name in subset]
-            joint = PlatformProfiler(platform).profile(
-                MultiTaskGraph([TaskSpec(g) for g in graphs])
-            )
-            assert client.engine_for(graphs).profile._entries == joint._entries
-
-    def test_union_rejects_tables_of_other_platforms(self, platform):
-        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 32, 32))])
-        tables = [
-            PlatformProfiler(p).profile(graph) for p in (platform, jetson_xavier_agx())
-        ]
-        with pytest.raises(ValueError, match="different platforms"):
-            ProfileTable.union(tables)
+            engine = client.engine_for([nets[name] for name in subset])
+            assert engine.table is client.table
+            fresh = FlatGraph(engine.graph, platform, LayerCostTable())
+            assert engine.evaluator.scheduler.flatten(engine.graph).options == fresh.options
+        info = client.table.cache_info()
+        assert info["misses"] == len(client.table._cell_specs)
+        assert info["hits"] > 0
 
 
 class TestOneGraphPerName:

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines import CountBasedAggregator, FixedIntervalAggregator
 from repro.core import ExecutionScheduler, MappingCandidate, ScheduleResult
 from repro.events import EventStream, SensorGeometry
-from repro.hw import PlatformProfiler, jetson_xavier_agx
+from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from repro.runtime import (
@@ -38,14 +38,9 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def profile(graph, platform):
-    return PlatformProfiler(platform).profile(graph)
-
-
-@pytest.fixture(scope="module")
-def scheduler(platform, profile):
-    """Dense-input scheduling of the module's graph."""
-    return ExecutionScheduler(platform, profile)
+def scheduler(platform):
+    """Scheduling of the module's graph on a fresh cost table."""
+    return ExecutionScheduler(platform, LayerCostTable())
 
 
 class TestMappingPolicies:
@@ -165,12 +160,6 @@ class TestExecutor:
         assert schedule.energy > 0
         assert set(schedule.task_latencies) == set(graph.task_names)
         assert schedule.makespan >= schedule.max_task_latency - 1e-12
-
-    def test_sparse_execution_is_faster(self, scheduler, profile, graph, platform):
-        mapping = MappingCandidate.uniform(graph, "gpu", Precision.FP32)
-        dense = scheduler.schedule(graph, mapping)
-        sparse = ExecutionScheduler(platform, profile, sparse=True).schedule(graph, mapping)
-        assert sparse.max_task_latency < dense.max_task_latency
 
 
 class TestTracer:
