@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 from ...hw.pe import Platform
 from ...hw.profiler import LayerCost, LayerCostTable
 from ...nn.graph import MultiTaskGraph
-from ...nn.quantization import Precision
 from .candidate import ChoiceTable, MappingCandidate
 
 __all__ = [
@@ -119,12 +118,13 @@ class FlatGraph:
       ``table`` sparse at :data:`PROFILE_OCCUPANCY` where the PE has sparse
       kernels and dense elsewhere (compute nodes only);
     * ``output_bytes[i]`` — ``precision value -> bytes`` of the node's
-      output activation (compute nodes only; consumed when inserting
-      transfers).
+      output activation at each precision of its options (compute nodes
+      only; consumed when inserting transfers, after the producer's own
+      option lookup has accepted its precision).
 
     Both are keyed by :attr:`~.candidate.Assignment.key` parts (plain
-    strings) rather than :class:`Precision` members, whose hash runs in
-    Python.
+    strings) rather than :class:`~repro.nn.quantization.Precision`
+    members, whose hash runs in Python.
     """
 
     __slots__ = (
@@ -165,18 +165,18 @@ class FlatGraph:
                 self.output_bytes.append(None)
                 continue
             options: Dict[Tuple[str, str], LayerCost] = {}
+            output_bytes: Dict[str, int] = {}
             for precisions in choices[name][0]:
                 pe = platform.pe(precisions[0].pe)
                 for assignment in precisions:
-                    cell = table.cell(spec, pe, assignment.precision, pe.supports_sparse)
+                    precision = assignment.precision
+                    cell = table.cell(spec, pe, precision, pe.supports_sparse)
                     options[assignment.key] = table.cell_cost(cell, occupancy, 1)
+                    value = assignment.key[1]
+                    if value not in output_bytes:
+                        output_bytes[value] = spec.output_bytes(precision)
             self.options.append(options)
-            self.output_bytes.append(
-                {
-                    precision.value: spec.output_bytes(precision)
-                    for precision in Precision
-                }
-            )
+            self.output_bytes.append(output_bytes)
 
 
 class ExecutionScheduler:

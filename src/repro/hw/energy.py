@@ -5,12 +5,19 @@ The reproduction integrates power over the modelled execution time: a layer's
 energy is its latency times the active power of the device it runs on (scaled
 mildly by precision, since lower-precision math switches less capacitance),
 plus a per-byte cost for the data it moves through LPDDR4x.
+
+The power is the one term that depends on the device and precision alone:
+:meth:`EnergyModel.power` reads it, and :meth:`EnergyModel.evaluate` is the
+one place the energy expression is written.  The per-layer cost table
+(:class:`~repro.hw.profiler.LayerCostTable`) keeps one power per cell;
+:meth:`EnergyModel.estimate_energy` reads the power and evaluates in one
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
@@ -64,6 +71,20 @@ class EnergyModel:
         )
         return self.estimate_energy(estimate, pe, precision)
 
+    def power(self, pe: ProcessingElement, precision: Precision) -> float:
+        """The active power ``pe`` draws computing at ``precision``, in watts."""
+        return pe.active_power_w * _PRECISION_POWER[precision]
+
+    @staticmethod
+    def evaluate(power: float, total: float, data_bytes: float) -> Tuple[float, float]:
+        """``(compute_energy, memory_energy)`` of one layer execution.
+
+        ``power`` (from :meth:`power`) is integrated over the roofline
+        ``total`` and the ``data_bytes`` of DRAM traffic are charged per
+        byte.
+        """
+        return total * power, data_bytes * _DRAM_ENERGY_PER_BYTE
+
     def estimate_energy(
         self, estimate: LatencyEstimate, pe: ProcessingElement, precision: Precision
     ) -> EnergyEstimate:
@@ -76,9 +97,11 @@ class EnergyModel:
         latency model made — including running a sparse request dense on a
         device without sparse kernels.
         """
-        compute_energy = estimate.total * (pe.active_power_w * _PRECISION_POWER[precision])
-        memory_energy = estimate.data_bytes * _DRAM_ENERGY_PER_BYTE
-        return EnergyEstimate(compute_energy, memory_energy)
+        return EnergyEstimate(
+            *self.evaluate(
+                self.power(pe, precision), estimate.total, estimate.data_bytes
+            )
+        )
 
     def transfer_energy(self, num_bytes: int) -> float:
         """Energy of moving activations between PEs through unified memory."""

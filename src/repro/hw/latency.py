@@ -15,18 +15,26 @@ Two execution modes are modelled:
   the non-zero activation fraction, at the cost of a per-layer sparse
   bookkeeping overhead (index handling), which is why sparsity only pays off
   when frames are sufficiently empty.
+
+Everything in that model except the occupancy and the batch depends only on
+the ``(layer, pe, precision, sparse)`` execution, so a :class:`Roofline`
+fixes it once, and :meth:`Roofline.evaluate` is the one place the roofline
+arithmetic is written.  :meth:`LatencyModel.layer_latency` compiles and
+evaluates in one call; the per-layer cost table
+(:class:`~repro.hw.profiler.LayerCostTable`) keeps one compiled roofline
+per cell and evaluates it on each miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .pe import ProcessingElement
 
-__all__ = ["LatencyEstimate", "LatencyModel"]
+__all__ = ["LatencyEstimate", "LatencyModel", "Roofline"]
 
 # Fraction of peak throughput sustained on real layers (TensorRT typically
 # achieves 40-70 % of peak on convolution workloads).
@@ -48,18 +56,102 @@ class LatencyEstimate:
 
     ``data_bytes`` is the DRAM traffic the memory term moved (weights plus
     activations, or the sparse payload); the energy model charges it per
-    byte, so energy never re-derives it.
+    byte, so energy never re-derives it.  ``total`` is the roofline total,
+    ``max(compute_time, memory_time) + overhead``, as
+    :meth:`Roofline.evaluate` computed it.
     """
 
     compute_time: float
     memory_time: float
     overhead: float
     data_bytes: float
+    total: float
 
-    @property
-    def total(self) -> float:
-        """Roofline total: max(compute, memory) + fixed overhead."""
-        return max(self.compute_time, self.memory_time) + self.overhead
+
+class Roofline:
+    """One ``(layer, pe, precision, sparse)`` execution, compiled.
+
+    The constructor checks that ``pe`` can run ``layer`` at ``precision``
+    and fixes every term that does not depend on the occupancy or the
+    batch: the dense MAC count, the layer's static occupancy
+    (``1 - activation_sparsity``), whether the execution really runs
+    sparse (a sparse request on a PE without sparse kernels runs dense),
+    the sustained throughput (SNN penalty included), the activation and
+    weight bytes, the bandwidth and the launch overhead.
+    """
+
+    __slots__ = (
+        "macs",
+        "occupancy",
+        "sparse",
+        "throughput",
+        "activation_bytes",
+        "weight_bytes",
+        "bandwidth",
+        "overhead",
+    )
+
+    def __init__(
+        self,
+        layer: LayerSpec,
+        pe: ProcessingElement,
+        precision: Precision,
+        sparse: bool,
+    ) -> None:
+        if not pe.supports_layer(layer):
+            raise ValueError(
+                f"{pe.name} cannot execute layer '{layer.name}' (SNN unsupported)"
+            )
+        if not pe.supports_precision(precision):
+            raise ValueError(f"{pe.name} does not support {precision.value}")
+        self.macs = layer.macs
+        self.occupancy = 1.0 - layer.activation_sparsity
+        self.sparse = bool(sparse and pe.supports_sparse)
+        throughput = pe.effective_throughput(precision) * _SUSTAINED_FRACTION
+        if layer.is_spiking:
+            throughput *= _SNN_EFFICIENCY
+        self.throughput = throughput
+        self.activation_bytes = layer.activation_bytes(precision)
+        self.weight_bytes = layer.weight_bytes(precision)
+        self.bandwidth = pe.memory_bandwidth
+        self.overhead = pe.kernel_launch_overhead
+
+    def evaluate(
+        self, occupancy: Optional[float], batch: int
+    ) -> Tuple[float, float, float, float]:
+        """``(total, data_bytes, compute_time, memory_time)`` of one execution.
+
+        ``occupancy`` is clamped to [0, 1] (``None`` = the layer's static
+        occupancy); ``batch`` inputs run back to back.  Sparse work scales
+        with the occupancy plus the index-handling overhead, bounded below by
+        the minimum sparse fraction and above by the dense work, and sparse
+        activations move only the non-zero payload plus indices.
+        """
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        if occupancy is None:
+            occupancy = self.occupancy
+        elif occupancy < 0.0:
+            occupancy = 0.0
+        elif occupancy > 1.0:
+            occupancy = 1.0
+        dense_macs = self.macs * batch
+        activation = self.activation_bytes * batch
+        if self.sparse:
+            fraction = occupancy * (1.0 + _SPARSE_OVERHEAD)
+            if fraction < _MIN_SPARSE_FRACTION:
+                fraction = _MIN_SPARSE_FRACTION
+            elif fraction > 1.0:
+                fraction = 1.0
+            work = dense_macs * fraction
+            activation = activation * occupancy * 1.5
+        else:
+            work = dense_macs
+        compute_time = work / self.throughput
+        data_bytes = self.weight_bytes + activation
+        memory_time = data_bytes / self.bandwidth
+        slowest = memory_time if memory_time > compute_time else compute_time
+        return slowest + self.overhead, data_bytes, compute_time, memory_time
 
 
 class LatencyModel:
@@ -90,39 +182,8 @@ class LatencyModel:
             Number of inputs processed back to back (DSFA's batched merged
             frames); amortises the kernel launch overhead.
         """
-        if not pe.supports_layer(layer):
-            raise ValueError(f"{pe.name} cannot execute layer '{layer.name}' (SNN unsupported)")
-        if not pe.supports_precision(precision):
-            raise ValueError(f"{pe.name} does not support {precision.value}")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if sparse and not pe.supports_sparse:
-            sparse = False
-
-        dense_macs = layer.macs * batch
-        if occupancy is None:
-            occupancy = 1.0 - layer.activation_sparsity
-        occupancy = min(max(occupancy, 0.0), 1.0)
-
-        if sparse:
-            sparse_fraction = max(
-                occupancy * (1.0 + _SPARSE_OVERHEAD), _MIN_SPARSE_FRACTION
-            )
-            work = dense_macs * min(sparse_fraction, 1.0)
-        else:
-            work = dense_macs
-
-        throughput = pe.effective_throughput(precision) * _SUSTAINED_FRACTION
-        if layer.is_spiking:
-            throughput *= _SNN_EFFICIENCY
-        compute_time = work / throughput
-
-        activation = layer.activation_bytes(precision) * batch
-        if sparse:
-            # Sparse activations move only the non-zero payload plus indices.
-            activation = activation * occupancy * 1.5
-        data_bytes = layer.weight_bytes(precision) + activation
-        memory_time = data_bytes / pe.memory_bandwidth
-
-        overhead = pe.kernel_launch_overhead
-        return LatencyEstimate(compute_time, memory_time, overhead, data_bytes)
+        roofline = Roofline(layer, pe, precision, sparse)
+        total, data_bytes, compute_time, memory_time = roofline.evaluate(occupancy, batch)
+        return LatencyEstimate(
+            compute_time, memory_time, roofline.overhead, data_bytes, total
+        )

@@ -5,7 +5,10 @@ between layers are measured on the hardware platform and recorded before the
 search process begins" (paper Section 4.3.2).  :class:`LayerCostTable` is
 that record.  It prices a ``(layer, pe, precision, sparse)`` execution with
 the analytic latency and energy models and memoizes the result, and it is
-the one place that does so: the Network Mapper's list scheduler
+the one place that does so.  Each execution (a *cell*) is compiled once, to
+a :class:`~repro.hw.latency.Roofline` and its device power, so a miss
+evaluates one formula over ``(occupancy, batch)`` instead of re-deriving
+the layer model.  The Network Mapper's list scheduler
 (:class:`~repro.core.nmp.scheduler.FlatGraph`) reads each mapping option's
 cost from it, and the runtime cost stack
 (:class:`~repro.runtime.sim.NetworkCostModel`) costs every dispatch from it.
@@ -18,20 +21,18 @@ from a physical Jetson would replace the analytic models in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .energy import EnergyModel
-from .latency import LatencyModel
+from .latency import LatencyModel, Roofline
 from .pe import ProcessingElement
 
 __all__ = ["LayerCost", "LayerCostTable"]
 
 
-@dataclass(frozen=True)
-class LayerCost:
+class LayerCost(NamedTuple):
     """Memoized latency/energy of one layer execution."""
 
     latency: float
@@ -45,10 +46,19 @@ class LayerCostTable:
     :meth:`cell` interns it to an integer once, when a cost model resolves
     its mapping or the mapper flattens a graph; costs are then memoized per
     ``(cell, occupancy-bucket, batch)``, so a lookup hashes two small
-    numbers and a float instead of a layer descriptor.  With
-    ``occupancy_resolution=None`` (the default) the bucket is the exact
-    occupancy value — results are bit-for-bit identical to calling the
-    latency/energy models directly, and repeated occupancies (the dense
+    numbers and a float instead of a layer descriptor.  A cell's roofline
+    and device power are compiled on its first miss (a cell whose PE
+    cannot run its layer or precision raises that ``ValueError`` there, as
+    :meth:`~repro.hw.latency.LatencyModel.layer_latency` would), and every
+    miss evaluates them once.  The network cost stack
+    (:meth:`~repro.runtime.sim.NetworkCostModel.profile_cost`) reads the
+    memo ``_cache`` inline: it calls :meth:`cell_cost` only on a miss and
+    adds its hits to ``hits``, so :meth:`cache_info` counts as if every
+    lookup had called :meth:`cell_cost`.
+
+    With ``occupancy_resolution=None`` (the default) the bucket is the
+    exact occupancy value — results are bit-for-bit identical to calling
+    the latency/energy models directly, and repeated occupancies (the dense
     path always passes 1.0) still hit the cache.  A positive resolution
     quantizes the occupancy to that grid before *both* keying and
     computing, trading a bounded modelling error for a much higher hit rate
@@ -65,11 +75,13 @@ class LayerCostTable:
         self.latency_model = LatencyModel()
         self.energy_model = EnergyModel(self.latency_model)
         self.occupancy_resolution = occupancy_resolution
-        # (layer, pe name, precision, sparse) -> cell id, and the reverse.
-        self._cells: Dict[Tuple[LayerSpec, str, Precision, bool], int] = {}
+        # (layer, pe name, precision value, sparse) -> cell id; per cell id,
+        # its execution and, after its first miss, its (roofline, power).
+        self._cells: Dict[Tuple[LayerSpec, str, str, bool], int] = {}
         self._cell_specs: List[
             Tuple[LayerSpec, ProcessingElement, Precision, bool]
         ] = []
+        self._compiled: List[Optional[Tuple[Roofline, float]]] = []
         # PE name -> the first PE seen under it.
         self._pes: Dict[str, ProcessingElement] = {}
         self._cache: Dict[Tuple[int, Optional[float], int], LayerCost] = {}
@@ -86,17 +98,24 @@ class LayerCostTable:
         to the ``min_sparse_fraction`` floor regardless of the actual input.
         Bucketing is idempotent — a representative is its own bucket — so
         profile entries, which are representatives already, key the memo
-        as they are.
+        as they are.  NaN stays NaN without a resolution and raises
+        ``ValueError`` with one.
         """
         if occupancy is None:
             return None
-        occupancy = min(max(float(occupancy), 0.0), 1.0)
-        if not self.occupancy_resolution:
+        occupancy = float(occupancy)
+        if occupancy < 0.0:
+            occupancy = 0.0
+        elif occupancy > 1.0:
+            occupancy = 1.0
+        resolution = self.occupancy_resolution
+        if not resolution:
             return occupancy
-        steps = round(occupancy / self.occupancy_resolution)
+        steps = round(occupancy / resolution)
         if steps == 0 and occupancy > 0.0:
             steps = 1
-        return min(steps * self.occupancy_resolution, 1.0)
+        representative = steps * resolution
+        return 1.0 if representative > 1.0 else representative
 
     def cell(
         self,
@@ -116,11 +135,12 @@ class LayerCostTable:
                 f"this table already costs another PE named '{pe.name}'; "
                 "a LayerCostTable serves one platform"
             )
-        key = (layer, pe.name, precision, sparse)
+        key = (layer, pe.name, precision.value, sparse)
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = len(self._cell_specs)
             self._cell_specs.append((layer, pe, precision, sparse))
+            self._compiled.append(None)
         return cell
 
     def cell_cost(
@@ -130,7 +150,8 @@ class LayerCostTable:
 
         ``occupancy`` must be a bucket representative (see :meth:`bucket`;
         ``None`` = the layer's static modelled sparsity).  A miss evaluates
-        the roofline once: the energy comes from the latency estimate.
+        the cell's compiled roofline once: the energy comes from its total
+        and its DRAM bytes.
         """
         key = (cell, occupancy, batch)
         cached = self._cache.get(key)
@@ -138,12 +159,19 @@ class LayerCostTable:
             self.hits += 1
             return cached
         self.misses += 1
-        layer, pe, precision, sparse = self._cell_specs[cell]
-        estimate = self.latency_model.layer_latency(
-            layer, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
+        compiled = self._compiled[cell]
+        if compiled is None:
+            layer, pe, precision, sparse = self._cell_specs[cell]
+            compiled = self._compiled[cell] = (
+                Roofline(layer, pe, precision, sparse),
+                self.energy_model.power(pe, precision),
+            )
+        roofline, power = compiled
+        total, data_bytes, _, _ = roofline.evaluate(occupancy, batch)
+        compute_energy, memory_energy = self.energy_model.evaluate(
+            power, total, data_bytes
         )
-        energy = self.energy_model.estimate_energy(estimate, pe, precision)
-        cost = self._cache[key] = LayerCost(estimate.total, energy.total)
+        cost = self._cache[key] = LayerCost(total, compute_energy + memory_energy)
         return cost
 
     def cache_info(self) -> Dict[str, float]:

@@ -68,14 +68,7 @@ class SerialExecutor:
         latency, energy = cost_model.profile_cost(profile, max(len(batch), 1))
         start, end = self.kernel.acquire((self.resource,), time, latency)
         client.note_dispatch(latency)
-        record = InferenceRecord(
-            dispatch_time=time,
-            start_time=start,
-            end_time=end,
-            num_frames=len(batch),
-            occupancy=occupancy,
-            energy=energy,
-        )
+        record = InferenceRecord(time, start, end, len(batch), occupancy, energy)
         self.kernel.schedule(
             InferenceDone(
                 time=end, stream=client.name, records=(record,), profile=profile
@@ -285,12 +278,12 @@ class SignatureServer:
         for member in members:
             share = len(member.batch) / total_frames
             record = InferenceRecord(
-                dispatch_time=member.time,
-                start_time=start,
-                end_time=end,
-                num_frames=len(member.batch),
-                occupancy=member.batch.mean_density if sparse else 1.0,
-                energy=energy * share,
+                member.time,
+                start,
+                end,
+                len(member.batch),
+                member.batch.mean_density if sparse else 1.0,
+                energy * share,
             )
             # Attribute each member its *share* of the batched latency: the
             # full latency would inflate every member's per-dispatch service

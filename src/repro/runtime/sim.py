@@ -29,10 +29,11 @@ on:
   :mod:`repro.hw.profiler`, where the Network Mapper reads it too, and
   re-exported here) interns each ``(layer, pe, precision, sparse)``
   execution to an integer *cell* and memoizes costs per ``(cell,
-  occupancy-bucket, batch)``; a miss evaluates the roofline once (energy
-  comes from the latency estimate).  :class:`NetworkCostModel` compiles a
-  network's layer→(PE, precision) assignment into cells plus the bytes
-  each cross-PE boundary moves, and composes cell costs into memoized whole-network costs.  Costs are driven
+  occupancy-bucket, batch)``; a miss evaluates the cell's compiled roofline
+  once (energy comes from its total and DRAM bytes).
+  :class:`NetworkCostModel` compiles a network's layer→(PE, precision)
+  assignment into cells plus the bytes each cross-PE boundary moves, and
+  composes cell costs into memoized whole-network costs.  Costs are driven
   by an :class:`~repro.nn.occupancy.OccupancyProfile` — one occupancy per
   layer — and each input bucket's profile row is built once.  In
   ``cost_mode="flat"`` (the default) the row carries the measured input
@@ -57,8 +58,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # reports (shared by the single-stream pipeline and the traffic simulator)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class InferenceRecord:
+class InferenceRecord(NamedTuple):
     """One simulated inference: which frames it covered and its timing."""
 
     dispatch_time: float
@@ -930,8 +929,11 @@ class NetworkCostModel:
         inference runs every member through the same layers, so its
         per-layer occupancy is the mean of the members' per-layer
         occupancies — not the propagation of their mean, which differs
-        because propagation is nonlinear.  The sums run in the float order
-        of :meth:`OccupancyProfile.combine` with unit weights.
+        because propagation is nonlinear.  Each column is summed with the
+        built-in ``sum``, as :meth:`OccupancyProfile.combine` sums with
+        unit weights (bit-identical on every Python, including 3.12's
+        compensated float ``sum``), and the column means are bucketed in
+        one pass.
         """
         occupancy = max(float(occupancy), 1e-4)
         if self.cost_mode == "flat" or not self.uses_sparse or len(densities) <= 1:
@@ -946,7 +948,9 @@ class NetworkCostModel:
             rows.append(row)
         count = len(rows)
         bucket = self.table.bucket
-        return OccupancyProfile([bucket(sum(column) / count) for column in zip(*rows)])
+        return OccupancyProfile(
+            [bucket(total / count) for total in map(sum, zip(*rows))]
+        )
 
     # ------------------------------------------------------------------
     def profile_cost(
@@ -963,7 +967,10 @@ class NetworkCostModel:
         composed result is memoized on ``(profile, batch)`` — profiles that
         converge onto the same per-layer buckets share one entry.  Entries
         are bucket representatives already, so they key the cells as they
-        are.
+        are.  Each layer's cost is read from the table's memo inline; only
+        a miss calls :meth:`LayerCostTable.cell_cost` (which counts it),
+        and the hits are added to the table's counter, so ``cache_info()``
+        reads as if every layer had called ``cell_cost``.
         """
         entries = profile.entries
         key = (entries, batch)
@@ -975,18 +982,25 @@ class NetworkCostModel:
                 "profile length does not match the resolved layer count "
                 f"({len(entries)} != {len(self._cells)})"
             )
-        cell_cost = self.table.cell_cost
+        table = self.table
+        costs = table._cache
+        hits = 0
         total_latency = 0.0
         total_energy = 0.0
         for cell, transfer, occupancy in zip(self._cells, self._transfers, entries):
-            cost = cell_cost(cell, occupancy, batch)
+            cost = costs.get((cell, occupancy, batch))
+            if cost is None:
+                cost = table.cell_cost(cell, occupancy, batch)
+            else:
+                hits += 1
             total_latency += cost.latency
             total_energy += cost.energy
             if transfer is not None:
                 out_bytes, src, dst = transfer
                 transfer_bytes = out_bytes * batch
                 total_latency += self.platform.transfer_time(transfer_bytes, src, dst)
-                total_energy += self.table.energy_model.transfer_energy(transfer_bytes)
+                total_energy += table.energy_model.transfer_energy(transfer_bytes)
+        table.hits += hits
         result = (total_latency, total_energy)
         self._cache[key] = result
         return result

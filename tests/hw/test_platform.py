@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from repro.core.nmp.scheduler import FlatGraph
@@ -20,7 +22,11 @@ from repro.hw import (
 from repro.models import available_networks, build_network
 from repro.nn import LayerKind, LayerSpec, MultiTaskGraph, Precision, TaskSpec
 
-from oracles.hw import layer_energy_reference, profile_reference
+from oracles.hw import (
+    layer_energy_reference,
+    layer_latency_reference,
+    profile_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +132,47 @@ class TestPlatform:
 
 
 class TestLatencyModel:
+    @pytest.mark.parametrize("make_platform", [jetson_xavier_agx, jetson_orin_nano])
+    def test_compiled_roofline_matches_min_max_reference(self, make_platform):
+        # layer_latency evaluates a compiled Roofline whose clamps are
+        # comparisons; the per-call min/max formula must agree field by
+        # field, errors and the types of the values included, on every
+        # input a caller can pass: ints, numpy floats, NaN, infinities and
+        # values outside [0, 1].
+        model = LatencyModel()
+        occupancies = [None, 0, 1, 3, 0.0, -0.0, 1e-5, 0.1, 0.5, 0.7, 1.0, -0.5, 2.0]
+        occupancies += [float("nan"), float("inf"), float("-inf")]
+        occupancies += [np.float64(0.4), np.float64(-1.0), np.float64(5.0)]
+        specs = [
+            spec
+            for name in ("spikeflownet", "e2depth")
+            for spec in build_network(name, 64, 64).layers()
+            if spec.kind.is_compute
+        ]
+        compared = 0
+        for spec, pe, precision, sparse, occupancy, batch in itertools.product(
+            specs, make_platform(), Precision, (False, True), occupancies, (0, 1, 4)
+        ):
+            call = (spec, pe, precision, sparse, occupancy, batch)
+            try:
+                expected = layer_latency_reference(*call)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=re.escape(str(error))):
+                    model.layer_latency(*call)
+                continue
+            estimate = model.layer_latency(*call)
+            actual = (
+                estimate.compute_time,
+                estimate.memory_time,
+                estimate.overhead,
+                estimate.data_bytes,
+                estimate.total,
+            )
+            assert [type(v) for v in actual] == [type(v) for v in expected], call
+            assert [repr(v) for v in actual] == [repr(v) for v in expected], call
+            compared += 1
+        assert compared > 1000
+
     def test_lower_precision_is_faster(self, xavier, conv_layer):
         model = LatencyModel()
         gpu = xavier.gpu()
@@ -259,6 +306,54 @@ class TestLayerCostTable:
             if sparse == platform.pe(pe).supports_sparse
         }
         assert options and options == expected
+
+    @pytest.mark.parametrize("network", available_networks())
+    def test_cells_match_the_layer_models(self, xavier, network):
+        # A cell's compiled roofline, evaluated on a miss, prices exactly
+        # what layer_latency and estimate_energy price for the same
+        # execution: every PE that can run the layer (the DLA included), at
+        # each of its precisions, sparse on and off.
+        table = LayerCostTable()
+        latency_model, energy_model = LatencyModel(), EnergyModel()
+        specs = [s for s in build_network(network, 64, 64).layers() if s.kind.is_compute]
+        checked = 0
+        for spec, pe in itertools.product(specs, xavier):
+            if not pe.supports_layer(spec):
+                continue
+            for precision, sparse in itertools.product(
+                pe.supported_precisions, (False, True)
+            ):
+                cell = table.cell(spec, pe, precision, sparse)
+                for occupancy, batch in itertools.product(
+                    (None, 0, 1e-5, 1 / 64, 0.3, 1), (1, 4, 21)
+                ):
+                    estimate = latency_model.layer_latency(
+                        spec, pe, precision, sparse=sparse, occupancy=occupancy, batch=batch
+                    )
+                    energy = energy_model.estimate_energy(estimate, pe, precision)
+                    cost = table.cell_cost(cell, occupancy, batch)
+                    assert cost.latency.hex() == float(estimate.total).hex()
+                    assert cost.energy.hex() == float(energy.total).hex()
+                    checked += 1
+        assert checked == table.cache_info()["misses"] > 0
+
+    def test_unrunnable_cells_raise_at_their_first_cost(
+        self, xavier, conv_layer, snn_layer
+    ):
+        # Interning an execution the PE cannot run succeeds; its first cost
+        # (and every later one: nothing is cached) raises layer_latency's
+        # ValueError.
+        table = LayerCostTable()
+        dla = xavier.pe("dla0")
+        for spec, precision in ((snn_layer, Precision.FP16), (conv_layer, Precision.FP32)):
+            cell = table.cell(spec, dla, precision, True)
+            with pytest.raises(ValueError) as expected:
+                LatencyModel().layer_latency(spec, dla, precision, sparse=True)
+            for _ in range(2):
+                with pytest.raises(ValueError) as raised:
+                    table.cell_cost(cell, None, 1)
+                assert str(raised.value) == str(expected.value)
+        assert table.cache_info()["entries"] == 0
 
     def test_a_table_serves_one_platform(self, conv_layer):
         table = LayerCostTable()

@@ -1,5 +1,9 @@
 """Reference hardware-model formulas, kept as equivalence oracles.
 
+* :func:`layer_latency_reference` — ``LatencyModel.layer_latency`` as one
+  function, before the roofline was compiled per execution: every term is
+  re-derived from the layer, the PE and the precision on each call, and
+  the clamps use ``min``/``max``.
 * :func:`layer_energy_reference` — ``EnergyModel.layer_energy`` before
   energy came from the latency estimate: it re-runs the roofline for the
   compute term and re-derives the DRAM bytes with the sparse formula on
@@ -17,13 +21,59 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.hw.energy import _DRAM_ENERGY_PER_BYTE, _PRECISION_POWER, EnergyEstimate
-from repro.hw.latency import LatencyModel
+from repro.hw.latency import (
+    _MIN_SPARSE_FRACTION,
+    _SNN_EFFICIENCY,
+    _SPARSE_OVERHEAD,
+    _SUSTAINED_FRACTION,
+    LatencyModel,
+)
 from repro.hw.pe import Platform, ProcessingElement
 from repro.nn.graph import MultiTaskGraph
 from repro.nn.layers import LayerSpec
 from repro.nn.quantization import Precision
 
-__all__ = ["layer_energy_reference", "profile_reference"]
+__all__ = ["layer_latency_reference", "layer_energy_reference", "profile_reference"]
+
+
+def layer_latency_reference(
+    layer: LayerSpec,
+    pe: ProcessingElement,
+    precision: Precision,
+    sparse: bool = False,
+    occupancy: Optional[float] = None,
+    batch: int = 1,
+) -> Tuple[float, float, float, float, float]:
+    """``(compute_time, memory_time, overhead, data_bytes, total)`` of one call."""
+    if not pe.supports_layer(layer):
+        raise ValueError(f"{pe.name} cannot execute layer '{layer.name}' (SNN unsupported)")
+    if not pe.supports_precision(precision):
+        raise ValueError(f"{pe.name} does not support {precision.value}")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if sparse and not pe.supports_sparse:
+        sparse = False
+    dense_macs = layer.macs * batch
+    if occupancy is None:
+        occupancy = 1.0 - layer.activation_sparsity
+    occupancy = min(max(occupancy, 0.0), 1.0)
+    if sparse:
+        sparse_fraction = max(occupancy * (1.0 + _SPARSE_OVERHEAD), _MIN_SPARSE_FRACTION)
+        work = dense_macs * min(sparse_fraction, 1.0)
+    else:
+        work = dense_macs
+    throughput = pe.effective_throughput(precision) * _SUSTAINED_FRACTION
+    if layer.is_spiking:
+        throughput *= _SNN_EFFICIENCY
+    compute_time = work / throughput
+    activation = layer.activation_bytes(precision) * batch
+    if sparse:
+        activation = activation * occupancy * 1.5
+    data_bytes = layer.weight_bytes(precision) + activation
+    memory_time = data_bytes / pe.memory_bandwidth
+    overhead = pe.kernel_launch_overhead
+    total = max(compute_time, memory_time) + overhead
+    return compute_time, memory_time, overhead, data_bytes, total
 
 
 def layer_energy_reference(

@@ -218,17 +218,17 @@ def test_pipeline_matches_object_walk(platform, cost_mode):
 
 
 def test_miss_evaluates_the_roofline_once(platform, monkeypatch):
-    """One ``layer_latency`` call per table miss, none per hit."""
-    from repro.hw.latency import LatencyModel
+    """One compiled-roofline evaluation per table miss, none per hit."""
+    from repro.hw.latency import Roofline
 
     calls = []
-    original = LatencyModel.layer_latency
+    original = Roofline.evaluate
 
     def counting(self, *args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(LatencyModel, "layer_latency", counting)
+    monkeypatch.setattr(Roofline, "evaluate", counting)
     model = NetworkCostModel(
         build_network("e2depth", 64, 64),
         platform,

@@ -30,6 +30,8 @@ from repro.runtime import (
     StreamEnd,
 )
 
+from test_cost_compiled import RESOLUTIONS
+
 
 @pytest.fixture(scope="module")
 def platform():
@@ -573,6 +575,42 @@ class TestLayerCostTable:
             assert table.bucket(table.bucket(representative)) == table.bucket(
                 representative
             )
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_bucket_rule_holds_for_every_input(self, resolution):
+        # The bucket rule written with min/max, as it stood before it was
+        # rewritten with comparisons: every input must give the same
+        # result, or the same error.
+        def min_max_rule(occupancy):
+            if occupancy is None:
+                return None
+            occupancy = min(max(float(occupancy), 0.0), 1.0)
+            if not resolution:
+                return occupancy
+            steps = round(occupancy / resolution)
+            if steps == 0 and occupancy > 0.0:
+                steps = 1
+            return min(steps * resolution, 1.0)
+
+        table = LayerCostTable(occupancy_resolution=resolution)
+        values = [0.0, -0.0, 1e-9, 1e-5, 1e-4, 0.3, 0.5, 1.0, -1.0, 2.0, 1.0 + 1e-12]
+        values += np.random.default_rng(0).uniform(-0.5, 1.5, 200).tolist()
+        inputs = [None, 1, 0, float("inf"), float("-inf")] + values
+        inputs += [np.float64(v) for v in values + [float("inf"), float("-inf")]]
+        for value in inputs:
+            result, expected = table.bucket(value), min_max_rule(value)
+            assert result == expected and type(result) is type(expected), value
+            if expected == 0.0:
+                assert str(result) == str(expected), value  # the sign of zero
+        for nan in (float("nan"), np.float64("nan")):
+            if resolution is None:
+                assert np.isnan(table.bucket(nan)) and np.isnan(min_max_rule(nan))
+                assert type(table.bucket(nan)) is float
+            else:
+                with pytest.raises(ValueError):
+                    min_max_rule(nan)
+                with pytest.raises(ValueError):
+                    table.bucket(nan)
 
     def test_bucket_rounds_small_nonzero_occupancy_up(self, platform, network):
         # Regression: density 1e-4 with the default 1/64 resolution used to
