@@ -1,8 +1,15 @@
-"""Benchmark: throughput of the NMP list scheduler.
+"""Benchmark: throughput of the NMP list scheduler and of a whole search.
 
-Schedules/sec of the flattened list scheduler
-(``ExecutionScheduler.schedule_metrics``, the fitness hot path) on the
-Figure-10 ``mixed_snn_ann`` workload, timed directly on the scheduler.
+On the Figure-10 ``mixed_snn_ann`` workload:
+
+* schedules/sec of the flattened list scheduler
+  (``ExecutionScheduler.schedule_metrics``), timed directly on the
+  scheduler;
+* requested evaluations/sec of one warm-started evolutionary search
+  (``MapperEngine.run(EvolutionaryStrategy())``), which adds candidate
+  generation, the fitness cache and the ranking to the scheduler: the
+  scheduler is under a fifth of a search's time.
+
 Bit-identity to the graph-walking reference scheduler is pinned by the
 tier-1 tests, not here.  The evolutionary-vs-random comparison lives in
 ``bench_fig10_convergence.py``.
@@ -15,11 +22,17 @@ import time
 import numpy as np
 
 from bench_utils import write_bench_json
-from repro.core import ExecutionScheduler, MappingCandidate
+from repro.core import (
+    EvolutionaryStrategy,
+    ExecutionScheduler,
+    MapperEngine,
+    MappingCandidate,
+)
 from repro.experiments.fig9_multi_task import MULTI_TASK_CONFIGS
 from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
-from repro.nn import MultiTaskGraph, TaskSpec
+from repro.nn import MultiTaskGraph, Precision, TaskSpec
+from repro.runtime import rr_layer_mapping
 
 
 def _mixed_graph(settings):
@@ -31,8 +44,8 @@ def _mixed_graph(settings):
     )
 
 
-def test_nmp_flattened_scheduler_throughput(settings):
-    """Schedules/sec of the flattened scheduler's metrics-only fast path."""
+def test_nmp_scheduler_and_search_throughput(settings):
+    """Schedules/sec of the scheduler's fast path, and evaluations/sec of a search."""
     platform = jetson_xavier_agx()
     graph = _mixed_graph(settings)
     rng = np.random.default_rng(0)
@@ -46,10 +59,29 @@ def test_nmp_flattened_scheduler_throughput(settings):
         scheduler.schedule_metrics(graph, candidate)
     flat_rate = (len(candidates) - 1) / (time.perf_counter() - start)
 
+    # The engine flattens its graph when it is built, so the run times the
+    # search alone, warm-started as an online remap is.
+    engine = MapperEngine(graph, platform, LayerCostTable())
+    seeds = [
+        MappingCandidate.uniform(graph, "gpu", Precision.FP16),
+        rr_layer_mapping(graph, platform),
+    ]
+    start = time.perf_counter()
+    result = engine.run(EvolutionaryStrategy(), initial_candidates=seeds)
+    search_rate = result.requested_evaluations / (time.perf_counter() - start)
+
     print("\n=== NMP search: schedules/sec (fig10 mixed_snn_ann) ===")
     print(f"flattened scheduler: {flat_rate:10.0f} sched/s")
+    print(
+        f"mapper search:       {search_rate:10.0f} eval/s "
+        f"({result.requested_evaluations} requested, {result.evaluations} scheduled)"
+    )
     write_bench_json(
         "nmp_scheduler",
-        [{"flat_eval_per_s": flat_rate}],
-        meta={"candidates": len(candidates) - 1},
+        [{"flat_eval_per_s": flat_rate, "search_eval_per_s": search_rate}],
+        meta={
+            "candidates": len(candidates) - 1,
+            "search_requested": result.requested_evaluations,
+            "search_scheduled": result.evaluations,
+        },
     )

@@ -3,13 +3,18 @@
 A candidate assigns every compute layer of the multi-task graph to one
 processing element and one precision supported by that element (paper
 Section 4.3.1).  Candidates know how to generate themselves randomly, mutate
-and produce a hashable key for fitness caching.
+and produce a hashable key of the whole mapping (the runtime's cost-model
+signatures and Figure 10's ``best_key`` read it).  The fitness cache keys
+a candidate by its row instead (:meth:`~.objective.FitnessEvaluator.key`):
+the same mapping, gathered in the flattened graph's order without sorting.
 
 What a random or mutated candidate may choose depends only on the graph and
 the platform, so it is compiled once into a :class:`ChoiceTable` that lives
-on the graph (:meth:`~repro.nn.graph.MultiTaskGraph.compiled`).  Generation
-reads the table and consumes the RNG exactly as a walk over the graph would:
-one ``integers`` call per PE draw and one per precision draw, in node order.
+on the graph (:meth:`~repro.nn.graph.MultiTaskGraph.compiled`).  Each PE's
+choices are built once, and nodes that the same PEs can run share them.
+Generation reads the table and consumes the RNG exactly as a walk over the
+graph would: one ``integers`` call per PE draw and one per precision draw,
+in node order.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class ChoiceTable:
     ``j``-th PE that can run the node, one per supported precision, and
     ``highest[j]`` that PE's highest-precision assignment.  Assignments are
     interned per ``(PE, precision)``: they are frozen, so candidates share
-    them.
+    them.  Each PE's row and highest assignment are built once, and nodes
+    with the same capable-PE list share one ``(options, highest)`` entry.
     """
 
     __slots__ = ("choices",)
@@ -70,17 +76,25 @@ class ChoiceTable:
                 (pe_name, precision), Assignment(pe_name, precision)
             )
 
+        rows = {
+            pe.name: (
+                tuple(intern(pe.name, p) for p in pe.supported_precisions),
+                intern(pe.name, pe.highest_supported_precision()),
+            )
+            for pe in platform
+        }
+        # Capable-PE names -> the one (options, highest) entry they share.
+        entries: Dict[Tuple[str, ...], Tuple[_Options, _Highest]] = {}
         self.choices: Dict[str, Tuple[_Options, _Highest]] = {}
         for node in graph.compute_nodes():
-            pes = platform.candidates_for(graph.spec(node))
-            options = tuple(
-                tuple(intern(pe.name, p) for p in pe.supported_precisions)
-                for pe in pes
-            )
-            highest = tuple(
-                intern(pe.name, pe.highest_supported_precision()) for pe in pes
-            )
-            self.choices[node] = (options, highest)
+            pes = tuple(pe.name for pe in platform.candidates_for(graph.spec(node)))
+            entry = entries.get(pes)
+            if entry is None:
+                entry = entries[pes] = (
+                    tuple(rows[pe][0] for pe in pes),
+                    tuple(rows[pe][1] for pe in pes),
+                )
+            self.choices[node] = entry
 
     @staticmethod
     def of(graph: MultiTaskGraph, platform: Platform) -> "ChoiceTable":
@@ -159,9 +173,11 @@ class MappingCandidate:
         return node in self.assignments
 
     def key(self) -> Tuple:
-        """Hashable identity used for fitness caching.
+        """Hashable identity of the whole mapping.
 
-        The sorted ``(node, pe, precision value)`` triples.
+        The sorted ``(node, pe, precision value)`` triples.  Cost-model
+        signatures compare mappings by it; the fitness cache uses the
+        cheaper row key of :meth:`~.objective.FitnessEvaluator.key`.
         """
         assignments = self.assignments
         return tuple(

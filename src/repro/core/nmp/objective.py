@@ -19,7 +19,11 @@ traverse the boundary of the feasible region.
 Two caches keep the search cheap, mirroring the paper's caching
 optimisation:
 
-* whole-candidate fitness, keyed on the candidate's full assignment key, and
+* whole-candidate fitness, keyed on the candidate's *row key*: its compute
+  nodes' ``(pe, precision value)`` pairs in the flattened graph's order
+  (:meth:`FitnessEvaluator.key`).  A lookup gathers the row once
+  (:attr:`~.scheduler.FlatGraph.gather`) and hashes it — no sort and no
+  node names — and a miss hands the same row to the list scheduler;
 * **delta evaluation** of the accuracy term: per-task degradations are keyed
   on the task's layer-precision tuple, so a child that mutates only a few
   assignments re-measures accuracy only for the tasks it actually touched
@@ -29,8 +33,8 @@ optimisation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ...hw.pe import Platform
 from ...hw.profiler import LayerCostTable
@@ -46,9 +50,10 @@ _PENALTY_WEIGHT = 10.0
 # Validation intervals sampled per accuracy evaluation.
 _ACCURACY_SUBSET = 2
 
+_assignment_key = attrgetter("key")
 
-@dataclass(frozen=True)
-class FitnessBreakdown:
+
+class FitnessBreakdown(NamedTuple):
     """Everything the search needs to know about one evaluated candidate."""
 
     fitness: float
@@ -88,12 +93,17 @@ class FitnessEvaluator:
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
         accuracy_threshold: float = 0.05,
     ) -> None:
-        if accuracy_threshold < 0:
-            raise ValueError("accuracy_threshold must be non-negative")
+        # Written so that NaN fails too.
+        if not accuracy_threshold >= 0:
+            raise ValueError(
+                f"accuracy_threshold must be non-negative, got {accuracy_threshold}"
+            )
         self.graph = graph
         self.platform = platform
         self.table = table
         self.scheduler = ExecutionScheduler(platform, table)
+        # Flattened once, here: every evaluation gathers its row from it.
+        self._flat = self.scheduler.flatten(graph)
         self.accuracy_evaluators = accuracy_evaluators or {}
         self.accuracy_threshold = accuracy_threshold
         # Task names, the tasks with an accuracy evaluator, and per-task
@@ -136,22 +146,36 @@ class FitnessEvaluator:
         self._degradation_cache[key] = value
         return value
 
+    def key(self, candidate: MappingCandidate) -> tuple:
+        """The fitness-cache key of ``candidate``: its row's assignment keys.
+
+        Raises ``KeyError`` when ``candidate`` lacks a compute node of the
+        graph; nodes outside the graph do not change the key (nor the
+        fitness).
+        """
+        return tuple(map(_assignment_key, self._flat.gather(candidate.assignments)))
+
     def evaluate(self, candidate: MappingCandidate) -> FitnessBreakdown:
         """Return (cached) fitness details for ``candidate``."""
-        key = candidate.key()
+        flat = self._flat
+        row = flat.gather(candidate.assignments)
+        key = tuple(map(_assignment_key, row))
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
         self.evaluations += 1
-        task_latencies, energy = self.scheduler.schedule_metrics(self.graph, candidate)
-        # Tasks without an accuracy evaluator have zero degradation.
+        task_latencies, energy = self.scheduler._run(flat, row, None)
+        # Tasks without an accuracy evaluator have zero degradation, and
+        # with none at all the violation is the 0.0 their sum would give.
         degradations = dict.fromkeys(self._task_names, 0.0)
-        for name in self._measured_tasks:
-            degradations[name] = self._task_degradation(candidate, name)
-        violation = sum(
-            max(d - self.accuracy_threshold, 0.0) for d in degradations.values()
-        )
+        violation = 0.0
+        if self._measured_tasks:
+            for name in self._measured_tasks:
+                degradations[name] = self._task_degradation(candidate, name)
+            violation = sum(
+                max(d - self.accuracy_threshold, 0.0) for d in degradations.values()
+            )
         feasible = violation == 0.0
         latency = max(task_latencies.values()) if task_latencies else 0.0
         fitness = latency * (1.0 + _PENALTY_WEIGHT * violation)

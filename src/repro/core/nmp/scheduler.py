@@ -21,24 +21,32 @@ The scheduler sits on the search's hot path — it runs once per candidate
 evaluation — so the multi-task graph is **flattened once per graph** into
 index-based arrays (:class:`FlatGraph`): topological node order, parent
 indices, compute mask, per-precision output bytes and the cost of every
-(PE, precision) option.  ``schedule`` / ``schedule_metrics`` then run a
-tight loop over those arrays instead of re-resolving ``graph.spec()`` /
-``graph.predecessors()`` and re-pricing layers for every node of every
-candidate.  That loop is the only scheduler in the library; the
-graph-walking implementation it replaced is kept as a bit-for-bit oracle in
-the test suite.
+(PE, precision) option.  A layer's priced options and output bytes are
+compiled once per cost table (:meth:`LayerCostTable.compiled
+<repro.hw.profiler.LayerCostTable.compiled>`), so graphs that share a layer
+share its prices.  A candidate enters the loop as one *row*: its compute
+nodes' assignments gathered in flat order (:attr:`FlatGraph.gather`), read
+by position, with each parent's assignment read from the run's own list.
+``schedule`` / ``schedule_metrics`` gather the row and run that loop
+instead of re-resolving ``graph.spec()`` / ``graph.predecessors()`` and
+re-pricing layers for every node of every candidate; the fitness evaluator
+gathers the row once and hands it to the loop directly.  That loop is the
+only scheduler in the library; the graph-walking implementation it
+replaced is kept as a bit-for-bit oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...hw.pe import Platform
 from ...hw.profiler import LayerCost, LayerCostTable
 from ...nn.graph import MultiTaskGraph
-from .candidate import ChoiceTable, MappingCandidate
+from ...nn.layers import LayerSpec
+from .candidate import Assignment, MappingCandidate
 
 __all__ = [
     "ScheduledNode",
@@ -102,6 +110,46 @@ class ScheduleResult:
         return busy
 
 
+# A layer's priced options, ``(pe_name, precision value) -> LayerCost``, and
+# its output bytes per precision value.
+_LayerPrices = Tuple[Dict[Tuple[str, str], LayerCost], Dict[str, int]]
+# A candidate's compute-node assignments, in flat order.
+_Row = Tuple[Assignment, ...]
+
+
+def _price_layer(
+    table: LayerCostTable, spec: LayerSpec, platform: Platform
+) -> _LayerPrices:
+    """Every (PE, precision) option of ``spec``, priced from ``table``.
+
+    Options follow the :class:`~.candidate.ChoiceTable` order: the PEs that
+    can run the layer in platform order, each at its supported precisions.
+    Output bytes are computed for those precisions only.
+    """
+    occupancy = table.bucket(PROFILE_OCCUPANCY)
+    options: Dict[Tuple[str, str], LayerCost] = {}
+    output_bytes: Dict[str, int] = {}
+    for pe in platform.candidates_for(spec):
+        for precision in pe.supported_precisions:
+            value = precision.value
+            cell = table.cell(spec, pe, precision, pe.supports_sparse)
+            options[pe.name, value] = table.cell_cost(cell, occupancy, 1)
+            if value not in output_bytes:
+                output_bytes[value] = spec.output_bytes(precision)
+    return options, output_bytes
+
+
+def _row_getter(nodes: Sequence[str]) -> Callable[[Dict[str, Assignment]], _Row]:
+    """A function gathering ``nodes``' assignments, in order, as a tuple.
+
+    ``itemgetter`` of several keys returns a tuple, but of one key the bare
+    item (and it takes no zero keys), so those graphs gather by hand.
+    """
+    if len(nodes) > 1:
+        return itemgetter(*nodes)
+    return lambda assignments: tuple([assignments[node] for node in nodes])
+
+
 class FlatGraph:
     """A multi-task graph flattened to index-based arrays for scheduling.
 
@@ -124,7 +172,14 @@ class FlatGraph:
 
     Both are keyed by :attr:`~.candidate.Assignment.key` parts (plain
     strings) rather than :class:`~repro.nn.quantization.Precision`
-    members, whose hash runs in Python.
+    members, whose hash runs in Python.  They are compiled once per layer
+    spec and platform on ``table`` and shared, read-only, by every graph
+    flattened on it.
+
+    ``compute_names`` holds the compute nodes in flat order, and
+    ``gather(assignments)`` returns their assignments as a tuple in that
+    order: a candidate's *row*.  It raises ``KeyError`` for a missing
+    compute node and ignores nodes outside the graph.
     """
 
     __slots__ = (
@@ -136,6 +191,8 @@ class FlatGraph:
         "options",
         "output_bytes",
         "num_nodes",
+        "compute_names",
+        "gather",
     )
 
     def __init__(
@@ -143,7 +200,6 @@ class FlatGraph:
     ) -> None:
         nodes = graph.nodes()
         index = {name: i for i, name in enumerate(nodes)}
-        choices = ChoiceTable.of(graph, platform).choices
         self.num_nodes = len(nodes)
         self.names: List[str] = nodes
         self.is_compute: List[bool] = []
@@ -153,7 +209,6 @@ class FlatGraph:
         self.task_index: List[int] = []
         self.options: List[Optional[Dict[Tuple[str, str], LayerCost]]] = []
         self.output_bytes: List[Optional[Dict[str, int]]] = []
-        occupancy = table.bucket(PROFILE_OCCUPANCY)
         for name in nodes:
             spec = graph.spec(name)
             compute = spec.kind.is_compute
@@ -164,19 +219,11 @@ class FlatGraph:
                 self.options.append(None)
                 self.output_bytes.append(None)
                 continue
-            options: Dict[Tuple[str, str], LayerCost] = {}
-            output_bytes: Dict[str, int] = {}
-            for precisions in choices[name][0]:
-                pe = platform.pe(precisions[0].pe)
-                for assignment in precisions:
-                    precision = assignment.precision
-                    cell = table.cell(spec, pe, precision, pe.supports_sparse)
-                    options[assignment.key] = table.cell_cost(cell, occupancy, 1)
-                    value = assignment.key[1]
-                    if value not in output_bytes:
-                        output_bytes[value] = spec.output_bytes(precision)
+            options, output_bytes = table.compiled(_price_layer, spec, platform)
             self.options.append(options)
             self.output_bytes.append(output_bytes)
+        self.compute_names: Tuple[str, ...] = tuple(graph.compute_nodes())
+        self.gather = _row_getter(self.compute_names)
 
 
 class ExecutionScheduler:
@@ -206,8 +253,11 @@ class ExecutionScheduler:
 
     def schedule(self, graph: MultiTaskGraph, mapping: MappingCandidate) -> ScheduleResult:
         """Schedule every compute node of ``graph`` per ``mapping`` (Eq. 3)."""
+        flat = self.flatten(graph)
         timeline: List[ScheduledNode] = []
-        task_latencies, energy = self._run(self.flatten(graph), mapping, timeline)
+        task_latencies, energy = self._run(
+            flat, flat.gather(mapping.assignments), timeline
+        )
         return ScheduleResult(
             timeline=timeline, task_latencies=task_latencies, energy=energy
         )
@@ -221,16 +271,17 @@ class ExecutionScheduler:
         same order); used by the fitness evaluator, whose objective needs
         only the per-task end times and the energy total.
         """
-        return self._run(self.flatten(graph), mapping, None)
+        flat = self.flatten(graph)
+        return self._run(flat, flat.gather(mapping.assignments), None)
 
     # ------------------------------------------------------------------
     def _run(
         self,
         flat: FlatGraph,
-        mapping: MappingCandidate,
+        row: _Row,
         timeline: Optional[List[ScheduledNode]],
     ) -> Tuple[Dict[str, float], float]:
-        assignments = mapping.assignments
+        """Schedule one candidate given as its row (``flat.gather``)."""
         names = flat.names
         is_compute = flat.is_compute
         parents = flat.parents
@@ -241,10 +292,13 @@ class ExecutionScheduler:
         bandwidth = self.platform.unified_memory_bandwidth
 
         end: List[float] = [0.0] * flat.num_nodes
+        # Each compute node's assignment once placed; None for pseudo layers.
+        placed: List[Optional[Assignment]] = [None] * flat.num_nodes
         queue_ready: Dict[str, float] = {pe.name: 0.0 for pe in self.platform}
         memory_ready = 0.0
         task_end = [0.0] * len(flat.task_names)
         total_energy = 0.0
+        k = 0
 
         for i in range(flat.num_nodes):
             node_parents = parents[i]
@@ -256,19 +310,16 @@ class ExecutionScheduler:
                         latest = end[p]
                 end[i] = latest
                 continue
-            name = names[i]
-            assignment = assignments[name]
+            assignment = row[k]
+            k += 1
+            placed[i] = assignment
             pe_name = assignment.pe
 
             # Insert transfer nodes for parents mapped to a different device.
             ready = 0.0
             for p in node_parents:
                 parent_end = end[p]
-                if not is_compute[p]:
-                    if parent_end > ready:
-                        ready = parent_end
-                    continue
-                parent_assignment = assignments.get(names[p])
+                parent_assignment = placed[p]
                 if parent_assignment is None or parent_assignment.pe == pe_name:
                     if parent_end > ready:
                         ready = parent_end
@@ -284,7 +335,7 @@ class ExecutionScheduler:
                 if timeline is not None:
                     timeline.append(
                         ScheduledNode(
-                            node=f"{names[p]}->{name}",
+                            node=f"{names[p]}->{names[i]}",
                             queue=_MEMORY_QUEUE,
                             start=start,
                             end=finish,
@@ -303,7 +354,7 @@ class ExecutionScheduler:
             total_energy += entry.energy
             if timeline is not None:
                 timeline.append(
-                    ScheduledNode(node=name, queue=pe_name, start=start, end=finish)
+                    ScheduledNode(node=names[i], queue=pe_name, start=start, end=finish)
                 )
             t = task_index[i]
             if finish > task_end[t]:

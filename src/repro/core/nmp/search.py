@@ -88,6 +88,13 @@ class NMPConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
+        # Written so that NaN fails too: run() compares thresholds, and
+        # NaN equals nothing.
+        if not self.accuracy_threshold >= 0:
+            raise ValueError(
+                "accuracy_threshold must be non-negative, "
+                f"got {self.accuracy_threshold}"
+            )
 
 
 @dataclass

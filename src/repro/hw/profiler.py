@@ -21,15 +21,17 @@ from a physical Jetson would replace the analytic models in one place.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from ..nn.layers import LayerSpec
 from ..nn.quantization import Precision
 from .energy import EnergyModel
 from .latency import LatencyModel, Roofline
-from .pe import ProcessingElement
+from .pe import Platform, ProcessingElement
 
 __all__ = ["LayerCost", "LayerCostTable"]
+
+_T = TypeVar("_T")
 
 
 class LayerCost(NamedTuple):
@@ -67,6 +69,10 @@ class LayerCostTable:
     Cells are keyed by PE name, so one table serves one platform:
     :meth:`cell` raises ``ValueError`` when a PE differs from an earlier PE
     of the same name.
+
+    :meth:`compiled` keeps what a caller compiles from one layer on one
+    platform (the Network Mapper's priced options of a layer), so every
+    graph that shares the layer reads it from the table it was priced in.
     """
 
     def __init__(self, occupancy_resolution: Optional[float] = None) -> None:
@@ -85,6 +91,12 @@ class LayerCostTable:
         # PE name -> the first PE seen under it.
         self._pes: Dict[str, ProcessingElement] = {}
         self._cache: Dict[Tuple[int, Optional[float], int], LayerCost] = {}
+        # (builder, id(layer), id(platform)) -> (layer, platform, what the
+        # builder compiled); the entry holds both, so neither id is reused
+        # while cached.
+        self._layers: Dict[
+            Tuple[Callable, int, int], Tuple[LayerSpec, Platform, object]
+        ] = {}
         self.hits = 0
         self.misses = 0
 
@@ -142,6 +154,26 @@ class LayerCostTable:
             self._cell_specs.append((layer, pe, precision, sparse))
             self._compiled.append(None)
         return cell
+
+    def compiled(
+        self,
+        build: Callable[["LayerCostTable", LayerSpec, Platform], _T],
+        layer: LayerSpec,
+        platform: Platform,
+    ) -> _T:
+        """``build(self, layer, platform)``, computed once per layer and platform.
+
+        Keyed by identity, not by value: a frozen ``LayerSpec`` recomputes
+        its hash on every call.  The identity checks guard entries that
+        crossed a pickle, whose keys hold another process's ids.  A builder
+        prices through :meth:`cell`, so a PE of another platform still
+        raises there.
+        """
+        key = (build, id(layer), id(platform))
+        entry = self._layers.get(key)
+        if entry is None or entry[0] is not layer or entry[1] is not platform:
+            entry = self._layers[key] = (layer, platform, build(self, layer, platform))
+        return entry[2]  # type: ignore[return-value]
 
     def cell_cost(
         self, cell: int, occupancy: Optional[float], batch: int

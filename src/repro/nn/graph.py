@@ -231,9 +231,10 @@ class MultiTaskGraph:
     edges are not created: concurrent tasks are independent, but compete for
     the same processing elements.
 
-    The graph has no mutator, so its topological order and compute-node
-    list are computed once, at construction; the NMP search asks for them
-    on every candidate it builds.
+    The graph has no mutator, so its topological order, its compute-node
+    list and each node's spec, network and parents are resolved once, at
+    construction, into plain dicts: the NMP search asks for them on every
+    candidate it builds, and every engine's flattening reads them.
     """
 
     def __init__(self, tasks: Sequence[TaskSpec]) -> None:
@@ -244,23 +245,26 @@ class MultiTaskGraph:
             raise ValueError("task network names must be unique")
         self.tasks = list(tasks)
         self._graph = nx.DiGraph()
+        self._specs: Dict[str, LayerSpec] = {}
+        self._networks: Dict[str, str] = {}
         for task in self.tasks:
             net = task.network
             for layer_name in net.layer_names():
                 node = self.node_id(net.name, layer_name)
-                self._graph.add_node(
-                    node,
-                    spec=net.layer(layer_name),
-                    network=net.name,
-                    layer=layer_name,
-                )
+                self._graph.add_node(node)
+                self._specs[node] = net.layer(layer_name)
+                self._networks[node] = net.name
             for producer, consumer in net.edges():
                 self._graph.add_edge(
                     self.node_id(net.name, producer), self.node_id(net.name, consumer)
                 )
         self._order: Tuple[str, ...] = tuple(nx.topological_sort(self._graph))
+        # Parents in the graph's predecessor order (edge insertion order).
+        self._parents: Dict[str, Tuple[str, ...]] = {
+            n: tuple(self._graph.predecessors(n)) for n in self._order
+        }
         self._compute_order: Tuple[str, ...] = tuple(
-            n for n in self._order if self.spec(n).kind.is_compute
+            n for n in self._order if self._specs[n].kind.is_compute
         )
         # (builder, id(platform)) -> (platform, what builder compiled); the
         # entry holds the platform, so its id is never reused while cached.
@@ -301,15 +305,15 @@ class MultiTaskGraph:
 
     def spec(self, node: str) -> LayerSpec:
         """The :class:`LayerSpec` of a node."""
-        return self._graph.nodes[node]["spec"]
+        return self._specs[node]
 
     def network_of(self, node: str) -> str:
         """The network a node belongs to."""
-        return self._graph.nodes[node]["network"]
+        return self._networks[node]
 
     def predecessors(self, node: str) -> List[str]:
         """Data-dependency parents of a node."""
-        return list(self._graph.predecessors(node))
+        return list(self._parents[node])
 
     def task(self, name: str) -> TaskSpec:
         """Look up a task by network name."""

@@ -46,7 +46,8 @@ per-layer cost table warm.  Only streams whose optimization level uses NMP
 itself is treated as instantaneous in simulated time (it runs on a host core
 concurrently with inference in a real deployment).  Every engine of a client
 prices layers from one exact :class:`~repro.runtime.sim.LayerCostTable` of
-its own, so each (layer, PE, precision) is costed once per client.  Churning
+its own, so each layer's (PE, precision) options are priced once per client,
+however many network sets share the layer.  Churning
 fleets bring the same network set back with the same deployed mapping again
 and again, so the client memoizes whole searches on (network set, warm
 starts); a hit returns exactly what a re-run would.  Everything is keyed by
@@ -442,17 +443,20 @@ class AdaptiveMappingClient:
 
     * one :class:`~repro.core.nmp.search.MapperEngine` (and therefore one
       fitness cache and flattened schedule) is kept per distinct network set,
-      and every engine prices layers from the client's one exact
-      :class:`~repro.runtime.sim.LayerCostTable`, so a layer shared by
-      several network sets is costed once.  It is not the simulator's
-      table: that one may bucket occupancies, and its counters are the
-      simulation's cost-cache statistics;
+      with its all-GPU fallback seed, and every engine prices layers from
+      the client's one exact :class:`~repro.runtime.sim.LayerCostTable`,
+      which keeps each layer's priced options: a layer shared by several
+      network sets is priced once, by the first engine that flattens it.
+      It is not the simulator's table: that one may bucket occupancies,
+      and its counters are the simulation's cost-cache statistics;
     * whole searches are memoized on (network set, warm starts).  Every
       search runs the evolutionary strategy under the policy's
       :class:`~repro.core.nmp.search.NMPConfig` and reseeds its RNG, so a
       repeated search would propose the same candidates and hit the fitness
       cache for each of them: a memo hit returns exactly that re-run's
-      result (see :class:`~repro.core.nmp.search.NMPResult`).
+      result (see :class:`~repro.core.nmp.search.NMPResult`).  Warm starts
+      are keyed by the engine's row key
+      (:meth:`~repro.core.nmp.objective.FitnessEvaluator.key`).
 
     Networks, engines and searches are all keyed by network name, so a name
     must always denote the same :class:`LayerGraph` object within one
@@ -466,10 +470,12 @@ class AdaptiveMappingClient:
         self.policy = policy or RemapPolicy()
         self._networks: Dict[str, LayerGraph] = {}
         self.table = LayerCostTable()
-        self._engines: Dict[Tuple[str, ...], MapperEngine] = {}
-        # Per engine: its all-GPU fallback warm start and that seed's key.
-        # Searches copy their seeds, so one fallback serves every remap.
-        self._fallbacks: Dict[Tuple[str, ...], Tuple[MappingCandidate, tuple]] = {}
+        # Sorted network names -> the set's engine, its all-GPU fallback
+        # warm start and that seed's row key.  Searches copy their seeds, so
+        # one fallback serves every remap.
+        self._engines: Dict[
+            Tuple[str, ...], Tuple[MapperEngine, MappingCandidate, tuple]
+        ] = {}
         self._searches: Dict[tuple, NMPResult] = {}
         self.records: List[RemapRecord] = []
 
@@ -494,15 +500,19 @@ class AdaptiveMappingClient:
 
     def engine_for(self, networks: Sequence[LayerGraph]) -> MapperEngine:
         """The (cached) search engine for one set of networks."""
-        unique = self._distinct(networks)
-        key = tuple(sorted(net.name for net in unique))
-        engine = self._engines.get(key)
-        if engine is None:
+        return self._resolve(self._distinct(networks))[1]
+
+    def _resolve(
+        self, unique: List[LayerGraph]
+    ) -> Tuple[Tuple[str, ...], MapperEngine, MappingCandidate, tuple]:
+        """Distinct networks' sorted names, engine, fallback seed and its row key."""
+        names = tuple(sorted(net.name for net in unique))
+        entry = self._engines.get(names)
+        if entry is None:
             graph = MultiTaskGraph([TaskSpec(net) for net in unique])
             engine = MapperEngine(
                 graph, self.platform, self.table, config=self.policy.nmp_config
             )
-            self._engines[key] = engine
             gpu = self.platform.gpu()
             precision = (
                 Precision.FP16
@@ -510,8 +520,12 @@ class AdaptiveMappingClient:
                 else gpu.highest_supported_precision()
             )
             fallback = MappingCandidate.uniform(graph, gpu.name, precision)
-            self._fallbacks[key] = (fallback, fallback.key())
-        return engine
+            entry = self._engines[names] = (
+                engine,
+                fallback,
+                engine.evaluator.key(fallback),
+            )
+        return (names,) + entry
 
     def remap(
         self,
@@ -534,18 +548,16 @@ class AdaptiveMappingClient:
         unique = self._distinct(networks)
         if not unique:
             return None
-        engine = self.engine_for(unique)
-        names = tuple(sorted(net.name for net in unique))
-        fallback, fallback_key = self._fallbacks[names]
+        names, engine, fallback, fallback_key = self._resolve(unique)
         seeds = [fallback]
         seed_keys: Tuple[tuple, ...] = (fallback_key,)
         if current_assignments:
-            warm = dict(fallback.assignments)
-            for node, assignment in current_assignments.items():
-                if node in warm:
-                    warm[node] = assignment
-            seeds.insert(0, MappingCandidate(warm))
-            seed_keys = (seeds[0].key(), fallback_key)
+            get = current_assignments.get
+            warm = MappingCandidate(
+                {node: get(node, a) for node, a in fallback.assignments.items()}
+            )
+            seeds.insert(0, warm)
+            seed_keys = (engine.evaluator.key(warm), fallback_key)
         key = (names, seed_keys)
         # Callers keep the candidates handed out (rebind() stores them), so
         # the memo holds its own copy and every hit returns a fresh one.
@@ -556,12 +568,14 @@ class AdaptiveMappingClient:
                 result, best_candidate=result.best_candidate.copy()
             )
         else:
-            result = replace(
-                memo,
+            result = NMPResult(
                 best_candidate=memo.best_candidate.copy(),
+                best_breakdown=memo.best_breakdown,
                 history=list(memo.history),
                 evaluations=0,
                 cache_hits=memo.requested_evaluations,
+                strategy=memo.strategy,
+                requested_evaluations=memo.requested_evaluations,
             )
         self.records.append(
             RemapRecord(
@@ -924,15 +938,16 @@ class MultiStreamSimulator:
         active = self._active_clients(windows, event.time)
         if not active:
             return
-        # Streams share cost models, and folding a model's mapping in again
-        # changes nothing: the warm-start union folds each distinct model's
-        # mapping once, at that model's last position among the streams.
-        last = {id(c.cost_model): i for i, c in enumerate(active)}
+        # Streams share cost models, and models share the mapping a remap
+        # rebound them to.  The last write wins for each node, so the
+        # warm-start union folds each distinct deployed mapping once, at its
+        # last position among the streams.
+        deployed = [c.cost_model.mapping for c in active]
+        last = {id(mapping): i for i, mapping in enumerate(deployed)}
         current: Dict[str, Assignment] = {}
-        for i, client in enumerate(active):
-            deployed = client.cost_model.mapping
-            if deployed is not None and last[id(client.cost_model)] == i:
-                current.update(deployed.assignments)
+        for i, mapping in enumerate(deployed):
+            if mapping is not None and last[id(mapping)] == i:
+                current.update(mapping.assignments)
         result = self.remap_client.remap(
             [c.source.network for c in active],
             time=event.time,

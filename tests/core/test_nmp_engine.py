@@ -389,6 +389,74 @@ class TestRunConfig:
                 config=replace(engine.config, accuracy_threshold=0.2),
             )
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.01], ids=["nan", "negative"])
+    def test_threshold_that_is_not_non_negative_rejected(
+        self, graph, platform, table, threshold
+    ):
+        # NaN passes a `< 0` check and then equals nothing, so run() would
+        # reject every run with a false override message.
+        with pytest.raises(ValueError, match="accuracy_threshold"):
+            NMPConfig(accuracy_threshold=threshold)
+        with pytest.raises(ValueError, match="accuracy_threshold"):
+            FitnessEvaluator(graph, platform, table, accuracy_threshold=threshold)
+
+    def test_infinite_threshold_accepted(self, graph, platform, table):
+        config = NMPConfig(
+            population_size=4, generations=2, accuracy_threshold=float("inf")
+        )
+        result = MapperEngine(graph, platform, table, config).run(EvolutionaryStrategy())
+        assert result.best_breakdown.feasible
+
+
+class TestFitnessCacheKey:
+    """The fitness cache keys a candidate's mapping of the graph's compute
+    nodes, gathered in flat order: not its dict's order or extra nodes."""
+
+    def test_reordered_assignments_hit_the_cache(self, graph, platform, table):
+        from repro.core import Assignment
+
+        evaluator = FitnessEvaluator(graph, platform, table)
+        candidate = MappingCandidate.random(graph, platform, np.random.default_rng(0))
+        first = evaluator.evaluate(candidate)
+        evaluations = evaluator.evaluations
+        reordered = MappingCandidate(dict(reversed(list(candidate.assignments.items()))))
+        assert list(reordered.assignments) != list(candidate.assignments)
+        # A node outside the graph never changed the fitness, nor the key.
+        extended = candidate.copy()
+        extended.assignments["elsewhere.conv"] = Assignment("cpu", Precision.INT8)
+        for same in (reordered, extended):
+            assert evaluator.key(same) == evaluator.key(candidate)
+            assert evaluator.evaluate(same) is first
+        assert evaluator.evaluations == evaluations
+
+    def test_candidate_missing_a_compute_node_raises(self, graph, platform, table):
+        evaluator = FitnessEvaluator(graph, platform, table)
+        candidate = MappingCandidate.uniform(graph, "gpu", Precision.FP16)
+        del candidate.assignments[graph.compute_nodes()[-1]]
+        with pytest.raises(KeyError):
+            evaluator.evaluate(candidate)
+        with pytest.raises(KeyError):
+            evaluator.key(candidate)
+
+    def test_one_compute_node_graph_runs_and_keys_its_cache(self, platform, table):
+        # itemgetter of one key returns the bare item: the row must still
+        # be a 1-tuple.
+        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
+        (node,) = graph.compute_nodes()
+        engine = MapperEngine(
+            graph, platform, table, NMPConfig(population_size=6, generations=3)
+        )
+        result = engine.run(EvolutionaryStrategy())
+        best = result.best_candidate
+        evaluator = engine.evaluator
+        assert evaluator.key(best) == (best[node].key,)
+        assert evaluator.evaluate(best) is result.best_breakdown
+        assert result.cache_hits > 0
+        reference = schedule_reference(
+            platform, profile_reference(platform, graph), graph, best
+        )
+        assert result.best_breakdown.fitness == reference.max_task_latency
+
 
 class TestFlatScheduler:
     def test_flat_path_matches_reference_exactly(

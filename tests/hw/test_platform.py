@@ -367,6 +367,18 @@ class TestLayerCostTable:
         with pytest.raises(ValueError, match="gpu"):
             table.cell(conv_layer, orin_gpu, Precision.INT8, True)
 
+    def test_a_flattening_table_serves_one_platform(self):
+        # The mapper's per-layer prices live on the table, keyed by layer
+        # and platform identity; a graph flattened for another platform
+        # still prices through cell() and is rejected there.
+        graph = MultiTaskGraph([TaskSpec(build_network("dotie", 64, 64))])
+        table = LayerCostTable()
+        first = FlatGraph(graph, jetson_xavier_agx(), table)
+        with pytest.raises(ValueError, match="serves one platform"):
+            FlatGraph(graph, jetson_orin_nano(), table)
+        # An equal platform object flattens on the same table.
+        assert FlatGraph(graph, jetson_xavier_agx(), table).options == first.options
+
     def test_equal_platforms_share_a_table(self, conv_layer):
         table = LayerCostTable()
         first, second = jetson_xavier_agx().pe("gpu"), jetson_xavier_agx().pe("gpu")

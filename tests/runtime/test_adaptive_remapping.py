@@ -302,24 +302,41 @@ def _fleet_aggregates(report):
 
 
 class TestSharedCostTable:
-    def test_engines_read_one_table_that_prices_each_cell_once(self, platform):
+    def test_engines_read_one_table_that_prices_each_cell_once(
+        self, platform, monkeypatch
+    ):
         nets = {
             name: build_network(name, 32, 32)
             for name in ("dotie", "e2depth", "evflownet")
         }
         client = AdaptiveMappingClient(platform, fast_policy())
-        # Overlapping subsets share layers, so later engines read cells
-        # that earlier ones priced.
+        priced = []  # the layer of every cell() call on the client's table
+        cell = LayerCostTable.cell
+
+        def counting_cell(table, layer, *args):
+            if table is client.table:
+                priced.append(layer)
+            return cell(table, layer, *args)
+
+        monkeypatch.setattr(LayerCostTable, "cell", counting_cell)
+        # Overlapping subsets share layers, so later engines read the prices
+        # that earlier ones compiled, and make no cell() call for them.
+        seen = set()
         for subset in (
             ["dotie", "e2depth"],
             ["e2depth", "evflownet"],
             ["evflownet", "dotie", "e2depth"],
             ["e2depth"],
         ):
+            before = len(priced)
             engine = client.engine_for([nets[name] for name in subset])
             assert engine.table is client.table
-            fresh = FlatGraph(engine.graph, platform, LayerCostTable())
-            assert engine.evaluator.scheduler.flatten(engine.graph).options == fresh.options
+            graph = engine.graph
+            layers = {id(graph.spec(node)) for node in graph.compute_nodes()}
+            assert {id(layer) for layer in priced[before:]} == layers - seen
+            seen |= layers
+            fresh = FlatGraph(graph, platform, LayerCostTable())
+            assert engine.evaluator.scheduler.flatten(graph).options == fresh.options
         info = client.table.cache_info()
         assert info["misses"] == len(client.table._cell_specs)
         assert info["hits"] > 0
