@@ -12,15 +12,21 @@ What a random or mutated candidate may choose depends only on the graph and
 the platform, so it is compiled once into a :class:`ChoiceTable` that lives
 on the graph (:meth:`~repro.nn.graph.MultiTaskGraph.compiled`).  Each PE's
 choices are built once, and nodes that the same PEs can run share them.
-Generation reads the table and consumes the RNG exactly as a walk over the
-graph would: one ``integers`` call per PE draw and one per precision draw,
-in node order.
+Generation reads the table and draws exactly as a walk over the graph
+would: one ``integers`` draw per PE and one per precision, in node order.
+
+A search draws through a :class:`DrawStream`: its generator's uint32 stream,
+taken in blocks of :data:`STREAM_BLOCK` values and reduced in Python with
+numpy's own bounded-draw algorithms, so every draw has the value and the
+position in the stream that a ``np.random.Generator`` call would give it,
+without numpy's per-call overhead.  Generation accepts either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from operator import index
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +34,13 @@ from ...hw.pe import Platform
 from ...nn.graph import MultiTaskGraph
 from ...nn.quantization import Precision
 
-__all__ = ["Assignment", "ChoiceTable", "MappingCandidate"]
+__all__ = [
+    "Assignment",
+    "ChoiceTable",
+    "DrawStream",
+    "MappingCandidate",
+    "STREAM_BLOCK",
+]
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,102 @@ def _draw(
     return precisions[integers(len(precisions))]
 
 
+#: uint32 values a :class:`DrawStream` takes from its generator per numpy
+#: call.  An online remap's search consumes about 800-1,300, so one block
+#: covers it; the larger searches of Figures 9 and 10 refill.
+STREAM_BLOCK = 2048
+
+_UINT32_RANGE = 1 << 32
+_LOW_WORD = _UINT32_RANGE - 1
+#: Above this population numpy's ``choice`` may switch from Floyd's
+#: algorithm to a tail shuffle, which the stream does not reproduce.
+_FLOYD_MAX_POPULATION = 10_000
+
+
+def _uint32s(generator: np.random.Generator) -> Iterator[int]:
+    """The generator's ``next_uint32`` values, in order, one block per numpy call."""
+    while True:
+        yield from generator.integers(
+            0, _UINT32_RANGE, size=STREAM_BLOCK, dtype=np.uint32
+        ).tolist()
+
+
+class DrawStream:
+    """The bounded draws of ``np.random.default_rng(seed)``, reduced in Python.
+
+    A full-range uint32 draw hands out the bit generator's ``next_uint32``
+    values in order, and those are exactly what numpy's bounded draws
+    consume.  The stream takes them in blocks of :data:`STREAM_BLOCK` and
+    answers the two calls the mapper makes as numpy computes them, so each
+    returns the value the generator's own call would, and the draws after
+    it are unchanged too:
+
+    * ``integers(n)`` — Lemire's reduction (``n == 1`` draws nothing);
+    * ``choice(n, size=k, replace=False)`` — Floyd's algorithm over
+      ``integers`` draws, then numpy's shuffle of the ``k`` picks.
+
+    Values come back as Python ints (a list for ``choice``).  Whatever
+    numpy might compute another way raises ``ValueError``: ``n`` outside
+    ``[1, 2**32]``, sampling with replacement, ``k`` outside ``[0, n]`` and
+    populations above 10,000.  The identity rests on numpy's ``Generator``
+    algorithms, which NEP 19 does not freeze across releases; the tier-1
+    suite compares the stream with numpy draw for draw.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, seed: int) -> None:
+        self._next = _uint32s(np.random.default_rng(seed)).__next__
+
+    def integers(self, n: int) -> int:
+        """A uniform draw from ``[0, n)``, as ``Generator.integers(n)`` makes it."""
+        n = index(n)
+        if not 1 < n <= _UINT32_RANGE:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers needs 1 <= n <= 2**32, got {n}")
+        m = self._next() * n
+        if m & _LOW_WORD < n:
+            threshold = (_UINT32_RANGE - n) % n
+            while m & _LOW_WORD < threshold:
+                m = self._next() * n
+        return m >> 32
+
+    def choice(self, n: int, size: int, replace: bool = True) -> List[int]:
+        """``size`` distinct draws from ``[0, n)``, as ``Generator.choice`` makes them.
+
+        Only ``replace=False`` is supported; like numpy's, the default is
+        ``True``, so a caller states it.
+        """
+        n, size = index(n), index(size)
+        if replace:
+            raise ValueError("a DrawStream samples without replacement only")
+        if not 1 <= n <= _FLOYD_MAX_POPULATION:
+            raise ValueError(
+                f"choice needs 1 <= n <= {_FLOYD_MAX_POPULATION}, got {n}"
+            )
+        if not 0 <= size <= n:
+            raise ValueError(f"choice needs 0 <= size <= n, got size={size}, n={n}")
+        integers = self.integers
+        chosen: List[int] = []
+        # Floyd: j exceeds every earlier pick, so a repeated draw takes j.
+        for j in range(n - size, n):
+            drawn = integers(j + 1)
+            chosen.append(j if drawn in chosen else drawn)
+        # numpy then shuffles the picks in place, last place first.
+        for i in range(size - 1, 0, -1):
+            j = integers(i + 1)
+            chosen[i], chosen[j] = chosen[j], chosen[i]
+        return chosen
+
+
+#: Where candidates draw from: a search's stream, or any numpy generator
+#: (tests, oracles and benchmarks pass one); both give the same values.
+#: The generator is named lazily, so importing this module does not load
+#: ``numpy.random``.
+Draws = Union[DrawStream, "np.random.Generator"]
+
+
 class MappingCandidate:
     """A complete mapping of every compute node to (device, precision)."""
 
@@ -132,7 +240,7 @@ class MappingCandidate:
         cls,
         graph: MultiTaskGraph,
         platform: Platform,
-        rng: np.random.Generator,
+        rng: Draws,
         full_precision_only: bool = False,
     ) -> "MappingCandidate":
         """Sample a uniformly random valid candidate.
@@ -193,7 +301,7 @@ class MappingCandidate:
         self,
         graph: MultiTaskGraph,
         platform: Platform,
-        rng: np.random.Generator,
+        rng: Draws,
         num_mutations: int = 2,
         full_precision_only: bool = False,
     ) -> "MappingCandidate":
@@ -214,7 +322,7 @@ class MappingCandidate:
         chosen = rng.choice(len(nodes), size=num_mutations, replace=False)
         choices = ChoiceTable.of(graph, platform).choices
         integers = rng.integers
-        for idx in chosen.tolist():
+        for idx in chosen:
             node = nodes[idx]
             assignments[node] = _draw(
                 integers, *choices[node], full_precision_only=full_precision_only

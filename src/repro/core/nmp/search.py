@@ -30,16 +30,15 @@ initial_candidates=...)``, where ``table`` is the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
-
-import numpy as np
 
 from ...frames.sparse import pairwise_mean
 from ...hw.pe import Platform
 from ...hw.profiler import LayerCostTable
 from ...nn.accuracy import TaskAccuracyEvaluator
 from ...nn.graph import MultiTaskGraph
-from .candidate import MappingCandidate
+from .candidate import Draws, DrawStream, MappingCandidate
 from .objective import FitnessBreakdown, FitnessEvaluator
 
 __all__ = [
@@ -74,7 +73,9 @@ class NMPConfig:
     """Hyper-parameters shared by both search strategies.
 
     Every run evaluates ``generations`` populations of ``population_size``
-    candidates.
+    candidates and draws from a stream seeded with ``seed``, a non-negative
+    integer: a search is a function of its config, so a remap client may
+    memoize it.
     """
 
     population_size: int = 24
@@ -95,6 +96,9 @@ class NMPConfig:
                 "accuracy_threshold must be non-negative, "
                 f"got {self.accuracy_threshold}"
             )
+        # None would seed from OS entropy, so every run would differ.
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -131,12 +135,19 @@ class NMPResult:
 
 @dataclass
 class SearchContext:
-    """Everything a strategy may consult while proposing candidates."""
+    """Everything a strategy may consult while proposing candidates.
+
+    ``rng`` is the run's :class:`~.candidate.DrawStream`, seeded with
+    :attr:`NMPConfig.seed` and private to the run.  It answers
+    ``integers(n)`` and ``choice(n, size=k, replace=False)`` with the values
+    ``np.random.default_rng(seed)`` would give, so a context built around
+    such a generator proposes the same candidates.
+    """
 
     graph: MultiTaskGraph
     platform: Platform
     config: NMPConfig
-    rng: np.random.Generator
+    rng: Draws
     initial_candidates: List[MappingCandidate]
 
 
@@ -145,8 +156,9 @@ class SearchStrategy(Protocol):
     """Candidate-proposal protocol driven by :class:`MapperEngine`.
 
     Strategies keep no state between calls and draw all randomness from
-    ``ctx.rng``, so a fixed :attr:`NMPConfig.seed` makes the whole search
-    deterministic.
+    ``ctx.rng`` through its ``integers`` and ``choice`` calls (the only two
+    a :class:`~.candidate.DrawStream` answers), so a fixed
+    :attr:`NMPConfig.seed` makes the whole search deterministic.
     """
 
     name: str
@@ -337,7 +349,7 @@ class MapperEngine:
             graph=self.graph,
             platform=self.platform,
             config=cfg,
-            rng=np.random.default_rng(cfg.seed),
+            rng=DrawStream(cfg.seed),
             initial_candidates=list(initial_candidates or []),
         )
         evaluations_before = self.evaluator.evaluations

@@ -682,7 +682,10 @@ class NetworkCostModel:
     The model is a *layered cost stack*: every inference is costed from an
     :class:`~repro.nn.occupancy.OccupancyProfile` (one occupancy per
     resolved layer) whose per-layer entries index the table cells; the
-    composed whole-network result is memoized on ``(profile, batch)``.
+    composed whole-network result is memoized on ``(profile, batch)``, in
+    one memo per mapping key that lives as long as the model, so a rebind
+    back to a key finds its costs again.  A memo hit skips the table, so
+    ``cache_info()`` counts only the layers the memoized misses looked up.
     Each input bucket has one bucketed profile row, built on first use.
     ``cost_mode`` selects how rows are built:
 
@@ -735,9 +738,10 @@ class NetworkCostModel:
         )
         self._gpu = platform.gpu()
         self._baseline = (self._gpu.name, self.config.baseline_precision.value)
-        self._cache: Dict[tuple, Tuple[float, float]] = {}
-        # Mapping key -> its compiled (cells, transfers, pes_used).  A
-        # compiled resolution depends only on the key, so it outlives rebinds.
+        # Mapping key -> its compiled (cells, transfers, pes_used, memo).  A
+        # compiled resolution and its (profile, batch) -> (latency, energy)
+        # memo depend only on the key, so they outlive rebinds; _cache is
+        # the active key's memo.
         self._resolutions: Dict[tuple, tuple] = {}
         # Input bucket -> its bucketed profile row, and a merged dispatch's
         # member density -> its row (frame densities recur across streams
@@ -771,24 +775,25 @@ class NetworkCostModel:
     def _resolve(self) -> None:
         """Point the model at the compiled resolution of the active mapping.
 
-        Each mapping key is compiled once (:meth:`_compile`) and reused by
-        every later rebind to a mapping with the same key.  Sets
-        ``pes_used``.
+        Each mapping key is compiled once (:meth:`_compile`) and reused, with
+        its cost memo, by every later rebind to a mapping with the same key.
+        Sets ``pes_used``.
         """
         key = self._mapping_key()
         compiled = self._resolutions.get(key)
         if compiled is None:
             compiled = self._resolutions[key] = self._compile(key)
-        self._cells, self._transfers, self.pes_used = compiled
+        self._cells, self._transfers, self.pes_used, self._cache = compiled
 
     def _compile(self, key: Tuple[Tuple[str, str], ...]) -> tuple:
-        """Compile one mapping key into cells, transfers and the PEs used.
+        """Compile one mapping key into cells, transfers, the PEs used and a memo.
 
         Each layer becomes a :class:`LayerCostTable` cell, on the GPU when
         its assigned PE cannot run it; a layer whose producer ran on
         another PE also records ``(producer output bytes, producer PE,
         PE)``, the unified-memory transfer a batch of one moves across that
-        boundary (``None`` elsewhere).
+        boundary (``None`` elsewhere).  The memo starts empty:
+        :meth:`profile_cost` fills it.
         """
         sparse = self.uses_sparse
         cells: List[int] = []
@@ -815,25 +820,25 @@ class NetworkCostModel:
             if pe.name not in seen:
                 seen.append(pe.name)
             previous = (pe, spec, precision)
-        return tuple(cells), tuple(transfers), tuple(seen)
+        return tuple(cells), tuple(transfers), tuple(seen), {}
 
     def rebind(self, mapping: Optional[MappingCandidate]) -> None:
-        """Swap the NMP mapping and invalidate every memoized inference cost.
+        """Swap the NMP mapping; every cost that is still valid is kept.
 
         Used by online traffic-adaptive remapping.  The per-layer costs in
         the shared :class:`LayerCostTable` stay valid (they are keyed on the
         layer/PE/precision cell, not on the mapping).  The resolved cells,
-        the transfer boundaries and the occupied-PE set depend only on the
-        mapping key (:meth:`_mapping_key`), so a key compiled before — by
-        an earlier rebind or at construction — is reused as it is.  The
-        whole-network cost memo is cleared on every rebind.  Note that an
-        execution server's *grouping* of streams (its :meth:`signature_for`
-        at construction time) is intentionally not revisited — streams that
-        shared a cost surface before a remap still share the rebound one.
+        the transfer boundaries, the occupied-PE set and the whole-network
+        cost memo depend only on the mapping key (:meth:`_mapping_key`), so
+        a key compiled before — by an earlier rebind or at construction —
+        is reused as it is, memo included, and a new key starts with an
+        empty memo.  Nothing is cleared.  Note that an execution server's
+        *grouping* of streams (its :meth:`signature_for` at construction
+        time) is intentionally not revisited — streams that shared a cost
+        surface before a remap still share the rebound one.
         """
         self.mapping = mapping
         self._resolve()
-        self._cache.clear()
 
     @staticmethod
     def signature_for(
@@ -964,13 +969,14 @@ class NetworkCostModel:
         and a unified-memory transfer is added whenever producer and
         consumer sit on different devices (execution is serial, so
         transfers are summed, each right after its consumer's cost).  The
-        composed result is memoized on ``(profile, batch)`` — profiles that
-        converge onto the same per-layer buckets share one entry.  Entries
-        are bucket representatives already, so they key the cells as they
-        are.  Each layer's cost is read from the table's memo inline; only
-        a miss calls :meth:`LayerCostTable.cell_cost` (which counts it),
-        and the hits are added to the table's counter, so ``cache_info()``
-        reads as if every layer had called ``cell_cost``.
+        composed result is memoized on ``(profile, batch)`` in the active
+        mapping key's memo — profiles that converge onto the same per-layer
+        buckets share one entry.  Entries are bucket representatives
+        already, so they key the cells as they are.  Each layer's cost is
+        read from the table's memo inline; only a miss calls
+        :meth:`LayerCostTable.cell_cost` (which counts it), and the hits are
+        added to the table's counter, so ``cache_info()`` reads as if every
+        layer of a memo miss had called ``cell_cost``.
         """
         entries = profile.entries
         key = (entries, batch)

@@ -40,8 +40,9 @@ fires, the :class:`AdaptiveMappingClient` re-runs a *budgeted* NMP search
 (:class:`~repro.core.nmp.search.MapperEngine`) over the networks of the
 streams that are active at that instant, and every affected
 :class:`~repro.runtime.sim.NetworkCostModel` is rebound to the new mapping —
-invalidating its memoized whole-network costs while keeping the shared
-per-layer cost table warm.  Only streams whose optimization level uses NMP
+switching to that mapping key's memoized whole-network costs (kept across
+rebinds) while keeping the shared per-layer cost table warm.  Only streams
+whose optimization level uses NMP
 (:attr:`~repro.core.config.OptimizationLevel.FULL`) participate; the search
 itself is treated as instantaneous in simulated time (it runs on a host core
 concurrently with inference in a real deployment).  Every engine of a client

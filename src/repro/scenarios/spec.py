@@ -20,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Dict, Mapping
 
 __all__ = ["ScenarioSpec", "canonical_json", "content_digest"]
@@ -79,12 +81,16 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.num_streams < 1:
             raise ValueError("num_streams must be >= 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # Written so that NaN fails too (`nan <= 0` is false): a spec that
+        # no family can compile must not get a content hash.
+        for name in ("duration", "scale"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.num_bins < 1:
             raise ValueError("num_bins must be >= 1")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "network_resolution", tuple(self.network_resolution))
         object.__setattr__(self, "params", dict(self.params))
 

@@ -5,8 +5,10 @@ capable PEs and their precisions, built once per (graph, platform).
 ``MappingCandidate.random`` and ``mutate`` read it instead of walking the
 graph; they must draw exactly as the graph-walking generators of
 :mod:`oracles.nmp` do: equal assignments, in the same insertion order, with
-the generator left in the same state.  The list scheduler's flattened graph
-takes each node's options from the same table.
+the generator left in the same state.  They do so from a numpy generator
+and from the :class:`~repro.core.nmp.candidate.DrawStream` a search draws
+through, while the oracles always draw from numpy.  The list scheduler's
+flattened graph takes each node's options from the same table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.nmp.candidate import Assignment, ChoiceTable, MappingCandidate
+from repro.core.nmp.candidate import (
+    Assignment,
+    ChoiceTable,
+    DrawStream,
+    MappingCandidate,
+)
 from repro.core.nmp.scheduler import ExecutionScheduler
 from repro.hw import LayerCostTable, jetson_xavier_agx
 from repro.models import build_network
@@ -23,6 +30,9 @@ from repro.nn import MultiTaskGraph, Precision, TaskSpec
 from oracles.nmp import mutate_reference, random_candidate_reference
 
 SEEDS = (0, 1, 7, 2024)
+# What the production generators draw from: numpy's generator, or the
+# search's stream over the same seed.
+SOURCES = {"generator": np.random.default_rng, "stream": DrawStream}
 # Spiking layers cannot run on the DLA, so their PE lists are shorter than
 # the ANN layers'; the ANN-only pair gives every node the same choices.
 NETWORK_SETS = {
@@ -56,10 +66,13 @@ def test_network_sets_cover_both_pe_list_shapes(graph, platform):
     assert lengths == ({2, 3} if spiking else {3})
 
 
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("full_precision_only", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_draws_like_the_graph_walk(graph, platform, seed, full_precision_only):
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+def test_random_draws_like_the_graph_walk(
+    graph, platform, seed, full_precision_only, source
+):
+    rng, oracle_rng = SOURCES[source](seed), np.random.default_rng(seed)
     for _ in range(5):
         produced = MappingCandidate.random(
             graph, platform, rng, full_precision_only=full_precision_only
@@ -70,18 +83,19 @@ def test_random_draws_like_the_graph_walk(graph, platform, seed, full_precision_
         _draws_equal(produced, expected, rng, oracle_rng)
 
 
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("num_mutations", [0, 1, 2, 10_000])
 @pytest.mark.parametrize("full_precision_only", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mutate_draws_like_the_graph_walk(
-    graph, platform, seed, full_precision_only, num_mutations
+    graph, platform, seed, full_precision_only, num_mutations, source
 ):
     parent = random_candidate_reference(graph, platform, np.random.default_rng(99))
     # A parent whose insertion order is not topological: mutate picks its
     # layers by position in the candidate, not in the graph.
     shuffled = MappingCandidate(dict(reversed(list(parent.assignments.items()))))
     for start in (parent, shuffled):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, oracle_rng = SOURCES[source](seed), np.random.default_rng(seed)
         produced, expected = start, start
         for _ in range(4):
             produced = produced.mutate(

@@ -400,6 +400,22 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="accuracy_threshold"):
             FitnessEvaluator(graph, platform, table, accuracy_threshold=threshold)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None], ids=["negative", "float", "none"])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        # numpy rejects a negative or fractional seed only at the first run,
+        # inside a simulation, and None seeds every run from OS entropy, so
+        # no two searches (and no memoized remap) would agree.
+        with pytest.raises(ValueError, match="seed"):
+            NMPConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, graph, platform, table):
+        config = NMPConfig(population_size=4, generations=2, seed=np.int64(3))
+        engine = MapperEngine(graph, platform, table, config)
+        result = engine.run(EvolutionaryStrategy())
+        expected = engine.run(EvolutionaryStrategy(), config=replace(config, seed=3))
+        assert result.best_candidate.key() == expected.best_candidate.key()
+        assert result.convergence == expected.convergence
+
     def test_infinite_threshold_accepted(self, graph, platform, table):
         config = NMPConfig(
             population_size=4, generations=2, accuracy_threshold=float("inf")

@@ -259,7 +259,9 @@ class ReferenceCostModel(NetworkCostModel):
 
     Resolves a list of ``(spec, pe, precision)`` assignments instead of
     table cells, by per-layer name lookups on every rebind (no memo of
-    compiled resolutions); propagates input buckets with the per-node graph walk
+    compiled resolutions), and keeps one whole-network cost memo per
+    mapping key, the ``(pe, precision value)`` each layer is assigned
+    before the GPU fallback; propagates input buckets with the per-node graph walk
     (:func:`~oracles.occupancy.propagate_occupancy_nodes`); builds one
     :class:`OccupancyProfile` per member frame of a merged dispatch and
     combines them with :meth:`OccupancyProfile.combine` before bucketing;
@@ -286,6 +288,7 @@ class ReferenceCostModel(NetworkCostModel):
     ) -> None:
         if table is not None and not isinstance(table, ReferenceLayerCostTable):
             raise TypeError("the object-walking stack needs a ReferenceLayerCostTable")
+        self._memos: Dict[tuple, Dict[tuple, Tuple[float, float]]] = {}
         super().__init__(
             network,
             platform,
@@ -311,11 +314,14 @@ class ReferenceCostModel(NetworkCostModel):
 
     def _resolve(self) -> None:
         self._assignments: List[Tuple[LayerSpec, ProcessingElement, Precision]] = []
+        mapping_key = []
         for spec in self._specs:
             pe, precision = self._assignment_for(spec.name)
+            mapping_key.append((pe.name, precision.value))
             if not pe.supports_layer(spec):
                 pe = self.platform.gpu()
             self._assignments.append((spec, pe, precision))
+        self._cache = self._memos.setdefault(tuple(mapping_key), {})
         seen: List[str] = []
         for _, pe, _ in self._assignments:
             if pe.name not in seen:

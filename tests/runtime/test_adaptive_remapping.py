@@ -101,7 +101,7 @@ class TestCostModelRebind:
         result = client.remap([networks["e2depth"], networks["evflownet"]])
         model.rebind(result.best_candidate)
         assert model.mapping is result.best_candidate
-        assert not model._cache  # every memoized whole-network cost invalidated
+        assert not model._cache  # the searched mapping's key starts a memo of its own
         rebound_cost = model.profile_cost(model.occupancy_profile(0.1), 1)
         # The searched mapping differs from the all-GPU default for this
         # contended two-network scenario, so the cost surface changed.

@@ -341,7 +341,7 @@ def test_rebind_to_another_networks_change_reuses_the_resolution(platform, monke
         mapping=mapping,
         cost_mode="profile",
     )
-    model.profile_cost(model.occupancy_profile(0.1), 1)
+    cost = model.profile_cost(model.occupancy_profile(0.1), 1)
     before = _resolution(model)
     monkeypatch.setattr(
         NetworkCostModel,
@@ -351,4 +351,54 @@ def test_rebind_to_another_networks_change_reuses_the_resolution(platform, monke
     model.rebind(changed)
     assert model.mapping is changed
     assert all(a is b for a, b in zip(_resolution(model), before))
-    assert not model._cache  # the whole-network memo is still cleared
+    # The key also keeps its whole-network memo: the cost is a memo hit
+    # that adds no table lookup.
+    info = model.table.cache_info()
+    assert model.profile_cost(model.occupancy_profile(0.1), 1) == cost
+    assert model.table.cache_info() == info
+
+
+def test_each_mapping_key_keeps_its_own_network_memo(platform):
+    """A new key starts with an empty memo, and A → B → A finds A's entries.
+
+    The oracle keeps one memo per mapping key too, so the table counters,
+    hits included, stay equal to its own after every step.
+    """
+    network = build_network("spikeflownet", 64, 64)
+    config = EvEdgeConfig(optimization=OptimizationLevel.FULL)
+    mapping_a, mapping_b = None, _mapping(network)
+    table, oracle_table = LayerCostTable(), ReferenceLayerCostTable()
+    model = NetworkCostModel(
+        network, platform, config, mapping=mapping_a, table=table, cost_mode="profile"
+    )
+    oracle = ReferenceCostModel(
+        network,
+        platform,
+        config,
+        mapping=mapping_a,
+        table=oracle_table,
+        cost_mode="profile",
+    )
+
+    def cost_all(cost_model):
+        return [
+            cost_model.profile_cost(cost_model.occupancy_profile(occupancy), batch)
+            for occupancy in (0.02, 0.1, 0.3)
+            for batch in BATCHES
+        ]
+
+    costs_a = cost_all(model)
+    assert costs_a == cost_all(oracle)
+    memo_a, entries_a = model._cache, dict(model._cache)
+    model.rebind(mapping_b)
+    oracle.rebind(mapping_b)
+    assert model._cache == {}
+    costs_b = cost_all(model)
+    assert costs_b == cost_all(oracle) != costs_a
+    assert table.cache_info() == oracle_table.cache_info()
+    model.rebind(mapping_a)
+    oracle.rebind(mapping_a)
+    assert model._cache is memo_a and model._cache == entries_a
+    info = table.cache_info()
+    assert cost_all(model) == cost_all(oracle) == costs_a
+    assert table.cache_info() == oracle_table.cache_info() == info

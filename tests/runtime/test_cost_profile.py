@@ -188,14 +188,20 @@ class TestOccupancyProfileBuilding:
         assert shared >= depth // 2
         assert a.entries[depth - 1] == b.entries[depth - 1]
 
-    def test_rebind_keeps_profiles_but_drops_network_memo(self, network, platform):
+    def test_rebind_keeps_profiles_and_the_keys_network_memo(self, network, platform):
+        # Without NMP every mapping resolves to the one all-baseline key, so
+        # a rebind keeps the whole-network memo: the next cost is a memo
+        # hit that adds no table lookup.
         model = _sparse_model(network, platform, cost_mode="profile")
         profile = model.occupancy_profile(0.1)
-        model.profile_cost(profile, 1)
-        assert model._cache
+        cost = model.profile_cost(profile, 1)
+        memo, info = model._cache, model.table.cache_info()
+        assert memo
         model.rebind(None)
-        assert not model._cache
+        assert model._cache is memo
         assert model.occupancy_profile(0.1) is profile
+        assert model.profile_cost(profile, 1) == cost
+        assert model.table.cache_info() == info
 
 
 class TestBatchProfiles:

@@ -105,6 +105,18 @@ class TestSpec:
             ScenarioSpec(name="x", family="steady", num_streams=0)
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", family="steady", duration=0.0)
+        # Each of these used to construct and hash, then fail to compile.
+        for field_name, value in (
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("scale", float("nan")),
+            ("scale", float("inf")),
+            ("scale", -0.5),
+            ("seed", -1),
+            ("seed", 1.5),
+        ):
+            with pytest.raises(ValueError, match=field_name):
+                ScenarioSpec(name="x", family="steady", **{field_name: value})
 
 
 class TestFamilies:
