@@ -66,9 +66,10 @@ REPEATS = int(os.environ.get("KERNEL_SCALING_REPEATS", "3"))
 SHARD_TIERS = _tiers("KERNEL_SCALING_SHARD_TIERS", "4096,10240")
 SHARDS = int(os.environ.get("KERNEL_SCALING_SHARDS", "4"))
 MEMORY_TIERS = _tiers("KERNEL_MEMORY_TIERS", "1024,4096")
-# Heap budget per stream: one StreamEnd plus in-flight completions and
-# server wake-ups (arrivals never enter the heap, and same-time dispatches
-# and evictions are delivered inline).
+# A loose heap budget per stream.  The heap holds only in-flight executions
+# and server wake-ups (arrivals and every event scheduled before the run
+# wait in the merged column, and same-time dispatches and evictions are
+# processed in place), a few entries per signature server at any fleet size.
 MEMORY_HEAP_FACTOR = 4
 # Horizon-independence slack: doubling the horizon may jiggle the
 # high-water by a few in-flight events, never track the doubled frame count.

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .._checks import require_count
 from ..nn.quantization import Precision
 from .dsfa import DSFAConfig
 
@@ -58,5 +59,4 @@ class EvEdgeConfig:
     optimization: OptimizationLevel = OptimizationLevel.FULL
 
     def __post_init__(self) -> None:
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
+        require_count("num_bins", self.num_bins, 1)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
+from .._checks import require_count
 from ..frames.sparse import SparseFrameBatch
 from ..frames.stack import FrameStack
 
@@ -102,10 +103,8 @@ class DSFAConfig:
     inference_queue_depth: int = 4
 
     def __post_init__(self) -> None:
-        if self.event_buffer_size < 1:
-            raise ValueError("event_buffer_size must be >= 1")
-        if self.merge_bucket_size < 1:
-            raise ValueError("merge_bucket_size must be >= 1")
+        require_count("event_buffer_size", self.event_buffer_size, 1)
+        require_count("merge_bucket_size", self.merge_bucket_size, 1)
         if self.merge_bucket_size > self.event_buffer_size:
             raise ValueError("merge_bucket_size cannot exceed event_buffer_size")
         # Negated comparisons, so that NaN (which compares false either
@@ -114,8 +113,8 @@ class DSFAConfig:
             raise ValueError("max_time_delay must be positive")
         if not self.max_density_change >= 0:
             raise ValueError("max_density_change must be non-negative")
-        if self.inference_queue_depth < 1:
-            raise ValueError("inference_queue_depth must be >= 1")
+        # A NaN depth would turn off both eviction rules.
+        require_count("inference_queue_depth", self.inference_queue_depth, 1)
 
 
 class PlacementPlan(NamedTuple):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
+from ..._checks import require_count
 from ...frames.sparse import pairwise_mean
 from ...hw.pe import Platform
 from ...hw.profiler import LayerCostTable
@@ -85,10 +86,8 @@ class NMPConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        require_count("population_size", self.population_size, 2)
+        require_count("generations", self.generations, 1)
         # Written so that NaN fails too: run() compares thresholds, and
         # NaN equals nothing.
         if not self.accuracy_threshold >= 0:

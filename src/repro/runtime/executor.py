@@ -17,12 +17,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..frames.sparse import SparseFrameBatch, pairwise_mean
-from .sim import (
-    InferenceDone,
-    InferenceRecord,
-    NetworkCostModel,
-    SimulationKernel,
-)
+from .sim import InferenceRecord, NetworkCostModel, SimulationKernel
 
 __all__ = ["SerialExecutor", "SignatureServer"]
 
@@ -69,11 +64,8 @@ class SerialExecutor:
         start, end = self.kernel.acquire((self.resource,), time, latency)
         client.note_dispatch(latency)
         record = InferenceRecord(time, start, end, len(batch), occupancy, energy)
-        self.kernel.schedule(
-            InferenceDone(
-                time=end, stream=client.name, records=(record,), profile=profile
-            ),
-            client._on_done,
+        self.kernel.schedule_completions(
+            end, [(client.name, (record,), profile, client._on_done)]
         )
 
 
@@ -118,7 +110,10 @@ class SignatureServer:
     coalesced: instead of scheduling one kernel event per enqueued dispatch,
     the server keeps at most one outstanding wake-up (the earliest busy
     frontier it needs to re-examine), which removes the event-count blow-up
-    a backlogged 1000-stream fleet used to generate.
+    a backlogged 1000-stream fleet used to generate.  An execution hands the
+    kernel its members' completions and the server's own drain as one group
+    (:meth:`~repro.runtime.sim.SimulationKernel.schedule_completions`), and
+    a wake-up is a group of the drain alone: both reach :meth:`_on_done`.
     """
 
     def __init__(
@@ -167,10 +162,18 @@ class SignatureServer:
         The busy frontier's lead over ``time`` *plus* the estimated service
         time of the work already sitting in the pending queues: a dispatch
         enqueued now runs after both, so a drop rule that looked only at
-        ``busy_until`` systematically under-dropped under contention.  The
-        frontier is :meth:`busy_until`'s, one lookup for a one-PE mapping.
+        ``busy_until`` systematically under-dropped under contention.  Every
+        no-DSFA arrival asks, so a one-PE frontier is read here with one
+        lookup, and a comparison clamps a frontier in the past to no lead.
         """
-        return max(self.busy_until(client) - time, 0.0) + self._pending_service
+        pes = self.cost_model.pes_used
+        if len(pes) == 1:
+            lead = self.kernel.busy.get(pes[0], 0.0) - time
+        else:
+            lead = self.kernel.busy_until(*pes) - time
+        if lead < 0.0:
+            return self._pending_service
+        return lead + self._pending_service
 
     def dispatch(self, client, batch: SparseFrameBatch, time: float) -> None:
         """Execute immediately when idle, else enqueue (bounded per stream)."""
@@ -193,8 +196,10 @@ class SignatureServer:
                 # The evicted head's heap entry is now stale; the next
                 # entry becomes this queue's head candidate.
                 heapq.heappush(self._order, (queue[0].seq, client))
+        # What max(estimate, 0.0) would pick, without the call.
+        estimate = client.last_duration
         entry = _PendingDispatch(
-            client, batch, time, next(self._seq), max(client.last_duration, 0.0)
+            client, batch, time, next(self._seq), 0.0 if estimate < 0.0 else estimate
         )
         if not queue:
             heapq.heappush(self._order, (entry.seq, client))
@@ -204,7 +209,7 @@ class SignatureServer:
         # The PEs may be held by a *different* server (shared devices), whose
         # completions never call this server — make sure a wake-up exists
         # at the busy frontier so the queue always drains.
-        self._schedule_wakeup(max(busy, time))
+        self._schedule_wakeup(time if time > busy else busy)
 
     # ------------------------------------------------------------------
     def _schedule_wakeup(self, time: float) -> None:
@@ -212,9 +217,7 @@ class SignatureServer:
         if self._next_wakeup is not None and self._next_wakeup <= time:
             return
         self._next_wakeup = time
-        self.kernel.schedule(
-            InferenceDone(time=time, stream=self.name, records=()), self._on_done
-        )
+        self.kernel.schedule_completions(time, [(self.name, (), None, self._on_done)])
 
     def _take_members(self) -> List[_PendingDispatch]:
         """Pop the merge set: the oldest pending dispatch of each of the
@@ -269,13 +272,15 @@ class SignatureServer:
         # batch's profile is the column-wise mean of its members' bucketed
         # rows (flat mode reduces to the scalar path).
         profile = self.cost_model.densities_profile(densities, occupancy)
-        latency, energy = self.cost_model.profile_cost(profile, max(num_frames, 1))
+        total_frames = 1 if num_frames < 1 else num_frames
+        latency, energy = self.cost_model.profile_cost(profile, total_frames)
         start, end = self.kernel.acquire(self.cost_model.pes_used, ready_time, latency)
         self.inferences += 1
         if len(members) > 1:
             self.merged_dispatches += len(members)
-        total_frames = max(num_frames, 1)
+        completions = []
         for member in members:
+            client = member.client
             share = len(member.batch) / total_frames
             record = InferenceRecord(
                 member.time,
@@ -289,30 +294,25 @@ class SignatureServer:
             # full latency would inflate every member's per-dispatch service
             # estimate (StreamClient._last_duration) after a cross-stream
             # merge and distort the backlog drop rule.
-            member.client.note_dispatch(latency * share)
-            self.kernel.schedule(
-                InferenceDone(
-                    time=end,
-                    stream=member.client.name,
-                    records=(record,),
-                    profile=profile,
-                ),
-                member.client._on_done,
-            )
-        # The server's own completion event drives pending-queue draining.
-        self.kernel.schedule(
-            InferenceDone(time=end, stream=self.name, records=()), self._on_done
-        )
+            client.note_dispatch(latency * share)
+            completions.append((client.name, (record,), profile, client._on_done))
+        # The members complete in order, then the server's own completion
+        # drains its pending queues: one kernel entry for all of them.
+        completions.append((self.name, (), None, self._on_done))
+        self.kernel.schedule_completions(end, completions)
 
-    def _on_done(self, event: InferenceDone) -> None:
-        if self._next_wakeup is not None and event.time >= self._next_wakeup - 1e-15:
+    def _on_done(self, time: float, records: tuple) -> None:
+        """The server's own completion or a wake-up at ``time`` (it carries
+        no ``records``): drain the pending queues if the devices are free,
+        else wake up again when they are."""
+        if self._next_wakeup is not None and time >= self._next_wakeup - 1e-15:
             self._next_wakeup = None
         if self._pending_count == 0:
             return
         busy = self.busy_until()
-        if busy > event.time:
+        if busy > time:
             # A server sharing one of our PEs is still running; retry when
             # the devices free up.
             self._schedule_wakeup(busy)
             return
-        self._execute(self._take_members(), event.time)
+        self._execute(self._take_members(), time)

@@ -17,14 +17,19 @@ on:
   devices before new frames are examined, dispatches run before later
   arrivals) and FIFO within a type, which is exactly the ordering the seed's
   inline loop produced implicitly.  Each event is scheduled together with
-  the callable that handles it.  Only events that wait are heaped: frame
-  arrivals, whose order is fixed before the run, are registered as columns
-  and merged once, and an event that happens *now* and would be popped next
-  anyway is handed to :meth:`~SimulationKernel.deliver`.  An eviction is
-  only counted (:meth:`~SimulationKernel.evict`) unless a trace is
-  attached.  The kernel also owns per-resource busy tracking (the ``busy``
-  map, ``busy_until`` / ``acquire``) so clients share one notion of device
-  occupancy.
+  the callable that handles it.  Only work that waits during a run is
+  heaped: frame arrivals, whose order is fixed before the run, are
+  registered as columns, and the first run merges them once with every
+  event scheduled before it (each stream's ``StreamEnd``, every
+  ``RemapTriggered``); an event that happens *now* and would be popped next
+  anyway is processed in place; and the ``InferenceDone`` events one
+  execution ends with share one heap entry
+  (:meth:`~SimulationKernel.schedule_completions`).  Untraced, an eviction
+  (:meth:`~SimulationKernel.evict`), a dispatch
+  (:meth:`~SimulationKernel.dispatch`) and each completion are only
+  counted; they are built as events for an attached trace.  The kernel also
+  owns per-resource busy tracking (the ``busy`` map, ``busy_until`` /
+  ``acquire``) so clients share one notion of device occupancy.
 * **Compiled, layered cost stack** — :class:`LayerCostTable` (defined in
   :mod:`repro.hw.profiler`, where the Network Mapper reads it too, and
   re-exported here) interns each ``(layer, pe, precision, sparse)``
@@ -58,6 +63,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -374,31 +380,41 @@ class RemapTriggered(SimEvent):
 # ----------------------------------------------------------------------
 # kernel
 # ----------------------------------------------------------------------
+# Pre-run events share the merged column with the arrivals.  An arrival's
+# code is ``(column << 32) | index``, which is never negative; pre-run event
+# ``k`` (in ``(priority, seq)`` order) gets the code ``k - _PRERUN``.
+_PRERUN = 1 << 62
+
+
 class SimulationKernel:
     """Priority-queue event loop with per-resource busy tracking.
 
     Events are processed in ``(time, priority, seq)`` order, ``seq`` being
-    the order in which the kernel learnt of them.  They reach it in three
-    ways, and only the first one heaps:
+    the order in which the kernel learnt of them.  Only work that waits
+    while a run is under way is heaped:
 
-    * :meth:`schedule` heaps an event for a later time together with its
-      handler; :meth:`run` calls the handler when it pops the event.
+    * :meth:`schedule` queues an event together with its handler, which
+      :meth:`run` calls when it reaches the event.
+      :meth:`schedule_completions` queues the ``InferenceDone`` events that
+      end one execution as one entry.  During a run both heap their entry;
+      before the first run it waits for the merge below.
     * :meth:`add_arrivals` registers one stream's ``FrameReady`` arrivals
       as a column of times and a handler called as ``handler(index,
-      time)``.  The first :meth:`run` merges every column once: a stable
-      sort by time over the registration-order concatenation.  Each column
-      takes its block of sequence numbers when it is registered, so the
-      merged order is exactly that of heaping every arrival at
-      registration.  The run loop takes the next arrival unless the heap's
-      top event comes first.
+      time)``.  The first :meth:`run` merges every column and every entry
+      queued before it into one column, once: a stable sort by time over a
+      concatenation in ``(priority, seq)`` order.  A column takes its block
+      of sequence numbers when it is registered, so the merged order is
+      exactly that of heaping every arrival and event when the kernel
+      learnt of it.  The run loop takes the column's next entry unless the
+      heap's top entry comes first.
     * :meth:`deliver` processes an event that happens now and that no
       heaped event precedes, which is what popping it next would do.
 
     An event without a handler is still counted in ``events_processed``
-    and traced, but calls nothing.  An eviction is such an event, and
-    :meth:`evict` is how it reaches the kernel: it is counted, and it is
-    built and delivered as a :class:`QueueEvict` only when a trace is
-    attached, as an arrival's :class:`FrameReady` is.
+    and traced, but calls nothing.  Evictions (:meth:`evict`), dispatches
+    (:meth:`dispatch`) and the completions of a group are counted where
+    they are processed, and each is built as an event only to hand it to
+    an attached trace, as an arrival's :class:`FrameReady` is.
 
     ``busy`` maps each resource to the time it frees up.  Clients read it
     (one ``busy.get(pe, 0.0)`` is a single PE's frontier) but only
@@ -412,9 +428,9 @@ class SimulationKernel:
     """
 
     def __init__(self, trace: Optional[object] = None) -> None:
-        self._heap: List[
-            Tuple[float, int, int, SimEvent, Optional[Callable[[SimEvent], None]]]
-        ] = []
+        # Entries are (time, priority, seq, event, handler); a completion
+        # group's entry has no event and its completions in the last slot.
+        self._heap: List[tuple] = []
         # Plain int rather than itertools.count: an arrival column takes a
         # whole block of sequence numbers at once.
         self._seq = 0
@@ -423,14 +439,16 @@ class SimulationKernel:
         self.now = 0.0
         self.events_processed = 0
         self.trace = trace
-        # One (handler, stream, stack, first seq) per registered column; the
-        # times wait in _unmerged until the first run() merges them into
-        # _arrival_times plus one (column << 32 | index) code per arrival.
+        # One (handler, stream, stack, first seq) per registered column.
+        # The column times wait in _unmerged and the entries queued before
+        # the first run in _prerun until the first run() merges them into
+        # _merged_times plus one code per entry.
         self._columns: List[Tuple[Callable[[int, float], None], str, object, int]] = []
         self._unmerged: List[np.ndarray] = []
-        self._arrival_times: Optional[array] = None
-        self._arrival_codes: Optional[array] = None
-        self._next_arrival = 0
+        self._prerun: List[Optional[tuple]] = []
+        self._merged_times: Optional[array] = None
+        self._merged_codes: Optional[array] = None
+        self._next_merged = 0
 
     # -- scheduling ----------------------------------------------------
     def schedule(
@@ -438,20 +456,52 @@ class SimulationKernel:
         event: SimEvent,
         handler: Optional[Callable[[SimEvent], None]] = None,
     ) -> None:
-        """Heap ``event``; scheduling into the past is a client bug.
+        """Queue ``event``; scheduling into the past is a client bug.
 
-        ``handler`` is called with the event when it is popped (``None``:
-        the event is only counted and traced).
+        ``handler`` is called with the event when it is processed
+        (``None``: the event is only counted and traced).
         """
         if event.time < self.now - 1e-12:
             raise ValueError(
                 f"cannot schedule {type(event).__name__} at t={event.time} "
                 f"before kernel time t={self.now}"
             )
+        self._enqueue(event.time, event.PRIORITY, event, handler)
+
+    def schedule_completions(
+        self,
+        time: float,
+        completions: List[Tuple[str, tuple, Optional[OccupancyProfile], Callable]],
+    ) -> None:
+        """Queue the ``InferenceDone`` events that end one execution.
+
+        ``completions`` holds one ``(stream, records, profile, handler)``
+        per event, in processing order, and each handler is called as
+        ``handler(time, records)``.  Queued one by one, the events would
+        take consecutive sequence numbers at one time and priority, so no
+        other event could come between them: they share one entry, and the
+        run processes them one after another.  Each is counted, and it is
+        built as an :class:`InferenceDone` only to hand it to an attached
+        trace.
+        """
+        if time < self.now - 1e-12:
+            raise ValueError(
+                f"cannot schedule InferenceDone at t={time} "
+                f"before kernel time t={self.now}"
+            )
+        self._enqueue(time, InferenceDone.PRIORITY, None, completions)
+
+    def _enqueue(self, time: float, priority: int, event, handler) -> None:
+        """Give an entry the next sequence number and heap it, or keep it
+        for the merge before the first run."""
         seq = self._seq
         self._seq = seq + 1
+        entry = (time, priority, seq, event, handler)
+        if self._merged_times is None:
+            self._prerun.append(entry)
+            return
         heap = self._heap
-        heapq.heappush(heap, (event.time, event.PRIORITY, seq, event, handler))
+        heapq.heappush(heap, entry)
         if len(heap) > self._heap_high_water:
             self._heap_high_water = len(heap)
 
@@ -496,6 +546,28 @@ class SimulationKernel:
         else:
             self.deliver(QueueEvict(time, stream, num_frames, reason))
 
+    def dispatch(
+        self,
+        time: float,
+        stream: str,
+        batch: SparseFrameBatch,
+        handler: Callable[[SparseFrameBatch, float], None],
+    ) -> None:
+        """Process the dispatch of ``batch`` by ``stream`` now, which calls
+        ``handler(batch, time)``.
+
+        A dispatch happens at the arrival or flush being handled, so it is
+        an event :meth:`deliver` would process.  Untraced it is counted and
+        stamps ``now``, and the handler is called.  With a trace attached a
+        :class:`DispatchBatch` is built and delivered first.
+        """
+        if self.trace is None:
+            self.now = time
+            self.events_processed += 1
+        else:
+            self.deliver(DispatchBatch(time, stream, batch))
+        handler(batch, time)
+
     def add_arrivals(
         self,
         times: Sequence[float],
@@ -510,123 +582,175 @@ class SimulationKernel:
         an attached trace records.  Columns must be registered before the
         first :meth:`run`, which merges them.
         """
-        if self._arrival_times is not None:
+        if self._merged_times is not None:
             raise RuntimeError("arrivals must be registered before the first run()")
         times = np.asarray(times, dtype=np.float64)
         self._columns.append((handler, stream, stack, self._seq))
         self._unmerged.append(times)
         self._seq += len(times)
 
-    def _merge_arrivals(self) -> None:
-        """Merge the registered columns into one time-ordered column.
+    def _merge(self) -> None:
+        """Merge the columns and the pre-run entries into one column.
 
-        Concatenated position ``g`` of column ``c`` (first position
-        ``first[c]``) gets the code ``(c << 32) | (g - first[c])``, which
-        is ``g + ((c << 32) - first[c])``.  Both columns are gathered
-        straight into the typed arrays the run loop reads.
+        The pieces are concatenated in ``(priority, seq)`` order, so a
+        stable sort by time yields the full ``(time, priority, seq)``
+        order.  Column ``c`` is one piece, keyed by the ``FrameReady``
+        priority and its first seq.  The pre-run entries are sorted by
+        ``(priority, seq)``, and each run of them between two columns is
+        one piece.  Position ``g`` of a piece that starts at ``g0`` gets
+        the code ``offset + g``: ``offset`` is ``(c << 32) - g0`` for
+        column ``c``, and ``k0 - _PRERUN - g0`` for pre-run entries from
+        ``k0`` on.  Times and codes are gathered straight into the typed
+        arrays the run loop reads.
         """
-        lengths = np.array([len(times) for times in self._unmerged], dtype=np.int64)
-        total = int(lengths.sum())
-        times = np.concatenate(self._unmerged) if total else np.zeros(0)
+        unmerged = self._unmerged
+        prerun = sorted(self._prerun, key=itemgetter(1, 2))
+        pieces: List[np.ndarray] = []
+        offsets: List[int] = []
+        start = k = 0
+        for c in range(len(unmerged) + 1):
+            # The pre-run entries before column c (after the last column:
+            # all that are left) form one piece.
+            j = k
+            if c < len(unmerged):
+                first = (FrameReady.PRIORITY, self._columns[c][3])
+                while j < len(prerun) and prerun[j][1:3] < first:
+                    j += 1
+            else:
+                j = len(prerun)
+            if j > k:
+                times = [entry[0] for entry in prerun[k:j]]
+                pieces.append(np.array(times, dtype=np.float64))
+                offsets.append(k - _PRERUN - start)
+                start += j - k
+                k = j
+            if c < len(unmerged):
+                pieces.append(unmerged[c])
+                offsets.append((c << 32) - start)
+                start += len(unmerged[c])
+        lengths = np.array([len(piece) for piece in pieces], dtype=np.int64)
+        times = np.concatenate(pieces) if pieces else np.zeros(0)
+        del pieces
         self._unmerged = []
+        self._prerun = prerun
         order = np.argsort(times, kind="stable")
-        merged = array("d", [0.0]) * total
+        merged = array("d", [0.0]) * start
         np.take(times, order, out=np.frombuffer(merged, dtype=np.float64))
         del times
-        offsets = (np.arange(len(lengths), dtype=np.int64) << 32) - (
-            np.cumsum(lengths) - lengths
-        )
-        codes = array("q", [0]) * total
+        codes = array("q", [0]) * start
         view = np.frombuffer(codes, dtype=np.int64)
-        np.take(np.repeat(offsets, lengths), order, out=view)
+        np.take(
+            np.repeat(np.array(offsets, dtype=np.int64), lengths), order, out=view
+        )
         view += order
-        self._arrival_times = merged
-        self._arrival_codes = codes
+        self._merged_times = merged
+        self._merged_codes = codes
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events in time/priority order; return the final time.
 
         With ``until``, events later than it stay queued (held-back
-        arrivals included) and a later call resumes where this one stopped.
+        arrivals and pre-run events included) and a later call resumes
+        where this one stopped.
         """
-        if self._arrival_times is None:
-            self._merge_arrivals()
+        if self._merged_times is None:
+            self._merge()
         heap = self._heap
         heappop = heapq.heappop
         trace = self.trace
-        times = self._arrival_times
-        codes = self._arrival_codes
+        times = self._merged_times
+        codes = self._merged_codes
         columns = self._columns
-        priority = FrameReady.PRIORITY
-        pos = self._next_arrival
+        prerun = self._prerun
+        pos = self._next_merged
         stop = len(times) if until is None else bisect_right(times, until, pos)
         while True:
             if pos < stop:
                 time = times[pos]
-                # The arrival goes first unless the heap's top event is
-                # earlier, or simultaneous and of a lower priority, or a
-                # heaped FrameReady the kernel learnt of earlier.
+                # The column's entry goes first unless the heap's top entry
+                # is earlier, or simultaneous with a lower (priority, seq).
                 top = heap[0] if heap else None
                 if (
                     top is None
                     or top[0] > time
-                    or (
-                        top[0] == time
-                        and (
-                            top[1] > priority
-                            or (top[1] == priority and top[2] > self._arrival_seq(pos))
-                        )
-                    )
+                    or (top[0] == time and top[1:3] > self._merged_key(pos))
                 ):
                     code = codes[pos]
                     pos += 1
-                    self._next_arrival = pos
-                    self.now = time
-                    self.events_processed += 1
-                    handler, stream, stack, _ = columns[code >> 32]
-                    index = code & 0xFFFFFFFF
-                    if trace is not None:
-                        trace.record(FrameReady(time, stream, stack, index))
-                    handler(index, time)
-                    continue
-            elif not heap or (until is not None and heap[0][0] > until):
+                    self._next_merged = pos
+                    if code >= 0:
+                        self.now = time
+                        self.events_processed += 1
+                        handler, stream, stack, _ = columns[code >> 32]
+                        index = code & 0xFFFFFFFF
+                        if trace is not None:
+                            trace.record(FrameReady(time, stream, stack, index))
+                        handler(index, time)
+                        continue
+                    # A pre-run entry: the kernel lets go of it, as of a
+                    # popped one.
+                    k = code + _PRERUN
+                    time, _, _, event, handler = prerun[k]
+                    prerun[k] = None
+                else:
+                    time, _, _, event, handler = heappop(heap)
+            elif heap and (until is None or heap[0][0] <= until):
+                time, _, _, event, handler = heappop(heap)
+            else:
                 break
-            time, _, _, event, handler = heappop(heap)
             self.now = time
+            if event is None:
+                # A completion group: the handler slot lists its events.
+                for stream, records, profile, call in handler:
+                    self.events_processed += 1
+                    if trace is not None:
+                        trace.record(InferenceDone(time, stream, records, profile))
+                    call(time, records)
+                continue
             self.events_processed += 1
             if trace is not None:
                 trace.record(event)
             if handler is not None:
                 handler(event)
         if pos == len(times):
-            # Every arrival is delivered: drop the handlers, or the kernel
-            # and the stream clients holding it would keep each other alive.
+            # The column is drained: drop the handlers, or the kernel and
+            # the stream clients holding it would keep each other alive.
             self._columns = []
+            self._prerun = []
         return self.now
 
-    def _arrival_seq(self, pos: int) -> int:
-        """Sequence number of merged arrival ``pos``."""
-        code = self._arrival_codes[pos]
-        return self._columns[code >> 32][3] + (code & 0xFFFFFFFF)
+    def _merged_key(self, pos: int) -> Tuple[int, int]:
+        """``(priority, seq)`` of merged column entry ``pos``."""
+        code = self._merged_codes[pos]
+        if code < 0:
+            return self._prerun[code + _PRERUN][1:3]
+        return FrameReady.PRIORITY, self._columns[code >> 32][3] + (code & 0xFFFFFFFF)
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued: heaped, plus arrivals not yet taken."""
-        if self._arrival_times is None:
+        """Number of events still queued: heaped, in the merged column or
+        waiting for the merge (a completion group counts its events)."""
+        waiting = [entry for entry in self._prerun if entry is not None]
+        if self._merged_times is None:
             arrivals = sum(len(times) for times in self._unmerged)
         else:
-            arrivals = len(self._arrival_times) - self._next_arrival
-        return len(self._heap) + arrivals
+            arrivals = len(self._merged_times) - self._next_merged - len(waiting)
+        return arrivals + sum(
+            1 if entry[3] is not None else len(entry[4])
+            for entry in self._heap + waiting
+        )
 
     @property
     def heap_high_water(self) -> int:
-        """Largest number of events ever heaped at once.
+        """Largest number of entries ever heaped at once.
 
         The memory-plane health metric of the scheduling discipline.
-        Arrivals never enter the heap, same-time dispatches are delivered
-        inline and evictions are only counted (:meth:`evict`), so the heap
-        holds in-flight completions plus one ``StreamEnd`` per stream:
-        O(in flight + streams), independent of horizon length.
+        Arrivals and everything queued before the first run wait in the
+        merged column, same-time dispatches and evictions are processed in
+        place, and an execution's completions share one entry.  So the
+        heap holds only what handlers schedule during the run: in-flight
+        executions and server wake-ups, independent of the horizon and of
+        the number of streams.
         """
         return self._heap_high_water
 
@@ -646,12 +770,21 @@ class SimulationKernel:
 
         Returns ``(start, end)`` with ``start = max(ready_time, busy)``; the
         caller is queued behind earlier reservations, which is how the
-        kernel models serial accelerator occupancy.
+        kernel models serial accelerator occupancy.  A single resource's
+        frontier is one lookup, and a comparison takes the later time.
         """
+        busy = self.busy
+        if len(resources) == 1:
+            resource = resources[0]
+            frontier = busy.get(resource, 0.0)
+            start = frontier if frontier > ready_time else ready_time
+            end = start + duration
+            busy[resource] = end
+            return start, end
         start = max(ready_time, self.busy_until(*resources))
         end = start + duration
         for r in resources:
-            self.busy[r] = end
+            busy[r] = end
         return start, end
 
     def resource_busy_times(self) -> Dict[str, float]:

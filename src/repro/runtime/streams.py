@@ -7,8 +7,8 @@ mapping and a start offset) — into something the simulation kernel can
 schedule.  :class:`StreamClient` is the per-stream protocol driver: it
 registers the stream's frame arrivals with the kernel, turns each arrival
 into a DSFA push (or the bounded-queue drop logic of the no-DSFA path),
-delivers the resulting ``DispatchBatch`` events inline and accounts the
-``InferenceDone`` records into a per-stream
+processes the resulting dispatches in place and accounts the records of
+its completions into a per-stream
 :class:`~repro.runtime.sim.PipelineReport`.
 
 Two executors give dispatches their hardware semantics (both live in
@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._checks import require_count
 from ..core.config import EvEdgeConfig
 from ..core.dsfa import DynamicSparseFrameAggregator
 from ..core.e2sf import Event2SparseFrameConverter
@@ -81,8 +82,7 @@ from ..nn.quantization import Precision
 from .executor import SerialExecutor, SignatureServer
 from .sim import (
     COST_MODES,
-    DispatchBatch,
-    InferenceDone,
+    InferenceRecord,
     LayerCostTable,
     NetworkCostModel,
     PipelineReport,
@@ -257,12 +257,15 @@ class StreamClient:
     is built on the hot path.  :meth:`prime` registers the stream's rendered
     arrivals column with the kernel
     (:meth:`~repro.runtime.sim.SimulationKernel.add_arrivals`), which calls
-    :meth:`_on_arrival` with each frame's index and time; only the
-    ``StreamEnd`` is heaped.  A dispatch happens at the arrival (or flush)
-    that causes it and is delivered inline
-    (:meth:`~repro.runtime.sim.SimulationKernel.deliver`); a backlog drop
-    happens at its arrival and is counted
-    (:meth:`~repro.runtime.sim.SimulationKernel.evict`).
+    :meth:`_on_arrival` with each frame's index and time; the
+    ``StreamEnd`` is scheduled before the run, so the kernel merges it
+    into the same column.  A dispatch happens at the arrival (or flush)
+    that causes it and is processed in place
+    (:meth:`~repro.runtime.sim.SimulationKernel.dispatch`), as is a
+    backlog drop at its arrival
+    (:meth:`~repro.runtime.sim.SimulationKernel.evict`): each is counted,
+    and built as an event only for an attached trace.  The executor
+    reports each completion's records to :meth:`_on_done`.
 
     The drop rule's threshold, ``queue_depth`` (fixed at construction from
     the source's frozen config) times the latest service estimate (floored
@@ -332,7 +335,9 @@ class StreamClient:
         Also refreshes the no-DSFA drop threshold derived from it.
         """
         self._last_duration = duration
-        self._drop_threshold = self.queue_depth * max(duration, 1e-9)
+        # The floor max(duration, 1e-9) would pick, without the call.
+        floor = 1e-9 if duration < 1e-9 else duration
+        self._drop_threshold = self.queue_depth * floor
 
     @property
     def last_duration(self) -> float:
@@ -359,10 +364,7 @@ class StreamClient:
             )
             if batch is not None:
                 self.report.frames_merged += len(batch)
-                self.kernel.deliver(
-                    DispatchBatch(time=arrival, stream=self.name, batch=batch),
-                    self._on_dispatch,
-                )
+                self.kernel.dispatch(arrival, self.name, batch, self._on_dispatch)
             return
         # Without DSFA every frame is processed individually.  A real
         # deployment bounds its input queue, so when the backlog exceeds
@@ -376,10 +378,7 @@ class StreamClient:
             self.kernel.evict(arrival, self.name, 1, "backlog")
             return
         batch = SparseFrameBatch.from_stack(self._stack, index, index + 1)
-        self.kernel.deliver(
-            DispatchBatch(time=arrival, stream=self.name, batch=batch),
-            self._on_dispatch,
-        )
+        self.kernel.dispatch(arrival, self.name, batch, self._on_dispatch)
 
     def _on_stream_end(self, event: StreamEnd) -> None:
         if self.aggregator is None:
@@ -389,19 +388,16 @@ class StreamClient:
             self.report.frames_merged += len(batch)
             # The flush is anchored to the final grayscale timestamp (the
             # seed's behaviour), not to the possibly ulp-later flush event;
-            # nothing is heaped at or before it, so it is delivered inline.
-            self.kernel.deliver(
-                DispatchBatch(
-                    time=self.source.end_time, stream=self.name, batch=batch
-                ),
-                self._on_dispatch,
+            # nothing is heaped at or before it, so it is processed in place.
+            self.kernel.dispatch(
+                self.source.end_time, self.name, batch, self._on_dispatch
             )
 
-    def _on_dispatch(self, event: DispatchBatch) -> None:
-        self.executor.dispatch(self, event.batch, event.time)
+    def _on_dispatch(self, batch: SparseFrameBatch, time: float) -> None:
+        self.executor.dispatch(self, batch, time)
 
-    def _on_done(self, event: InferenceDone) -> None:
-        self.report.add_records(event.records)
+    def _on_done(self, time: float, records: Tuple[InferenceRecord, ...]) -> None:
+        self.report.add_records(records)
 
 
 # ----------------------------------------------------------------------
@@ -619,8 +615,9 @@ class MultiStreamReport:
     # the field keeps this name until that benchmark changes.
     epochs: Optional[list] = None
     # Largest simultaneous kernel-heap population of the run (the max over
-    # shards for a sharded run): O(in-flight + streams), since arrivals and
-    # same-time dispatches and evictions never enter the heap.
+    # shards for a sharded run): in-flight executions and wake-ups only,
+    # since arrivals, events scheduled before the run and same-time
+    # dispatches and evictions never enter the heap.
     heap_high_water: int = 0
 
     @property
@@ -868,12 +865,10 @@ class MultiStreamSimulator:
             raise ValueError(
                 f"unknown cost_mode {cost_mode!r}; expected one of {COST_MODES}"
             )
-        if max_merge_streams < 1:
-            raise ValueError("max_merge_streams must be >= 1")
-        if record_limit is not None and record_limit < 0:
-            raise ValueError("record_limit must be >= 0 or None")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        require_count("max_merge_streams", max_merge_streams, 1)
+        if record_limit is not None:
+            require_count("record_limit", record_limit, 0)
+        require_count("shards", shards, 1)
         if shard_mode not in SHARD_MODES:
             raise ValueError(
                 f"unknown shard_mode {shard_mode!r}; expected one of {SHARD_MODES}"

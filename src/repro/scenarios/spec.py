@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Any, Dict, Mapping
 
+from .._checks import require_count
+
 __all__ = ["ScenarioSpec", "canonical_json", "content_digest"]
 
 
@@ -79,16 +81,14 @@ class ScenarioSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_streams < 1:
-            raise ValueError("num_streams must be >= 1")
+        require_count("num_streams", self.num_streams, 1)
         # Written so that NaN fails too (`nan <= 0` is false): a spec that
         # no family can compile must not get a content hash.
         for name in ("duration", "scale"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
+        require_count("num_bins", self.num_bins, 1)
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "network_resolution", tuple(self.network_resolution))

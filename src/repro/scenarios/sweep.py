@@ -87,7 +87,11 @@ PLATFORMS = {
 # v8: the kernel heaps only events that wait (arrivals merge from columns,
 # same-time dispatches and evictions are delivered inline), so every row's
 # heap_high_water falls; every other row field is unchanged.
-_CACHE_SALT = "scenario-sweep-v8"
+# v9: the heap holds only work that waits during a run (pre-run events merge
+# into the arrival column, dispatches are counted in place, an execution's
+# completions share one entry): every row's heap_high_water falls, and no
+# other row field changes.
+_CACHE_SALT = "scenario-sweep-v9"
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,17 @@ class TestDSFAConfig:
         unlimited = DSFAConfig(max_time_delay=math.inf, max_density_change=math.inf)
         assert unlimited.max_time_delay == unlimited.max_density_change == math.inf
 
+    @pytest.mark.parametrize(
+        "field", ["event_buffer_size", "merge_bucket_size", "inference_queue_depth"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_count_that_is_not_an_integer_rejected(self, field, value):
+        # `nan < 1` is false, so a NaN depth used to construct and turn off
+        # both eviction rules.
+        with pytest.raises(ValueError, match=field):
+            DSFAConfig(**{field: value})
+        assert DSFAConfig(**{field: np.int64(4)}) == DSFAConfig(**{field: 4})
+
 
 def push_frames(dsfa, frames, hardware_available=False):
     """Push ``frames`` through ``push_index`` over one packed stack.

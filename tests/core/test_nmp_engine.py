@@ -400,6 +400,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="accuracy_threshold"):
             FitnessEvaluator(graph, platform, table, accuracy_threshold=threshold)
 
+    @pytest.mark.parametrize("field", ["population_size", "generations"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_count_that_is_not_an_integer_rejected(self, field, value):
+        # Either used to construct and fail at the first run with TypeError.
+        with pytest.raises(ValueError, match=field):
+            NMPConfig(**{field: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, None], ids=["negative", "float", "none"])
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
         # numpy rejects a negative or fractional seed only at the first run,

@@ -37,6 +37,11 @@ class TestOptimizationLevel:
         with pytest.raises(ValueError):
             EvEdgeConfig(num_bins=0)
 
+    @pytest.mark.parametrize("num_bins", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_num_bins_that_is_not_an_integer_rejected(self, num_bins):
+        with pytest.raises(ValueError, match="num_bins"):
+            EvEdgeConfig(num_bins=num_bins)
+
 
 class TestPipeline:
     def test_baseline_produces_inferences(self, network, platform, sequence):

@@ -66,6 +66,7 @@ deliberately unoptimized verification code.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, List, Optional, Tuple
 
@@ -167,19 +168,17 @@ class LegacyListServer(SignatureServer):
         self._pending_list.append(entry)
         self._pending_service += entry.service_estimate
         # One wake-up per enqueued dispatch: the pre-refactor event storm.
-        self.kernel.schedule(
-            InferenceDone(time=max(busy, time), stream=self.name, records=()),
-            self._on_done,
+        self.kernel.schedule_completions(
+            max(busy, time), [(self.name, (), None, self._on_done)]
         )
 
-    def _on_done(self, event: InferenceDone) -> None:
+    def _on_done(self, time: float, records: tuple) -> None:
         if not self._pending_list:
             return
         busy = self.busy_until()
-        if busy > event.time:
-            self.kernel.schedule(
-                InferenceDone(time=busy, stream=self.name, records=()),
-                self._on_done,
+        if busy > time:
+            self.kernel.schedule_completions(
+                busy, [(self.name, (), None, self._on_done)]
             )
             return
         members: List[_PendingDispatch] = []
@@ -195,7 +194,7 @@ class LegacyListServer(SignatureServer):
         self._pending_list = remaining
         for member in members:
             self._pending_service -= member.service_estimate
-        self._execute(members, event.time)
+        self._execute(members, time)
 
 
 class ReferenceLayerCostTable(LayerCostTable):
@@ -503,18 +502,44 @@ def generate_frames_reference(source: StreamSource) -> List[Tuple[float, SparseF
 
 
 class AllHeapKernel(SimulationKernel):
-    """The kernel before inline delivery: :meth:`deliver` heaps the event,
-    and :meth:`evict` heaps a ``QueueEvict``, traced or not.
+    """The kernel that heaps every event it processes, traced or not.
 
-    A delivered event is one the heap would pop next, so heaping it instead
-    must change nothing: not the order, the counts or a trace entry.
+    An event scheduled before the first run is heaped (production merges
+    it into the arrival column).  :meth:`deliver` heaps the event;
+    :meth:`evict` and :meth:`dispatch` heap a ``QueueEvict`` and a
+    ``DispatchBatch`` (production counts them in place); and each
+    completion of a group is heaped as its own ``InferenceDone``, with
+    consecutive sequence numbers (production heaps the group as one
+    entry).  An event processed in place is one the heap would pop next,
+    and a group's events could have nothing between them, so heaping them
+    instead must change nothing: not the order, the counts or a trace
+    entry.
     """
+
+    def _enqueue(self, time, priority, event, handler) -> None:
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, event, handler))
+        self._heap_high_water = max(self._heap_high_water, len(self._heap))
+
+    def schedule_completions(self, time, completions) -> None:
+        for stream, records, profile, handler in completions:
+            self.schedule(
+                InferenceDone(time, stream, records, profile),
+                lambda event, handler=handler: handler(event.time, event.records),
+            )
 
     def deliver(self, event, handler=None) -> None:
         self.schedule(event, handler)
 
     def evict(self, time, stream, num_frames, reason) -> None:
         self.schedule(QueueEvict(time, stream, num_frames, reason))
+
+    def dispatch(self, time, stream, batch, handler) -> None:
+        self.schedule(
+            DispatchBatch(time, stream, batch),
+            lambda event: handler(event.batch, event.time),
+        )
 
 
 class EagerPrimeClient(StreamClient):
@@ -597,10 +622,7 @@ class PerFrameReferenceClient(StreamClient):
             )
             if batch is not None:
                 self.report.frames_merged += len(batch)
-                self.kernel.deliver(
-                    DispatchBatch(time=arrival, stream=self.name, batch=batch),
-                    self._on_dispatch,
-                )
+                self.kernel.dispatch(arrival, self.name, batch, self._on_dispatch)
             return
         backlog = self.executor.backlog_estimate(self, arrival)
         if backlog > self.queue_depth * max(self._last_duration, 1e-9):
@@ -609,9 +631,8 @@ class PerFrameReferenceClient(StreamClient):
                 QueueEvict(time=arrival, stream=self.name, num_frames=1, reason="backlog")
             )
             return
-        self.kernel.deliver(
-            DispatchBatch(time=arrival, stream=self.name, batch=frame_batch([frame])),
-            self._on_dispatch,
+        self.kernel.dispatch(
+            arrival, self.name, frame_batch([frame]), self._on_dispatch
         )
 
 

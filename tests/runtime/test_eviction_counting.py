@@ -1,27 +1,37 @@
-"""Evictions are counted, and built only for a trace; busy frontiers are
-read from the kernel's busy map.
+"""Evictions, dispatches and completions are counted, and built only for a
+trace; busy frontiers are read from the kernel's busy map.
 
-:meth:`~repro.runtime.sim.SimulationKernel.evict` counts an untraced
-eviction without building a ``QueueEvict``, and builds and delivers one
-when a trace is attached.  Either way the kernel processes the same
-events, so a traced and an untraced run of one fleet must count the same
-events and report identically.  A signature server reads a single-PE
-frontier straight from ``SimulationKernel.busy`` and falls back to
-``busy_until`` over several PEs; both must follow every remap.
+:meth:`~repro.runtime.sim.SimulationKernel.evict` and
+:meth:`~repro.runtime.sim.SimulationKernel.dispatch` count an untraced
+eviction or dispatch without building a ``QueueEvict`` or a
+``DispatchBatch``, and build and deliver one when a trace is attached.  The
+completions of a group
+(:meth:`~repro.runtime.sim.SimulationKernel.schedule_completions`) share
+one heap entry, and each is built as an ``InferenceDone`` only for a
+trace.  Either way the kernel processes the same events, so a traced and
+an untraced run of one fleet must count the same events and report
+identically.  A signature server reads a single-PE frontier straight from
+``SimulationKernel.busy`` and falls back to ``busy_until`` over several
+PEs; both must follow every remap.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.frames import FrameStack, SparseFrame, SparseFrameBatch
 from repro.hw import jetson_xavier_agx
 from repro.runtime import (
+    DispatchBatch,
     FrameReady,
+    InferenceDone,
+    InferenceRecord,
     KernelTrace,
     MultiStreamSimulator,
     QueueEvict,
     RemapPolicy,
     SimulationKernel,
+    StreamEnd,
 )
 from repro.runtime.tracer import TraceEntry
 from repro.scenarios import default_registry
@@ -37,17 +47,36 @@ def platform():
 
 
 @pytest.fixture
-def built_evictions(monkeypatch):
-    """A list that grows by one for every ``QueueEvict`` constructed."""
-    built = []
-    init = QueueEvict.__init__
+def built_events(monkeypatch):
+    """Per kind, a list that grows by one for every ``QueueEvict``,
+    ``DispatchBatch`` or ``InferenceDone`` constructed."""
+    built = {kind: [] for kind in (QueueEvict, DispatchBatch, InferenceDone)}
+    for kind, seen in built.items():
+        init = kind.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+        def counting_init(self, *args, init=init, seen=seen, **kwargs):
+            seen.append(self)
+            init(self, *args, **kwargs)
 
-    monkeypatch.setattr(QueueEvict, "__init__", counting_init)
+        monkeypatch.setattr(kind, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def built_evictions(built_events):
+    """A list that grows by one for every ``QueueEvict`` constructed."""
+    return built_events[QueueEvict]
+
+
+def _batch() -> SparseFrameBatch:
+    stack = FrameStack.from_frames(
+        [SparseFrame.from_events([1, 2], [0, 3], [1, -1], 4, 4, 0.0, 0.1)]
+    )
+    return SparseFrameBatch.from_stack(stack, 0, 1)
+
+
+def _record(frames: int) -> InferenceRecord:
+    return InferenceRecord(0.5, 0.5, 1.0, frames, 0.1, 1.0)
 
 
 def assert_trace_changes_nothing(platform, sources, trace, **kwargs):
@@ -84,6 +113,106 @@ class TestKernelEvict:
         # Traced, an eviction goes through deliver and its time check.
         with pytest.raises(ValueError, match="cannot deliver"):
             kernel.evict(2.0, "s", 1, "backlog")
+
+
+class TestKernelDispatch:
+    def test_untraced_dispatch_is_counted_and_handed_over(self, built_events):
+        kernel = SimulationKernel()
+        batch = _batch()
+        seen = []
+
+        def handler(dispatched, time):
+            seen.append((dispatched, time, kernel.now, kernel.events_processed))
+
+        kernel.dispatch(0.0, "s", batch, handler)
+        assert seen == [(batch, 0.0, 0.0, 1)]
+        assert kernel.pending_events == 0
+        assert built_events[DispatchBatch] == []
+
+    def test_untraced_flush_dispatch_stamps_its_time(self):
+        # The end-of-stream flush sits a few ulps before its StreamEnd.
+        kernel = SimulationKernel()
+        stamps = []
+
+        def on_end(event):
+            kernel.dispatch(0.3, "s", _batch(), lambda b, t: stamps.append(kernel.now))
+
+        kernel.schedule(StreamEnd(time=0.30000000000000004, stream="s"), on_end)
+        kernel.run()
+        assert stamps == [0.3] and kernel.now == 0.3
+        assert kernel.events_processed == 2
+
+    def test_traced_dispatch_is_delivered_and_recorded(self, built_events):
+        trace = KernelTrace()
+        kernel = SimulationKernel(trace=trace)
+        seen = []
+        kernel.dispatch(0.0, "s", _batch(), lambda b, t: seen.append(len(trace)))
+        # The trace records the dispatch before the handler runs.
+        assert seen == [1] and kernel.events_processed == 1
+        assert len(built_events[DispatchBatch]) == 1
+        assert trace.entries == [TraceEntry(0.0, "DispatchBatch", "s", "frames=1")]
+        with pytest.raises(ValueError, match="cannot deliver"):
+            kernel.dispatch(1.0, "s", _batch(), lambda b, t: seen.append(t))
+        assert seen == [1]
+
+
+class TestKernelCompletions:
+    @staticmethod
+    def _drive(kernel, calls):
+        """An arrival at 0.5 schedules a group of two completions at 1.0
+        and a StreamEnd at 1.0 is scheduled before the run."""
+
+        def completion(name):
+            return lambda time, records: calls.append(
+                (name, time, records, kernel.events_processed)
+            )
+
+        def on_arrival(index, time):
+            kernel.schedule_completions(
+                1.0,
+                [
+                    ("a", (_record(2),), None, completion("a")),
+                    ("srv", (), None, completion("srv")),
+                ],
+            )
+            assert kernel.pending_events == 3
+
+        kernel.add_arrivals([0.5], on_arrival, "a")
+        kernel.schedule(StreamEnd(time=1.0, stream="a"))
+        assert kernel.pending_events == 2
+        return kernel.run()
+
+    def test_a_group_is_one_heap_entry_of_counted_completions(self, built_events):
+        kernel = SimulationKernel()
+        calls = []
+        assert self._drive(kernel, calls) == 1.0
+        # Each completion is counted before its handler runs, in order,
+        # and both come before the StreamEnd of the same time.
+        assert calls == [("a", 1.0, (_record(2),), 2), ("srv", 1.0, (), 3)]
+        assert kernel.events_processed == 4
+        assert kernel.heap_high_water == 1
+        assert built_events[InferenceDone] == []
+
+    def test_traced_group_records_each_completion(self, built_events):
+        trace = KernelTrace()
+        kernel = SimulationKernel(trace=trace)
+        calls = []
+        self._drive(kernel, calls)
+        assert len(built_events[InferenceDone]) == 2
+        assert [(e.kind, e.stream, e.detail) for e in trace.entries] == [
+            ("FrameReady", "a", ""),
+            ("InferenceDone", "a", "records=1 frames=2"),
+            ("InferenceDone", "srv", "records=0 frames=0"),
+            ("StreamEnd", "a", ""),
+        ]
+        assert [events for *_, events in calls] == [2, 3]
+
+    def test_scheduling_a_group_into_the_past_raises(self):
+        kernel = SimulationKernel()
+        kernel.schedule(StreamEnd(time=1.0, stream="s"))
+        kernel.run()
+        with pytest.raises(ValueError, match="cannot schedule InferenceDone"):
+            kernel.schedule_completions(0.5, [("s", (), None, lambda t, r: None)])
 
 
 @pytest.mark.parametrize("family", default_registry().families())
@@ -125,6 +254,20 @@ def test_only_a_traced_run_builds_evictions(platform, built_evictions):
     reasons = {e.detail.split("reason=")[1] for e in trace.entries if e.kind == "QueueEvict"}
     assert reasons == {"backlog", "queue-full"}
     assert len(built_evictions) == trace.counts()["QueueEvict"]
+
+
+def test_only_a_traced_run_builds_dispatches_and_completions(platform, built_events):
+    sources, _ = _contended_fleet()
+    untraced = MultiStreamSimulator(platform, sources).run()
+    assert untraced.total_inferences > 0
+    assert built_events[DispatchBatch] == built_events[InferenceDone] == []
+    trace = KernelTrace()
+    traced = MultiStreamSimulator(platform, sources).run(trace=trace)
+    counts = trace.counts()
+    assert len(built_events[DispatchBatch]) == counts["DispatchBatch"] > 0
+    assert len(built_events[InferenceDone]) == counts["InferenceDone"] > 0
+    assert traced.events_processed == untraced.events_processed == len(trace)
+    assert traced.heap_high_water == untraced.heap_high_water
 
 
 def test_server_frontier_follows_every_remap(platform, monkeypatch):

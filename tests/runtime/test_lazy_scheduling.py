@@ -1,14 +1,16 @@
 """Arrival columns: equivalence, churn cuts and heap bounds.
 
 Each stream registers its rendered arrivals with the kernel as one column;
-the first ``run()`` merges the columns once, and the run loop takes the
-next arrival unless the heap's top event comes first.  The resulting
-``MultiStreamReport`` must be bit-identical to the all-heap oracle
-(``EagerSimulator`` in ``tests/oracles``) across every scenario family,
-and ``tests/runtime/test_trace_identity.py`` pins the full traces.  The
-payoff the suite pins alongside the equivalence: the kernel heap's
-high-water mark scales with *streams* in production and with *total
-frames* in the oracle.
+the first ``run()`` merges the columns and every event scheduled before it
+once, and the run loop takes the column's next entry unless the heap's top
+entry comes first.  The resulting ``MultiStreamReport`` must be
+bit-identical to the all-heap oracle (``EagerSimulator`` in
+``tests/oracles``) across every scenario family, and
+``tests/runtime/test_trace_identity.py`` pins the full traces.  The payoff
+the suite pins alongside the equivalence: in production the kernel heap
+holds only in-flight work, a few entries per signature server whatever the
+number of streams or the horizon, while the oracle's heap holds every
+frame.
 """
 
 from __future__ import annotations
@@ -27,18 +29,39 @@ from repro.runtime.sim import (
     InferenceDone,
     PipelineReport,
     QueueEvict,
+    RemapTriggered,
     StreamEnd,
 )
 from repro.scenarios import default_registry
 
-from oracles.runtime import EagerSimulator, PerFrameReferenceSimulator
+from oracles.runtime import AllHeapKernel, EagerSimulator, PerFrameReferenceSimulator
 from test_kernel_equivalence import assert_reports_identical
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
 
-# Heap budget per stream: one StreamEnd per stream plus in-flight
-# completions and server wake-ups.
+# A loose heap budget per stream, which the all-heap oracle exceeds.
 HEAP_FACTOR = 4
+
+
+def heap_bound(simulator: MultiStreamSimulator) -> int:
+    """In-flight budget of a fleet's kernel heap: each signature server has
+    at most one execution's completions and one wake-up waiting, plus one
+    spare entry."""
+    kernel, clients, _ = simulator._setup(None)
+    return 2 * len({id(client.executor) for client in clients}) + 1
+
+
+def _register(kernel, columns: bool, times, handler, stream: str) -> None:
+    """Register ``times`` as a column, or schedule one ``FrameReady`` per
+    arrival whose handler calls ``handler(index, time)``."""
+    if columns:
+        kernel.add_arrivals(times, handler, stream)
+        return
+    for i, t in enumerate(times):
+        kernel.schedule(
+            FrameReady(time=t, stream=stream, index=i),
+            lambda e: handler(e.index, e.time),
+        )
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +97,21 @@ class TestLazyEagerEquivalence:
 
 
 class TestArrivalColumns:
-    """Kernel-level: columns interleave with heaped events in the exact
-    ``(time, priority, seq)`` order of heaping every arrival."""
+    """Kernel-level: columns and the events scheduled before the run merge
+    into one column, which interleaves with heaped entries in the exact
+    ``(time, priority, seq)`` order of heaping every arrival and event
+    (the all-heap oracle kernel)."""
 
     TIMES = {"s": [0.0, 0.1, 0.1, 0.2], "u": [0.1, 0.2]}
 
     @staticmethod
     def _drive(columns: bool, until=None):
-        """Columns ``s`` and ``u`` around heaped events of every priority at
-        the same times (one heaped FrameReady before the columns and one
-        after); returns the order in which handlers ran."""
-        kernel = SimulationKernel()
+        """Columns ``s`` and ``u`` around events of all five priorities
+        scheduled before the run at the same times (one FrameReady before
+        the columns and one after); returns the order in which handlers
+        ran.  Without columns, every arrival is a ``FrameReady`` on the
+        all-heap kernel."""
+        kernel = SimulationKernel() if columns else AllHeapKernel()
         seen = []
 
         def record(event):
@@ -95,17 +122,10 @@ class TestArrivalColumns:
 
         kernel.schedule(FrameReady(time=0.1, stream="early"), record)
         for stream, times in TestArrivalColumns.TIMES.items():
-            if columns:
-                kernel.add_arrivals(times, arrival(stream), stream)
-            else:
-                for i, t in enumerate(times):
-                    handler = arrival(stream)
-                    kernel.schedule(
-                        FrameReady(time=t, stream=stream, index=i),
-                        lambda e, h=handler: h(e.index, e.time),
-                    )
+            _register(kernel, columns, times, arrival(stream), stream)
         kernel.schedule(FrameReady(time=0.1, stream="late"), record)
-        for kind in (InferenceDone, QueueEvict, DispatchBatch, StreamEnd):
+        kinds = (InferenceDone, QueueEvict, RemapTriggered, DispatchBatch, StreamEnd)
+        for kind in kinds:
             for t in (0.1, 0.2):
                 kernel.schedule(kind(time=t, stream=kind.__name__), record)
         if until is not None:
@@ -118,11 +138,13 @@ class TestArrivalColumns:
 
     def test_columns_and_heaped_events_follow_eager_order(self):
         merged, _, kernel = self._drive(columns=True)
-        assert merged == self._drive(columns=False)[0]
+        eager, _, oracle = self._drive(columns=False)
+        assert merged == eager
         at_01 = [entry[:2] for entry in merged if entry[2] == 0.1]
         assert at_01 == [
             ("InferenceDone", "InferenceDone"),
             ("QueueEvict", "QueueEvict"),
+            ("RemapTriggered", "RemapTriggered"),
             ("DispatchBatch", "DispatchBatch"),
             ("FrameReady", "early"),
             ("FrameReady", "s"),
@@ -135,18 +157,81 @@ class TestArrivalColumns:
         assert [e[3] for e in merged if e[0] == "FrameReady" and e[1] == "s"] == [
             0, 1, 2, 3
         ]
-        assert kernel.events_processed == len(merged) == 16
-        # Only the ten heaped events ever sat on the heap.
-        assert kernel.heap_high_water == 10
+        assert kernel.events_processed == oracle.events_processed == len(merged) == 18
+        # Everything was scheduled before the run, so production merged it
+        # all into the column and heaped nothing; the oracle heaped it all.
+        assert kernel.heap_high_water == 0
+        assert oracle.heap_high_water == 18
 
     def test_run_until_mid_column_then_run_gives_the_same_order(self):
         full = self._drive(columns=True)[0]
-        for until in (0.0, 0.05, 0.1, 0.15):
+        for until in (0.0, 0.05, 0.1, 0.15, 0.2):
             resumed, (paused, pending), kernel = self._drive(columns=True, until=until)
+            eager = self._drive(columns=False, until=until)
+            eager_paused, eager_pending = eager[1]
             assert resumed == full, until
-            assert paused == [e for e in full if e[2] <= until], until
-            assert pending == len(full) - len(paused), until
+            assert paused == eager_paused == [e for e in full if e[2] <= until], until
+            # Pre-run events still in the column count as pending.
+            assert pending == eager_pending == len(full) - len(paused), until
             assert kernel.pending_events == 0
+            assert kernel.heap_high_water == 0
+
+    def test_events_scheduled_in_the_run_tie_with_merged_entries(self):
+        """What a handler schedules is heaped and ties with pre-run events,
+        arrivals and a completion group on ``(priority, seq)``, as on the
+        all-heap kernel."""
+
+        def drive(columns: bool):
+            kernel = SimulationKernel() if columns else AllHeapKernel()
+            seen = []
+
+            def record(event):
+                seen.append((type(event).__name__, event.stream))
+
+            def complete(time, records):
+                seen.append(("InferenceDone", records or "drain", time))
+
+            def on_arrival(index, time):
+                seen.append(("FrameReady", f"col{index}"))
+                if index == 0:
+                    for kind in (StreamEnd, FrameReady, QueueEvict):
+                        event = kind(time=0.2, stream=f"run-{kind.__name__}")
+                        kernel.schedule(event, record)
+                    kernel.schedule_completions(
+                        0.2, [("g", ("r",), None, complete), ("g", (), None, complete)]
+                    )
+
+            for kind in (StreamEnd, FrameReady, InferenceDone, RemapTriggered):
+                kernel.schedule(kind(time=0.2, stream=f"pre-{kind.__name__}"), record)
+            _register(kernel, columns, [0.1, 0.2], on_arrival, "col")
+            paused = (kernel.run(until=0.1), kernel.pending_events)
+            kernel.run()
+            return seen, paused, kernel
+
+        merged, paused, kernel = drive(columns=True)
+        eager, eager_paused, oracle = drive(columns=False)
+        assert merged == eager
+        assert merged == [
+            ("FrameReady", "col0"),
+            ("InferenceDone", "pre-InferenceDone"),
+            ("InferenceDone", ("r",), 0.2),
+            ("InferenceDone", "drain", 0.2),
+            ("RemapTriggered", "pre-RemapTriggered"),
+            ("QueueEvict", "run-QueueEvict"),
+            ("FrameReady", "pre-FrameReady"),
+            ("FrameReady", "col1"),
+            ("FrameReady", "run-FrameReady"),
+            ("StreamEnd", "pre-StreamEnd"),
+            ("StreamEnd", "run-StreamEnd"),
+        ]
+        # At 0.1: four pre-run events, one arrival, three heaped events and
+        # a group of two are pending.
+        assert paused == eager_paused == (0.1, 10)
+        assert kernel.events_processed == oracle.events_processed == 11
+        # Only the arrival handler's three events and one group were heaped;
+        # the oracle heaped all ten pending events at once.
+        assert kernel.heap_high_water == 4
+        assert oracle.heap_high_water == 10
 
     def test_registering_after_run_raises(self):
         kernel = SimulationKernel()
@@ -229,6 +314,31 @@ class TestChurnCursorCut:
 
 
 class TestHeapHighWater:
+    @pytest.mark.parametrize("optimization", ["e2sf", "e2sf+dsfa"])
+    def test_heap_holds_in_flight_work_whatever_the_fleet_size(
+        self, registry, platform, optimization
+    ):
+        """Arrivals, ``StreamEnd`` events and same-time dispatches and
+        evictions never wait on the heap, and an execution's completions
+        share one entry: a fleet of 1,024 streams heaps no more than the
+        in-flight budget of its signature servers."""
+        marks = {}
+        for streams in (64, 1024):
+            sources = registry.compile(
+                "steady",
+                num_streams=streams,
+                duration=0.2,
+                scale=0.06,
+                num_bins=4,
+                params={"optimization": optimization},
+            )
+            simulator = MultiStreamSimulator(platform, sources)
+            report = simulator.run()
+            assert report.frames_generated > streams
+            assert 0 < report.heap_high_water <= heap_bound(simulator), streams
+            marks[streams] = report.heap_high_water
+        assert marks[1024] <= heap_bound(simulator) < 16
+
     def test_steady_fleet_heap_scales_with_streams_not_frames(self, registry):
         streams = 256
         sources = registry.compile(
@@ -259,9 +369,11 @@ class TestHeapHighWater:
                 "lazy": _run(platform, sources).heap_high_water,
                 "eager": EagerSimulator(platform, sources).run().heap_high_water,
             }
-        # Doubling the horizon must not grow the production heap (beyond
-        # event jitter), while the oracle's heap tracks the frame count.
-        assert marks[0.4]["lazy"] <= marks[0.2]["lazy"] * 1.25
+        # Doubling the horizon leaves the production heap within the
+        # in-flight budget of the fleet's servers, while the oracle's heap
+        # tracks the frame count.
+        bound = heap_bound(MultiStreamSimulator(platform, sources))
+        assert marks[0.2]["lazy"] <= bound and marks[0.4]["lazy"] <= bound
         assert marks[0.4]["eager"] >= marks[0.2]["eager"] * 1.5
 
 
@@ -313,16 +425,17 @@ class TestFramesPlaneColumns:
         self, registry, platform
     ):
         """The rendered stack lives on the client and the arrivals in the
-        kernel's column: after prime the heap holds one StreamEnd per
-        stream and no FrameReady."""
+        kernel's column: after prime nothing is heaped, and one StreamEnd
+        per stream (and no FrameReady) waits to be merged into the column."""
         sources = registry.compile("steady", **SMALL)
         simulator = MultiStreamSimulator(platform, sources)
         kernel, clients, _ = simulator._setup(None)
         for client in clients:
             assert client._stack is not None
-        heaped = [entry[3] for entry in kernel._heap]
-        assert sorted(e.stream for e in heaped) == sorted(c.name for c in clients)
-        assert all(isinstance(e, StreamEnd) for e in heaped)
+        assert kernel._heap == []
+        queued = [entry[3] for entry in kernel._prerun]
+        assert sorted(e.stream for e in queued) == sorted(c.name for c in clients)
+        assert all(isinstance(e, StreamEnd) for e in queued)
         total_frames = sum(c.report.frames_generated for c in clients)
         assert total_frames > 2 * len(clients)
         assert kernel.pending_events == total_frames + len(clients)

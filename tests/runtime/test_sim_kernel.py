@@ -180,8 +180,9 @@ class TestEventDelivery:
             ("DispatchBatch", "a"),
             ("FrameReady", "b"),
         ]
-        # Delivery never touches the heap.
-        assert kernel.heap_high_water == 2
+        # Delivery never touches the heap, and both frames were scheduled
+        # before the run, so they waited in the merged column.
+        assert kernel.heap_high_water == 0
 
     def test_delivered_event_stamps_a_time_just_before_now(self):
         # The end-of-stream flush dispatch sits a few ulps before StreamEnd.
@@ -286,8 +287,8 @@ def _remapping_fleet():
 
 
 class TestProductionWiring:
-    """Every scheduling, delivery, eviction and arrival-registration site
-    hands the kernel the callee of its event.
+    """Every scheduling, delivery, dispatch, completion, eviction and
+    arrival-registration site hands the kernel the callee of its event.
 
     Each fleet builder returns ``(sources, remap_policy)``.
     """
@@ -296,9 +297,12 @@ class TestProductionWiring:
     def test_each_event_reaches_its_stream_callee(self, monkeypatch, fleet):
         sources, policy = fleet()
         heaped, delivered, evicted, columns = [], [], [], []
+        dispatched, groups = [], []
         schedule = SimulationKernel.schedule
         deliver = SimulationKernel.deliver
         evict = SimulationKernel.evict
+        dispatch = SimulationKernel.dispatch
+        schedule_completions = SimulationKernel.schedule_completions
         add_arrivals = SimulationKernel.add_arrivals
 
         def recording_schedule(kernel, event, handler=None):
@@ -314,6 +318,14 @@ class TestProductionWiring:
             evicted.append((time, stream, num_frames, reason))
             evict(kernel, time, stream, num_frames, reason)
 
+        def recording_dispatch(kernel, time, stream, batch, handler):
+            dispatched.append((stream, batch, handler))
+            dispatch(kernel, time, stream, batch, handler)
+
+        def recording_completions(kernel, time, completions):
+            groups.append(list(completions))
+            schedule_completions(kernel, time, completions)
+
         def recording_add_arrivals(kernel, times, handler, stream="", stack=None):
             columns.append((len(times), handler, stream))
             add_arrivals(kernel, times, handler, stream, stack)
@@ -321,10 +333,15 @@ class TestProductionWiring:
         monkeypatch.setattr(SimulationKernel, "schedule", recording_schedule)
         monkeypatch.setattr(SimulationKernel, "deliver", recording_deliver)
         monkeypatch.setattr(SimulationKernel, "evict", recording_evict)
+        monkeypatch.setattr(SimulationKernel, "dispatch", recording_dispatch)
+        monkeypatch.setattr(
+            SimulationKernel, "schedule_completions", recording_completions
+        )
         monkeypatch.setattr(SimulationKernel, "add_arrivals", recording_add_arrivals)
-        report = MultiStreamSimulator(
+        simulator = MultiStreamSimulator(
             jetson_xavier_agx(), sources, remap_policy=policy
-        ).run()
+        )
+        report = simulator.run()
         # One arrival column per stream, handled by that stream's client.
         assert [stream for _, _, stream in columns] == [s.name for s in sources]
         for count, handler, stream in columns:
@@ -341,35 +358,73 @@ class TestProductionWiring:
         evict_reasons = {reason for _, _, _, reason in evicted}
         assert {stream for _, stream, _, _ in evicted} <= {s.name for s in sources}
         assert all(num_frames >= 1 for _, _, num_frames, _ in evicted)
-        # Only dispatches are delivered inline; the heap never sees them,
-        # nor a FrameReady.  This run is untraced, so an eviction is only
-        # counted: no QueueEvict is heaped or delivered.
+        # This run is untraced, so a dispatch and an eviction are only
+        # counted: nothing is delivered, and the heap never sees a
+        # DispatchBatch, a QueueEvict or a FrameReady.  Every completion
+        # reaches the kernel in a group, so no InferenceDone is scheduled.
         assert {type(event) for event, _ in delivered} <= {DispatchBatch}
+        assert not delivered
         assert not {type(event) for event, _ in heaped} & {
             DispatchBatch,
             QueueEvict,
             FrameReady,
+            InferenceDone,
         }
-        for event, handler in heaped + delivered:
-            kind = type(event)
+        # Each site as (kind, stream, handler, records): events scheduled or
+        # delivered, dispatches, and each completion of every group.
+        sites = [
+            (type(event), event.stream, handler, getattr(event, "records", None))
+            for event, handler in heaped + delivered
+        ]
+        sites += [
+            (DispatchBatch, stream, handler, None) for stream, _, handler in dispatched
+        ]
+        completions = [completion for group in groups for completion in group]
+        sites += [
+            (InferenceDone, stream, handler, records)
+            for stream, records, _, handler in completions
+        ]
+        assert all(batch is not None and len(batch) for _, batch, _ in dispatched)
+        for kind, stream, handler, records in sites:
             if kind is RemapTriggered:
                 assert callable(handler)
             else:
                 # Stream clients and signature servers each own one name.
                 assert handler.__name__ == callees[kind]
-                assert handler.__self__.name == event.stream
+                assert handler.__self__.name == stream
                 is_client = isinstance(handler.__self__, StreamClient)
                 # Only a server's wake-ups and own completions carry no records.
-                assert is_client == (kind is not InferenceDone or bool(event.records))
-        kinds = {type(event) for event, _ in heaped + delivered}
+                assert is_client == (kind is not InferenceDone or bool(records))
+                assert is_client or isinstance(handler.__self__, SignatureServer)
+        # A group is one execution's members, in order, then the server's
+        # drain, or a server's wake-up alone.
+        for group in groups:
+            *members, (_, drain_records, drain_profile, drain) = group
+            assert isinstance(drain.__self__, SignatureServer)
+            assert drain_records == () and drain_profile is None
+            for _, records, profile, handler in members:
+                assert isinstance(handler.__self__, StreamClient)
+                assert len(records) == 1 and profile is not None
+        kinds = {kind for kind, _, _, _ in sites}
         assert set(callees) <= kinds
         if policy is None:
             assert evict_reasons == {"backlog", "queue-full"}
+            # Cross-stream merges put several members in one group.
+            assert any(len(group) > 2 for group in groups)
         else:
             assert RemapTriggered in kinds
         assert report.events_processed == (
-            len(heaped) + len(delivered) + len(evicted) + arrivals
+            len(heaped)
+            + len(delivered)
+            + len(evicted)
+            + len(dispatched)
+            + len(completions)
+            + arrivals
         )
+        # Everything scheduled before the run waited in the merged column:
+        # only groups sat on the heap, within the servers' in-flight budget.
+        servers = {id(group[-1][3].__self__) for group in groups}
+        assert 0 < report.heap_high_water <= 2 * len(servers) + 1
 
     def test_every_enqueue_finds_its_server_busy(self, monkeypatch):
         """A dispatch that waits finds the server busy past its time.

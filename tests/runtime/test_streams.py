@@ -204,6 +204,15 @@ class TestSharedRender:
 
 
 class TestMultiStreamSimulator:
+    @pytest.mark.parametrize("field", ["max_merge_streams", "record_limit", "shards"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_count_that_is_not_an_integer_rejected(
+        self, platform, sequence, network, field, value
+    ):
+        sources = make_sources(sequence, network, 2)
+        with pytest.raises(ValueError, match=field):
+            MultiStreamSimulator(platform, sources, **{field: value})
+
     def test_sixteen_streams_get_individual_reports(self, platform, sequence, fast_sequence):
         nets = [build_network(n, 64, 64) for n in ("spikeflownet", "dotie")]
         sources = []

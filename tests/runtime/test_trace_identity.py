@@ -1,13 +1,16 @@
 """Full-trace identity of the production kernel and the all-heap oracle.
 
-Production heaps only the events that wait: frame arrivals are registered
-as columns the kernel merges once, and same-time dispatches and evictions
-are delivered inline.  The all-heap oracle (``EagerSimulator`` in
-``tests/oracles``) heaps every arrival at prime and routes ``deliver``
-through ``schedule``.  Both must process the same events in the same
-order, so every :class:`~repro.runtime.tracer.KernelTrace` entry — time,
-kind, stream, detail and profile — must match entry for entry, along with
-the event count and the report.  Only the heap high-water mark differs.
+Production heaps only the work that waits during a run: frame arrivals
+are registered as columns, and the kernel merges them once with every
+event scheduled before the run; same-time dispatches and evictions are
+processed in place; and an execution's completions share one heap entry.
+The all-heap oracle (``EagerSimulator`` in ``tests/oracles``) heaps every
+arrival at prime, every event scheduled before the run, every dispatch and
+eviction, and each completion on its own.  Both must process the same
+events in the same order, so every
+:class:`~repro.runtime.tracer.KernelTrace` entry — time, kind, stream,
+detail and profile — must match entry for entry, along with the event
+count and the report.  Only the heap high-water mark differs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from repro.core.nmp.search import NMPConfig
 from repro.events import generate_sequence
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
-from repro.runtime import KernelTrace, MultiStreamSimulator, RemapPolicy, StreamSource
+from repro.runtime import (
+    KernelTrace,
+    MultiStreamSimulator,
+    RemapPolicy,
+    SimulationKernel,
+    StreamSource,
+)
 from repro.scenarios import default_registry
 
 from oracles.runtime import EagerPrimeClient, EagerSimulator
@@ -92,6 +101,37 @@ def test_contended_fleet_traces_identically(platform, max_merge_streams):
     assert_same_trace(platform, sources, max_merge_streams=max_merge_streams)
 
 
+def test_wakeups_on_an_execution_end_trace_identically(platform, monkeypatch):
+    """The contended fleet's two servers share the GPU, so one server's
+    wake-up lands on the other's execution end: a wake-up and a completion
+    group tie on time and priority.  Sequence numbers order them as when
+    each completion was heaped, traced and untraced."""
+    sources, _ = _contended_fleet()
+    groups = []
+    schedule_completions = SimulationKernel.schedule_completions
+
+    def recording(kernel, time, completions):
+        groups.append((time, len(completions), id(completions[-1][3].__self__)))
+        schedule_completions(kernel, time, completions)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimulationKernel, "schedule_completions", recording)
+        untraced = MultiStreamSimulator(platform, sources, max_merge_streams=4).run()
+    # An execution's group holds its members and the drain; a wake-up is
+    # the drain alone.
+    ends = {}
+    for time, count, server in groups:
+        if count > 1:
+            ends.setdefault(time, set()).add(server)
+    wakeups = [(time, server) for time, count, server in groups if count == 1]
+    assert any(ends.get(time, set()) - {server} for time, server in wakeups)
+    assert any(count > 2 for _, count, _ in groups)  # merged executions too
+    assert_same_trace(platform, sources, max_merge_streams=4)
+    oracle = EagerSimulator(platform, sources, max_merge_streams=4).run()
+    assert untraced.events_processed == oracle.events_processed
+    assert_reports_identical(untraced, oracle)
+
+
 @pytest.mark.parametrize(
     "level", [OptimizationLevel.E2SF, OptimizationLevel.E2SF_DSFA]
 )
@@ -138,5 +178,10 @@ def test_oracle_heaps_what_production_delivers(platform):
     production = MultiStreamSimulator(platform, sources).run()
     oracle = EagerSimulator(platform, sources).run()
     assert oracle.heap_high_water >= oracle.frames_generated
-    # Production heaps one StreamEnd per stream plus in-flight completions.
+    # Production heaps only in-flight work: each signature server's
+    # pending execution and wake-up, never a StreamEnd or an arrival.
     assert production.heap_high_water <= 2 * len(sources)
+    simulator = MultiStreamSimulator(platform, sources)
+    _, clients, _ = simulator._setup(None)
+    servers = {id(client.executor) for client in clients}
+    assert 0 < production.heap_high_water <= 2 * len(servers) + 1 < len(sources)

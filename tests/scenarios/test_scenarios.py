@@ -118,6 +118,13 @@ class TestSpec:
             with pytest.raises(ValueError, match=field_name):
                 ScenarioSpec(name="x", family="steady", **{field_name: value})
 
+    @pytest.mark.parametrize("field_name", ["num_streams", "num_bins"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_count_that_is_not_an_integer_rejected(self, field_name, value):
+        # Each used to construct and hash, then fail to compile or simulate.
+        with pytest.raises(ValueError, match=field_name):
+            ScenarioSpec(name="x", family="steady", **{field_name: value})
+
 
 class TestFamilies:
     @pytest.mark.parametrize("name", sorted(default_registry().names()))
