@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .._checks import require_count
-from ..nn.quantization import Precision
 from .dsfa import DSFAConfig
 
 __all__ = ["OptimizationLevel", "EvEdgeConfig"]
@@ -47,15 +46,14 @@ class EvEdgeConfig:
         resolution).
     dsfa:
         DSFA thresholds and merge mode.
-    baseline_precision:
-        Precision of the all-GPU baseline and of non-NMP levels.
     optimization:
-        Which subset of the three optimizations is enabled.
+        Which subset of the three optimizations is enabled.  Every level
+        without NMP runs each layer on the GPU at FP32
+        (:data:`~repro.runtime.sim.BASELINE_PRECISION`).
     """
 
     num_bins: int = 5
     dsfa: DSFAConfig = field(default_factory=DSFAConfig)
-    baseline_precision: Precision = Precision.FP32
     optimization: OptimizationLevel = OptimizationLevel.FULL
 
     def __post_init__(self) -> None:

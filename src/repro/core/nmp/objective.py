@@ -45,6 +45,8 @@ from .scheduler import ExecutionScheduler
 
 __all__ = ["FitnessBreakdown", "FitnessEvaluator"]
 
+# The per-task accuracy-degradation bound dA of Equation 2.
+_ACCURACY_THRESHOLD = 0.05
 # Latency units of penalty per unit of accuracy-constraint violation.
 _PENALTY_WEIGHT = 10.0
 # Validation intervals sampled per accuracy evaluation.
@@ -76,10 +78,9 @@ class FitnessEvaluator:
         Optional per-task :class:`TaskAccuracyEvaluator`; tasks without one
         are treated as having zero degradation (useful to keep unit tests and
         latency-only studies fast).
-    accuracy_threshold:
-        The per-task degradation bound ``dA``.
 
-    Layers run on sparse inputs (E2SF enabled), an infeasible candidate's
+    Layers run on sparse inputs (E2SF enabled), each task's degradation is
+    bounded by ``dA = _ACCURACY_THRESHOLD``, an infeasible candidate's
     latency is scaled by ``1 + _PENALTY_WEIGHT * violation``, and each
     accuracy evaluation samples ``_ACCURACY_SUBSET`` validation intervals
     (the paper evaluates on a random subset to reduce search cost).
@@ -91,13 +92,7 @@ class FitnessEvaluator:
         platform: Platform,
         table: LayerCostTable,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
-        accuracy_threshold: float = 0.05,
     ) -> None:
-        # Written so that NaN fails too.
-        if not accuracy_threshold >= 0:
-            raise ValueError(
-                f"accuracy_threshold must be non-negative, got {accuracy_threshold}"
-            )
         self.graph = graph
         self.platform = platform
         self.table = table
@@ -105,7 +100,6 @@ class FitnessEvaluator:
         # Flattened once, here: every evaluation gathers its row from it.
         self._flat = self.scheduler.flatten(graph)
         self.accuracy_evaluators = accuracy_evaluators or {}
-        self.accuracy_threshold = accuracy_threshold
         # Task names, the tasks with an accuracy evaluator, and per-task
         # compute nodes in topological order, resolved once: the degradation
         # keys and per-task precision lists are on the hot path.
@@ -174,7 +168,7 @@ class FitnessEvaluator:
             for name in self._measured_tasks:
                 degradations[name] = self._task_degradation(candidate, name)
             violation = sum(
-                max(d - self.accuracy_threshold, 0.0) for d in degradations.values()
+                max(d - _ACCURACY_THRESHOLD, 0.0) for d in degradations.values()
             )
         feasible = violation == 0.0
         latency = max(task_latencies.values()) if task_latencies else 0.0

@@ -81,20 +81,12 @@ class NMPConfig:
 
     population_size: int = 24
     generations: int = 20
-    accuracy_threshold: float = 0.05
     full_precision_only: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_count("population_size", self.population_size, 2)
         require_count("generations", self.generations, 1)
-        # Written so that NaN fails too: run() compares thresholds, and
-        # NaN equals nothing.
-        if not self.accuracy_threshold >= 0:
-            raise ValueError(
-                "accuracy_threshold must be non-negative, "
-                f"got {self.accuracy_threshold}"
-            )
         # None would seed from OS entropy, so every run would differ.
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -312,11 +304,7 @@ class MapperEngine:
         self.table = table
         self.config = config or NMPConfig()
         self.evaluator = FitnessEvaluator(
-            graph,
-            platform,
-            table,
-            accuracy_evaluators=accuracy_evaluators,
-            accuracy_threshold=self.config.accuracy_threshold,
+            graph, platform, table, accuracy_evaluators=accuracy_evaluators
         )
 
     # ------------------------------------------------------------------
@@ -331,19 +319,9 @@ class MapperEngine:
         ``config`` overrides the engine's default configuration for this run
         (e.g. Figure 9's full-precision-only search);
         ``initial_candidates`` are the warm starts that strategies seed
-        their first population with (none by default).  The
-        ``accuracy_threshold`` cannot be overridden per run — it is baked
-        into the shared evaluator (and its fitness cache) at engine
-        construction, so a differing value raises rather than being
-        silently ignored.
+        their first population with (none by default).
         """
         cfg = config or self.config
-        if cfg.accuracy_threshold != self.evaluator.accuracy_threshold:
-            raise ValueError(
-                "accuracy_threshold cannot be overridden per run: the shared "
-                f"FitnessEvaluator was built with {self.evaluator.accuracy_threshold}, "
-                f"got {cfg.accuracy_threshold}; construct a new MapperEngine instead"
-            )
         ctx = SearchContext(
             graph=self.graph,
             platform=self.platform,

@@ -77,24 +77,23 @@ _TRAFFIC_RECIPE: Tuple[Tuple[str, str], ...] = (
     ("halsie", "indoor_flying2"),
     ("e2depth", "town10"),
 )
+# Seconds between consecutive stream joins of a traffic mix.
+_TRAFFIC_STAGGER = 0.004
 
 
 def traffic_mix(
     num_streams: Optional[int] = None,
     settings: Optional[ExperimentSettings] = None,
     network_resolution: Tuple[int, int] = (64, 64),
-    stagger: float = 0.004,
-    optimization: Optional[object] = None,
 ):
     """Build ``num_streams`` heterogeneous :class:`StreamSource` objects.
 
     Streams cycle through the default network/sequence recipe, reuse one
-    generated sequence and one built network per recipe entry, and are
-    phase-staggered by ``stagger`` seconds so arrivals interleave instead of
-    colliding.  ``num_streams`` defaults to ``settings.num_streams``.  Used
-    by the multi-stream benchmark and examples; pass a different
-    ``optimization`` level (default: E2SF+DSFA) to study other
-    configurations under traffic.
+    generated sequence and one built network per recipe entry, run at
+    E2SF+DSFA, and are phase-staggered by ``_TRAFFIC_STAGGER`` (4 ms) so
+    arrivals interleave instead of colliding.  ``num_streams`` defaults to
+    ``settings.num_streams``.  Used by the multi-stream benchmark and
+    examples.
     """
     from ..core.config import EvEdgeConfig, OptimizationLevel
     from ..events.datasets import generate_sequence
@@ -106,8 +105,10 @@ def traffic_mix(
         num_streams = settings.num_streams
     if num_streams < 1:
         raise ValueError("num_streams must be >= 1")
-    level = optimization or OptimizationLevel.E2SF_DSFA
     height, width = network_resolution
+    config = EvEdgeConfig(
+        num_bins=settings.num_bins, optimization=OptimizationLevel.E2SF_DSFA
+    )
     networks: Dict[str, object] = {}
     sequences: Dict[str, object] = {}
     sources = []
@@ -122,14 +123,13 @@ def traffic_mix(
                 duration=settings.duration,
                 seed=settings.seed + i % len(_TRAFFIC_RECIPE),
             )
-        config = EvEdgeConfig(num_bins=settings.num_bins, optimization=level)
         sources.append(
             StreamSource(
                 name=f"s{i:02d}:{net_name}",
                 sequence=sequences[seq_name],
                 network=networks[net_name],
                 config=config,
-                start_offset=stagger * i,
+                start_offset=_TRAFFIC_STAGGER * i,
             )
         )
     return sources

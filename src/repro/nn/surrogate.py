@@ -86,11 +86,8 @@ class FlowSurrogate:
     """
 
     stages = ("accumulate", "centroid", "refine")
-
-    def __init__(self, block_size: int = 8) -> None:
-        if block_size < 2:
-            raise ValueError("block_size must be >= 2")
-        self.block_size = block_size
+    #: Side, in pixels, of the square blocks that each get one flow vector.
+    block_size = 8
 
     def predict(
         self,
@@ -151,14 +148,10 @@ class SegmentationSurrogate:
     """
 
     stages = ("accumulate", "smooth", "threshold")
-
-    def __init__(self, smoothing_radius: int = 3, threshold_scale: float = 1.0) -> None:
-        if smoothing_radius < 0:
-            raise ValueError("smoothing_radius must be non-negative")
-        if threshold_scale <= 0:
-            raise ValueError("threshold_scale must be positive")
-        self.smoothing_radius = smoothing_radius
-        self.threshold_scale = threshold_scale
+    #: Radius of the box filter that smooths the event-count frame.
+    smoothing_radius = 3
+    #: Multiplier on half the mean active density that sets the threshold.
+    threshold_scale = 1.0
 
     def predict(
         self,
@@ -190,10 +183,11 @@ class DepthSurrogate:
     """
 
     stages = ("accumulate", "flow", "invert")
+    #: Flow magnitude (pixels per interval) below which no depth is reported.
+    min_flow = 0.05
 
-    def __init__(self, block_size: int = 8, min_flow: float = 0.05) -> None:
-        self.flow_surrogate = FlowSurrogate(block_size=block_size)
-        self.min_flow = min_flow
+    def __init__(self) -> None:
+        self.flow_surrogate = FlowSurrogate()
 
     def predict(
         self,
@@ -235,14 +229,10 @@ class TrackingSurrogate:
     """
 
     stages = ("integrate", "threshold")
-
-    def __init__(self, leak: float = 0.8, threshold_percentile: float = 60.0) -> None:
-        if not 0.0 <= leak <= 1.0:
-            raise ValueError("leak must be in [0, 1]")
-        if not 0.0 < threshold_percentile < 100.0:
-            raise ValueError("threshold_percentile must be in (0, 100)")
-        self.leak = leak
-        self.threshold_percentile = threshold_percentile
+    #: Share of the accumulated activity each pixel keeps from bin to bin.
+    leak = 0.8
+    #: Percentile of the active pixels' activity a pixel must exceed to spike.
+    threshold_percentile = 60.0
 
     def predict(
         self,

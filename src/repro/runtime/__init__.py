@@ -29,7 +29,6 @@ from .shard import (
     ShardPlan,
     ShardSummary,
     partition_sources,
-    signature_groups,
 )
 from .streams import (
     AdaptiveMappingClient,
@@ -39,6 +38,7 @@ from .streams import (
     RemapRecord,
     StreamClient,
     StreamSource,
+    signature_groups,
 )
 from .tracer import (
     KernelTrace,

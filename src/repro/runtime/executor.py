@@ -7,6 +7,10 @@
   cross-stream batching and O(1) amortized dispatch/evict/merge — the
   fleet-scale hot path of :class:`~repro.runtime.streams.
   MultiStreamSimulator`.
+
+Both run an inference through one function, :func:`execute`: the
+executors differ only in when they call it, on which resources and with
+how many members.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..frames.sparse import SparseFrameBatch, pairwise_mean
 from .sim import InferenceRecord, NetworkCostModel, SimulationKernel
 
-__all__ = ["SerialExecutor", "SignatureServer"]
+__all__ = ["SerialExecutor", "SignatureServer", "execute"]
 
 
 # ----------------------------------------------------------------------
@@ -54,18 +58,12 @@ class SerialExecutor:
 
     def dispatch(self, client, batch: SparseFrameBatch, time: float) -> None:
         """Execute ``batch`` for ``client``, queuing behind earlier work."""
-        cost_model = client.cost_model
-        if cost_model.uses_sparse:
-            densities, occupancy = batch.frame_densities(), batch.mean_density
-        else:
-            densities, occupancy = [], 1.0
-        profile = cost_model.densities_profile(densities, occupancy)
-        latency, energy = cost_model.profile_cost(profile, max(len(batch), 1))
-        start, end = self.kernel.acquire((self.resource,), time, latency)
-        client.note_dispatch(latency)
-        record = InferenceRecord(time, start, end, len(batch), occupancy, energy)
-        self.kernel.schedule_completions(
-            end, [(client.name, (record,), profile, client._on_done)]
+        execute(
+            self.kernel,
+            client.cost_model,
+            (self.resource,),
+            [_PendingDispatch(client, batch, time)],
+            time,
         )
 
 
@@ -86,6 +84,69 @@ class _PendingDispatch:
         self.time = time
         self.seq = seq
         self.service_estimate = service_estimate
+
+
+def execute(
+    kernel: SimulationKernel,
+    cost_model: NetworkCostModel,
+    resources: Sequence[str],
+    members: List[_PendingDispatch],
+    ready_time: float,
+    drain: Optional[tuple] = None,
+) -> None:
+    """Run ``members`` as one inference on ``resources``, from ``ready_time``.
+
+    The members' density columns drive the costing directly: no
+    concatenated batch (and no per-frame view) is built for a cross-stream
+    merge.  Flattening the columns keeps the values and order a
+    concatenated batch would expose, so the mean and the profile are
+    bit-identical to it.  One density is its own mean (``np.mean`` over one
+    element returns it unchanged), and longer columns keep ``np.mean``'s
+    pairwise summation order (:func:`~repro.frames.sparse.pairwise_mean`).
+    Each member gets its record and its share of the batched latency and
+    energy, and the kernel gets the members' completions, in order, then
+    ``drain`` (a completion of the caller's own, if any), as one entry.
+    """
+    sparse = cost_model.uses_sparse
+    num_frames = sum(len(m.batch) for m in members)
+    if sparse:
+        densities = [d for m in members for d in m.batch.frame_densities()]
+        if len(densities) == 1:
+            occupancy = float(densities[0])
+        else:
+            occupancy = pairwise_mean(densities) if densities else 0.0
+    else:
+        densities = []
+        occupancy = 1.0
+    # The cost stack takes a per-layer occupancy profile, not a scalar:
+    # under ``cost_mode="profile"`` a merged batch's profile is the
+    # column-wise mean of its members' bucketed rows (flat mode reduces to
+    # the scalar path).
+    profile = cost_model.densities_profile(densities, occupancy)
+    total_frames = 1 if num_frames < 1 else num_frames
+    latency, energy = cost_model.profile_cost(profile, total_frames)
+    start, end = kernel.acquire(resources, ready_time, latency)
+    completions = []
+    for member in members:
+        client = member.client
+        share = len(member.batch) / total_frames
+        record = InferenceRecord(
+            member.time,
+            start,
+            end,
+            len(member.batch),
+            member.batch.mean_density if sparse else 1.0,
+            energy * share,
+        )
+        # Attribute each member its *share* of the batched latency: the
+        # full latency would inflate every member's per-dispatch service
+        # estimate (StreamClient._last_duration) after a cross-stream
+        # merge and distort the backlog drop rule.
+        client.note_dispatch(latency * share)
+        completions.append((client.name, (record,), profile, client._on_done))
+    if drain is not None:
+        completions.append(drain)
+    kernel.schedule_completions(end, completions)
 
 
 class SignatureServer:
@@ -129,8 +190,9 @@ class SignatureServer:
         self.cost_model = cost_model
         self.name = name
         self.max_merge_streams = max_merge_streams
-        self.inferences = 0
-        self.merged_dispatches = 0
+        # The completion that drains the pending queues: it ends every
+        # execution and is the whole of a wake-up.
+        self._drain = (name, (), None, self._on_done)
         # client name -> that client's pending dispatches (FIFO).
         self._queues: Dict[str, Deque[_PendingDispatch]] = {}
         # Lazy min-heap of (head seq, client) pairs: one live entry per
@@ -179,7 +241,14 @@ class SignatureServer:
         """Execute immediately when idle, else enqueue (bounded per stream)."""
         busy = self.busy_until(client)
         if self._pending_count == 0 and busy <= time:
-            self._execute([_PendingDispatch(client, batch, time)], time)
+            execute(
+                self.kernel,
+                self.cost_model,
+                self.cost_model.pes_used,
+                [_PendingDispatch(client, batch, time)],
+                time,
+                self._drain,
+            )
             return
         queue = self._queues.get(client.name)
         if queue is None:
@@ -217,7 +286,7 @@ class SignatureServer:
         if self._next_wakeup is not None and self._next_wakeup <= time:
             return
         self._next_wakeup = time
-        self.kernel.schedule_completions(time, [(self.name, (), None, self._on_done)])
+        self.kernel.schedule_completions(time, [self._drain])
 
     def _take_members(self) -> List[_PendingDispatch]:
         """Pop the merge set: the oldest pending dispatch of each of the
@@ -247,60 +316,6 @@ class SignatureServer:
                 heapq.heappush(order, (queue[0].seq, client))
         return members
 
-    def _execute(self, members: List[_PendingDispatch], ready_time: float) -> None:
-        sparse = self.cost_model.uses_sparse
-        num_frames = sum(len(m.batch) for m in members)
-        # The members' density columns drive the costing directly — no
-        # concatenated batch (and no per-frame view) is materialised for a
-        # cross-stream merge.  Flattening the per-member columns preserves
-        # the exact values and order a concatenated batch would expose, so
-        # the mean and the combined profile are bit-identical.  One density
-        # is its own mean (np.mean over one element returns it unchanged);
-        # longer columns keep np.mean's pairwise summation order
-        # (pairwise_mean).
-        if sparse:
-            densities = [d for m in members for d in m.batch.frame_densities()]
-            if len(densities) == 1:
-                occupancy = float(densities[0])
-            else:
-                occupancy = pairwise_mean(densities) if densities else 0.0
-        else:
-            densities = []
-            occupancy = 1.0
-        # The dispatch path hands the cost stack a per-layer occupancy
-        # profile, not a scalar: under ``cost_mode="profile"`` the merged
-        # batch's profile is the column-wise mean of its members' bucketed
-        # rows (flat mode reduces to the scalar path).
-        profile = self.cost_model.densities_profile(densities, occupancy)
-        total_frames = 1 if num_frames < 1 else num_frames
-        latency, energy = self.cost_model.profile_cost(profile, total_frames)
-        start, end = self.kernel.acquire(self.cost_model.pes_used, ready_time, latency)
-        self.inferences += 1
-        if len(members) > 1:
-            self.merged_dispatches += len(members)
-        completions = []
-        for member in members:
-            client = member.client
-            share = len(member.batch) / total_frames
-            record = InferenceRecord(
-                member.time,
-                start,
-                end,
-                len(member.batch),
-                member.batch.mean_density if sparse else 1.0,
-                energy * share,
-            )
-            # Attribute each member its *share* of the batched latency: the
-            # full latency would inflate every member's per-dispatch service
-            # estimate (StreamClient._last_duration) after a cross-stream
-            # merge and distort the backlog drop rule.
-            client.note_dispatch(latency * share)
-            completions.append((client.name, (record,), profile, client._on_done))
-        # The members complete in order, then the server's own completion
-        # drains its pending queues: one kernel entry for all of them.
-        completions.append((self.name, (), None, self._on_done))
-        self.kernel.schedule_completions(end, completions)
-
     def _on_done(self, time: float, records: tuple) -> None:
         """The server's own completion or a wake-up at ``time`` (it carries
         no ``records``): drain the pending queues if the devices are free,
@@ -315,4 +330,11 @@ class SignatureServer:
             # the devices free up.
             self._schedule_wakeup(busy)
             return
-        self._execute(self._take_members(), time)
+        execute(
+            self.kernel,
+            self.cost_model,
+            self.cost_model.pes_used,
+            self._take_members(),
+            time,
+            self._drain,
+        )

@@ -47,15 +47,19 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .sim import NetworkCostModel
-from .streams import SHARD_MODES, MultiStreamReport, MultiStreamSimulator, StreamSource
+from .streams import (
+    SHARD_MODES,
+    MultiStreamReport,
+    MultiStreamSimulator,
+    StreamSource,
+    signature_groups,
+)
 
 __all__ = [
     "ShardPlan",
     "ShardSummary",
-    "signature_groups",
     "partition_sources",
     "ShardedSimulator",
 ]
@@ -85,18 +89,6 @@ class ShardPlan:
     @property
     def shard_sizes(self) -> Tuple[int, ...]:
         return tuple(len(indices) for indices in self.assignments)
-
-
-def signature_groups(sources: Sequence[StreamSource]) -> List[List[int]]:
-    """Source indices grouped by cost-surface signature, in first-appearance
-    order — the indivisible units of any shard partition."""
-    groups: Dict[tuple, List[int]] = {}
-    for index, source in enumerate(sources):
-        signature = NetworkCostModel.signature_for(
-            source.network, source.config, source.mapping
-        )
-        groups.setdefault(signature, []).append(index)
-    return list(groups.values())
 
 
 def partition_sources(sources: Sequence[StreamSource], shards: int) -> ShardPlan:

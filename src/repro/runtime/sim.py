@@ -91,6 +91,7 @@ __all__ = [
     "NetworkCostModel",
     "OccupancyProfile",
     "COST_MODES",
+    "BASELINE_PRECISION",
     "InferenceRecord",
     "PipelineReport",
 ]
@@ -801,16 +802,20 @@ class SimulationKernel:
 # buckets it per layer after propagation.
 COST_MODES = ("flat", "profile")
 
+#: Precision of every layer of the all-GPU baseline: each level without
+#: NMP, and each layer that an NMP mapping leaves unassigned.
+BASELINE_PRECISION = Precision.FP32
+
 
 class NetworkCostModel:
     """Whole-network inference cost under one fixed mapping and config.
 
     The layer→(PE, precision) assignment is resolved at construction and
     on every :meth:`rebind` (the same rules the seed pipeline applied per
-    call: NMP mapping when enabled, GPU + baseline precision otherwise, GPU
-    fallback for layers the assigned device cannot run) and compiled into
-    integer cells of the shared :class:`LayerCostTable` plus the bytes each
-    cross-PE boundary moves, once per distinct mapping key.
+    call: NMP mapping when enabled, GPU at :data:`BASELINE_PRECISION`
+    otherwise, GPU fallback for layers the assigned device cannot run) and
+    compiled into integer cells of the shared :class:`LayerCostTable` plus
+    the bytes each cross-PE boundary moves, once per distinct mapping key.
 
     The model is a *layered cost stack*: every inference is costed from an
     :class:`~repro.nn.occupancy.OccupancyProfile` (one occupancy per
@@ -870,7 +875,7 @@ class NetworkCostModel:
             (f"{network.name}.{spec.name}", spec.name) for spec in self._specs
         )
         self._gpu = platform.gpu()
-        self._baseline = (self._gpu.name, self.config.baseline_precision.value)
+        self._baseline = (self._gpu.name, BASELINE_PRECISION.value)
         # Mapping key -> its compiled (cells, transfers, pes_used, memo).  A
         # compiled resolution and its (profile, batch) -> (latency, energy)
         # memo depend only on the key, so they outlive rebinds; _cache is
@@ -966,62 +971,13 @@ class NetworkCostModel:
         a key compiled before — by an earlier rebind or at construction —
         is reused as it is, memo included, and a new key starts with an
         empty memo.  Nothing is cleared.  Note that an execution server's
-        *grouping* of streams (its :meth:`signature_for` at construction
-        time) is intentionally not revisited — streams that shared a cost
-        surface before a remap still share the rebound one.
+        *grouping* of streams (:func:`~repro.runtime.streams.
+        signature_groups`, at set-up) is intentionally not revisited —
+        streams that shared a cost surface before a remap still share the
+        rebound one.
         """
         self.mapping = mapping
         self._resolve()
-
-    @staticmethod
-    def signature_for(
-        network: LayerGraph,
-        config: Optional[EvEdgeConfig] = None,
-        mapping: Optional[MappingCandidate] = None,
-    ) -> tuple:
-        """Identity of a (network, mapping, config) cost surface.
-
-        Streams with equal signatures run the same computation and may be
-        batched together by the traffic simulator.  The layer specs are part
-        of the identity: two networks that share a name but differ
-        structurally (e.g. the same zoo model built at two resolutions) must
-        not share a cost model or an execution server.
-
-        It is computed *without* constructing a model: the traffic
-        simulator uses it to decide whether a stream joins an existing
-        :class:`NetworkCostModel` (and execution server) before paying for a
-        full assignment resolution — constructing a model per source just to
-        discard it when the signature already had a server was a measurable
-        share of fleet start-up time.
-        """
-        mapping_key = None if mapping is None else mapping.key()
-        return (
-            network.name,
-            tuple(spec for spec in network.layers() if spec.kind.is_compute),
-            mapping_key,
-        ) + NetworkCostModel._config_identity(config)
-
-    @staticmethod
-    def identity_for(
-        network: LayerGraph,
-        config: Optional[EvEdgeConfig] = None,
-        mapping: Optional[MappingCandidate] = None,
-    ) -> tuple:
-        """The inputs :meth:`signature_for` reads, with objects by identity.
-
-        Equal identities have equal signatures as long as the network and
-        mapping objects are alive and unchanged, so a caller that holds
-        them (the traffic simulator, within one set-up) can resolve each
-        identity's signature once: a fleet shares a few network and
-        mapping objects among many sources.
-        """
-        return (id(network), id(mapping)) + NetworkCostModel._config_identity(config)
-
-    @staticmethod
-    def _config_identity(config: Optional[EvEdgeConfig]) -> tuple:
-        """The configuration fields a cost surface depends on."""
-        config = config or EvEdgeConfig()
-        return (config.optimization, config.baseline_precision)
 
     # ------------------------------------------------------------------
     # occupancy profiles

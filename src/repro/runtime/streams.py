@@ -103,6 +103,7 @@ __all__ = [
     "MultiStreamReport",
     "MultiStreamSimulator",
     "SHARD_MODES",
+    "signature_groups",
 ]
 
 @dataclass(frozen=True)
@@ -765,6 +766,39 @@ class MultiStreamReport:
         ]
 
 
+def signature_groups(sources: Sequence[StreamSource]) -> List[List[int]]:
+    """Source indices grouped by cost surface, in order of first appearance.
+
+    The sources of one group run the same computation, so they share one
+    cost model and one :class:`SignatureServer`, and a sharded run keeps
+    them on one shard.  A group's *signature* is the network's name and
+    compute-layer specs, the mapping's key and the optimization level: the
+    same zoo model built at two resolutions shares a name but never a
+    group, while equal networks built as distinct objects do share one.  A
+    fleet shares a few network and mapping objects among many sources, so
+    the signature is built once per *identity* (the network and mapping
+    objects and the level), and every later source with that identity
+    joins its group with one lookup.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    by_identity: Dict[tuple, List[int]] = {}
+    for index, source in enumerate(sources):
+        network, mapping = source.network, source.mapping
+        level = source.config.optimization
+        identity = (id(network), id(mapping), level)
+        group = by_identity.get(identity)
+        if group is None:
+            signature = (
+                network.name,
+                tuple(spec for spec in network.layers() if spec.kind.is_compute),
+                None if mapping is None else mapping.key(),
+                level,
+            )
+            group = by_identity[identity] = groups.setdefault(signature, [])
+        group.append(index)
+    return list(groups.values())
+
+
 # How a sharded run executes its shards: worker processes or in-process.
 SHARD_MODES = ("process", "inline")
 
@@ -996,44 +1030,33 @@ class MultiStreamSimulator:
         and therefore exactly the event ordering — of :meth:`run`.
         """
         kernel = SimulationKernel(trace=trace)
-        # Signature -> its (cost model, server), and the same pair by the
-        # identity of what the signature reads: a fleet shares a few network
-        # and mapping objects among many sources, so each identity resolves
-        # its signature once.
-        by_signature: Dict[tuple, Tuple[NetworkCostModel, SignatureServer]] = {}
-        by_identity: Dict[tuple, Tuple[NetworkCostModel, SignatureServer]] = {}
+        sources = self.sources
+        group_of = [0] * len(sources)
+        for k, members in enumerate(signature_groups(sources)):
+            for index in members:
+                group_of[index] = k
+        # Groups come in first-appearance order, so group k's cost model
+        # and server (named with k) are built at its first source.
+        pairs: List[Tuple[NetworkCostModel, SignatureServer]] = []
         clients: List[StreamClient] = []
-        for source in self.sources:
-            identity = NetworkCostModel.identity_for(
-                source.network, source.config, source.mapping
-            )
-            pair = by_identity.get(identity)
-            if pair is None:
-                # Resolve the signature first: constructing (and resolving)
-                # a full cost model per new identity just to discard it when
-                # the signature already had a server wastes start-up time.
-                signature = NetworkCostModel.signature_for(
-                    source.network, source.config, source.mapping
+        for source, k in zip(sources, group_of):
+            if k == len(pairs):
+                cost_model = self.cost_model_class(
+                    source.network,
+                    self.platform,
+                    config=source.config,
+                    mapping=source.mapping,
+                    table=self.table,
+                    cost_mode=self.cost_mode,
                 )
-                pair = by_signature.get(signature)
-                if pair is None:
-                    cost_model = self.cost_model_class(
-                        source.network,
-                        self.platform,
-                        config=source.config,
-                        mapping=source.mapping,
-                        table=self.table,
-                        cost_mode=self.cost_mode,
-                    )
-                    server = self.server_class(
-                        kernel,
-                        cost_model,
-                        name=f"server:{source.network.name}:{len(by_signature)}",
-                        max_merge_streams=self.max_merge_streams,
-                    )
-                    pair = by_signature[signature] = (cost_model, server)
-                by_identity[identity] = pair
-            cost_model, server = pair
+                server = self.server_class(
+                    kernel,
+                    cost_model,
+                    name=f"server:{source.network.name}:{k}",
+                    max_merge_streams=self.max_merge_streams,
+                )
+                pairs.append((cost_model, server))
+            cost_model, server = pairs[k]
             clients.append(
                 self.client_class(
                     source,

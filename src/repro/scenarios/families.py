@@ -23,6 +23,12 @@ Families shipped here:
 ``mixed_fleet``    The optimization ladder (baseline → E2SF → +DSFA →
                    +NMP) cycled across streams on shared hardware.
 =================  =====================================================
+
+Each family's shape is fixed by the module constants below.  A spec's
+``params`` may set only ``optimization`` (default E2SF+DSFA) and
+``sequence_pool`` (default :data:`DEFAULT_SEQUENCE_POOL`); every built-in
+compiler rejects any other key (``hotspot`` and ``mixed_fleet`` accept,
+and ignore, the one they do not read).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .._checks import require_count
 from ..core.config import EvEdgeConfig, OptimizationLevel
 from ..events.datasets import generate_sequence
 from ..models.zoo import build_network
@@ -64,6 +71,36 @@ _BURSTY_RECIPE: Tuple[Tuple[str, str], ...] = (
     ("halsie", "indoor_flying2"),
     ("adaptive_spikenet", "indoor_flying3"),
 )
+
+
+# Seconds between consecutive joins of the evenly staggered families (the
+# hotspot family adds a seeded jitter of up to its stagger).
+_STEADY_STAGGER = 0.004
+_HOTSPOT_STAGGER = 0.002
+_MIXED_FLEET_STAGGER = 0.003
+# Peak-to-mean swing of the diurnal load curve.
+_DIURNAL_AMPLITUDE = 0.9
+# Share of its footage a churning stream plays before it leaves.
+_CHURN_LIFETIME_FRACTION = 0.5
+# Zipf exponent of the hotspot's recipe popularity.
+_HOTSPOT_ALPHA = 1.6
+
+# The only spec params the built-in families read.
+_PARAMS = ("optimization", "sequence_pool")
+
+
+def _check_params(spec: ScenarioSpec) -> None:
+    """Reject a key no built-in family reads (``params`` is a free mapping,
+    so a misspelled key would otherwise compile with the default), and a
+    ``sequence_pool`` that is not an integer >= 1."""
+    for key in spec.params:
+        if key not in _PARAMS:
+            raise ValueError(
+                f"scenario family '{spec.family}' got unknown param {key!r}; "
+                f"the built-in families read only {', '.join(map(repr, _PARAMS))}"
+            )
+    if "sequence_pool" in spec.params:
+        require_count("sequence_pool", spec.params["sequence_pool"], 1)
 
 
 def _rng(spec: ScenarioSpec, salt: str) -> np.random.Generator:
@@ -123,9 +160,7 @@ def _make_source(
     if seq_seed is not None:
         seed = seq_seed
     else:
-        pool = int(spec.param("sequence_pool", DEFAULT_SEQUENCE_POOL))
-        if pool < 1:
-            raise ValueError("sequence_pool must be >= 1")
+        pool = spec.param("sequence_pool", DEFAULT_SEQUENCE_POOL)
         # Same-family streams share rendered sequences through the seed
         # pool; combined with the lru cache this caps sequence generation
         # per compile at ``pool`` renders regardless of fleet size.
@@ -149,18 +184,24 @@ def _cycle(recipe: Sequence[Tuple[str, str]], index: int) -> Tuple[str, str]:
 # ----------------------------------------------------------------------
 def compile_steady(spec: ScenarioSpec) -> List[StreamSource]:
     """Evenly phase-staggered streams over steady footage."""
-    stagger = float(spec.param("stagger", 0.004))
+    _check_params(spec)
     sources = []
     for i in range(spec.num_streams):
         net, seq = _cycle(_STEADY_RECIPE, i)
-        sources.append(_make_source(spec, i, net, seq, start_offset=stagger * i))
+        sources.append(
+            _make_source(spec, i, net, seq, start_offset=_STEADY_STAGGER * i)
+        )
     return sources
 
 
 def compile_bursty(spec: ScenarioSpec) -> List[StreamSource]:
-    """Poisson stream arrivals: exponential inter-arrival join times."""
+    """Poisson stream arrivals: exponential inter-arrival join times.
+
+    The mean gap spreads the joins over the footage duration.
+    """
+    _check_params(spec)
     rng = _rng(spec, "bursty")
-    mean_gap = float(spec.param("mean_gap", spec.duration / max(spec.num_streams, 1)))
+    mean_gap = spec.duration / max(spec.num_streams, 1)
     joins = np.cumsum(rng.exponential(mean_gap, size=spec.num_streams))
     joins -= joins[0]  # the first stream anchors the scenario at t=0
     sources = []
@@ -174,17 +215,15 @@ def compile_diurnal(spec: ScenarioSpec) -> List[StreamSource]:
     """Stream joins following a sinusoidal load curve (diurnal profile).
 
     Join times are the inverse-CDF samples of a rate curve
-    ``r(t) = 1 + amplitude * sin(2*pi*t/period - pi/2)`` over one period, so
-    streams cluster around the peak of the curve the way user traffic
-    clusters around peak hours.
+    ``r(t) = 1 + _DIURNAL_AMPLITUDE * sin(2*pi*t/period - pi/2)`` over one
+    period of twice the footage duration, so streams cluster around the
+    peak of the curve the way user traffic clusters around peak hours.
     """
-    amplitude = float(spec.param("amplitude", 0.9))
-    if not 0 <= amplitude <= 1:
-        raise ValueError("diurnal amplitude must be in [0, 1]")
-    period = float(spec.param("period", 2.0 * spec.duration))
+    _check_params(spec)
+    period = 2.0 * spec.duration
     rng = _rng(spec, "diurnal")
     grid = np.linspace(0.0, period, 512)
-    rate = 1.0 + amplitude * np.sin(2.0 * np.pi * grid / period - np.pi / 2.0)
+    rate = 1.0 + _DIURNAL_AMPLITUDE * np.sin(2.0 * np.pi * grid / period - np.pi / 2.0)
     cdf = np.cumsum(rate)
     cdf = (cdf - cdf[0]) / (cdf[-1] - cdf[0])
     # Deterministic quantiles with a small seeded jitter so ties never stack
@@ -206,20 +245,18 @@ def compile_diurnal(spec: ScenarioSpec) -> List[StreamSource]:
 def compile_churn(spec: ScenarioSpec) -> List[StreamSource]:
     """Scheduled joins and early leaves: half the fleet churns mid-life.
 
-    Odd-indexed streams leave after ``lifetime_fraction`` of their footage
-    (their ``stop_time`` truncates the stream), modelling sensors that
-    detach while replacements are still joining.
+    Joins are spread evenly over the footage duration, and odd-indexed
+    streams leave after ``_CHURN_LIFETIME_FRACTION`` of their footage (their
+    ``stop_time`` truncates the stream), modelling sensors that detach
+    while replacements are still joining.
     """
-    lifetime_fraction = float(spec.param("lifetime_fraction", 0.5))
-    if not 0 < lifetime_fraction <= 1:
-        raise ValueError("churn lifetime_fraction must be in (0, 1]")
-    window = float(spec.param("join_window", spec.duration))
-    gap = window / max(spec.num_streams, 1)
+    _check_params(spec)
+    gap = spec.duration / max(spec.num_streams, 1)
     sources = []
     for i in range(spec.num_streams):
         net, seq = _cycle(_BURSTY_RECIPE, i)
         join = gap * i
-        stop = join + lifetime_fraction * spec.duration if i % 2 else None
+        stop = join + _CHURN_LIFETIME_FRACTION * spec.duration if i % 2 else None
         sources.append(
             _make_source(spec, i, net, seq, start_offset=join, stop_time=stop)
         )
@@ -233,19 +270,16 @@ def compile_hotspot(spec: ScenarioSpec) -> List[StreamSource]:
     rather than sampling, so the concentration property holds for *every*
     seed; the seed only jitters the join offsets.
     """
-    alpha = float(spec.param("alpha", 1.6))
-    if alpha <= 0:
-        raise ValueError("hotspot alpha must be positive")
+    _check_params(spec)
     rng = _rng(spec, "hotspot")
-    stagger = float(spec.param("stagger", 0.002))
     ranks = np.arange(1, len(_BURSTY_RECIPE) + 1, dtype=np.float64)
-    weights = ranks**-alpha
+    weights = ranks**-_HOTSPOT_ALPHA
     weights /= weights.sum()
     ideal = weights * spec.num_streams
     counts = np.floor(ideal).astype(int)
     for i in np.argsort(-(ideal - counts))[: spec.num_streams - counts.sum()]:
         counts[i] += 1
-    jitter = rng.uniform(0.0, stagger, size=spec.num_streams)
+    jitter = rng.uniform(0.0, _HOTSPOT_STAGGER, size=spec.num_streams)
     sources = []
     index = 0
     for choice, count in enumerate(counts):
@@ -260,7 +294,7 @@ def compile_hotspot(spec: ScenarioSpec) -> List[StreamSource]:
                     index,
                     net,
                     seq,
-                    start_offset=stagger * index + jitter[index],
+                    start_offset=_HOTSPOT_STAGGER * index + jitter[index],
                     seq_seed=spec.seed + choice,
                 )
             )
@@ -276,7 +310,7 @@ def compile_mixed_fleet(spec: ScenarioSpec) -> List[StreamSource]:
         OptimizationLevel.E2SF_DSFA,
         OptimizationLevel.FULL,
     )
-    stagger = float(spec.param("stagger", 0.003))
+    _check_params(spec)
     sources = []
     for i in range(spec.num_streams):
         net, seq = _cycle(_BURSTY_RECIPE, i)
@@ -286,7 +320,7 @@ def compile_mixed_fleet(spec: ScenarioSpec) -> List[StreamSource]:
                 i,
                 net,
                 seq,
-                start_offset=stagger * i,
+                start_offset=_MIXED_FLEET_STAGGER * i,
                 level=ladder[i % len(ladder)],
             )
         )

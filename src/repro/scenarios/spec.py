@@ -66,8 +66,10 @@ class ScenarioSpec:
     network_resolution:
         ``(height, width)`` at which the zoo networks are instantiated.
     params:
-        Family-specific knobs (e.g. ``{"alpha": 1.5}`` for the hotspot
-        family).  Values must be JSON-serialisable.
+        Family-specific knobs (e.g. ``{"sequence_pool": 4}``).  Values must
+        be JSON-serialisable.  The built-in families read only
+        ``optimization`` and ``sequence_pool`` and reject any other key
+        (:mod:`repro.scenarios.families`).
     """
 
     name: str

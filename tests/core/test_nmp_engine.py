@@ -62,9 +62,7 @@ def seed_reference_evolutionary(graph, platform, table, config, initial_candidat
     are literals here, so a change to the production constants fails the
     comparison.
     """
-    evaluator = FitnessEvaluator(
-        graph, platform, table, accuracy_threshold=config.accuracy_threshold
-    )
+    evaluator = FitnessEvaluator(graph, platform, table)
     rng = np.random.default_rng(config.seed)
     population = [c.copy() for c in list(initial_candidates)[: config.population_size]]
     while len(population) < config.population_size:
@@ -121,9 +119,7 @@ def random_search_reference(graph, platform, table, config):
     loop, a generation's best can be worse than an earlier one, so the
     history records the best so far, with the generation's mean.
     """
-    evaluator = FitnessEvaluator(
-        graph, platform, table, accuracy_threshold=config.accuracy_threshold
-    )
+    evaluator = FitnessEvaluator(graph, platform, table)
     rng = np.random.default_rng(config.seed)
     history = []
     best_candidate = None
@@ -377,29 +373,6 @@ class TestRunConfig:
         )
         assert len(result.history) == 2
 
-    def test_accuracy_threshold_override_rejected(self, graph, platform, table):
-        # The threshold is baked into the shared evaluator's fitness cache,
-        # so a per-run override must fail loudly instead of being ignored.
-        engine = MapperEngine(
-            graph, platform, table, NMPConfig(population_size=8, generations=2, seed=0)
-        )
-        with pytest.raises(ValueError, match="accuracy_threshold"):
-            engine.run(
-                RandomSearchStrategy(),
-                config=replace(engine.config, accuracy_threshold=0.2),
-            )
-
-    @pytest.mark.parametrize("threshold", [float("nan"), -0.01], ids=["nan", "negative"])
-    def test_threshold_that_is_not_non_negative_rejected(
-        self, graph, platform, table, threshold
-    ):
-        # NaN passes a `< 0` check and then equals nothing, so run() would
-        # reject every run with a false override message.
-        with pytest.raises(ValueError, match="accuracy_threshold"):
-            NMPConfig(accuracy_threshold=threshold)
-        with pytest.raises(ValueError, match="accuracy_threshold"):
-            FitnessEvaluator(graph, platform, table, accuracy_threshold=threshold)
-
     @pytest.mark.parametrize("field", ["population_size", "generations"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
     def test_count_that_is_not_an_integer_rejected(self, field, value):
@@ -422,13 +395,6 @@ class TestRunConfig:
         expected = engine.run(EvolutionaryStrategy(), config=replace(config, seed=3))
         assert result.best_candidate.key() == expected.best_candidate.key()
         assert result.convergence == expected.convergence
-
-    def test_infinite_threshold_accepted(self, graph, platform, table):
-        config = NMPConfig(
-            population_size=4, generations=2, accuracy_threshold=float("inf")
-        )
-        result = MapperEngine(graph, platform, table, config).run(EvolutionaryStrategy())
-        assert result.best_breakdown.feasible
 
 
 class TestFitnessCacheKey:

@@ -122,7 +122,7 @@ class TestTables:
 
 class TestTrafficMix:
     def test_streams_cycle_the_recipe_and_share_inputs(self):
-        sources = traffic_mix(6, settings=TINY, stagger=0.01)
+        sources = traffic_mix(6, settings=TINY)
         assert [s.name for s in sources] == [
             "s00:spikeflownet",
             "s01:dotie",
@@ -131,9 +131,8 @@ class TestTrafficMix:
             "s04:spikeflownet",
             "s05:dotie",
         ]
-        assert [s.start_offset for s in sources] == pytest.approx(
-            [0.01 * i for i in range(6)]
-        )
+        # Joins are staggered by 4 ms.
+        assert [s.start_offset for s in sources] == [0.004 * i for i in range(6)]
         # Streams on the same recipe entry reuse one network and one sequence.
         assert sources[4].network is sources[0].network
         assert sources[4].sequence is sources[0].sequence
@@ -147,13 +146,8 @@ class TestTrafficMix:
         settings = ExperimentSettings(
             scale=0.12, duration=0.4, num_bins=5, seed=0, num_streams=2
         )
-        sources = traffic_mix(
-            settings=settings,
-            network_resolution=(32, 48),
-            optimization=OptimizationLevel.BASELINE,
-        )
+        sources = traffic_mix(settings=settings, network_resolution=(32, 48))
         assert len(sources) == 2
-        assert all(s.config.optimization is OptimizationLevel.BASELINE for s in sources)
         for source in sources:
             first = source.network.layers()[0]
             assert (first.in_height, first.in_width) == (32, 48)

@@ -58,8 +58,6 @@ class TestFlowSurrogate:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             FlowSurrogate().predict(np.zeros((4, 3, 8, 8)))
-        with pytest.raises(ValueError):
-            FlowSurrogate(block_size=1)
 
     def test_wrong_precision_count_rejected(self, bars_bins):
         bins, _ = bars_bins
@@ -86,12 +84,6 @@ class TestSegmentationSurrogate:
         miou = mean_iou(result.prediction, gt, 2)
         assert miou > 30.0
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SegmentationSurrogate(smoothing_radius=-1)
-        with pytest.raises(ValueError):
-            SegmentationSurrogate(threshold_scale=0.0)
-
 
 class TestDepthAndTracking:
     def test_depth_positive_where_valid(self):
@@ -111,12 +103,6 @@ class TestDepthAndTracking:
         pred_box = TrackingSurrogate.bounding_box(result.prediction)
         gt_box = TrackingSurrogate.bounding_box(seq.ground_truth[0].segmentation > 0)
         assert box_iou(pred_box, gt_box) > 0.1
-
-    def test_tracking_invalid_params(self):
-        with pytest.raises(ValueError):
-            TrackingSurrogate(leak=2.0)
-        with pytest.raises(ValueError):
-            TrackingSurrogate(threshold_percentile=0.0)
 
     def test_bounding_box_of_empty_mask(self):
         assert TrackingSurrogate.bounding_box(np.zeros((8, 8))) is None

@@ -81,8 +81,9 @@ from repro.nn.graph import MultiTaskGraph, TaskSpec
 from repro.nn.layers import LayerSpec
 from repro.nn.occupancy import OccupancyProfile
 from repro.nn.quantization import Precision
-from repro.runtime.executor import SignatureServer, _PendingDispatch
+from repro.runtime.executor import SignatureServer, _PendingDispatch, execute
 from repro.runtime.sim import (
+    BASELINE_PRECISION,
     DispatchBatch,
     FrameReady,
     InferenceDone,
@@ -146,7 +147,7 @@ class LegacyListServer(SignatureServer):
     def dispatch(self, client, batch, time: float) -> None:
         busy = self.busy_until(client)
         if not self._pending_list and busy <= time:
-            self._execute([_PendingDispatch(client, batch, time)], time)
+            self._run([_PendingDispatch(client, batch, time)], time)
             return
         mine = [p for p in self._pending_list if p.client is client]
         if len(mine) >= client.queue_depth:
@@ -168,18 +169,14 @@ class LegacyListServer(SignatureServer):
         self._pending_list.append(entry)
         self._pending_service += entry.service_estimate
         # One wake-up per enqueued dispatch: the pre-refactor event storm.
-        self.kernel.schedule_completions(
-            max(busy, time), [(self.name, (), None, self._on_done)]
-        )
+        self.kernel.schedule_completions(max(busy, time), [self._drain])
 
     def _on_done(self, time: float, records: tuple) -> None:
         if not self._pending_list:
             return
         busy = self.busy_until()
         if busy > time:
-            self.kernel.schedule_completions(
-                busy, [(self.name, (), None, self._on_done)]
-            )
+            self.kernel.schedule_completions(busy, [self._drain])
             return
         members: List[_PendingDispatch] = []
         remaining: List[_PendingDispatch] = []
@@ -194,7 +191,11 @@ class LegacyListServer(SignatureServer):
         self._pending_list = remaining
         for member in members:
             self._pending_service -= member.service_estimate
-        self._execute(members, time)
+        self._run(members, time)
+
+    def _run(self, members: List[_PendingDispatch], time: float) -> None:
+        pes = self.cost_model.pes_used
+        execute(self.kernel, self.cost_model, pes, members, time, self._drain)
 
 
 class ReferenceLayerCostTable(LayerCostTable):
@@ -301,14 +302,14 @@ class ReferenceCostModel(NetworkCostModel):
         """(pe, precision) of one layer under the active mapping."""
         gpu = self.platform.gpu()
         if self.mapping is None or not self.config.optimization.uses_nmp:
-            return gpu, self.config.baseline_precision
+            return gpu, BASELINE_PRECISION
         full_node = f"{self.network.name}.{node_name}"
         if full_node in self.mapping:
             assignment = self.mapping[full_node]
         elif node_name in self.mapping:
             assignment = self.mapping[node_name]
         else:
-            return gpu, self.config.baseline_precision
+            return gpu, BASELINE_PRECISION
         return self.platform.pe(assignment.pe), assignment.precision
 
     def _resolve(self) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import EvEdgeConfig, OptimizationLevel
 from repro.core.nmp.candidate import Assignment, MappingCandidate
+from repro.events import generate_sequence
 from repro.hw import jetson_xavier_agx
 from repro.models import build_network
 from repro.nn import Precision
@@ -28,7 +29,10 @@ from repro.runtime import (
     SimulationKernel,
     StreamClient,
     StreamEnd,
+    StreamSource,
+    signature_groups,
 )
+from repro.runtime.sim import BASELINE_PRECISION
 
 from test_cost_compiled import RESOLUTIONS
 
@@ -712,11 +716,11 @@ class TestNetworkCostModel:
                     continue
                 occ = occupancy if first else None
                 expected_latency += latency_model.layer_latency(
-                    spec, gpu, config.baseline_precision,
+                    spec, gpu, BASELINE_PRECISION,
                     sparse=True, occupancy=occ, batch=batch,
                 ).total
                 expected_energy += energy_model.layer_energy(
-                    spec, gpu, config.baseline_precision,
+                    spec, gpu, BASELINE_PRECISION,
                     sparse=True, occupancy=occ, batch=batch,
                 ).total
                 first = False
@@ -750,18 +754,67 @@ class TestNetworkCostModel:
         mapped = NetworkCostModel(network, platform, config=config, mapping=mapping)
         assert set(mapped.pes_used) >= {"gpu"}
 
-    def test_signature_distinguishes_configs(self, network):
-        a = NetworkCostModel.signature_for(network)
-        b = NetworkCostModel.signature_for(
-            network, EvEdgeConfig(optimization=OptimizationLevel.E2SF)
-        )
-        c = NetworkCostModel.signature_for(network, EvEdgeConfig())
-        assert a != b
-        assert a == c
 
-    def test_signature_distinguishes_same_name_different_structure(self):
-        # The same zoo model built at two resolutions shares a name but must
-        # not share a cost model / execution server.
-        small = NetworkCostModel.signature_for(build_network("dotie", 64, 64))
-        large = NetworkCostModel.signature_for(build_network("dotie", 192, 192))
-        assert small != large
+class TestSignatureGroups:
+    """Sources share a cost model and a server (and a shard) exactly when
+    their network structure, mapping key and optimization level agree."""
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        return generate_sequence("indoor_flying1", scale=0.1, duration=0.1, seed=0)
+
+    def test_same_name_different_structure_never_shares(self, sequence):
+        # The same zoo model built at two resolutions shares a name.
+        small = build_network("dotie", 64, 64)
+        large = build_network("dotie", 192, 192)
+        sources = [
+            StreamSource(f"s{i}", sequence, net)
+            for i, net in enumerate((small, large, small))
+        ]
+        assert signature_groups(sources) == [[0, 2], [1]]
+
+    def test_equal_structure_distinct_objects_share(self, sequence):
+        first = build_network("dotie", 64, 64)
+        second = build_network("dotie", 64, 64)
+        assert first is not second
+        sources = [
+            StreamSource(f"s{i}", sequence, net)
+            for i, net in enumerate((first, second, first))
+        ]
+        assert signature_groups(sources) == [[0, 1, 2]]
+
+    def test_optimization_levels_split_groups(self, sequence, network):
+        levels = (
+            OptimizationLevel.E2SF,
+            OptimizationLevel.E2SF_DSFA,
+            OptimizationLevel.E2SF,
+            OptimizationLevel.BASELINE,
+        )
+        sources = [
+            StreamSource(f"s{i}", sequence, network, EvEdgeConfig(optimization=level))
+            for i, level in enumerate(levels)
+        ]
+        assert signature_groups(sources) == [[0, 2], [1], [3]]
+
+    def test_structure_is_read_once_per_identity(self, sequence, monkeypatch):
+        # Eight sources over two equal network objects, each with its own
+        # config object at one level: two identities, one group, and each
+        # network's layers read once.
+        networks = [build_network("dotie", 64, 64) for _ in range(2)]
+        reads = []
+        for net in networks:
+            layers = net.layers
+            monkeypatch.setattr(
+                net, "layers", lambda layers=layers: reads.append(1) or layers()
+            )
+        sources = [
+            StreamSource(
+                f"s{i}",
+                sequence,
+                networks[i % 2],
+                EvEdgeConfig(optimization=OptimizationLevel.E2SF),
+            )
+            for i in range(8)
+        ]
+        assert signature_groups(sources) == [list(range(8))]
+        assert len(reads) == 2

@@ -26,6 +26,7 @@ from repro.scenarios import (
     sweep_grid,
 )
 from repro.scenarios import sweep as sweep_module
+from repro.scenarios.families import BUILTIN_FAMILIES
 from repro.scenarios.cli import main as scenarios_cli
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
@@ -76,12 +77,12 @@ class TestRegistry:
             registry.register(registry.spec("steady"))
 
     def test_overrides_merge_params(self, registry):
-        spec = registry.resolve("hotspot", params={"alpha": 2.5}, num_streams=7)
-        assert spec.param("alpha") == 2.5
+        spec = registry.resolve("steady", params={"sequence_pool": 2}, num_streams=7)
+        assert spec.param("sequence_pool") == 2
         assert spec.num_streams == 7
         # The registered spec itself is untouched.
-        assert registry.spec("hotspot").num_streams != 7
-        assert "alpha" not in registry.spec("hotspot").params
+        assert registry.spec("steady").num_streams != 7
+        assert "sequence_pool" not in registry.spec("steady").params
 
 
 class TestSpec:
@@ -90,11 +91,11 @@ class TestSpec:
         b = ScenarioSpec(name="x", family="steady", seed=3)
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != a.replace(seed=4).content_hash()
-        assert a.content_hash() != a.replace(params={"stagger": 0.1}).content_hash()
+        assert a.content_hash() != a.replace(params={"sequence_pool": 2}).content_hash()
 
     def test_dict_roundtrip(self):
         spec = ScenarioSpec(
-            name="x", family="churn", num_streams=5, params={"lifetime_fraction": 0.4}
+            name="x", family="churn", num_streams=5, params={"sequence_pool": 2}
         )
         clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
@@ -173,6 +174,13 @@ class TestFamilies:
         # Zipf skew: the most popular network serves more than half the fleet.
         assert max(nets.count(n) for n in set(nets)) > len(sources) // 2
 
+    def test_even_staggers(self, registry):
+        for name, stagger in (("steady", 0.004), ("mixed_fleet", 0.003)):
+            sources = registry.compile(name, **SMALL)
+            assert [s.start_offset for s in sources] == [
+                stagger * i for i in range(SMALL["num_streams"])
+            ]
+
     def test_mixed_fleet_spans_the_ladder(self, registry):
         spec = registry.resolve("mixed_fleet", **dict(SMALL, num_streams=4))
         levels = {s.config.optimization for s in registry.compile(spec)}
@@ -182,6 +190,43 @@ class TestFamilies:
             OptimizationLevel.E2SF_DSFA,
             OptimizationLevel.FULL,
         }
+
+
+# The params each built-in family took before its shape became constants.
+_RETIRED_PARAMS = {
+    "steady": ("stagger",),
+    "bursty": ("mean_gap",),
+    "diurnal": ("amplitude", "period"),
+    "churn": ("lifetime_fraction", "join_window"),
+    "hotspot": ("alpha", "stagger"),
+    "mixed_fleet": ("stagger",),
+}
+
+
+class TestFamilyParams:
+    """Built-in families read only ``optimization`` and ``sequence_pool``;
+    any other key fails at compile instead of compiling with the default."""
+
+    def test_every_builtin_family_is_covered(self):
+        assert set(_RETIRED_PARAMS) == set(BUILTIN_FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(_RETIRED_PARAMS))
+    def test_retired_and_misspelled_keys_raise(self, registry, family):
+        for key in _RETIRED_PARAMS[family] + ("sequnce_pool",):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                registry.compile(family, **SMALL, params={key: 1})
+
+    @pytest.mark.parametrize("family", sorted(_RETIRED_PARAMS))
+    def test_read_keys_compile(self, registry, family):
+        params = {"optimization": "e2sf", "sequence_pool": 2}
+        sources = registry.compile(family, **SMALL, params=params)
+        assert len(sources) == SMALL["num_streams"]
+
+    @pytest.mark.parametrize("value", [2.5, "8", 0], ids=["fraction", "string", "zero"])
+    def test_sequence_pool_must_be_a_positive_integer(self, registry, value):
+        # 2.5 and "8" used to compile as int(value): 2 and 8.
+        with pytest.raises(ValueError, match="sequence_pool"):
+            registry.compile("steady", **SMALL, params={"sequence_pool": value})
 
 
 def _worker_daemon_row(cell):
